@@ -204,7 +204,7 @@ func BenchmarkCheckLevels(b *testing.B) {
 // --- E11: implementation ablation ----------------------------------------
 
 func BenchmarkImplSatisfiedCheck(b *testing.B) {
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		c := core.NewImpl(impl)
 		c.Increment(1 << 40)
 		b.Run(string(impl), func(b *testing.B) {
@@ -216,7 +216,7 @@ func BenchmarkImplSatisfiedCheck(b *testing.B) {
 }
 
 func BenchmarkImplUncontendedIncrement(b *testing.B) {
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		b.Run(string(impl), func(b *testing.B) {
 			c := core.NewImpl(impl)
 			for i := 0; i < b.N; i++ {
@@ -228,7 +228,7 @@ func BenchmarkImplUncontendedIncrement(b *testing.B) {
 
 func BenchmarkImplMixedWorkload(b *testing.B) {
 	const checkers, perChecker = 4, 100
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		b.Run(string(impl), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := core.NewImpl(impl)

@@ -26,7 +26,8 @@
 //
 // Within a table, rows are matched by the row's identity cells
 // (implementation names, sizes — anything that is not a measured
-// quantity), so reordered or added rows diff cleanly. Timing cells are
+// quantity), so reordered rows diff cleanly and rows present on only
+// one side (an added or a deleted design) are listed. Timing cells are
 // parsed back from the harness's human format ("417ns", "97.9µs",
 // "7.94ms", "1.234s"). Ratio and rate cells are derived quantities and
 // are skipped. By default regressions beyond the threshold are warnings,
@@ -330,7 +331,9 @@ func diffTable(expID string, oldT, newT table, threshold float64) int {
 			printedHeader = true
 		}
 	}
+	newRows := make(map[string]bool)
 	for _, row := range newT.Rows {
+		newRows[rowKey(row)] = true
 		oldRow, ok := oldRows[rowKey(row)]
 		if !ok {
 			header()
@@ -359,6 +362,12 @@ func diffTable(expID string, oldT, newT table, threshold float64) int {
 			}
 			fmt.Printf("  %-40s %10s -> %-10s %+6.1f%%%s\n",
 				rowKey(row)+" ["+col+"]", oldRow[i], cell, delta*100, mark)
+		}
+	}
+	for _, row := range oldT.Rows {
+		if !newRows[rowKey(row)] {
+			header()
+			fmt.Printf("  %s: row only in old report\n", rowKey(row))
 		}
 	}
 	return regressions

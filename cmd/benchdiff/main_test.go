@@ -185,6 +185,27 @@ func TestDiffTableFlagsRegression(t *testing.T) {
 	}
 }
 
+// Rows present on only one side are reported from both sides: a design
+// deleted between two reports must not vanish from the diff silently.
+func TestDiffTableReportsOneSidedRows(t *testing.T) {
+	oldT := table{
+		Title:   "Mixed workload",
+		Headers: []string{"implementation", "median"},
+		Rows:    [][]string{{"list", "4.00ms"}, {"heap", "4.10ms"}},
+	}
+	newT := table{
+		Title:   "Mixed workload",
+		Headers: []string{"implementation", "median"},
+		Rows:    [][]string{{"list", "4.00ms"}, {"sharded", "3.90ms"}},
+	}
+	out := captureStdout(t, func() { diffTable("E11", oldT, newT, 0.25) })
+	for _, want := range []string{"heap: row only in old report", "sharded: row only in new report"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("diff output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // sweep builds a report with one E19 table per proc, timing cell taken
 // from ns[proc].
 func sweep(quick bool, ns map[int]string) *report {

@@ -3,8 +3,8 @@ package cluster
 import (
 	"sync"
 
-	cwait "monotonic/counter/wait"
 	"monotonic/counter/remote"
+	cwait "monotonic/counter/wait"
 )
 
 // Server-side predicate waits through the cluster. A Cluster is a

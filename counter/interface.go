@@ -65,13 +65,15 @@ func Impls() []string {
 	return names
 }
 
-// Open returns a fresh counter of the named in-process implementation —
-// "list" and "sharded" are the tuned designs also available as Counter
-// and Sharded, "fc" adds a flat-combining path for increment-contended
-// use; the rest are the ablation designs the experiments compare. Every returned counter also implements StatsProvider (so
-// Publish works on it) and accepts SetProbe where the implementation
-// has an engine-side hook. Unknown names return an error listing the
-// valid ones.
+// Open returns a fresh counter of the named in-process implementation.
+// "list" is the paper's section 7 reference design (also available as
+// Counter) and "sharded" is the production engine that counterd runs
+// (also available as Sharded); the other names in Impls are the
+// ablations and baselines the experiments compare them against. Every
+// returned counter also implements StatsProvider (so Publish works on
+// it) and accepts SetProbe, which "chan" ignores because it has no
+// engine-side hook. Unknown names return an error listing the valid
+// ones.
 func Open(impl string) (Interface, error) {
 	switch core.Impl(impl) {
 	case core.ImplList:

@@ -69,15 +69,19 @@ func TestOpenStatsProvider(t *testing.T) {
 }
 
 // TestOpenUnknown pins the error contract: unknown names fail with a
-// message listing what would have worked.
+// message listing what would have worked. Names match exactly — no case
+// folding, no trimming — so near-misses of real names are unknown too.
 func TestOpenUnknown(t *testing.T) {
-	_, err := counter.Open("nonesuch")
-	if err == nil {
-		t.Fatal("Open(nonesuch) succeeded")
-	}
-	for _, name := range counter.Impls() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("Open error %q does not list implementation %q", err, name)
+	for _, bad := range []string{"nonesuch", "", "List", " sharded", "fc "} {
+		_, err := counter.Open(bad)
+		if err == nil {
+			t.Errorf("Open(%q) succeeded", bad)
+			continue
+		}
+		for _, name := range counter.Impls() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Open(%q) error %q does not list implementation %q", bad, err, name)
+			}
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestBroadcastSequentialEquivalence(t *testing.T) {
 func TestBroadcastAllImpls(t *testing.T) {
 	const n = 300
 	want := ExpectedChecksum(n)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		res := Run(Config{Items: n, WriterBlock: 4, ReaderBlocks: []int{1, 9}, Impl: impl})
 		for r, sum := range res.ReaderSums {
 			if sum != want {

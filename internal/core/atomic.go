@@ -162,8 +162,3 @@ func (c *AtomicCounter) LockAcquires() uint64 {
 func (c *AtomicCounter) SetProbe(f func(Event)) {
 	c.wl.SetProbe(f)
 }
-
-var _ Interface = (*AtomicCounter)(nil)
-var _ StatsProvider = (*AtomicCounter)(nil)
-var _ ProbeSetter = (*AtomicCounter)(nil)
-var _ LockCounter = (*AtomicCounter)(nil)

@@ -197,8 +197,4 @@ func (c *BroadcastCounter) LockAcquires() uint64 {
 // probe sees the herd re-park after every under-level wake.
 func (c *BroadcastCounter) SetProbe(f func(Event)) { c.wl.SetProbe(f) }
 
-var _ Interface = (*BroadcastCounter)(nil)
 var _ levelIndex = (*BroadcastCounter)(nil)
-var _ StatsProvider = (*BroadcastCounter)(nil)
-var _ ProbeSetter = (*BroadcastCounter)(nil)
-var _ LockCounter = (*BroadcastCounter)(nil)

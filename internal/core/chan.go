@@ -277,7 +277,3 @@ func (c *ChanCounter) Stats() Stats {
 func (c *ChanCounter) LockAcquires() uint64 {
 	return c.lockAcquires.Load()
 }
-
-var _ Interface = (*ChanCounter)(nil)
-var _ StatsProvider = (*ChanCounter)(nil)
-var _ LockCounter = (*ChanCounter)(nil)

@@ -231,7 +231,3 @@ func (c *Counter) Inspect() Snapshot {
 	}
 	return s
 }
-
-var _ Interface = (*Counter)(nil)
-var _ StatsProvider = (*Counter)(nil)
-var _ ProbeSetter = (*Counter)(nil)

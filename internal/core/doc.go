@@ -18,23 +18,37 @@
 // sequential execution does not deadlock) their multithreaded execution is
 // deadlock-free and equivalent to sequential execution (paper, section 6).
 //
-// The package provides several interchangeable implementations of the
-// Interface:
+// The package provides eight interchangeable implementations of the
+// Interface, listed in Registry order:
 //
-//   - Counter: the paper's reference design (section 7) — a mutex plus an
-//     ordered list of per-level waiter nodes, each node holding its own
-//     condition variable. Storage and wake time are proportional to the
-//     number of *distinct levels* with waiters, not to the number of
-//     waiting goroutines.
-//   - HeapCounter: the same waiter-node design with a binary min-heap in
-//     place of the sorted linked list (O(log L) insertion).
-//   - ChanCounter: per-level nodes whose broadcast is a close(chan), the
-//     idiomatic Go translation; supports context cancellation.
-//   - BroadcastCounter: a deliberately naive baseline with a single
-//     condition variable and a full broadcast on every increment (the
-//     thundering-herd design the paper's cost analysis argues against).
-//   - AtomicCounter: the list design with a lock-free fast path for Check
-//     calls whose level is already satisfied.
+//   - Counter ("list"): the paper's reference design (section 7) — a
+//     mutex plus an ordered list of per-level waiter nodes, each node
+//     holding its own condition variable. Storage and wake time are
+//     proportional to the number of *distinct levels* with waiters, not
+//     to the number of waiting goroutines. It is the design behind the
+//     Figure 2 trace and the single-threaded simulator (Sim).
+//   - HeapCounter ("heap"): the same waiter-node design with a binary
+//     min-heap in place of the sorted linked list (O(log L) insertion).
+//   - ChanCounter ("chan"): per-level nodes whose broadcast is a
+//     close(chan), the idiomatic Go translation, with no waitlist engine.
+//   - BroadcastCounter ("broadcast"): a deliberately naive baseline with a
+//     single condition variable and a full broadcast on every increment
+//     (the thundering-herd design the paper's cost analysis argues
+//     against).
+//   - AtomicCounter ("atomic"): the list design with a hash-striped level
+//     index, so registering waiters on different levels do not serialize
+//     on one mutex.
+//   - SpinCounter ("spin"): the atomic design behind a bounded
+//     spin-then-block Check.
+//   - ShardedCounter ("sharded"): the production engine that counterd
+//     runs: the striped level index, plus increments absorbed lock-free
+//     by cache-padded shard cells while nobody waits.
+//   - FCCounter ("fc"): the list design with a flat-combining path for
+//     contended increments.
+//
+// Only Counter and ShardedCounter have public facade types
+// (counter.Counter and counter.Sharded); the others are the ablations and
+// baselines the experiments compare them against.
 //
 // All implementations share identical blocking semantics; the test suite
 // checks them against a single sequential model. The condition-variable

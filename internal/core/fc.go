@@ -398,8 +398,3 @@ func (c *FCCounter) LockAcquires() uint64 {
 func (c *FCCounter) SetProbe(f func(Event)) {
 	c.wl.SetProbe(f)
 }
-
-var _ Interface = (*FCCounter)(nil)
-var _ StatsProvider = (*FCCounter)(nil)
-var _ ProbeSetter = (*FCCounter)(nil)
-var _ LockCounter = (*FCCounter)(nil)

@@ -257,8 +257,3 @@ func (c *HeapCounter) LockAcquires() uint64 {
 
 // SetProbe implements ProbeSetter.
 func (c *HeapCounter) SetProbe(f func(Event)) { c.wl.SetProbe(f) }
-
-var _ Interface = (*HeapCounter)(nil)
-var _ StatsProvider = (*HeapCounter)(nil)
-var _ ProbeSetter = (*HeapCounter)(nil)
-var _ LockCounter = (*HeapCounter)(nil)

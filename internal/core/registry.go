@@ -16,16 +16,14 @@ const (
 	ImplFC        Impl = "fc"        // flat-combining contended increment path
 )
 
-// Impls lists every implementation, reference design first.
-var Impls = []Impl{ImplList, ImplHeap, ImplChan, ImplBroadcast, ImplAtomic, ImplSpin, ImplSharded, ImplFC}
-
-// Registry returns the implementations every conformance, fuzz,
-// cancellation, and stress suite must cover. Test code iterates this
-// (rather than hard-coding names) so a newly registered implementation
-// is picked up by the whole battery automatically. The returned slice is
-// a copy; callers may reorder or filter it.
+// Registry returns every implementation, reference design first: the set
+// every conformance, fuzz, cancellation, and stress suite must cover.
+// Test code iterates this (rather than hard-coding names) so a newly
+// registered implementation is picked up by the whole battery
+// automatically. The returned slice is a fresh copy; callers may reorder
+// or filter it.
 func Registry() []Impl {
-	return append([]Impl(nil), Impls...)
+	return []Impl{ImplList, ImplHeap, ImplChan, ImplBroadcast, ImplAtomic, ImplSpin, ImplSharded, ImplFC}
 }
 
 // NewImpl constructs a fresh counter of the named implementation. It
@@ -52,9 +50,12 @@ func NewImpl(impl Impl) Interface {
 	panic("core: unknown counter implementation " + string(impl))
 }
 
-// Every registry implementation reports the unified Stats schema; the
-// engine-based ones (all but ChanCounter, which has no engine) also
-// accept a probe. The conformance suite relies on both.
+// NewImpl's switch already checks that every constructor returns an
+// Interface. Beyond that, every registry implementation reports the
+// unified Stats schema; the engine-based ones (all but ChanCounter,
+// which has no engine) also accept a probe. The conformance suite relies
+// on both. These are the package's only compile-time assertions of the
+// public surfaces; the design files do not repeat them.
 var (
 	_ StatsProvider = (*Counter)(nil)
 	_ StatsProvider = (*HeapCounter)(nil)

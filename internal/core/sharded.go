@@ -433,8 +433,3 @@ func (c *ShardedCounter) LockAcquires() uint64 {
 func (c *ShardedCounter) SetProbe(f func(Event)) {
 	c.wl.SetProbe(f)
 }
-
-var _ Interface = (*ShardedCounter)(nil)
-var _ StatsProvider = (*ShardedCounter)(nil)
-var _ ProbeSetter = (*ShardedCounter)(nil)
-var _ LockCounter = (*ShardedCounter)(nil)

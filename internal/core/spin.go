@@ -132,8 +132,3 @@ func (c *SpinCounter) SetProbe(f func(Event)) { c.a.SetProbe(f) }
 // LockAcquires implements LockCounter via the underlying atomic counter
 // (spin probes take no locks).
 func (c *SpinCounter) LockAcquires() uint64 { return c.a.LockAcquires() }
-
-var _ Interface = (*SpinCounter)(nil)
-var _ StatsProvider = (*SpinCounter)(nil)
-var _ ProbeSetter = (*SpinCounter)(nil)
-var _ LockCounter = (*SpinCounter)(nil)

@@ -146,7 +146,7 @@ func init() {
 				"implementation", "median", "vs list")
 			base := harness.Measure(reps, run(core.ImplList))
 			t.Add(string(core.ImplList), harness.Dur(base.Median()), "1.00x")
-			for _, impl := range core.Impls[1:] {
+			for _, impl := range core.Registry()[1:] {
 				tm := harness.Measure(reps, run(impl))
 				// >1.00x means this implementation is faster than list.
 				t.Add(string(impl), harness.Dur(tm.Median()), harness.Ratio(harness.Speedup(base, tm)))
@@ -158,7 +158,7 @@ func init() {
 			if cfg.Quick {
 				n = 100000
 			}
-			for _, impl := range core.Impls {
+			for _, impl := range core.Registry() {
 				impl := impl
 				c := core.NewImpl(impl)
 				c.Increment(1 << 40)

@@ -155,7 +155,7 @@ func TestShortestPathsUnderSkew(t *testing.T) {
 func TestShortestPathsCounterImpls(t *testing.T) {
 	edge := RandomNegative(48, 0.35, 15, 5, 7)
 	want := ShortestPaths1(edge)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		if got := ShortestPaths3Impl(edge, 4, sthreads.Concurrent, nil, impl); !got.Equal(want) {
 			t.Errorf("impl %s: counter variant disagrees", impl)
 		}

@@ -183,7 +183,7 @@ func TestExploreModelsMatchRealCounters(t *testing.T) {
 // counter implementation and execution mode (every combination).
 func TestParaffinsAcrossImplsAndModes(t *testing.T) {
 	want := paraffins.GenerateRadicalsSeq(8)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		for _, mode := range sthreads.Modes {
 			got := paraffins.GenerateRadicals(8, mode, impl)
 			if !reflect.DeepEqual(got, want) {

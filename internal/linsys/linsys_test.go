@@ -65,7 +65,7 @@ func TestParallelBitIdentical(t *testing.T) {
 func TestCounterSolveAllImpls(t *testing.T) {
 	sys := RandomDominant(48, 3)
 	want := SolveSeq(sys)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		if got := SolveCounter(sys, 4, nil, impl); !EqualExact(got, want) {
 			t.Errorf("impl %s: solution differs", impl)
 		}

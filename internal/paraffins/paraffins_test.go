@@ -39,7 +39,7 @@ func TestParaffinCountsMatchOEIS(t *testing.T) {
 // publishes before stage s+1 starts, even run in program order).
 func TestParallelMatchesSequential(t *testing.T) {
 	want := GenerateRadicalsSeq(9)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		for _, mode := range sthreads.Modes {
 			got := GenerateRadicals(9, mode, impl)
 			if !reflect.DeepEqual(got, want) {

@@ -111,7 +111,7 @@ func TestVariantsMatchUnderSkew(t *testing.T) {
 func TestCounterImplAblation(t *testing.T) {
 	init := InitialRod(20)
 	want := RunSequential(init, 15, Heat)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		if got := RunCounterImplNamed(init, 15, Heat, nil, impl); !equal(got, want) {
 			t.Errorf("impl %s: diverged", impl)
 		}

@@ -55,6 +55,7 @@ func randomString(rng *workload.RNG, n int, alphabet string) string {
 // TestQuickParallelMatchesSequential: property test over random strings,
 // band counts, block sizes, and counter implementations.
 func TestQuickParallelMatchesSequential(t *testing.T) {
+	impls := core.Registry()
 	f := func(seed uint64, an, bn, bands8, block8 uint8) bool {
 		rng := workload.NewRNG(seed)
 		a := randomString(rng, int(an%60), "acgt")
@@ -62,7 +63,7 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 		bands := int(bands8%6) + 1
 		block := int(block8%9) + 1
 		want := EditDistanceSeq(a, b, DefaultCosts)
-		impl := core.Impls[seed%uint64(len(core.Impls))]
+		impl := impls[seed%uint64(len(impls))]
 		return EditDistance(a, b, DefaultCosts, bands, block, impl) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -75,7 +76,7 @@ func TestAllImpls(t *testing.T) {
 	a := randomString(rng, 80, "abcdefgh")
 	b := randomString(rng, 90, "abcdefgh")
 	want := EditDistanceSeq(a, b, DefaultCosts)
-	for _, impl := range core.Impls {
+	for _, impl := range core.Registry() {
 		if got := EditDistance(a, b, DefaultCosts, 4, 8, impl); got != want {
 			t.Errorf("impl %s: %d, want %d", impl, got, want)
 		}
