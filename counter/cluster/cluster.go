@@ -132,6 +132,7 @@ type Cluster struct {
 	mu       sync.Mutex
 	nodes    []*node
 	ring     []point // points of live nodes, sorted by hash
+	ringGen  uint64  // bumped by every ring rebuild; see Counter.route
 	counters map[string]*Counter
 	closed   bool
 }
@@ -329,11 +330,11 @@ func (c *Cluster) failNode(n *node) {
 	n.down = true
 	c.rebuildRingLocked()
 	for _, ctr := range moved {
-		succ := c.routeLocked(ctr.hash)
-		if succ == nil {
+		rc := c.homeLocked(ctr)
+		if rc == nil {
 			break // last node died; nothing to replay into
 		}
-		replays = append(replays, replay{succ.counterFor(ctr.name, ctr.hash), ctr.contrib})
+		replays = append(replays, replay{rc, ctr.contrib})
 	}
 	clients := n.clients
 	c.mu.Unlock()
@@ -347,9 +348,11 @@ func (c *Cluster) failNode(n *node) {
 	}
 }
 
-// rebuildRingLocked recomputes the ring from the live members. Callers
-// hold c.mu (or own c exclusively).
+// rebuildRingLocked recomputes the ring from the live members and
+// invalidates every counter's cached route. Callers hold c.mu (or own c
+// exclusively).
 func (c *Cluster) rebuildRingLocked() {
+	c.ringGen++
 	ring := c.ring[:0]
 	for _, n := range c.nodes {
 		if n.down {
@@ -381,6 +384,21 @@ func (c *Cluster) routeLocked(hash uint64) *node {
 	return c.ring[i].n
 }
 
+// homeLocked returns the remote counter currently hosting ctr, nil once
+// no member is live. The route is cached on ctr until the next ring
+// rebuild, so a steady stream of operations on a name neither searches
+// the ring nor looks the name up in the pooled client. Callers hold c.mu.
+func (c *Cluster) homeLocked(ctr *Counter) *remote.Counter {
+	if ctr.routeGen != c.ringGen {
+		n := c.routeLocked(ctr.hash)
+		if n == nil {
+			return nil
+		}
+		ctr.route, ctr.routeGen = n.counterFor(ctr.name, ctr.hash), c.ringGen
+	}
+	return ctr.route
+}
+
 // homeCounter routes name to the remote counter currently hosting it.
 func (c *Cluster) homeCounter(ctr *Counter) (*remote.Counter, error) {
 	c.mu.Lock()
@@ -388,11 +406,11 @@ func (c *Cluster) homeCounter(ctr *Counter) (*remote.Counter, error) {
 	if c.closed {
 		return nil, remote.ErrClosed
 	}
-	n := c.routeLocked(ctr.hash)
-	if n == nil {
+	rc := c.homeLocked(ctr)
+	if rc == nil {
 		return nil, ErrNoNodes
 	}
-	return n.counterFor(ctr.name, ctr.hash), nil
+	return rc, nil
 }
 
 // fnv64a is FNV-1a over s run through a 64-bit avalanche finalizer —

@@ -35,6 +35,12 @@ type Counter struct {
 	// doubled.
 	contrib uint64
 
+	// route caches the remote counter hosting the name on the ring of
+	// generation routeGen (see Cluster.homeLocked). Guarded by cl.mu, like
+	// contrib, so the ledger update and the route decision stay atomic.
+	route    *remote.Counter
+	routeGen uint64
+
 	// known is the cluster-client-local satisfied watermark, the same
 	// monotone lower bound the single-node client keeps. Across a
 	// failover it remains a bound on the reconstructed value once every
@@ -87,8 +93,8 @@ func (ctr *Counter) TryIncrement(amount uint64) error {
 		c.mu.Unlock()
 		return remote.ErrClosed
 	}
-	n := c.routeLocked(ctr.hash)
-	if n == nil {
+	rc := c.homeLocked(ctr)
+	if rc == nil {
 		c.mu.Unlock()
 		return ErrNoNodes
 	}
@@ -97,7 +103,6 @@ func (ctr *Counter) TryIncrement(amount uint64) error {
 		return nil
 	}
 	ctr.contrib += amount
-	rc := n.counterFor(ctr.name, ctr.hash)
 	c.mu.Unlock()
 	if err := rc.TryIncrement(amount); err != nil {
 		if errors.Is(err, remote.ErrClosed) {

@@ -37,6 +37,7 @@ type Counter struct {
 	immediate atomic.Uint64 // checks satisfied by the watermark
 	suspends  atomic.Uint64 // checks that went to the wire
 	rtts      atomic.Uint64 // completed wire exchanges
+	ackMark   uint64        // the Client.acks value that last counted an ack here; guarded by cl.mu
 	waitNanos atomic.Uint64 // wall-clock nanoseconds blocked on the wire
 
 	probe      atomic.Pointer[func(counter.Event)]
@@ -104,7 +105,7 @@ func (c *Counter) TryIncrement(amount uint64) error {
 		return nil
 	}
 	cl.nextSeq++
-	cl.pending = append(cl.pending, pendingInc{seq: cl.nextSeq, name: c.name, amount: amount})
+	cl.pending = append(cl.pending, pendingInc{seq: cl.nextSeq, ctr: c, amount: amount})
 	cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: c.name, Seq: cl.nextSeq, Amount: amount})
 	cl.mu.Unlock()
 	c.emit(counter.EventIncrement, amount)

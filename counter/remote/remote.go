@@ -132,6 +132,7 @@ type Client struct {
 	nextSeq   uint64
 	nextID    uint64
 	pending   []pendingInc // increments sent but not yet acknowledged, ascending by seq
+	acks      uint64       // OpIncAck frames dispatched; see Counter.ackMark
 	waits     map[uint64]*wait
 	specWaits map[uint64]*specWait // outstanding OpWaitFor predicate registrations
 	calls     map[uint64]*call
@@ -147,7 +148,7 @@ type Client struct {
 
 type pendingInc struct {
 	seq    uint64
-	name   string
+	ctr    *Counter
 	amount uint64
 }
 
@@ -184,6 +185,18 @@ type callResult struct {
 // handshake. The returned client holds one connection and two
 // goroutines regardless of how many counters and waits it multiplexes.
 func Dial(addr string, opts ...Option) (*Client, error) {
+	cl := newClient(addr, opts)
+	if err := cl.connect(); err != nil {
+		return nil, err
+	}
+	cl.wg.Add(2)
+	go cl.readLoop()
+	go cl.flushLoop()
+	return cl, nil
+}
+
+// newClient returns a configured client that has not connected yet.
+func newClient(addr string, opts []Option) *Client {
 	cl := &Client{
 		addr: addr,
 		dial: func(addr string) (net.Conn, error) {
@@ -201,13 +214,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, o := range opts {
 		o(cl)
 	}
-	if err := cl.connect(); err != nil {
-		return nil, err
-	}
-	cl.wg.Add(2)
-	go cl.readLoop()
-	go cl.flushLoop()
-	return cl, nil
+	return cl
 }
 
 // connect dials, handshakes, installs the new connection, and replays
@@ -270,11 +277,11 @@ func (cl *Client) connect() error {
 	if restarted && cl.restartNotify != nil {
 		unacked = make(map[string]uint64)
 		for _, p := range cl.pending {
-			unacked[p.name] += p.amount
+			unacked[p.ctr.name] += p.amount
 		}
 	}
 	for _, p := range cl.pending {
-		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.name, Seq: p.seq, Amount: p.amount})
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
 	}
 	// Waits whose cancellation was requested while the link was down
 	// resolve now as cancelled; live waits re-register (re-sending the
@@ -301,6 +308,11 @@ func (cl *Client) connect() error {
 			continue
 		}
 		cl.enqueueLocked(&sw.frame)
+	}
+	// Reset and Stats calls re-send their kept frames: a request or reply
+	// lost with the old link would otherwise never be answered.
+	for _, rc := range cl.calls {
+		cl.enqueueLocked(&rc.frame)
 	}
 	cl.mu.Unlock()
 	for _, sw := range degraded {
@@ -516,23 +528,21 @@ func (cl *Client) dispatch(f *wire.Frame) {
 		// A cancelled predicate registration was already forgotten when
 		// the cancel was sent; its confirmation needs no action here.
 	case wire.OpIncAck:
+		// One round trip per acked counter: ackMark tells a counter seen
+		// earlier in this prefix from one not yet counted.
 		cl.mu.Lock()
-		acked := map[*Counter]bool{}
+		cl.acks++
 		trimmed := cl.pending[:0]
 		for _, p := range cl.pending {
-			if p.seq <= f.Seq {
-				acked[cl.counters[p.name]] = true
-			} else {
+			if p.seq > f.Seq {
 				trimmed = append(trimmed, p)
+			} else if p.ctr.ackMark != cl.acks {
+				p.ctr.ackMark = cl.acks
+				p.ctr.rtts.Add(1)
 			}
 		}
 		cl.pending = trimmed
 		cl.mu.Unlock()
-		for c := range acked {
-			if c != nil {
-				c.rtts.Add(1)
-			}
-		}
 	case wire.OpResetOK, wire.OpStatsReply:
 		cl.resolveCall(f.ID, callResult{f: *f})
 	case wire.OpError:

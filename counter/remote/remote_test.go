@@ -2,9 +2,11 @@ package remote_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -653,4 +655,132 @@ func TestServerRestartDetected(t *testing.T) {
 	c2 := cl.Counter(countertest.FreshName("restart2"))
 	c2.Increment(1)
 	c2.Check(1)
+}
+
+// TestCallsReplayAcrossReconnect is the regression for request/reply
+// calls issued while the link is down: Reset and Stats must be re-sent
+// when the client reconnects and answered by the server, not left
+// waiting for a reply to a frame that was never delivered (Reset has no
+// timeout and would block forever; Stats would fall back to its cached
+// snapshot after two seconds).
+func TestCallsReplayAcrossReconnect(t *testing.T) {
+	addr := startServer(t)
+	p := startProxy(t, addr)
+	failed := make(chan struct{}, 1)
+	cl, err := remote.Dial(p.lis.Addr().String(),
+		remote.WithBackoff(time.Millisecond, 10*time.Millisecond),
+		remote.WithRetryNotify(func(n int, err error) {
+			if n > 0 {
+				select {
+				case failed <- struct{}{}:
+				default:
+				}
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	rc := cl.Counter(countertest.FreshName("replay-reset"))
+	sc := cl.Counter(countertest.FreshName("replay-stats"))
+	rc.Increment(2)
+	sc.Increment(3)
+	sc.Increment(4)
+	rc.Check(2)
+	sc.Check(7)
+
+	p.setDown(true)
+	p.kill()
+	select {
+	case <-failed: // the link is down and the client knows it
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never noticed the dead link")
+	}
+	reset := make(chan any, 1)
+	go func() {
+		defer func() { reset <- recover() }()
+		rc.Reset()
+	}()
+	stats := make(chan counter.Stats, 1)
+	go func() { stats <- sc.Stats() }()
+	time.Sleep(50 * time.Millisecond) // both calls are waiting on the dead link
+	p.setDown(false)
+
+	select {
+	case v := <-reset:
+		if v != nil {
+			t.Fatalf("Reset panicked: %v", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Reset issued during the outage never returned")
+	}
+	direct := dialClient(t, addr)
+	want := direct.Counter(sc.Name()).Stats().Increments
+	select {
+	case st := <-stats:
+		if want != 2 || st.Increments != want {
+			t.Fatalf("Stats().Increments = %d across the outage, server says %d (want 2)", st.Increments, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats issued during the outage never returned")
+	}
+	if direct.Counter(rc.Name()).WaitTimeout(1, 0) {
+		t.Fatal("Reset returned but the hosted value is not zero")
+	}
+}
+
+// TestLongNameServerErrorsDecode is the regression for server errors on
+// counters with long names: the error quotes the name, and a message
+// over wire.MaxName bytes used to fail the client's decoder, so a
+// refused Reset never returned and an overflow was never latched. Both
+// must arrive with their reason intact.
+func TestLongNameServerErrorsDecode(t *testing.T) {
+	addr := startServer(t)
+	cl := dialClient(t, addr)
+	long := func(prefix string) string {
+		name := countertest.FreshName(prefix)
+		return name + strings.Repeat("x", 250-len(name))
+	}
+	c := cl.Counter(long("busy"))
+	parked := c.CheckChan(1) // queued ahead of the Reset on the same link
+	reset := make(chan any, 1)
+	go func() {
+		defer func() { reset <- recover() }()
+		c.Reset()
+	}()
+	select {
+	case v := <-reset:
+		if msg := fmt.Sprint(v); v == nil || !strings.Contains(msg, "suspended") {
+			t.Fatalf("refused Reset panicked with %q, want the reason (\"suspended\")", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Reset refused by the server never returned")
+	}
+	c.Increment(1)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+
+	o := cl.Counter(long("ovf"))
+	o.Increment(^uint64(0) - 1)
+	o.Check(^uint64(0) - 1)
+	o.Increment(5) // overflows server-side
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			o.Increment(1)
+			return nil
+		}()
+		if v != nil {
+			if msg := fmt.Sprint(v); !strings.Contains(msg, "overflow") {
+				t.Fatalf("poisoned client panicked with %q, want the overflow reason", msg)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("client never latched the overflow rejected on a long name")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

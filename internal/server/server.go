@@ -44,6 +44,17 @@ import (
 // client pipelining a long burst can trim its resend queue.
 const ackEvery = 1024
 
+// maxResolved bounds each connection's name table (conn.resolved). A
+// connection that brings a name past the bound empties the table and
+// starts over, so one whose names change over its lifetime keeps its
+// current names on the fast path.
+const maxResolved = 1024
+
+// maxSpareQueue bounds the drained write buffer a connection keeps for
+// reuse: a drain larger than this (a wake storm) is left to the garbage
+// collector instead of pinning its peak for the connection's lifetime.
+const maxSpareQueue = 64 << 10
+
 // Server hosts named counters. The zero value is not usable; call New.
 type Server struct {
 	epoch    uint64 // boot identity, sent in every Welcome; see Epoch
@@ -57,7 +68,9 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// hosted is one named counter plus its wait dispatcher.
+// hosted is one named counter plus its wait dispatcher. Hosted counters
+// are never deleted, so a connection may keep resolving a name to the
+// same *hosted for as long as it lives (see conn.resolved).
 type hosted struct {
 	name string
 	c    *core.ShardedCounter
@@ -118,10 +131,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			}
 			return err
 		}
-		c := &conn{srv: s, nc: nc}
-		c.wcond = sync.NewCond(&c.wmu)
-		c.waits = make(map[uint64]*waiter)
-		c.predWaits = make(map[uint64]*predWait)
+		c := newConn(s, nc)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -199,17 +209,20 @@ func (s *Server) session(id uint64) (uint64, *session) {
 
 // tryReset zeroes the hosted counter, or explains why not: pending
 // remote waits (the wire analogue of the in-process "Reset with
-// goroutines suspended" panic) or a dispatcher still retiring.
+// goroutines suspended" panic) or a dispatcher still retiring. Every
+// error states its reason before the quoted name, because wire.Append
+// clips an OpError message to wire.MaxName bytes and a name may use all
+// of them.
 func (h *hosted) tryReset() (err error) {
 	if n := h.d.pending(); n > 0 {
-		return fmt.Errorf("counter %q: cannot Reset: %d waits suspended", h.name, n)
+		return fmt.Errorf("cannot Reset: %d waits suspended on counter %q", n, h.name)
 	}
 	if !h.d.idle() {
-		return fmt.Errorf("counter %q: cannot Reset: dispatcher retiring, retry", h.name)
+		return fmt.Errorf("cannot Reset: dispatcher retiring, retry (counter %q)", h.name)
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("counter %q: %v", h.name, p)
+			err = fmt.Errorf("%v (counter %q)", p, h.name)
 		}
 	}()
 	h.c.Reset()
@@ -236,6 +249,15 @@ type conn struct {
 	// on frame-handling paths, so it needs no lock.
 	version uint64
 
+	// resolved maps the counter names this connection's frames carry to
+	// their hosted counters (never deleted, so an entry never goes
+	// stale). The decoder interns names through it, so a frame on a
+	// known name takes neither Server.mu nor an allocation. Touched only
+	// by the reader goroutine; at most maxResolved names. intern is
+	// c.internName bound once, so reading a frame builds no closure.
+	resolved map[string]*hosted
+	intern   func([]byte) string
+
 	// waits indexes this connection's unresolved waiters by client-
 	// chosen id; predWaits does the same for parked OpWaitFor predicate
 	// registrations (predwait.go). Both guarded by waitMu; never hold
@@ -248,6 +270,16 @@ type conn struct {
 	ackedSeq  uint64 // highest seq this conn has acked
 	unacked   int    // increments applied since the last ack
 	closeOnce sync.Once
+}
+
+func newConn(s *Server, nc net.Conn) *conn {
+	c := &conn{srv: s, nc: nc}
+	c.wcond = sync.NewCond(&c.wmu)
+	c.resolved = make(map[string]*hosted)
+	c.intern = c.internName
+	c.waits = make(map[uint64]*waiter)
+	c.predWaits = make(map[uint64]*predWait)
+	return c
 }
 
 // send queues one frame for the writer goroutine.
@@ -271,25 +303,16 @@ func (c *conn) resolveWake(w *waiter) {
 }
 
 // writeLoop drains the frame queue into the socket, batching everything
-// queued since the last flush into one write.
+// queued since the last flush into one write. The queue and a spare
+// buffer trade places on every drain, so a steady stream of frames
+// reuses the same two buffers instead of allocating per flush.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
-	bw := bufio.NewWriter(c.nc)
+	var spare []byte
 	for {
-		c.wmu.Lock()
-		for len(c.wq) == 0 && !c.wclosed {
-			c.wcond.Wait()
-		}
-		buf := c.wq
-		c.wq = nil
-		closed := c.wclosed
-		c.wmu.Unlock()
+		buf, closed := c.drain(spare)
 		if len(buf) > 0 {
-			_, err := bw.Write(buf)
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
+			if _, err := c.nc.Write(buf); err != nil {
 				c.teardown()
 				return
 			}
@@ -297,7 +320,24 @@ func (c *conn) writeLoop() {
 		if closed {
 			return
 		}
+		spare = buf
+		if cap(spare) > maxSpareQueue {
+			spare = nil
+		}
 	}
+}
+
+// drain waits until frames are queued or the connection closes, then
+// takes the queue, leaving spare's storage in its place.
+func (c *conn) drain(spare []byte) (buf []byte, closed bool) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for len(c.wq) == 0 && !c.wclosed {
+		c.wcond.Wait()
+	}
+	buf = c.wq
+	c.wq = spare[:0]
+	return buf, c.wclosed
 }
 
 // readLoop parses and executes frames until the connection dies or
@@ -307,28 +347,32 @@ func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer c.teardown()
 	br := bufio.NewReader(c.nc)
-	for {
-		f, err := wire.Read(br)
-		if err != nil {
-			return
-		}
-		if err := c.handle(&f); err != nil {
-			return
-		}
-		// Ack applied increments when the pipeline drains (or every
-		// ackEvery of them), so one flush carries one ack for a whole
-		// burst instead of an ack per increment.
-		if c.unacked > 0 && (br.Buffered() == 0 || c.unacked >= ackEvery) {
-			c.sess.mu.Lock()
-			seq := c.sess.lastSeq
-			c.sess.mu.Unlock()
-			if seq > c.ackedSeq {
-				c.ackedSeq = seq
-				c.send(&wire.Frame{Op: wire.OpIncAck, Seq: seq})
-			}
-			c.unacked = 0
-		}
+	for c.serve(br) == nil {
 	}
+}
+
+// serve reads and executes one frame. Applied increments are acked when
+// the pipeline drains (or every ackEvery of them), so one flush carries
+// one ack for a whole burst instead of an ack per increment.
+func (c *conn) serve(br *bufio.Reader) error {
+	f, err := wire.ReadInterned(br, c.intern)
+	if err != nil {
+		return err
+	}
+	if err := c.handle(&f); err != nil {
+		return err
+	}
+	if c.unacked > 0 && (br.Buffered() == 0 || c.unacked >= ackEvery) {
+		c.sess.mu.Lock()
+		seq := c.sess.lastSeq
+		c.sess.mu.Unlock()
+		if seq > c.ackedSeq {
+			c.ackedSeq = seq
+			c.send(&wire.Frame{Op: wire.OpIncAck, Seq: seq})
+		}
+		c.unacked = 0
+	}
+	return nil
 }
 
 // handle executes one frame. A non-nil error means the connection is
@@ -452,20 +496,39 @@ func (c *conn) handle(f *wire.Frame) error {
 	return nil
 }
 
-// hosted validates the counter name and resolves it.
+// internName is the decoder's name hook: a known name decodes to its
+// hosted counter's string, with no allocation.
+func (c *conn) internName(b []byte) string {
+	if h := c.resolved[string(b)]; h != nil {
+		return h.name
+	}
+	return string(b)
+}
+
+// hosted validates the counter name and resolves it, from the
+// connection's own table when it can.
 func (c *conn) hosted(name string) (*hosted, error) {
+	if h := c.resolved[name]; h != nil {
+		return h, nil
+	}
 	if name == "" || len(name) > wire.MaxName {
 		return nil, fmt.Errorf("server: bad counter name %q", name)
 	}
-	return c.srv.counter(name), nil
+	h := c.srv.counter(name)
+	if len(c.resolved) >= maxResolved {
+		clear(c.resolved)
+	}
+	c.resolved[h.name] = h
+	return h, nil
 }
 
 // apply increments h, converting the overflow panic (a wrap would
-// violate monotonicity) into an error for the wire.
+// violate monotonicity) into an error for the wire; the reason comes
+// before the name, as in tryReset.
 func apply(h *hosted, amount uint64) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("counter %q: %v", h.name, p)
+			err = fmt.Errorf("%v (counter %q)", p, h.name)
 		}
 	}()
 	h.c.Increment(amount)

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"monotonic/internal/wire"
 )
@@ -332,5 +334,51 @@ func TestNoGoroutinePerWait(t *testing.T) {
 		if f := c.recv(); f.Op == wire.OpWake && f.ID <= waits {
 			got++
 		}
+	}
+}
+
+// TestResolvedNamesBounded pins the per-connection name table: it never
+// holds more than maxResolved names, a name past the bound empties it
+// and starts it over (so a connection whose names change keeps its
+// current ones cached), every name resolves to the one hosted counter
+// all connections share, a cached name decodes to that counter's own
+// string, and a bad name is refused.
+func TestResolvedNamesBounded(t *testing.T) {
+	s := New()
+	c := newConn(s, nil)
+	const extra = 10
+	for i := 0; i < maxResolved+extra; i++ {
+		name := fmt.Sprintf("n%d", i)
+		h, err := c.hosted(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != s.counter(name) {
+			t.Fatalf("%q resolved to a counter the server does not host", name)
+		}
+		if len(c.resolved) > maxResolved {
+			t.Fatalf("table holds %d names, over the bound %d", len(c.resolved), maxResolved)
+		}
+	}
+	// Name maxResolved started the table over, so it holds the newest
+	// names, which resolve from it, and none of the older ones.
+	if len(c.resolved) != extra {
+		t.Fatalf("table holds %d names, want the %d since it last started over", len(c.resolved), extra)
+	}
+	for i := maxResolved; i < maxResolved+extra; i++ {
+		name := fmt.Sprintf("n%d", i)
+		if h, _ := c.hosted(name); h != s.counter(name) || len(c.resolved) != extra {
+			t.Fatalf("cached %q resolved to a counter the server does not host", name)
+		}
+	}
+	recent, old := fmt.Sprintf("n%d", maxResolved), "n0"
+	if got := c.internName([]byte(recent)); unsafe.StringData(got) != unsafe.StringData(s.counter(recent).name) {
+		t.Fatalf("cached name %q decoded to a fresh string", recent)
+	}
+	if got := c.internName([]byte(old)); got != old || unsafe.StringData(got) == unsafe.StringData(s.counter(old).name) {
+		t.Fatalf("uncached name %q decoded to %q from the table", old, got)
+	}
+	if _, err := c.hosted(""); err == nil {
+		t.Fatal("empty name resolved")
 	}
 }

@@ -1,0 +1,49 @@
+//go:build !race
+
+package wire
+
+import (
+	"bufio"
+	"bytes"
+	"testing"
+)
+
+// TestSteadyStateAllocs pins the steady-state frame path at zero heap
+// allocations per frame: encoding an increment into a reused buffer,
+// decoding it through an intern hook that already holds its name, and
+// decoding the two frames a client receives in bulk, OpIncAck and
+// OpWake. (The race detector inflates allocation counts, hence the
+// build tag.)
+func TestSteadyStateAllocs(t *testing.T) {
+	inc := Frame{Op: OpIncrement, Name: "jobs", Seq: 1 << 20, Amount: 1}
+	out := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { out = Append(out[:0], &inc) }); n != 0 {
+		t.Errorf("Append(increment): %v allocs per frame, want 0", n)
+	}
+
+	intern, _ := internTable()
+	intern([]byte(inc.Name))
+	for _, tc := range []struct {
+		f      Frame
+		intern func([]byte) string
+	}{
+		{inc, intern},
+		{Frame{Op: OpIncAck, Seq: 1 << 20}, nil},
+		{Frame{Op: OpWake, ID: 9, Level: 1 << 30}, nil},
+	} {
+		buf := Append(nil, &tc.f)
+		rd := bytes.NewReader(nil)
+		br := bufio.NewReader(rd)
+		n := testing.AllocsPerRun(100, func() {
+			rd.Reset(buf)
+			br.Reset(rd)
+			f, err := ReadInterned(br, tc.intern)
+			if err != nil || f.Op != tc.f.Op || f.Seq != tc.f.Seq || f.ID != tc.f.ID {
+				t.Fatalf("Read(%s) = %+v, %v", tc.f.Op, f, err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("Read(%s): %v allocs per frame, want 0", tc.f.Op, n)
+		}
+	}
+}

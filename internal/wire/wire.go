@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // Version is the protocol version this package speaks natively, carried
@@ -242,7 +243,7 @@ type Frame struct {
 	ID       uint64  // wait id (Check/Cancel/WaitFor*/Wake/Cancelled) or request id (Reset/Stats and replies)
 	Level    uint64  // Check level; Wake satisfied level (zero for predicate wakes)
 	Amount   uint64  // Increment amount
-	Msg      string  // Error message
+	Msg      string  // Error message (Append clips it to MaxName bytes)
 	Stats    Stats   // StatsReply
 	Features uint64  // Welcome (v3 only): the server's feature bits
 	Pred     uint64  // WaitFor: predicate kind (PredSum, PredThreshold)
@@ -310,7 +311,7 @@ func Append(buf []byte, f *Frame) []byte {
 		buf = appendUint(buf, f.Seq)
 	case OpError:
 		buf = appendUint(buf, f.ID)
-		buf = appendString(buf, f.Msg)
+		buf = appendString(buf, clipMsg(f.Msg))
 	case OpStatsReply:
 		buf = appendUint(buf, f.ID)
 		for _, p := range f.Stats.fields() {
@@ -325,43 +326,70 @@ func Append(buf []byte, f *Frame) []byte {
 
 // Read reads and decodes one frame from br. It returns io.EOF only on a
 // clean boundary (no partial frame read); a frame cut short surfaces as
-// io.ErrUnexpectedEOF.
-func Read(br *bufio.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return Frame{}, err // clean EOF stays io.EOF
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
+// io.ErrUnexpectedEOF. A frame that fits br's buffer is decoded in place
+// from it (Peek, then Discard), so only a larger one is copied out
+// first; either way every decoded field is a copy, never a view of br.
+func Read(br *bufio.Reader) (Frame, error) { return read(br, nil) }
+
+// ReadInterned is Read with every counter name turned into a string by
+// intern instead of copied, so a reader that keeps the strings of names
+// it has seen can decode a frame on one of them without allocating.
+// intern receives a view of the frame that is valid only during the
+// call and must not be kept; it must return a string equal to it.
+func ReadInterned(br *bufio.Reader, intern func([]byte) string) (Frame, error) {
+	return read(br, intern)
+}
+
+func read(br *bufio.Reader, intern func([]byte) string) (Frame, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if len(hdr) == 0 {
+			return Frame{}, err // clean EOF stays io.EOF
+		}
 		return Frame{}, unexpected(err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return Frame{}, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	size := 4 + int(n)
+	if size > br.Size() {
+		// Peek cannot hold the whole frame: copy the payload out.
+		br.Discard(4)
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return Frame{}, unexpected(err)
+		}
+		return decode(payload, intern)
+	}
+	buf, err := br.Peek(size)
+	if err != nil {
 		return Frame{}, unexpected(err)
 	}
-	return Decode(payload)
+	f, err := decode(buf[4:], intern)
+	br.Discard(size)
+	return f, err
 }
 
 // Decode parses one frame payload (opcode byte onward, no length
 // prefix).
-func Decode(payload []byte) (Frame, error) {
-	d := decoder{buf: payload}
+func Decode(payload []byte) (Frame, error) { return decode(payload, nil) }
+
+func decode(payload []byte, intern func([]byte) string) (Frame, error) {
+	d := decoder{buf: payload, intern: intern}
 	var f Frame
 	f.Op = Op(d.byte())
 	switch f.Op {
 	case OpHello:
 		f.Session, f.Seq = d.uint(), d.uint()
 	case OpIncrement:
-		f.Name, f.Seq, f.Amount = d.string(), d.uint(), d.uint()
+		f.Name, f.Seq, f.Amount = d.name(), d.uint(), d.uint()
 	case OpCheck:
-		f.Name, f.ID, f.Level = d.string(), d.uint(), d.uint()
+		f.Name, f.ID, f.Level = d.name(), d.uint(), d.uint()
 	case OpCancel:
 		f.ID = d.uint()
 	case OpReset, OpStats:
-		f.Name, f.ID = d.string(), d.uint()
+		f.Name, f.ID = d.name(), d.uint()
 	case OpWelcome:
 		f.Session, f.Seq, f.Epoch = d.uint(), d.uint(), d.uint()
 		// Features is optional: a v2 server's Welcome ends at Epoch, a
@@ -378,7 +406,7 @@ func Decode(payload []byte) (Frame, error) {
 		if d.err == nil {
 			f.Watch = make([]Watch, n)
 			for i := range f.Watch {
-				f.Watch[i].Name, f.Watch[i].Level = d.string(), d.uint()
+				f.Watch[i].Name, f.Watch[i].Level = d.name(), d.uint()
 			}
 		}
 	case OpWaitForCancel:
@@ -408,6 +436,20 @@ func Decode(payload []byte) (Frame, error) {
 	return f, nil
 }
 
+// clipMsg cuts an error message to MaxName bytes, the longest string any
+// decoder accepts, backing off to a UTF-8 boundary. Senders put the
+// reason first, so a clipped message still says what went wrong.
+func clipMsg(msg string) string {
+	if len(msg) <= MaxName {
+		return msg
+	}
+	n := MaxName
+	for n > 0 && !utf8.RuneStart(msg[n]) {
+		n--
+	}
+	return msg[:n]
+}
+
 func appendUint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 
 func appendString(buf []byte, s string) []byte {
@@ -418,8 +460,9 @@ func appendString(buf []byte, s string) []byte {
 // decoder consumes payload fields, latching the first error so the
 // per-opcode switches read straight through.
 type decoder struct {
-	buf []byte
-	err error
+	buf    []byte
+	err    error
+	intern func([]byte) string // nil: names are copied like any string
 }
 
 func (d *decoder) byte() byte {
@@ -445,18 +488,32 @@ func (d *decoder) uint() uint64 {
 	return v
 }
 
-func (d *decoder) string() string {
+// name decodes a counter name, through the decoder's intern hook if it
+// has one.
+func (d *decoder) name() string {
+	b := d.bytes()
+	if d.intern == nil || d.err != nil {
+		return string(b)
+	}
+	return d.intern(b)
+}
+
+func (d *decoder) string() string { return string(d.bytes()) }
+
+// bytes consumes one length-prefixed string field, at most MaxName
+// bytes, as a view of the payload.
+func (d *decoder) bytes() []byte {
 	n := d.uint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > MaxName || n > uint64(len(d.buf)) {
 		d.fail("bad string length")
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
 }
 
 func (d *decoder) fail(msg string) {

@@ -8,10 +8,27 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
-// frames covering every opcode and every field, including zero values
-// and maximal uvarints.
+// readerSizes are the bufio buffer sizes every decode test reads
+// through: the default, which holds all but the largest frames, and the
+// smallest bufio allows, which sends every frame of more than 12 payload
+// bytes down Read's copying branch.
+var readerSizes = []int{4096, 16}
+
+// maxWaitFor is the largest frame a client can send: MaxWatch watches,
+// each a MaxName-byte name with a maximal level, about 17 KB in all.
+func maxWaitFor() Frame {
+	w := make([]Watch, MaxWatch)
+	for i := range w {
+		w[i] = Watch{Name: strings.Repeat(string(rune('a'+i%26)), MaxName), Level: ^uint64(0) - uint64(i)}
+	}
+	return Frame{Op: OpWaitFor, ID: ^uint64(0), Pred: PredThreshold, K: MaxWatch, Watch: w}
+}
+
+// frames covering every opcode and every field, including zero values,
+// maximal uvarints and a frame larger than bufio's default buffer.
 func sampleFrames() []Frame {
 	return []Frame{
 		{Op: OpHello, Session: 0, Seq: Version},
@@ -32,6 +49,7 @@ func sampleFrames() []Frame {
 			{Name: "q0", Level: 7}, {Name: "q1", Level: 7}, {Name: "q2", Level: 9},
 			{Name: "q3", Level: ^uint64(0)}, {Name: "q4", Level: 1},
 		}},
+		maxWaitFor(),
 		{Op: OpWaitForCancel, ID: 14},
 		{Op: OpWake, ID: 9, Level: 1 << 40},
 		{Op: OpCancelled, ID: 9},
@@ -46,57 +64,135 @@ func sampleFrames() []Frame {
 	}
 }
 
-func TestRoundTripEveryOpcode(t *testing.T) {
-	for _, f := range sampleFrames() {
-		buf := Append(nil, &f)
-		got, err := Read(bufio.NewReader(bytes.NewReader(buf)))
-		if err != nil {
-			t.Fatalf("%s: Read: %v", f.Op, err)
+// internTable returns an intern hook backed by a map that keeps every
+// name it sees, as a server connection's table does.
+func internTable() (intern func([]byte) string, seen map[string]string) {
+	seen = make(map[string]string)
+	return func(b []byte) string {
+		if s, ok := seen[string(b)]; ok {
+			return s
 		}
-		if !reflect.DeepEqual(got, f) {
-			t.Errorf("%s: round trip = %+v, want %+v", f.Op, got, f)
+		s := string(b)
+		seen[s] = s
+		return s
+	}, seen
+}
+
+// TestRoundTripEveryOpcode decodes every sample through each reader
+// size, with and without an intern hook.
+func TestRoundTripEveryOpcode(t *testing.T) {
+	for _, size := range readerSizes {
+		intern, _ := internTable()
+		for _, f := range sampleFrames() {
+			buf := Append(nil, &f)
+			got, err := Read(bufio.NewReaderSize(bytes.NewReader(buf), size))
+			if err != nil {
+				t.Fatalf("%s, %d-byte reader: Read: %v", f.Op, size, err)
+			}
+			if !reflect.DeepEqual(got, f) {
+				t.Errorf("%s, %d-byte reader: round trip = %+v, want %+v", f.Op, size, got, f)
+			}
+			got, err = ReadInterned(bufio.NewReaderSize(bytes.NewReader(buf), size), intern)
+			if err != nil {
+				t.Fatalf("%s, %d-byte reader: ReadInterned: %v", f.Op, size, err)
+			}
+			if !reflect.DeepEqual(got, f) {
+				t.Errorf("%s, %d-byte reader: interned round trip = %+v, want %+v", f.Op, size, got, f)
+			}
 		}
 	}
 }
 
 // TestBatchedFrames writes every sample frame into one buffer — the
 // shape both sides' write batching produces — and reads them back in
-// order, ending on a clean io.EOF.
+// order, ending on a clean io.EOF. The frames are compared only after
+// the whole stream is read, when the reader's buffer has been refilled
+// many times over: a decoded field that aliased it would have changed.
 func TestBatchedFrames(t *testing.T) {
 	var buf []byte
 	frames := sampleFrames()
 	for i := range frames {
 		buf = Append(buf, &frames[i])
 	}
-	br := bufio.NewReader(bytes.NewReader(buf))
-	for i, want := range frames {
-		got, err := Read(br)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	for _, size := range readerSizes {
+		br := bufio.NewReaderSize(bytes.NewReader(buf), size)
+		var got []Frame
+		for i := range frames {
+			f, err := Read(br)
+			if err != nil {
+				t.Fatalf("%d-byte reader, frame %d: %v", size, i, err)
+			}
+			got = append(got, f)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
+		if _, err := Read(br); err != io.EOF {
+			t.Fatalf("%d-byte reader, after last frame: err = %v, want io.EOF", size, err)
 		}
-	}
-	if _, err := Read(br); err != io.EOF {
-		t.Fatalf("after last frame: err = %v, want io.EOF", err)
+		for i, want := range frames {
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("%d-byte reader, frame %d = %+v, want %+v", size, i, got[i], want)
+			}
+		}
 	}
 }
 
-// TestTruncatedFrame cuts a valid frame at every byte boundary: a cut
-// inside a frame must surface as io.ErrUnexpectedEOF or a decode error,
-// never a silent success or a clean EOF.
+// TestTruncatedFrame cuts valid frames at every byte boundary, a small
+// one and the largest a client can send, through each reader size: a
+// cut inside a frame must surface as io.ErrUnexpectedEOF or a decode
+// error, never a silent success or a clean EOF.
 func TestTruncatedFrame(t *testing.T) {
-	f := Frame{Op: OpCheck, Name: "jobs", ID: 9, Level: 300}
-	buf := Append(nil, &f)
-	for cut := 1; cut < len(buf); cut++ {
-		_, err := Read(bufio.NewReader(bytes.NewReader(buf[:cut])))
-		if err == nil {
-			t.Fatalf("cut at %d/%d decoded successfully", cut, len(buf))
+	for _, f := range []Frame{{Op: OpCheck, Name: "jobs", ID: 9, Level: 300}, maxWaitFor()} {
+		buf := Append(nil, &f)
+		for _, size := range readerSizes {
+			rd := bytes.NewReader(nil)
+			br := bufio.NewReaderSize(rd, size)
+			for cut := 1; cut < len(buf); cut++ {
+				rd.Reset(buf[:cut])
+				br.Reset(rd)
+				_, err := Read(br)
+				if err == nil {
+					t.Fatalf("%s, %d-byte reader: cut at %d/%d decoded successfully", f.Op, size, cut, len(buf))
+				}
+				if err == io.EOF {
+					t.Fatalf("%s, %d-byte reader: cut at %d/%d reported clean EOF", f.Op, size, cut, len(buf))
+				}
+			}
 		}
-		if err == io.EOF {
-			t.Fatalf("cut at %d/%d reported clean EOF", cut, len(buf))
+	}
+}
+
+// TestReadInterned pins the intern hook: it sees every counter name a
+// frame carries and nothing else, the name decodes to the string it
+// returns, so a repeated name decodes to the very same string, and a
+// name that differs only in content never does.
+func TestReadInterned(t *testing.T) {
+	intern, seen := internTable()
+	read := func(f Frame) Frame {
+		t.Helper()
+		got, err := ReadInterned(bufio.NewReader(bytes.NewReader(Append(nil, &f))), intern)
+		if err != nil || !reflect.DeepEqual(got, f) {
+			t.Fatalf("ReadInterned(%+v) = %+v, %v", f, got, err)
 		}
+		return got
+	}
+	a1 := read(Frame{Op: OpIncrement, Name: "jobs", Seq: 1, Amount: 1}).Name
+	a2 := read(Frame{Op: OpCheck, Name: "jobs", ID: 2, Level: 1}).Name
+	b := read(Frame{Op: OpReset, Name: "jobz", ID: 3}).Name
+	if unsafe.StringData(a1) != unsafe.StringData(a2) {
+		t.Fatal("a repeated name decoded to a fresh string")
+	}
+	if unsafe.StringData(a1) == unsafe.StringData(b) {
+		t.Fatal("two different names share one string")
+	}
+	read(Frame{Op: OpStats, Name: "st", ID: 4})
+	read(Frame{Op: OpWaitFor, ID: 5, Pred: PredSum, Watch: []Watch{{Name: "w0", Level: 1}, {Name: "w1", Level: 2}}})
+	read(Frame{Op: OpError, ID: 6, Msg: "not a name"})
+	for _, name := range []string{"jobs", "jobz", "st", "w0", "w1"} {
+		if _, ok := seen[name]; !ok {
+			t.Errorf("the hook never saw %q", name)
+		}
+	}
+	if len(seen) != 5 {
+		t.Errorf("the hook saw %d strings, want the 5 names only", len(seen))
 	}
 }
 
