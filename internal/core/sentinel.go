@@ -44,18 +44,26 @@ import (
 //     increment) fire sentinels spuriously early. Callers re-check and
 //     re-arm.
 //   - cancel disarms the hook: it reports true if fn had not fired and
-//     never will, false if fn has already run or is about to. An armed
-//     sentinel counts as a suspended waiter for Reset's misuse check,
-//     so callers must cancel their sentinels before resetting.
+//     never will, false if fn has already run or is about to. On the
+//     waitlist engine "about to" starts when an increment claims the
+//     level's node, before the hook runs: satisfied beats cancelled,
+//     so a cancel that follows a satisfying increment in happens-before
+//     order always reports false. An armed sentinel counts as a
+//     suspended waiter for Reset's misuse check, so callers must cancel
+//     their sentinels before resetting.
 type Sentineler interface {
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
 
 // sentinelHook is one armed callback in a waitNode's hooks chain. All
-// fields are guarded by the node's wake lock except fn, which is
-// immutable after creation.
+// fields are guarded by the node's wake lock except fn and gate, which
+// are immutable after creation.
 type sentinelHook struct {
-	fn        func()
+	fn func()
+	// gate, when non-nil, is the owning counter's waiter gate, which the
+	// armed hook holds up (ShardedCounter). Whichever retires the hook
+	// lowers it: the fire, before fn runs, or a successful cancel.
+	gate      *atomic.Int32
 	fired     bool // set by wakeBatch while detaching the chain
 	cancelled bool // set by cancel while unlinking the hook
 	next      *sentinelHook
@@ -103,9 +111,14 @@ func (w *waitlist) drainSatisfied(n *waitNode) {
 // satisfied in the window between the join and the attach, wakeBatch
 // has already detached whatever hooks it found, so the hook would never
 // fire — armSentinel drains the count and reports not-armed instead,
-// and the caller re-reads the value.
-func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func()) (func() bool, bool) {
-	h := &sentinelHook{fn: fn}
+// and the caller re-reads the value (and lowers its own gate). gate is
+// the waiter gate the armed hook holds up, or nil.
+//
+// The returned cancel loses to a set node even before wakeBatch reaches
+// it: the increment that set it owns the node's wake and will fire the
+// hook, so cancel leaves the hook in the chain and reports false.
+func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func(), gate *atomic.Int32) (func() bool, bool) {
+	h := &sentinelHook{fn: fn, gate: gate}
 	n.mu.Lock()
 	if n.set.Load() {
 		n.mu.Unlock()
@@ -117,7 +130,7 @@ func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func()) (func() b
 	n.mu.Unlock()
 	cancel := func() bool {
 		n.mu.Lock()
-		if h.fired || h.cancelled {
+		if h.fired || h.cancelled || n.set.Load() {
 			n.mu.Unlock()
 			return false
 		}
@@ -131,6 +144,9 @@ func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func()) (func() b
 		}
 		n.mu.Unlock()
 		w.drain(idx, n)
+		if h.gate != nil {
+			h.gate.Add(-1)
+		}
 		return true
 	}
 	return cancel, true
@@ -146,7 +162,7 @@ func (c *Counter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	}
 	n := c.wl.joinSentinel(&c.list, level)
 	c.wl.unlock()
-	return c.wl.armSentinel(&c.list, n, fn)
+	return c.wl.armSentinel(&c.list, n, fn, nil)
 }
 
 // Sentinel implements Sentineler. The registration is Check's striped
@@ -161,7 +177,7 @@ func (c *AtomicCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	if done {
 		return nil, false
 	}
-	return c.wl.armSentinel(nil, n, fn)
+	return c.wl.armSentinel(nil, n, fn, nil)
 }
 
 // Sentinel implements Sentineler by delegating to the underlying atomic
@@ -179,7 +195,7 @@ func (c *HeapCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	}
 	n := c.wl.joinSentinel(&c.index, level)
 	c.wl.unlock()
-	return c.wl.armSentinel(&c.index, n, fn)
+	return c.wl.armSentinel(&c.index, n, fn, nil)
 }
 
 // Sentinel implements Sentineler on the broadcast ablation. The hook
@@ -197,16 +213,18 @@ func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool)
 	}
 	n := c.wl.joinSentinel(c, level)
 	c.wl.unlock()
-	return c.wl.armSentinel(c, n, fn)
+	return c.wl.armSentinel(c, n, fn, nil)
 }
 
 // Sentinel implements Sentineler on the sharded design. An armed
 // sentinel holds the waiter gate up — like a parked Check — so every
 // increment takes the exact locked path and the sentinel cannot be
-// missed by a fast-path CAS; the gate drops when the hook fires, is
-// cancelled, or turns out not to be needed. The fire wrapper lowers the
-// gate before kicking fn so a re-arm from fn observes gate state
-// consistent with its own registration.
+// missed by a fast-path CAS. The hook carries the gate itself: the fire
+// lowers it before fn runs (so a re-arm from fn observes gate state
+// consistent with its own registration), and so does a successful
+// cancel. fn and cancel reach the engine unwrapped, so an armed
+// sentinel costs its hook, its cancel closure and its level's node —
+// which is all a parked counterd wait costs the engine.
 func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	c.wl.lock()
 	c.gate.Add(1)
@@ -222,21 +240,11 @@ func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 		c.gate.Add(-1)
 		return nil, false
 	}
-	cancel, armed := c.wl.armSentinel(nil, n, func() {
-		c.gate.Add(-1)
-		fn()
-	})
+	cancel, armed := c.wl.armSentinel(nil, n, fn, &c.gate)
 	if !armed {
 		c.gate.Add(-1)
-		return nil, false
 	}
-	return func() bool {
-		if cancel() {
-			c.gate.Add(-1)
-			return true
-		}
-		return false
-	}, true
+	return cancel, armed
 }
 
 // Sentinel implements Sentineler on the flat-combining design. Like
@@ -256,7 +264,7 @@ func (c *FCCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	if done {
 		return nil, false
 	}
-	return c.wl.armSentinel(nil, n, fn)
+	return c.wl.armSentinel(nil, n, fn, nil)
 }
 
 // Sentinel implements Sentineler on the engineless chan design: the

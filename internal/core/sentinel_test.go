@@ -172,6 +172,43 @@ func TestSentinelShardedGate(t *testing.T) {
 	}
 }
 
+// TestSentinelCancelLosesOnceClaimed pins satisfied-beats-cancelled
+// for sentinels: once an increment has claimed the level's node, cancel
+// reports false even though the hook has not run yet, and the wake that
+// increment owns fires it exactly once. This is what lets counterd
+// answer a Cancel that follows a satisfying Increment with the wake
+// alone, whichever incrementer claimed the node.
+func TestSentinelCancelLosesOnceClaimed(t *testing.T) {
+	c := NewSharded()
+	fires := 0
+	cancel, armed := c.Sentinel(1, func() { fires++ })
+	if !armed {
+		t.Fatal("not armed")
+	}
+	// Increment's locked path up to, not including, its wakeBatch.
+	c.wl.lock()
+	c.storePublishedLocked(1)
+	c.wl.unlock()
+	head := c.idx.collect(1)
+	if head == nil {
+		t.Fatal("the increment claimed no node")
+	}
+	if cancel() {
+		t.Fatal("cancel won against a claimed node")
+	}
+	c.wl.wakeBatch(head)
+	if fires != 1 {
+		t.Fatalf("hook fired %d times, want 1", fires)
+	}
+	if cancel() {
+		t.Fatal("cancel after the fire reported true")
+	}
+	if g := c.gate.Load(); g != 0 {
+		t.Fatalf("gate = %d after the fire, want 0", g)
+	}
+	c.Reset() // nothing left suspended
+}
+
 // TestSentinelBroadcastSpurious pins the spurious-fire semantics the
 // Sentineler contract allows: the broadcast ablation kicks its hooks on
 // every increment, satisfied level or not.

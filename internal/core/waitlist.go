@@ -320,12 +320,16 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 		// Fire the detached sentinel hooks, each exactly once, with no
 		// lock held — a hook is a re-evaluation kick for the predicate
 		// layer and must never run inside the engine. The hook's waiter
-		// count is drained first so the node's accounting is settled by
-		// the time fn observes the wake (fn may arm a fresh sentinel).
+		// count is drained (and the gate it holds lowered) first so the
+		// node's accounting is settled by the time fn observes the wake
+		// (fn may arm a fresh sentinel).
 		for h := hooks; h != nil; {
 			hn := h.next
 			h.next = nil
 			w.drainSatisfied(n)
+			if h.gate != nil {
+				h.gate.Add(-1)
+			}
 			h.fn()
 			h = hn
 		}

@@ -68,7 +68,7 @@ func remoteFanout(addr string, conns, waiters int) (d time.Duration, parked, bef
 	ctr0 := clients[0].Counter(name)
 	ctr0.Increment(1)
 	ctr0.Check(1) // settle all machinery into the baseline
-	before = runtime.NumGoroutine()
+	before = settledGoroutines()
 
 	chans := make([]<-chan error, 0, waiters)
 	for i := 0; i < waiters; i++ {
@@ -91,6 +91,23 @@ func remoteFanout(addr string, conns, waiters int) (d time.Duration, parked, bef
 	return time.Since(start), parked, before
 }
 
+// settledGoroutines returns the goroutine count once it stops changing:
+// the server retires a closed connection's goroutines asynchronously, so
+// a baseline taken right after an earlier row closed its clients would
+// still count them and hide as many goroutines added later.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
 // E22: the counter service over the wire — what synchronization costs
 // when the counter moves out of the process, and proof that the server
 // keeps the engine's no-goroutine-per-wait discipline at scale.
@@ -106,12 +123,13 @@ func init() {
 			"experiment prices the move: Increment→Check round trips against a loopback counterd " +
 			"versus the in-process engine, and the time for one Increment to wake N waiters spread " +
 			"over C connections.",
-		Notes: "The server multiplexes every remote wait onto the shared waitlist engine: per " +
-			"connection one reader and one writer goroutine, per busy counter one dispatcher " +
-			"parked in a single CheckContext on the minimum pending level. The goroutine columns " +
-			"assert the bound at run time — parking N waits adds no goroutines beyond that fixed " +
-			"overhead (the experiment panics if the count with N waits parked exceeds the " +
-			"pre-registration baseline plus a small constant), so a fan-out's cost is frames on " +
+		Notes: "The server parks every remote wait on the shared waitlist engine as a " +
+			"goroutine-free sentinel: per connection one reader and one writer goroutine, and " +
+			"nothing per counter or per wait — the Increment that satisfies a level runs the " +
+			"parked hooks on its own goroutine, and each hook queues its wake frame. The goroutine " +
+			"columns assert the bound at run time — parking N waits adds no goroutines (the " +
+			"experiment panics if the count with N waits parked exceeds the pre-registration " +
+			"baseline plus a small constant of scheduler slack), so a fan-out's cost is frames on " +
 			"the wire, not goroutines in the server. RTT rows price the wire itself: a remote " +
 			"exchange costs loopback-TCP microseconds against the engine's in-process " +
 			"nanoseconds, which is the usual three-orders toll for crossing a socket, not a " +
@@ -152,9 +170,9 @@ func init() {
 			for _, f := range fanouts {
 				d, parked, before := remoteFanout(addr, f.conns, f.waiters)
 				added := parked - before
-				// The structural assertion: N parked waits may add at most
-				// one dispatcher goroutine plus scheduler slack — never a
-				// goroutine per wait, on either side of the wire.
+				// The structural assertion: N parked waits add nothing but
+				// scheduler slack — never a goroutine per wait or per
+				// counter, on either side of the wire.
 				if added > 4 {
 					panic(fmt.Sprintf(
 						"E22: %d waits parked added %d goroutines (baseline %d → %d); per-wait goroutines leaked",

@@ -360,8 +360,8 @@ func (c *Cond) Wait(ctx context.Context) error {
 }
 
 // Arm registers fn to run exactly once when the Cond settles, without
-// parking a goroutine — the callback analogue of Wait, built for the
-// counterd dispatcher, where one parked Cond entry must stand in for a
+// parking a goroutine — the callback analogue of Wait, built for
+// counterd's parked waits, where one Cond entry must stand in for a
 // whole remote session's wait. Arm evaluates immediately: if the
 // predicate already holds (settling the Cond if needed) it returns
 // (nil, false) and fn will never run — the caller answers the waiter

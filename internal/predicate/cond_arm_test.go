@@ -59,8 +59,8 @@ func TestArmAlreadySatisfied(t *testing.T) {
 	}
 }
 
-// TestArmKeepsSentinelsWithoutWaiters is the property the server
-// dispatcher depends on: an armed callback holds the sentinels parked
+// TestArmKeepsSentinelsWithoutWaiters is the property counterd's parked
+// predicate waits depend on: an armed callback holds the sentinels parked
 // with zero goroutines blocked in Wait.
 func TestArmKeepsSentinelsWithoutWaiters(t *testing.T) {
 	a, b := core.New(), core.New()

@@ -15,18 +15,9 @@ import (
 // park. A k-of-n quorum that used to cost the client one wire-level
 // wait per watched counter per frontier move now costs one frame out,
 // one wake back, and zero client round trips for every increment that
-// cannot flip the predicate — the server's sentinels absorb them.
-
-// predWait is one parked OpWaitFor registration.
-type predWait struct {
-	id   uint64
-	cond *predicate.Cond // set before publication, read only by the reader goroutine
-	// cancel tears down the armed Cond callback; nil until the handler
-	// finishes arming. dead marks a teardown that raced the arming —
-	// whoever sets cancel second runs it. Both guarded by conn.waitMu.
-	cancel func() bool
-	dead   bool
-}
+// cannot flip the predicate — the server's sentinels absorb them. The
+// entry sits in conn.waits beside the OpCheck waits and shares their
+// wake, cancel and teardown paths (server.go).
 
 // handleWaitFor executes one OpWaitFor frame: validate, build the
 // predicate over the hosted counters, and arm a callback that wakes the
@@ -62,98 +53,16 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 		cs[i] = h.c
 	}
 
-	// Publish the entry before arming so a racing teardown can see it;
-	// the id is claimed across both wait tables.
 	cond := predicate.NewCond(pred, cs...)
-	pw := &predWait{id: f.ID, cond: cond}
-	c.waitMu.Lock()
-	_, dupW := c.waits[f.ID]
-	_, dupP := c.predWaits[f.ID]
-	if dupW || dupP {
-		c.waitMu.Unlock()
-		return fmt.Errorf("server: duplicate wait id %d", f.ID)
+	if err := c.publish(f.ID, wait{cond: cond}); err != nil {
+		return err
 	}
-	c.predWaits[f.ID] = pw
-	c.waitMu.Unlock()
-
 	id := f.ID
-	cancel, armed := cond.Arm(func() {
-		// Runs under the Cond's lock on the satisfying goroutine: drop
-		// the entry and enqueue the wake — both leaf locks, no blocking.
-		c.waitMu.Lock()
-		delete(c.predWaits, id)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpWake, ID: id})
-	})
-	if !armed {
-		// Already satisfied: answer straight away, nothing parks.
-		c.waitMu.Lock()
-		delete(c.predWaits, id)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpWake, ID: id})
-		return nil
-	}
-	c.waitMu.Lock()
-	if pw.dead {
-		// Teardown swept the table between publish and arm: unwind.
-		c.waitMu.Unlock()
-		cancel()
-		return nil
-	}
-	pw.cancel = cancel
-	c.waitMu.Unlock()
+	// The callback runs under the Cond's lock on the satisfying
+	// goroutine; wake takes only leaf locks.
+	cancel, armed := cond.Arm(func() { c.wake(id, 0) })
+	c.settle(id, 0, cancel, armed)
 	return nil
-}
-
-// handleWaitForCancel executes one OpWaitForCancel frame. Satisfied
-// beats cancelled on the wire exactly as in-process: if the wake
-// already fired (or fires while we race), the client gets OpWake, not
-// OpCancelled, and treats its predicate as satisfied.
-func (c *conn) handleWaitForCancel(f *wire.Frame) error {
-	c.waitMu.Lock()
-	pw := c.predWaits[f.ID]
-	var cancel func() bool
-	if pw != nil {
-		cancel = pw.cancel
-	}
-	c.waitMu.Unlock()
-	if pw == nil || cancel == nil {
-		return nil // already resolved; the wake frame answers the race
-	}
-	// Satisfied beats cancelled, evaluated NOW: this connection's
-	// increments are applied in frame order, so a pipelined
-	// increment-then-cancel sees the flip here even while the sentinel
-	// kick is still in flight. Poll settles the Cond, which runs the
-	// armed callback and enqueues the wake.
-	if pw.cond.Poll() {
-		return nil
-	}
-	if cancel() {
-		c.waitMu.Lock()
-		delete(c.predWaits, f.ID)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpCancelled, ID: f.ID})
-	}
-	return nil
-}
-
-// dropPredWaits cancels every parked predicate wait during connection
-// teardown. Called with no locks held; entries still mid-arming are
-// marked dead so the arming handler unwinds them itself.
-func (c *conn) dropPredWaits() {
-	c.waitMu.Lock()
-	pending := make([]*predWait, 0, len(c.predWaits))
-	for _, pw := range c.predWaits {
-		pw.dead = true
-		pending = append(pending, pw)
-	}
-	c.predWaits = make(map[uint64]*predWait)
-	c.waitMu.Unlock()
-	for _, pw := range pending {
-		if pw.cancel != nil {
-			pw.cancel()
-		}
-	}
 }
 
 // PredicateWaits returns the number of predicate waits currently parked
@@ -169,7 +78,11 @@ func (s *Server) PredicateWaits() int {
 	n := 0
 	for _, c := range conns {
 		c.waitMu.Lock()
-		n += len(c.predWaits)
+		for _, w := range c.waits {
+			if w.cond != nil {
+				n++
+			}
+		}
 		c.waitMu.Unlock()
 	}
 	return n

@@ -6,25 +6,28 @@
 // panic — are the wire semantics; the server adds only sessions (for
 // retry-safe increment dedup) and the goroutine discipline:
 //
-//   - one reader goroutine per connection, multiplexing any number of
-//     outstanding Check waits onto the per-counter dispatcher
-//     (dispatch.go) — never a goroutine per blocked wait;
+//   - one reader goroutine per connection, which executes every frame
+//     and parks every wait it cannot answer at once as a goroutine-free
+//     engine sentinel (core.Sentineler) — never a goroutine per wait or
+//     per counter;
 //   - one writer goroutine per connection, coalescing every queued
-//     frame (wakes, acks, replies) into batched flushes;
-//   - one transient dispatcher goroutine per counter with pending
-//     waits, parked in a single CheckContext on the minimum level.
+//     frame (wakes, acks, replies) into batched flushes.
 //
-// A fan-out of N remote waiters on C connections therefore costs the
-// server 2C+1 long-lived goroutines plus at most one per busy counter,
-// independent of N — experiment E22 asserts exactly this bound.
+// A parked OpCheck is one entry in its connection's wait table plus one
+// hook on the engine node for its level; the increment that satisfies
+// the level runs the hook on its own goroutine, and the hook queues the
+// wake frame. A fan-out of N remote waiters on C connections therefore
+// costs the server 2C+1 goroutines (readers, writers and the accept
+// loop), independent of N — experiment E22 asserts exactly this bound.
 //
 // Wire v3 adds server-side predicate waits (predwait.go): an OpWaitFor
 // frame parks one predicate.Cond entry per session predicate, armed via
-// the engine's goroutine-free callback hook, with sentinels at
-// pigeonhole frontiers on the hosted counters — a quorum over N
-// counters costs one parked entry and zero client round trips per
-// non-flipping increment (experiment E27 asserts both bounds). v2
-// clients still connect and evaluate predicates client-side.
+// the Cond's goroutine-free callback hook, with sentinels at pigeonhole
+// frontiers on the hosted counters — a quorum over N counters costs one
+// parked entry and zero client round trips per non-flipping increment
+// (experiment E27 asserts both bounds). Both kinds of wait share the
+// wait table, the wake path, the cancel handler and the teardown sweep.
+// v2 clients still connect and evaluate predicates client-side.
 package server
 
 import (
@@ -36,6 +39,7 @@ import (
 	"sync"
 
 	"monotonic/internal/core"
+	"monotonic/internal/predicate"
 	"monotonic/internal/wire"
 )
 
@@ -68,13 +72,12 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// hosted is one named counter plus its wait dispatcher. Hosted counters
-// are never deleted, so a connection may keep resolving a name to the
-// same *hosted for as long as it lives (see conn.resolved).
+// hosted is one named counter. Hosted counters are never deleted, so a
+// connection may keep resolving a name to the same *hosted for as long
+// as it lives (see conn.resolved).
 type hosted struct {
 	name string
 	c    *core.ShardedCounter
-	d    *dispatcher
 }
 
 // session carries the per-client state that survives reconnects: the
@@ -179,8 +182,7 @@ func (s *Server) counter(name string) *hosted {
 	defer s.mu.Unlock()
 	h, ok := s.counters[name]
 	if !ok {
-		c := core.NewSharded()
-		h = &hosted{name: name, c: c, d: newDispatcher(c)}
+		h = &hosted{name: name, c: core.NewSharded()}
 		s.counters[name] = h
 	}
 	return h
@@ -207,22 +209,18 @@ func (s *Server) session(id uint64) (uint64, *session) {
 	return id, sess
 }
 
-// tryReset zeroes the hosted counter, or explains why not: pending
-// remote waits (the wire analogue of the in-process "Reset with
-// goroutines suspended" panic) or a dispatcher still retiring. Every
-// error states its reason before the quoted name, because wire.Append
-// clips an OpError message to wire.MaxName bytes and a name may use all
-// of them.
+// tryReset zeroes the hosted counter, or explains why not: remote waits
+// parked on it, each an armed engine sentinel, make the engine's Reset
+// panic exactly as suspended goroutines do in-process. An OpCheck
+// leaves the engine before its OpWake or OpCancelled is queued, so a
+// Reset the client sends after the last such reply succeeds. The error
+// states its reason before the quoted name, because wire.Append clips
+// an OpError message to wire.MaxName bytes and a name may use all of
+// them.
 func (h *hosted) tryReset() (err error) {
-	if n := h.d.pending(); n > 0 {
-		return fmt.Errorf("cannot Reset: %d waits suspended on counter %q", n, h.name)
-	}
-	if !h.d.idle() {
-		return fmt.Errorf("cannot Reset: dispatcher retiring, retry (counter %q)", h.name)
-	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("%v (counter %q)", p, h.name)
+			err = fmt.Errorf("cannot Reset: waits suspended on counter %q", h.name)
 		}
 	}()
 	h.c.Reset()
@@ -258,14 +256,14 @@ type conn struct {
 	resolved map[string]*hosted
 	intern   func([]byte) string
 
-	// waits indexes this connection's unresolved waiters by client-
-	// chosen id; predWaits does the same for parked OpWaitFor predicate
-	// registrations (predwait.go). Both guarded by waitMu; never hold
-	// waitMu while calling into a dispatcher (the dispatcher's drain
-	// path locks in the other order).
-	waitMu    sync.Mutex
-	waits     map[uint64]*waiter
-	predWaits map[uint64]*predWait
+	// waits indexes this connection's parked waits, OpCheck and
+	// OpWaitFor alike, by client-chosen id; nil once teardown has swept
+	// it. Guarded by waitMu, a leaf lock: wakes take it on the
+	// satisfying goroutine, inside the engine's or a Cond's hook, so
+	// never call into a counter, a Cond or a hook's cancel while holding
+	// it.
+	waitMu sync.Mutex
+	waits  map[uint64]wait
 
 	ackedSeq  uint64 // highest seq this conn has acked
 	unacked   int    // increments applied since the last ack
@@ -277,8 +275,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	c.wcond = sync.NewCond(&c.wmu)
 	c.resolved = make(map[string]*hosted)
 	c.intern = c.internName
-	c.waits = make(map[uint64]*waiter)
-	c.predWaits = make(map[uint64]*predWait)
+	c.waits = make(map[uint64]wait)
 	return c
 }
 
@@ -292,14 +289,87 @@ func (c *conn) send(f *wire.Frame) {
 	c.wmu.Unlock()
 }
 
-// resolveWake delivers a satisfied wait to the client and forgets it.
-// Called by the dispatcher (which may hold its own lock — see the lock
-// ordering note on waits).
-func (c *conn) resolveWake(w *waiter) {
+// wait is one parked wait in conn.waits: an OpCheck sentinel on one
+// hosted counter, or an OpWaitFor predicate over several (predwait.go).
+// It is stored by value, so parking one costs the table no allocation.
+type wait struct {
+	// cancel disarms the wait's hook: true if it had not fired and now
+	// never will, false if it has fired or is about to. nil until
+	// arming finishes.
+	cancel func() bool
+	cond   *predicate.Cond // the OpWaitFor predicate; nil for OpCheck
+}
+
+// publish enters w in the wait table under the client-chosen id, before
+// arming it, so a racing teardown sweeps it too. An id already parked
+// is a protocol error, and so is any wait after teardown.
+func (c *conn) publish(id uint64, w wait) error {
 	c.waitMu.Lock()
-	delete(c.waits, w.id)
+	defer c.waitMu.Unlock()
+	if c.waits == nil {
+		return errors.New("server: connection closed")
+	}
+	if _, dup := c.waits[id]; dup {
+		return fmt.Errorf("server: duplicate wait id %d", id)
+	}
+	c.waits[id] = w
+	return nil
+}
+
+// settle finishes arming the wait published under id. Not armed means
+// it was satisfied at registration: answer it now. Armed, it records
+// cancel in the entry — unless the entry is already gone, because the
+// wait fired (its wake removed it) or teardown swept it; cancel tells
+// the two apart and disarms the swept one.
+func (c *conn) settle(id, level uint64, cancel func() bool, armed bool) {
+	if !armed {
+		c.wake(id, level)
+		return
+	}
+	c.waitMu.Lock()
+	w, ok := c.waits[id]
+	if ok {
+		w.cancel = cancel
+		c.waits[id] = w
+	}
 	c.waitMu.Unlock()
-	c.send(&wire.Frame{Op: wire.OpWake, ID: w.id, Level: w.level})
+	if !ok {
+		cancel()
+	}
+}
+
+// wake answers the wait under id as satisfied and forgets it. It is the
+// hook every parked wait arms, so it runs on the satisfying goroutine,
+// inside the engine's wake path or a Cond's callback: it takes only
+// leaf locks and never blocks.
+func (c *conn) wake(id, level uint64) {
+	c.waitMu.Lock()
+	delete(c.waits, id)
+	c.waitMu.Unlock()
+	c.send(&wire.Frame{Op: wire.OpWake, ID: id, Level: level})
+}
+
+// cancelWait executes OpCancel and OpWaitForCancel. Satisfied beats
+// cancelled in frame order: this connection's increments are applied
+// before its cancel, so a wait they satisfied is answered by its wake —
+// already queued, or on its way from the satisfying goroutine — and
+// never by OpCancelled. A predicate is polled first: its sentinels sit
+// at frontier levels, so an increment can satisfy it without firing
+// one, and Poll settles the Cond, which queues the wake. An OpCheck's
+// sentinel cancel already loses once an increment claims its level.
+func (c *conn) cancelWait(id uint64) {
+	c.waitMu.Lock()
+	w, ok := c.waits[id]
+	c.waitMu.Unlock()
+	if !ok || (w.cond != nil && w.cond.Poll()) {
+		return // resolved or resolving: the wake frame answers the race
+	}
+	if w.cancel() {
+		c.waitMu.Lock()
+		delete(c.waits, id)
+		c.waitMu.Unlock()
+		c.send(&wire.Frame{Op: wire.OpCancelled, ID: id})
+	}
 }
 
 // writeLoop drains the frame queue into the socket, batching everything
@@ -430,35 +500,24 @@ func (c *conn) handle(f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		w := &waiter{level: f.Level, id: f.ID, conn: c, host: h, idx: -1}
-		c.waitMu.Lock()
-		if _, dup := c.waits[f.ID]; dup {
-			c.waitMu.Unlock()
-			return fmt.Errorf("server: duplicate wait id %d", f.ID)
+		if err := c.publish(f.ID, wait{}); err != nil {
+			return err
 		}
-		c.waits[f.ID] = w
-		c.waitMu.Unlock()
-		h.d.add(w)
+		id, level := f.ID, f.Level
+		if level <= h.c.Value() {
+			// Already satisfied (every pipelined Increment-then-Check
+			// lands here): answer at once, nothing parks.
+			c.wake(id, level)
+			return nil
+		}
+		cancel, armed := h.c.Sentinel(level, func() { c.wake(id, level) })
+		c.settle(id, level, cancel, armed)
 
-	case wire.OpCancel:
-		c.waitMu.Lock()
-		w := c.waits[f.ID]
-		c.waitMu.Unlock()
-		if w == nil {
-			return nil // already resolved; the wake frame answers the race
-		}
-		if w.host.d.remove(w) {
-			c.waitMu.Lock()
-			delete(c.waits, f.ID)
-			c.waitMu.Unlock()
-			c.send(&wire.Frame{Op: wire.OpCancelled, ID: f.ID})
-		}
+	case wire.OpCancel, wire.OpWaitForCancel:
+		c.cancelWait(f.ID)
 
 	case wire.OpWaitFor:
 		return c.handleWaitFor(f)
-
-	case wire.OpWaitForCancel:
-		return c.handleWaitForCancel(f)
 
 	case wire.OpReset:
 		h, err := c.hosted(f.Name)
@@ -536,9 +595,10 @@ func apply(h *hosted, amount uint64) (err error) {
 }
 
 // teardown closes the connection once: the socket (unblocking the
-// reader), the write queue (retiring the writer), and every pending
-// wait this connection registered (so dispatcher heaps hold no dead
-// entries).
+// reader), the write queue (retiring the writer), and every wait this
+// connection parked, so no engine node or Cond keeps a hook for a dead
+// peer. A wait still mid-arming has no cancel yet; settle finds it gone
+// from the table and disarms it.
 func (c *conn) teardown() {
 	c.closeOnce.Do(func() {
 		c.nc.Close()
@@ -547,16 +607,14 @@ func (c *conn) teardown() {
 		c.wcond.Signal()
 		c.wmu.Unlock()
 		c.waitMu.Lock()
-		pending := make([]*waiter, 0, len(c.waits))
-		for _, w := range c.waits {
-			pending = append(pending, w)
-		}
-		c.waits = make(map[uint64]*waiter)
+		waits := c.waits
+		c.waits = nil
 		c.waitMu.Unlock()
-		for _, w := range pending {
-			w.host.d.remove(w)
+		for _, w := range waits {
+			if w.cancel != nil {
+				w.cancel()
+			}
 		}
-		c.dropPredWaits()
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()

@@ -214,22 +214,54 @@ func TestResetRefusedUnderWaiters(t *testing.T) {
 	if f := c.recv(); f.Op != wire.OpCancelled {
 		t.Fatalf("cancel reply = %s", f.Op)
 	}
-	// The dispatcher may still be retiring; the server says retry, and a
-	// retry loop must converge to ResetOK.
-	deadline := time.Now().Add(5 * time.Second)
-	for id := uint64(3); ; id++ {
-		c.send(&wire.Frame{Op: wire.OpReset, Name: "z", ID: id})
+	// The cancelled wait left the engine before its OpCancelled was
+	// queued, so the first Reset after it succeeds: no retry.
+	c.send(&wire.Frame{Op: wire.OpReset, Name: "z", ID: 3})
+	if f := c.recv(); f.Op != wire.OpResetOK || f.ID != 3 {
+		t.Fatalf("reset after the last cancel = %s id %d (%q), want ResetOK id 3", f.Op, f.ID, f.Msg)
+	}
+	// The same holds for a Reset pipelined right behind the Cancel.
+	c.send(&wire.Frame{Op: wire.OpCheck, Name: "z", ID: 4, Level: 100})
+	c.send(
+		&wire.Frame{Op: wire.OpCancel, ID: 4},
+		&wire.Frame{Op: wire.OpReset, Name: "z", ID: 5},
+	)
+	if f := c.recv(); f.Op != wire.OpCancelled || f.ID != 4 {
+		t.Fatalf("cancel reply = %s id %d, want cancelled id 4", f.Op, f.ID)
+	}
+	if f := c.recv(); f.Op != wire.OpResetOK || f.ID != 5 {
+		t.Fatalf("reset pipelined behind the cancel = %s id %d (%q), want ResetOK id 5", f.Op, f.ID, f.Msg)
+	}
+}
+
+// TestCheckSatisfiedBeatsCancelled pins the frame-order rule for plain
+// waits, as TestWaitForSatisfiedBeatsCancelled does for predicates: a
+// Cancel that follows the Increment satisfying its Check, on the same
+// connection, is answered by the wake and never by OpCancelled.
+func TestCheckSatisfiedBeatsCancelled(t *testing.T) {
+	_, addr := startServer(t)
+	c := dialRaw(t, addr)
+	c.hello(0)
+	c.send(&wire.Frame{Op: wire.OpCheck, Name: "race", ID: 4, Level: 1})
+	c.send(
+		&wire.Frame{Op: wire.OpIncrement, Name: "race", Seq: 1, Amount: 1},
+		&wire.Frame{Op: wire.OpCancel, ID: 4},
+		&wire.Frame{Op: wire.OpStats, Name: "race", ID: 5}, // fence: answered after the cancel
+	)
+	sawWake := false
+	for {
 		f := c.recv()
-		if f.Op == wire.OpResetOK {
-			break
+		switch f.Op {
+		case wire.OpWake:
+			sawWake = true
+		case wire.OpCancelled:
+			t.Fatal("cancelled frame for a satisfied wait")
+		case wire.OpStatsReply:
+			if !sawWake {
+				t.Fatal("no wake before the post-cancel fence")
+			}
+			return
 		}
-		if f.Op != wire.OpError {
-			t.Fatalf("reset retry reply = %s", f.Op)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reset never succeeded after cancel: %s", f.Msg)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -300,8 +332,8 @@ func TestProtocolErrorsCloseConnection(t *testing.T) {
 }
 
 // TestNoGoroutinePerWait pins the server's structural guarantee directly:
-// hundreds of blocked waits on one connection may cost at most the
-// connection pair plus one dispatcher goroutine per busy counter.
+// hundreds of blocked waits on one connection, over two counters, cost
+// no goroutine beyond the connection pair that served the handshake.
 func TestNoGoroutinePerWait(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialRaw(t, addr)
@@ -316,14 +348,14 @@ func TestNoGoroutinePerWait(t *testing.T) {
 		}
 		c.send(&wire.Frame{Op: wire.OpCheck, Name: name, ID: uint64(i + 1), Level: uint64(1000 + i)})
 	}
-	// Wait until both dispatchers have seen the registrations (send a
-	// fence increment+check and await its wake: the reader is in-order).
+	// Wait until every registration is parked (send a fence
+	// increment+check and await its wake: the reader is in-order).
 	c.send(
 		&wire.Frame{Op: wire.OpIncrement, Name: "g1", Seq: 1, Amount: 1},
 		&wire.Frame{Op: wire.OpCheck, Name: "g1", ID: waits + 1, Level: 1},
 	)
 	c.recvOp(wire.OpWake)
-	if n := runtime.NumGoroutine(); n > baseline+4 {
+	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("goroutines = %d with %d pending waits (baseline %d): per-wait goroutines leaked",
 			n, waits, baseline)
 	}
@@ -334,6 +366,26 @@ func TestNoGoroutinePerWait(t *testing.T) {
 		if f := c.recv(); f.Op == wire.OpWake && f.ID <= waits {
 			got++
 		}
+	}
+}
+
+// TestNoWaitParksAfterTeardown: the reader may still decode frames its
+// buffer holds after teardown swept the wait table. A wait among them is
+// refused, not parked where no sweep would ever cancel it.
+func TestNoWaitParksAfterTeardown(t *testing.T) {
+	s := New()
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	c := newConn(s, nc)
+	if err := c.handle(&wire.Frame{Op: wire.OpHello, Seq: wire.Version}); err != nil {
+		t.Fatal(err)
+	}
+	c.teardown()
+	if err := c.handle(&wire.Frame{Op: wire.OpCheck, Name: "late", ID: 1, Level: 5}); err == nil {
+		t.Fatal("a wait was accepted after teardown")
+	}
+	if err := s.counter("late").tryReset(); err != nil {
+		t.Fatalf("a wait stayed parked after teardown: %v", err)
 	}
 }
 

@@ -109,7 +109,11 @@ const (
 	// OpCancel deregisters the wait with ID. The server replies
 	// OpCancelled{ID} if the wait was still pending; if the wake
 	// already happened (or is in flight) it stays silent — the client
-	// resolves the race by whichever reply arrives.
+	// resolves the race by whichever reply arrives. Satisfied beats
+	// cancelled in frame order: the server applies a connection's
+	// frames in the order they arrive, so a Cancel that follows an
+	// Increment satisfying the wait on the same connection is answered
+	// by OpWake alone, never by OpCancelled.
 	OpCancel Op = 0x04
 	// OpReset zeroes the named counter; reply is OpResetOK{ID} or
 	// OpError{ID} (e.g. goroutines are suspended on the counter —
@@ -128,8 +132,8 @@ const (
 	OpWaitFor Op = 0x07
 	// OpWaitForCancel (v3) deregisters the predicate wait with ID. The
 	// server replies OpCancelled{ID} if the wait was still pending; if
-	// the wake is already in flight it stays silent — same race rule as
-	// OpCancel.
+	// the wake is already in flight it stays silent — same race rule,
+	// and same frame-order rule, as OpCancel.
 	OpWaitForCancel Op = 0x08
 )
 
