@@ -294,8 +294,8 @@ func (c *Cluster) retryWatcher(n *node) func(failures int, err error) {
 // values are gone, so the member is retired like any other death and
 // the ledger replays to the successor (see the package comment for why
 // retiring beats topping the new instance up).
-func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64, unacked map[string]uint64) {
-	return func(_, _ uint64, _ map[string]uint64) {
+func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64) {
+	return func(_, _ uint64) {
 		c.failNode(n)
 	}
 }
@@ -304,7 +304,9 @@ func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64, unacked map[st
 // names on the next live node), this client's ledger for every moved
 // name is replayed through the successor, and the dead pool is closed —
 // resolving its parked waits with remote.ErrClosed, which sends cluster
-// waiters back through routing. Exactly-once holds because the dead
+// waiters back through routing, and kicking its armed sentinels, which
+// sends predicate conditions back through Counter.Sentinel's routing to
+// re-arm on the successor. Exactly-once holds because the dead
 // node's applied state is gone with it and the ledger is the client's
 // complete contribution: replaying it recreates exactly what was lost
 // (the session seq-dedup covers any reconnect during the replay

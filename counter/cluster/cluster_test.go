@@ -1,10 +1,12 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"monotonic/counter/cluster"
 	"monotonic/counter/countertest"
 	"monotonic/counter/remote"
+	"monotonic/counter/wait"
 	"monotonic/internal/server"
 )
 
@@ -94,6 +97,72 @@ func TestPredicateConformance(t *testing.T) {
 	countertest.RunPredicates(t, func(t *testing.T) counter.Interface {
 		return c.Counter(countertest.FreshName("cpred"))
 	})
+}
+
+// TestSentinelsParkNoGoroutine arms a thousand sentinels on a cluster
+// counter — the client and all three nodes in one process — and asserts
+// the goroutine count stays flat: a cluster sentinel is one entry in
+// the home node's pooled client, never a goroutine. One increment fires
+// them all.
+func TestSentinelsParkNoGoroutine(t *testing.T) {
+	addrs, _ := startNodes(t, 3)
+	c := dialCluster(t, addrs)
+	ctr := c.Counter(countertest.FreshName("csentfan"))
+	ctr.Increment(1)
+	ctr.Check(1) // settle the route and both sides' machinery
+
+	const sentinels = 1000
+	baseline := runtime.NumGoroutine()
+	var fired atomic.Int64
+	all := make(chan struct{})
+	for i := 0; i < sentinels; i++ {
+		if _, armed := ctr.Sentinel(uint64(i+3), func() {
+			if fired.Add(1) == sentinels {
+				close(all)
+			}
+		}); !armed {
+			t.Fatalf("Sentinel(%d) not armed", i+3)
+		}
+	}
+	ctr.Increment(1)
+	ctr.Check(2) // fence: the home has parked every sentinel sent before it
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines = %d with %d armed sentinels (baseline %d)", n, sentinels, baseline)
+	}
+	ctr.Increment(sentinels)
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d of %d sentinels fired", fired.Load(), sentinels)
+	}
+	if w := ctr.Watermark(); w < sentinels+2 {
+		t.Fatalf("watermark = %d after every sentinel fired, want >= %d", w, sentinels+2)
+	}
+}
+
+// TestPoisonedClientSentinelNeverFires is the cluster twin of the remote
+// regression: once an overflowing increment has poisoned the home's
+// pooled client, a predicate wait over a counter homed there falls back
+// to sentinels, which must arm and never fire rather than panic.
+func TestPoisonedClientSentinelNeverFires(t *testing.T) {
+	addrs, _ := startNodes(t, 2)
+	c := dialCluster(t, addrs)
+	o := c.Counter(nameOn(t, c, addrs[0], "cpoison"))
+	o.Increment(^uint64(0) - 1)
+	o.Check(^uint64(0) - 1)
+	o.Increment(5) // overflows on the home node
+	for deadline := time.Now().Add(5 * time.Second); o.TryIncrement(1) == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("home client never poisoned after an overflowing increment")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	ctr := c.Counter(nameOn(t, c, addrs[0], "cpoison"))
+	if err := counter.WaitFor(ctx, wait.Sum(ctr).AtLeast(10)); err != context.DeadlineExceeded {
+		t.Fatalf("WaitFor over a poisoned home = %v, want DeadlineExceeded", err)
+	}
 }
 
 // TestPlacementDeterministic pins what makes coordination-free routing

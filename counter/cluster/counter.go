@@ -20,8 +20,9 @@ import (
 // On top of the remote semantics, a cluster counter rides over node
 // death: a blocked wait whose home node is retired is transparently
 // re-issued against the name's new home (monotonicity makes the
-// re-issue safe — it cannot observe a smaller value), and the increments
-// this Cluster contributed are replayed there from its ledger.
+// re-issue safe — it cannot observe a smaller value), an armed sentinel
+// is kicked so its predicate re-arms there, and the increments this
+// Cluster contributed are replayed there from its ledger.
 type Counter struct {
 	cl   *Cluster
 	name string
@@ -49,7 +50,6 @@ type Counter struct {
 	known atomic.Uint64
 
 	immediate atomic.Uint64 // checks satisfied by the cluster-local watermark
-	reroutes  atomic.Uint64 // waits re-issued because their home was retired
 }
 
 // The cluster counter is interchangeable with the in-process and
@@ -167,7 +167,6 @@ func (ctr *Counter) CheckContext(ctx context.Context, level uint64) error {
 		case errors.Is(err, remote.ErrClosed):
 			// The home's client closed under the wait — a failover (or
 			// Cluster close; the next route answers which). Re-route.
-			ctr.reroutes.Add(1)
 		default:
 			return err // the context won
 		}
@@ -197,30 +196,37 @@ func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 
 // Sentinel arms a one-shot hook that fires when the value reaches
 // level, making cluster counters watchable by counter/wait's predicate
-// conditions alongside in-process and single-node remote ones. The
-// armed sentinel survives failovers the same way CheckContext does.
+// conditions alongside in-process and single-node remote ones. It is
+// the home node's remote sentinel, whose hook first raises this
+// counter's watermark to the home's. Retiring the home closes its pool,
+// which fires the hook once as a re-evaluation kick, so the predicate
+// re-arms on the ring successor. On a closed Cluster, or with every
+// member dead, the sentinel is armed but never fires.
 func (ctr *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
 	if level <= ctr.known.Load() {
 		ctr.immediate.Add(1)
 		return nil, false
 	}
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	var state atomic.Int32 // 0 armed, 1 fired, 2 cancelled
-	go func() {
-		defer cancelCtx()
-		if ctr.CheckContext(ctx, level) == nil {
-			if state.CompareAndSwap(0, 1) {
-				fn()
-			}
-		}
-	}()
-	return func() bool {
-		if state.CompareAndSwap(0, 2) {
-			cancelCtx()
-			return true
-		}
-		return false
-	}, true
+	// Route and arm under one hold of c.mu: a failNode cannot slip in
+	// between, so the pool close it schedules finds the entry to kick.
+	c := ctr.cl
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var rc *remote.Counter
+	if !c.closed {
+		rc = c.homeLocked(ctr)
+	}
+	if rc == nil {
+		return func() bool { return true }, true
+	}
+	cancel, armed = rc.Sentinel(level, func() {
+		ctr.noteSatisfied(rc.Watermark())
+		fn()
+	})
+	if !armed {
+		ctr.noteSatisfied(level) // the home's watermark covers level
+	}
+	return cancel, armed
 }
 
 // Watermark returns the satisfied watermark this Cluster has observed

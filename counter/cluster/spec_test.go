@@ -140,6 +140,54 @@ func TestParkedWaitForSurvivesFailover(t *testing.T) {
 	}
 }
 
+// TestShardedWaitForSurvivesFailover: a predicate over counters on two
+// members evaluates client-side over one sentinel per counter. When one
+// member dies, closing its pool kicks the sentinel parked there, the
+// predicate re-arms on the ring successor, and it still releases once
+// the ledger replay and the remaining increments land there.
+func TestShardedWaitForSurvivesFailover(t *testing.T) {
+	addrs, kills := startNodes(t, 2)
+	c := dialCluster(t, addrs,
+		cluster.WithFailAfter(3),
+		cluster.WithBackoff(time.Millisecond, 5*time.Millisecond))
+
+	ca := c.Counter(nameOn(t, c, addrs[0], "sfo"))
+	cb := c.Counter(nameOn(t, c, addrs[1], "sfo"))
+	ca.Increment(30)
+	cb.Increment(30)
+	ca.Check(30) // applied on the doomed node before it dies
+	cb.Check(30)
+
+	cond := wait.Sum(ca, cb).AtLeast(100)
+	errc := make(chan error, 1)
+	go func() { errc <- cond.Wait(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for cond.Stats().Armed != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := cond.Stats(); st.External || st.Armed != 2 {
+		t.Fatalf("stats = %+v, want one sentinel on each member", st)
+	}
+
+	kills[0]()
+	for len(c.Live()) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("node death never detected")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The replayed 30 plus these 40 on the successor, and b's 30, flip it.
+	ca.Increment(40)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Wait = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("sharded predicate never released after failover (stats %+v)", cond.Stats())
+	}
+}
+
 // TestSpecWaitClusterCloseDegrades: closing the cluster under a routed
 // predicate must not strand the waiter — the supervisor finds no route,
 // degrades, and the waiter stays cancellable.

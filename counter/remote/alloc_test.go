@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net"
 	"testing"
+	"unsafe"
 
+	cwait "monotonic/counter/wait"
 	"monotonic/internal/wire"
 )
 
@@ -21,11 +23,16 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 // zero heap allocations per frame: TryIncrement encoding OpIncrements on
 // more counters than a small map holds inline, the OpIncAck for them
 // decoded and dispatched (which trims the resend queue and counts a
-// round trip per counter), and an OpWake decoded and dispatched to its
-// wait. The client runs without its goroutines over a link that
+// round trip per counter), and an OpWake decoded and dispatched to each
+// kind of wait-table entry — a blocking wait, a Sentinel and an ArmSpec
+// registration. The client runs without its goroutines over a link that
 // swallows writes. (The race detector inflates allocation counts, hence
 // the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
+	// A parked wait of any kind costs one entry of at most 80 bytes.
+	if size := unsafe.Sizeof(wait{}); size > 80 {
+		t.Errorf("wait-table entry is %d bytes, want at most 80", size)
+	}
 	cl := newClient("", nil)
 	cl.nc = discardConn{}
 	cl.bw = bufio.NewWriter(cl.nc)
@@ -73,9 +80,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	chans := make([]chan error, runs+1)
 	ids := make([]uint64, len(chans))
 	for i := range chans {
-		var w *wait
-		chans[i], w = c.checkChan(uint64(i + 1))
-		ids[i] = w.id
+		chans[i], ids[i] = c.checkChan(uint64(i + 1))
 	}
 	next := 0
 	n = testing.AllocsPerRun(runs, func() {
@@ -92,5 +97,54 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if got := c.Watermark(); got != runs+1 {
 		t.Fatalf("watermark = %d after the last wake, want %d", got, runs+1)
+	}
+
+	// A Sentinel entry: the wake raises the watermark, then runs the hook.
+	s := cs[1]
+	fired := 0
+	hook := func() { fired++ }
+	for i := range ids {
+		if _, armed := s.Sentinel(uint64(i+1), hook); !armed {
+			t.Fatalf("Sentinel(%d) not armed", i+1)
+		}
+		ids[i] = cl.nextID
+	}
+	next = 0
+	n = testing.AllocsPerRun(runs, func() {
+		recv(&wire.Frame{Op: wire.OpWake, ID: ids[next], Level: uint64(next + 1)})
+		next++
+	})
+	if n != 0 {
+		t.Errorf("OpWake to a Sentinel: %v allocs per frame, want 0", n)
+	}
+	if fired != runs+1 || s.Watermark() != runs+1 {
+		t.Fatalf("%d hooks fired, watermark %d; want %d of each", fired, s.Watermark(), runs+1)
+	}
+
+	// An ArmSpec registration (an OpWaitFor entry): the wake fires it.
+	cl.features = wire.FeatureWaitFor
+	spec := cwait.Sum(cs[2], cs[3]).AtLeast(10).Spec()
+	verdicts := 0
+	fire := func(satisfied bool) {
+		if satisfied {
+			verdicts++
+		}
+	}
+	for i := range ids {
+		if _, ok := cl.ArmSpec(spec, fire); !ok {
+			t.Fatal("ArmSpec refused")
+		}
+		ids[i] = cl.nextID
+	}
+	next = 0
+	n = testing.AllocsPerRun(runs, func() {
+		recv(&wire.Frame{Op: wire.OpWake, ID: ids[next]})
+		next++
+	})
+	if n != 0 {
+		t.Errorf("OpWake to an OpWaitFor: %v allocs per frame, want 0", n)
+	}
+	if verdicts != runs+1 || len(cl.waits) != 0 {
+		t.Fatalf("%d fire(true) verdicts, %d entries left; want %d and 0", verdicts, len(cl.waits), runs+1)
 	}
 }

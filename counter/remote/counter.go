@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"time"
 
@@ -40,8 +41,8 @@ type Counter struct {
 	ackMark   uint64        // the Client.acks value that last counted an ack here; guarded by cl.mu
 	waitNanos atomic.Uint64 // wall-clock nanoseconds blocked on the wire
 
-	probe      atomic.Pointer[func(counter.Event)]
-	lastStatsP atomic.Pointer[lastStats]
+	probe     atomic.Pointer[func(counter.Event)]
+	lastStats atomic.Pointer[wire.Stats] // the last server snapshot; see Stats
 }
 
 // The remote counter is interchangeable with the in-process ones.
@@ -124,26 +125,23 @@ func (c *Counter) Check(level uint64) {
 // CheckContext is Check with cancellation: nil once the value reaches
 // level, ctx.Err() if the context wins. A satisfied level beats a
 // cancelled context — even when the wake and the cancellation race on
-// the wire, the server resolves the race and the client honors its
-// answer. Cancellation deregisters the server-side waiter, so an
-// abandoned level costs nothing in any process. It returns ErrClosed if
-// the client is closed while waiting.
+// the wire, or a reconnect lost the answer, the server resolves the
+// race and the client honors its answer. Cancellation deregisters the
+// server-side waiter, so an abandoned level costs nothing in any
+// process. It returns ErrClosed if the client is closed while waiting.
 func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		// Cheap pre-check only: a satisfied level must beat a cancelled
-		// context, and satisfied state lives on the server, so ask.
-		return c.checkCancelled(level, err)
-	}
-	ch, w := c.checkChan(level)
+	// Even an already-cancelled ctx parks the wait: satisfied state
+	// lives on the server, so the cancel must race the wait there.
+	ch, id := c.checkChan(level)
 	select {
 	case err := <-ch:
 		return err
 	case <-ctx.Done():
-		return c.cancelWait(w, ctx.Err())
+		return c.cancelWait(id, ch, ctx.Err())
 	}
 }
 
@@ -154,20 +152,15 @@ func (c *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 		c.immediate.Add(1)
 		return true
 	}
-	if d <= 0 {
-		return c.checkCancelled(level, context.DeadlineExceeded) == nil
-	}
-	ch, w := c.checkChan(level)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-ch:
-		if err != nil {
-			panic(err.Error()) // only ErrClosed
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	switch err := c.CheckContext(ctx, level); {
+	case err == nil:
 		return true
-	case <-t.C:
-		return c.cancelWait(w, context.DeadlineExceeded) == nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return false
+	default:
+		panic(err.Error()) // only ErrClosed
 	}
 }
 
@@ -188,61 +181,58 @@ func (c *Counter) CheckChan(level uint64) <-chan error {
 	return ch
 }
 
-// checkChan registers a wire-level wait and returns its resolution
-// channel plus the wait record (for cancellation).
-func (c *Counter) checkChan(level uint64) (chan error, *wait) {
+// checkChan parks a blocking wait for level, returning its resolution
+// channel and id (zero on a closed client, whose channel holds
+// ErrClosed). A poisoned client panics with its latched error.
+func (c *Counter) checkChan(level uint64) (chan error, uint64) {
+	ch := make(chan error, 1)
+	id, err := c.park(level, ch, nil)
+	if err == ErrClosed {
+		ch <- err
+	} else if err != nil {
+		panic(err.Error())
+	}
+	return ch, id
+}
+
+// park parks an OpCheck for level on c, resolved through ch or hook. A
+// poisoned or closed client parks nothing and reports why.
+func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error) {
 	cl := c.cl
 	cl.mu.Lock()
 	if cl.fatal != nil {
 		fatal := cl.fatal
 		cl.mu.Unlock()
-		panic(fatal.Error())
+		return 0, fatal
 	}
 	if cl.closed {
 		cl.mu.Unlock()
-		ch := make(chan error, 1)
-		ch <- ErrClosed
-		return ch, nil
+		return 0, ErrClosed
 	}
-	cl.nextID++
-	w := &wait{id: cl.nextID, level: level, ctr: c, start: time.Now(), ch: make(chan error, 1)}
-	cl.waits[w.id] = w
-	cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: c.name, ID: w.id, Level: level})
+	id := cl.parkLocked(&wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook})
 	cl.mu.Unlock()
 	c.suspends.Add(1)
 	c.emit(counter.EventSuspend, level)
-	return w.ch, w
+	return id, nil
 }
 
-// cancelWait asks the server to deregister w, then blocks until the
-// server resolves the race: OpCancelled (the wait was still pending →
-// ctxErr) or OpWake (satisfaction was already in flight → nil). If the
-// link is down, reconnect resolves pending-cancelled waits locally. The
-// caller's context error is recorded first so every path agrees on it.
-func (c *Counter) cancelWait(w *wait, ctxErr error) error {
-	if w == nil { // registration hit a closed client; ch already resolved
-		return ErrClosed
-	}
+// cancelWait asks the server to cancel the blocking wait under id, then
+// blocks until the server resolves the race: OpCancelled (the wait was
+// still parked → ctxErr) or OpWake (satisfaction won → nil). With the
+// link down the OpCancel goes out behind the OpCheck at reconnect, so
+// the server decides there too.
+func (c *Counter) cancelWait(id uint64, ch chan error, ctxErr error) error {
 	cl := c.cl
 	cl.mu.Lock()
-	if _, live := cl.waits[w.id]; !live {
-		// Resolution already delivered (or in the channel buffer).
-		cl.mu.Unlock()
-		return <-w.ch
+	if w := cl.waits[id]; w != nil {
+		w.cancelled = true
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpCancel, ID: id})
 	}
-	w.cancelled = true
-	w.ctxErr = ctxErr
-	cl.enqueueLocked(&wire.Frame{Op: wire.OpCancel, ID: w.id})
 	cl.mu.Unlock()
-	return <-w.ch
-}
-
-// checkCancelled serves the "context already cancelled" path: satisfied
-// must still beat cancelled, so it registers the wait and immediately
-// races a cancel against it, returning nil only if the server wakes it.
-func (c *Counter) checkCancelled(level uint64, ctxErr error) error {
-	_, w := c.checkChan(level)
-	return c.cancelWait(w, ctxErr)
+	if err := <-ch; err != errCancelled {
+		return err
+	}
+	return ctxErr
 }
 
 // Name returns the counter's hosted name — its identity on the server
@@ -265,41 +255,24 @@ func (c *Counter) Watermark() uint64 { return c.known.Load() }
 
 // Sentinel arms a one-shot hook that fires when the hosted value
 // reaches level, making remote counters watchable by counter/wait's
-// predicate conditions alongside in-process ones. An armed sentinel
-// costs one wire-level wait (the same price as a blocked CheckContext,
-// sharing the client's two goroutines) plus one goroutine client-side;
-// it fires on the server's wake, counts as a suspended waiter for
-// Reset's refusal, and cancel deregisters the server-side wait. armed
-// reports false only when the client's watermark already covers level —
-// a level satisfied on the server but not yet observed here arms and
-// then fires within a round trip, which the Sentineler contract
-// permits.
+// predicate conditions alongside in-process ones. An armed sentinel is
+// one wait-table entry, the price of a blocked CheckContext, and no
+// goroutine: the reader goroutine runs fn after raising the watermark,
+// so fn must not block. It counts as a suspended waiter for Reset's
+// refusal, and cancel deregisters the server-side wait. Close fires it
+// once, an early re-evaluation kick the Sentineler contract permits; a
+// sentinel armed on a closed or poisoned client never fires. armed
+// reports false only when the client's watermark already covers level.
 func (c *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
 		return nil, false
 	}
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	var state atomic.Int32 // 0 armed, 1 fired, 2 cancelled
-	go func() {
-		defer cancelCtx()
-		if c.CheckContext(ctx, level) == nil {
-			// nil even under a racing cancel means the server resolved
-			// the race in favor of satisfaction — satisfied beats
-			// cancelled on the wire too, so fire unless cancel won the
-			// local CAS first.
-			if state.CompareAndSwap(0, 1) {
-				fn()
-			}
-		}
-	}()
-	return func() bool {
-		if state.CompareAndSwap(0, 2) {
-			cancelCtx()
-			return true
-		}
-		return false
-	}, true
+	id, err := c.park(level, nil, fn)
+	if err != nil {
+		return func() bool { return true }, true
+	}
+	return func() bool { return c.cl.unpark(id) }, true
 }
 
 // Reset sets the hosted value back to zero for reuse between phases. As
@@ -325,11 +298,6 @@ func (c *Counter) Reset() {
 // a cached snapshot instead of hanging when the server is unreachable.
 const statsTimeout = 2 * time.Second
 
-// lastStats caches the most recent server snapshot for the timeout path.
-type lastStats struct {
-	s wire.Stats
-}
-
 // Stats reports the hosted counter's engine measurements — the shared
 // schema fields describe the server-side counter that every client
 // session contributes to — plus this client's Remote* wire
@@ -342,9 +310,9 @@ func (c *Counter) Stats() counter.Stats {
 	if err == nil && f.Op == wire.OpStatsReply {
 		ws = f.Stats
 		c.rtts.Add(1)
-		c.lastStatsP.Store(&lastStats{s: ws})
-	} else if last := c.lastStatsP.Load(); last != nil {
-		ws = last.s
+		c.lastStats.Store(&ws)
+	} else if last := c.lastStats.Load(); last != nil {
+		ws = *last
 	}
 	return counter.Stats{
 		PeakLevels:         int(ws.PeakLevels),

@@ -20,6 +20,10 @@
 // fire-and-forget frames batched into the next flush, and a following
 // Check observes them in order because the server applies frames in
 // arrival order.
+// Every wait parked on the server — a blocking Check, a Sentinel hook,
+// an ArmSpec predicate — is one entry in one wait table, answered by the
+// reader goroutine, re-sent on reconnect and swept by Close, so an armed
+// Sentinel costs a table entry and no goroutine.
 package remote
 
 import (
@@ -90,13 +94,13 @@ func WithRetryNotify(fn func(failures int, err error)) Option {
 // connection's, the server is a different instance — every increment it
 // had acknowledged, and the counter values they built, are gone, and
 // the ordinary resume (re-send the unacked tail) cannot restore them.
-// fn receives both epochs plus this client's still-unacknowledged
-// amount per counter name (the portion the resume machinery is already
-// re-sending), so a supervisor can top the counters back up with
-// exactly its acknowledged contribution: ledger[name] − unacked[name].
-// fn runs on the reader goroutine after the session is replayed; it may
-// call TryIncrement but must not block on the client.
-func WithRestartNotify(fn func(oldEpoch, newEpoch uint64, unacked map[string]uint64)) Option {
+// fn receives both epochs, so a supervisor can act on the lost state;
+// the cluster layer retires the member and replays its ledger to
+// another node, because topping the fresh instance back up races the
+// resume into a double apply (see counter/cluster). fn runs on the
+// reader goroutine after the session is replayed; it may call
+// TryIncrement but must not block on the client.
+func WithRestartNotify(fn func(oldEpoch, newEpoch uint64)) Option {
 	return func(cl *Client) { cl.restartNotify = fn }
 }
 
@@ -113,7 +117,7 @@ type Client struct {
 	proto         uint64  // wire version spoken at Hello (WithProtocol; default wire.Version)
 	boff          backoff // per-outage schedule template (copied by reconnect)
 	retryNotify   func(failures int, err error)
-	restartNotify func(oldEpoch, newEpoch uint64, unacked map[string]uint64)
+	restartNotify func(oldEpoch, newEpoch uint64)
 	closeCh       chan struct{} // closed by Close; unblocks backoff sleeps
 
 	mu        sync.Mutex
@@ -128,15 +132,14 @@ type Client struct {
 	epoch     uint64 // boot epoch of the server instance last welcomed by
 	features  uint64 // feature bits from the last Welcome (zero on v2 sessions)
 
-	session   uint64
-	nextSeq   uint64
-	nextID    uint64
-	pending   []pendingInc // increments sent but not yet acknowledged, ascending by seq
-	acks      uint64       // OpIncAck frames dispatched; see Counter.ackMark
-	waits     map[uint64]*wait
-	specWaits map[uint64]*specWait // outstanding OpWaitFor predicate registrations
-	calls     map[uint64]*call
-	counters  map[string]*Counter
+	session  uint64
+	nextSeq  uint64
+	nextID   uint64
+	pending  []pendingInc     // increments sent but not yet acknowledged, ascending by seq
+	acks     uint64           // OpIncAck frames dispatched; see Counter.ackMark
+	waits    map[uint64]*wait // parked OpCheck and OpWaitFor waits by frame id
+	calls    map[uint64]*call
+	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
 	// from the server, across reconnects.
@@ -152,21 +155,27 @@ type pendingInc struct {
 	amount uint64
 }
 
-// wait is one outstanding Check/CheckContext/CheckChan registration.
+// wait is one entry in Client.waits: an OpCheck on ctr at level for a
+// blocking Check (ch) or a Sentinel (hook), or an ArmSpec's OpWaitFor
+// (spec, kept for replay, and fire). An OpCheck keeps no frame; connect
+// rebuilds it from ctr and level.
 type wait struct {
-	id    uint64
-	level uint64
 	ctr   *Counter
+	level uint64
 	start time.Time
-	// ch resolves the wait: nil for a wake, the recorded context error
-	// for a cancellation, ErrClosed if the client closes. Buffered so
-	// the reader never blocks delivering.
-	ch chan error
-	// cancelled records that the waiter asked to cancel; ctxErr is what
-	// to resolve with if the server confirms (or the connection dies).
-	cancelled bool
-	ctxErr    error
+	// ch resolves a blocking wait: nil for a wake, errCancelled for a
+	// confirmed cancel, ErrClosed if the client closes. Buffered so the
+	// reader never blocks delivering.
+	ch        chan error
+	hook      func()
+	spec      *wire.Frame
+	fire      func(satisfied bool)
+	cancelled bool // a blocking wait's OpCancel was sent; replay re-sends it
 }
+
+// errCancelled resolves a blocking wait whose cancel the server
+// confirmed; the waiter returns its own context error in its place.
+var errCancelled = errors.New("remote: wait cancelled")
 
 // call is one outstanding request/reply exchange (Reset, Stats). The
 // frame is kept for resend across reconnects; both are idempotent.
@@ -202,13 +211,12 @@ func newClient(addr string, opts []Option) *Client {
 		dial: func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		},
-		proto:     wire.Version,
-		boff:      backoff{base: defaultBackoffBase, cap: defaultBackoffCap},
-		closeCh:   make(chan struct{}),
-		waits:     make(map[uint64]*wait),
-		specWaits: make(map[uint64]*specWait),
-		calls:     make(map[uint64]*call),
-		counters:  make(map[string]*Counter),
+		proto:    wire.Version,
+		boff:     backoff{base: defaultBackoffBase, cap: defaultBackoffCap},
+		closeCh:  make(chan struct{}),
+		waits:    make(map[uint64]*wait),
+		calls:    make(map[uint64]*call),
+		counters: make(map[string]*Counter),
 	}
 	cl.flushCond = sync.NewCond(&cl.mu)
 	for _, o := range opts {
@@ -273,41 +281,29 @@ func (cl *Client) connect() error {
 		}
 	}
 	cl.pending = trimmed
-	var unacked map[string]uint64
-	if restarted && cl.restartNotify != nil {
-		unacked = make(map[string]uint64)
-		for _, p := range cl.pending {
-			unacked[p.ctr.name] += p.amount
-		}
-	}
 	for _, p := range cl.pending {
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
 	}
-	// Waits whose cancellation was requested while the link was down
-	// resolve now as cancelled; live waits re-register (re-sending the
-	// requested level is harmless: the value is monotonic).
+	// Every parked wait is re-sent; re-asking is harmless because the
+	// value is monotonic. A cancelled blocking wait re-sends its OpCancel
+	// behind its OpCheck, since the answer may have died with the old
+	// link: the server decides the race again, and a level it satisfied
+	// still beats the cancel. An OpWaitFor that landed on a server
+	// without the feature (a downgrade across a failover) degrades.
+	var degraded []*wait
 	for id, w := range cl.waits {
-		if w.cancelled {
+		switch {
+		case w.spec == nil:
+			cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: id, Level: w.level})
+			if w.cancelled {
+				cl.enqueueLocked(&wire.Frame{Op: wire.OpCancel, ID: id})
+			}
+		case cl.features&wire.FeatureWaitFor != 0:
+			cl.enqueueLocked(w.spec)
+		default:
 			delete(cl.waits, id)
-			w.ctr.rtts.Add(1)
-			w.ch <- w.ctxErr
-			continue
+			degraded = append(degraded, w)
 		}
-		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: w.id, Level: w.level})
-	}
-	// Predicate registrations replay like waits — the re-sent OpWaitFor
-	// is idempotent by monotonicity. If the reconnect landed on a server
-	// without the feature (downgrade across a failover), the
-	// registrations cannot be honoured: they degrade — fire(false) tells
-	// each predicate Cond to fall back to per-counter sentinels.
-	var degraded []*specWait
-	for id, sw := range cl.specWaits {
-		if cl.features&wire.FeatureWaitFor == 0 {
-			delete(cl.specWaits, id)
-			degraded = append(degraded, sw)
-			continue
-		}
-		cl.enqueueLocked(&sw.frame)
 	}
 	// Reset and Stats calls re-send their kept frames: a request or reply
 	// lost with the old link would otherwise never be answered.
@@ -315,13 +311,12 @@ func (cl *Client) connect() error {
 		cl.enqueueLocked(&rc.frame)
 	}
 	cl.mu.Unlock()
-	for _, sw := range degraded {
-		sw.fire(false)
+	for _, w := range degraded {
+		w.fire(false)
 	}
 	if restarted && cl.restartNotify != nil {
-		// Out of the lock: the callback may call back into the client
-		// (TryIncrement to top counters up).
-		cl.restartNotify(oldEpoch, welcome.Epoch, unacked)
+		// Out of the lock: the callback may call back into the client.
+		cl.restartNotify(oldEpoch, welcome.Epoch)
 	}
 	return nil
 }
@@ -336,10 +331,11 @@ func (cl *Client) Epoch() uint64 {
 }
 
 // Close tears the session down: the connection is closed, both client
-// goroutines retire, and every outstanding wait and call resolves with
-// ErrClosed. Increments not yet acknowledged by the server may or may
-// not have been applied — Close abandons the session's exactly-once
-// tracking.
+// goroutines retire, every outstanding call and blocked wait resolves
+// with ErrClosed, every armed Sentinel fires once and every ArmSpec
+// registration degrades. Increments not yet acknowledged by the server
+// may or may not have been applied — Close abandons the session's
+// exactly-once tracking.
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if cl.closed {
@@ -351,14 +347,14 @@ func (cl *Client) Close() error {
 	if cl.nc != nil {
 		cl.nc.Close()
 	}
+	var hooked []*wait
 	for id, w := range cl.waits {
 		delete(cl.waits, id)
-		w.ch <- ErrClosed
-	}
-	var orphaned []*specWait
-	for id, sw := range cl.specWaits {
-		delete(cl.specWaits, id)
-		orphaned = append(orphaned, sw)
+		if w.ch != nil {
+			w.ch <- ErrClosed
+		} else {
+			hooked = append(hooked, w)
+		}
 	}
 	for id, rc := range cl.calls {
 		delete(cl.calls, id)
@@ -366,13 +362,51 @@ func (cl *Client) Close() error {
 	}
 	cl.flushCond.Broadcast()
 	cl.mu.Unlock()
-	// Outside cl.mu: degrade-fire each orphaned predicate registration so
-	// its Cond stops counting on a server answer that will never come.
-	for _, sw := range orphaned {
-		sw.fire(false)
+	// Outside cl.mu: a Sentinel's hook fires as the early re-evaluation
+	// kick the Sentineler contract allows, and a predicate registration
+	// stops counting on an answer that will never come.
+	for _, w := range hooked {
+		if w.spec != nil {
+			w.fire(false)
+		} else {
+			w.hook()
+		}
 	}
 	cl.wg.Wait()
 	return nil
+}
+
+// parkLocked enters w in the wait table under a fresh id and sends its
+// frame. Callers hold cl.mu and have checked that the client is open.
+func (cl *Client) parkLocked(w *wait) uint64 {
+	cl.nextID++
+	if w.spec != nil {
+		w.spec.ID = cl.nextID
+		cl.enqueueLocked(w.spec)
+	} else {
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: cl.nextID, Level: w.level})
+	}
+	cl.waits[cl.nextID] = w
+	return cl.nextID
+}
+
+// unpark is the cancel of a Sentinel or an ArmSpec registration: it
+// forgets the entry and tells the server, whose answer then finds no
+// entry. It reports false if a wake or Close took the entry first.
+func (cl *Client) unpark(id uint64) bool {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	w := cl.waits[id]
+	if w == nil {
+		return false
+	}
+	delete(cl.waits, id)
+	op := wire.OpCancel
+	if w.spec != nil {
+		op = wire.OpWaitForCancel
+	}
+	cl.enqueueLocked(&wire.Frame{Op: op, ID: id})
+	return true
 }
 
 // Counter returns the named counter hosted by the server, creating it
@@ -495,38 +529,31 @@ func (cl *Client) reconnect() bool {
 // dispatch routes one server frame to the wait or call it resolves.
 func (cl *Client) dispatch(f *wire.Frame) {
 	switch f.Op {
-	case wire.OpWake:
+	case wire.OpWake, wire.OpCancelled:
 		cl.mu.Lock()
 		w := cl.waits[f.ID]
 		delete(cl.waits, f.ID)
-		var sw *specWait
-		if w == nil {
-			sw = cl.specWaits[f.ID]
-			delete(cl.specWaits, f.ID)
-		}
 		cl.mu.Unlock()
-		if w != nil {
-			w.ctr.noteSatisfied(f.Level)
+		switch {
+		case w == nil: // forgotten by unpark
+		case f.Op == wire.OpCancelled: // only a blocking wait stays parked behind its OpCancel
 			w.ctr.rtts.Add(1)
-			w.ctr.waitNanos.Add(uint64(time.Since(w.start)))
-			w.ctr.emit(counter.EventWake, f.Level)
-			w.ch <- nil
-		}
-		if sw != nil {
+			w.ch <- errCancelled
+		case w.spec != nil:
 			// The server observed the predicate holding: authoritative.
-			sw.fire(true)
+			w.fire(true)
+		default:
+			c := w.ctr
+			c.noteSatisfied(f.Level)
+			c.rtts.Add(1)
+			c.waitNanos.Add(uint64(time.Since(w.start)))
+			c.emit(counter.EventWake, f.Level)
+			if w.ch != nil {
+				w.ch <- nil
+			} else {
+				w.hook() // after the watermark rose, so a re-evaluation sees level
+			}
 		}
-	case wire.OpCancelled:
-		cl.mu.Lock()
-		w := cl.waits[f.ID]
-		delete(cl.waits, f.ID)
-		cl.mu.Unlock()
-		if w != nil {
-			w.ctr.rtts.Add(1)
-			w.ch <- w.ctxErr
-		}
-		// A cancelled predicate registration was already forgotten when
-		// the cancel was sent; its confirmation needs no action here.
 	case wire.OpIncAck:
 		// One round trip per acked counter: ackMark tells a counter seen
 		// earlier in this prefix from one not yet counted.

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,6 +94,7 @@ type proxy struct {
 
 	mu    sync.Mutex
 	conns []net.Conn
+	held  []*atomic.Bool // per live relay: drop the server's bytes
 	down  bool
 }
 
@@ -126,11 +128,41 @@ func (p *proxy) run() {
 			out.Close()
 			continue
 		}
+		held := new(atomic.Bool)
 		p.conns = append(p.conns, in, out)
+		p.held = append(p.held, held)
 		p.mu.Unlock()
 		go func() { io.Copy(out, in); in.Close(); out.Close() }()
-		go func() { io.Copy(in, out); in.Close(); out.Close() }()
+		go func() { relayBack(in, out, held); in.Close(); out.Close() }()
 	}
+}
+
+// relayBack copies the server's bytes to the client, dropping them while
+// held is set.
+func relayBack(client, server net.Conn, held *atomic.Bool) {
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := server.Read(buf)
+		if n > 0 && !held.Load() {
+			if _, werr := client.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// withhold makes every live relay drop what the server sends, as a link
+// that dies with answers in flight loses them; the client's frames still
+// reach the server, and relays accepted later forward both ways.
+func (p *proxy) withhold() {
+	p.mu.Lock()
+	for _, h := range p.held {
+		h.Store(true)
+	}
+	p.mu.Unlock()
 }
 
 // setDown controls whether new relays are accepted: after
@@ -147,7 +179,7 @@ func (p *proxy) setDown(down bool) {
 func (p *proxy) kill() {
 	p.mu.Lock()
 	conns := p.conns
-	p.conns = nil
+	p.conns, p.held = nil, nil
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
@@ -237,6 +269,44 @@ func TestCancelAcrossDeadLink(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled CheckContext never resolved across the dead link")
+	}
+}
+
+// TestSatisfiedBeatsCancelledAcrossReconnect is the regression for a
+// cancel whose answer dies with the link: the server satisfies a parked
+// wait, the wake is lost in flight, the waiter cancels, and the link
+// goes down. The reconnect must let the server decide the race again —
+// the level is satisfied, so CheckContext returns nil, not the context
+// error it used to settle on locally.
+func TestSatisfiedBeatsCancelledAcrossReconnect(t *testing.T) {
+	addr := startServer(t)
+	p := startProxy(t, addr)
+	cl, err := remote.Dial(p.lis.Addr().String(), remote.WithBackoff(time.Millisecond, 10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	name := countertest.FreshName("sbcr")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- cl.Counter(name).CheckContext(ctx, 5) }()
+	time.Sleep(30 * time.Millisecond) // the wait parks on the server
+	p.withhold()
+	o := dialClient(t, addr).Counter(name)
+	o.Increment(5)
+	o.Check(5)                        // the server has woken the parked wait
+	time.Sleep(30 * time.Millisecond) // and the relay has dropped the wake
+	cancel()
+	time.Sleep(30 * time.Millisecond) // the OpCancel finds nothing left to cancel
+	p.kill()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("CheckContext = %v for a level the server satisfied before the cancel, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled CheckContext never resolved across the reconnect")
 	}
 }
 
@@ -463,6 +533,118 @@ func TestRemoteSentinel(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // any stray fire would t.Error above
 }
 
+// TestSentinelsParkNoGoroutine arms a thousand sentinels on a remote
+// counter — client and server in one process — and asserts the
+// goroutine count stays flat: an armed sentinel is one wait-table entry
+// on each side of the wire, never a goroutine. One increment fires them
+// all.
+func TestSentinelsParkNoGoroutine(t *testing.T) {
+	addr := startServer(t)
+	cl := dialClient(t, addr)
+	c := cl.Counter(countertest.FreshName("sentfan"))
+	c.Increment(1)
+	c.Check(1) // settle both sides' machinery into the baseline
+
+	const sentinels = 1000
+	baseline := runtime.NumGoroutine()
+	var fired atomic.Int64
+	all := make(chan struct{})
+	for i := 0; i < sentinels; i++ {
+		if _, armed := c.Sentinel(uint64(i+3), func() {
+			if fired.Add(1) == sentinels {
+				close(all)
+			}
+		}); !armed {
+			t.Fatalf("Sentinel(%d) not armed", i+3)
+		}
+	}
+	c.Increment(1)
+	c.Check(2) // fence: the server has parked every sentinel sent before it
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines = %d with %d armed sentinels (baseline %d)", n, sentinels, baseline)
+	}
+	c.Increment(sentinels)
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d of %d sentinels fired", fired.Load(), sentinels)
+	}
+}
+
+// TestCloseKicksSentinelsOnce pins Close's sweep of armed sentinels:
+// every live hook fires exactly once, as a re-evaluation kick, and a
+// cancelled one never fires. A sentinel armed after Close is armed but
+// never fires.
+func TestCloseKicksSentinelsOnce(t *testing.T) {
+	addr := startServer(t)
+	cl, err := remote.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cl.Counter(countertest.FreshName("kick"))
+	const n = 64
+	var fires [n]atomic.Int32
+	cancels := make([]func() bool, n)
+	for i := range cancels {
+		var armed bool
+		cancels[i], armed = c.Sentinel(uint64(100+i), func() { fires[i].Add(1) })
+		if !armed {
+			t.Fatalf("Sentinel(%d) not armed", 100+i)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		if !cancels[i]() {
+			t.Fatalf("cancel of armed sentinel %d reported false", i)
+		}
+	}
+	cl.Close()
+	cl.Close()                        // a second Close finds nothing left to fire
+	time.Sleep(20 * time.Millisecond) // any late or second fire lands
+	for i := range fires {
+		want := int32(i % 2) // odd: live at Close; even: cancelled
+		if got := fires[i].Load(); got != want {
+			t.Fatalf("sentinel %d fired %d times, want %d", i, got, want)
+		}
+		if cancels[i]() {
+			t.Fatalf("cancel of sentinel %d after Close reported true", i)
+		}
+	}
+
+	cancel, armed := c.Sentinel(1000, func() { t.Error("sentinel on a closed client fired") })
+	if !armed {
+		t.Fatal("Sentinel on a closed client reported not-armed")
+	}
+	if !cancel() {
+		t.Fatal("cancel of a sentinel on a closed client reported false")
+	}
+}
+
+// TestPoisonedClientSentinelNeverFires is the regression for predicate
+// waits over a poisoned client. ArmSpec refuses once an overflowing
+// increment has poisoned the client, so WaitFor falls back to
+// sentinels, and a sentinel on a poisoned client must arm and never
+// fire — it used to panic on a goroutine the caller does not own.
+func TestPoisonedClientSentinelNeverFires(t *testing.T) {
+	addr := startServer(t)
+	cl := dialClient(t, addr)
+	o := cl.Counter(countertest.FreshName("poison"))
+	o.Increment(^uint64(0) - 1)
+	o.Check(^uint64(0) - 1)
+	o.Increment(5) // overflows server-side
+	for deadline := time.Now().Add(5 * time.Second); o.TryIncrement(0) == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("client never poisoned after an overflowing increment")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	c := cl.Counter(countertest.FreshName("poison"))
+	if err := counter.WaitFor(ctx, wait.Sum(c).AtLeast(10)); err != context.DeadlineExceeded {
+		t.Fatalf("WaitFor over a poisoned client = %v, want DeadlineExceeded", err)
+	}
+}
+
 // TestRemotePredicateWait drives counter/wait's predicate machinery over
 // remote counters: a sum across two hosted counters, incremented from a
 // second client, releases a WaitFor on the first.
@@ -607,7 +789,7 @@ func TestServerRestartDetected(t *testing.T) {
 	restarts := make(chan [2]uint64, 1)
 	cl, err := remote.Dial(addr,
 		remote.WithBackoff(time.Millisecond, 20*time.Millisecond),
-		remote.WithRestartNotify(func(oldE, newE uint64, unacked map[string]uint64) {
+		remote.WithRestartNotify(func(oldE, newE uint64) {
 			select {
 			case restarts <- [2]uint64{oldE, newE}:
 			default:

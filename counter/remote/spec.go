@@ -14,14 +14,8 @@ import (
 // that cannot flip it cost this client zero frames in either direction.
 // Against a v2 server (no FeatureWaitFor) ArmSpec refuses and the
 // predicate engine falls back to the per-counter watermark path
-// unchanged.
-
-// specWait is one outstanding OpWaitFor registration.
-type specWait struct {
-	id    uint64
-	frame wire.Frame // the encoded OpWaitFor, kept for reconnect replay
-	fire  func(satisfied bool)
-}
+// unchanged. A registration is one entry in the client's wait table,
+// replayed, answered and swept with the parked OpChecks.
 
 // specFrame encodes a wait.Spec into an OpWaitFor frame, reporting
 // false for specs the wire cannot carry.
@@ -76,23 +70,8 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 	if cl.closed || cl.fatal != nil || cl.features&wire.FeatureWaitFor == 0 {
 		return nil, false
 	}
-	cl.nextID++
-	f.ID = cl.nextID
-	sw := &specWait{id: f.ID, frame: f, fire: fire}
-	cl.specWaits[f.ID] = sw
-	cl.enqueueLocked(&f)
-	return func() bool {
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-		if _, live := cl.specWaits[sw.id]; !live {
-			return false // fire already delivered (or on its way through dispatch)
-		}
-		delete(cl.specWaits, sw.id)
-		// Fire-and-forget: the server answers OpCancelled (or OpWake if
-		// satisfaction won the race); both find no entry and are dropped.
-		cl.enqueueLocked(&wire.Frame{Op: wire.OpWaitForCancel, ID: sw.id})
-		return true
-	}, true
+	id := cl.parkLocked(&wait{spec: &f, fire: fire})
+	return func() bool { return cl.unpark(id) }, true
 }
 
 // ServerFeatures returns the feature bits the server advertised in the
