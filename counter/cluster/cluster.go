@@ -17,6 +17,9 @@
 //
 //   - A re-sent Check cannot observe a smaller value, so a blocked wait
 //     can simply be re-issued against whatever node now hosts the name.
+//     A predicate wait is re-asked the same way: its sentinels, or its
+//     one routed registration, fire when the dead node's pool closes,
+//     and the predicate engine arms again through the new routing.
 //   - Increments commute, so a counter's value is nothing more than the
 //     sum of each writer's total contribution — and each cluster client
 //     knows its own total per name (its *ledger*).
@@ -304,14 +307,15 @@ func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64) {
 // names on the next live node), this client's ledger for every moved
 // name is replayed through the successor, and the dead pool is closed —
 // resolving its parked waits with remote.ErrClosed, which sends cluster
-// waiters back through routing, and kicking its armed sentinels, which
-// sends predicate conditions back through Counter.Sentinel's routing to
-// re-arm on the successor. Exactly-once holds because the dead
-// node's applied state is gone with it and the ledger is the client's
-// complete contribution: replaying it recreates exactly what was lost
-// (the session seq-dedup covers any reconnect during the replay
-// itself). Callers may be a dead client's own reader goroutine, so the
-// pool is closed asynchronously.
+// waiters back through routing, and kicking its armed sentinels and
+// routed predicate registrations, which sends predicate conditions back
+// through Counter.Sentinel's or Cluster.ArmSpec's routing to re-arm on
+// the successor. Exactly-once holds because the dead node's applied
+// state is gone with it and the ledger is the client's complete
+// contribution: replaying it recreates exactly what was lost (the
+// session seq-dedup covers any reconnect during the replay itself).
+// Callers may be a dead client's own reader goroutine, so the pool is
+// closed asynchronously.
 func (c *Cluster) failNode(n *node) {
 	type replay struct {
 		rc  *remote.Counter

@@ -7,6 +7,7 @@ import (
 
 	"monotonic/counter"
 	"monotonic/counter/cluster"
+	"monotonic/counter/countertest"
 	"monotonic/counter/wait"
 )
 
@@ -118,8 +119,8 @@ func TestParkedWaitForSurvivesFailover(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Both names now home on the survivor; the supervisor must have
-	// re-armed there rather than degrading to sentinels.
+	// Both names now home on the survivor; the re-ask must have
+	// registered there rather than degrading to sentinels.
 	rearm := time.Now().Add(5 * time.Second)
 	for !cond.Stats().External && time.Now().Before(rearm) {
 		time.Sleep(time.Millisecond)
@@ -188,9 +189,83 @@ func TestShardedWaitForSurvivesFailover(t *testing.T) {
 	}
 }
 
+// TestSplitWaitForDegradesOnFailover: a routed predicate whose counters
+// colocate only until their home dies. The dead pool's Close kicks the
+// registration, the re-ask finds the names on two different successors
+// and is refused, and the predicate falls back to one sentinel per
+// counter. It must still release once the ledger replays and the
+// remaining increments land.
+func TestSplitWaitForDegradesOnFailover(t *testing.T) {
+	addrs, kills := startNodes(t, 3)
+	c := dialCluster(t, addrs,
+		cluster.WithFailAfter(3),
+		cluster.WithBackoff(time.Millisecond, 5*time.Millisecond))
+	// Placement is a pure function of the live set, so a cluster over the
+	// two survivors shows where node 0's names move once it is dead.
+	after := dialCluster(t, addrs[1:])
+	var na, nb string
+	for i := 0; na == "" || nb == ""; i++ {
+		if i == 100000 {
+			t.Fatal("no pair of names on node 0 that splits over the survivors")
+		}
+		name := countertest.FreshName("split")
+		if home, _ := c.NodeFor(name); home != addrs[0] {
+			continue
+		}
+		switch next, _ := after.NodeFor(name); {
+		case next == addrs[1] && na == "":
+			na = name
+		case next == addrs[2] && nb == "":
+			nb = name
+		}
+	}
+	ca, cb := c.Counter(na), c.Counter(nb)
+	ca.Increment(30)
+	cb.Increment(30)
+	ca.Check(30) // applied on the doomed node before it dies
+	cb.Check(30)
+
+	cond := wait.Sum(ca, cb).AtLeast(100)
+	errc := make(chan error, 1)
+	go func() { errc <- cond.Wait(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond.Stats().External && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !cond.Stats().External {
+		t.Fatal("spec wait never routed server-side before the failover")
+	}
+
+	kills[0]()
+	for len(c.Live()) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("node death never detected")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	degrade := time.Now().Add(5 * time.Second)
+	for st := cond.Stats(); (st.External || st.Armed != 2) && time.Now().Before(degrade); st = cond.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st := cond.Stats(); st.External || st.Armed != 2 {
+		t.Fatalf("stats = %+v after the split, want one sentinel on each successor", st)
+	}
+	// The replayed 30 + 30 plus these 40 flip it.
+	ca.Increment(40)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Wait = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("split predicate never released after failover (stats %+v)", cond.Stats())
+	}
+}
+
 // TestSpecWaitClusterCloseDegrades: closing the cluster under a routed
-// predicate must not strand the waiter — the supervisor finds no route,
-// degrades, and the waiter stays cancellable.
+// predicate must not strand the waiter — the re-ask finds the cluster
+// closed and is refused, the predicate degrades, and the waiter stays
+// cancellable.
 func TestSpecWaitClusterCloseDegrades(t *testing.T) {
 	addrs, _ := startNodes(t, 2)
 	c := dialCluster(t, addrs)

@@ -63,7 +63,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		recv(&wire.Frame{Op: wire.OpIncAck, Seq: cl.nextSeq})
+		recv(&wire.Frame{Op: wire.OpIncAck, Seq: cl.serial})
 	})
 	if n != 0 {
 		t.Errorf("%d OpIncrements out, one OpIncAck in: %v allocs, want 0", len(cs), n)
@@ -107,7 +107,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if _, armed := s.Sentinel(uint64(i+1), hook); !armed {
 			t.Fatalf("Sentinel(%d) not armed", i+1)
 		}
-		ids[i] = cl.nextID
+		ids[i] = cl.serial
 	}
 	next = 0
 	n = testing.AllocsPerRun(runs, func() {
@@ -134,7 +134,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if _, ok := cl.ArmSpec(spec, fire); !ok {
 			t.Fatal("ArmSpec refused")
 		}
-		ids[i] = cl.nextID
+		ids[i] = cl.serial
 	}
 	next = 0
 	n = testing.AllocsPerRun(runs, func() {

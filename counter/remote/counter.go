@@ -105,9 +105,9 @@ func (c *Counter) TryIncrement(amount uint64) error {
 		cl.mu.Unlock()
 		return nil
 	}
-	cl.nextSeq++
-	cl.pending = append(cl.pending, pendingInc{seq: cl.nextSeq, ctr: c, amount: amount})
-	cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: c.name, Seq: cl.nextSeq, Amount: amount})
+	cl.serial++
+	cl.pending = append(cl.pending, pendingInc{seq: cl.serial, ctr: c, amount: amount})
+	cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: c.name, Seq: cl.serial, Amount: amount})
 	cl.mu.Unlock()
 	c.emit(counter.EventIncrement, amount)
 	return nil
@@ -281,8 +281,8 @@ func (c *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed b
 // (the server refuses the reset and the panic relays its reason).
 func (c *Counter) Reset() {
 	c.cl.checkFatal()
-	f, err := c.cl.roundTrip(wire.Frame{Op: wire.OpReset, Name: c.name}, 0)
-	if err != nil {
+	f := wire.Frame{Op: wire.OpReset, Name: c.name}
+	if err := c.cl.roundTrip(&f, 0); err != nil {
 		panic("remote: reset: " + err.Error())
 	}
 	c.rtts.Add(1)
@@ -306,8 +306,8 @@ const statsTimeout = 2 * time.Second
 // expvar scrape never wedges on a dead link.
 func (c *Counter) Stats() counter.Stats {
 	var ws wire.Stats
-	f, err := c.cl.roundTrip(wire.Frame{Op: wire.OpStats, Name: c.name}, statsTimeout)
-	if err == nil && f.Op == wire.OpStatsReply {
+	f := wire.Frame{Op: wire.OpStats, Name: c.name}
+	if err := c.cl.roundTrip(&f, statsTimeout); err == nil && f.Op == wire.OpStatsReply {
 		ws = f.Stats
 		c.rtts.Add(1)
 		c.lastStats.Store(&ws)

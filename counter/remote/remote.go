@@ -20,10 +20,12 @@
 // fire-and-forget frames batched into the next flush, and a following
 // Check observes them in order because the server applies frames in
 // arrival order.
-// Every wait parked on the server — a blocking Check, a Sentinel hook,
-// an ArmSpec predicate — is one entry in one wait table, answered by the
-// reader goroutine, re-sent on reconnect and swept by Close, so an armed
-// Sentinel costs a table entry and no goroutine.
+// Every request awaiting the server's answer — a blocking Check, a
+// Sentinel hook, an ArmSpec predicate, a Reset or Stats call — is one
+// entry in one wait table, answered by the reader goroutine, re-sent on
+// reconnect and swept by Close, so an armed Sentinel costs a table entry
+// and no goroutine. One counter numbers both increment sequence numbers
+// and wait ids, so a reply naming one can never be taken for the other.
 package remote
 
 import (
@@ -132,13 +134,14 @@ type Client struct {
 	epoch     uint64 // boot epoch of the server instance last welcomed by
 	features  uint64 // feature bits from the last Welcome (zero on v2 sessions)
 
-	session  uint64
-	nextSeq  uint64
-	nextID   uint64
+	session uint64
+	// serial is the last number drawn for an increment's seq or a wait's
+	// id. One space for both: the server reports a rejected increment as
+	// an OpError carrying its seq, which therefore names no wait.
+	serial   uint64
 	pending  []pendingInc     // increments sent but not yet acknowledged, ascending by seq
 	acks     uint64           // OpIncAck frames dispatched; see Counter.ackMark
-	waits    map[uint64]*wait // parked OpCheck and OpWaitFor waits by frame id
-	calls    map[uint64]*call
+	waits    map[uint64]*wait // requests awaiting an answer, by frame id
 	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
@@ -156,19 +159,21 @@ type pendingInc struct {
 }
 
 // wait is one entry in Client.waits: an OpCheck on ctr at level for a
-// blocking Check (ch) or a Sentinel (hook), or an ArmSpec's OpWaitFor
-// (spec, kept for replay, and fire). An OpCheck keeps no frame; connect
-// rebuilds it from ctr and level.
+// blocking Check (ch) or a Sentinel (hook), an ArmSpec's OpWaitFor
+// (frame and fire), or a Reset or Stats call (frame and ch). A kept
+// frame is re-sent as is on reconnect, and a call's reply is copied into
+// it before ch is answered. An OpCheck keeps no frame; connect rebuilds
+// it from ctr and level.
 type wait struct {
 	ctr   *Counter
 	level uint64
 	start time.Time
-	// ch resolves a blocking wait: nil for a wake, errCancelled for a
-	// confirmed cancel, ErrClosed if the client closes. Buffered so the
-	// reader never blocks delivering.
+	// ch resolves a blocking wait or a call: nil for a wake or a reply,
+	// errCancelled for a confirmed cancel, ErrClosed if the client
+	// closes. Buffered so the reader never blocks delivering.
 	ch        chan error
 	hook      func()
-	spec      *wire.Frame
+	frame     *wire.Frame
 	fire      func(satisfied bool)
 	cancelled bool // a blocking wait's OpCancel was sent; replay re-sends it
 }
@@ -176,19 +181,6 @@ type wait struct {
 // errCancelled resolves a blocking wait whose cancel the server
 // confirmed; the waiter returns its own context error in its place.
 var errCancelled = errors.New("remote: wait cancelled")
-
-// call is one outstanding request/reply exchange (Reset, Stats). The
-// frame is kept for resend across reconnects; both are idempotent.
-type call struct {
-	id    uint64
-	frame wire.Frame
-	ch    chan callResult
-}
-
-type callResult struct {
-	f   wire.Frame
-	err error
-}
 
 // Dial connects to a counterd server and performs the session
 // handshake. The returned client holds one connection and two
@@ -215,7 +207,6 @@ func newClient(addr string, opts []Option) *Client {
 		boff:     backoff{base: defaultBackoffBase, cap: defaultBackoffCap},
 		closeCh:  make(chan struct{}),
 		waits:    make(map[uint64]*wait),
-		calls:    make(map[uint64]*call),
 		counters: make(map[string]*Counter),
 	}
 	cl.flushCond = sync.NewCond(&cl.mu)
@@ -226,8 +217,8 @@ func newClient(addr string, opts []Option) *Client {
 }
 
 // connect dials, handshakes, installs the new connection, and replays
-// session state (unacknowledged increments, outstanding waits and
-// calls). Called from Dial and from the reader's reconnect loop.
+// session state (unacknowledged increments and the wait table). Called
+// from Dial and from the reader's reconnect loop.
 func (cl *Client) connect() error {
 	cl.mu.Lock()
 	sess := cl.session
@@ -284,31 +275,27 @@ func (cl *Client) connect() error {
 	for _, p := range cl.pending {
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
 	}
-	// Every parked wait is re-sent; re-asking is harmless because the
-	// value is monotonic. A cancelled blocking wait re-sends its OpCancel
-	// behind its OpCheck, since the answer may have died with the old
-	// link: the server decides the race again, and a level it satisfied
-	// still beats the cancel. An OpWaitFor that landed on a server
-	// without the feature (a downgrade across a failover) degrades.
+	// Every entry is re-sent, since its request or its answer may have
+	// died with the old link. Re-asking is harmless: a wait's value is
+	// monotonic, and Reset and Stats are idempotent. A cancelled blocking
+	// wait re-sends its OpCancel behind its OpCheck: the server decides
+	// the race again, and a level it satisfied still beats the cancel. An
+	// OpWaitFor that landed on a server without the feature (a downgrade
+	// across a failover) is dropped and fires false.
 	var degraded []*wait
 	for id, w := range cl.waits {
 		switch {
-		case w.spec == nil:
+		case w.frame == nil:
 			cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: id, Level: w.level})
 			if w.cancelled {
 				cl.enqueueLocked(&wire.Frame{Op: wire.OpCancel, ID: id})
 			}
-		case cl.features&wire.FeatureWaitFor != 0:
-			cl.enqueueLocked(w.spec)
+		case w.fire == nil || cl.features&wire.FeatureWaitFor != 0:
+			cl.enqueueLocked(w.frame)
 		default:
 			delete(cl.waits, id)
 			degraded = append(degraded, w)
 		}
-	}
-	// Reset and Stats calls re-send their kept frames: a request or reply
-	// lost with the old link would otherwise never be answered.
-	for _, rc := range cl.calls {
-		cl.enqueueLocked(&rc.frame)
 	}
 	cl.mu.Unlock()
 	for _, w := range degraded {
@@ -332,10 +319,10 @@ func (cl *Client) Epoch() uint64 {
 
 // Close tears the session down: the connection is closed, both client
 // goroutines retire, every outstanding call and blocked wait resolves
-// with ErrClosed, every armed Sentinel fires once and every ArmSpec
-// registration degrades. Increments not yet acknowledged by the server
-// may or may not have been applied — Close abandons the session's
-// exactly-once tracking.
+// with ErrClosed, and every armed Sentinel and ArmSpec registration
+// fires once (a Sentinel's hook, an ArmSpec's fire(false)). Increments
+// not yet acknowledged by the server may or may not have been applied —
+// Close abandons the session's exactly-once tracking.
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if cl.closed {
@@ -356,17 +343,13 @@ func (cl *Client) Close() error {
 			hooked = append(hooked, w)
 		}
 	}
-	for id, rc := range cl.calls {
-		delete(cl.calls, id)
-		rc.ch <- callResult{err: ErrClosed}
-	}
 	cl.flushCond.Broadcast()
 	cl.mu.Unlock()
 	// Outside cl.mu: a Sentinel's hook fires as the early re-evaluation
 	// kick the Sentineler contract allows, and a predicate registration
 	// stops counting on an answer that will never come.
 	for _, w := range hooked {
-		if w.spec != nil {
+		if w.fire != nil {
 			w.fire(false)
 		} else {
 			w.hook()
@@ -379,15 +362,16 @@ func (cl *Client) Close() error {
 // parkLocked enters w in the wait table under a fresh id and sends its
 // frame. Callers hold cl.mu and have checked that the client is open.
 func (cl *Client) parkLocked(w *wait) uint64 {
-	cl.nextID++
-	if w.spec != nil {
-		w.spec.ID = cl.nextID
-		cl.enqueueLocked(w.spec)
+	cl.serial++
+	id := cl.serial
+	if w.frame != nil {
+		w.frame.ID = id
+		cl.enqueueLocked(w.frame)
 	} else {
-		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: cl.nextID, Level: w.level})
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: id, Level: w.level})
 	}
-	cl.waits[cl.nextID] = w
-	return cl.nextID
+	cl.waits[id] = w
+	return id
 }
 
 // unpark is the cancel of a Sentinel or an ArmSpec registration: it
@@ -402,7 +386,7 @@ func (cl *Client) unpark(id uint64) bool {
 	}
 	delete(cl.waits, id)
 	op := wire.OpCancel
-	if w.spec != nil {
+	if w.frame != nil {
 		op = wire.OpWaitForCancel
 	}
 	cl.enqueueLocked(&wire.Frame{Op: op, ID: id})
@@ -526,7 +510,7 @@ func (cl *Client) reconnect() bool {
 	}
 }
 
-// dispatch routes one server frame to the wait or call it resolves.
+// dispatch routes one server frame to the wait-table entry it resolves.
 func (cl *Client) dispatch(f *wire.Frame) {
 	switch f.Op {
 	case wire.OpWake, wire.OpCancelled:
@@ -539,7 +523,7 @@ func (cl *Client) dispatch(f *wire.Frame) {
 		case f.Op == wire.OpCancelled: // only a blocking wait stays parked behind its OpCancel
 			w.ctr.rtts.Add(1)
 			w.ch <- errCancelled
-		case w.spec != nil:
+		case w.fire != nil:
 			// The server observed the predicate holding: authoritative.
 			w.fire(true)
 		default:
@@ -570,53 +554,39 @@ func (cl *Client) dispatch(f *wire.Frame) {
 		}
 		cl.pending = trimmed
 		cl.mu.Unlock()
-	case wire.OpResetOK, wire.OpStatsReply:
-		cl.resolveCall(f.ID, callResult{f: *f})
-	case wire.OpError:
+	case wire.OpResetOK, wire.OpStatsReply, wire.OpError:
 		cl.mu.Lock()
-		rc := cl.calls[f.ID]
-		delete(cl.calls, f.ID)
-		if rc == nil {
-			// Not a call reply: the server rejected an increment (the
-			// only fire-and-forget op that can fail — overflow). That is
-			// a caller bug exactly like the in-process panic, but it
-			// surfaces asynchronously, so latch it and panic the next
-			// operation.
-			if cl.fatal == nil {
-				cl.fatal = errors.New("remote: " + f.Msg)
-			}
+		w := cl.waits[f.ID]
+		delete(cl.waits, f.ID)
+		if w != nil {
+			*w.frame = *f // a call's reply, read by roundTrip once ch answers
+		} else if f.Op == wire.OpError && cl.fatal == nil {
+			// No entry: the server rejected an increment (the only
+			// fire-and-forget op that can fail — overflow), naming its
+			// seq. That is a caller bug exactly like the in-process
+			// panic, but it surfaces asynchronously, so latch it and
+			// panic the next operation.
+			cl.fatal = errors.New("remote: " + f.Msg)
 		}
 		cl.mu.Unlock()
-		if rc != nil {
-			rc.ch <- callResult{f: *f}
+		if w != nil {
+			w.ch <- nil
 		}
 	}
 }
 
-func (cl *Client) resolveCall(id uint64, r callResult) {
-	cl.mu.Lock()
-	rc := cl.calls[id]
-	delete(cl.calls, id)
-	cl.mu.Unlock()
-	if rc != nil {
-		rc.ch <- r
-	}
-}
-
-// roundTrip performs one request/reply exchange, blocking until the
-// server answers (re-sent across reconnects), the timeout lapses (zero
-// means none), or the client closes.
-func (cl *Client) roundTrip(f wire.Frame, timeout time.Duration) (wire.Frame, error) {
+// roundTrip sends the request f as an entry in the wait table and blocks
+// until the server answers (re-sent across reconnects), the timeout
+// lapses (zero means none), or the client closes. On a nil error f
+// holds the reply.
+func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
+	ch := make(chan error, 1)
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
-		return wire.Frame{}, ErrClosed
+		return ErrClosed
 	}
-	cl.nextID++
-	f.ID = cl.nextID
-	rc := &call{id: f.ID, frame: f, ch: make(chan callResult, 1)}
-	cl.calls[f.ID] = rc
-	cl.enqueueLocked(&f)
+	id := cl.parkLocked(&wait{frame: f, ch: ch})
 	cl.mu.Unlock()
 
 	var timer <-chan time.Time
@@ -626,18 +596,17 @@ func (cl *Client) roundTrip(f wire.Frame, timeout time.Duration) (wire.Frame, er
 		timer = t.C
 	}
 	select {
-	case r := <-rc.ch:
-		return r.f, r.err
+	case err := <-ch:
+		return err
 	case <-timer:
 		cl.mu.Lock()
-		delete(cl.calls, rc.id)
+		_, parked := cl.waits[id]
+		delete(cl.waits, id)
 		cl.mu.Unlock()
-		select {
-		case r := <-rc.ch: // resolution raced the timeout; take it
-			return r.f, r.err
-		default:
+		if !parked {
+			return <-ch // the reply (or Close) took the entry first
 		}
-		return wire.Frame{}, fmt.Errorf("remote: %s timed out after %v", f.Op, timeout)
+		return fmt.Errorf("remote: %s timed out after %v", f.Op, timeout)
 	}
 }
 

@@ -1,7 +1,9 @@
 package remote_test
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -17,6 +19,7 @@ import (
 	"monotonic/counter/remote"
 	"monotonic/counter/wait"
 	"monotonic/internal/server"
+	"monotonic/internal/wire"
 )
 
 func startServer(t *testing.T) string {
@@ -403,6 +406,63 @@ func TestIncrementOverflowPoisonsClient(t *testing.T) {
 			t.Fatal("client never poisoned after server rejected an overflowing increment")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOverflowRejectionNeverAnswersACall is the regression for a
+// rejected increment's OpError being taken by a Stats call. The server
+// reports the rejection on the increment's seq, so a client that numbers
+// seqs and request ids apart can find a call under that number: Stats
+// then returned an all-zero snapshot and the client was never poisoned.
+// A scripted counterd reads the OpIncrement and the OpStats before it
+// answers both, so the two replies always meet the client together.
+func TestOverflowRejectionNeverAnswersACall(t *testing.T) {
+	client, srv := net.Pipe()
+	go func() {
+		defer srv.Close()
+		br := bufio.NewReader(srv)
+		expect := func(op wire.Op) wire.Frame {
+			f, err := wire.Read(br)
+			if err == nil && f.Op != op {
+				err = fmt.Errorf("got %s", f.Op)
+			}
+			if err != nil {
+				t.Errorf("scripted counterd: want %s: %v", op, err)
+			}
+			return f
+		}
+		expect(wire.OpHello)
+		srv.Write(wire.Append(nil, &wire.Frame{Op: wire.OpWelcome, Session: 1, Epoch: 1}))
+		inc := expect(wire.OpIncrement)
+		stats := expect(wire.OpStats)
+		out := wire.Append(nil, &wire.Frame{Op: wire.OpError, ID: inc.Seq, Msg: "counter overflow"})
+		out = wire.Append(out, &wire.Frame{Op: wire.OpStatsReply, ID: stats.ID, Stats: wire.Stats{Increments: 7}})
+		srv.Write(out)
+		for {
+			if _, err := wire.Read(br); err != nil {
+				return // the client closed
+			}
+		}
+	}()
+	var dialed atomic.Bool
+	cl, err := remote.Dial("scripted", remote.WithDialer(func(string) (net.Conn, error) {
+		if dialed.Swap(true) {
+			return nil, errors.New("the scripted counterd takes one connection")
+		}
+		return client, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	c := cl.Counter("ovf")
+	c.Increment(5)
+	if got := c.Stats().Increments; got != 7 {
+		t.Fatalf("Stats().Increments = %d, want the scripted reply's 7 (the rejection answered the call)", got)
+	}
+	if err := c.TryIncrement(1); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("TryIncrement after a rejected increment = %v, want the latched overflow", err)
 	}
 }
 

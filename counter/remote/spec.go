@@ -55,8 +55,10 @@ func specFrame(spec cwait.Spec) (wire.Frame, bool) {
 // registration survives reconnects: the frame is re-sent with the rest
 // of the session state, and monotonicity makes the re-send idempotent.
 // fire(true) arrives when the server observes the predicate holding;
-// fire(false) when the registration can no longer be honoured (client
-// closed, or a reconnect landed on a server without the feature).
+// fire(false) when this registration can no longer be honoured (client
+// closed, or a reconnect landed on a server without the feature). The
+// predicate engine takes fire(false) as a kick and asks again, and the
+// re-ask is refused for the same reasons.
 //
 // ArmSpec and the returned cancel are called under the predicate
 // engine's lock; both only take cl.mu and enqueue — no round trips.
@@ -70,7 +72,7 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 	if cl.closed || cl.fatal != nil || cl.features&wire.FeatureWaitFor == 0 {
 		return nil, false
 	}
-	id := cl.parkLocked(&wait{spec: &f, fire: fire})
+	id := cl.parkLocked(&wait{frame: &f, fire: fire})
 	return func() bool { return cl.unpark(id) }, true
 }
 

@@ -46,8 +46,9 @@ func (c *Cond) Spec() Spec { return c.spec }
 // newCond builds a Cond for spec and pred, routing evaluation
 // server-side when possible: if the spec is wire-encodable and every
 // counter nominates the same SpecHost, the Cond arms one registration
-// with that host instead of per-counter sentinels (falling back to
-// sentinels if the host refuses or dies — see predicate.External).
+// with that host instead of per-counter sentinels (asking again if a
+// registration dies, and falling back to sentinels once the host
+// refuses — see predicate.External).
 // Otherwise evaluation is classic client-side sentinels.
 func newCond(spec Spec, pred predicate.Pred) *Cond {
 	pcs := adaptAll(spec.Counters)

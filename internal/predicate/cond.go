@@ -44,8 +44,8 @@ type Cond struct {
 
 	// ext, when non-nil, is the external arming strategy: one
 	// registration with a remote evaluator replaces the per-counter
-	// sentinels (see NewCondExternal). Cleared permanently when the
-	// host refuses or degrades.
+	// sentinels (see NewCondExternal). Cleared for good only when the
+	// host refuses a registration.
 	ext       External
 	extArmed  bool
 	extCancel func() bool
@@ -101,11 +101,14 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 //
 // fire(true) is authoritative satisfaction: the host observed the
 // predicate holding over values at least as large as every local lower
-// bound, and monotonicity makes that terminal. fire(false) means the
-// registration died without an answer (connection lost, host
-// degraded); the Cond then falls back to per-counter sentinels for the
-// rest of its life. fire may be called from any goroutine and must not
-// block; cancel reports whether fire was prevented.
+// bound, and monotonicity makes that terminal. fire(false) is a kick,
+// like a sentinel fire: the registration died without an answer
+// (connection lost, host retired), so the Cond forgets it, re-evaluates
+// and asks the strategy again. Monotonicity makes the re-ask safe, since
+// the host cannot observe a smaller value. Only a refusal (ok == false)
+// moves the Cond to per-counter sentinels, for the rest of its life.
+// fire may be called from any goroutine and must not block; cancel
+// reports whether fire was prevented.
 //
 // Both the strategy itself and the cancel it returns are invoked with
 // the Cond's internal lock held — they sit exactly where Sentinel and
@@ -116,7 +119,9 @@ type External func(fire func(satisfied bool)) (cancel func() bool, ok bool)
 
 // NewCondExternal is NewCond with an external arming strategy: while
 // ext is willing, the Cond parks one remote registration instead of
-// len(counters) sentinels, and frontier moves cost nothing locally.
+// len(counters) sentinels, and frontier moves cost nothing locally. A
+// registration lost without an answer is asked for again; the first
+// refusal falls back to sentinels.
 // Local evaluation still runs first on every Wait/Poll — a predicate
 // already satisfied by the counters' own lower bounds settles without
 // consulting ext — so satisfied-beats-cancelled determinism is
@@ -158,10 +163,10 @@ func (c *Cond) kick() {
 // the registration is — the host observed the predicate holding over
 // values dominating every local lower bound, and monotone truth never
 // expires. An unsatisfied fire (registration died without an answer)
-// only acts if it belongs to the current registration: it abandons the
-// external strategy for good and falls back to sentinels for any wait
-// still in progress. A stale unsatisfied fire — a cancelled
-// registration's last breath racing a newer one — is dropped.
+// only acts if it belongs to the current registration: the Cond forgets
+// it and re-evaluates, which asks the strategy again and falls back to
+// sentinels only if that ask is refused. A stale unsatisfied fire — a
+// cancelled registration's last breath racing a newer one — is dropped.
 func (c *Cond) extKick(gen uint64, satisfied bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,7 +182,6 @@ func (c *Cond) extKick(gen uint64, satisfied bool) {
 	}
 	c.extArmed = false
 	c.extCancel = nil
-	c.ext = nil
 	if c.started {
 		c.evaluateLocked()
 	}

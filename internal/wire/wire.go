@@ -159,7 +159,11 @@ const (
 	OpIncAck Op = 0x84
 	// OpResetOK acknowledges a reset.
 	OpResetOK Op = 0x85
-	// OpError is the failure reply to the request with ID.
+	// OpError is the failure reply to the request with ID. A rejected
+	// OpIncrement (overflow) has no ID, so its OpError carries the
+	// increment's Seq in ID instead: a client must keep its increment
+	// seqs and its request ids disjoint, or a rejection can answer an
+	// unrelated request.
 	OpError Op = 0x86
 	// OpStatsReply carries a Stats snapshot.
 	OpStatsReply Op = 0x87
