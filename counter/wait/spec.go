@@ -89,12 +89,12 @@ func (s Spec) Encodable() bool {
 			return false
 		}
 	}
-	names, ok := s.Names()
-	if !ok {
-		return false
-	}
-	for _, n := range names {
-		if n == "" || len(n) > wire.MaxName {
+	for _, c := range s.Counters {
+		n, ok := c.(namer)
+		if !ok {
+			return false
+		}
+		if name := n.Name(); name == "" || len(name) > wire.MaxName {
 			return false
 		}
 	}

@@ -48,25 +48,26 @@ import (
 //     waitlist engine "about to" starts when an increment claims the
 //     level's node, before the hook runs: satisfied beats cancelled,
 //     so a cancel that follows a satisfying increment in happens-before
-//     order always reports false. An armed sentinel counts as a
+//     order always reports false. A cancel costs O(1) on the waitlist
+//     engine however many hooks share the level: the hook unlinks
+//     itself from a doubly linked chain. An armed sentinel counts as a
 //     suspended waiter for Reset's misuse check, so callers must cancel
 //     their sentinels before resetting.
 type Sentineler interface {
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
 
-// sentinelHook is one armed callback in a waitNode's hooks chain. All
-// fields are guarded by the node's wake lock except fn and gate, which
-// are immutable after creation.
+// sentinelHook is one armed callback in a waitNode's doubly linked
+// hooks chain, so a cancel unlinks it in O(1) wherever it sits. All
+// fields are guarded by the node's wake lock except fn, which is
+// immutable after creation. The waiter gate an armed hook holds up
+// (ShardedCounter) lives on the node, not here: every hook on a level
+// belongs to one counter, and the hook stays at 32 bytes.
 type sentinelHook struct {
-	fn func()
-	// gate, when non-nil, is the owning counter's waiter gate, which the
-	// armed hook holds up (ShardedCounter). Whichever retires the hook
-	// lowers it: the fire, before fn runs, or a successful cancel.
-	gate      *atomic.Int32
-	fired     bool // set by wakeBatch while detaching the chain
-	cancelled bool // set by cancel while unlinking the hook
-	next      *sentinelHook
+	fn         func()
+	prev, next *sentinelHook
+	fired      bool // set by wakeBatch while detaching the chain
+	cancelled  bool // set by cancel while unlinking the hook
 }
 
 // joinSentinel registers a sentinel's count on the node for level,
@@ -112,18 +113,23 @@ func (w *waitlist) drainSatisfied(n *waitNode) {
 // has already detached whatever hooks it found, so the hook would never
 // fire — armSentinel drains the count and reports not-armed instead,
 // and the caller re-reads the value (and lowers its own gate). gate is
-// the waiter gate the armed hook holds up, or nil.
+// the waiter gate the armed hook holds up, or nil; it is recorded on
+// the node, where the fire and a successful cancel find it.
 //
 // The returned cancel loses to a set node even before wakeBatch reaches
 // it: the increment that set it owns the node's wake and will fire the
 // hook, so cancel leaves the hook in the chain and reports false.
 func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func(), gate *atomic.Int32) (func() bool, bool) {
-	h := &sentinelHook{fn: fn, gate: gate}
+	h := &sentinelHook{fn: fn}
 	n.mu.Lock()
 	if n.set.Load() {
 		n.mu.Unlock()
 		w.drain(idx, n)
 		return nil, false
+	}
+	n.gate = gate
+	if n.hooks != nil {
+		n.hooks.prev = h
 	}
 	h.next = n.hooks
 	n.hooks = h
@@ -135,17 +141,20 @@ func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func(), gate *ato
 			return false
 		}
 		h.cancelled = true
-		for p := &n.hooks; *p != nil; p = &(*p).next {
-			if *p == h {
-				*p = h.next
-				h.next = nil
-				break
-			}
+		if h.prev != nil {
+			h.prev.next = h.next
+		} else {
+			n.hooks = h.next
 		}
+		if h.next != nil {
+			h.next.prev = h.prev
+		}
+		h.prev, h.next = nil, nil
+		gate := n.gate
 		n.mu.Unlock()
 		w.drain(idx, n)
-		if h.gate != nil {
-			h.gate.Add(-1)
+		if gate != nil {
+			gate.Add(-1)
 		}
 		return true
 	}
@@ -219,7 +228,7 @@ func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool)
 // Sentinel implements Sentineler on the sharded design. An armed
 // sentinel holds the waiter gate up — like a parked Check — so every
 // increment takes the exact locked path and the sentinel cannot be
-// missed by a fast-path CAS. The hook carries the gate itself: the fire
+// missed by a fast-path CAS. The level's node carries the gate: the fire
 // lowers it before fn runs (so a re-arm from fn observes gate state
 // consistent with its own registration), and so does a successful
 // cancel. fn and cancel reach the engine unwrapped, so an armed

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // waitFired waits for a sentinel fire delivered on ch, failing t after
@@ -106,6 +108,81 @@ func TestSentinelCancel(t *testing.T) {
 			retryReset(t, c)
 			c.Increment(1)
 			c.Check(1)
+		})
+	}
+}
+
+// TestSentinelCancelAnywhereInChain arms sentinels that share one level,
+// so they sit in one hook chain, and cancels the head, the tail and
+// hooks in between in a seeded order. Each cancel unlinks exactly its
+// own hook: the increment past the level fires exactly the uncancelled
+// hooks, once each, and the level drains completely, so Reset succeeds.
+func TestSentinelCancelAnywhereInChain(t *testing.T) {
+	if size := unsafe.Sizeof(sentinelHook{}); size != 32 {
+		t.Errorf("sentinelHook is %d bytes, want 32", size)
+	}
+	const hooks = 16
+	for _, impl := range Registry() {
+		t.Run(string(impl), func(t *testing.T) {
+			c := NewImpl(impl)
+			var fires [hooks]atomic.Int32
+			cancels := make([]func() bool, hooks)
+			for i := range cancels {
+				cancel, armed := c.(Sentineler).Sentinel(5, func() { fires[i].Add(1) })
+				if !armed {
+					t.Fatalf("sentinel %d not armed", i)
+				}
+				cancels[i] = cancel
+			}
+			// Hooks push onto the chain's head: the last armed is the head,
+			// the first armed the tail.
+			rng := rand.New(rand.NewPCG(1, uint64(len(impl))))
+			victims := []int{hooks - 1, 0}
+			for _, i := range rng.Perm(hooks - 2)[:hooks/2] {
+				victims = append(victims, i+1)
+			}
+			rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+			cancelled := make(map[int]bool)
+			for _, i := range victims {
+				if !cancels[i]() {
+					t.Fatalf("cancel of armed sentinel %d reported false", i)
+				}
+				cancelled[i] = true
+			}
+			for _, i := range victims {
+				if cancels[i]() {
+					t.Fatalf("second cancel of sentinel %d reported true", i)
+				}
+			}
+			c.Increment(6)
+			want := int32(hooks - len(victims))
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				var total int32
+				for i := range fires {
+					total += fires[i].Load()
+				}
+				if total >= want || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(5 * time.Millisecond) // room for a wrong extra fire
+			for i := range fires {
+				got, exp := fires[i].Load(), int32(1)
+				if cancelled[i] {
+					exp = 0
+				}
+				if got != exp {
+					t.Errorf("sentinel %d (cancelled %v) fired %d times, want %d", i, cancelled[i], got, exp)
+				}
+			}
+			if sc, ok := c.(*ShardedCounter); ok {
+				if g := sc.gate.Load(); g != 0 {
+					t.Errorf("gate = %d with every sentinel fired or cancelled, want 0", g)
+				}
+			}
+			retryReset(t, c)
 		})
 	}
 }

@@ -82,13 +82,20 @@ type waitNode struct {
 	// only by plain Check stay close to the paper's four fields.
 	ready chan struct{}
 
-	// hooks is the chain of armed sentinel hooks (sentinel.go) watching
-	// this level, guarded by mu like the rest of the wake-side state.
-	// wakeBatch detaches the chain under mu and invokes the hooks only
-	// after releasing it, so hooks — like wake-ups — never run under the
+	// hooks is the doubly linked chain of armed sentinel hooks
+	// (sentinel.go) watching this level, guarded by mu like the rest of
+	// the wake-side state; a cancel unlinks its hook in O(1). wakeBatch
+	// detaches the chain under mu and invokes the hooks only after
+	// releasing it, so hooks — like wake-ups — never run under the
 	// engine mutex or a wake lock, and the two-tier "never nested"
 	// locking invariant above is unchanged by their existence.
 	hooks *sentinelHook
+	// gate, when non-nil, is the owning counter's waiter gate, which
+	// every armed hook on this level holds up (ShardedCounter). Whichever
+	// retires a hook lowers it once: the fire, before the hook runs, or
+	// a successful cancel. Guarded by mu; every hook on a level belongs
+	// to one counter, so the node stores the gate once for all of them.
+	gate *atomic.Int32
 
 	// home is the stripe that owns this node when it was created by a
 	// striped level index (stripes.go), nil for engine-indexed nodes.
@@ -304,7 +311,7 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 		if bcast {
 			n.cond.Broadcast()
 		}
-		hooks := n.hooks
+		hooks, gate := n.hooks, n.gate
 		n.hooks = nil
 		for h := hooks; h != nil; h = h.next {
 			h.fired = true
@@ -325,10 +332,10 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 		// (fn may arm a fresh sentinel).
 		for h := hooks; h != nil; {
 			hn := h.next
-			h.next = nil
+			h.prev, h.next = nil, nil
 			w.drainSatisfied(n)
-			if h.gate != nil {
-				h.gate.Add(-1)
+			if gate != nil {
+				gate.Add(-1)
 			}
 			h.fn()
 			h = hn

@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,17 +14,18 @@ import (
 // the sentinel bookkeeping is per watched counter, never per waiter.
 //
 // Lifecycle: sentinels are armed lazily by the first Wait (a Cond that
-// is never waited on costs nothing), re-armed at fresh frontiers on
-// every kick, and cancelled when the last waiter abandons the wait —
-// a fully cancelled Cond leaves no trace on its counters, so their
-// Reset works again. A satisfied Cond is terminal. Like a plain Check,
-// a Cond must not span a Reset of any watched counter: build a new
-// Cond for the new phase.
+// is never waited on costs nothing), re-armed on a kick only where a
+// frontier moved or a sentinel fired, and cancelled when the last
+// waiter abandons the wait — a fully cancelled Cond leaves no trace on
+// its counters, so their Reset works again. A satisfied Cond is
+// terminal. Like a plain Check, a Cond must not span a Reset of any
+// watched counter: build a new Cond for the new phase.
 //
 // Lock order: Cond.mu is taken strictly above any counter-internal
-// lock (Value, Sentinel, and cancel are called with Cond.mu held; the
-// engine never calls back into the Cond except through the hook fn,
-// which only records the kick and spawns the evaluator).
+// lock (Value, Sentinel, and cancel are called with Cond.mu held). The
+// engine calls back into the Cond only through the kick hooks, which
+// run with no counter lock held and only TryLock Cond.mu, so a hook
+// never waits for the evaluator and never inverts the order.
 type Cond struct {
 	pred Pred
 	cs   []Counter
@@ -37,9 +39,11 @@ type Cond struct {
 	vals      []uint64 // scratch: last-read bounds
 	fronts    []uint64 // scratch: frontier levels
 
-	// cbs holds callbacks registered with Arm, keyed for cancellation;
-	// an armed callback counts as a waiter for keep-armed purposes.
-	cbs  map[uint64]func()
+	// cbs holds callbacks registered with Arm, with the ids their cancels
+	// look them up by; an armed callback counts as a waiter for
+	// keep-armed purposes. counterd arms one per Cond, so a slice beats
+	// a map.
+	cbs  []callback
 	cbID uint64
 
 	// ext, when non-nil, is the external arming strategy: one
@@ -60,11 +64,25 @@ type Cond struct {
 	reparks uint64
 }
 
-// sentinel is one counter's armed hook, if any.
+// sentinel is one watched counter's slot. At most one registration
+// per slot is outstanding at a time, so the slot's one hook, spent and
+// level always describe that registration. Ordered so the slot packs
+// into 32 bytes.
 type sentinel struct {
-	on     bool
-	seen   bool // this counter has been armed at least once (repark accounting)
+	// fire is the slot's hook, built once on its first arm (see hook)
+	// and passed to every Sentinel call for this counter.
+	fire   func()
 	cancel func() bool
+	level  uint64      // the level the outstanding registration watches
+	spent  atomic.Bool // set by fire: the registration is gone
+	on     bool        // a registration is outstanding (its fire, if any, not yet collected)
+	seen   bool        // this counter has been armed at least once (repark accounting)
+}
+
+// callback is one Arm registration.
+type callback struct {
+	id uint64
+	fn func()
 }
 
 // NewCond returns an unsatisfied Cond waiting for pred over the given
@@ -81,13 +99,15 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 	if th, ok := pred.(thresholds); ok && len(th.levels) != len(counters) {
 		panic("predicate: Thresholds level count does not match counter count")
 	}
+	n := len(counters)
+	scratch := make([]uint64, 2*n)
 	return &Cond{
 		pred:   pred,
 		cs:     counters,
 		done:   make(chan struct{}),
-		armed:  make([]sentinel, len(counters)),
-		vals:   make([]uint64, len(counters)),
-		fronts: make([]uint64, len(counters)),
+		armed:  make([]sentinel, n),
+		vals:   scratch[:n:n],
+		fronts: scratch[n:],
 	}
 }
 
@@ -135,41 +155,66 @@ func NewCondExternal(pred Pred, ext External, counters ...Counter) *Cond {
 	return c
 }
 
-// fire is the sentinel hook shared by every watched counter: it runs on
-// the waking goroutine with no locks held, so it only records the kick
-// and hands re-evaluation to a short-lived goroutine — the signaller's
-// critical path never pays for predicate evaluation, and between kicks
-// the Cond holds no goroutine at all.
-func (c *Cond) fire() {
-	c.fires.Add(1)
-	go c.kick()
+// hook builds the kick hook for slot s, once per slot: it runs on the
+// waking goroutine with no counter lock held, marks the slot spent
+// (its registration is gone, so the next evaluation re-arms it if the
+// counter still needs a sentinel) and re-evaluates. The evaluation runs
+// right there when Cond.mu is free, so the incrementer that fired the
+// hook also settles the Cond and releases its waiters; when the lock is
+// held (a Wait, a Poll or another kick is evaluating) the hook hands
+// the kick to a short-lived goroutine instead, so a hook never blocks.
+// Between kicks the Cond holds no goroutine at all.
+func (c *Cond) hook(s *sentinel) func() {
+	return func() {
+		s.spent.Store(true)
+		c.fires.Add(1)
+		if c.mu.TryLock() {
+			c.kickLocked()
+			c.mu.Unlock()
+			return
+		}
+		go c.kick()
+	}
 }
 
-// kick re-evaluates after a sentinel fire. If every waiter has since
-// abandoned the wait (started dropped), the kick is moot: the fired
-// sentinel was one-shot, nothing remains armed on that counter, and the
-// next Wait re-arms from scratch.
+// kick is the goroutine form of a sentinel kick, for a hook that found
+// Cond.mu held.
 func (c *Cond) kick() {
 	c.mu.Lock()
-	if c.started && !c.satisfied {
-		c.evaluateLocked()
-	}
+	c.kickLocked()
 	c.mu.Unlock()
 }
 
-// extKick applies an external registration's answer; like kick it runs
-// on a short-lived goroutine spawned by the fire hook, off the host's
-// delivery path. A satisfied fire settles the Cond no matter how old
-// the registration is — the host observed the predicate holding over
-// values dominating every local lower bound, and monotone truth never
-// expires. An unsatisfied fire (registration died without an answer)
-// only acts if it belongs to the current registration: the Cond forgets
-// it and re-evaluates, which asks the strategy again and falls back to
-// sentinels only if that ask is refused. A stale unsatisfied fire — a
-// cancelled registration's last breath racing a newer one — is dropped.
+// kickLocked re-evaluates after a sentinel fire. If every waiter has
+// since abandoned the wait (started dropped), the kick is moot: the
+// fired slot stays spent, and the next Wait re-arms it. Called with mu
+// held.
+func (c *Cond) kickLocked() {
+	if c.started && !c.satisfied {
+		c.evaluateLocked()
+	}
+}
+
+// extKick is the goroutine form of an external registration's kick, for
+// a fire that found Cond.mu held.
 func (c *Cond) extKick(gen uint64, satisfied bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.extKickLocked(gen, satisfied)
+	c.mu.Unlock()
+}
+
+// extKickLocked applies an external registration's answer, on the
+// host's delivering goroutine when Cond.mu was free (see hook). A
+// satisfied fire settles the Cond no matter how old the registration
+// is — the host observed the predicate holding over values dominating
+// every local lower bound, and monotone truth never expires. An
+// unsatisfied fire (registration died without an answer) only acts if
+// it belongs to the current registration: the Cond forgets it and
+// re-evaluates, which asks the strategy again and falls back to
+// sentinels only if that ask is refused. A stale unsatisfied fire — a
+// cancelled registration's last breath racing a newer one — is dropped.
+// Called with mu held.
+func (c *Cond) extKickLocked(gen uint64, satisfied bool) {
 	if c.satisfied {
 		return
 	}
@@ -192,24 +237,27 @@ func (c *Cond) extKick(gen uint64, satisfied bool) {
 // callbacks. Called with mu held; callbacks therefore run under the
 // Cond's lock and must honour the Arm contract (fast, no re-entry).
 func (c *Cond) satisfyLocked() {
-	c.disarmLocked()
 	c.satisfied = true
+	c.disarmLocked()
 	close(c.done)
-	for id, fn := range c.cbs {
-		delete(c.cbs, id)
-		fn()
+	cbs := c.cbs
+	c.cbs = nil
+	for _, cb := range cbs {
+		cb.fn()
 	}
 }
 
-// disarmLocked cancels every armed sentinel and any external
-// registration. A sentinel that already fired reports false from
-// cancel, which is fine — its hook is spent and its node accounting
-// already drained. Called with mu held.
+// disarmLocked cancels every outstanding sentinel and any external
+// registration. A sentinel whose cancel reports false is already
+// firing: a settled Cond forgets it (its kick is moot), and an
+// unsettled one keeps its slot outstanding until the fire is collected,
+// so the slot's hook never has two registrations in flight. Called with
+// mu held.
 func (c *Cond) disarmLocked() {
 	for i := range c.armed {
-		if c.armed[i].on {
-			c.armed[i].on = false
-			c.armed[i].cancel()
+		s := &c.armed[i]
+		if s.on && (s.spent.Load() || s.cancel() || c.satisfied) {
+			s.on = false
 		}
 	}
 	if c.extArmed {
@@ -221,21 +269,24 @@ func (c *Cond) disarmLocked() {
 }
 
 // evaluateLocked reads fresh bounds, settles the Cond if the predicate
-// holds, and otherwise re-parks one sentinel per still-unsatisfied
-// coordinate at the predicate's frontier levels. Called with mu held.
-// The bound reads (Value) and the frontier re-arms (Sentinel) are both
-// lock-free against the counters' engines now — Value is the atomic
-// watermark and Sentinel registers on the frontier level's stripe — so
-// holding Cond.mu across the pass no longer serializes the evaluator
-// against incrementers on any engine mutex.
+// holds, and otherwise makes sure one sentinel per still-unsatisfied
+// coordinate is parked at the predicate's frontier level. Called with
+// mu held. The bound reads (Value) and the frontier re-arms (Sentinel)
+// are both lock-free against the counters' engines now — Value is the
+// atomic watermark and Sentinel registers on the frontier level's
+// stripe — so holding Cond.mu across the pass no longer serializes the
+// evaluator against incrementers on any engine mutex.
 //
-// The whole armed set is rebuilt on every pass: sentinels are one-shot
-// and cheap (one waiter count on a node), and rebuilding makes the
-// fired/cancelled bookkeeping trivially correct — there is never a
-// stale hook to reason about. The loop re-runs only when a counter
-// advanced past its frontier while arming (Sentinel reported
-// not-armed), which strictly raises the next pass's bounds, so it
-// terminates.
+// A pass re-arms only what moved. A slot whose sentinel fired (spent)
+// is re-armed if its counter still needs one, at the same level after a
+// spurious fire; an armed, unspent slot still at its frontier is kept;
+// one whose frontier moved is cancelled and re-armed. So a kick on a
+// k-of-n threshold, whose frontiers never move, re-arms nothing. A
+// cancel that reports false leaves its slot outstanding: that sentinel
+// is already firing, and its own kick re-arms the slot. The loop
+// re-runs only when a counter advanced past its frontier while arming
+// (Sentinel reported not-armed), which strictly raises the next pass's
+// bounds, so it terminates.
 func (c *Cond) evaluateLocked() {
 	// External strategy: one remote registration replaces the whole
 	// sentinel set, and — because the registration watches the complete
@@ -255,6 +306,11 @@ func (c *Cond) evaluateLocked() {
 		gen := c.extGen
 		fire := func(satisfied bool) {
 			c.fires.Add(1)
+			if c.mu.TryLock() {
+				c.extKickLocked(gen, satisfied)
+				c.mu.Unlock()
+				return
+			}
 			go c.extKick(gen, satisfied)
 		}
 		if cancel, ok := c.ext(fire); ok {
@@ -266,34 +322,47 @@ func (c *Cond) evaluateLocked() {
 		c.ext = nil // host refused: per-counter sentinels from here on
 	}
 	for {
-		c.disarmLocked()
-		for i, ctr := range c.cs {
-			c.vals[i] = ctr.Value()
-		}
-		if c.pred.Holds(c.vals) {
+		if c.pred.Holds(c.readLocked()) {
 			c.satisfyLocked()
 			return
 		}
 		c.pred.Frontiers(c.vals, c.fronts)
 		stale := false
 		for i, ctr := range c.cs {
-			if c.fronts[i] <= c.vals[i] {
-				continue // coordinate already satisfied: no sentinel
+			s := &c.armed[i]
+			if s.on && s.spent.Load() {
+				s.on = false // fired: nothing left to cancel
 			}
-			cancel, armed := ctr.Sentinel(c.fronts[i], c.fire)
+			level := c.fronts[i]
+			if level <= c.vals[i] {
+				level = 0 // coordinate already satisfied: no sentinel
+			}
+			if s.on {
+				if s.level == level || !s.cancel() {
+					continue // still at its frontier, or firing already
+				}
+				s.on = false
+			}
+			if level == 0 {
+				continue
+			}
+			if s.fire == nil {
+				s.fire = c.hook(s)
+			}
+			s.spent.Store(false)
+			cancel, armed := ctr.Sentinel(level, s.fire)
 			if !armed {
 				// The counter crossed the frontier between the Value
-				// read and the registration; everything armed so far
-				// would wait on stale frontiers, so start over with
-				// fresh bounds.
+				// read and the registration; the frontiers are stale,
+				// so run the pass again with fresh bounds.
 				stale = true
 				break
 			}
 			c.arms++
-			if c.armed[i].seen {
+			if s.seen {
 				c.reparks++
 			}
-			c.armed[i] = sentinel{on: true, seen: true, cancel: cancel}
+			s.cancel, s.level, s.on, s.seen = cancel, level, true, true
 		}
 		if !stale {
 			return
@@ -305,9 +374,11 @@ func (c *Cond) evaluateLocked() {
 // satisfied predicate beats a cancelled context — Wait evaluates before
 // consulting ctx, and re-checks satisfaction when the two race — and
 // cancellation leaves no trace: when the last waiter gives up, every
-// sentinel is cancelled and the watched counters are exactly as if the
-// Cond never existed. Any number of goroutines may Wait concurrently;
-// all are released by the single satisfying evaluation.
+// sentinel is cancelled (one already firing retires itself as it
+// fires) and the watched counters are exactly as if the Cond never
+// existed. Any number of goroutines may Wait concurrently; all are
+// released by the single satisfying evaluation, which usually runs on
+// the goroutine whose increment flipped the predicate.
 func (c *Cond) Wait(ctx context.Context) error {
 	select {
 	case <-c.done:
@@ -327,7 +398,8 @@ func (c *Cond) Wait(ctx context.Context) error {
 		} else if c.pred.Holds(c.readLocked()) {
 			// Already armed by an earlier waiter: a cheap re-check (no
 			// re-arm) keeps "satisfied beats cancelled" exact even when
-			// a kick is still in flight to the evaluator goroutine.
+			// a kick is still in flight — on its way to this lock, or
+			// handed to a goroutine because this lock was held.
 			c.satisfyLocked()
 		}
 	}
@@ -390,20 +462,18 @@ func (c *Cond) Arm(fn func()) (cancel func() bool, armed bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	if c.cbs == nil {
-		c.cbs = make(map[uint64]func())
-	}
 	id := c.cbID
 	c.cbID++
-	c.cbs[id] = fn
+	c.cbs = append(c.cbs, callback{id: id, fn: fn})
 	c.mu.Unlock()
 	return func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if _, ok := c.cbs[id]; !ok {
+		i := slices.IndexFunc(c.cbs, func(cb callback) bool { return cb.id == id })
+		if i < 0 {
 			return false // already ran (satisfaction drained it) or already cancelled
 		}
-		delete(c.cbs, id)
+		c.cbs = slices.Delete(c.cbs, i, i+1)
 		if c.waiters == 0 && len(c.cbs) == 0 && c.started && !c.satisfied {
 			c.disarmLocked()
 			c.started = false
@@ -475,7 +545,7 @@ func (c *Cond) Stats() CondStats {
 		Satisfied: c.satisfied,
 	}
 	for i := range c.armed {
-		if c.armed[i].on {
+		if c.armed[i].on && !c.armed[i].spent.Load() {
 			s.Armed++
 		}
 	}

@@ -84,6 +84,49 @@ func TestArmKeepsSentinelsWithoutWaiters(t *testing.T) {
 	}
 }
 
+// TestThresholdKickKeepsParkedSentinels pins a cheap kick: a member of
+// a 3-of-4 quorum reaching its level fires its sentinel, and the kick —
+// evaluated on the incrementing goroutine, since nothing holds the
+// Cond's lock — keeps the other three sentinels parked instead of
+// re-arming them, because a threshold's frontiers never move. The
+// increment that flips the quorum settles the Cond before it returns.
+func TestThresholdKickKeepsParkedSentinels(t *testing.T) {
+	members := make([]*core.Counter, 4)
+	cs := make([]predicate.Counter, len(members))
+	for i := range members {
+		members[i] = core.New()
+		cs[i] = members[i]
+	}
+	cond := predicate.NewCond(predicate.Thresholds([]uint64{2, 2, 2, 2}, 3), cs...)
+	var fired atomic.Int32
+	if _, armed := cond.Arm(func() { fired.Add(1) }); !armed {
+		t.Fatal("not armed")
+	}
+	members[2].Increment(2)
+	if st := cond.Stats(); st.Fires != 1 || st.Armed != 3 || st.Arms != 4 || st.Reparks != 0 {
+		t.Fatalf("stats after one member crossed = %+v, want Fires 1, Armed 3, Arms 4, Reparks 0", st)
+	}
+	members[0].Increment(1) // below its level: no fire
+	members[0].Increment(1) // the second crossing
+	select {
+	case <-cond.Done():
+		t.Fatal("Done closed with two of four members at their level")
+	default:
+	}
+	members[3].Increment(5)
+	select {
+	case <-cond.Done():
+	default:
+		t.Fatal("Done still open when the flipping Increment returned")
+	}
+	if n := fired.Load(); n != 1 {
+		t.Fatalf("callback ran %d times by the flipping Increment's return, want 1", n)
+	}
+	if st := cond.Stats(); st.Arms != 4 || st.Reparks != 0 || st.Armed != 0 {
+		t.Fatalf("stats after the flip = %+v, want Arms 4, Reparks 0, Armed 0", st)
+	}
+}
+
 // TestArmCancelDisarms mirrors TestCancelDisarms for the callback path:
 // cancelling the only armed callback (with no Wait goroutines) must
 // leave the watched counters sentinel-free so Reset works again.

@@ -29,11 +29,17 @@
 // Threshold predicates (min, k-of-n) have exact frontiers: the
 // unsatisfied counters' own threshold levels.
 //
-// Re-evaluation happens OFF the signaller's critical path: a sentinel
-// fire only records a kick and spawns a short-lived evaluator goroutine
-// (ActiveMonitor's discipline), so an Increment that satisfies a
-// predicate pays one hook call, not a predicate evaluation, under no
-// lock. Between fires a Cond holds zero goroutines.
+// Re-evaluation is cheap, so it runs on the signaller: a sentinel fire
+// marks its slot spent and, when the Cond's lock is free, evaluates
+// right there on the incrementing goroutine, under no counter lock; only
+// when the lock is held (a Wait, a Poll or another kick is evaluating)
+// does it hand the kick to a short-lived goroutine, so a hook never
+// blocks. A pass re-arms only what moved — a spent sentinel, or one
+// whose frontier changed (AutoSynch's re-evaluate-where-the-tag-moved) —
+// so a kick on a k-of-n threshold whose flip is still out of reach
+// re-arms nothing. ActiveMonitor's hand-off of every evaluation to
+// another thread pays only with idle cores to run it on. Between fires a
+// Cond holds zero goroutines.
 //
 // Monotonicity does the rest of the safety argument: every Counter
 // value only grows, so Holds can never flip back, frontiers only move

@@ -53,6 +53,42 @@ func TestSumAcrossImpls(t *testing.T) {
 	}
 }
 
+// TestThresholdsAcrossImpls is TestSumAcrossImpls for a k-of-n quorum:
+// members cross out of order, with sub-threshold increments between, and
+// the Wait releases exactly at the k-th crossing. The broadcast design
+// fires every sentinel on any increment of its counter, so its slots are
+// spent and re-armed at unchanged levels over and over; a spent slot
+// left unarmed would lose the crossing that follows.
+func TestThresholdsAcrossImpls(t *testing.T) {
+	const n, k, level = 5, 3, 4
+	for _, impl := range core.Registry() {
+		t.Run(string(impl), func(t *testing.T) {
+			members := make([]core.Interface, n)
+			cs := make([]predicate.Counter, n)
+			levels := make([]uint64, n)
+			for i := range members {
+				members[i] = core.NewImpl(impl)
+				cs[i] = members[i].(predicate.Counter)
+				levels[i] = level
+			}
+			cond := predicate.NewCond(predicate.Thresholds(levels, k), cs...)
+			errc := make(chan error, 1)
+			go func() { errc <- cond.Wait(context.Background()) }()
+			mustBlock(t, errc)
+			members[3].Increment(level) // first crossing
+			members[0].Increment(level - 1)
+			members[1].Increment(1)
+			mustBlock(t, errc)
+			members[4].Increment(level + 2) // second crossing
+			members[1].Increment(level - 2)
+			members[2].Increment(level - 1)
+			mustBlock(t, errc)
+			members[0].Increment(1) // third crossing: the quorum flips
+			waitNil(t, errc)
+		})
+	}
+}
+
 // TestSumSplitAdvance is the regression for the naive frontier scheme:
 // with a = 3, b = 7 and target 10, "park b's sentinel at 10 - 3" style
 // frontiers are never reached by either counter, yet the sum flips.

@@ -5,6 +5,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 
 	"monotonic/internal/wire"
@@ -102,5 +103,85 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if v := h.c.Value(); v != seq {
 		t.Fatalf("value = %d after %d increments", v, seq)
+	}
+}
+
+// TestNonFlippingKickAllocs pins a non-flipping predicate kick at the
+// price of the plain wake it stands in for. One all-of OpWaitFor over 64
+// names is parked, and each OpIncrement takes one member to its level:
+// the member's sentinel fires, the kick evaluates on the incrementing
+// goroutine, keeps the other sentinels parked and queues nothing but the
+// IncAck. Each crossing must allocate exactly what the same crossing
+// costs with one plain OpCheck parked per member instead.
+func TestNonFlippingKickAllocs(t *testing.T) {
+	const members, crossings = 64, 60
+	watch := make([]wire.Watch, members)
+	checks := make([]*wire.Frame, members)
+	for i := range watch {
+		name := fmt.Sprintf("member%02d", i)
+		watch[i] = wire.Watch{Name: name, Level: 1}
+		checks[i] = &wire.Frame{Op: wire.OpCheck, Name: name, ID: uint64(i + 1), Level: 1}
+	}
+	// cross parks the frames on a fresh server, then takes one member
+	// per run to its level; onAck sees what each crossing queued.
+	cross := func(park []*wire.Frame, onAck func(queued []byte, seq uint64)) (*conn, float64) {
+		c := newConn(New(), nil)
+		if err := c.handle(&wire.Frame{Op: wire.OpHello, Seq: wire.Version}); err != nil {
+			t.Fatal(err)
+		}
+		spare, _ := c.drain(nil) // the Welcome
+		for _, f := range park {
+			if err := c.handle(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in := make([]byte, 0, 64)
+		rd := bytes.NewReader(nil)
+		br := bufio.NewReader(rd)
+		var seq uint64
+		n := testing.AllocsPerRun(crossings, func() {
+			in = wire.Append(in[:0], &wire.Frame{Op: wire.OpIncrement, Name: watch[seq].Name, Seq: seq + 1, Amount: 1})
+			seq++
+			rd.Reset(in)
+			br.Reset(rd)
+			if err := c.serve(br); err != nil {
+				t.Fatal(err)
+			}
+			spare, _ = c.drain(spare)
+			onAck(spare, seq)
+		})
+		return c, n
+	}
+
+	_, base := cross(checks, func([]byte, uint64) {})
+
+	const id = 1
+	waitFor := &wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: wire.PredThreshold, K: members, Watch: watch}
+	ack := make([]byte, 0, 64)
+	extra := false
+	c, kick := cross([]*wire.Frame{waitFor}, func(queued []byte, seq uint64) {
+		ack = wire.Append(ack[:0], &wire.Frame{Op: wire.OpIncAck, Seq: seq})
+		extra = extra || !bytes.Equal(queued, ack)
+	})
+	if kick != base {
+		t.Errorf("non-flipping predicate crossing: %v allocs, want %v (a plain OpCheck's crossing)", kick, base)
+	}
+	t.Logf("allocations per crossing: %v with the predicate parked, %v with plain OpChecks", kick, base)
+	if extra {
+		t.Error("a non-flipping crossing queued a frame besides its IncAck")
+	}
+	if st := c.waits[id].cond.Stats(); st.Arms != members || st.Reparks != 0 {
+		t.Errorf("after %d crossings: Arms %d, Reparks %d; want %d and 0", crossings+1, st.Arms, st.Reparks, members)
+	}
+
+	// The kept sentinels still flip the predicate at the last member.
+	for seq := uint64(crossings + 2); seq <= members; seq++ {
+		if err := c.handle(&wire.Frame{Op: wire.OpIncrement, Name: watch[seq-1].Name, Seq: seq, Amount: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued, _ := c.drain(nil)
+	if f, _ := wire.Read(bufio.NewReader(bytes.NewReader(queued))); f.Op != wire.OpWake || f.ID != id {
+		t.Fatalf("after the last member: queued %+v, want the OpWake for id %d", f, id)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -159,6 +160,75 @@ func TestWaitForSatisfiedBeatsCancelled(t *testing.T) {
 			}
 			return
 		}
+	}
+}
+
+// TestWaitForCancelRacesKick races the increment that flips a parked
+// predicate, sent by another connection, against the waiting
+// connection's cancel. The kick runs on the incrementing connection's
+// reader unless the Cond's lock is held — typically by cancelWait's
+// Poll — when it falls back to a goroutine. Whichever side wins, the
+// waiter hears exactly one answer per id, the predicate entry goes, and
+// no sentinel is left behind to refuse the final Reset.
+func TestWaitForCancelRacesKick(t *testing.T) {
+	s, addr := startServer(t)
+	a := dialRaw(t, addr)
+	a.helloV(3, 0)
+	b := dialRaw(t, addr)
+	b.helloV(3, 0)
+	const name, rounds = "kick", 200
+	deadline := time.Now().Add(30 * time.Second)
+	for round := uint64(1); round <= rounds; round++ {
+		a.send(&wire.Frame{Op: wire.OpWaitFor, ID: round, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{
+			{Name: name, Level: round},
+		}})
+		for s.PredicateWaits() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the predicate wait never parked", round)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		inc := wire.Append(nil, &wire.Frame{Op: wire.OpIncrement, Name: name, Seq: round, Amount: 1})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.nc.Write(inc); err != nil {
+				t.Errorf("round %d: increment: %v", round, err)
+			}
+		}()
+		a.send(&wire.Frame{Op: wire.OpWaitForCancel, ID: round})
+		wg.Wait()
+		// The IncAck follows the increment's wake path, kicks included,
+		// so every answer a kick queues precedes the fence below.
+		if f := b.recvOp(wire.OpIncAck); f.Seq != round {
+			t.Fatalf("round %d: IncAck seq = %d", round, f.Seq)
+		}
+		fence := rounds + round
+		a.send(&wire.Frame{Op: wire.OpStats, Name: name, ID: fence})
+		answers := 0
+		for f := a.recv(); f.Op != wire.OpStatsReply || f.ID != fence; f = a.recv() {
+			switch f.Op {
+			case wire.OpWake, wire.OpCancelled:
+				if f.ID != round {
+					t.Fatalf("round %d: %s for id %d", round, f.Op, f.ID)
+				}
+				answers++
+			}
+		}
+		if answers != 1 {
+			t.Fatalf("round %d: %d answers for one wait, want exactly 1", round, answers)
+		}
+	}
+	for s.PredicateWaits() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := s.PredicateWaits(); n != 0 {
+		t.Fatalf("PredicateWaits = %d after every wait was answered, want 0", n)
+	}
+	a.send(&wire.Frame{Op: wire.OpReset, Name: name, ID: 2*rounds + 1})
+	if f := a.recv(); f.Op != wire.OpResetOK || f.ID != 2*rounds+1 {
+		t.Fatalf("final Reset answered %s (id %d) %q, want ResetOK", f.Op, f.ID, f.Msg)
 	}
 }
 
