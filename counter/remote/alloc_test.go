@@ -25,11 +25,14 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 // decoded and dispatched (which trims the resend queue and counts a
 // round trip per counter), and an OpWake decoded and dispatched to each
 // kind of wait-table entry — a blocking wait, a Sentinel and an ArmSpec
-// registration. The client runs without its goroutines over a link that
-// swallows writes. (The race detector inflates allocation counts, hence
-// the build tag.)
+// registration. It also pins what arming each kind costs once answered
+// entries are recycled: CheckChan its channel, Sentinel its cancel, and
+// ArmSpec its frame, watch list, names and cancel. The client runs
+// without its goroutines over a link that swallows writes. (The race
+// detector inflates allocation counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
-	// A parked wait of any kind costs one entry of at most 80 bytes.
+	// A parked wait of any kind costs one entry of at most 80 bytes,
+	// recycled once answered.
 	if size := unsafe.Sizeof(wait{}); size > 80 {
 		t.Errorf("wait-table entry is %d bytes, want at most 80", size)
 	}
@@ -98,6 +101,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got := c.Watermark(); got != runs+1 {
 		t.Fatalf("watermark = %d after the last wake, want %d", got, runs+1)
 	}
+	// Each run arms a kind of entry one above the watermark and answers
+	// it, so the entry comes back for the next run.
+	armed := func(arm func(level uint64)) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			level := c.Watermark() + 1
+			arm(level)
+			recv(&wire.Frame{Op: wire.OpWake, ID: cl.serial, Level: level})
+		})
+	}
+	var ch <-chan error
+	if n := armed(func(level uint64) {
+		if ch != nil {
+			if err := <-ch; err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch = c.CheckChan(level)
+	}); n != 2 {
+		t.Errorf("CheckChan parked and woken: %v allocs, want 2 (its channel)", n)
+	}
+	if err := <-ch; err != nil {
+		t.Fatal(err)
+	}
 
 	// A Sentinel entry: the wake raises the watermark, then runs the hook.
 	s := cs[1]
@@ -119,6 +145,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if fired != runs+1 || s.Watermark() != runs+1 {
 		t.Fatalf("%d hooks fired, watermark %d; want %d of each", fired, s.Watermark(), runs+1)
+	}
+	c = s
+	if n := armed(func(level uint64) {
+		if _, armed := s.Sentinel(level, hook); !armed {
+			t.Fatalf("Sentinel(%d) not armed", level)
+		}
+	}); n != 1 {
+		t.Errorf("Sentinel armed and woken: %v allocs, want 1 (its cancel)", n)
 	}
 
 	// An ArmSpec registration (an OpWaitFor entry): the wake fires it.
@@ -146,5 +180,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if verdicts != runs+1 || len(cl.waits) != 0 {
 		t.Fatalf("%d fire(true) verdicts, %d entries left; want %d and 0", verdicts, len(cl.waits), runs+1)
+	}
+	if n := armed(func(uint64) {
+		if _, ok := cl.ArmSpec(spec, fire); !ok {
+			t.Fatal("ArmSpec refused")
+		}
+	}); n != 4 {
+		t.Errorf("ArmSpec armed and woken: %v allocs, want 4 (its frame, watch list, names and cancel)", n)
+	}
+	if len(cl.waits) != 0 {
+		t.Fatalf("%d entries left after every registration was answered", len(cl.waits))
 	}
 }

@@ -209,7 +209,7 @@ func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error)
 		cl.mu.Unlock()
 		return 0, ErrClosed
 	}
-	id := cl.parkLocked(&wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook})
+	id := cl.parkLocked(wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook})
 	cl.mu.Unlock()
 	c.suspends.Add(1)
 	c.emit(counter.EventSuspend, level)

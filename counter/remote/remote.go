@@ -141,7 +141,8 @@ type Client struct {
 	serial   uint64
 	pending  []pendingInc     // increments sent but not yet acknowledged, ascending by seq
 	acks     uint64           // OpIncAck frames dispatched; see Counter.ackMark
-	waits    map[uint64]*wait // requests awaiting an answer, by frame id
+	waits    map[uint64]*wait // requests awaiting an answer, by frame id; see wait
+	spare    []*wait          // answered entries kept for reuse, at most maxSpareWaits
 	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
@@ -158,12 +159,23 @@ type pendingInc struct {
 	amount uint64
 }
 
+// maxSpareWaits bounds the answered wait-table entries a client keeps
+// for reuse (Client.spare): entries freed beyond it by a burst of
+// answers are left to the garbage collector instead of pinning the
+// burst's peak for the client's lifetime.
+const maxSpareWaits = 256
+
 // wait is one entry in Client.waits: an OpCheck on ctr at level for a
 // blocking Check (ch) or a Sentinel (hook), an ArmSpec's OpWaitFor
 // (frame and fire), or a Reset or Stats call (frame and ch). A kept
 // frame is re-sent as is on reconnect, and a call's reply is copied into
 // it before ch is answered. An OpCheck keeps no frame; connect rebuilds
-// it from ctr and level.
+// it from ctr and level. The table holds entries by pointer, and an
+// answered entry is recycled through Client.spare: whoever removes it
+// copies out what it still needs under cl.mu, since a park may reuse it
+// as soon as the lock drops. (By pointer because a Go map never prunes
+// its deleted slots in place: a churned table of 80-byte values holds
+// about three times the memory of pointers plus their entries.)
 type wait struct {
 	ctr   *Counter
 	level uint64
@@ -359,19 +371,45 @@ func (cl *Client) Close() error {
 	return nil
 }
 
-// parkLocked enters w in the wait table under a fresh id and sends its
-// frame. Callers hold cl.mu and have checked that the client is open.
-func (cl *Client) parkLocked(w *wait) uint64 {
+// parkLocked enters e in the wait table under a fresh id, in a spare
+// entry when there is one, and sends its frame. Callers hold cl.mu and
+// have checked that the client is open.
+func (cl *Client) parkLocked(e wait) uint64 {
 	cl.serial++
 	id := cl.serial
-	if w.frame != nil {
-		w.frame.ID = id
-		cl.enqueueLocked(w.frame)
+	if e.frame != nil {
+		e.frame.ID = id
+		cl.enqueueLocked(e.frame)
 	} else {
-		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: id, Level: w.level})
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: e.ctr.name, ID: id, Level: e.level})
 	}
+	var w *wait
+	if n := len(cl.spare); n > 0 {
+		w = cl.spare[n-1]
+		cl.spare = cl.spare[:n-1]
+	} else {
+		w = new(wait)
+	}
+	*w = e
 	cl.waits[id] = w
 	return id
+}
+
+// takeLocked removes the entry under id from the wait table and returns
+// a copy of it, recycling the entry; ok is false if there is none.
+// Callers hold cl.mu.
+func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
+	w := cl.waits[id]
+	if w == nil {
+		return wait{}, false
+	}
+	delete(cl.waits, id)
+	e = *w
+	*w = wait{}
+	if len(cl.spare) < maxSpareWaits {
+		cl.spare = append(cl.spare, w)
+	}
+	return e, true
 }
 
 // unpark is the cancel of a Sentinel or an ArmSpec registration: it
@@ -380,11 +418,10 @@ func (cl *Client) parkLocked(w *wait) uint64 {
 func (cl *Client) unpark(id uint64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w := cl.waits[id]
-	if w == nil {
+	w, ok := cl.takeLocked(id)
+	if !ok {
 		return false
 	}
-	delete(cl.waits, id)
 	op := wire.OpCancel
 	if w.frame != nil {
 		op = wire.OpWaitForCancel
@@ -515,11 +552,10 @@ func (cl *Client) dispatch(f *wire.Frame) {
 	switch f.Op {
 	case wire.OpWake, wire.OpCancelled:
 		cl.mu.Lock()
-		w := cl.waits[f.ID]
-		delete(cl.waits, f.ID)
+		w, ok := cl.takeLocked(f.ID)
 		cl.mu.Unlock()
 		switch {
-		case w == nil: // forgotten by unpark
+		case !ok: // forgotten by unpark
 		case f.Op == wire.OpCancelled: // only a blocking wait stays parked behind its OpCancel
 			w.ctr.rtts.Add(1)
 			w.ch <- errCancelled
@@ -556,9 +592,8 @@ func (cl *Client) dispatch(f *wire.Frame) {
 		cl.mu.Unlock()
 	case wire.OpResetOK, wire.OpStatsReply, wire.OpError:
 		cl.mu.Lock()
-		w := cl.waits[f.ID]
-		delete(cl.waits, f.ID)
-		if w != nil {
+		w, ok := cl.takeLocked(f.ID)
+		if ok {
 			*w.frame = *f // a call's reply, read by roundTrip once ch answers
 		} else if f.Op == wire.OpError && cl.fatal == nil {
 			// No entry: the server rejected an increment (the only
@@ -569,7 +604,7 @@ func (cl *Client) dispatch(f *wire.Frame) {
 			cl.fatal = errors.New("remote: " + f.Msg)
 		}
 		cl.mu.Unlock()
-		if w != nil {
+		if ok {
 			w.ch <- nil
 		}
 	}
@@ -586,7 +621,7 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 		cl.mu.Unlock()
 		return ErrClosed
 	}
-	id := cl.parkLocked(&wait{frame: f, ch: ch})
+	id := cl.parkLocked(wait{frame: f, ch: ch})
 	cl.mu.Unlock()
 
 	var timer <-chan time.Time
@@ -600,8 +635,7 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 		return err
 	case <-timer:
 		cl.mu.Lock()
-		_, parked := cl.waits[id]
-		delete(cl.waits, id)
+		_, parked := cl.takeLocked(id)
 		cl.mu.Unlock()
 		if !parked {
 			return <-ch // the reply (or Close) took the entry first

@@ -72,7 +72,7 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 	if cl.closed || cl.fatal != nil || cl.features&wire.FeatureWaitFor == 0 {
 		return nil, false
 	}
-	id := cl.parkLocked(&wait{frame: &f, fire: fire})
+	id := cl.parkLocked(wait{frame: &f, fire: fire})
 	return func() bool { return cl.unpark(id) }, true
 }
 

@@ -45,7 +45,7 @@ func NewBroadcast() *BroadcastCounter { return new(BroadcastCounter) }
 
 func (c *BroadcastCounter) acquire(w *waitlist, level uint64) (*waitNode, bool) {
 	if c.round == nil {
-		c.round = newWaitNode(level)
+		c.round = newWaitNode(w, level)
 		return c.round, true
 	}
 	return c.round, false

@@ -44,7 +44,7 @@ func (h *heapIndex) acquire(w *waitlist, level uint64) (*waitNode, bool) {
 	if h.byLevel == nil {
 		h.byLevel = make(map[uint64]*waitNode)
 	}
-	n := newWaitNode(level)
+	n := newWaitNode(w, level)
 	h.byLevel[level] = n
 	h.push(n)
 	return n, true

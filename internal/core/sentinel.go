@@ -5,12 +5,19 @@ import (
 )
 
 // This file is the narrow sentinel-registration surface the predicate
-// layer (internal/predicate) builds on. A sentinel is a one-shot
-// callback parked on a level's waitNode exactly like a waiter: it holds
-// one count on the node, so its storage cost is the paper's cost unit —
-// one node per distinct watched level — and the wake path that already
-// exists delivers it. No machinery is added to the hot paths: a counter
-// with no sentinels armed executes byte-for-byte the same code as
+// layer (internal/predicate) and counterd (internal/server) build on. A
+// sentinel is a one-shot hook parked on a level's waitNode exactly like
+// a waiter: it holds one count on the node, so its storage cost is the
+// paper's cost unit — one node per distinct watched level — and the
+// wake path that already exists delivers it. The hook itself is owned
+// by the caller (the Linux wait_queue_entry idiom): a Hook embedded in
+// the caller's own record carries the chain links and calls the
+// record's Fire method, so arming a hook on a level that already has a
+// node allocates nothing, and an owner that recycles its records (a
+// counterd wait entry, a predicate slot) arms and re-arms for free.
+// Sentinel(level, fn) remains as one shared wrapper that allocates a
+// fresh hook and its cancel. No machinery is added to the hot paths: a
+// counter with no hooks armed executes byte-for-byte the same code as
 // before, except for one nil check of the hooks chain inside wakeBatch,
 // which runs only for already-satisfied nodes.
 //
@@ -20,12 +27,12 @@ import (
 //     creation/linking and value re-check), exactly like Check's slow
 //     path, and attaches the hook under the node's wake lock only AFTER
 //     the engine mutex is released — the two locks are never nested;
-//   - hooks are invoked by wakeBatch after every lock is released, in
+//   - hooks are fired by wakeBatch after every lock is released, in
 //     the same out-of-lock position as the broadcasts and channel
 //     closes;
 //   - cancellation drains through the same atomic-count drain as a
-//     cancelled waiter, so an abandoned sentinel reclaims its level's
-//     node with the existing cleanup path.
+//     cancelled waiter, so an abandoned hook reclaims its level's node
+//     with the existing cleanup path.
 
 // Sentineler is implemented by every registry counter: Sentinel arms a
 // one-shot hook that fires when the counter's wake path satisfies the
@@ -53,29 +60,116 @@ import (
 //     itself from a doubly linked chain. An armed sentinel counts as a
 //     suspended waiter for Reset's misuse check, so callers must cancel
 //     their sentinels before resetting.
+//
+// On the waitlist designs Sentinel is a wrapper over HookArmer that
+// allocates a fresh Hook and its cancel per call; callers that arm
+// repeatedly own a Hook and call ArmHook instead.
 type Sentineler interface {
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
 
-// sentinelHook is one armed callback in a waitNode's doubly linked
-// hooks chain, so a cancel unlinks it in O(1) wherever it sits. All
-// fields are guarded by the node's wake lock except fn, which is
-// immutable after creation. The waiter gate an armed hook holds up
-// (ShardedCounter) lives on the node, not here: every hook on a level
-// belongs to one counter, and the hook stays at 32 bytes.
-type sentinelHook struct {
-	fn         func()
-	prev, next *sentinelHook
+// HookArmer is implemented by every waitlist design (every registry
+// counter but ChanCounter, which has no engine): ArmHook parks the
+// caller-owned hook h on the node for level, under the Sentineler
+// contract, and reports false, arming nothing, if level was already
+// satisfied. h must be bound (Hook.Bind) and must not be armed: a hook
+// may be re-armed once its previous arming fired (from inside its own
+// Fire is fine) or was cancelled, but never while that arming may
+// still fire or be cancelled from another goroutine. Arming reuses the
+// level's node when one is live, so it allocates nothing then.
+type HookArmer interface {
+	ArmHook(level uint64, h *Hook) bool
+}
+
+// Firer is a Hook's owner: Fire runs once per arming that is not
+// cancelled, on the waking goroutine after every engine lock is
+// released, under the Sentineler contract for fn (fast, never blocks,
+// may be a spurious early kick).
+type Firer interface {
+	Fire()
+}
+
+// Hook is one caller-owned entry in a waitNode's doubly linked hooks
+// chain, so a cancel unlinks it in O(1) wherever it sits. Embed it in
+// the record that owns the wait, Bind it to that record once, and arm
+// it with a HookArmer as often as the ownership rules above allow. The
+// chain fields and the flags are guarded by the wake lock of node, the
+// node of the current arming, which the arming sets; fire is immutable
+// after Bind. The waiter gate an armed hook holds up (ShardedCounter)
+// lives on the node, not here: every hook on a level belongs to one
+// counter.
+type Hook struct {
+	fire       Firer
+	prev, next *Hook
+	node       *waitNode
 	fired      bool // set by wakeBatch while detaching the chain
-	cancelled  bool // set by cancel while unlinking the hook
+	cancelled  bool // set by Cancel while unlinking the hook
+}
+
+// Bind sets the owner whose Fire the hook runs. Call it once, before
+// the first arming.
+func (h *Hook) Bind(f Firer) { h.fire = f }
+
+// Cancel disarms the hook's current arming: it reports true if Fire had
+// not run and never will for it, false if Fire has run or is about to
+// (an increment claimed the level's node: satisfied beats cancelled),
+// if the arming was already cancelled, or if the hook was never armed.
+// It costs O(1) however many hooks share the level, and any goroutine
+// may call it, concurrently with the fire.
+func (h *Hook) Cancel() bool {
+	n := h.node
+	if n == nil {
+		return false
+	}
+	n.mu.Lock()
+	if h.fired || h.cancelled || n.set.Load() {
+		n.mu.Unlock()
+		return false
+	}
+	h.cancelled = true
+	if h.prev != nil {
+		h.prev.next = h.next
+	} else {
+		n.hooks = h.next
+	}
+	if h.next != nil {
+		h.next.prev = h.prev
+	}
+	h.prev, h.next = nil, nil
+	gate := n.gate
+	n.mu.Unlock()
+	n.wl.drain(nil, n)
+	if gate != nil {
+		gate.Add(-1)
+	}
+	return true
+}
+
+// fireFunc adapts a plain callback to Firer for the Sentinel wrapper; a
+// func value is pointer-shaped, so the conversion allocates nothing.
+type fireFunc func()
+
+func (f fireFunc) Fire() { f() }
+
+// sentinel is Sentinel for every waitlist design: a fresh hook bound to
+// fn and, when it arms, its Cancel — two allocations, plus the level's
+// node when the level had none.
+func sentinel(a HookArmer, level uint64, fn func()) (func() bool, bool) {
+	h := &Hook{fire: fireFunc(fn)}
+	if !a.ArmHook(level, h) {
+		return nil, false
+	}
+	return h.Cancel, true
 }
 
 // joinSentinel registers a sentinel's count on the node for level,
-// creating and indexing the node if none is live. Identical to join
+// creating and indexing the node if none is live, and records idx as
+// the waitlist's index for Hook.Cancel's drain. Identical to join
 // except it is not a suspend in the cost model (no goroutine blocks on
 // a sentinel). Called with w.mu held; the caller must already have
 // established level > value.
 func (w *waitlist) joinSentinel(idx levelIndex, level uint64) *waitNode {
+	w.idx = idx
 	n, created := idx.acquire(w, level)
 	n.count.Add(1)
 	if created {
@@ -106,26 +200,26 @@ func (w *waitlist) drainSatisfied(n *waitNode) {
 	w.drain(satisfiedOnly{}, n)
 }
 
-// armSentinel attaches fn to n as a one-shot hook, with the engine
-// mutex NOT held (the caller released it after joinSentinel). The
-// node's set flag is re-checked under the wake lock: if the level was
+// armHook links h into n's chain as a one-shot hook, with the engine
+// mutex NOT held (the caller released it after joining n). The node's
+// set flag is re-checked under the wake lock: if the level was
 // satisfied in the window between the join and the attach, wakeBatch
-// has already detached whatever hooks it found, so the hook would never
-// fire — armSentinel drains the count and reports not-armed instead,
-// and the caller re-reads the value (and lowers its own gate). gate is
-// the waiter gate the armed hook holds up, or nil; it is recorded on
-// the node, where the fire and a successful cancel find it.
+// has already detached whatever hooks it found, so h would never fire
+// — armHook drains the count and reports not-armed instead, and the
+// caller re-reads the value (and lowers its own gate). gate is the
+// waiter gate the armed hook holds up, or nil; it is recorded on the
+// node, where the fire and a successful cancel find it.
 //
-// The returned cancel loses to a set node even before wakeBatch reaches
-// it: the increment that set it owns the node's wake and will fire the
-// hook, so cancel leaves the hook in the chain and reports false.
-func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func(), gate *atomic.Int32) (func() bool, bool) {
-	h := &sentinelHook{fn: fn}
+// h.Cancel loses to a set node even before wakeBatch reaches it: the
+// increment that set it owns the node's wake and will fire the hook, so
+// Cancel leaves the hook in the chain and reports false.
+func (w *waitlist) armHook(n *waitNode, h *Hook, gate *atomic.Int32) bool {
+	h.node, h.prev, h.fired, h.cancelled = n, nil, false, false
 	n.mu.Lock()
 	if n.set.Load() {
 		n.mu.Unlock()
-		w.drain(idx, n)
-		return nil, false
+		w.drain(nil, n)
+		return false
 	}
 	n.gate = gate
 	if n.hooks != nil {
@@ -134,107 +228,108 @@ func (w *waitlist) armSentinel(idx levelIndex, n *waitNode, fn func(), gate *ato
 	h.next = n.hooks
 	n.hooks = h
 	n.mu.Unlock()
-	cancel := func() bool {
-		n.mu.Lock()
-		if h.fired || h.cancelled || n.set.Load() {
-			n.mu.Unlock()
-			return false
-		}
-		h.cancelled = true
-		if h.prev != nil {
-			h.prev.next = h.next
-		} else {
-			n.hooks = h.next
-		}
-		if h.next != nil {
-			h.next.prev = h.prev
-		}
-		h.prev, h.next = nil, nil
-		gate := n.gate
-		n.mu.Unlock()
-		w.drain(idx, n)
-		if gate != nil {
-			gate.Add(-1)
-		}
-		return true
-	}
-	return cancel, true
+	return true
 }
 
-// Sentinel implements Sentineler on the reference design: the join is
+// ArmHook implements HookArmer on the reference design: the join is
 // exactly Check's slow-path registration, minus the suspend.
-func (c *Counter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+func (c *Counter) ArmHook(level uint64, h *Hook) bool {
 	c.wl.lock()
 	if level <= c.value.Load() {
 		c.wl.unlock()
-		return nil, false
+		return false
 	}
 	n := c.wl.joinSentinel(&c.list, level)
 	c.wl.unlock()
-	return c.wl.armSentinel(&c.list, n, fn, nil)
+	return c.wl.armHook(n, h, nil)
 }
 
-// Sentinel implements Sentineler. The registration is Check's striped
+// Sentinel implements Sentineler through ArmHook.
+func (c *Counter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
+}
+
+// ArmHook implements HookArmer. The registration is Check's striped
 // slow path minus the suspend: the value is re-read under the stripe
 // mutex (register), so a not-armed result is accurate at registration
 // time, and the engine mutex is never touched.
-func (c *AtomicCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+func (c *AtomicCounter) ArmHook(level uint64, h *Hook) bool {
 	if level <= c.value.Load() {
-		return nil, false
+		return false
 	}
 	n, done := c.idx.register(&c.wl, level, &c.value, false)
 	if done {
-		return nil, false
+		return false
 	}
-	return c.wl.armSentinel(nil, n, fn, nil)
+	return c.wl.armHook(n, h, nil)
 }
 
-// Sentinel implements Sentineler by delegating to the underlying atomic
-// counter; a sentinel never spins (there is no caller to burn time on).
+// Sentinel implements Sentineler through ArmHook.
+func (c *AtomicCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
+}
+
+// ArmHook implements HookArmer by delegating to the underlying atomic
+// counter; a hook never spins (there is no caller to burn time on).
+func (c *SpinCounter) ArmHook(level uint64, h *Hook) bool {
+	return c.a.ArmHook(level, h)
+}
+
+// Sentinel implements Sentineler through ArmHook.
 func (c *SpinCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return c.a.Sentinel(level, fn)
+	return sentinel(c, level, fn)
 }
 
-// Sentinel implements Sentineler on the heap index.
-func (c *HeapCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+// ArmHook implements HookArmer on the heap index.
+func (c *HeapCounter) ArmHook(level uint64, h *Hook) bool {
 	c.wl.lock()
 	if level <= c.value.Load() {
 		c.wl.unlock()
-		return nil, false
+		return false
 	}
 	n := c.wl.joinSentinel(&c.index, level)
 	c.wl.unlock()
-	return c.wl.armSentinel(&c.index, n, fn, nil)
+	return c.wl.armHook(n, h, nil)
 }
 
-// Sentinel implements Sentineler on the broadcast ablation. The hook
+// Sentinel implements Sentineler through ArmHook.
+func (c *HeapCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
+}
+
+// ArmHook implements HookArmer on the broadcast ablation. The hook
 // lands on the shared round node, which every increment satisfies, so
 // it fires on the FIRST increment after arming whether or not the value
 // reached level — the spurious-fire case the Sentineler contract
 // allows. The predicate layer re-checks and re-arms, which reproduces
 // at the predicate tier exactly the thundering re-check this baseline
 // exists to measure.
-func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+func (c *BroadcastCounter) ArmHook(level uint64, h *Hook) bool {
 	c.wl.lock()
 	if level <= c.value.Load() {
 		c.wl.unlock()
-		return nil, false
+		return false
 	}
 	n := c.wl.joinSentinel(c, level)
 	c.wl.unlock()
-	return c.wl.armSentinel(c, n, fn, nil)
+	return c.wl.armHook(n, h, nil)
 }
 
-// Sentinel implements Sentineler on the sharded design. An armed
-// sentinel holds the waiter gate up — like a parked Check — so every
-// increment takes the exact locked path and the sentinel cannot be
-// missed by a fast-path CAS. The level's node carries the gate: the fire
-// lowers it before fn runs (so a re-arm from fn observes gate state
+// Sentinel implements Sentineler through ArmHook.
+func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
+}
+
+// ArmHook implements HookArmer on the sharded design. An armed hook
+// holds the waiter gate up — like a parked Check — so every increment
+// takes the exact locked path and the hook cannot be missed by a
+// fast-path CAS. The level's node carries the gate: the fire lowers it
+// before Fire runs (so a re-arm from Fire observes gate state
 // consistent with its own registration), and so does a successful
-// cancel. fn and cancel reach the engine unwrapped, so an armed
-// sentinel costs its hook, its cancel closure and its level's node —
-// which is all a parked counterd wait costs the engine.
-func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+// cancel. An armed hook costs its level's node and nothing else — which
+// is all a parked counterd wait costs the engine, and a second hook on
+// the same level costs nothing.
+func (c *ShardedCounter) ArmHook(level uint64, h *Hook) bool {
 	c.wl.lock()
 	c.gate.Add(1)
 	c.flushLocked()
@@ -242,38 +337,49 @@ func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	c.wl.unlock()
 	if level <= pub {
 		c.gate.Add(-1)
-		return nil, false
+		return false
 	}
 	n, done := c.idx.register(&c.wl, level, &c.published, false)
 	if done {
 		c.gate.Add(-1)
-		return nil, false
+		return false
 	}
-	cancel, armed := c.wl.armSentinel(nil, n, fn, &c.gate)
-	if !armed {
+	if !c.wl.armHook(n, h, &c.gate) {
 		c.gate.Add(-1)
+		return false
 	}
-	return cancel, armed
+	return true
 }
 
-// Sentinel implements Sentineler on the flat-combining design. Like
+// Sentinel implements Sentineler through ArmHook: a fresh hook, its
+// cancel and, on a fresh level, its level's node.
+func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
+}
+
+// ArmHook implements HookArmer on the flat-combining design. Like
 // Check's slow path it opportunistically folds pending rival deltas
 // first — they may already satisfy the level — then registers on the
 // level's stripe; the stripe re-read keeps the not-armed result
 // accurate at registration time.
-func (c *FCCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+func (c *FCCounter) ArmHook(level uint64, h *Hook) bool {
 	if level <= c.value.Load() {
-		return nil, false
+		return false
 	}
 	c.foldPending()
 	if level <= c.value.Load() {
-		return nil, false
+		return false
 	}
 	n, done := c.idx.register(&c.wl, level, &c.value, false)
 	if done {
-		return nil, false
+		return false
 	}
-	return c.wl.armSentinel(nil, n, fn, nil)
+	return c.wl.armHook(n, h, nil)
+}
+
+// Sentinel implements Sentineler through ArmHook.
+func (c *FCCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
 }
 
 // Sentinel implements Sentineler on the engineless chan design: the

@@ -118,8 +118,11 @@ func TestSentinelCancel(t *testing.T) {
 // own hook: the increment past the level fires exactly the uncancelled
 // hooks, once each, and the level drains completely, so Reset succeeds.
 func TestSentinelCancelAnywhereInChain(t *testing.T) {
-	if size := unsafe.Sizeof(sentinelHook{}); size != 32 {
-		t.Errorf("sentinelHook is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(Hook{}); size != 48 {
+		t.Errorf("Hook is %d bytes, want 48", size)
+	}
+	if size := unsafe.Sizeof(waitNode{}); size != 144 {
+		t.Errorf("waitNode is %d bytes, want 144", size)
 	}
 	const hooks = 16
 	for _, impl := range Registry() {

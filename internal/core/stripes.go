@@ -227,7 +227,7 @@ func (sl *stripedList) register(w *waitlist, level uint64, v *atomic.Uint64, sus
 // after the node left the stripe list.
 func (sl *stripedList) satisfyLocked(s *stripe, n *waitNode) {
 	n.set.Store(true)
-	n.drainIdx = len(s.draining)
+	n.drainIdx = int32(len(s.draining))
 	s.draining = append(s.draining, n)
 	s.drainLive++
 	sl.satisfied.Add(1)

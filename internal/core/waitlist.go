@@ -68,28 +68,31 @@ type waitNode struct {
 	// drainIdx is the node's slot in the waitlist's draining record,
 	// valid while set; guarded by the engine mutex. It makes retiring a
 	// draining node O(1) even when one increment satisfied thousands of
-	// levels.
-	drainIdx int
+	// levels. It and sleepers are int32, which holds the node at 144
+	// bytes (TestSentinelCancelAnywhereInChain pins the size).
+	drainIdx int32
 
 	// mu is the per-level wake lock: it guards cond, sleepers, and
 	// ready, and is the lock condvar sleepers park on (cond.L == &mu).
 	// It is never acquired with the engine mutex held.
 	mu       sync.Mutex
+	sleepers int32 // goroutines inside cond.Wait, so wakeBatch broadcasts only when someone listens
 	cond     sync.Cond
-	sleepers int // goroutines inside cond.Wait, so wakeBatch broadcasts only when someone listens
 	// ready is closed by wakeBatch and selected on by waitCtx. It is
 	// allocated lazily by the first cancellable waiter, so nodes used
 	// only by plain Check stay close to the paper's four fields.
 	ready chan struct{}
 
-	// hooks is the doubly linked chain of armed sentinel hooks
+	// hooks is the doubly linked chain of armed caller-owned hooks
 	// (sentinel.go) watching this level, guarded by mu like the rest of
-	// the wake-side state; a cancel unlinks its hook in O(1). wakeBatch
-	// detaches the chain under mu and invokes the hooks only after
-	// releasing it, so hooks — like wake-ups — never run under the
-	// engine mutex or a wake lock, and the two-tier "never nested"
-	// locking invariant above is unchanged by their existence.
-	hooks *sentinelHook
+	// the wake-side state; a Hook.Cancel unlinks its hook in O(1).
+	// wakeBatch detaches the chain under mu and fires the hooks only
+	// after releasing it, so hooks — like wake-ups — never run under
+	// the engine mutex or a wake lock, and the two-tier "never nested"
+	// locking invariant above is unchanged by their existence. The
+	// chain links live in the callers' hooks, so parking one more hook
+	// on a level that already has a node costs the engine nothing.
+	hooks *Hook
 	// gate, when non-nil, is the owning counter's waiter gate, which
 	// every armed hook on this level holds up (ShardedCounter). Whichever
 	// retires a hook lowers it once: the fire, before the hook runs, or
@@ -104,6 +107,12 @@ type waitNode struct {
 	home *stripe
 
 	next *waitNode // used by list-shaped indexes only
+
+	// wl is the engine that created the node, immutable after creation.
+	// It is how a Hook.Cancel, which holds only the node, drains its
+	// count; an engine-indexed node's index is found on wl (see
+	// waitlist.idx).
+	wl *waitlist
 }
 
 // levelIndex is the per-implementation structure organizing waitNodes by
@@ -122,10 +131,11 @@ type levelIndex interface {
 	drop(n *waitNode)
 }
 
-// newWaitNode returns a node whose condition variable sleeps on its own
-// wake lock, for levelIndex implementations to use inside acquire.
-func newWaitNode(level uint64) *waitNode {
-	n := &waitNode{level: level}
+// newWaitNode returns a node of w whose condition variable sleeps on
+// its own wake lock, for levelIndex implementations to use inside
+// acquire.
+func newWaitNode(w *waitlist, level uint64) *waitNode {
+	n := &waitNode{level: level, wl: w}
 	n.cond.L = &n.mu
 	return n
 }
@@ -143,6 +153,13 @@ type waitlist struct {
 	// the record resets to empty when the last drainer leaves.
 	draining  []*waitNode
 	drainLive int
+	// idx is the counter's level index, recorded by joinSentinel so a
+	// Hook.Cancel can retire an abandoned engine-indexed node (a drain
+	// with a nil index uses it). Guarded by mu; every engine-indexed
+	// design has exactly one index, so the field never changes once
+	// set. Striped designs leave it nil: their nodes retire through
+	// home.
+	idx levelIndex
 
 	// stats is the unified cost-model collector shared by every
 	// engine-based implementation (see Stats in stats.go).
@@ -277,7 +294,7 @@ func (w *waitlist) join(idx levelIndex, level uint64) *waitNode {
 // paper's cost unit — and one fewer live waited-on level.
 func (w *waitlist) satisfyLocked(n *waitNode) {
 	n.set.Store(true)
-	n.drainIdx = len(w.draining)
+	n.drainIdx = int32(len(w.draining))
 	w.draining = append(w.draining, n)
 	w.drainLive++
 	w.stats.satisfiedLevels++
@@ -324,12 +341,13 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 			w.stats.broadcasts.Add(1)
 		}
 		w.emit(EventWake, n.level)
-		// Fire the detached sentinel hooks, each exactly once, with no
-		// lock held — a hook is a re-evaluation kick for the predicate
-		// layer and must never run inside the engine. The hook's waiter
-		// count is drained (and the gate it holds lowered) first so the
-		// node's accounting is settled by the time fn observes the wake
-		// (fn may arm a fresh sentinel).
+		// Fire the detached hooks, each exactly once, with no lock held
+		// — a hook is a re-evaluation kick for the predicate layer or a
+		// wake for counterd, and must never run inside the engine. The
+		// hook's waiter count is drained (and the gate it holds lowered)
+		// first so the node's accounting is settled by the time Fire
+		// observes the wake. Fire may re-arm or recycle its hook, so the
+		// hook is not touched once Fire is called.
 		for h := hooks; h != nil; {
 			hn := h.next
 			h.prev, h.next = nil, nil
@@ -337,7 +355,7 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 			if gate != nil {
 				gate.Add(-1)
 			}
-			h.fn()
+			h.fire.Fire()
 			h = hn
 		}
 		n = next
@@ -394,7 +412,8 @@ func (w *waitlist) waitCtx(ctx context.Context, n *waitNode) error {
 // collector reclaims it once unreferenced). A stripe-owned node (home
 // non-nil) retires under its stripe's mutex and never consults idx, so
 // striped callers pass nil; an engine-indexed node retires under the
-// engine mutex through idx.drop. Called with no lock held.
+// engine mutex through idx.drop, or through w.idx when idx is nil (a
+// hook's drain, which knows only its node). Called with no lock held.
 func (w *waitlist) drain(idx levelIndex, n *waitNode) {
 	if n.count.Add(-1) != 0 {
 		return
@@ -404,6 +423,9 @@ func (w *waitlist) drain(idx levelIndex, n *waitNode) {
 		return
 	}
 	w.lock()
+	if idx == nil {
+		idx = w.idx
+	}
 	w.cleanupLocked(idx, n)
 	w.unlock()
 }
@@ -648,7 +670,7 @@ func (l *listIndex) acquire(w *waitlist, level uint64) (*waitNode, bool) {
 	if n := *p; n != nil && n.level == level {
 		return n, false
 	}
-	n := newWaitNode(level)
+	n := newWaitNode(w, level)
 	n.next = *p
 	*p = n
 	return n, true

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"monotonic/internal/core"
 )
 
 // Cond is one monotone-predicate wait shared by any number of waiters:
@@ -22,10 +24,11 @@ import (
 // watched counter: build a new Cond for the new phase.
 //
 // Lock order: Cond.mu is taken strictly above any counter-internal
-// lock (Value, Sentinel, and cancel are called with Cond.mu held). The
-// engine calls back into the Cond only through the kick hooks, which
-// run with no counter lock held and only TryLock Cond.mu, so a hook
-// never waits for the evaluator and never inverts the order.
+// lock (Value, ArmHook, Sentinel and the cancels are called with
+// Cond.mu held). The engine calls back into the Cond only through the
+// slots' Fire kicks, which run with no counter lock held and only
+// TryLock Cond.mu, so a kick never waits for the evaluator and never
+// inverts the order.
 type Cond struct {
 	pred Pred
 	cs   []Counter
@@ -65,16 +68,22 @@ type Cond struct {
 }
 
 // sentinel is one watched counter's slot. At most one registration
-// per slot is outstanding at a time, so the slot's one hook, spent and
-// level always describe that registration. Ordered so the slot packs
-// into 32 bytes.
+// per slot is outstanding at a time, so the slot's hook, spent and
+// level always describe that registration. On a core.HookArmer counter
+// (every in-process engine design) the registration is the slot's own
+// embedded hook, re-armed in place, so a frontier move allocates
+// nothing; any other counter is armed through Sentinel with the slot's
+// fire.
 type sentinel struct {
-	// fire is the slot's hook, built once on its first arm (see hook)
-	// and passed to every Sentinel call for this counter.
+	hook core.Hook // bound to the slot by NewCond
+	c    *Cond
+	// fire is the slot's Fire, bound once on its first Sentinel arm and
+	// passed to every Sentinel call for this counter; cancel is that
+	// registration's cancel, nil while the hook is the registration.
 	fire   func()
 	cancel func() bool
 	level  uint64      // the level the outstanding registration watches
-	spent  atomic.Bool // set by fire: the registration is gone
+	spent  atomic.Bool // set by Fire: the registration is gone
 	on     bool        // a registration is outstanding (its fire, if any, not yet collected)
 	seen   bool        // this counter has been armed at least once (repark accounting)
 }
@@ -101,7 +110,7 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 	}
 	n := len(counters)
 	scratch := make([]uint64, 2*n)
-	return &Cond{
+	c := &Cond{
 		pred:   pred,
 		cs:     counters,
 		done:   make(chan struct{}),
@@ -109,6 +118,12 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 		vals:   scratch[:n:n],
 		fronts: scratch[n:],
 	}
+	for i := range c.armed {
+		s := &c.armed[i]
+		s.c = c
+		s.hook.Bind(s)
+	}
+	return c
 }
 
 // External is an alternative arming strategy: instead of parking one
@@ -155,26 +170,51 @@ func NewCondExternal(pred Pred, ext External, counters ...Counter) *Cond {
 	return c
 }
 
-// hook builds the kick hook for slot s, once per slot: it runs on the
-// waking goroutine with no counter lock held, marks the slot spent
-// (its registration is gone, so the next evaluation re-arms it if the
+// Fire is the slot's kick, its hook's Firer: it runs on the waking
+// goroutine with no counter lock held, marks the slot spent (its
+// registration is gone, so the next evaluation re-arms it if the
 // counter still needs a sentinel) and re-evaluates. The evaluation runs
 // right there when Cond.mu is free, so the incrementer that fired the
-// hook also settles the Cond and releases its waiters; when the lock is
-// held (a Wait, a Poll or another kick is evaluating) the hook hands
-// the kick to a short-lived goroutine instead, so a hook never blocks.
-// Between kicks the Cond holds no goroutine at all.
-func (c *Cond) hook(s *sentinel) func() {
-	return func() {
-		s.spent.Store(true)
-		c.fires.Add(1)
-		if c.mu.TryLock() {
-			c.kickLocked()
-			c.mu.Unlock()
-			return
-		}
-		go c.kick()
+// slot also settles the Cond and releases its waiters; when the lock is
+// held (a Wait, a Poll or another kick is evaluating) Fire hands the
+// kick to a short-lived goroutine instead, so it never blocks. Between
+// kicks the Cond holds no goroutine at all.
+func (s *sentinel) Fire() {
+	c := s.c
+	s.spent.Store(true)
+	c.fires.Add(1)
+	if c.mu.TryLock() {
+		c.kickLocked()
+		c.mu.Unlock()
+		return
 	}
+	go c.kick()
+}
+
+// arm registers the slot at level on ctr, reporting false if ctr
+// already covers level: in place on a core.HookArmer, else through
+// Sentinel. Called with Cond.mu held, with no registration of the slot
+// outstanding.
+func (s *sentinel) arm(ctr Counter, level uint64) bool {
+	s.spent.Store(false)
+	if a, ok := ctr.(core.HookArmer); ok {
+		return a.ArmHook(level, &s.hook)
+	}
+	if s.fire == nil {
+		s.fire = s.Fire
+	}
+	cancel, armed := ctr.Sentinel(level, s.fire)
+	s.cancel = cancel
+	return armed
+}
+
+// disarm cancels the slot's outstanding registration, reporting whether
+// it prevented the fire. Called with Cond.mu held.
+func (s *sentinel) disarm() bool {
+	if s.cancel != nil {
+		return s.cancel()
+	}
+	return s.hook.Cancel()
 }
 
 // kick is the goroutine form of a sentinel kick, for a hook that found
@@ -256,7 +296,7 @@ func (c *Cond) satisfyLocked() {
 func (c *Cond) disarmLocked() {
 	for i := range c.armed {
 		s := &c.armed[i]
-		if s.on && (s.spent.Load() || s.cancel() || c.satisfied) {
+		if s.on && (s.spent.Load() || s.disarm() || c.satisfied) {
 			s.on = false
 		}
 	}
@@ -271,11 +311,11 @@ func (c *Cond) disarmLocked() {
 // evaluateLocked reads fresh bounds, settles the Cond if the predicate
 // holds, and otherwise makes sure one sentinel per still-unsatisfied
 // coordinate is parked at the predicate's frontier level. Called with
-// mu held. The bound reads (Value) and the frontier re-arms (Sentinel)
-// are both lock-free against the counters' engines now — Value is the
-// atomic watermark and Sentinel registers on the frontier level's
-// stripe — so holding Cond.mu across the pass no longer serializes the
-// evaluator against incrementers on any engine mutex.
+// mu held. The bound reads (Value) and the frontier re-arms (arm) are
+// both lock-free against the counters' engines — Value is the atomic
+// watermark and a re-arm registers on the frontier level's stripe — so
+// holding Cond.mu across the pass does not serialize the evaluator
+// against incrementers on any engine mutex.
 //
 // A pass re-arms only what moved. A slot whose sentinel fired (spent)
 // is re-armed if its counter still needs one, at the same level after a
@@ -285,7 +325,7 @@ func (c *Cond) disarmLocked() {
 // cancel that reports false leaves its slot outstanding: that sentinel
 // is already firing, and its own kick re-arms the slot. The loop
 // re-runs only when a counter advanced past its frontier while arming
-// (Sentinel reported not-armed), which strictly raises the next pass's
+// (arm reported not-armed), which strictly raises the next pass's
 // bounds, so it terminates.
 func (c *Cond) evaluateLocked() {
 	// External strategy: one remote registration replaces the whole
@@ -338,7 +378,7 @@ func (c *Cond) evaluateLocked() {
 				level = 0 // coordinate already satisfied: no sentinel
 			}
 			if s.on {
-				if s.level == level || !s.cancel() {
+				if s.level == level || !s.disarm() {
 					continue // still at its frontier, or firing already
 				}
 				s.on = false
@@ -346,12 +386,7 @@ func (c *Cond) evaluateLocked() {
 			if level == 0 {
 				continue
 			}
-			if s.fire == nil {
-				s.fire = c.hook(s)
-			}
-			s.spent.Store(false)
-			cancel, armed := ctr.Sentinel(level, s.fire)
-			if !armed {
+			if !s.arm(ctr, level) {
 				// The counter crossed the frontier between the Value
 				// read and the registration; the frontiers are stale,
 				// so run the pass again with fresh bounds.
@@ -362,7 +397,7 @@ func (c *Cond) evaluateLocked() {
 			if s.seen {
 				c.reparks++
 			}
-			s.cancel, s.level, s.on, s.seen = cancel, level, true, true
+			s.level, s.on, s.seen = level, true, true
 		}
 		if !stale {
 			return

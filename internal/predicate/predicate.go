@@ -6,16 +6,20 @@
 //
 // The mechanism reuses the counters' own per-level waitlists instead of
 // polling or per-waiter bookkeeping: a Cond arms one *sentinel* hook
-// (core's Sentineler surface) per watched counter, parked at that
-// counter's frontier — the lowest level at which the predicate could
-// possibly flip given everything known about the other counters. When a
-// sentinel fires, the Cond re-evaluates, re-parks sentinels at the new
-// frontiers, and releases its waiters only once the predicate holds. N
-// goroutines waiting on one Cond therefore cost O(watched counters)
-// parked nodes — one per counter, shared by all N — not O(N × counters),
-// which is the paper's storage argument carried up one tier (AutoSynch's
+// per watched counter, parked at that counter's frontier — the lowest
+// level at which the predicate could possibly flip given everything
+// known about the other counters. When a sentinel fires, the Cond
+// re-evaluates, re-parks sentinels at the new frontiers, and releases
+// its waiters only once the predicate holds. N goroutines waiting on
+// one Cond therefore cost O(watched counters) parked nodes — one per
+// counter, shared by all N — not O(N × counters), which is the paper's
+// storage argument carried up one tier (AutoSynch's
 // wake-exactly-the-right-waiters property, with the waitlist node as the
-// predicate tag).
+// predicate tag). On an in-process engine counter (core.HookArmer) the
+// sentinel is a core.Hook embedded in the Cond's slot for that counter
+// and re-armed in place, so moving a frontier allocates nothing but a
+// fresh level's node; any other counter is armed through its Sentinel
+// (core's Sentineler contract).
 //
 // Frontier correctness is the heart of it. For a sum a+b >= L it is NOT
 // enough to park b's sentinel at L - value(a): if both counters then

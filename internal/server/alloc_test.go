@@ -12,18 +12,27 @@ import (
 )
 
 // parkedCheckAllocs is what one OpCheck costs to park on a fresh level
-// and wake: the wake closure, the engine's sentinel hook, its cancel
-// closure and the level's node. The wait-table entry is stored by
-// value, so it adds none.
-const parkedCheckAllocs = 4
+// and wake: the level's node, the paper's per-level cost unit. The
+// wait-table entry, which embeds the engine hook, comes from the
+// connection's spare list.
+const parkedCheckAllocs = 1
+
+// waitForAllocs is what a 2-of-4 OpWaitFor costs to park and flip: the
+// decoded watch list, the levels and counters the predicate is built
+// from (1 each), the Thresholds copy and its box (2), NewCond (4), Arm's
+// callback slot and cancel (2), and one node per watched level (4). The
+// entry, its callback and the Cond's slot hooks allocate nothing.
+const waitForAllocs = 15
 
 // TestSteadyStateAllocs pins the server's steady-state frame paths at
 // zero heap allocations per frame: an OpIncrement on a known name
 // (decode, name resolution, dedup, apply) with the OpIncAck it earns
 // queued and drained the way writeLoop drains it, and an OpWake queued
 // by wake. It also pins a parked OpCheck, woken by the next
-// OpIncrement, at parkedCheckAllocs. (The race detector inflates
-// allocation counts, hence the build tag.)
+// OpIncrement, at parkedCheckAllocs, and so several OpChecks sharing
+// one level, since each waiter after the first costs nothing; and it
+// pins a 2-of-4 OpWaitFor parked and flipped. (The race detector
+// inflates allocation counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
 	c := newConn(New(), nil)
 	if err := c.handle(&wire.Frame{Op: wire.OpHello, Seq: wire.Version}); err != nil {
@@ -63,14 +72,22 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("value = %d after %d increments", v, seq)
 	}
 
+	// Entries parked as armed, with no hook on an engine node, so the
+	// runs measure the wake alone.
 	const wakes = 1000
-	for id := uint64(1); id <= wakes+1; id++ {
-		c.waits[id] = wait{}
+	parked := make([]*wait, wakes+1)
+	for i := range parked {
+		w, err := c.publish(uint64(i+1), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.settle(w, nil, true)
+		parked[i] = w
 	}
-	id := uint64(0)
+	next := 0
 	n = testing.AllocsPerRun(wakes, func() {
-		id++
-		c.wake(id, 1)
+		c.wake(parked[next])
+		next++
 		drain()
 	})
 	if n != 0 {
@@ -80,12 +97,58 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d waits left after waking all of them", len(c.waits))
 	}
 
-	// Each run parks a Check one above the value, then sends the
-	// Increment that reaches it: the wake and the ack drain together.
+	// Each run parks checks one above the value, then sends the
+	// Increment that reaches them: the wakes and the ack drain
+	// together.
+	park := func(checks int) float64 {
+		return testing.AllocsPerRun(1000, func() {
+			in = in[:0]
+			for id := 1; id <= checks; id++ {
+				in = wire.Append(in, &wire.Frame{Op: wire.OpCheck, Name: "jobs", ID: uint64(id), Level: seq + 1})
+			}
+			seq++
+			in = wire.Append(in, &wire.Frame{Op: wire.OpIncrement, Name: "jobs", Seq: seq, Amount: 1})
+			rd.Reset(in)
+			br.Reset(rd)
+			for br.Buffered() > 0 || rd.Len() > 0 {
+				if err := c.serve(br); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(c.waits) != 0 {
+				t.Fatal("the increment did not wake the parked checks")
+			}
+			drain()
+		})
+	}
+	if n := park(1); n != parkedCheckAllocs {
+		t.Errorf("OpCheck parked and woken by OpIncrement: %v allocs, want %d", n, parkedCheckAllocs)
+	}
+	const shared = 8
+	if n := park(shared); n != parkedCheckAllocs {
+		t.Errorf("%d OpChecks parked on one level and woken by OpIncrement: %v allocs, want %d (the level's node)", shared, n, parkedCheckAllocs)
+	}
+	if v := h.c.Value(); v != seq {
+		t.Fatalf("value = %d after %d increments", v, seq)
+	}
+
+	// A 2-of-4 OpWaitFor one above the values of four names, flipped by
+	// two Increments.
+	watch := make([]wire.Watch, 4)
+	for i := range watch {
+		watch[i].Name = fmt.Sprintf("quorum%d", i)
+	}
+	var level uint64
 	n = testing.AllocsPerRun(1000, func() {
-		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpCheck, Name: "jobs", ID: 1, Level: seq + 1})
-		seq++
-		in = wire.Append(in, &wire.Frame{Op: wire.OpIncrement, Name: "jobs", Seq: seq, Amount: 1})
+		level++
+		for i := range watch {
+			watch[i].Level = level
+		}
+		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredThreshold, K: 2, Watch: watch})
+		for _, w := range watch[:2] {
+			seq++
+			in = wire.Append(in, &wire.Frame{Op: wire.OpIncrement, Name: w.Name, Seq: seq, Amount: 1})
+		}
 		rd.Reset(in)
 		br.Reset(rd)
 		for br.Buffered() > 0 || rd.Len() > 0 {
@@ -94,15 +157,20 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		if len(c.waits) != 0 {
-			t.Fatal("the increment did not wake the parked check")
+			t.Fatal("the second increment did not flip the parked predicate")
 		}
 		drain()
+		// The other two names catch up, so the next run parks one above
+		// every value again.
+		for _, w := range watch[2:] {
+			seq++
+			if err := c.handle(&wire.Frame{Op: wire.OpIncrement, Name: w.Name, Seq: seq, Amount: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
-	if n != parkedCheckAllocs {
-		t.Errorf("OpCheck parked and woken by OpIncrement: %v allocs, want %d", n, parkedCheckAllocs)
-	}
-	if v := h.c.Value(); v != seq {
-		t.Fatalf("value = %d after %d increments", v, seq)
+	if n != waitForAllocs {
+		t.Errorf("2-of-4 OpWaitFor parked and flipped by two OpIncrements: %v allocs, want %d", n, waitForAllocs)
 	}
 }
 

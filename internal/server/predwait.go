@@ -54,14 +54,17 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 	}
 
 	cond := predicate.NewCond(pred, cs...)
-	if err := c.publish(f.ID, wait{cond: cond}); err != nil {
+	w, err := c.publish(f.ID, 0, cond)
+	if err != nil {
 		return err
 	}
-	id := f.ID
+	if w.fire == nil {
+		w.fire = w.Fire
+	}
 	// The callback runs under the Cond's lock on the satisfying
 	// goroutine; wake takes only leaf locks.
-	cancel, armed := cond.Arm(func() { c.wake(id, 0) })
-	c.settle(id, 0, cancel, armed)
+	cancel, armed := cond.Arm(w.fire)
+	c.settle(w, cancel, armed)
 	return nil
 }
 

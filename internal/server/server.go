@@ -13,10 +13,14 @@
 //   - one writer goroutine per connection, coalescing every queued
 //     frame (wakes, acks, replies) into batched flushes.
 //
-// A parked OpCheck is one entry in its connection's wait table plus one
-// hook on the engine node for its level; the increment that satisfies
-// the level runs the hook on its own goroutine, and the hook queues the
-// wake frame. A fan-out of N remote waiters on C connections therefore
+// A parked OpCheck is one entry in its connection's wait table, which
+// embeds the engine hook it parks on its level's node; the increment
+// that satisfies the level fires the hook on its own goroutine, and the
+// hook queues the wake frame. Entries are recycled through a
+// per-connection spare list, so in steady state a parked OpCheck
+// allocates only its level's node, and nothing when other waits
+// already hold that level — the paper's one node per waited-on level.
+// A fan-out of N remote waiters on C connections therefore
 // costs the server 2C+1 goroutines (readers, writers and the accept
 // loop), independent of N — experiment E22 asserts exactly this bound.
 //
@@ -58,6 +62,11 @@ const maxResolved = 1024
 // reuse: a drain larger than this (a wake storm) is left to the garbage
 // collector instead of pinning its peak for the connection's lifetime.
 const maxSpareQueue = 64 << 10
+
+// maxSpareWaits bounds the answered wait entries a connection keeps for
+// reuse (conn.spare), for the same reason: entries freed beyond it by a
+// wake storm are left to the garbage collector.
+const maxSpareWaits = 256
 
 // Server hosts named counters. The zero value is not usable; call New.
 type Server struct {
@@ -258,12 +267,15 @@ type conn struct {
 
 	// waits indexes this connection's parked waits, OpCheck and
 	// OpWaitFor alike, by client-chosen id; nil once teardown has swept
-	// it. Guarded by waitMu, a leaf lock: wakes take it on the
-	// satisfying goroutine, inside the engine's or a Cond's hook, so
-	// never call into a counter, a Cond or a hook's cancel while holding
-	// it.
+	// it. spare holds answered entries for reuse, at most
+	// maxSpareWaits. Both are guarded by waitMu, a leaf lock: wakes take
+	// it on the satisfying goroutine, inside the engine's or a Cond's
+	// hook, so never call into a counter, a Cond or a hook's cancel
+	// while holding it. The entry fields the lock guards are listed on
+	// wait.
 	waitMu sync.Mutex
-	waits  map[uint64]wait
+	waits  map[uint64]*wait
+	spare  []*wait
 
 	ackedSeq  uint64 // highest seq this conn has acked
 	unacked   int    // increments applied since the last ack
@@ -275,7 +287,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	c.wcond = sync.NewCond(&c.wmu)
 	c.resolved = make(map[string]*hosted)
 	c.intern = c.internName
-	c.waits = make(map[uint64]wait)
+	c.waits = make(map[uint64]*wait)
 	return c
 }
 
@@ -291,60 +303,136 @@ func (c *conn) send(f *wire.Frame) {
 
 // wait is one parked wait in conn.waits: an OpCheck sentinel on one
 // hosted counter, or an OpWaitFor predicate over several (predwait.go).
-// It is stored by value, so parking one costs the table no allocation.
+// It embeds the engine hook an OpCheck parks and is that hook's Firer,
+// and an OpWaitFor hands its Cond the entry's own fire, bound once per
+// entry; entries are recycled through conn.spare, so parking one
+// allocates nothing once the connection has answered as many as it
+// parks.
+//
+// Ownership. The reader goroutine takes an entry at publish and owns it
+// until settle; whoever removes a settled entry from the table then
+// owns it and recycles it. So a wake recycles only a settled entry —
+// one that fires while its arming is still under way is recycled by
+// settle, which also recycles an entry answered at registration or
+// swept by teardown while arming. Once waitMu drops, a racing wake may
+// recycle the entry, so cancelWait copies what it needs under the lock,
+// and teardown, which recycles nothing, disarms only settled entries.
 type wait struct {
-	// cancel disarms the wait's hook: true if it had not fired and now
-	// never will, false if it has fired or is about to. nil until
-	// arming finishes.
-	cancel func() bool
-	cond   *predicate.Cond // the OpWaitFor predicate; nil for OpCheck
+	core.Hook // the OpCheck's sentinel on its hosted counter
+	c         *conn
+	// id, level and cond are set by publish and cleared by recycling;
+	// cancel and settled are set by settle. All five are guarded by
+	// waitMu.
+	id    uint64
+	level uint64          // echoed in the OpWake; 0 for OpWaitFor
+	cond  *predicate.Cond // the OpWaitFor predicate; nil for OpCheck
+	// cancel disarms an OpWaitFor's Cond callback: true if it had not
+	// run and now never will, false if it has run or is about to. nil
+	// for an OpCheck, whose Hook.Cancel does the same.
+	cancel  func() bool
+	settled bool // arming finished: the entry is in the table for good
+	// fire is w.Fire, bound on the entry's first OpWaitFor and kept
+	// across recycling; only the reader touches it.
+	fire func()
 }
 
-// publish enters w in the wait table under the client-chosen id, before
-// arming it, so a racing teardown sweeps it too. An id already parked
-// is a protocol error, and so is any wait after teardown.
-func (c *conn) publish(id uint64, w wait) error {
+// Fire answers the wait as satisfied: the engine runs it when the
+// OpCheck's level is reached, and an OpWaitFor's Cond when its
+// predicate holds (as w.fire).
+func (w *wait) Fire() { w.c.wake(w) }
+
+// disarm cancels w's arming, reporting whether it prevented the wake:
+// cancel is the OpWaitFor's Cond callback cancel, or nil for the
+// OpCheck's hook.
+func (w *wait) disarm(cancel func() bool) bool {
+	if cancel != nil {
+		return cancel()
+	}
+	return w.Hook.Cancel()
+}
+
+// publish enters an entry for id in the wait table, before arming it,
+// so a racing teardown sweeps it too, and hands it to the reader to arm
+// and settle. An id already parked is a protocol error, and so is any
+// wait after teardown.
+func (c *conn) publish(id, level uint64, cond *predicate.Cond) (*wait, error) {
 	c.waitMu.Lock()
 	defer c.waitMu.Unlock()
 	if c.waits == nil {
-		return errors.New("server: connection closed")
+		return nil, errors.New("server: connection closed")
 	}
 	if _, dup := c.waits[id]; dup {
-		return fmt.Errorf("server: duplicate wait id %d", id)
+		return nil, fmt.Errorf("server: duplicate wait id %d", id)
 	}
+	var w *wait
+	if n := len(c.spare); n > 0 {
+		w = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		w = &wait{c: c}
+		w.Bind(w)
+	}
+	w.id, w.level, w.cond = id, level, cond
 	c.waits[id] = w
-	return nil
+	return w, nil
 }
 
-// settle finishes arming the wait published under id. Not armed means
-// it was satisfied at registration: answer it now. Armed, it records
-// cancel in the entry — unless the entry is already gone, because the
-// wait fired (its wake removed it) or teardown swept it; cancel tells
-// the two apart and disarms the swept one.
-func (c *conn) settle(id, level uint64, cancel func() bool, armed bool) {
-	if !armed {
-		c.wake(id, level)
+// recycleLocked returns w to the spare list, dropping what it
+// references. Called with waitMu held by w's owner.
+func (c *conn) recycleLocked(w *wait) {
+	w.cond, w.cancel, w.settled = nil, nil, false
+	if len(c.spare) < maxSpareWaits {
+		c.spare = append(c.spare, w)
+	}
+}
+
+// settle finishes arming w. Not armed means it was satisfied at
+// registration: answer it now. Armed, it marks the entry settled and
+// records cancel — unless the entry is already gone, because it fired
+// (its wake answered it) or teardown swept it; disarming tells the two
+// apart and disarms the swept one. Every entry settle does not leave
+// parked, it recycles.
+func (c *conn) settle(w *wait, cancel func() bool, armed bool) {
+	c.waitMu.Lock()
+	id, level := w.id, w.level
+	parked := c.waits[id] == w
+	if armed && parked {
+		w.cancel, w.settled = cancel, true
+		c.waitMu.Unlock()
 		return
 	}
-	c.waitMu.Lock()
-	w, ok := c.waits[id]
-	if ok {
-		w.cancel = cancel
-		c.waits[id] = w
+	if parked {
+		delete(c.waits, id)
+	}
+	if !armed {
+		c.recycleLocked(w) // nothing else can reach an entry that never armed
+		c.waitMu.Unlock()
+		c.send(&wire.Frame{Op: wire.OpWake, ID: id, Level: level})
+		return
 	}
 	c.waitMu.Unlock()
-	if !ok {
-		cancel()
-	}
+	w.disarm(cancel)
+	c.waitMu.Lock()
+	c.recycleLocked(w)
+	c.waitMu.Unlock()
 }
 
-// wake answers the wait under id as satisfied and forgets it. It is the
-// hook every parked wait arms, so it runs on the satisfying goroutine,
-// inside the engine's wake path or a Cond's callback: it takes only
-// leaf locks and never blocks.
-func (c *conn) wake(id, level uint64) {
+// wake answers w as satisfied and forgets it. It runs as w's Fire, on
+// the satisfying goroutine, inside the engine's wake path or a Cond's
+// callback: it takes only leaf locks and never blocks. Until its one
+// answer, a parked wait is the table's entry for its id (publish
+// refuses a duplicate), so wake deletes by id unless teardown has swept
+// the table. It touches w only under waitMu, since settle may recycle
+// an entry that fires while arming as soon as the lock drops.
+func (c *conn) wake(w *wait) {
 	c.waitMu.Lock()
-	delete(c.waits, id)
+	id, level := w.id, w.level
+	if c.waits != nil {
+		delete(c.waits, id)
+		if w.settled {
+			c.recycleLocked(w)
+		}
+	}
 	c.waitMu.Unlock()
 	c.send(&wire.Frame{Op: wire.OpWake, ID: id, Level: level})
 }
@@ -356,20 +444,30 @@ func (c *conn) wake(id, level uint64) {
 // never by OpCancelled. A predicate is polled first: its sentinels sit
 // at frontier levels, so an increment can satisfy it without firing
 // one, and Poll settles the Cond, which queues the wake. An OpCheck's
-// sentinel cancel already loses once an increment claims its level.
+// hook cancel already loses once an increment claims its level. Every
+// entry the reader can name here is settled, but a racing wake may
+// recycle it once waitMu drops, so the cond and cancel are copied
+// under the lock; the hook itself is only re-armed by this goroutine,
+// and its Cancel reports false once it has fired.
 func (c *conn) cancelWait(id uint64) {
 	c.waitMu.Lock()
-	w, ok := c.waits[id]
+	w := c.waits[id]
+	var cond *predicate.Cond
+	var cancel func() bool
+	if w != nil {
+		cond, cancel = w.cond, w.cancel
+	}
 	c.waitMu.Unlock()
-	if !ok || (w.cond != nil && w.cond.Poll()) {
+	if w == nil || (cond != nil && cond.Poll()) || !w.disarm(cancel) {
 		return // resolved or resolving: the wake frame answers the race
 	}
-	if w.cancel() {
-		c.waitMu.Lock()
+	c.waitMu.Lock()
+	if c.waits != nil { // a disarmed wait gets no other answer
 		delete(c.waits, id)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpCancelled, ID: id})
+		c.recycleLocked(w)
 	}
+	c.waitMu.Unlock()
+	c.send(&wire.Frame{Op: wire.OpCancelled, ID: id})
 }
 
 // writeLoop drains the frame queue into the socket, batching everything
@@ -500,18 +598,13 @@ func (c *conn) handle(f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		if err := c.publish(f.ID, wait{}); err != nil {
+		w, err := c.publish(f.ID, f.Level, nil)
+		if err != nil {
 			return err
 		}
-		id, level := f.ID, f.Level
-		if level <= h.c.Value() {
-			// Already satisfied (every pipelined Increment-then-Check
-			// lands here): answer at once, nothing parks.
-			c.wake(id, level)
-			return nil
-		}
-		cancel, armed := h.c.Sentinel(level, func() { c.wake(id, level) })
-		c.settle(id, level, cancel, armed)
+		// An already satisfied level (every pipelined Increment-then-Check
+		// lands here) is answered at once and parks nothing.
+		c.settle(w, nil, f.Level > h.c.Value() && h.c.ArmHook(f.Level, &w.Hook))
 
 	case wire.OpCancel, wire.OpWaitForCancel:
 		c.cancelWait(f.ID)
@@ -597,8 +690,9 @@ func apply(h *hosted, amount uint64) (err error) {
 // teardown closes the connection once: the socket (unblocking the
 // reader), the write queue (retiring the writer), and every wait this
 // connection parked, so no engine node or Cond keeps a hook for a dead
-// peer. A wait still mid-arming has no cancel yet; settle finds it gone
-// from the table and disarms it.
+// peer. It disarms only settled entries and recycles none: a wait still
+// mid-arming is the reader's, and settle finds it gone from the table
+// and disarms it.
 func (c *conn) teardown() {
 	c.closeOnce.Do(func() {
 		c.nc.Close()
@@ -609,11 +703,14 @@ func (c *conn) teardown() {
 		c.waitMu.Lock()
 		waits := c.waits
 		c.waits = nil
+		for id, w := range waits {
+			if !w.settled {
+				delete(waits, id)
+			}
+		}
 		c.waitMu.Unlock()
 		for _, w := range waits {
-			if w.cancel != nil {
-				w.cancel()
-			}
+			w.disarm(w.cancel)
 		}
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)

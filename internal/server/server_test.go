@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -263,6 +264,85 @@ func TestCheckSatisfiedBeatsCancelled(t *testing.T) {
 			return
 		}
 	}
+}
+
+// TestCheckCancelRacesWake is TestWaitForCancelRacesKick for plain
+// waits: each round connection A parks an OpCheck and cancels it while
+// connection B sends the increment that satisfies it, so the hook's
+// fire, on B's reader, races A's cancel and the recycling of A's wait
+// entry. Every round reuses one id, so an entry recycled while it is
+// still in use would answer the wrong round. Whichever side wins, A
+// hears exactly one answer per round, the wait table ends empty, and
+// no hook is left behind to refuse the final Reset.
+func TestCheckCancelRacesWake(t *testing.T) {
+	s, addr := startServer(t)
+	a := dialRaw(t, addr)
+	a.hello(0)
+	b := dialRaw(t, addr)
+	b.hello(0)
+	const name, id, rounds = "wake", 1, 200
+	for round := uint64(1); round <= rounds; round++ {
+		// The OpStats reply fences the OpCheck: A's frames run in order.
+		fence := rounds + round
+		a.send(
+			&wire.Frame{Op: wire.OpCheck, Name: name, ID: id, Level: round},
+			&wire.Frame{Op: wire.OpStats, Name: name, ID: fence},
+		)
+		if f := a.recv(); f.Op != wire.OpStatsReply || f.ID != fence {
+			t.Fatalf("round %d: %s (id %d) before the check was parked, want the fence's stats reply", round, f.Op, f.ID)
+		}
+		inc := wire.Append(nil, &wire.Frame{Op: wire.OpIncrement, Name: name, Seq: round, Amount: 1})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.nc.Write(inc); err != nil {
+				t.Errorf("round %d: increment: %v", round, err)
+			}
+		}()
+		a.send(&wire.Frame{Op: wire.OpCancel, ID: id})
+		wg.Wait()
+		// The IncAck follows the increment's wake path, hooks included,
+		// so a wake it queued for A precedes the fence below.
+		if f := b.recvOp(wire.OpIncAck); f.Seq != round {
+			t.Fatalf("round %d: IncAck seq = %d", round, f.Seq)
+		}
+		fence += rounds
+		a.send(&wire.Frame{Op: wire.OpStats, Name: name, ID: fence})
+		answers := 0
+		for f := a.recv(); f.Op != wire.OpStatsReply || f.ID != fence; f = a.recv() {
+			switch f.Op {
+			case wire.OpWake, wire.OpCancelled:
+				if f.ID != id {
+					t.Fatalf("round %d: %s for id %d", round, f.Op, f.ID)
+				}
+				answers++
+			}
+		}
+		if answers != 1 {
+			t.Fatalf("round %d: %d answers for one wait, want exactly 1", round, answers)
+		}
+	}
+	if n := parkedWaits(s); n != 0 {
+		t.Fatalf("%d waits parked after every wait was answered, want 0", n)
+	}
+	a.send(&wire.Frame{Op: wire.OpReset, Name: name, ID: 3*rounds + 1})
+	if f := a.recv(); f.Op != wire.OpResetOK || f.ID != 3*rounds+1 {
+		t.Fatalf("final Reset answered %s (id %d) %q, want ResetOK", f.Op, f.ID, f.Msg)
+	}
+}
+
+// parkedWaits counts the entries in every connection's wait table.
+func parkedWaits(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for c := range s.conns {
+		c.waitMu.Lock()
+		n += len(c.waits)
+		c.waitMu.Unlock()
+	}
+	return n
 }
 
 func TestIncrementOverflowReported(t *testing.T) {
