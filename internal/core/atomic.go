@@ -77,52 +77,40 @@ func (c *AtomicCounter) Increment(amount uint64) {
 	}
 }
 
-// Check implements Interface. The satisfied case is one atomic load and
-// no mutex; the unsatisfied case registers on the level's stripe and
-// never touches the engine mutex at all.
+// Check implements Interface: CheckContext with a context that is never
+// cancelled, repeating its two steps so the satisfied case pays no
+// extra frame.
 func (c *AtomicCounter) Check(level uint64) {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return // fast path: already satisfied, no lock
+	if !c.satisfied(level) {
+		await(context.Background(), c, level)
 	}
-	n, done := c.idx.register(&c.wl, level, &c.value, true)
-	if done {
-		return
-	}
-	c.wl.wait(n)
-	c.wl.drain(nil, n)
 }
 
-// CheckContext implements Interface. The satisfied fast path is checked
-// before the context so that an already-satisfied level wins over an
-// already-cancelled context; the blocking path selects on the node's
-// ready channel, spawning no goroutine.
+// CheckContext implements Interface. The satisfied case is one atomic
+// load and no mutex, checked before the context so that an
+// already-satisfied level wins over an already-cancelled context; the
+// unsatisfied case registers on the level's stripe and never touches
+// the engine mutex at all, and its blocking path spawns no goroutine.
 func (c *AtomicCounter) CheckContext(ctx context.Context, level uint64) error {
+	if c.satisfied(level) {
+		return nil
+	}
+	return await(ctx, c, level)
+}
+
+// satisfied is the lock-free watermark look (enroller).
+func (c *AtomicCounter) satisfied(level uint64) bool {
 	if level <= c.value.Load() {
 		c.fastChecks.Add(1)
-		return nil
+		return true
 	}
-	done := ctx.Done()
-	if done == nil {
-		c.Check(level)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		// Re-check the watermark after the context: a satisfied level
-		// beats a cancelled context even when both raced this call.
-		if level <= c.value.Load() {
-			c.fastChecks.Add(1)
-			return nil
-		}
-		return err
-	}
-	n, ok := c.idx.register(&c.wl, level, &c.value, true)
-	if ok {
-		return nil
-	}
-	err := c.wl.waitCtx(ctx, n)
-	c.wl.drain(nil, n)
-	return err
+	return false
+}
+
+// enroll implements enroller: registration on the level's stripe, which
+// re-reads the value under the stripe mutex.
+func (c *AtomicCounter) enroll(level uint64, suspend bool) *waitNode {
+	return c.idx.register(&c.wl, level, &c.value, nil, suspend)
 }
 
 // Reset implements Interface. Stats are cumulative and survive the

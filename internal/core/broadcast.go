@@ -84,45 +84,22 @@ func (c *BroadcastCounter) Increment(amount uint64) {
 	}
 }
 
-// Check implements Interface. A waiter woken below its level re-joins
-// the next round, so Suspends counts every park — the thundering-herd
-// cost made visible in the unified schema.
-func (c *BroadcastCounter) Check(level uint64) {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return
-	}
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.stats.immediateChecks++
-		c.wl.unlock()
-		return
-	}
-	for level > c.value.Load() {
-		n := c.wl.join(c, level)
-		c.wl.unlock()
-		c.wl.wait(n)
-		c.wl.drain(c, n)
-		c.wl.lock()
-		c.wakes++
-	}
-	c.wl.unlock()
-}
+// Check implements Interface: CheckContext with a context that is never
+// cancelled, so every park sleeps on the round node's condition
+// variable.
+func (c *BroadcastCounter) Check(level uint64) { c.CheckContext(context.Background(), level) }
 
 // CheckContext implements Interface. The value is consulted before the
 // context, so an already-satisfied level wins over an already-cancelled
 // context; cancellation is observed by selecting on the round node's
-// ready channel — no watcher goroutine.
+// ready channel — no watcher goroutine. A waiter woken below its level
+// re-joins the next round, so Suspends counts every park — the
+// thundering-herd cost made visible in the unified schema. This is the
+// one waitlist design that does not park through await: its re-join
+// happens under the lock it already holds, and counts no immediate
+// check.
 func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error {
-	done := ctx.Done()
-	if done == nil {
-		c.Check(level)
-		return nil
-	}
-	// Satisfied beats cancelled: the watermark is consulted first, and
-	// the satisfied case takes no mutex.
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
+	if c.satisfied(level) {
 		return nil
 	}
 	c.wl.lock()
@@ -136,10 +113,10 @@ func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error
 			c.wl.unlock()
 			return err
 		}
-		n := c.wl.join(c, level)
+		n := c.wl.join(c, level, true)
 		c.wl.unlock()
-		err := c.wl.waitCtx(ctx, n)
-		c.wl.drain(c, n)
+		err := c.wl.park(ctx, n)
+		c.wl.drain(n)
 		c.wl.lock()
 		if n.set.Load() {
 			c.wakes++
@@ -151,6 +128,22 @@ func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error
 	}
 	c.wl.unlock()
 	return nil
+}
+
+// satisfied is the lock-free watermark look (enroller).
+func (c *BroadcastCounter) satisfied(level uint64) bool {
+	if level <= c.value.Load() {
+		c.fastChecks.Add(1)
+		return true
+	}
+	return false
+}
+
+// enroll implements enroller: the engine's locked re-check and a join
+// of the round node. Only armHook uses it; CheckContext keeps its own
+// re-join loop.
+func (c *BroadcastCounter) enroll(level uint64, suspend bool) *waitNode {
+	return c.wl.enroll(c, &c.value, level, suspend)
 }
 
 // Reset implements Interface. Stats are cumulative and survive the

@@ -72,70 +72,48 @@ func (c *Counter) Increment(amount uint64) {
 	}
 }
 
-// Check implements Interface. The satisfied case is one atomic
-// watermark load — no mutex; only an unsatisfied level falls through to
-// the locked registration.
+// Check implements Interface: CheckContext with a context that is never
+// cancelled, so the caller sleeps on the level's condition variable.
+// It repeats CheckContext's two steps rather than calling it, so the
+// satisfied case pays no extra frame.
 func (c *Counter) Check(level uint64) {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return
+	if !c.satisfied(level) {
+		await(context.Background(), c, level)
 	}
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.stats.immediateChecks++
-		c.wl.unlock()
-		return
-	}
-	n := c.join(level)
-	c.wl.unlock()
-	c.wl.wait(n)
-	c.wl.drain(&c.list, n)
 }
 
-// CheckContext implements Interface. An already-satisfied level wins
-// over an already-cancelled context, and no goroutine is spawned on
-// behalf of the call: cancellation is observed by selecting on the
-// node's ready channel.
+// CheckContext implements Interface. The satisfied case is one atomic
+// watermark load — no mutex, and consulted before the context, so an
+// already-satisfied level wins over an already-cancelled context; only
+// an unsatisfied level falls through to the locked registration (await).
+// No goroutine is spawned on behalf of the call: cancellation is
+// observed by selecting on the node's ready channel.
 func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
-	done := ctx.Done()
-	if done == nil {
-		c.Check(level)
+	if c.satisfied(level) {
 		return nil
 	}
-	// Satisfied beats cancelled, and the satisfied case is lock-free:
-	// the watermark is consulted before the context, same as the locked
-	// ordering below.
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return nil
-	}
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.stats.immediateChecks++
-		c.wl.unlock()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		c.wl.unlock()
-		return err
-	}
-	n := c.join(level)
-	c.wl.unlock()
-	err := c.wl.waitCtx(ctx, n)
-	c.wl.drain(&c.list, n)
-	return err
+	return await(ctx, c, level)
 }
 
-// join registers the caller as a waiter on the node for level (which must
-// exceed c.value). Called with wl.mu held.
-func (c *Counter) join(level uint64) *waitNode {
-	return c.wl.join(&c.list, level)
+// satisfied is the lock-free watermark look (enroller).
+func (c *Counter) satisfied(level uint64) bool {
+	if level <= c.value.Load() {
+		c.fastChecks.Add(1)
+		return true
+	}
+	return false
+}
+
+// enroll implements enroller: the engine's locked re-check and join on
+// the sorted list.
+func (c *Counter) enroll(level uint64, suspend bool) *waitNode {
+	return c.wl.enroll(&c.list, &c.value, level, suspend)
 }
 
 // leave deregisters the caller from n with wl.mu already held — the
 // simulator's single-threaded counterpart of the engine's drain.
 func (c *Counter) leave(n *waitNode) {
-	c.wl.leaveLocked(&c.list, n)
+	c.wl.leaveLocked(n)
 }
 
 // Reset implements Interface. It panics if any goroutine is suspended on

@@ -260,6 +260,8 @@ func TestCheckContextSatisfiedIgnoresLiveContext(t *testing.T) {
 func TestCheckContextAlreadyCancelled(t *testing.T) {
 	// A satisfied level beats a cancelled context: the pre-cancelled
 	// context only matters for levels the value does not yet satisfy.
+	// There the call registers nothing — no suspend, no live level, no
+	// raised sharded gate — so Reset succeeds right after it.
 	forEachImpl(t, func(t *testing.T, c Interface) {
 		c.Increment(5)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -267,9 +269,28 @@ func TestCheckContextAlreadyCancelled(t *testing.T) {
 		if err := c.CheckContext(ctx, 5); err != nil {
 			t.Fatalf("CheckContext on satisfied level with pre-cancelled ctx = %v, want nil", err)
 		}
+		p := c.(StatsProvider)
+		before := p.Stats()
 		if err := c.CheckContext(ctx, 6); err != context.Canceled {
 			t.Fatalf("CheckContext on unsatisfied level with pre-cancelled ctx = %v, want Canceled", err)
 		}
+		if after := p.Stats(); after.Suspends != before.Suspends || after.PeakLevels != before.PeakLevels {
+			t.Errorf("cancelled CheckContext moved Suspends %d -> %d, PeakLevels %d -> %d; want both unchanged",
+				before.Suspends, after.Suspends, before.PeakLevels, after.PeakLevels)
+		}
+		if sc, ok := c.(*ShardedCounter); ok {
+			if g := sc.gate.Load(); g != 0 {
+				t.Errorf("gate = %d after a cancelled CheckContext, want 0", g)
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Reset after a cancelled CheckContext panicked: %v", r)
+				}
+			}()
+			c.Reset()
+		}()
 	})
 }
 

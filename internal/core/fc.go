@@ -269,9 +269,10 @@ func (c *FCCounter) wake(head *waitNode) {
 }
 
 // foldPending opportunistically combines pending deltas — the helping
-// fold Check performs on its way to registering. TryLock, not Lock: if
-// the mutex is taken, a combiner is (or will be) folding already, and
-// queueing behind it would put registration back on the engine mutex.
+// fold enroll performs on its way to registering a Check or a hook.
+// TryLock, not Lock: if the mutex is taken, a combiner is (or will be)
+// folding already, and queueing behind it would put registration back
+// on the engine mutex.
 func (c *FCCounter) foldPending() {
 	if c.slots.slots.Load() == nil || !c.wl.tryLock() {
 		return
@@ -284,66 +285,51 @@ func (c *FCCounter) foldPending() {
 	}
 }
 
-// Check implements Interface. The fast path is AtomicCounter's: a stale
-// read can only under-estimate the monotone value, so a satisfied read
-// is safe without the lock. The slow path folds pending rival deltas
-// first (fold-then-read: the re-load below happens after any fold we
+// Check implements Interface: CheckContext with a context that is never
+// cancelled, repeating its two steps so the satisfied case pays no
+// extra frame.
+func (c *FCCounter) Check(level uint64) {
+	if !c.satisfied(level) {
+		await(context.Background(), c, level)
+	}
+}
+
+// CheckContext implements Interface. The fast path is AtomicCounter's: a
+// stale read can only under-estimate the monotone value, so a satisfied
+// read is safe without the lock, and it is checked before the context so
+// an already-satisfied level wins over an already-cancelled context. The
+// blocking path selects on the node's ready channel, spawning no
+// goroutine.
+func (c *FCCounter) CheckContext(ctx context.Context, level uint64) error {
+	if c.satisfied(level) {
+		return nil
+	}
+	return await(ctx, c, level)
+}
+
+// satisfied is the lock-free watermark look (enroller).
+func (c *FCCounter) satisfied(level uint64) bool {
+	if level <= c.value.Load() {
+		c.fastChecks.Add(1)
+		return true
+	}
+	return false
+}
+
+// enroll implements enroller. It folds pending rival deltas first
+// (fold-then-read: the re-load below happens after any fold it
 // performed) — they may already satisfy the level, and a lock holder
 // that combines is what keeps publishers' spins short — then registers
 // on the level's stripe, never queueing on the engine mutex.
-func (c *FCCounter) Check(level uint64) {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return
-	}
+func (c *FCCounter) enroll(level uint64, suspend bool) *waitNode {
 	c.foldPending()
 	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return
-	}
-	n, done := c.idx.register(&c.wl, level, &c.value, true)
-	if done {
-		return
-	}
-	c.wl.wait(n)
-	c.wl.drain(nil, n)
-}
-
-// CheckContext implements Interface. The satisfied fast path is checked
-// before the context so an already-satisfied level wins over an
-// already-cancelled context; the blocking path selects on the node's
-// ready channel, spawning no goroutine.
-func (c *FCCounter) CheckContext(ctx context.Context, level uint64) error {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return nil
-	}
-	done := ctx.Done()
-	if done == nil {
-		c.Check(level)
-		return nil
-	}
-	c.foldPending()
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		// Satisfied beats cancelled: one last watermark look before
-		// reporting the cancellation.
-		if level <= c.value.Load() {
+		if suspend {
 			c.fastChecks.Add(1)
-			return nil
 		}
-		return err
-	}
-	n, ok := c.idx.register(&c.wl, level, &c.value, true)
-	if ok {
 		return nil
 	}
-	err := c.wl.waitCtx(ctx, n)
-	c.wl.drain(nil, n)
-	return err
+	return c.idx.register(&c.wl, level, &c.value, nil, suspend)
 }
 
 // Reset implements Interface. Reset must not run concurrently with any

@@ -164,57 +164,41 @@ func (c *HeapCounter) Increment(amount uint64) {
 	}
 }
 
-// Check implements Interface. The satisfied case is one atomic
-// watermark load — no mutex.
+// Check implements Interface: CheckContext with a context that is never
+// cancelled, repeating its two steps so the satisfied case pays no
+// extra frame.
 func (c *HeapCounter) Check(level uint64) {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return
+	if !c.satisfied(level) {
+		await(context.Background(), c, level)
 	}
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.stats.immediateChecks++
-		c.wl.unlock()
-		return
-	}
-	n := c.wl.join(&c.index, level)
-	c.wl.unlock()
-	c.wl.wait(n)
-	c.wl.drain(&c.index, n)
 }
 
-// CheckContext implements Interface. The value is consulted before the
-// context so an already-satisfied level wins over an already-cancelled
-// context; cancellation is a select on the node's ready channel, with no
-// watcher goroutine, and the last cancelled waiter removes the level
-// from the heap.
+// CheckContext implements Interface. The satisfied case is one atomic
+// watermark load — no mutex — consulted before the context so an
+// already-satisfied level wins over an already-cancelled context;
+// cancellation is a select on the node's ready channel, with no watcher
+// goroutine, and the last cancelled waiter removes the level from the
+// heap.
 func (c *HeapCounter) CheckContext(ctx context.Context, level uint64) error {
-	done := ctx.Done()
-	if done == nil {
-		c.Check(level)
+	if c.satisfied(level) {
 		return nil
 	}
-	// Satisfied beats cancelled: the watermark is consulted first, and
-	// the satisfied case takes no mutex.
+	return await(ctx, c, level)
+}
+
+// satisfied is the lock-free watermark look (enroller).
+func (c *HeapCounter) satisfied(level uint64) bool {
 	if level <= c.value.Load() {
 		c.fastChecks.Add(1)
-		return nil
+		return true
 	}
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.stats.immediateChecks++
-		c.wl.unlock()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		c.wl.unlock()
-		return err
-	}
-	n := c.wl.join(&c.index, level)
-	c.wl.unlock()
-	err := c.wl.waitCtx(ctx, n)
-	c.wl.drain(&c.index, n)
-	return err
+	return false
+}
+
+// enroll implements enroller: the engine's locked re-check and join on
+// the heap.
+func (c *HeapCounter) enroll(level uint64, suspend bool) *waitNode {
+	return c.wl.enroll(&c.index, &c.value, level, suspend)
 }
 
 // Reset implements Interface. Stats are cumulative and survive the

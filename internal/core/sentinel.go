@@ -23,10 +23,11 @@ import (
 //
 // The engine-mutex invariants from the waitlist header are unchanged:
 //
-//   - registration takes the engine mutex only for the join (node
-//     creation/linking and value re-check), exactly like Check's slow
-//     path, and attaches the hook under the node's wake lock only AFTER
-//     the engine mutex is released — the two locks are never nested;
+//   - registration is the design's one enroll step, the same one
+//     Check's slow path takes (node creation/linking and value
+//     re-check, under the engine mutex or the level's stripe mutex),
+//     and the hook is attached under the node's wake lock only AFTER
+//     that lock is released — the two are never nested;
 //   - hooks are fired by wakeBatch after every lock is released, in
 //     the same out-of-lock position as the broadcasts and channel
 //     closes;
@@ -62,8 +63,9 @@ import (
 //     their sentinels before resetting.
 //
 // On the waitlist designs Sentinel is a wrapper over HookArmer that
-// allocates a fresh Hook and its cancel per call; callers that arm
-// repeatedly own a Hook and call ArmHook instead.
+// allocates a fresh Hook and its cancel per call, so both register
+// through the one shared armHook; callers that arm repeatedly own a
+// Hook and call ArmHook instead.
 type Sentineler interface {
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
@@ -75,8 +77,11 @@ type Sentineler interface {
 // satisfied. h must be bound (Hook.Bind) and must not be armed: a hook
 // may be re-armed once its previous arming fired (from inside its own
 // Fire is fine) or was cancelled, but never while that arming may
-// still fire or be cancelled from another goroutine. Arming reuses the
-// level's node when one is live, so it allocates nothing then.
+// still fire or be cancelled from another goroutine. Arming is Check's
+// own registration (the design's enroll step, behind a lock-free look
+// at the value) minus the suspend, so an arming counts neither as a
+// suspend nor as an immediate check. It reuses the level's node when
+// one is live, so it allocates nothing then.
 type HookArmer interface {
 	ArmHook(level uint64, h *Hook) bool
 }
@@ -96,8 +101,8 @@ type Firer interface {
 // chain fields and the flags are guarded by the wake lock of node, the
 // node of the current arming, which the arming sets; fire is immutable
 // after Bind. The waiter gate an armed hook holds up (ShardedCounter)
-// lives on the node, not here: every hook on a level belongs to one
-// counter.
+// lives on the node, not here: the node records it once for every count
+// it holds, hooks and parked waiters alike.
 type Hook struct {
 	fire       Firer
 	prev, next *Hook
@@ -136,12 +141,8 @@ func (h *Hook) Cancel() bool {
 		h.next.prev = h.prev
 	}
 	h.prev, h.next = nil, nil
-	gate := n.gate
 	n.mu.Unlock()
-	n.wl.drain(nil, n)
-	if gate != nil {
-		gate.Add(-1)
-	}
+	n.wl.drain(n)
 	return true
 }
 
@@ -162,66 +163,33 @@ func sentinel(a HookArmer, level uint64, fn func()) (func() bool, bool) {
 	return h.Cancel, true
 }
 
-// joinSentinel registers a sentinel's count on the node for level,
-// creating and indexing the node if none is live, and records idx as
-// the waitlist's index for Hook.Cancel's drain. Identical to join
-// except it is not a suspend in the cost model (no goroutine blocks on
-// a sentinel). Called with w.mu held; the caller must already have
-// established level > value.
-func (w *waitlist) joinSentinel(idx levelIndex, level uint64) *waitNode {
-	w.idx = idx
-	n, created := idx.acquire(w, level)
-	n.count.Add(1)
-	if created {
-		w.stats.liveLevels++
-		if w.stats.liveLevels > w.stats.peakLevels {
-			w.stats.peakLevels = w.stats.liveLevels
-		}
-	}
-	return n
-}
-
-// satisfiedOnly is the levelIndex stand-in for drains that can only
-// ever see a satisfied node; reaching drop on it is a bug.
-type satisfiedOnly struct{}
-
-func (satisfiedOnly) acquire(*waitlist, uint64) (*waitNode, bool) {
-	panic("core: satisfiedOnly.acquire")
-}
-func (satisfiedOnly) drop(*waitNode) {
-	panic("core: sentinel drain reached drop on a satisfied node")
-}
-
-// drainSatisfied drops one count from a node that is known to be
-// satisfied (wakeBatch is draining the hooks it detached from it).
-// Retirement of a satisfied node never touches the index — the node
-// already left it for the draining record — so no index is needed.
-func (w *waitlist) drainSatisfied(n *waitNode) {
-	w.drain(satisfiedOnly{}, n)
-}
-
-// armHook links h into n's chain as a one-shot hook, with the engine
-// mutex NOT held (the caller released it after joining n). The node's
-// set flag is re-checked under the wake lock: if the level was
-// satisfied in the window between the join and the attach, wakeBatch
-// has already detached whatever hooks it found, so h would never fire
-// — armHook drains the count and reports not-armed instead, and the
-// caller re-reads the value (and lowers its own gate). gate is the
-// waiter gate the armed hook holds up, or nil; it is recorded on the
-// node, where the fire and a successful cancel find it.
+// armHook is ArmHook for every waitlist design: a lock-free look at the
+// value, the design's registration step without the suspend, and the
+// attach. It links h into the node's chain under the node's wake lock,
+// with no registration lock held, and re-checks the node's set flag
+// there: if the level was satisfied in the window between the enroll
+// and the attach, wakeBatch has already detached whatever hooks it
+// found, so h would never fire — armHook drains the count instead
+// (lowering any gate it held) and reports not-armed.
 //
 // h.Cancel loses to a set node even before wakeBatch reaches it: the
 // increment that set it owns the node's wake and will fire the hook, so
 // Cancel leaves the hook in the chain and reports false.
-func (w *waitlist) armHook(n *waitNode, h *Hook, gate *atomic.Int32) bool {
+func armHook(e enroller, level uint64, h *Hook) bool {
+	if level <= e.Value() {
+		return false
+	}
+	n := e.enroll(level, false)
+	if n == nil {
+		return false
+	}
 	h.node, h.prev, h.fired, h.cancelled = n, nil, false, false
 	n.mu.Lock()
 	if n.set.Load() {
 		n.mu.Unlock()
-		w.drain(nil, n)
+		n.wl.drain(n)
 		return false
 	}
-	n.gate = gate
 	if n.hooks != nil {
 		n.hooks.prev = h
 	}
@@ -231,66 +199,33 @@ func (w *waitlist) armHook(n *waitNode, h *Hook, gate *atomic.Int32) bool {
 	return true
 }
 
-// ArmHook implements HookArmer on the reference design: the join is
-// exactly Check's slow-path registration, minus the suspend.
-func (c *Counter) ArmHook(level uint64, h *Hook) bool {
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.unlock()
-		return false
-	}
-	n := c.wl.joinSentinel(&c.list, level)
-	c.wl.unlock()
-	return c.wl.armHook(n, h, nil)
-}
+// ArmHook implements HookArmer through the shared armHook.
+func (c *Counter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *Counter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	return sentinel(c, level, fn)
 }
 
-// ArmHook implements HookArmer. The registration is Check's striped
-// slow path minus the suspend: the value is re-read under the stripe
-// mutex (register), so a not-armed result is accurate at registration
-// time, and the engine mutex is never touched.
-func (c *AtomicCounter) ArmHook(level uint64, h *Hook) bool {
-	if level <= c.value.Load() {
-		return false
-	}
-	n, done := c.idx.register(&c.wl, level, &c.value, false)
-	if done {
-		return false
-	}
-	return c.wl.armHook(n, h, nil)
-}
+// ArmHook implements HookArmer through the shared armHook.
+func (c *AtomicCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *AtomicCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	return sentinel(c, level, fn)
 }
 
-// ArmHook implements HookArmer by delegating to the underlying atomic
-// counter; a hook never spins (there is no caller to burn time on).
-func (c *SpinCounter) ArmHook(level uint64, h *Hook) bool {
-	return c.a.ArmHook(level, h)
-}
+// ArmHook implements HookArmer on the underlying atomic counter; a hook
+// never spins (there is no caller to burn time on).
+func (c *SpinCounter) ArmHook(level uint64, h *Hook) bool { return armHook(&c.a, level, h) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *SpinCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	return sentinel(c, level, fn)
 }
 
-// ArmHook implements HookArmer on the heap index.
-func (c *HeapCounter) ArmHook(level uint64, h *Hook) bool {
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.unlock()
-		return false
-	}
-	n := c.wl.joinSentinel(&c.index, level)
-	c.wl.unlock()
-	return c.wl.armHook(n, h, nil)
-}
+// ArmHook implements HookArmer through the shared armHook.
+func (c *HeapCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *HeapCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
@@ -304,16 +239,7 @@ func (c *HeapCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 // allows. The predicate layer re-checks and re-arms, which reproduces
 // at the predicate tier exactly the thundering re-check this baseline
 // exists to measure.
-func (c *BroadcastCounter) ArmHook(level uint64, h *Hook) bool {
-	c.wl.lock()
-	if level <= c.value.Load() {
-		c.wl.unlock()
-		return false
-	}
-	n := c.wl.joinSentinel(c, level)
-	c.wl.unlock()
-	return c.wl.armHook(n, h, nil)
-}
+func (c *BroadcastCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
@@ -323,33 +249,12 @@ func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool)
 // ArmHook implements HookArmer on the sharded design. An armed hook
 // holds the waiter gate up — like a parked Check — so every increment
 // takes the exact locked path and the hook cannot be missed by a
-// fast-path CAS. The level's node carries the gate: the fire lowers it
-// before Fire runs (so a re-arm from Fire observes gate state
-// consistent with its own registration), and so does a successful
-// cancel. An armed hook costs its level's node and nothing else — which
-// is all a parked counterd wait costs the engine, and a second hook on
-// the same level costs nothing.
-func (c *ShardedCounter) ArmHook(level uint64, h *Hook) bool {
-	c.wl.lock()
-	c.gate.Add(1)
-	c.flushLocked()
-	pub := c.published.Load()
-	c.wl.unlock()
-	if level <= pub {
-		c.gate.Add(-1)
-		return false
-	}
-	n, done := c.idx.register(&c.wl, level, &c.published, false)
-	if done {
-		c.gate.Add(-1)
-		return false
-	}
-	if !c.wl.armHook(n, h, &c.gate) {
-		c.gate.Add(-1)
-		return false
-	}
-	return true
-}
+// fast-path CAS; the fire lowers it before Fire runs (so a re-arm from
+// Fire observes gate state consistent with its own registration), and
+// so does a successful cancel. An armed hook costs its level's node and
+// nothing else — which is all a parked counterd wait costs the engine,
+// and a second hook on the same level costs nothing.
+func (c *ShardedCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h) }
 
 // Sentinel implements Sentineler through ArmHook: a fresh hook, its
 // cancel and, on a fresh level, its level's node.
@@ -357,25 +262,10 @@ func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	return sentinel(c, level, fn)
 }
 
-// ArmHook implements HookArmer on the flat-combining design. Like
-// Check's slow path it opportunistically folds pending rival deltas
-// first — they may already satisfy the level — then registers on the
-// level's stripe; the stripe re-read keeps the not-armed result
-// accurate at registration time.
-func (c *FCCounter) ArmHook(level uint64, h *Hook) bool {
-	if level <= c.value.Load() {
-		return false
-	}
-	c.foldPending()
-	if level <= c.value.Load() {
-		return false
-	}
-	n, done := c.idx.register(&c.wl, level, &c.value, false)
-	if done {
-		return false
-	}
-	return c.wl.armHook(n, h, nil)
-}
+// ArmHook implements HookArmer through the shared armHook; like Check,
+// the flat-combining design folds pending rival deltas before it
+// registers (see FCCounter.enroll).
+func (c *FCCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *FCCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {

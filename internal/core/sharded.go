@@ -64,11 +64,12 @@ type ShardedCounter struct {
 	// moving residue between shards and published. Readers retry across
 	// it so sums never tear or double-count.
 	flushSeq atomic.Uint64
-	// gate counts registered waiters in its low bits and carries the
-	// overflow-guard flag in gateOverflowBit. Nonzero diverts Increment
-	// onto the exact locked path. The waiter count is raised under wl.mu
-	// (before the registering waiter's flush) and lowered atomically by
-	// departing waiters, so the wake fan-out never funnels through wl.mu
+	// gate counts registered waiters and armed hooks in its low bits and
+	// carries the overflow-guard flag in gateOverflowBit. Nonzero diverts
+	// Increment onto the exact locked path. The count is raised under
+	// wl.mu by enroll (before its flush) and lowered atomically by drain,
+	// once per count on a node this counter's stripes created (each
+	// records the gate), so the wake fan-out never funnels through wl.mu
 	// just to drop the gate; the overflow bit tracks the published value
 	// and only changes under wl.mu.
 	gate atomic.Int32
@@ -290,85 +291,65 @@ func (c *ShardedCounter) sum() uint64 {
 	}
 }
 
-// Check implements Interface. The fast path is entirely lock-free: a
-// stale sum only under-estimates the monotone value, so a satisfied read
-// is safe, and an unsatisfied one re-checks under the mutex after
-// raising the gate.
+// Check implements Interface: CheckContext with a context that is never
+// cancelled, repeating its two steps so the satisfied case pays no
+// extra frame. The look is satisfied's, spelled out: satisfied is too
+// large to inline.
 func (c *ShardedCounter) Check(level uint64) {
 	if level <= c.published.Load() || level <= c.sum() {
 		c.fastChecks.Add(1)
 		return
 	}
-	c.wl.lock()
-	c.gate.Add(1)
-	// From here every Increment either lands under this mutex or — if it
-	// raced past the gate into a shard — re-flushes under the mutex
-	// itself, so the flush below plus the stripe handshake cannot miss a
-	// satisfying update: any residue already parked in a cell is folded
-	// here, and any later flush's published store precedes its stripe
-	// sweep, which the registration below arms itself against.
-	c.flushLocked()
-	pub := c.published.Load()
-	c.wl.unlock()
-	if level <= pub {
-		c.fastChecks.Add(1)
-		c.gate.Add(-1)
-		return
-	}
-	n, done := c.idx.register(&c.wl, level, &c.published, true)
-	if done {
-		c.gate.Add(-1)
-		return
-	}
-	c.wl.wait(n)
-	c.wl.drain(nil, n)
-	c.gate.Add(-1)
+	await(context.Background(), c, level)
 }
 
-// CheckContext implements Interface. The value is consulted before the
-// context at every stage, so an already-satisfied level wins over an
-// already-cancelled context; the blocking path selects on the node's
-// ready channel, spawning no goroutine.
+// CheckContext implements Interface. The fast path is entirely
+// lock-free: a stale sum only under-estimates the monotone value, so a
+// satisfied read is safe, and it is consulted before the context, so an
+// already-satisfied level wins over an already-cancelled context. An
+// unsatisfied level raises the gate and re-checks (enroll); the
+// blocking path selects on the node's ready channel, spawning no
+// goroutine.
 func (c *ShardedCounter) CheckContext(ctx context.Context, level uint64) error {
+	if c.satisfied(level) {
+		return nil
+	}
+	return await(ctx, c, level)
+}
+
+// satisfied is the lock-free watermark look (enroller): the published
+// value first, then the full sum with the shard residues.
+func (c *ShardedCounter) satisfied(level uint64) bool {
 	if level <= c.published.Load() || level <= c.sum() {
 		c.fastChecks.Add(1)
-		return nil
+		return true
 	}
-	done := ctx.Done()
-	if done == nil {
-		c.Check(level)
-		return nil
-	}
+	return false
+}
+
+// enroll implements enroller. It raises the gate under the engine mutex
+// before anything else: from there every Increment either lands under
+// this mutex or — if it raced past the gate into a shard — re-flushes
+// under the mutex itself, so the flush below plus the stripe handshake
+// cannot miss a satisfying update: any residue already parked in a cell
+// is folded here, and any later flush's published store precedes its
+// stripe sweep, which the registration arms itself against. The gate
+// the caller raised is handed to the node's count, which drain lowers;
+// only when the flush already covers the level is it lowered here.
+func (c *ShardedCounter) enroll(level uint64, suspend bool) *waitNode {
 	c.wl.lock()
 	c.gate.Add(1)
 	c.flushLocked()
 	pub := c.published.Load()
 	c.wl.unlock()
 	if level <= pub {
-		c.fastChecks.Add(1)
 		c.gate.Add(-1)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		// Satisfied beats cancelled: one last watermark look before
-		// reporting the cancellation.
-		if level <= c.published.Load() {
+		if suspend {
 			c.fastChecks.Add(1)
-			c.gate.Add(-1)
-			return nil
 		}
-		c.gate.Add(-1)
-		return err
-	}
-	n, ok := c.idx.register(&c.wl, level, &c.published, true)
-	if ok {
-		c.gate.Add(-1)
 		return nil
 	}
-	err := c.wl.waitCtx(ctx, n)
-	c.wl.drain(nil, n)
-	c.gate.Add(-1)
-	return err
+	return c.idx.register(&c.wl, level, &c.published, &c.gate, suspend)
 }
 
 // Reset implements Interface. Stats are cumulative and survive the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,5 +235,70 @@ func TestShardedZeroValueReady(t *testing.T) {
 	c.Reset()
 	if got := c.Value(); got != 0 {
 		t.Fatalf("Value() after Reset = %d", got)
+	}
+}
+
+// gateHook is a Hook owner that signals its fire on a buffered channel.
+type gateHook struct {
+	Hook
+	fired chan struct{}
+}
+
+func (h *gateHook) Fire() { h.fired <- struct{}{} }
+
+// TestShardedGateRegistrationRace races a registration against the
+// increment that satisfies it, round after round on one counter: a
+// CheckContext under a timeout, or in alternate rounds an armed hook,
+// at the next level, against an Increment(1) from another goroutine.
+// Every wait must return and every armed hook fire, and the gate must
+// read 0 at the end. The branch most likely to miscount the gate is a
+// stripe registration that satisfies itself inside its registration
+// window (stripedList.register): a gate lowered twice there reads below
+// zero, the next registration's raise leaves it at 0 with a waiter
+// parked, and a fast-path increment then strands that waiter.
+func TestShardedGateRegistrationRace(t *testing.T) {
+	const rounds = 100000
+	c := NewSharded()
+	h := &gateHook{fired: make(chan struct{}, 1)}
+	h.Bind(h)
+	// The incrementer spins on next so its Increment starts while the
+	// round's registration is in flight, staggered by a few loads so
+	// the rounds sweep the registration window.
+	var next, done atomic.Int64
+	go func() {
+		for r := int64(1); r <= rounds; r++ {
+			for next.Load() < r {
+				runtime.Gosched()
+			}
+			for i := r % 16; i > 0; i-- {
+				next.Load()
+			}
+			c.Increment(1)
+			done.Store(r)
+		}
+	}()
+	defer next.Store(rounds) // after a failure, let the incrementer run out
+	for r := int64(1); r <= rounds; r++ {
+		level := uint64(r)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		next.Store(r)
+		if r%2 == 0 {
+			if err := c.CheckContext(ctx, level); err != nil {
+				t.Fatalf("round %d: CheckContext(%d) = %v: the waiter was stranded", r, level, err)
+			}
+		} else if c.ArmHook(level, &h.Hook) {
+			select {
+			case <-h.fired:
+			case <-ctx.Done():
+				t.Fatalf("round %d: the hook armed at %d never fired", r, level)
+			}
+		}
+		cancel()
+		for done.Load() < r {
+			runtime.Gosched()
+		}
+	}
+	if g := c.gate.Load(); g != 0 {
+		t.Fatalf("gate = %d after every wait returned or fired, want 0", g)
 	}
 }

@@ -25,7 +25,7 @@ func (s *Sim) Check(level uint64) bool {
 		s.c.wl.stats.immediateChecks++
 		return false
 	}
-	s.c.join(level)
+	s.c.wl.join(&s.c.list, level, true)
 	return true
 }
 

@@ -60,55 +60,32 @@ func (c *SpinCounter) budget() int {
 // Increment implements Interface.
 func (c *SpinCounter) Increment(amount uint64) { c.a.Increment(amount) }
 
-// Check implements Interface.
-func (c *SpinCounter) Check(level uint64) {
-	if level <= c.a.value.Load() {
-		c.a.fastChecks.Add(1)
-		return
-	}
-	budget := c.budget()
-	for i := 0; i < budget; i++ {
-		runtime.Gosched()
-		if level <= c.a.value.Load() {
-			c.rounds.Add(uint64(i + 1))
-			c.a.fastChecks.Add(1)
-			return
-		}
-	}
-	if budget > 0 {
-		c.rounds.Add(uint64(budget))
-	}
-	c.a.Check(level)
-}
+// Check implements Interface: CheckContext with a context that is never
+// cancelled.
+func (c *SpinCounter) Check(level uint64) { c.CheckContext(context.Background(), level) }
 
 // CheckContext implements Interface. The spin phase polls the context
-// between probes, always consulting the value first so that an
-// already-satisfied level wins over an already-cancelled context.
+// before each probe, always consulting the value first so that an
+// already-satisfied level wins over an already-cancelled context; a
+// cancelled or exhausted spin hands over to the atomic counter's slow
+// path, which takes one last look before reporting a cancellation.
 func (c *SpinCounter) CheckContext(ctx context.Context, level uint64) error {
-	if level <= c.a.value.Load() {
-		c.a.fastChecks.Add(1)
+	if c.a.satisfied(level) {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	budget := c.budget()
-	for i := 0; i < budget; i++ {
+	budget, spun := c.budget(), 0
+	for spun < budget && ctx.Err() == nil {
 		runtime.Gosched()
-		if level <= c.a.value.Load() {
-			c.rounds.Add(uint64(i + 1))
-			c.a.fastChecks.Add(1)
+		spun++
+		if c.a.satisfied(level) {
+			c.rounds.Add(uint64(spun))
 			return nil
 		}
-		if err := ctx.Err(); err != nil {
-			c.rounds.Add(uint64(i + 1))
-			return err
-		}
 	}
-	if budget > 0 {
-		c.rounds.Add(uint64(budget))
+	if spun > 0 {
+		c.rounds.Add(uint64(spun))
 	}
-	return c.a.CheckContext(ctx, level)
+	return await(ctx, &c.a, level)
 }
 
 // Reset implements Interface.

@@ -165,26 +165,29 @@ func (s *stripe) syncMinLocked() {
 	}
 }
 
-// register is the striped Check/Sentinel slow path: the caller observed
-// level > watermark on the lock-free fast path and now registers on
-// level's stripe. v is the owning counter's published watermark (its
-// atomic value), re-loaded under the stripe mutex after the node is
-// linked and the stripe minimum stored — the register half of the
-// Dekker handshake in the file comment.
+// register is the striped designs' registration step (their enroll):
+// the caller observed level > watermark on the lock-free fast path and
+// now registers one count on level's stripe. v is the owning counter's
+// published watermark (its atomic value), re-loaded under the stripe
+// mutex after the node is linked and the stripe minimum stored — the
+// register half of the Dekker handshake in the file comment. gate is
+// the counter's waiter gate or nil; a node the stripe creates records
+// it, and the caller must already have raised it for this count, which
+// drain lowers.
 //
 // If the re-load shows the level satisfied, register satisfies the
 // stripe's whole covered prefix itself (doing the racing increment's
-// sweep early), wakes it, and returns (nil, true): the caller does not
-// park, and — when suspend is set — the call is an immediate check in
-// the cost model. Otherwise the caller parks on the returned node (a
-// suspend when suspend is set; sentinel registrations pass false and
-// count neither way, like joinSentinel).
-func (sl *stripedList) register(w *waitlist, level uint64, v *atomic.Uint64, suspend bool) (*waitNode, bool) {
+// sweep early), wakes it, drains its own count and returns nil: the
+// caller does not park, and — when suspend is set — the call is an
+// immediate check in the cost model. Otherwise the caller parks on the
+// returned node (a suspend when suspend is set; hooks pass false and
+// count neither way).
+func (sl *stripedList) register(w *waitlist, level uint64, v *atomic.Uint64, gate *atomic.Int32, suspend bool) *waitNode {
 	s := sl.stripeFor(level)
 	s.lock()
 	n, created := s.list.acquire(w, level)
 	if created {
-		n.home = s
+		n.home, n.gate = s, gate
 		if level < s.min.Load() {
 			s.min.Store(level)
 		}
@@ -212,14 +215,14 @@ func (sl *stripedList) register(w *waitlist, level uint64, v *atomic.Uint64, sus
 			sl.immediate.Add(1)
 		}
 		w.wakeBatch(head)
-		w.drain(nil, n) // our own registration; home routes it to the stripe
-		return nil, true
+		w.drain(n) // our own count: home routes it to the stripe, and it lowers the gate
+		return nil
 	}
 	if suspend {
 		sl.suspends.Add(1)
 	}
 	s.mu.Unlock()
-	return n, false
+	return n
 }
 
 // satisfyLocked is satisfyLocked for a stripe-owned node: marks it set

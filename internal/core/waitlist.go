@@ -18,12 +18,15 @@ import (
 // ever spawned on behalf of a caller.
 //
 // Division of labour: the engine owns the waiter accounting and the
-// suspend/wake protocol; the implementation owns the value and the index
-// that organizes live nodes by level (sorted list, min-heap, or the
-// degenerate wake-everyone node of the naive baseline). That split is
-// what lets the implementations keep their distinguishing
-// data-structure behaviour while sharing one cancellation-correct slow
-// path.
+// suspend/wake protocol; the implementation owns the value, the index
+// that organizes live nodes by level (sorted list, min-heap, the
+// degenerate wake-everyone node of the naive baseline, or the striped
+// list of stripes.go), and one registration step, enroll (see enroller),
+// which re-reads the value and joins the caller to its level's node.
+// One await then serves every design's Check and CheckContext, and one
+// armHook (sentinel.go) every design's ArmHook. That split is what lets
+// the implementations keep their distinguishing data-structure
+// behaviour while sharing one cancellation-correct slow path.
 //
 // Locking: two tiers, never nested.
 //
@@ -48,8 +51,9 @@ import (
 // level. It extends the four-field structure of the paper's Figure 2
 // (level, waiter count, condition with its "set" flag, link) with a
 // ready channel that the wake path closes, giving CheckContext a
-// selectable wake-up. Check waiters sleep on cond; CheckContext waiters
-// sleep in a select on ready; wakeBatch wakes both.
+// selectable wake-up. Waiters whose context can never be cancelled
+// (every Check) sleep on cond, the rest in a select on ready; wakeBatch
+// wakes both.
 type waitNode struct {
 	level uint64
 	// count is the number of registered waiters. It rises only under
@@ -78,7 +82,7 @@ type waitNode struct {
 	mu       sync.Mutex
 	sleepers int32 // goroutines inside cond.Wait, so wakeBatch broadcasts only when someone listens
 	cond     sync.Cond
-	// ready is closed by wakeBatch and selected on by waitCtx. It is
+	// ready is closed by wakeBatch and selected on by park. It is
 	// allocated lazily by the first cancellable waiter, so nodes used
 	// only by plain Check stay close to the paper's four fields.
 	ready chan struct{}
@@ -93,11 +97,11 @@ type waitNode struct {
 	// chain links live in the callers' hooks, so parking one more hook
 	// on a level that already has a node costs the engine nothing.
 	hooks *Hook
-	// gate, when non-nil, is the owning counter's waiter gate, which
-	// every armed hook on this level holds up (ShardedCounter). Whichever
-	// retires a hook lowers it once: the fire, before the hook runs, or
-	// a successful cancel. Guarded by mu; every hook on a level belongs
-	// to one counter, so the node stores the gate once for all of them.
+	// gate, when non-nil, is the owning counter's waiter gate
+	// (ShardedCounter), recorded by the stripe that creates the node
+	// (stripedList.register) and immutable after. Every count on the
+	// node — a parked waiter or an armed hook — holds the gate up once,
+	// and drain lowers it once per count.
 	gate *atomic.Int32
 
 	// home is the stripe that owns this node when it was created by a
@@ -109,8 +113,8 @@ type waitNode struct {
 	next *waitNode // used by list-shaped indexes only
 
 	// wl is the engine that created the node, immutable after creation.
-	// It is how a Hook.Cancel, which holds only the node, drains its
-	// count; an engine-indexed node's index is found on wl (see
+	// It is how await and a Hook.Cancel, which hold only the node, park
+	// and drain; an engine-indexed node's index is found on wl (see
 	// waitlist.idx).
 	wl *waitlist
 }
@@ -141,7 +145,7 @@ func newWaitNode(w *waitlist, level uint64) *waitNode {
 }
 
 // waitlist is the engine. The zero value is ready to use; the index is
-// passed into each call rather than stored so that zero-value counters
+// passed into each join, which records it, so that zero-value counters
 // need no constructor.
 type waitlist struct {
 	mu sync.Mutex
@@ -153,12 +157,11 @@ type waitlist struct {
 	// the record resets to empty when the last drainer leaves.
 	draining  []*waitNode
 	drainLive int
-	// idx is the counter's level index, recorded by joinSentinel so a
-	// Hook.Cancel can retire an abandoned engine-indexed node (a drain
-	// with a nil index uses it). Guarded by mu; every engine-indexed
-	// design has exactly one index, so the field never changes once
-	// set. Striped designs leave it nil: their nodes retire through
-	// home.
+	// idx is the counter's level index, recorded by every join so drain,
+	// which holds only the node, can retire an abandoned engine-indexed
+	// node. Guarded by mu; every engine-indexed design has exactly one
+	// index, so the field never changes once set. Striped designs leave
+	// it nil: their nodes retire through home.
 	idx levelIndex
 
 	// stats is the unified cost-model collector shared by every
@@ -268,16 +271,76 @@ func (w *waitlist) emit(kind EventKind, level uint64) {
 	}
 }
 
-// join registers the caller as a waiter on the node for level, creating
-// and indexing a new node if none is live. Called with w.mu held; the
-// caller must already have established level > value. Every join is a
-// suspend in the cost model (the caller is committed to blocking), and
-// a created node is a new live level, so both tallies live here — the
-// mutex is already held for the registration itself.
-func (w *waitlist) join(idx levelIndex, level uint64) *waitNode {
+// enroller is one waitlist design's wait side. satisfied is its
+// lock-free watermark look, which counts a hit as an immediate check;
+// enroll is its one registration step: it re-reads the value under
+// whatever the design's registration holds and, while level is still
+// ahead of it, adds one count to level's node and returns the node, or
+// returns nil, registering nothing. suspend marks a blocking caller (a
+// Check, so a suspend or an immediate check in the cost model); a hook
+// passes false and counts neither way. Value is the look armHook makes,
+// which counts nothing.
+type enroller interface {
+	satisfied(level uint64) bool
+	enroll(level uint64, suspend bool) *waitNode
+	Value() uint64
+}
+
+// enroll is the registration step of the engine-indexed designs (list,
+// heap and broadcast): the value re-check and the join happen under the
+// engine mutex, which every Increment of theirs holds while it moves
+// the value.
+func (w *waitlist) enroll(idx levelIndex, v *atomic.Uint64, level uint64, suspend bool) *waitNode {
+	w.lock()
+	if level <= v.Load() {
+		if suspend {
+			w.stats.immediateChecks++
+		}
+		w.unlock()
+		return nil
+	}
+	n := w.join(idx, level, suspend)
+	w.unlock()
+	return n
+}
+
+// await is the slow path of every design's Check and CheckContext,
+// entered once the design's satisfied look has failed. A context that
+// is already cancelled registers nothing — after one last look, since a
+// satisfied level beats a cancelled context. Otherwise the caller
+// enrolls, sleeps on the condition variable when ctx can never be
+// cancelled or in a select on the node's ready channel when it can, and
+// drains.
+func await(ctx context.Context, e enroller, level uint64) error {
+	if err := ctx.Err(); err != nil {
+		if e.satisfied(level) {
+			return nil
+		}
+		return err
+	}
+	n := e.enroll(level, true)
+	if n == nil {
+		return nil
+	}
+	err := n.wl.park(ctx, n)
+	n.wl.drain(n)
+	return err
+}
+
+// join registers one count on the node for level, creating and indexing
+// a new node if none is live, and records idx as the waitlist's index
+// for drain. Called with w.mu held; the caller must already have
+// established level > value. A suspending join is a suspend in the cost
+// model (the caller is committed to blocking), and a created node is a
+// new live level, so both tallies live here — the mutex is already held
+// for the registration itself.
+func (w *waitlist) join(idx levelIndex, level uint64, suspend bool) *waitNode {
+	w.idx = idx
 	n, created := idx.acquire(w, level)
 	n.count.Add(1)
-	w.stats.suspends++
+	if suspend {
+		w.stats.suspends++
+	}
 	if created {
 		w.stats.liveLevels++
 		if w.stats.liveLevels > w.stats.peakLevels {
@@ -328,7 +391,7 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 		if bcast {
 			n.cond.Broadcast()
 		}
-		hooks, gate := n.hooks, n.gate
+		hooks := n.hooks
 		n.hooks = nil
 		for h := hooks; h != nil; h = h.next {
 			h.fired = true
@@ -344,17 +407,14 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 		// Fire the detached hooks, each exactly once, with no lock held
 		// — a hook is a re-evaluation kick for the predicate layer or a
 		// wake for counterd, and must never run inside the engine. The
-		// hook's waiter count is drained (and the gate it holds lowered)
-		// first so the node's accounting is settled by the time Fire
-		// observes the wake. Fire may re-arm or recycle its hook, so the
-		// hook is not touched once Fire is called.
+		// hook's count is drained (lowering any gate it holds) first so
+		// the node's accounting is settled by the time Fire observes the
+		// wake. Fire may re-arm or recycle its hook, so the hook is not
+		// touched once Fire is called.
 		for h := hooks; h != nil; {
 			hn := h.next
 			h.prev, h.next = nil, nil
-			w.drainSatisfied(n)
-			if gate != nil {
-				gate.Add(-1)
-			}
+			w.drain(n)
 			h.fire.Fire()
 			h = hn
 		}
@@ -362,28 +422,25 @@ func (w *waitlist) wakeBatch(head *waitNode) {
 	}
 }
 
-// wait blocks on the node's condition variable until it is satisfied —
-// the plain Check slow path. Called without any lock held (the caller
-// released w.mu after join); returns with no lock held.
-func (w *waitlist) wait(n *waitNode) {
+// park blocks until n is satisfied or ctx is cancelled, whichever comes
+// first. A context that can never be cancelled (Done is nil, as for
+// Check) sleeps on the node's condition variable; any other selects on
+// the node's ready channel — no watcher goroutine. Called without any
+// lock held (the caller released its registration lock after joining);
+// returns with no lock held. If the node is satisfied by the time the
+// cancellation is observed, park reports nil: a satisfied level beats a
+// cancelled context.
+func (w *waitlist) park(ctx context.Context, n *waitNode) error {
 	w.emit(EventSuspend, n.level)
+	done := ctx.Done()
 	n.mu.Lock()
-	for !n.set.Load() {
-		n.sleepers++
-		n.cond.Wait()
-		n.sleepers--
+	if done == nil {
+		for !n.set.Load() {
+			n.sleepers++
+			n.cond.Wait()
+			n.sleepers--
+		}
 	}
-	n.mu.Unlock()
-}
-
-// waitCtx blocks until n is satisfied or ctx is cancelled, whichever
-// comes first, by selecting on the node's ready channel — no watcher
-// goroutine. Called without any lock held; returns with no lock held.
-// If the node is satisfied by the time the cancellation is observed,
-// waitCtx reports nil: a satisfied level beats a cancelled context.
-func (w *waitlist) waitCtx(ctx context.Context, n *waitNode) error {
-	w.emit(EventSuspend, n.level)
-	n.mu.Lock()
 	if n.set.Load() {
 		n.mu.Unlock()
 		return nil
@@ -397,7 +454,7 @@ func (w *waitlist) waitCtx(ctx context.Context, n *waitNode) error {
 	select {
 	case <-ready:
 		return nil
-	case <-ctx.Done():
+	case <-done:
 		if n.set.Load() {
 			return nil
 		}
@@ -405,36 +462,35 @@ func (w *waitlist) waitCtx(ctx context.Context, n *waitNode) error {
 	}
 }
 
-// drain deregisters the caller from n after wait/waitCtx returned. The
-// common case is one atomic decrement and no lock at all; only the
-// goroutine that drops the count to zero takes a mutex, once, to retire
-// the node (the paper's "deallocates the node" — here the garbage
-// collector reclaims it once unreferenced). A stripe-owned node (home
-// non-nil) retires under its stripe's mutex and never consults idx, so
-// striped callers pass nil; an engine-indexed node retires under the
-// engine mutex through idx.drop, or through w.idx when idx is nil (a
-// hook's drain, which knows only its node). Called with no lock held.
-func (w *waitlist) drain(idx levelIndex, n *waitNode) {
-	if n.count.Add(-1) != 0 {
-		return
+// drain drops one count from n: a waiter's after park returned, or a
+// hook's when it fires or is cancelled. The common case is one atomic
+// decrement and no lock at all; only the goroutine that drops the count
+// to zero takes a mutex, once, to retire the node (the paper's
+// "deallocates the node" — here the garbage collector reclaims it once
+// unreferenced). A stripe-owned node (home non-nil) retires under its
+// stripe's mutex, an engine-indexed one under the engine mutex through
+// w.idx. Every count on a gated node holds the gate up, so drain lowers
+// it once, after the retirement. Called with no lock held.
+func (w *waitlist) drain(n *waitNode) {
+	if n.count.Add(-1) == 0 {
+		if s := n.home; s != nil {
+			s.owner.retire(s, n)
+		} else {
+			w.lock()
+			w.cleanupLocked(n)
+			w.unlock()
+		}
 	}
-	if s := n.home; s != nil {
-		s.owner.retire(s, n)
-		return
+	if n.gate != nil {
+		n.gate.Add(-1)
 	}
-	w.lock()
-	if idx == nil {
-		idx = w.idx
-	}
-	w.cleanupLocked(idx, n)
-	w.unlock()
 }
 
 // leaveLocked is drain for callers already holding w.mu — the
 // single-threaded simulator and its benchmarks.
-func (w *waitlist) leaveLocked(idx levelIndex, n *waitNode) {
+func (w *waitlist) leaveLocked(n *waitNode) {
 	if n.count.Add(-1) == 0 {
-		w.cleanupLocked(idx, n)
+		w.cleanupLocked(n)
 	}
 }
 
@@ -444,7 +500,7 @@ func (w *waitlist) leaveLocked(idx levelIndex, n *waitNode) {
 // joins also happen under it, so a concurrent re-join of the level
 // cancels the retirement (that joiner's own drain will retire it), and
 // the drained flag makes the retirement idempotent.
-func (w *waitlist) cleanupLocked(idx levelIndex, n *waitNode) {
+func (w *waitlist) cleanupLocked(n *waitNode) {
 	if n.drained || n.count.Load() != 0 {
 		return
 	}
@@ -452,7 +508,7 @@ func (w *waitlist) cleanupLocked(idx levelIndex, n *waitNode) {
 	if n.set.Load() {
 		w.removeDraining(n)
 	} else {
-		idx.drop(n)
+		w.idx.drop(n)
 		w.stats.liveLevels--
 	}
 }

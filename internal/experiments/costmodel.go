@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -12,21 +13,28 @@ import (
 // distinct levels and returns once all are suspended, with a releaser.
 func suspendWaiters(c core.Interface, waiters, levels int) (release func(), wait func()) {
 	var wg sync.WaitGroup
-	started := make(chan struct{}, waiters)
 	for i := 0; i < waiters; i++ {
 		lv := uint64(i%levels) + 1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started <- struct{}{}
 			c.Check(lv)
 		}()
 	}
-	for i := 0; i < waiters; i++ {
-		<-started
-	}
-	time.Sleep(20 * time.Millisecond)
+	awaitSuspends(c.(core.StatsProvider), waiters)
 	return func() { c.Increment(uint64(levels)) }, wg.Wait
+}
+
+// awaitSuspends polls p until n checks have joined their levels, so no
+// wake is issued before every waiter is registered.
+func awaitSuspends(p core.StatsProvider, n int) {
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Suspends < uint64(n) {
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("experiments: E10: %d of %d waiters suspended after 10s", p.Stats().Suspends, n))
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // E10: section 7 cost claims — live structure and wake work scale with
@@ -43,7 +51,10 @@ func init() {
 			"distinct-level count exactly at every point of the sweep. The baseline table " +
 			"quantifies what the design avoids: a single-condvar counter performs waiters x " +
 			"increments wakes (a thundering herd), growing linearly with waiters even though only " +
-			"one level is in play.",
+			"one level is in play. Both tables are asserted at run time: every row must show peak " +
+			"nodes equal to the distinct levels, one suspended check per waiter and at most one " +
+			"broadcast per level (a waiter still on its way into the condition variable when its " +
+			"level is satisfied needs none), and the baseline at least two wakes per waiter.",
 		Run: func(cfg Config) []*harness.Table {
 			waiters := 512
 			levelSet := []int{1, 4, 16, 64, 256}
@@ -52,45 +63,48 @@ func init() {
 				levelSet = []int{1, 8, 32}
 			}
 			t := harness.NewTable("Reference (list) implementation with "+harness.I(waiters)+" waiting goroutines",
-				"distinct levels", "peak list nodes", "condvar broadcasts", "suspended checks")
+				"distinct levels", "peak list nodes", "condvar broadcasts", "suspended checks", "verdict")
 			for _, levels := range levelSet {
 				c := core.New()
 				release, wait := suspendWaiters(c, waiters, levels)
 				release()
 				wait()
 				st := c.Stats()
-				t.Add(harness.I(levels), harness.I(st.PeakLevels), harness.U(st.Broadcasts), harness.U(st.Suspends))
+				if st.PeakLevels != levels || st.Suspends != uint64(waiters) || st.Broadcasts > uint64(levels) {
+					panic(fmt.Sprintf("experiments: E10 section 7 bound violated: %d levels, %d waiters: %d peak nodes, %d suspended checks, %d broadcasts (want %d, %d, <= %d)",
+						levels, waiters, st.PeakLevels, st.Suspends, st.Broadcasts, levels, waiters, levels))
+				}
+				t.Add(harness.I(levels), harness.I(st.PeakLevels), harness.U(st.Broadcasts), harness.U(st.Suspends), verdict(true))
 			}
 
 			herd := harness.NewTable("Naive single-condvar baseline: wakes grow with waiters x increments",
-				"waiters", "increments before satisfy", "total waiter wakes", "per-level design would wake")
+				"waiters", "increments before satisfy", "total waiter wakes", "per-level design would wake", "verdict")
 			herdWaiters := []int{16, 64, 256}
 			if cfg.Quick {
 				herdWaiters = []int{8, 32}
 			}
 			for _, w := range herdWaiters {
-				w := w
 				c := core.NewBroadcast()
 				var wg sync.WaitGroup
-				started := make(chan struct{}, w)
 				for i := 0; i < w; i++ {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						started <- struct{}{}
 						c.Check(10)
 					}()
 				}
-				for i := 0; i < w; i++ {
-					<-started
-				}
-				time.Sleep(20 * time.Millisecond)
+				awaitSuspends(c, w)
 				for i := 0; i < 10; i++ {
 					c.Increment(1)
 					time.Sleep(2 * time.Millisecond) // let waiters recheck
 				}
 				wg.Wait()
-				herd.Add(harness.I(w), "10", harness.U(c.Wakes()), harness.I(w))
+				wakes := c.Wakes()
+				if wakes < 2*uint64(w) {
+					panic(fmt.Sprintf("experiments: E10 thundering-herd bound violated: %d waiters woke %d times over 10 increments (want >= %d)",
+						w, wakes, 2*w))
+				}
+				herd.Add(harness.I(w), "10", harness.U(wakes), harness.I(w), verdict(true))
 			}
 			return []*harness.Table{t, herd}
 		},

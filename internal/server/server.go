@@ -8,8 +8,8 @@
 //
 //   - one reader goroutine per connection, which executes every frame
 //     and parks every wait it cannot answer at once as a goroutine-free
-//     engine sentinel (core.Sentineler) — never a goroutine per wait or
-//     per counter;
+//     engine hook (core.HookArmer) — never a goroutine per wait or per
+//     counter;
 //   - one writer goroutine per connection, coalescing every queued
 //     frame (wakes, acks, replies) into batched flushes.
 //
@@ -603,8 +603,9 @@ func (c *conn) handle(f *wire.Frame) error {
 			return err
 		}
 		// An already satisfied level (every pipelined Increment-then-Check
-		// lands here) is answered at once and parks nothing.
-		c.settle(w, nil, f.Level > h.c.Value() && h.c.ArmHook(f.Level, &w.Hook))
+		// lands here) is answered at once and parks nothing: ArmHook's
+		// first step is a lock-free look at the value.
+		c.settle(w, nil, h.c.ArmHook(f.Level, &w.Hook))
 
 	case wire.OpCancel, wire.OpWaitForCancel:
 		c.cancelWait(f.ID)
