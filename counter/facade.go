@@ -36,7 +36,9 @@ func (f *facade[T, P]) impl() P { return P(&f.c) }
 // Increment atomically increases the counter's value by amount, waking
 // every goroutine suspended on a level the new value satisfies.
 // Increment(0) is a no-op. Increment panics if the value would overflow
-// uint64, since wrap-around would violate monotonicity.
+// uint64, since wrap-around would violate monotonicity; the overflowing
+// Increment leaves the value unchanged and the counter usable, so a
+// caller that recovers the panic may go on using it.
 func (f *facade[T, P]) Increment(amount uint64) { f.impl().Increment(amount) }
 
 // Check suspends the calling goroutine until the counter's value is at

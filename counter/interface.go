@@ -21,6 +21,10 @@ type Interface interface {
 	// waking every waiter whose level the new value satisfies.
 	// Increment(0) is a no-op. Increment panics if the value would
 	// overflow uint64, since wrap-around would violate monotonicity.
+	// In process, the overflowing Increment leaves the value unchanged
+	// and the counter usable; a remote client reports the server's
+	// rejection by panicking on its next operation (see
+	// counter/remote).
 	Increment(amount uint64)
 
 	// Check suspends the caller until the value is at least level;

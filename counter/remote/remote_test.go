@@ -867,19 +867,8 @@ func TestServerRestartDetected(t *testing.T) {
 	c.Check(3)
 
 	s1.Close()
-	var lis2 net.Listener
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lis2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("could not rebind %s: %v", addr, err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	s2 := server.New()
-	go s2.Serve(lis2)
+	go s2.Serve(rebind(t, addr))
 	t.Cleanup(func() { s2.Close() })
 
 	select {
@@ -897,6 +886,81 @@ func TestServerRestartDetected(t *testing.T) {
 	c2 := cl.Counter(countertest.FreshName("restart2"))
 	c2.Increment(1)
 	c2.Check(1)
+}
+
+// rebind listens on addr again once a closed server has released it, as
+// a restarted counterd would.
+func rebind(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		lis, err := net.Listen("tcp", addr)
+		if err == nil {
+			return lis
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("could not rebind %s: %v", addr, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRestartNeverSharesASession is the regression for session ids
+// colliding across a counterd restart. Client C increments 1 on the
+// first instance; a second instance binds the same address; a fresh
+// client B increments ten times there before C's redial, which a gated
+// dialer holds back, reconnects; C then increments 3. Had C resumed into
+// the session the new instance issued B under the same id, B's seqs
+// 1..10 would swallow C's next seq as a duplicate and the value would
+// stay at 10. It must read exactly 13.
+func TestRestartNeverSharesASession(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	s1 := server.New()
+	go s1.Serve(lis)
+
+	var dials atomic.Int32
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	cl, err := remote.Dial(addr,
+		remote.WithBackoff(time.Millisecond, 20*time.Millisecond),
+		remote.WithDialer(func(addr string) (net.Conn, error) {
+			if dials.Add(1) > 1 {
+				<-gate // every redial waits until B has connected and incremented
+			}
+			return net.DialTimeout("tcp", addr, 5*time.Second)
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	t.Cleanup(open) // runs first, so a failed test leaves no redial parked
+	name := countertest.FreshName("restart-session")
+	c := cl.Counter(name)
+	c.Increment(1)
+	c.Check(1)
+	c.Stats() // answered behind the IncAck: C has no unacked increment to re-send
+
+	s1.Close()
+	s2 := server.New()
+	go s2.Serve(rebind(t, addr))
+	t.Cleanup(func() { s2.Close() })
+	b := dialClient(t, addr).Counter(name)
+	for i := 0; i < 10; i++ {
+		b.Increment(1)
+	}
+	b.Check(10)
+
+	open()
+	c.Increment(3)
+	if !b.WaitTimeout(13, 10*time.Second) {
+		t.Fatal("value never reached 13: C's increment after its reconnect was dropped")
+	}
+	if b.WaitTimeout(14, 200*time.Millisecond) {
+		t.Fatal("value passed 13: an increment applied twice")
+	}
 }
 
 // TestCallsReplayAcrossReconnect is the regression for request/reply

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // AtomicCounter is the scaling list design: the lock-free watermark fast
 // path of the reference counter plus a striped level index (stripes.go),
@@ -23,13 +20,10 @@ import (
 //
 // The zero value is a valid counter with value zero.
 type AtomicCounter struct {
-	value atomic.Uint64 // published before any stripe sweep; monotonic
+	watermark // published before any stripe sweep
 
 	wl  waitlist
 	idx stripedList
-	// fastChecks counts satisfied lock-free checks; folded into
-	// Stats.ImmediateChecks alongside the striped and locked tallies.
-	fastChecks stripedUint64
 }
 
 // NewAtomic returns an AtomicCounter with value zero.
@@ -61,18 +55,9 @@ func (c *AtomicCounter) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
-	c.wl.lock()
-	v := checkedAdd(c.value.Load(), amount)
-	// Publish before sweeping: the watermark store must precede the
-	// stripe-minimum loads (collect) for the lost-wake handshake, and
-	// must precede any wake so a fast-path reader that raced past the
-	// mutex observes the new value no later than woken waiters do.
-	c.value.Store(v)
-	c.wl.stats.increments++
-	c.wl.unlock()
-	head := c.idx.collect(v)
-	c.wl.emit(EventIncrement, amount)
-	if head != nil {
+	// The engine step's watermark store must precede the stripe-minimum
+	// loads (collect) for the lost-wake handshake.
+	if head := c.idx.collect(c.wl.increment(&c.watermark, amount)); head != nil {
 		c.wl.wakeBatch(head)
 	}
 }
@@ -98,15 +83,6 @@ func (c *AtomicCounter) CheckContext(ctx context.Context, level uint64) error {
 	return await(ctx, c, level)
 }
 
-// satisfied is the lock-free watermark look (enroller).
-func (c *AtomicCounter) satisfied(level uint64) bool {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return true
-	}
-	return false
-}
-
 // enroll implements enroller: registration on the level's stripe, which
 // re-reads the value under the stripe mutex.
 func (c *AtomicCounter) enroll(level uint64, suspend bool) *waitNode {
@@ -115,26 +91,15 @@ func (c *AtomicCounter) enroll(level uint64, suspend bool) *waitNode {
 
 // Reset implements Interface. Stats are cumulative and survive the
 // reset.
-func (c *AtomicCounter) Reset() {
-	c.wl.lock()
-	defer c.wl.unlock()
-	if c.wl.busyLocked() || c.idx.busy() {
-		panic("core: Reset called with goroutines waiting on the counter")
-	}
-	c.value.Store(0)
-}
-
-// Value implements Interface. Lock-free: the watermark is the value.
-func (c *AtomicCounter) Value() uint64 { return c.value.Load() }
+func (c *AtomicCounter) Reset() { c.wl.reset(&c.idx, &c.watermark) }
 
 // Stats implements StatsProvider: the engine's collector plus the
 // striped registration tallies and the lock-free satisfied-check tally.
 // readStats loads the wake-side atomics first, so folding the striped
 // satisfied count afterwards keeps Broadcasts <= SatisfiedLevels.
 func (c *AtomicCounter) Stats() Stats {
-	s := c.wl.readStats()
+	s := c.wl.readStats(&c.watermark)
 	c.idx.foldStats(&s)
-	s.ImmediateChecks += c.fastChecks.Load()
 	return s
 }
 

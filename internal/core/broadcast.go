@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // BroadcastCounter is the naive baseline the paper's cost analysis argues
 // against: every increment wakes every waiter, and every waiter re-checks
@@ -13,13 +10,13 @@ import (
 // experiments.
 //
 // On the shared waitlist engine the herd is expressed as a degenerate
-// index: a single "round" node that every waiter joins regardless of
-// level, satisfied by every increment. A waiter whose level is still
-// unsatisfied after a wake joins the next round node and sleeps again.
-// The broadcast itself happens out of lock like every other wake, but
-// that does not rescue the design: every waiter still wakes and relocks
-// the engine mutex to re-check its level, which is the O(waiters) cost
-// the per-level designs avoid.
+// index, roundIndex: a single "round" node that every waiter joins
+// regardless of level, satisfied by every increment. A waiter whose
+// level is still unsatisfied after a wake joins the next round node and
+// sleeps again. The broadcast itself happens out of lock like every
+// other wake, but that does not rescue the design: every waiter still
+// wakes and relocks the engine mutex to re-check its level, which is
+// the O(waiters) cost the per-level designs avoid.
 //
 // Even the naive baseline gets the watermark fast path shared by every
 // impl — an already-satisfied Check is one atomic load, no mutex — so
@@ -28,34 +25,45 @@ import (
 //
 // The zero value is a valid counter with value zero.
 type BroadcastCounter struct {
-	wl    waitlist
-	value atomic.Uint64 // mutated only under wl.mu; read lock-free as the watermark
-	round *waitNode     // node all current waiters sleep on; nil when none joined since the last increment
-	wakes uint64        // cumulative waiter wake-ups (each re-check after a broadcast)
-	// fastChecks counts satisfied lock-free checks; folded into
-	// Stats.ImmediateChecks alongside the engine's locked tally.
-	fastChecks stripedUint64
+	wl waitlist
+	watermark
+	rounds roundIndex
+	wakes  uint64 // cumulative waiter wake-ups (each re-check after a broadcast)
 }
 
 // NewBroadcast returns a BroadcastCounter with value zero.
 func NewBroadcast() *BroadcastCounter { return new(BroadcastCounter) }
 
-// BroadcastCounter's levelIndex ignores the level entirely: every
-// acquire lands on the shared round node — that is the ablation.
-
-func (c *BroadcastCounter) acquire(w *waitlist, level uint64) (*waitNode, bool) {
-	if c.round == nil {
-		c.round = newWaitNode(w, level)
-		return c.round, true
-	}
-	return c.round, false
+// roundIndex is BroadcastCounter's levelIndex, which ignores the level
+// entirely: every acquire lands on the shared round node, and every
+// increment pops it — that is the ablation.
+type roundIndex struct {
+	round *waitNode // node all current waiters sleep on; nil when none joined since the last increment
 }
 
-func (c *BroadcastCounter) drop(n *waitNode) {
-	if c.round == n {
-		c.round = nil
+func (r *roundIndex) acquire(w *waitlist, level uint64) (*waitNode, bool) {
+	if r.round == nil {
+		r.round = newWaitNode(w, level)
+		return r.round, true
+	}
+	return r.round, false
+}
+
+func (r *roundIndex) drop(n *waitNode) {
+	if r.round == n {
+		r.round = nil
 	}
 }
+
+// pop hands the round over to release whatever the value: the next
+// joiner starts a fresh round.
+func (r *roundIndex) pop(uint64) *waitNode {
+	n := r.round
+	r.round = nil
+	return n
+}
+
+func (r *roundIndex) empty() bool { return r.round == nil }
 
 // Increment implements Interface. Every increment broadcasts to every
 // waiter, satisfied level or not: in Stats terms each increment with
@@ -66,22 +74,7 @@ func (c *BroadcastCounter) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
-	c.wl.lock()
-	// Publish the watermark before any wake so a fast-path reader that
-	// raced past the mutex observes the new value no later than woken
-	// waiters do.
-	c.value.Store(checkedAdd(c.value.Load(), amount))
-	c.wl.stats.increments++
-	n := c.round
-	if n != nil {
-		c.round = nil
-		c.wl.satisfyLocked(n)
-	}
-	c.wl.unlock()
-	c.wl.emit(EventIncrement, amount)
-	if n != nil {
-		c.wl.wakeBatch(n)
-	}
+	c.wl.increment(&c.watermark, amount)
 }
 
 // Check implements Interface: CheckContext with a context that is never
@@ -113,7 +106,7 @@ func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error
 			c.wl.unlock()
 			return err
 		}
-		n := c.wl.join(c, level, true)
+		n := c.wl.join(&c.rounds, level, true)
 		c.wl.unlock()
 		err := c.wl.park(ctx, n)
 		c.wl.drain(n)
@@ -130,37 +123,16 @@ func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error
 	return nil
 }
 
-// satisfied is the lock-free watermark look (enroller).
-func (c *BroadcastCounter) satisfied(level uint64) bool {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return true
-	}
-	return false
-}
-
 // enroll implements enroller: the engine's locked re-check and a join
 // of the round node. Only armHook uses it; CheckContext keeps its own
 // re-join loop.
 func (c *BroadcastCounter) enroll(level uint64, suspend bool) *waitNode {
-	return c.wl.enroll(c, &c.value, level, suspend)
+	return c.wl.enroll(&c.rounds, &c.value, level, suspend)
 }
 
 // Reset implements Interface. Stats are cumulative and survive the
 // reset.
-func (c *BroadcastCounter) Reset() {
-	c.wl.lock()
-	defer c.wl.unlock()
-	if c.wl.busyLocked() || c.round != nil {
-		panic("core: Reset called with goroutines waiting on the counter")
-	}
-	c.value.Store(0)
-}
-
-// Value implements Interface. Lock-free: the watermark is the value.
-func (c *BroadcastCounter) Value() uint64 {
-	return c.value.Load()
-}
+func (c *BroadcastCounter) Reset() { c.wl.reset(&c.rounds, &c.watermark) }
 
 // Wakes reports the cumulative number of waiter wake-ups; with W waiters
 // and I increments this grows as O(W*I), the cost the per-level designs
@@ -175,11 +147,7 @@ func (c *BroadcastCounter) Wakes() uint64 {
 // lock-free fast-path checks. For this baseline PeakLevels is the peak
 // number of live round nodes (at most 1) and SatisfiedLevels counts
 // satisfied wake rounds; see Increment.
-func (c *BroadcastCounter) Stats() Stats {
-	s := c.wl.readStats()
-	s.ImmediateChecks += c.fastChecks.Load()
-	return s
-}
+func (c *BroadcastCounter) Stats() Stats { return c.wl.readStats(&c.watermark) }
 
 // LockAcquires implements LockCounter.
 func (c *BroadcastCounter) LockAcquires() uint64 {
@@ -190,4 +158,4 @@ func (c *BroadcastCounter) LockAcquires() uint64 {
 // probe sees the herd re-park after every under-level wake.
 func (c *BroadcastCounter) SetProbe(f func(Event)) { c.wl.SetProbe(f) }
 
-var _ levelIndex = (*BroadcastCounter)(nil)
+var _ levelIndex = (*roundIndex)(nil)

@@ -20,26 +20,24 @@ import (
 // do not leak.
 //
 // ChanCounter has no waitlist engine, so it keeps the unified Stats
-// tallies natively under its own mutex — every counted event already
-// happens there. Each satisfied level is exactly one channel close, so
-// its snapshots always report ChannelCloses == SatisfiedLevels and
-// Broadcasts == 0. It is the one registry implementation without a
-// probe hook (no engine to hang it on); it is stats-only.
+// tallies in the engine's collector type under its own mutex — every
+// counted event already happens there. Each satisfied level is exactly
+// one channel close, so its snapshots always report ChannelCloses ==
+// SatisfiedLevels and Broadcasts == 0. It is the one registry
+// implementation without a probe hook (no engine to hang it on); it is
+// stats-only.
 //
 // Like every registry implementation, ChanCounter publishes its value as
-// an atomic watermark (stored under mu, before any gate close) so an
+// a watermark (stored under mu, before any gate close) so an
 // already-satisfied Check/CheckContext is one atomic load with no mutex.
 //
 // The zero value is a valid counter with value zero.
 type ChanCounter struct {
-	mu     sync.Mutex
-	value  atomic.Uint64    // mutated only under mu; read lock-free as the watermark
+	mu sync.Mutex
+	watermark
 	levels map[uint64]*gate // level -> close-on-satisfy gate
 	sweeps uint64           // gate-map scans by Increment, for regression tests
-	stats  chanStats
-	// fastChecks counts satisfied lock-free checks; folded into
-	// Stats.ImmediateChecks alongside the locked tally.
-	fastChecks stripedUint64
+	stats  engineStats      // the guarded tallies only; guarded by mu
 	// lockAcquires counts mu acquisitions while SetLockCounting is
 	// enabled (the E25 probe — ChanCounter's one mutex plays the role of
 	// the engine mutex).
@@ -52,16 +50,6 @@ func (c *ChanCounter) lock() {
 	if lockCounting.Load() {
 		c.lockAcquires.Add(1)
 	}
-}
-
-// chanStats mirrors the engine collector's mutex-guarded half for the
-// engineless implementation; all fields are guarded by ChanCounter.mu.
-type chanStats struct {
-	peakLevels      int
-	satisfiedLevels uint64 // == channel closes: one close per satisfied level
-	suspends        uint64
-	immediateChecks uint64
-	increments      uint64
 }
 
 // gate is one level's close-on-satisfy channel plus the number of
@@ -77,14 +65,18 @@ func NewChan() *ChanCounter { return new(ChanCounter) }
 // Increment implements Interface. Increment(0) leaves the value — and
 // therefore every gate — untouched, so it returns without even taking
 // the lock; a real increment scans the gate map only when it is
-// non-empty, since no gate can be satisfied when none exists.
+// non-empty, since no gate can be satisfied when none exists. An
+// overflowing increment releases the mutex before it panics.
 func (c *ChanCounter) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
 	c.lock()
 	old := c.value.Load()
-	v := checkedAdd(old, amount)
+	v := old + amount
+	if v < old {
+		panic(overflow(&c.mu))
+	}
 	// Publish the watermark before closing any gate so a fast-path
 	// reader that raced past the mutex observes the new value no later
 	// than woken waiters do.
@@ -106,8 +98,7 @@ func (c *ChanCounter) Increment(amount uint64) {
 // Check implements Interface. The satisfied case is one atomic
 // watermark load — no mutex.
 func (c *ChanCounter) Check(level uint64) {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
+	if c.satisfied(level) {
 		return
 	}
 	g := c.acquire(level)
@@ -123,8 +114,7 @@ func (c *ChanCounter) Check(level uint64) {
 // context — including the race where satisfaction and cancellation
 // arrive together.
 func (c *ChanCounter) CheckContext(ctx context.Context, level uint64) error {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
+	if c.satisfied(level) {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -151,14 +141,6 @@ func (c *ChanCounter) CheckContext(ctx context.Context, level uint64) error {
 			return ctx.Err()
 		}
 	}
-}
-
-func (c *ChanCounter) satisfied(level uint64) bool {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return true
-	}
-	return false
 }
 
 // acquire returns the gate to wait on for level with the caller counted
@@ -240,11 +222,6 @@ func (c *ChanCounter) Reset() {
 	c.value.Store(0)
 }
 
-// Value implements Interface. Lock-free: the watermark is the value.
-func (c *ChanCounter) Value() uint64 {
-	return c.value.Load()
-}
-
 // LiveLevels reports the number of distinct levels currently waited on.
 // Cancelled-and-abandoned levels are reclaimed by their last departing
 // waiter, so this returns to zero once no goroutine is waiting. For
@@ -259,15 +236,9 @@ func (c *ChanCounter) LiveLevels() int {
 // close per satisfied level, never a broadcast.
 func (c *ChanCounter) Stats() Stats {
 	c.lock()
-	s := Stats{
-		PeakLevels:      c.stats.peakLevels,
-		SatisfiedLevels: c.stats.satisfiedLevels,
-		ChannelCloses:   c.stats.satisfiedLevels,
-		Suspends:        c.stats.suspends,
-		ImmediateChecks: c.stats.immediateChecks,
-		Increments:      c.stats.increments,
-	}
+	s := c.stats.guarded()
 	c.mu.Unlock()
+	s.ChannelCloses = s.SatisfiedLevels
 	s.ImmediateChecks += c.fastChecks.Load()
 	return s
 }

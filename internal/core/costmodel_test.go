@@ -112,7 +112,7 @@ func TestHeapPeakLevels(t *testing.T) {
 	const levels = 16
 	c := NewHeap()
 	release, wait := spawnWaiters(t, c, waiters, levels)
-	if got := c.PeakLevels(); got != levels {
+	if got := c.Stats().PeakLevels; got != levels {
 		t.Errorf("PeakLevels=%d, want %d", got, levels)
 	}
 	release()

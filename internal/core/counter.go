@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Counter is the reference monotonic-counter implementation, following
@@ -20,56 +19,29 @@ import (
 // shared waitlist engine, which keeps the wake fan-out off the engine
 // mutex — Increment unlinks the satisfied levels and broadcasts after
 // releasing the lock, and woken waiters drain with an atomic count —
-// and also owns the cost-model instrumentation (Stats, stats.go).
-// Counter contributes the sorted-list index.
-//
-// The value doubles as a watermark: it is stored atomically (still only
-// under the engine mutex, and before any wake) so Check, CheckContext,
-// and WaitTimeout on an already-satisfied level return after one atomic
-// load with no mutex at all. Monotonicity makes that safe — a stale
-// read can only under-estimate — and the seq-cst store/load pair keeps
-// the happens-before edge from the publishing Increment.
+// and also owns the cost-model instrumentation (Stats, stats.go). The
+// value is a watermark (waitlist.go), so a satisfied Check is one atomic
+// load and no mutex. Counter contributes the sorted-list index.
 //
 // The zero value is a valid counter with value zero.
 type Counter struct {
-	wl    waitlist
-	value atomic.Uint64 // mutated only under wl.mu; read lock-free as the watermark
-	list  listIndex     // ascending by level; satisfied nodes move to the engine's draining record
-	// fastChecks counts satisfied lock-free checks; folded into
-	// Stats.ImmediateChecks alongside the engine's locked tally.
-	fastChecks stripedUint64
+	wl waitlist
+	watermark
+	list listIndex // ascending by level; satisfied nodes move to the engine's draining record
 }
 
 // New returns a counter with value zero. Equivalent to new(Counter); it
 // exists for symmetry with the other implementations' constructors.
 func New() *Counter { return new(Counter) }
 
-// Increment implements Interface. The satisfied prefix is unlinked into
-// the engine's draining record under the mutex (still snapshot-visible,
-// matching Figure 2 (e)-(g)), but the wake-ups themselves — channel
-// closes and broadcasts — happen after the mutex is released, so a
-// large fan-out never stalls other operations on the counter.
-// Increment(0) is a no-op and returns before touching the lock.
+// Increment implements Interface: the engine's add and release step,
+// which pops the prefix of the list the new value satisfies. Increment(0)
+// is a no-op and returns before touching the lock.
 func (c *Counter) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
-	c.wl.lock()
-	v := checkedAdd(c.value.Load(), amount)
-	// Publish the watermark before any wake so a fast-path reader that
-	// raced past the mutex observes the new value no later than woken
-	// waiters do.
-	c.value.Store(v)
-	c.wl.stats.increments++
-	head, _ := c.list.popSatisfied(v)
-	for n := head; n != nil; n = n.next {
-		c.wl.satisfyLocked(n)
-	}
-	c.wl.unlock()
-	c.wl.emit(EventIncrement, amount)
-	if head != nil {
-		c.wl.wakeBatch(head)
-	}
+	c.wl.increment(&c.watermark, amount)
 }
 
 // Check implements Interface: CheckContext with a context that is never
@@ -95,15 +67,6 @@ func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	return await(ctx, c, level)
 }
 
-// satisfied is the lock-free watermark look (enroller).
-func (c *Counter) satisfied(level uint64) bool {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return true
-	}
-	return false
-}
-
 // enroll implements enroller: the engine's locked re-check and join on
 // the sorted list.
 func (c *Counter) enroll(level uint64, suspend bool) *waitNode {
@@ -119,27 +82,11 @@ func (c *Counter) leave(n *waitNode) {
 // Reset implements Interface. It panics if any goroutine is suspended on
 // the counter, since the paper forbids Reset concurrent with other
 // operations. Stats are cumulative and survive the reset.
-func (c *Counter) Reset() {
-	c.wl.lock()
-	defer c.wl.unlock()
-	if c.wl.busyLocked() || c.list.head != nil {
-		panic("core: Reset called with goroutines waiting on the counter")
-	}
-	c.value.Store(0)
-}
-
-// Value implements Interface. Lock-free: the watermark is the value.
-func (c *Counter) Value() uint64 {
-	return c.value.Load()
-}
+func (c *Counter) Reset() { c.wl.reset(&c.list, &c.watermark) }
 
 // Stats implements StatsProvider with the engine's collector, folding in
 // the lock-free fast-path checks.
-func (c *Counter) Stats() Stats {
-	s := c.wl.readStats()
-	s.ImmediateChecks += c.fastChecks.Load()
-	return s
-}
+func (c *Counter) Stats() Stats { return c.wl.readStats(&c.watermark) }
 
 // LockAcquires implements LockCounter: engine-mutex acquisitions
 // recorded while SetLockCounting was enabled.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,15 +157,50 @@ func TestManyWaitersSameLevel(t *testing.T) {
 	})
 }
 
+// TestIncrementOverflowPanics: an Increment past the uint64 range panics,
+// and leaves the counter as it was for a caller that recovers the panic
+// (counterd turns it into a wire error): the old value, a repeat that
+// panics again, and Stats and Reset that return. Those run on their own
+// goroutine under a deadline, so a design that panics while holding its
+// mutex fails the test instead of hanging it.
 func TestIncrementOverflowPanics(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, c Interface) {
+		overflows := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			c.Increment(1)
+			return false
+		}
 		c.Increment(^uint64(0))
-		defer func() {
-			if recover() == nil {
-				t.Fatal("overflowing Increment did not panic")
+		if !overflows() {
+			t.Fatal("overflowing Increment did not panic")
+		}
+		failure := make(chan string, 1)
+		go func() {
+			switch {
+			case c.Value() != ^uint64(0):
+				failure <- fmt.Sprintf("Value() = %d after the overflow, want the old %d", c.Value(), ^uint64(0))
+			case !overflows():
+				failure <- "repeated overflowing Increment did not panic"
+			case c.(StatsProvider).Stats().Increments != 1:
+				failure <- "Stats counted an overflowing Increment"
+			default:
+				c.Reset()
+				c.Increment(1)
+				if v := c.Value(); v != 1 {
+					failure <- fmt.Sprintf("Value() after Reset and Increment(1) = %d, want 1", v)
+					return
+				}
+				failure <- ""
 			}
 		}()
-		c.Increment(1)
+		select {
+		case msg := <-failure:
+			if msg != "" {
+				t.Fatal(msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("counter wedged by the overflow panic: Increment, Stats or Reset never returned")
+		}
 	})
 }
 

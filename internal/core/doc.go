@@ -58,5 +58,16 @@
 // extensions beyond the paper) is a channel select: no implementation
 // spawns a goroutine on behalf of a caller, a satisfied level always
 // beats a cancelled context, and the last cancelled waiter on a level
-// reclaims the level's node.
+// reclaims the level's node. The engine writes both sides once: one
+// registration step per design serves every Check, CheckContext and
+// ArmHook; on the write side every design but ShardedCounter keeps its
+// value in one shared watermark, list, heap, broadcast, atomic and spin
+// share one add-and-release step (checked add, watermark store and
+// increment tally, then the levels the engine-owned index pops marked
+// satisfied, the mutex released and those levels woken), and every
+// engine design shares one Reset misuse check. An overflowing Increment
+// releases every lock before it panics, so a caller that recovers the
+// panic keeps a usable counter. Each design keeps only what makes it an
+// ablation: its index, broadcast's re-join loop, the combining and shard
+// folds of fc and sharded, and chan's gates.
 package core

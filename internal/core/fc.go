@@ -29,9 +29,13 @@ import (
 // uncontended path is the plain locked path (TryLock succeeds, fold
 // finds no pending deltas) plus one empty-array check.
 //
+// Value excludes deltas still published in slots: they belong to
+// Increment calls that have not returned, so excluding them preserves
+// linearizability.
+//
 // The zero value is a valid counter with value zero.
 type FCCounter struct {
-	value atomic.Uint64 // the watermark: stored under wl.mu, before any stripe sweep; monotonic
+	watermark // stored under wl.mu, before any stripe sweep
 
 	wl waitlist
 	// idx is the striped level index (stripes.go): waiter registration
@@ -48,16 +52,6 @@ type FCCounter struct {
 	// while explicit zero budgets stay expressible — the same sentinel
 	// encoding as SpinCounter.SetSpins. Tuned by SetSpin.
 	spin atomic.Int64
-
-	// combinedIncs counts increments folded from the slots by a lock
-	// holder (Stats.FastPathIncrements — the increments that skipped the
-	// mutex queue); combines counts drain passes that folded at least
-	// one (Stats.Flushes). Both change only under wl.mu.
-	combinedIncs uint64
-	combines     uint64
-	// fastChecks counts satisfied lock-free checks; folded into
-	// Stats.ImmediateChecks alongside the engine's locked tally.
-	fastChecks stripedUint64
 }
 
 // NewFC returns a flat-combining counter with value zero. This is the
@@ -114,7 +108,6 @@ func (c *FCCounter) Increment(amount uint64) {
 		// Slots exhausted (or amount too large to pack, or first-ever
 		// contention before the array exists): the plain blocking path.
 		c.wl.lock()
-		c.ensureSlotsLocked()
 		c.addLocked(amount)
 		c.wl.emit(EventIncrement, amount)
 		return
@@ -202,18 +195,17 @@ func (c *FCCounter) ensureSlotsLocked() {
 // store-watermark-then-load-minima ordering (the value store happens
 // under the mutex, the minima loads after) is the increment half of the
 // stripes.go handshake. The overflow check releases the mutex before
-// panicking, like ShardedCounter, so a host that recovers the panic is
-// left with a usable counter — and it fires before the slots are freed,
-// so collected rival deltas stay published rather than being discarded
-// while their publishers report success.
+// panicking, like the engine's increment, so a host that recovers the
+// panic is left with a usable counter — and it fires before the slots
+// are freed, so collected rival deltas stay published rather than being
+// discarded while their publishers report success.
 func (c *FCCounter) addLocked(amount uint64) {
 	c.ensureSlotsLocked()
 	folded, count := c.slots.collectLocked()
 	v := c.value.Load()
 	nv := v + amount
 	if nv < v || nv+folded < nv {
-		c.wl.unlock()
-		panic("core: counter value overflow")
+		panic(overflow(&c.wl.mu))
 	}
 	nv += folded
 	if nv != v {
@@ -224,46 +216,15 @@ func (c *FCCounter) addLocked(amount uint64) {
 	}
 	if count > 0 {
 		c.wl.stats.increments += count
-		c.combinedIncs += count
-		c.combines++
+		c.wl.stats.fastPathIncs += count
+		c.wl.stats.flushes++
 		c.slots.releaseLocked()
 	}
 	c.wl.unlock()
-	if nv != v {
-		c.wake(c.idx.collect(nv))
+	if nv == v {
+		return
 	}
-}
-
-// foldLocked drains pending deltas on a non-increment lock holder's way
-// through the critical section — "the current lock holder folds before
-// releasing" — and reports whether the value moved. Called with wl.mu
-// held; keeps it held. The caller must sweep the stripes (idx.collect)
-// and wake AFTER it releases wl.mu when the value moved.
-func (c *FCCounter) foldLocked() bool {
-	folded, count := c.slots.collectLocked()
-	if count == 0 {
-		return false
-	}
-	v := c.value.Load()
-	nv := v + folded
-	if nv < v {
-		// Panic with the collected slots still claimed (releaseLocked not
-		// reached): the publishers' deltas are neither lost nor falsely
-		// acknowledged — see releaseLocked.
-		c.wl.unlock()
-		panic("core: counter value overflow")
-	}
-	c.value.Store(nv)
-	c.wl.stats.increments += count
-	c.combinedIncs += count
-	c.combines++
-	c.slots.releaseLocked()
-	return true
-}
-
-// wake releases a sweep's satisfied chain; a no-op for the common nil.
-func (c *FCCounter) wake(head *waitNode) {
-	if head != nil {
+	if head := c.idx.collect(nv); head != nil {
 		c.wl.wakeBatch(head)
 	}
 }
@@ -274,14 +235,8 @@ func (c *FCCounter) wake(head *waitNode) {
 // folding already, and queueing behind it would put registration back
 // on the engine mutex.
 func (c *FCCounter) foldPending() {
-	if c.slots.slots.Load() == nil || !c.wl.tryLock() {
-		return
-	}
-	moved := c.foldLocked()
-	nv := c.value.Load()
-	c.wl.unlock()
-	if moved {
-		c.wake(c.idx.collect(nv))
+	if c.slots.slots.Load() != nil && c.wl.tryLock() {
+		c.addLocked(0)
 	}
 }
 
@@ -307,15 +262,6 @@ func (c *FCCounter) CheckContext(ctx context.Context, level uint64) error {
 	return await(ctx, c, level)
 }
 
-// satisfied is the lock-free watermark look (enroller).
-func (c *FCCounter) satisfied(level uint64) bool {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return true
-	}
-	return false
-}
-
 // enroll implements enroller. It folds pending rival deltas first
 // (fold-then-read: the re-load below happens after any fold it
 // performed) — they may already satisfy the level, and a lock holder
@@ -336,38 +282,16 @@ func (c *FCCounter) enroll(level uint64, suspend bool) *waitNode {
 // other operation, so no delta can be pending in a slot (a pending delta
 // belongs to an Increment still in flight); only the value resets.
 // Stats are cumulative and survive the reset.
-func (c *FCCounter) Reset() {
-	c.wl.lock()
-	defer c.wl.unlock()
-	if c.wl.busyLocked() || c.idx.busy() {
-		panic("core: Reset called with goroutines waiting on the counter")
-	}
-	c.value.Store(0)
-}
+func (c *FCCounter) Reset() { c.wl.reset(&c.idx, &c.watermark) }
 
-// Value implements Interface. For inspection and testing only. Deltas
-// still published in slots belong to Increment calls that have not
-// returned, so excluding them preserves linearizability.
-func (c *FCCounter) Value() uint64 { return c.value.Load() }
-
-// Stats implements StatsProvider: the engine's collector plus the
-// combining tallies. FastPathIncrements counts increments folded from
-// the slots (they skipped the mutex queue — the combining analogue of
-// the sharded fast path) and Flushes counts drain passes that folded
-// at least one.
+// Stats implements StatsProvider: the engine's collector, whose
+// FastPathIncrements counts increments folded from the slots (they
+// skipped the mutex queue — the combining analogue of the sharded fast
+// path) and whose Flushes counts folds that took at least one, plus the
+// striped registration tallies.
 func (c *FCCounter) Stats() Stats {
-	// Wake-side atomics first — see waitlist.readStats for the ordering
-	// argument behind the Broadcasts <= SatisfiedLevels invariant.
-	b := c.wl.stats.broadcasts.Load()
-	cl := c.wl.stats.channelCloses.Load()
-	c.wl.lock()
-	s := c.wl.lockedStats()
-	s.FastPathIncrements = c.combinedIncs
-	s.Flushes = c.combines
-	c.wl.unlock()
-	s.Broadcasts, s.ChannelCloses = b, cl
+	s := c.wl.readStats(&c.watermark)
 	c.idx.foldStats(&s)
-	s.ImmediateChecks += c.fastChecks.Load()
 	return s
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // HeapCounter is a monotonic counter whose waiter nodes are organized as a
 // binary min-heap keyed on level, instead of the sorted linked list of the
@@ -14,19 +11,14 @@ import (
 // waitlist engine, so popped levels are woken after the engine mutex is
 // released.
 //
-// The value doubles as the watermark fast path shared by every impl:
-// Check/CheckContext on an already-satisfied level return after one
-// atomic load, no mutex (safe because the value is monotonic — a stale
-// read only under-estimates).
+// The value is the watermark shared by every impl: Check/CheckContext on
+// an already-satisfied level return after one atomic load, no mutex.
 //
 // The zero value is a valid counter with value zero.
 type HeapCounter struct {
-	wl    waitlist
-	value atomic.Uint64 // mutated only under wl.mu; read lock-free as the watermark
+	wl waitlist
+	watermark
 	index heapIndex
-	// fastChecks counts satisfied lock-free checks; folded into
-	// Stats.ImmediateChecks alongside the engine's locked tally.
-	fastChecks stripedUint64
 }
 
 // heapIndex organizes live waitNodes as a min-heap by level plus a map
@@ -77,15 +69,30 @@ func (h *heapIndex) siftUp(i int) {
 	}
 }
 
-func (h *heapIndex) popMin() *waitNode {
-	n := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap[last] = nil
-	h.heap = h.heap[:last]
-	h.siftDown(0)
-	return n
+// pop pops the satisfied levels in O(k log L), chaining them through
+// their (otherwise unused) next pointers, ascending, so the out-of-lock
+// wake needs no allocation.
+func (h *heapIndex) pop(value uint64) (head *waitNode) {
+	var tail *waitNode
+	for len(h.heap) > 0 && h.heap[0].level <= value {
+		n := h.heap[0]
+		last := len(h.heap) - 1
+		h.heap[0] = h.heap[last]
+		h.heap[last] = nil
+		h.heap = h.heap[:last]
+		h.siftDown(0)
+		delete(h.byLevel, n.level)
+		if tail == nil {
+			head = n
+		} else {
+			tail.next = n
+		}
+		tail = n
+	}
+	return head
 }
+
+func (h *heapIndex) empty() bool { return len(h.heap) == 0 }
 
 func (h *heapIndex) siftDown(i int) {
 	for {
@@ -130,38 +137,14 @@ var _ levelIndex = (*heapIndex)(nil)
 // NewHeap returns a HeapCounter with value zero.
 func NewHeap() *HeapCounter { return new(HeapCounter) }
 
-// Increment implements Interface. Increment(0) is a no-op and returns
-// before touching the lock.
+// Increment implements Interface: the engine's add and release step,
+// which pops the satisfied levels off the heap. Increment(0) is a no-op
+// and returns before touching the lock.
 func (c *HeapCounter) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
-	c.wl.lock()
-	v := checkedAdd(c.value.Load(), amount)
-	// Publish the watermark before any wake so a fast-path reader that
-	// raced past the mutex observes the new value no later than woken
-	// waiters do.
-	c.value.Store(v)
-	c.wl.stats.increments++
-	// Chain the popped nodes through their (otherwise unused) next
-	// pointers, ascending, so the out-of-lock wake needs no allocation.
-	var head, tail *waitNode
-	for len(c.index.heap) > 0 && c.index.heap[0].level <= v {
-		n := c.index.popMin()
-		delete(c.index.byLevel, n.level)
-		c.wl.satisfyLocked(n)
-		if tail == nil {
-			head = n
-		} else {
-			tail.next = n
-		}
-		tail = n
-	}
-	c.wl.unlock()
-	c.wl.emit(EventIncrement, amount)
-	if head != nil {
-		c.wl.wakeBatch(head)
-	}
+	c.wl.increment(&c.watermark, amount)
 }
 
 // Check implements Interface: CheckContext with a context that is never
@@ -186,15 +169,6 @@ func (c *HeapCounter) CheckContext(ctx context.Context, level uint64) error {
 	return await(ctx, c, level)
 }
 
-// satisfied is the lock-free watermark look (enroller).
-func (c *HeapCounter) satisfied(level uint64) bool {
-	if level <= c.value.Load() {
-		c.fastChecks.Add(1)
-		return true
-	}
-	return false
-}
-
 // enroll implements enroller: the engine's locked re-check and join on
 // the heap.
 func (c *HeapCounter) enroll(level uint64, suspend bool) *waitNode {
@@ -203,36 +177,11 @@ func (c *HeapCounter) enroll(level uint64, suspend bool) *waitNode {
 
 // Reset implements Interface. Stats are cumulative and survive the
 // reset.
-func (c *HeapCounter) Reset() {
-	c.wl.lock()
-	defer c.wl.unlock()
-	if c.wl.busyLocked() || len(c.index.heap) != 0 {
-		panic("core: Reset called with goroutines waiting on the counter")
-	}
-	c.value.Store(0)
-}
-
-// Value implements Interface. Lock-free: the watermark is the value.
-func (c *HeapCounter) Value() uint64 {
-	return c.value.Load()
-}
-
-// PeakLevels reports the maximum number of distinct levels simultaneously
-// waited on over the counter's lifetime (Stats().PeakLevels, kept as a
-// named accessor for the E10 experiment).
-func (c *HeapCounter) PeakLevels() int {
-	c.wl.lock()
-	defer c.wl.unlock()
-	return c.wl.stats.peakLevels
-}
+func (c *HeapCounter) Reset() { c.wl.reset(&c.index, &c.watermark) }
 
 // Stats implements StatsProvider with the engine's collector, folding in
 // the lock-free fast-path checks.
-func (c *HeapCounter) Stats() Stats {
-	s := c.wl.readStats()
-	s.ImmediateChecks += c.fastChecks.Load()
-	return s
-}
+func (c *HeapCounter) Stats() Stats { return c.wl.readStats(&c.watermark) }
 
 // LockAcquires implements LockCounter.
 func (c *HeapCounter) LockAcquires() uint64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -14,7 +15,10 @@ type Interface interface {
 	// wakes every goroutine suspended on a level less than or equal to
 	// the new value. Increment(0) is a no-op. Increment panics if the
 	// addition would overflow the counter's uint64 value, since a
-	// wrapped value would violate monotonicity.
+	// wrapped value would violate monotonicity. The overflowing
+	// Increment stores nothing and releases its locks before it panics,
+	// so a caller that recovers the panic finds the value unchanged and
+	// the counter usable.
 	Increment(amount uint64)
 
 	// Check suspends the calling goroutine until the counter's value is
@@ -69,4 +73,16 @@ func checkedAdd(v, amount uint64) uint64 {
 		panic("core: counter value overflow")
 	}
 	return s
+}
+
+// overflow releases mu and returns checkedAdd's panic value, for an add
+// that holds mu to panic with — panic(overflow(mu)) — so a caller that
+// recovers the panic is left with a usable counter rather than a held
+// mutex. The panic stays at the call site, where the compiler sees the
+// branch end, and the unlock stays out of line, off the hot path.
+//
+//go:noinline
+func overflow(mu *sync.Mutex) string {
+	mu.Unlock()
+	return "core: counter value overflow"
 }

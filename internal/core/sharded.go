@@ -356,11 +356,8 @@ func (c *ShardedCounter) enroll(level uint64, suspend bool) *waitNode {
 // reset: cell counts are folded into the fast-path tally before the
 // residues are discarded.
 func (c *ShardedCounter) Reset() {
-	c.wl.lock()
+	c.wl.lockIdle(&c.idx)
 	defer c.wl.unlock()
-	if c.wl.busyLocked() || c.idx.busy() {
-		panic("core: Reset called with goroutines waiting on the counter")
-	}
 	c.flushSeq.Add(1)
 	if p := c.shards.Load(); p != nil {
 		for i := range *p {
@@ -385,7 +382,7 @@ func (c *ShardedCounter) Stats() Stats {
 	b := c.wl.stats.broadcasts.Load()
 	cl := c.wl.stats.channelCloses.Load()
 	c.wl.lock()
-	s := c.wl.lockedStats()
+	s := c.wl.stats.guarded()
 	fp := c.fastIncs
 	if p := c.shards.Load(); p != nil {
 		for i := range *p {

@@ -191,32 +191,43 @@ func TestShardedIncrementRacingRegistration(t *testing.T) {
 }
 
 // TestShardedCrossShardOverflowCaughtAtFlush pins the documented
-// overflow story: a same-goroutine wrap panics on the fast path (the
-// conformance TestIncrementOverflowPanics covers that via the registry);
-// a wrap assembled across published value and stripe residue is caught
-// by checkedAdd at the next flush or sum.
+// overflow story for a wrap that no single Increment sees. The published
+// value sits at overflowWatermark, the highest value that keeps the fast
+// path open, and three shard cells each hold residue just under the cell
+// cap: each cell's CAS admits its own, and together they pass the uint64
+// range. The next sum (Value, the Check fast path) and the next flush
+// must both panic in checkedAdd rather than wrap. (A wrap that a single
+// Increment sees panics on the locked path; the conformance
+// TestIncrementOverflowPanics covers that via the registry.)
 func TestShardedCrossShardOverflowCaughtAtFlush(t *testing.T) {
-	const nearMax = ^uint64(0) - 10
+	prev := runtime.GOMAXPROCS(4) // four shard cells: three carry the wrap
+	defer runtime.GOMAXPROCS(prev)
 	c := NewSharded()
-	c.Increment(nearMax) // nearly fills one stripe
-	c.Check(1)           // satisfied via the striped sum, no flush
-	// Force a flush: a waiter on a still-unsatisfied level registers
-	// (raising the gate and folding the stripes) and then cancels.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.CheckContext(ctx, ^uint64(0)); err == nil {
-		t.Fatal("cancelled CheckContext on an unsatisfied level returned nil")
+	c.Increment(overflowWatermark) // too large for a cell: published by the locked path
+	if c.gate.Load() != 0 {
+		t.Fatal("fast path closed at overflowWatermark")
 	}
-	if got := c.published.Load(); got != nearMax {
-		t.Fatalf("published = %d after flush, want %d", got, nearMax)
+	cells := c.cells()
+	if len(cells) != 4 {
+		t.Fatalf("%d shard cells, want 4", len(cells))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("summing past the uint64 brim did not panic")
-		}
-	}()
-	c.Increment(20) // fits the (now empty) stripe: the wrap must still be
-	c.Value()       // caught no later than the next sum
+	for i := 0; i < 3; i++ {
+		cells[i].v.Store((cellResidueCap-1)<<cellCountBits | 1)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s past the uint64 brim did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("summing", func() { c.Value() })
+	mustPanic("flushing", func() {
+		c.wl.lock()
+		c.flushLocked()
+	})
 }
 
 // TestShardedZeroValueReady: the zero value (no constructor, stripes

@@ -41,8 +41,7 @@ func (s *Sim) Increment(amount uint64) {
 	defer s.c.wl.mu.Unlock()
 	s.c.value.Store(checkedAdd(s.c.value.Load(), amount))
 	s.c.wl.stats.increments++
-	head, _ := s.c.list.popSatisfied(s.c.value.Load())
-	for n := head; n != nil; {
+	for n := s.c.list.pop(s.c.value.Load()); n != nil; {
 		next := n.next
 		n.next = nil            // no wakeBatch walks this chain; sever it here
 		s.c.wl.satisfyLocked(n) // bumps SatisfiedLevels, one per node

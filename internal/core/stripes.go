@@ -205,7 +205,7 @@ func (sl *stripedList) register(w *waitlist, level uint64, v *atomic.Uint64, gat
 		// prefix (our node included — level <= value) and wake it, so
 		// waiters that parked on these nodes earlier are released even
 		// if the racing increment's own sweep missed them.
-		head, _ := s.list.popSatisfied(value)
+		head := s.list.pop(value)
 		for sn := head; sn != nil; sn = sn.next {
 			sl.satisfyLocked(s, sn)
 		}
@@ -256,7 +256,7 @@ func (sl *stripedList) collect(v uint64) *waitNode {
 			continue
 		}
 		s.lock()
-		h, _ := s.list.popSatisfied(v)
+		h := s.list.pop(v)
 		for n := h; n != nil; n = n.next {
 			sl.satisfyLocked(s, n)
 		}
@@ -301,23 +301,23 @@ func (sl *stripedList) retire(s *stripe, n *waitNode) {
 	s.mu.Unlock()
 }
 
-// busy reports whether any stripe still holds an armed node or a
-// draining waiter — the striped half of Reset's misuse check.
-func (sl *stripedList) busy() bool {
+// empty reports whether no stripe holds an armed node or a draining
+// waiter — the striped index's half of Reset's misuse check (lockIdle).
+func (sl *stripedList) empty() bool {
 	p := sl.stripes.Load()
 	if p == nil {
-		return false
+		return true
 	}
 	for i := range *p {
 		s := &(*p)[i]
 		s.lock()
-		b := s.drainLive != 0 || s.list.head != nil
+		e := s.drainLive == 0 && s.list.empty()
 		s.mu.Unlock()
-		if b {
-			return true
+		if !e {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // foldStats merges the registration-side tallies into an engine

@@ -206,8 +206,8 @@ func TestStripeMinTracksHead(t *testing.T) {
 			t.Errorf("stripe %d after cancel-all: head=%v min=%d, want empty/minArmedNone", i, head, min)
 		}
 	}
-	if c.idx.busy() {
-		t.Error("index busy after every sentinel cancelled")
+	if !c.idx.empty() {
+		t.Error("index not empty after every sentinel cancelled")
 	}
 	c.Reset() // must not panic: nothing armed
 }

@@ -17,16 +17,24 @@ import (
 // CheckContext can select on cancellation directly — no goroutine is
 // ever spawned on behalf of a caller.
 //
-// Division of labour: the engine owns the waiter accounting and the
-// suspend/wake protocol; the implementation owns the value, the index
-// that organizes live nodes by level (sorted list, min-heap, the
-// degenerate wake-everyone node of the naive baseline, or the striped
-// list of stripes.go), and one registration step, enroll (see enroller),
-// which re-reads the value and joins the caller to its level's node.
-// One await then serves every design's Check and CheckContext, and one
-// armHook (sentinel.go) every design's ArmHook. That split is what lets
-// the implementations keep their distinguishing data-structure
-// behaviour while sharing one cancellation-correct slow path.
+// Division of labour: the engine owns the waiter accounting, the
+// suspend/wake protocol and the write side's shared steps; the
+// implementation owns its index, which organizes live nodes by level
+// (sorted list, min-heap, the degenerate wake-everyone round of the
+// naive baseline, or the striped list of stripes.go), and one
+// registration step, enroll (see enroller), which re-reads the value and
+// joins the caller to its level's node. One await then serves every
+// design's Check and CheckContext, and one armHook (sentinel.go) every
+// design's ArmHook. The write side is shared the same way: every design
+// but sharded keeps its value in one embedded watermark (the value, its
+// lock-free look and Value, whose tally readStats folds); increment is
+// the one add and release step of the designs whose Increment takes the
+// engine mutex outright (list, heap, broadcast, atomic and spin — fc and
+// sharded fold deltas they collected themselves), reaching the
+// engine-owned index through its pop; and lockIdle is the one Reset
+// misuse check, over the index's empty. That split is what lets the
+// implementations keep their distinguishing data-structure behaviour
+// while sharing one cancellation-correct slow path and one write side.
 //
 // Locking: two tiers, never nested.
 //
@@ -131,8 +139,16 @@ type levelIndex interface {
 	// drop is called when a never-satisfied node's last waiter leaves;
 	// the index removes whatever references to n it still holds. This
 	// is the cancellation path reclaiming an abandoned level
-	// (satisfied nodes leave the index through the wake path instead).
+	// (satisfied nodes leave the index through pop instead).
 	drop(n *waitNode)
+	// pop unlinks every node the new value satisfies — an increment's
+	// satisfied batch — and returns them chained through next in
+	// ascending level order, nil if there are none, for the release
+	// step of increment.
+	pop(value uint64) *waitNode
+	// empty reports whether no live node is indexed: the index's half
+	// of Reset's misuse check (lockIdle).
+	empty() bool
 }
 
 // newWaitNode returns a node of w whose condition variable sleeps on
@@ -210,13 +226,19 @@ func (w *waitlist) tryLock() bool {
 // after it releases the mutex (re-locking just to count would put the
 // engine mutex back on the wake path), so they are atomics.
 type engineStats struct {
-	// Guarded by the engine mutex.
-	liveLevels      int // not-yet-satisfied nodes currently indexed
+	// Guarded by the engine mutex. liveLevels counts the
+	// not-yet-satisfied nodes in the engine-owned index, so increment
+	// pops only while it is nonzero.
+	liveLevels      int
 	peakLevels      int
 	satisfiedLevels uint64
 	suspends        uint64
 	immediateChecks uint64
 	increments      uint64
+	// The flat-combining fold's tallies (FCCounter): increments folded
+	// from the slots, and folds that took at least one.
+	fastPathIncs uint64
+	flushes      uint64
 
 	// Wake-side tallies, updated out of lock by wakeBatch.
 	broadcasts    atomic.Uint64
@@ -230,27 +252,32 @@ type engineStats struct {
 // locked read that follows — the documented Broadcasts <=
 // SatisfiedLevels / ChannelCloses <= SatisfiedLevels invariant. (Read
 // the other way round, a wake landing between the two reads could be
-// counted while its satisfy was not.)
-func (w *waitlist) readStats() Stats {
+// counted while its satisfy was not.) The watermark's lock-free
+// satisfied looks are folded into ImmediateChecks.
+func (w *waitlist) readStats(m *watermark) Stats {
 	b := w.stats.broadcasts.Load()
 	cl := w.stats.channelCloses.Load()
 	w.lock()
-	s := w.lockedStats()
+	s := w.stats.guarded()
 	w.unlock()
 	s.Broadcasts, s.ChannelCloses = b, cl
+	s.ImmediateChecks += m.fastChecks.Load()
 	return s
 }
 
-// lockedStats copies the mutex-guarded portion of the collector. Called
-// with w.mu held; the caller fills the wake-side tallies (loaded before
-// locking — see readStats) and any implementation-specific fields.
-func (w *waitlist) lockedStats() Stats {
+// guarded copies the mutex-guarded portion of the collector. Called with
+// the owning mutex held; the caller fills the wake-side tallies (loaded
+// before locking — see readStats) and any implementation-specific
+// fields.
+func (s *engineStats) guarded() Stats {
 	return Stats{
-		PeakLevels:      w.stats.peakLevels,
-		SatisfiedLevels: w.stats.satisfiedLevels,
-		Suspends:        w.stats.suspends,
-		ImmediateChecks: w.stats.immediateChecks,
-		Increments:      w.stats.increments,
+		PeakLevels:         s.peakLevels,
+		SatisfiedLevels:    s.satisfiedLevels,
+		Suspends:           s.suspends,
+		ImmediateChecks:    s.immediateChecks,
+		Increments:         s.increments,
+		FastPathIncrements: s.fastPathIncs,
+		Flushes:            s.flushes,
 	}
 }
 
@@ -264,10 +291,113 @@ func (w *waitlist) SetProbe(f func(Event)) {
 }
 
 // emit invokes the probe if one is installed. Never called with w.mu or
-// a node wake lock held; when no probe is set this is one atomic load.
+// a node wake lock held; when no probe is set this is one atomic load,
+// inlined into the caller.
 func (w *waitlist) emit(kind EventKind, level uint64) {
 	if p := w.probe.Load(); p != nil {
-		(*p)(Event{Kind: kind, Level: level})
+		probeEvent(p, kind, level)
+	}
+}
+
+// probeEvent is emit's call of an installed probe, kept out of line so
+// that emit stays small enough to inline.
+//
+//go:noinline
+func probeEvent(p *func(Event), kind EventKind, level uint64) {
+	(*p)(Event{Kind: kind, Level: level})
+}
+
+// watermark is the value of every design but sharded (whose value is
+// spread over shard cells): moved only under the design's mutex and
+// stored before any wake, so one lock-free load decides a satisfied
+// check. Monotonicity makes that safe — a stale read can only
+// under-estimate — and the seq-cst store/load pair keeps the
+// happens-before edge from the publishing Increment. fastChecks tallies
+// the satisfied lock-free looks, which Stats folds into
+// ImmediateChecks.
+type watermark struct {
+	value      atomic.Uint64
+	fastChecks stripedUint64
+}
+
+// satisfied is the lock-free watermark look (enroller): one atomic load,
+// and a hit counts a fast check.
+func (m *watermark) satisfied(level uint64) bool {
+	if level <= m.value.Load() {
+		m.fastChecks.Add(1)
+		return true
+	}
+	return false
+}
+
+// Value implements Interface. Lock-free: the watermark is the value.
+func (m *watermark) Value() uint64 { return m.value.Load() }
+
+// increment is the write side of every design whose Increment takes
+// the engine mutex outright (list, heap, broadcast, atomic and spin): an
+// add step and a release step in one frame, since a call between them
+// costs an uncontended Increment several percent. The add step takes
+// the mutex (lock's body, spelled out to save that call), adds amount
+// to m's value, stores the sum as the watermark — before any wake, so a
+// lock-free reader that raced past the mutex sees it no later than
+// woken waiters do — and counts the increment. A sum past the uint64
+// range would wrap and break monotonicity, so the add step panics
+// instead, after releasing w.mu and storing nothing: a caller that
+// recovers the panic finds the value unchanged and the counter usable.
+// The release step then pops the levels the sum satisfies from the
+// engine-owned index (w.idx, which every join records; a striped index
+// never joins here, so it leaves no live level and the step pops
+// nothing), marks each one satisfied and draining (still
+// snapshot-visible, matching Figure 2 (e)-(g)), releases the mutex,
+// emits the increment, and only then wakes the popped chain, so a large
+// fan-out never stalls other operations on the counter. It returns the
+// sum, which a striped design's sweep needs.
+func (w *waitlist) increment(m *watermark, amount uint64) uint64 {
+	w.mu.Lock()
+	if lockCounting.Load() {
+		w.lockAcquires.Add(1)
+	}
+	v := m.value.Load() + amount
+	if v < amount {
+		panic(overflow(&w.mu))
+	}
+	m.value.Store(v)
+	w.stats.increments++
+	var head *waitNode
+	if w.stats.liveLevels != 0 {
+		head = w.idx.pop(v)
+	}
+	for n := head; n != nil; n = n.next {
+		w.satisfyLocked(n)
+	}
+	w.unlock()
+	w.emit(EventIncrement, amount)
+	if head != nil {
+		w.wakeBatch(head)
+	}
+	return v
+}
+
+// reset is Reset for the waitlist designs with a watermark: the misuse
+// check, then the value back to zero. Stats are cumulative and survive
+// it.
+func (w *waitlist) reset(idx interface{ empty() bool }, m *watermark) {
+	w.lockIdle(idx)
+	m.value.Store(0)
+	w.unlock()
+}
+
+// lockIdle takes the engine mutex for a Reset, and panics after
+// releasing it if anything still waits on the counter, since the paper
+// forbids Reset concurrent with other operations. A registered waiter
+// or hook is always a node with a nonzero count, either live in idx or
+// satisfied and still draining, so the draining record and idx's empty
+// cover every one without a counter on the drain fast path.
+func (w *waitlist) lockIdle(idx interface{ empty() bool }) {
+	w.lock()
+	if w.drainLive != 0 || !idx.empty() {
+		w.unlock()
+		panic("core: Reset called with goroutines waiting on the counter")
 	}
 }
 
@@ -351,10 +481,10 @@ func (w *waitlist) join(idx levelIndex, level uint64, suspend bool) *waitNode {
 }
 
 // satisfyLocked marks n satisfied and records it as draining. Called
-// with w.mu held by the implementation's Increment, which must already
-// have unlinked n from its index; the actual wake-up is wakeBatch,
-// after w.mu is released. Each call is one satisfied level — the
-// paper's cost unit — and one fewer live waited-on level.
+// with w.mu held by increment (or the simulator), once n has left its
+// index; the actual wake-up is wakeBatch, after w.mu is released. Each
+// call is one satisfied level — the paper's cost unit — and one fewer
+// live waited-on level.
 func (w *waitlist) satisfyLocked(n *waitNode) {
 	n.set.Store(true)
 	n.drainIdx = int32(len(w.draining))
@@ -524,17 +654,6 @@ func (w *waitlist) removeDraining(n *waitNode) {
 	if w.drainLive == 0 {
 		w.draining = w.draining[:0]
 	}
-}
-
-// busyLocked reports whether any satisfied node is still draining
-// waiters — the engine half of every implementation's Reset misuse
-// check. A registered waiter is always represented by a node with a
-// nonzero count in either the index or the draining record, so pairing
-// this with the implementation's own index-emptiness check covers all
-// waiters without a dedicated counter on the drain fast path. Called
-// with w.mu held.
-func (w *waitlist) busyLocked() bool {
-	return w.drainLive != 0
 }
 
 // --- Flat combining -------------------------------------------------
@@ -709,10 +828,10 @@ func (f *fcSlots) releaseLocked() {
 }
 
 // listIndex is the sorted singly-linked list of the paper's section 7,
-// shared by Counter, AtomicCounter, and ShardedCounter: ascending by
+// shared by Counter and every stripe of the striped index: ascending by
 // level, never-satisfied nodes only — an increment moves its satisfied
-// prefix to the engine's draining record via popSatisfied, so the list
-// is exactly the set of live waited-on levels.
+// prefix to a draining record via pop, so the list is exactly the set
+// of live waited-on levels.
 type listIndex struct {
 	head *waitNode
 }
@@ -742,25 +861,23 @@ func (l *listIndex) drop(n *waitNode) {
 	}
 }
 
-// popSatisfied unlinks the prefix of nodes whose level the new value
-// covers — the increment's satisfied batch — and returns it as a chain
-// still linked in ascending level order, plus its length. No allocation:
-// the prefix is cut off the list in place and handed to the caller
-// (ultimately wakeBatch) as-is. Called with the engine mutex held.
-func (l *listIndex) popSatisfied(value uint64) (head *waitNode, k int) {
-	if l.head == nil || l.head.level > value {
-		return nil, 0
+// pop unlinks the prefix of nodes whose level the new value covers. No
+// allocation: the prefix is cut off the list in place and handed to the
+// caller (ultimately wakeBatch) as-is, still linked in ascending order.
+func (l *listIndex) pop(value uint64) *waitNode {
+	head := l.head
+	if head == nil || head.level > value {
+		return nil
 	}
-	head = l.head
 	last := head
-	k = 1
 	for last.next != nil && last.next.level <= value {
 		last = last.next
-		k++
 	}
 	l.head = last.next
 	last.next = nil
-	return head, k
+	return head
 }
+
+func (l *listIndex) empty() bool { return l.head == nil }
 
 var _ levelIndex = (*listIndex)(nil)

@@ -74,7 +74,6 @@ type Server struct {
 	mu       sync.Mutex
 	counters map[string]*hosted
 	sessions map[uint64]*session
-	nextSess uint64
 	conns    map[*conn]struct{}
 	lis      net.Listener
 	closed   bool
@@ -197,24 +196,27 @@ func (s *Server) counter(name string) *hosted {
 	return h
 }
 
-// session resolves a Hello: id 0 opens a fresh session; a nonzero id
-// resumes it, creating an empty one if the server has never seen it
-// (e.g. the server restarted — the client's full resend then rebuilds
-// what the restart lost).
+// session resolves a Hello: an id this instance issued resumes its
+// session; any other id — 0, an id from before a restart, a guess —
+// opens a fresh session under a fresh id, drawn at random like the boot
+// epoch (nonzero, and not already issued). A client that resumes across
+// a restart therefore gets a dedup record of its own instead of the one
+// a fresh client was issued under the same id (the old instance's ids
+// are random too, so only a 64-bit collision could still pair them),
+// and its fresh session's lastSeq of 0 makes it re-send its whole
+// pending tail, which restart recovery needs anyway.
 func (s *Server) session(id uint64) (uint64, *session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id == 0 {
-		s.nextSess++
-		id = s.nextSess
-	} else if id > s.nextSess {
-		s.nextSess = id
+	if sess, ok := s.sessions[id]; ok {
+		return id, sess
 	}
-	sess, ok := s.sessions[id]
-	if !ok {
-		sess = &session{}
-		s.sessions[id] = sess
+	id = rand.Uint64()
+	for id == 0 || s.sessions[id] != nil {
+		id = rand.Uint64()
 	}
+	sess := &session{}
+	s.sessions[id] = sess
 	return id, sess
 }
 

@@ -155,6 +155,35 @@ func TestIncrementAckAndDedup(t *testing.T) {
 	}
 }
 
+// TestHelloForUnissuedSessionOpensFresh: a Hello naming an id this
+// instance never issued — a client resuming across a counterd restart,
+// or a guess — must open a fresh session under a new id, never create a
+// record under the id it named. Otherwise a restarted server's freshly
+// issued id collides with a resumed one and two clients share one dedup
+// record, and resuming id 2^64-1 wraps the issue sequence to 0.
+func TestHelloForUnissuedSessionOpensFresh(t *testing.T) {
+	_, addr := startServer(t)
+	a := dialRaw(t, addr)
+	issued := a.hello(0).Session
+	a.send(&wire.Frame{Op: wire.OpIncrement, Name: "u", Seq: 7, Amount: 1})
+	a.recvOp(wire.OpIncAck)
+
+	seen := map[uint64]bool{0: true, issued: true}
+	for _, id := range []uint64{issued + 1, ^uint64(0)} {
+		w := dialRaw(t, addr).hello(id)
+		if w.Session == id || seen[w.Session] {
+			t.Fatalf("Hello(%d) welcomed under session %d; want a fresh nonzero id (issued so far: %v)", id, w.Session, seen)
+		}
+		if w.Seq != 0 {
+			t.Fatalf("Hello(%d) welcomed with Seq %d, want 0 for a fresh session", id, w.Seq)
+		}
+		seen[w.Session] = true
+	}
+	if w := dialRaw(t, addr).hello(0); seen[w.Session] {
+		t.Fatalf("fresh Hello welcomed under session %d, already issued or zero (%v)", w.Session, seen)
+	}
+}
+
 func TestSessionResume(t *testing.T) {
 	_, addr := startServer(t)
 	c1 := dialRaw(t, addr)

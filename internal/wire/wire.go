@@ -94,9 +94,10 @@ type Op uint8
 
 // Client-to-server opcodes.
 const (
-	// OpHello opens (Session==0) or resumes a session; the server
-	// replies with OpWelcome. Fields: Session, Seq (client protocol
-	// version — see Version).
+	// OpHello resumes the session Session names if this server
+	// instance issued it, and opens a fresh one otherwise (Session==0
+	// included); the server replies with OpWelcome. Fields: Session,
+	// Seq (client protocol version — see Version).
 	OpHello Op = 0x01
 	// OpIncrement applies Amount to the named counter, deduplicated by
 	// the per-session Seq. No per-frame reply; the server acknowledges
