@@ -6,18 +6,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"net"
 	"testing"
 	"unsafe"
 
 	cwait "monotonic/counter/wait"
 	"monotonic/internal/wire"
 )
-
-// discardConn is a link that swallows every write.
-type discardConn struct{ net.Conn }
-
-func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestSteadyStateAllocs pins the client's steady-state frame paths at
 // zero heap allocations per frame: TryIncrement encoding OpIncrements on
@@ -28,8 +22,10 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 // registration. It also pins what arming each kind costs once answered
 // entries are recycled: CheckChan its channel, Sentinel its cancel, and
 // ArmSpec its frame, watch list, names and cancel. The client runs
-// without its goroutines over a link that swallows writes. (The race
-// detector inflates allocation counts, hence the build tag.)
+// without its goroutines over a link that swallows writes: before each
+// frame it receives, the test takes the write queue as the flusher
+// does, trading it with a spare. (The race detector inflates allocation
+// counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
 	// A parked wait of any kind costs one entry of at most 80 bytes,
 	// recycled once answered.
@@ -38,7 +34,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	cl := newClient("", nil)
 	cl.nc = discardConn{}
-	cl.bw = bufio.NewWriter(cl.nc)
 	cs := make([]*Counter, 16)
 	for i := range cs {
 		cs[i] = cl.Counter(fmt.Sprintf("jobs%d", i))
@@ -48,7 +43,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 	in := make([]byte, 0, 64)
 	rd := bytes.NewReader(nil)
 	br := bufio.NewReader(rd)
+	var spare []byte
 	recv := func(f *wire.Frame) {
+		if len(cl.wq) > 0 {
+			spare, _ = cl.take(spare)
+		}
 		in = wire.Append(in[:0], f)
 		rd.Reset(in)
 		br.Reset(rd)

@@ -89,9 +89,15 @@ func (c *Counter) Increment(amount uint64) {
 // a poisoned one. A failover path that races a client teardown needs
 // the error, not the panic: ErrClosed there means "this client's node
 // was retired and the amount is the replay machinery's problem now".
+// It waits only while more than 64 KiB of frames are queued behind a
+// write in flight, as on a stalled link: until the flusher takes them,
+// the link drops or the client closes.
 func (c *Counter) TryIncrement(amount uint64) error {
 	cl := c.cl
 	cl.mu.Lock()
+	for len(cl.wq) > maxQueue && cl.fatal == nil && !cl.closed {
+		cl.room.Wait()
+	}
 	if cl.fatal != nil {
 		fatal := cl.fatal
 		cl.mu.Unlock()

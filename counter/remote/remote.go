@@ -19,7 +19,14 @@
 // the in-process engine's discipline. Increments pipeline: they are
 // fire-and-forget frames batched into the next flush, and a following
 // Check observes them in order because the server applies frames in
-// arrival order.
+// arrival order. Every frame is encoded once, straight into the client's
+// byte queue under its lock; the flusher swaps the queue for a spare
+// under the lock and writes it outside, so no caller waits on a write it
+// did not start, and the reader decodes every frame into one Frame it
+// owns. The queue is bounded for increments alone: while more than 64
+// KiB (maxQueue) wait behind a write in flight, TryIncrement waits for
+// the flusher to take them, the backpressure a write syscall on a full
+// buffer used to give.
 // Every request awaiting the server's answer — a blocking Check, a
 // Sentinel hook, an ArmSpec predicate, a Reset or Stats call — is one
 // entry in one wait table, answered by the reader goroutine, re-sent on
@@ -123,12 +130,11 @@ type Client struct {
 	closeCh       chan struct{} // closed by Close; unblocks backoff sleeps
 
 	mu        sync.Mutex
-	flushCond *sync.Cond
+	flushCond *sync.Cond // the flusher waits here for frames to write
+	room      *sync.Cond // TryIncrement waits here while more than maxQueue bytes are queued
 	nc        net.Conn
-	bw        *bufio.Writer
 	br        *bufio.Reader
-	scratch   []byte
-	dirty     bool
+	wq        []byte // frames queued for nc, not yet taken by the flusher
 	closed    bool
 	fatal     error  // latched increment-overflow error; poisons the client
 	epoch     uint64 // boot epoch of the server instance last welcomed by
@@ -158,6 +164,18 @@ type pendingInc struct {
 	ctr    *Counter
 	amount uint64
 }
+
+// maxQueue bounds the bytes TryIncrement may leave queued behind the
+// write in flight: past it, an incrementer waits until the flusher takes
+// the queue. Only increments wait. Every other frame is an answer to a
+// wait or a request the caller then waits on, and the replay at
+// reconnect is the source of truth, so those are queued regardless.
+const maxQueue = 64 << 10
+
+// maxSpareQueue bounds the written buffer the flusher keeps for reuse: a
+// larger one (a reconnect replaying a long tail) is left to the garbage
+// collector instead of pinning its peak for the client's lifetime.
+const maxSpareQueue = 2 * maxQueue
 
 // maxSpareWaits bounds the answered wait-table entries a client keeps
 // for reuse (Client.spare): entries freed beyond it by a burst of
@@ -222,6 +240,7 @@ func newClient(addr string, opts []Option) *Client {
 		counters: make(map[string]*Counter),
 	}
 	cl.flushCond = sync.NewCond(&cl.mu)
+	cl.room = sync.NewCond(&cl.mu)
 	for _, o := range opts {
 		o(cl)
 	}
@@ -262,7 +281,7 @@ func (cl *Client) connect() error {
 		nc.Close()
 		return ErrClosed
 	}
-	cl.nc, cl.br, cl.bw = nc, br, bufio.NewWriter(nc)
+	cl.nc, cl.br = nc, br
 	cl.session = welcome.Session
 	// A changed boot epoch means this is a different server instance:
 	// the old one's acknowledged state is gone. The resume below still
@@ -356,6 +375,7 @@ func (cl *Client) Close() error {
 		}
 	}
 	cl.flushCond.Broadcast()
+	cl.room.Broadcast()
 	cl.mu.Unlock()
 	// Outside cl.mu: a Sentinel's hook fires as the early re-evaluation
 	// kick the Sentineler contract allows, and a predicate registration
@@ -447,43 +467,71 @@ func (cl *Client) Counter(name string) *Counter {
 	return c
 }
 
-// enqueueLocked appends f to the connection's write buffer and nudges
-// the flusher. With the link down it is a no-op: state replay at
-// reconnect is the source of truth, not the buffer. Callers hold cl.mu.
+// enqueueLocked encodes f onto the connection's write queue, waking the
+// flusher if the queue was empty. With the link down it is a no-op:
+// state replay at reconnect is the source of truth, not the queue.
+// Callers hold cl.mu.
 func (cl *Client) enqueueLocked(f *wire.Frame) {
 	if cl.nc == nil {
 		return
 	}
 	cl.framesSent.Add(1)
-	cl.scratch = wire.Append(cl.scratch[:0], f)
-	cl.bw.Write(cl.scratch) // errors latch in bw; the reader notices the dead link
-	cl.dirty = true
-	cl.flushCond.Signal()
+	if len(cl.wq) == 0 {
+		cl.flushCond.Signal()
+	}
+	cl.wq = wire.Append(cl.wq, f)
 }
 
-// flushLoop coalesces queued frames: every signal flushes whatever has
-// accumulated, so a burst of increments or cancels becomes one write.
+// flushLoop writes queued frames: each pass takes everything queued
+// since the last one, so a burst of increments or cancels becomes one
+// write, and writes it outside cl.mu. The queue and a spare buffer
+// trade places on every take, so a steady stream of frames reuses the
+// same two buffers.
 func (cl *Client) flushLoop() {
 	defer cl.wg.Done()
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
+	var spare []byte
 	for {
-		for !cl.dirty && !cl.closed {
-			cl.flushCond.Wait()
-		}
-		if cl.closed {
+		buf, nc := cl.take(spare)
+		if nc == nil {
 			return
 		}
-		cl.dirty = false
-		if cl.bw != nil {
-			cl.bw.Flush() // errors latch; the reader notices and reconnects
+		if _, err := nc.Write(buf); err != nil {
+			// A failed write may leave the stream mid-frame: close the
+			// link, so the reader notices it and reconnects.
+			nc.Close()
+		}
+		spare = buf
+		if cap(spare) > maxSpareQueue {
+			spare = nil
 		}
 	}
 }
 
-// readLoop dispatches server frames and drives reconnection.
+// take waits until frames are queued or the client closes, then takes
+// the queue and the link it is queued for, leaving spare's storage in
+// its place, and wakes the incrementers waiting for room. The queue only
+// ever holds frames for the current link (reconnect drops it with the
+// link), and the link is nil once the client is closed.
+func (cl *Client) take(spare []byte) ([]byte, net.Conn) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for len(cl.wq) == 0 && !cl.closed {
+		cl.flushCond.Wait()
+	}
+	if cl.closed {
+		return nil, nil
+	}
+	buf := cl.wq
+	cl.wq = spare[:0]
+	cl.room.Broadcast()
+	return buf, cl.nc
+}
+
+// readLoop dispatches server frames and drives reconnection. Every frame
+// is decoded into f, which only this goroutine touches.
 func (cl *Client) readLoop() {
 	defer cl.wg.Done()
+	var f wire.Frame
 	for {
 		cl.mu.Lock()
 		br := cl.br
@@ -492,8 +540,7 @@ func (cl *Client) readLoop() {
 		if closed {
 			return
 		}
-		f, err := wire.Read(br)
-		if err != nil {
+		if err := wire.ReadInterned(br, nil, &f); err != nil {
 			if !cl.reconnect() {
 				return
 			}
@@ -508,12 +555,15 @@ func (cl *Client) readLoop() {
 // backoff (see backoff) between attempts, and reports false once the
 // client is closed. The sleep selects against the close channel, so a
 // Close issued mid-backoff returns promptly instead of waiting the
-// window out.
+// window out. The write queue goes with the link: connect's replay
+// re-sends whatever in it still matters, so an incrementer waiting for
+// room proceeds at once.
 func (cl *Client) reconnect() bool {
 	cl.mu.Lock()
 	if cl.nc != nil {
 		cl.nc.Close()
-		cl.nc, cl.bw, cl.br = nil, nil, nil
+		cl.nc, cl.br, cl.wq = nil, nil, nil
+		cl.room.Broadcast()
 	}
 	cl.mu.Unlock()
 	b := cl.boff // fresh window per outage

@@ -241,6 +241,12 @@ func (c *ShardedCounter) storePublishedLocked(v uint64) {
 // The seqlock goes odd while residue is in flight between a shard and
 // published, so lock-free sums retry instead of missing (or
 // double-counting) the moving portion.
+//
+// Each cell's fold is checked before the cell is emptied. A fold that
+// would pass the uint64 range publishes what was already folded, closes
+// the seqlock and releases the engine before the overflow panic, so the
+// true value (published plus residues) is unchanged and a caller that
+// recovers the panic — internal/server does — keeps a usable counter.
 func (c *ShardedCounter) flushLocked() {
 	p := c.shards.Load()
 	if p == nil {
@@ -256,8 +262,14 @@ func (c *ShardedCounter) flushLocked() {
 			if old == 0 {
 				break
 			}
+			r := old >> cellCountBits
+			if v+r < v {
+				c.storePublishedLocked(v)
+				c.flushSeq.Add(1)
+				panic(overflow(&c.wl.mu))
+			}
 			if s.CompareAndSwap(old, 0) {
-				v = checkedAdd(v, old>>cellCountBits)
+				v += r
 				c.fastIncs += old & cellCountMask
 				break
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -195,8 +196,13 @@ func TestShardedIncrementRacingRegistration(t *testing.T) {
 // value sits at overflowWatermark, the highest value that keeps the fast
 // path open, and three shard cells each hold residue just under the cell
 // cap: each cell's CAS admits its own, and together they pass the uint64
-// range. The next sum (Value, the Check fast path) and the next flush
-// must both panic in checkedAdd rather than wrap. (A wrap that a single
+// range. The next sum (Value, the Check fast path) must panic in
+// checkedAdd rather than wrap, and so must the flush an Increment too
+// large for a cell takes on the locked path. The flush's panic must
+// leave the counter usable, as counterd, which recovers it, needs: on
+// its own goroutine under a deadline, Value panics again instead of
+// spinning on an odd seqlock, Reset completes instead of waiting on a
+// held mutex, and Increment(1) then reads back 1. (A wrap that a single
 // Increment sees panics on the locked path; the conformance
 // TestIncrementOverflowPanics covers that via the registry.)
 func TestShardedCrossShardOverflowCaughtAtFlush(t *testing.T) {
@@ -224,10 +230,34 @@ func TestShardedCrossShardOverflowCaughtAtFlush(t *testing.T) {
 		f()
 	}
 	mustPanic("summing", func() { c.Value() })
-	mustPanic("flushing", func() {
-		c.wl.lock()
-		c.flushLocked()
-	})
+	mustPanic("flushing", func() { c.Increment(cellResidueCap) })
+
+	done := make(chan string, 1)
+	go func() {
+		defer close(done)
+		panicked := func(f func()) (p bool) {
+			defer func() { p = recover() != nil }()
+			f()
+			return false
+		}
+		if !panicked(func() { c.Value() }) {
+			done <- "Value after the flush's panic did not panic"
+			return
+		}
+		c.Reset()
+		c.Increment(1)
+		if v := c.Value(); v != 1 {
+			done <- fmt.Sprintf("Increment(1) after Reset reads %d, want 1", v)
+		}
+	}()
+	select {
+	case msg, failed := <-done:
+		if failed {
+			t.Fatal(msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the counter hung after the flush's overflow panic (held mutex or odd seqlock)")
+	}
 }
 
 // TestShardedZeroValueReady: the zero value (no constructor, stripes

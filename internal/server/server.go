@@ -13,6 +13,13 @@
 //   - one writer goroutine per connection, coalescing every queued
 //     frame (wakes, acks, replies) into batched flushes.
 //
+// The reader decodes each frame in place into the one wire.Frame its
+// connection owns, and resolves a frame's counter name once: the
+// decoder's name hook finds the hosted counter in the connection's name
+// table and leaves it for the handler. Increment dedup is one CAS max
+// on the session's highest applied sequence, so an increment on a known
+// name takes no lock before the engine's own fast path.
+//
 // A parked OpCheck is one entry in its connection's wait table, which
 // embeds the engine hook it parks on its level's node; the increment
 // that satisfies the level fires the hook on its own goroutine, and the
@@ -41,6 +48,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"monotonic/internal/core"
 	"monotonic/internal/predicate"
@@ -91,10 +99,26 @@ type hosted struct {
 // session carries the per-client state that survives reconnects: the
 // highest applied increment sequence, which is what makes re-sending an
 // unacknowledged tail safe (duplicates are dropped, monotonicity does
-// the rest).
+// the rest). Every connection of the session raises it through claim.
 type session struct {
-	mu      sync.Mutex
-	lastSeq uint64
+	lastSeq atomic.Uint64
+}
+
+// claim raises lastSeq to seq, reporting whether seq was new to the
+// session: a CAS max, so of any connections that carry the same seq at
+// once, exactly one claims it. A client sends its seqs in ascending
+// order on each connection, so a seq that finds lastSeq at or past it
+// was already claimed.
+func (s *session) claim(seq uint64) bool {
+	for {
+		last := s.lastSeq.Load()
+		if seq <= last {
+			return false
+		}
+		if s.lastSeq.CompareAndSwap(last, seq) {
+			return true
+		}
+	}
 }
 
 // New returns a server with no counters and no sessions. Each server
@@ -261,11 +285,17 @@ type conn struct {
 	// resolved maps the counter names this connection's frames carry to
 	// their hosted counters (never deleted, so an entry never goes
 	// stale). The decoder interns names through it, so a frame on a
-	// known name takes neither Server.mu nor an allocation. Touched only
-	// by the reader goroutine; at most maxResolved names. intern is
+	// known name takes neither Server.mu nor an allocation, and named
+	// keeps the counter the last interned name resolved to, so handling
+	// the frame does not look its name up again. Touched only by the
+	// reader goroutine; at most maxResolved names. intern is
 	// c.internName bound once, so reading a frame builds no closure.
 	resolved map[string]*hosted
+	named    *hosted
 	intern   func([]byte) string
+	// frame is the reader's decode target: every frame is decoded into
+	// it in place and handled from it, never copied.
+	frame wire.Frame
 
 	// waits indexes this connection's parked waits, OpCheck and
 	// OpWaitFor alike, by client-chosen id; nil once teardown has swept
@@ -525,18 +555,14 @@ func (c *conn) readLoop() {
 // the pipeline drains (or every ackEvery of them), so one flush carries
 // one ack for a whole burst instead of an ack per increment.
 func (c *conn) serve(br *bufio.Reader) error {
-	f, err := wire.ReadInterned(br, c.intern)
-	if err != nil {
+	if err := wire.ReadInterned(br, c.intern, &c.frame); err != nil {
 		return err
 	}
-	if err := c.handle(&f); err != nil {
+	if err := c.handle(&c.frame); err != nil {
 		return err
 	}
 	if c.unacked > 0 && (br.Buffered() == 0 || c.unacked >= ackEvery) {
-		c.sess.mu.Lock()
-		seq := c.sess.lastSeq
-		c.sess.mu.Unlock()
-		if seq > c.ackedSeq {
+		if seq := c.sess.lastSeq.Load(); seq > c.ackedSeq {
 			c.ackedSeq = seq
 			c.send(&wire.Frame{Op: wire.OpIncAck, Seq: seq})
 		}
@@ -564,9 +590,7 @@ func (c *conn) handle(f *wire.Frame) error {
 		c.version = f.Seq
 		id, sess := c.srv.session(f.Session)
 		c.sess = sess
-		sess.mu.Lock()
-		last := sess.lastSeq
-		sess.mu.Unlock()
+		last := sess.lastSeq.Load()
 		c.ackedSeq = last
 		var feat uint64
 		if c.version >= 3 {
@@ -579,13 +603,7 @@ func (c *conn) handle(f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		c.sess.mu.Lock()
-		dup := f.Seq <= c.sess.lastSeq
-		if !dup {
-			c.sess.lastSeq = f.Seq
-		}
-		c.sess.mu.Unlock()
-		if dup {
+		if !c.sess.claim(f.Seq) {
 			return nil // retried increment: monotonic dedup, drop it
 		}
 		c.unacked++
@@ -652,17 +670,26 @@ func (c *conn) handle(f *wire.Frame) error {
 }
 
 // internName is the decoder's name hook: a known name decodes to its
-// hosted counter's string, with no allocation.
+// hosted counter's string, with no allocation, and leaves that counter
+// in c.named for hosted.
 func (c *conn) internName(b []byte) string {
-	if h := c.resolved[string(b)]; h != nil {
+	h := c.resolved[string(b)]
+	c.named = h
+	if h != nil {
 		return h.name
 	}
 	return string(b)
 }
 
-// hosted validates the counter name and resolves it, from the
-// connection's own table when it can.
+// hosted validates the counter name and resolves it: to the counter
+// internName last resolved when the name is that counter's, else from
+// the connection's own table when it can. A hosted counter is the only
+// one under its name and is never deleted, so a match by name is right
+// however old c.named is.
 func (c *conn) hosted(name string) (*hosted, error) {
+	if h := c.named; h != nil && h.name == name {
+		return h, nil
+	}
 	if h := c.resolved[name]; h != nil {
 		return h, nil
 	}

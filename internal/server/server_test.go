@@ -229,6 +229,50 @@ func TestSessionResume(t *testing.T) {
 	}
 }
 
+// TestSessionDedupAcrossConnections races two connections of one
+// session, the second resuming the id the first was welcomed under, as
+// a client does when it redials while its old connection still has
+// frames in flight. Both send the same OpIncrement seqs 1..n on one
+// counter at the same time, each stream ending in an OpStats fence;
+// every seq must apply exactly once, so once both fences are answered
+// the value is exactly n. Dedup that read lastSeq and raised it in two
+// steps would let both connections apply a seq they read as new.
+func TestSessionDedupAcrossConnections(t *testing.T) {
+	const n, rounds = 4000, 10
+	s, addr := startServer(t)
+	for r := 0; r < rounds; r++ {
+		name := fmt.Sprintf("dedup%d", r)
+		a := dialRaw(t, addr)
+		b := dialRaw(t, addr)
+		b.hello(a.hello(0).Session)
+		var stream []byte
+		for seq := uint64(1); seq <= n; seq++ {
+			stream = wire.Append(stream, &wire.Frame{Op: wire.OpIncrement, Name: name, Seq: seq, Amount: 1})
+		}
+		stream = wire.Append(stream, &wire.Frame{Op: wire.OpStats, Name: name, ID: n + 1})
+		start := make(chan struct{})
+		errs := make(chan error, 2)
+		for _, c := range []*rawClient{a, b} {
+			go func(c *rawClient) {
+				<-start
+				_, err := c.nc.Write(stream)
+				errs <- err
+			}(c)
+		}
+		close(start)
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		a.recvOp(wire.OpStatsReply)
+		b.recvOp(wire.OpStatsReply)
+		if v := s.counter(name).c.Value(); v != n {
+			t.Fatalf("round %d: value %d after both connections sent seqs 1..%d, want %d (each seq applied once)", r, v, n, n)
+		}
+	}
+}
+
 func TestResetRefusedUnderWaiters(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialRaw(t, addr)

@@ -10,10 +10,10 @@ import (
 
 // TestSteadyStateAllocs pins the steady-state frame path at zero heap
 // allocations per frame: encoding an increment into a reused buffer,
-// decoding it through an intern hook that already holds its name, and
-// decoding the two frames a client receives in bulk, OpIncAck and
-// OpWake. (The race detector inflates allocation counts, hence the
-// build tag.)
+// decoding it into a reused frame through an intern hook that already
+// holds its name, and decoding the two frames a client receives in
+// bulk, OpIncAck and OpWake. (The race detector inflates allocation
+// counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
 	inc := Frame{Op: OpIncrement, Name: "jobs", Seq: 1 << 20, Amount: 1}
 	out := make([]byte, 0, 64)
@@ -34,10 +34,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 		buf := Append(nil, &tc.f)
 		rd := bytes.NewReader(nil)
 		br := bufio.NewReader(rd)
+		var f Frame
 		n := testing.AllocsPerRun(100, func() {
 			rd.Reset(buf)
 			br.Reset(rd)
-			f, err := ReadInterned(br, tc.intern)
+			err := ReadInterned(br, tc.intern, &f)
 			if err != nil || f.Op != tc.f.Op || f.Seq != tc.f.Seq || f.ID != tc.f.ID {
 				t.Fatalf("Read(%s) = %+v, %v", tc.f.Op, f, err)
 			}

@@ -338,28 +338,36 @@ func Append(buf []byte, f *Frame) []byte {
 // io.ErrUnexpectedEOF. A frame that fits br's buffer is decoded in place
 // from it (Peek, then Discard), so only a larger one is copied out
 // first; either way every decoded field is a copy, never a view of br.
-func Read(br *bufio.Reader) (Frame, error) { return read(br, nil) }
-
-// ReadInterned is Read with every counter name turned into a string by
-// intern instead of copied, so a reader that keeps the strings of names
-// it has seen can decode a frame on one of them without allocating.
-// intern receives a view of the frame that is valid only during the
-// call and must not be kept; it must return a string equal to it.
-func ReadInterned(br *bufio.Reader, intern func([]byte) string) (Frame, error) {
-	return read(br, intern)
+// It is ReadInterned into a fresh Frame, returned by value; the zero
+// Frame on error.
+func Read(br *bufio.Reader) (Frame, error) {
+	var f Frame
+	if err := ReadInterned(br, nil, &f); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
 }
 
-func read(br *bufio.Reader, intern func([]byte) string) (Frame, error) {
+// ReadInterned is Read into a caller-owned frame: it zeroes f once and
+// decodes the frame's fields straight into it, so a reader loop that
+// keeps one Frame copies none per frame. A non-nil intern turns every
+// counter name into a string instead of copying it, so a reader that
+// keeps the strings of names it has seen decodes a frame on one of them
+// without allocating; intern receives a view of the frame that is valid
+// only during the call and must not be kept, and must return a string
+// equal to it. Every other field is a copy, and Watch is a fresh slice,
+// so f may be kept or reused. On error f holds no usable frame.
+func ReadInterned(br *bufio.Reader, intern func([]byte) string, f *Frame) error {
 	hdr, err := br.Peek(4)
 	if err != nil {
 		if len(hdr) == 0 {
-			return Frame{}, err // clean EOF stays io.EOF
+			return err // clean EOF stays io.EOF
 		}
-		return Frame{}, unexpected(err)
+		return unexpected(err)
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return Frame{}, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
 	size := 4 + int(n)
 	if size > br.Size() {
@@ -367,27 +375,33 @@ func read(br *bufio.Reader, intern func([]byte) string) (Frame, error) {
 		br.Discard(4)
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return Frame{}, unexpected(err)
+			return unexpected(err)
 		}
-		return decode(payload, intern)
+		return decode(payload, intern, f)
 	}
 	buf, err := br.Peek(size)
 	if err != nil {
-		return Frame{}, unexpected(err)
+		return unexpected(err)
 	}
-	f, err := decode(buf[4:], intern)
+	err = decode(buf[4:], intern, f)
 	br.Discard(size)
-	return f, err
+	return err
 }
 
 // Decode parses one frame payload (opcode byte onward, no length
 // prefix).
-func Decode(payload []byte) (Frame, error) { return decode(payload, nil) }
-
-func decode(payload []byte, intern func([]byte) string) (Frame, error) {
-	d := decoder{buf: payload, intern: intern}
+func Decode(payload []byte) (Frame, error) {
 	var f Frame
-	f.Op = Op(d.byte())
+	if err := decode(payload, nil, &f); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// decode parses payload into f, which it zeroes first.
+func decode(payload []byte, intern func([]byte) string, f *Frame) error {
+	d := decoder{buf: payload, intern: intern}
+	*f = Frame{Op: Op(d.byte())}
 	switch f.Op {
 	case OpHello:
 		f.Session, f.Seq = d.uint(), d.uint()
@@ -410,7 +424,7 @@ func decode(payload []byte, intern func([]byte) string) (Frame, error) {
 		f.ID, f.Pred, f.K, f.Target = d.uint(), d.uint(), d.uint(), d.uint()
 		n := d.uint()
 		if d.err == nil && (n == 0 || n > MaxWatch) {
-			return Frame{}, fmt.Errorf("wire: waitfor frame watches %d counters (want 1..%d)", n, MaxWatch)
+			return fmt.Errorf("wire: waitfor frame watches %d counters (want 1..%d)", n, MaxWatch)
 		}
 		if d.err == nil {
 			f.Watch = make([]Watch, n)
@@ -434,15 +448,15 @@ func decode(payload []byte, intern func([]byte) string) (Frame, error) {
 			*p = d.uint()
 		}
 	default:
-		return Frame{}, fmt.Errorf("wire: unknown opcode 0x%02x", byte(f.Op))
+		return fmt.Errorf("wire: unknown opcode 0x%02x", byte(f.Op))
 	}
 	if d.err != nil {
-		return Frame{}, fmt.Errorf("wire: bad %s frame: %w", f.Op, d.err)
+		return fmt.Errorf("wire: bad %s frame: %w", f.Op, d.err)
 	}
 	if len(d.buf) != 0 {
-		return Frame{}, fmt.Errorf("wire: %s frame has %d trailing bytes", f.Op, len(d.buf))
+		return fmt.Errorf("wire: %s frame has %d trailing bytes", f.Op, len(d.buf))
 	}
-	return f, nil
+	return nil
 }
 
 // clipMsg cuts an error message to MaxName bytes, the longest string any

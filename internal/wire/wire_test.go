@@ -92,7 +92,8 @@ func TestRoundTripEveryOpcode(t *testing.T) {
 			if !reflect.DeepEqual(got, f) {
 				t.Errorf("%s, %d-byte reader: round trip = %+v, want %+v", f.Op, size, got, f)
 			}
-			got, err = ReadInterned(bufio.NewReaderSize(bytes.NewReader(buf), size), intern)
+			got = Frame{}
+			err = ReadInterned(bufio.NewReaderSize(bytes.NewReader(buf), size), intern, &got)
 			if err != nil {
 				t.Fatalf("%s, %d-byte reader: ReadInterned: %v", f.Op, size, err)
 			}
@@ -135,6 +136,47 @@ func TestBatchedFrames(t *testing.T) {
 	}
 }
 
+// TestReusedFrame decodes every sample frame, forwards and then
+// backwards, from one batched stream into one reused Frame, through each
+// reader size, with and without an intern hook. Each result must equal
+// its sample: no field of the frame decoded before it (a Watch list, a
+// Msg, Stats, Features) may carry over. Forwards, every opcode follows a
+// different one; backwards, each sample follows what preceded it the
+// other way, so a frame with a field set is followed by one without it
+// in both orders.
+func TestReusedFrame(t *testing.T) {
+	frames := sampleFrames()
+	var order []int
+	for i := range frames {
+		order = append(order, i)
+	}
+	for i := len(frames) - 1; i >= 0; i-- {
+		order = append(order, i)
+	}
+	var buf []byte
+	for _, i := range order {
+		buf = Append(buf, &frames[i])
+	}
+	interned, _ := internTable()
+	for _, size := range readerSizes {
+		for _, intern := range []func([]byte) string{nil, interned} {
+			br := bufio.NewReaderSize(bytes.NewReader(buf), size)
+			var f Frame
+			for k, i := range order {
+				if err := ReadInterned(br, intern, &f); err != nil {
+					t.Fatalf("%d-byte reader, frame %d (%s): %v", size, k, frames[i].Op, err)
+				}
+				if !reflect.DeepEqual(f, frames[i]) {
+					t.Fatalf("%d-byte reader, frame %d: decoded into a reused frame = %+v, want %+v", size, k, f, frames[i])
+				}
+			}
+			if err := ReadInterned(br, intern, &f); err != io.EOF {
+				t.Fatalf("%d-byte reader, after last frame: err = %v, want io.EOF", size, err)
+			}
+		}
+	}
+}
+
 // TestTruncatedFrame cuts valid frames at every byte boundary, a small
 // one and the largest a client can send, through each reader size: a
 // cut inside a frame must surface as io.ErrUnexpectedEOF or a decode
@@ -168,7 +210,8 @@ func TestReadInterned(t *testing.T) {
 	intern, seen := internTable()
 	read := func(f Frame) Frame {
 		t.Helper()
-		got, err := ReadInterned(bufio.NewReader(bytes.NewReader(Append(nil, &f))), intern)
+		var got Frame
+		err := ReadInterned(bufio.NewReader(bytes.NewReader(Append(nil, &f))), intern, &got)
 		if err != nil || !reflect.DeepEqual(got, f) {
 			t.Fatalf("ReadInterned(%+v) = %+v, %v", f, got, err)
 		}
