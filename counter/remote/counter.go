@@ -35,8 +35,8 @@ type Counter struct {
 	// stats replies). Safe precisely because the value is monotonic.
 	known atomic.Uint64
 
-	immediate atomic.Uint64 // checks satisfied by the watermark
-	suspends  atomic.Uint64 // checks that went to the wire
+	immediate atomic.Uint64 // checks satisfied by the watermark; see Stats
+	suspends  atomic.Uint64 // checks that went to the wire; see Stats
 	rtts      atomic.Uint64 // completed wire exchanges
 	ackMark   uint64        // the Client.acks value that last counted an ack here; guarded by cl.mu
 	waitNanos atomic.Uint64 // wall-clock nanoseconds blocked on the wire
@@ -217,7 +217,9 @@ func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error)
 	}
 	id := cl.parkLocked(wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook})
 	cl.mu.Unlock()
-	c.suspends.Add(1)
+	if ch != nil {
+		c.suspends.Add(1) // a Sentinel's arming is no suspend, as in-process
+	}
 	c.emit(counter.EventSuspend, level)
 	return id, nil
 }
@@ -271,7 +273,6 @@ func (c *Counter) Watermark() uint64 { return c.known.Load() }
 // reports false only when the client's watermark already covers level.
 func (c *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
 	if level <= c.known.Load() {
-		c.immediate.Add(1)
 		return nil, false
 	}
 	id, err := c.park(level, nil, fn)
@@ -306,10 +307,14 @@ const statsTimeout = 2 * time.Second
 
 // Stats reports the hosted counter's engine measurements — the shared
 // schema fields describe the server-side counter that every client
-// session contributes to — plus this client's Remote* wire
-// measurements. If the server cannot answer within two seconds the last
-// snapshot it did give is reused (zeroes before the first), so an
-// expvar scrape never wedges on a dead link.
+// session contributes to — plus this client's own checks, which the
+// server's engine does not count: ImmediateChecks adds the checks the
+// client's watermark answered without the wire, and Suspends the checks
+// that went to the wire and blocked for at least a round trip (counterd
+// arms them as engine hooks, and an arming counts as neither). The
+// Remote* fields are this client's wire measurements. If the server cannot answer
+// within two seconds the last snapshot it did give is reused (zeroes
+// before the first), so an expvar scrape never wedges on a dead link.
 func (c *Counter) Stats() counter.Stats {
 	var ws wire.Stats
 	f := wire.Frame{Op: wire.OpStats, Name: c.name}
@@ -325,8 +330,8 @@ func (c *Counter) Stats() counter.Stats {
 		SatisfiedLevels:    ws.SatisfiedLevels,
 		Broadcasts:         ws.Broadcasts,
 		ChannelCloses:      ws.ChannelCloses,
-		Suspends:           ws.Suspends,
-		ImmediateChecks:    ws.ImmediateChecks,
+		Suspends:           ws.Suspends + c.suspends.Load(),
+		ImmediateChecks:    ws.ImmediateChecks + c.immediate.Load(),
 		Increments:         ws.Increments,
 		FastPathIncrements: ws.FastPathIncrements,
 		Flushes:            ws.Flushes,

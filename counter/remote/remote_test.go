@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -380,6 +381,82 @@ func TestStats(t *testing.T) {
 
 	// counter.Publish works unchanged on a remote counter.
 	counter.Publish(countertest.FreshName("expvar"), c)
+}
+
+// TestStatsCountsClientChecks: a remote counter's Stats include the
+// checks the client settles itself. A Check the client's watermark
+// covers never reaches the server, and counterd parks a blocking one as
+// an engine hook, which its engine counts as neither an immediate check
+// nor a suspend.
+func TestStatsCountsClientChecks(t *testing.T) {
+	addr := startServer(t)
+	cl := dialClient(t, addr)
+	c := cl.Counter(countertest.FreshName("checks"))
+	s0 := c.Stats()
+	ch := c.CheckChan(3) // parks: the watermark starts at zero
+	if s := c.Stats(); s.Suspends != s0.Suspends+1 || s.ImmediateChecks != s0.ImmediateChecks {
+		t.Fatalf("after a parked Check: Suspends %d, ImmediateChecks %d; want %d, %d",
+			s.Suspends, s.ImmediateChecks, s0.Suspends+1, s0.ImmediateChecks)
+	}
+	c.Increment(3)
+	if err := <-ch; err != nil {
+		t.Fatal(err)
+	}
+	s1 := c.Stats()
+	c.Check(2) // the wake raised the watermark to 3
+	if s := c.Stats(); s.ImmediateChecks != s1.ImmediateChecks+1 || s.Suspends != s1.Suspends {
+		t.Fatalf("after a Check the watermark covers: ImmediateChecks %d, Suspends %d; want %d, %d",
+			s.ImmediateChecks, s.Suspends, s1.ImmediateChecks+1, s1.Suspends)
+	}
+}
+
+// TestProbeEvents pins SetProbe's client-local events: an Increment, a
+// Check that parks and the wake that releases it deliver
+// EventIncrement, EventSuspend and EventWake with their amounts and
+// levels, and SetProbe(nil) stops them.
+func TestProbeEvents(t *testing.T) {
+	addr := startServer(t)
+	cl := dialClient(t, addr)
+	c := cl.Counter(countertest.FreshName("probe"))
+	var mu sync.Mutex
+	var got []counter.Event
+	c.SetProbe(func(e counter.Event) {
+		mu.Lock()
+		got = append(got, e)
+		mu.Unlock()
+	})
+	events := func() []counter.Event {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]counter.Event(nil), got...)
+	}
+
+	c.Increment(2)
+	ch := c.CheckChan(5) // parks: the watermark starts at zero
+	want := []counter.Event{{Kind: counter.EventIncrement, Level: 2}, {Kind: counter.EventSuspend, Level: 5}}
+	if e := events(); !slices.Equal(e, want) {
+		t.Fatalf("events after an Increment and a parked Check = %+v, want %+v", e, want)
+	}
+	c.Increment(3)
+	if err := <-ch; err != nil {
+		t.Fatal(err)
+	}
+	// The wake is emitted before the Check is answered; the increment's
+	// event, after its frame is queued, may come either side of it.
+	e := events()
+	inc, wake := counter.Event{Kind: counter.EventIncrement, Level: 3}, counter.Event{Kind: counter.EventWake, Level: 5}
+	if len(e) != 4 || !slices.Equal(e[:2], want) || !(e[2] == inc && e[3] == wake || e[2] == wake && e[3] == inc) {
+		t.Fatalf("events after the wake = %+v, want %+v then %+v and %+v in either order", e, want, inc, wake)
+	}
+
+	c.SetProbe(nil)
+	c.Increment(1)
+	if err := <-c.CheckChan(6); err != nil { // parks, then the server answers at once
+		t.Fatal(err)
+	}
+	if e := events(); len(e) != 4 {
+		t.Fatalf("events after SetProbe(nil) = %+v, want the 4 from before", e)
+	}
 }
 
 // TestIncrementOverflowPoisonsClient pins the remote analogue of the

@@ -18,31 +18,24 @@ import (
 // replayed, answered and swept with the parked OpChecks.
 
 // specFrame encodes a wait.Spec into an OpWaitFor frame, reporting
-// false for specs the wire cannot carry.
+// false for specs the wire cannot carry. Each kind sends only its own
+// fields: a sum's target, a threshold's k and levels.
 func specFrame(spec cwait.Spec) (wire.Frame, bool) {
 	if !spec.Encodable() {
 		return wire.Frame{}, false
 	}
-	names, ok := spec.Names()
-	if !ok {
-		return wire.Frame{}, false
-	}
-	f := wire.Frame{Op: wire.OpWaitFor, Watch: make([]wire.Watch, len(names))}
-	switch spec.Kind {
-	case cwait.KindSum:
-		f.Pred = wire.PredSum
-		f.Target = spec.Target
-		for i, n := range names {
-			f.Watch[i] = wire.Watch{Name: n}
-		}
-	case cwait.KindThreshold:
-		f.Pred = wire.PredThreshold
+	f := wire.Frame{Op: wire.OpWaitFor, Pred: uint64(spec.Kind), Watch: make([]wire.Watch, len(spec.Counters))}
+	threshold := spec.Kind == cwait.KindThreshold
+	if threshold {
 		f.K = uint64(spec.K)
-		for i, n := range names {
-			f.Watch[i] = wire.Watch{Name: n, Level: spec.Levels[i]}
+	} else {
+		f.Target = spec.Target
+	}
+	for i, c := range spec.Counters {
+		f.Watch[i].Name = c.(interface{ Name() string }).Name() // Encodable: every counter is named
+		if threshold {
+			f.Watch[i].Level = spec.Levels[i]
 		}
-	default:
-		return wire.Frame{}, false
 	}
 	return f, true
 }

@@ -10,6 +10,7 @@ import (
 	"monotonic/counter/countertest"
 	"monotonic/counter/remote"
 	"monotonic/counter/wait"
+	"monotonic/internal/predicate"
 	"monotonic/internal/server"
 	"monotonic/internal/wire"
 )
@@ -45,6 +46,24 @@ func waitPredWaits(t *testing.T, s *server.Server, want int) {
 // server.
 func TestWirePredicates(t *testing.T) {
 	countertest.RunWirePredicates(t)
+}
+
+// TestPredicateKindsAgree: the client sends a Spec's kind as its wire
+// kind and counterd reads the wire kind as the predicate engine's, so
+// the three numberings must be one.
+func TestPredicateKindsAgree(t *testing.T) {
+	for _, k := range []struct {
+		spec wait.Kind
+		pred predicate.Kind
+		wire uint64
+	}{
+		{wait.KindSum, predicate.KindSum, wire.PredSum},
+		{wait.KindThreshold, predicate.KindThreshold, wire.PredThreshold},
+	} {
+		if uint64(k.spec) != k.wire || uint64(k.pred) != k.wire {
+			t.Errorf("%s: wait kind %d, predicate kind %d, wire kind %d", k.spec, k.spec, k.pred, k.wire)
+		}
+	}
 }
 
 func TestServerFeatures(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"monotonic/counter"
+	"monotonic/internal/predicate"
 	"monotonic/internal/wire"
 )
 
@@ -12,13 +13,14 @@ import (
 // kinds cover every combinator in this package: sums compare the
 // counters' total against a target; thresholds ask for k of the
 // counters to reach their own levels (min is k = n, any is k = 1).
+// The numbers are the predicate engine's and the wire's.
 type Kind uint8
 
 const (
 	// KindSum is "the counters' values sum to at least Target".
-	KindSum Kind = iota + 1
+	KindSum = Kind(predicate.KindSum)
 	// KindThreshold is "at least K counters have reached Levels[i]".
-	KindThreshold
+	KindThreshold = Kind(predicate.KindThreshold)
 )
 
 // String returns the kind's wire-stable lowercase name.
@@ -34,10 +36,11 @@ func (k Kind) String() string {
 }
 
 // Spec is the canonical, serializable descriptor of a predicate: what a
-// combinator means, separated from the closure that evaluates it. Every
-// combinator records its Spec on the Cond it builds (Cond.Spec), and
+// combinator means, separated from the engine that evaluates it. A
+// combinator builds nothing but its Spec, which the Cond records
+// (Cond.Spec) and evaluates as the predicate.Pred of the same fields;
 // the wire frame, the cluster router, and log lines all consume this
-// one form instead of re-deriving structure from predicates.
+// one form.
 //
 // Counters holds the watched counters in coordinate order — the order
 // Levels indexes and the order predicate evaluation sees. For
@@ -72,22 +75,22 @@ func (s Spec) Names() ([]string, bool) {
 	return names, true
 }
 
+// pred views the Spec as the predicate it describes, sharing its
+// levels. Neither conversion narrows: a negative K turns into one above
+// any counter count, which Validate refuses.
+func (s Spec) pred() predicate.Pred {
+	return predicate.Pred{Kind: predicate.Kind(s.Kind), Levels: s.Levels, K: uint64(s.K), Target: s.Target}
+}
+
 // Encodable reports whether the Spec fits the wire's multi-counter wait
-// frame: a known kind, a watch set within frame bounds, every counter
-// named within name bounds, and (for thresholds) a coherent quorum
-// size. Encodable says nothing about where the counters live — the
-// router still has to find one host holding all of them.
+// frame: a shape the predicate engine accepts (predicate.Pred.Validate,
+// the check counterd applies to the frame), a watch set within frame
+// bounds, and every counter named within name bounds. Encodable says
+// nothing about where the counters live — the router still has to find
+// one host holding all of them.
 func (s Spec) Encodable() bool {
-	if s.Kind != KindSum && s.Kind != KindThreshold {
+	if len(s.Counters) > wire.MaxWatch || s.pred().Validate(len(s.Counters)) != nil {
 		return false
-	}
-	if len(s.Counters) == 0 || len(s.Counters) > wire.MaxWatch {
-		return false
-	}
-	if s.Kind == KindThreshold {
-		if len(s.Levels) != len(s.Counters) || s.K < 1 || s.K > len(s.Counters) {
-			return false
-		}
 	}
 	for _, c := range s.Counters {
 		n, ok := c.(namer)

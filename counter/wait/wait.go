@@ -22,6 +22,7 @@ package wait
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -43,14 +44,18 @@ type Cond struct {
 // serializable form the combinator recorded when it built the Cond.
 func (c *Cond) Spec() Spec { return c.spec }
 
-// newCond builds a Cond for spec and pred, routing evaluation
-// server-side when possible: if the spec is wire-encodable and every
-// counter nominates the same SpecHost, the Cond arms one registration
-// with that host instead of per-counter sentinels (asking again if a
-// registration dies, and falling back to sentinels once the host
-// refuses — see predicate.External).
-// Otherwise evaluation is classic client-side sentinels.
-func newCond(spec Spec, pred predicate.Pred) *Cond {
+// newCond builds the Cond for spec, the only thing a combinator
+// builds: its predicate is the Spec's own, with the levels copied once,
+// because Spec hands them out. Evaluation is routed server-side when
+// possible: if the spec is wire-encodable and every counter nominates
+// the same SpecHost, the Cond arms one registration with that host
+// instead of per-counter sentinels (asking again if a registration
+// dies, and falling back to sentinels once the host refuses — see
+// predicate.External). Otherwise evaluation is classic client-side
+// sentinels.
+func newCond(spec Spec) *Cond {
+	pred := spec.pred()
+	pred.Levels = slices.Clone(pred.Levels)
 	pcs := adaptAll(spec.Counters)
 	if host, ok := spec.commonHost(); ok {
 		ext := func(fire func(satisfied bool)) (func() bool, bool) {
@@ -131,8 +136,7 @@ func Sum(cs ...counter.Interface) SumExpr { return SumExpr{cs: cs} }
 // target". The sum saturates rather than wrapping, so overflow can only
 // make the condition hold earlier.
 func (s SumExpr) AtLeast(target uint64) *Cond {
-	spec := Spec{Kind: KindSum, Counters: s.cs, Target: target}
-	return newCond(spec, predicate.SumAtLeast(target))
+	return newCond(Spec{Kind: KindSum, Counters: s.cs, Target: target})
 }
 
 // MinExpr is the minimum of a fixed set of counters, ready to be
@@ -145,14 +149,7 @@ func Min(cs ...counter.Interface) MinExpr { return MinExpr{cs: cs} }
 
 // AtLeast returns the condition "every counter's value is at least
 // level" — a join: it holds once the slowest counter arrives.
-func (m MinExpr) AtLeast(level uint64) *Cond {
-	levels := make([]uint64, len(m.cs))
-	for i := range levels {
-		levels[i] = level
-	}
-	spec := Spec{Kind: KindThreshold, Counters: m.cs, Levels: levels, K: len(levels)}
-	return newCond(spec, predicate.Thresholds(levels, len(levels)))
-}
+func (m MinExpr) AtLeast(level uint64) *Cond { return KOfN(m.cs, len(m.cs), level) }
 
 // AtLeast returns the condition "c's value is at least level" — the
 // one-counter degenerate case, equivalent to a Check(level) but
@@ -169,8 +166,7 @@ func KOfN(cs []counter.Interface, k int, threshold uint64) *Cond {
 	for i := range levels {
 		levels[i] = threshold
 	}
-	spec := Spec{Kind: KindThreshold, Counters: cs, Levels: levels, K: k}
-	return newCond(spec, predicate.Thresholds(levels, k))
+	return newCond(Spec{Kind: KindThreshold, Counters: cs, Levels: levels, K: k})
 }
 
 // sentinelCounter is the native predicate surface: the facade types,
@@ -183,9 +179,6 @@ type sentinelCounter interface {
 }
 
 func adaptAll(cs []counter.Interface) []predicate.Counter {
-	if len(cs) == 0 {
-		panic("wait: predicate over zero counters")
-	}
 	out := make([]predicate.Counter, len(cs))
 	for i, c := range cs {
 		out[i] = adapt(c)

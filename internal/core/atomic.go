@@ -98,7 +98,7 @@ func (c *AtomicCounter) Reset() { c.wl.reset(&c.idx, &c.watermark) }
 // readStats loads the wake-side atomics first, so folding the striped
 // satisfied count afterwards keeps Broadcasts <= SatisfiedLevels.
 func (c *AtomicCounter) Stats() Stats {
-	s := c.wl.readStats(&c.watermark)
+	s := c.wl.readStats(&c.fastChecks, nil)
 	c.idx.foldStats(&s)
 	return s
 }

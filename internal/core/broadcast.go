@@ -147,7 +147,7 @@ func (c *BroadcastCounter) Wakes() uint64 {
 // lock-free fast-path checks. For this baseline PeakLevels is the peak
 // number of live round nodes (at most 1) and SatisfiedLevels counts
 // satisfied wake rounds; see Increment.
-func (c *BroadcastCounter) Stats() Stats { return c.wl.readStats(&c.watermark) }
+func (c *BroadcastCounter) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
 
 // LockAcquires implements LockCounter.
 func (c *BroadcastCounter) LockAcquires() uint64 {

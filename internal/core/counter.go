@@ -86,7 +86,7 @@ func (c *Counter) Reset() { c.wl.reset(&c.list, &c.watermark) }
 
 // Stats implements StatsProvider with the engine's collector, folding in
 // the lock-free fast-path checks.
-func (c *Counter) Stats() Stats { return c.wl.readStats(&c.watermark) }
+func (c *Counter) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
 
 // LockAcquires implements LockCounter: engine-mutex acquisitions
 // recorded while SetLockCounting was enabled.

@@ -290,7 +290,7 @@ func (c *FCCounter) Reset() { c.wl.reset(&c.idx, &c.watermark) }
 // path) and whose Flushes counts folds that took at least one, plus the
 // striped registration tallies.
 func (c *FCCounter) Stats() Stats {
-	s := c.wl.readStats(&c.watermark)
+	s := c.wl.readStats(&c.fastChecks, nil)
 	c.idx.foldStats(&s)
 	return s
 }

@@ -181,7 +181,7 @@ func (c *HeapCounter) Reset() { c.wl.reset(&c.index, &c.watermark) }
 
 // Stats implements StatsProvider with the engine's collector, folding in
 // the lock-free fast-path checks.
-func (c *HeapCounter) Stats() Stats { return c.wl.readStats(&c.watermark) }
+func (c *HeapCounter) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
 
 // LockAcquires implements LockCounter.
 func (c *HeapCounter) LockAcquires() uint64 {

@@ -84,12 +84,6 @@ type ShardedCounter struct {
 	// published-value store.
 	idx stripedList
 
-	// fastIncs and flushes extend the engine's collector with the
-	// sharded-specific schema fields; both change only at fold points,
-	// which all hold wl.mu. Counts still sitting in cells are added at
-	// snapshot time, so FastPathIncrements never lags the fast path.
-	fastIncs uint64 // flushed cell counts (Stats.FastPathIncrements)
-	flushes  uint64 // flush passes (Stats.Flushes)
 	// fastChecks counts satisfied lock-free checks (Stats.ImmediateChecks).
 	fastChecks stripedUint64
 }
@@ -252,7 +246,7 @@ func (c *ShardedCounter) flushLocked() {
 	if p == nil {
 		return
 	}
-	c.flushes++
+	c.wl.stats.flushes++
 	c.flushSeq.Add(1)
 	v := c.published.Load()
 	for i := range *p {
@@ -270,7 +264,7 @@ func (c *ShardedCounter) flushLocked() {
 			}
 			if s.CompareAndSwap(old, 0) {
 				v += r
-				c.fastIncs += old & cellCountMask
+				c.wl.stats.fastPathIncs += old & cellCountMask
 				break
 			}
 		}
@@ -373,7 +367,7 @@ func (c *ShardedCounter) Reset() {
 	c.flushSeq.Add(1)
 	if p := c.shards.Load(); p != nil {
 		for i := range *p {
-			c.fastIncs += (*p)[i].v.Load() & cellCountMask
+			c.wl.stats.fastPathIncs += (*p)[i].v.Load() & cellCountMask
 			(*p)[i].v.Store(0)
 		}
 	}
@@ -384,31 +378,25 @@ func (c *ShardedCounter) Reset() {
 // Value implements Interface. For inspection and testing only.
 func (c *ShardedCounter) Value() uint64 { return c.sum() }
 
-// Stats implements StatsProvider. Counts still packed in shard cells are
-// added to the flushed tally while holding the engine mutex (the only
-// place cells are emptied), so FastPathIncrements is exact even before
-// any flush; Increments reports locked plus fast-path increments.
+// Stats implements StatsProvider: the engine's collector, whose
+// fast-path tallies the flushes keep, plus the striped registration
+// tallies. Increments reports locked plus fast-path increments.
 func (c *ShardedCounter) Stats() Stats {
-	// Wake-side atomics first — see waitlist.readStats for the ordering
-	// argument behind the Broadcasts <= SatisfiedLevels invariant.
-	b := c.wl.stats.broadcasts.Load()
-	cl := c.wl.stats.channelCloses.Load()
-	c.wl.lock()
-	s := c.wl.stats.guarded()
-	fp := c.fastIncs
+	s := c.wl.readStats(&c.fastChecks, c.cellCounts)
+	c.idx.foldStats(&s)
+	s.Increments += s.FastPathIncrements
+	return s
+}
+
+// cellCounts adds the counts still packed in shard cells to the flushed
+// tally. Called with wl.mu held, the only hold under which cells are
+// emptied, so FastPathIncrements is exact even before any flush.
+func (c *ShardedCounter) cellCounts(s *Stats) {
 	if p := c.shards.Load(); p != nil {
 		for i := range *p {
-			fp += (*p)[i].v.Load() & cellCountMask
+			s.FastPathIncrements += (*p)[i].v.Load() & cellCountMask
 		}
 	}
-	s.FastPathIncrements = fp
-	s.Flushes = c.flushes
-	c.wl.unlock()
-	s.Broadcasts, s.ChannelCloses = b, cl
-	c.idx.foldStats(&s)
-	s.Increments += fp
-	s.ImmediateChecks += c.fastChecks.Load()
-	return s
 }
 
 // LockAcquires implements LockCounter: engine-mutex plus stripe-mutex

@@ -235,8 +235,10 @@ type engineStats struct {
 	suspends        uint64
 	immediateChecks uint64
 	increments      uint64
-	// The flat-combining fold's tallies (FCCounter): increments folded
-	// from the slots, and folds that took at least one.
+	// The tallies of the folds that bring out-of-lock increments in:
+	// FCCounter's combining fold (increments folded from the slots, and
+	// folds that took at least one) and ShardedCounter's residue flush
+	// (cell counts flushed, and flush passes).
 	fastPathIncs uint64
 	flushes      uint64
 
@@ -252,16 +254,21 @@ type engineStats struct {
 // locked read that follows — the documented Broadcasts <=
 // SatisfiedLevels / ChannelCloses <= SatisfiedLevels invariant. (Read
 // the other way round, a wake landing between the two reads could be
-// counted while its satisfy was not.) The watermark's lock-free
-// satisfied looks are folded into ImmediateChecks.
-func (w *waitlist) readStats(m *watermark) Stats {
+// counted while its satisfy was not.) locked, when not nil, adds a
+// design's own tallies under the same hold of the mutex; fastChecks,
+// the design's lock-free satisfied looks, is folded into
+// ImmediateChecks.
+func (w *waitlist) readStats(fastChecks *stripedUint64, locked func(*Stats)) Stats {
 	b := w.stats.broadcasts.Load()
 	cl := w.stats.channelCloses.Load()
 	w.lock()
 	s := w.stats.guarded()
+	if locked != nil {
+		locked(&s)
+	}
 	w.unlock()
 	s.Broadcasts, s.ChannelCloses = b, cl
-	s.ImmediateChecks += m.fastChecks.Load()
+	s.ImmediateChecks += fastChecks.Load()
 	return s
 }
 

@@ -52,7 +52,7 @@ func TestFrontierMoveAllocs(t *testing.T) {
 	}
 	cond := predicate.NewCond(pred, a, b)
 	flipped := false
-	if _, armed := cond.Arm(func() { flipped = true }); !armed {
+	if !cond.Arm(&firer{func() { flipped = true }}) {
 		t.Fatal("Arm on zero counters reported not-armed")
 	}
 	// Each run takes a to its frontier: its slot fires, and the kick,

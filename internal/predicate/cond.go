@@ -42,12 +42,10 @@ type Cond struct {
 	vals      []uint64 // scratch: last-read bounds
 	fronts    []uint64 // scratch: frontier levels
 
-	// cbs holds callbacks registered with Arm, with the ids their cancels
-	// look them up by; an armed callback counts as a waiter for
-	// keep-armed purposes. counterd arms one per Cond, so a slice beats
-	// a map.
-	cbs  []callback
-	cbID uint64
+	// firers holds what Arm registered, which Disarm finds by identity;
+	// an armed firer counts as a waiter for keep-armed purposes.
+	// counterd arms one per Cond, so a slice beats a map.
+	firers []core.Firer
 
 	// ext, when non-nil, is the external arming strategy: one
 	// registration with a remote evaluator replaces the per-counter
@@ -88,27 +86,15 @@ type sentinel struct {
 	seen   bool        // this counter has been armed at least once (repark accounting)
 }
 
-// callback is one Arm registration.
-type callback struct {
-	id uint64
-	fn func()
-}
-
 // NewCond returns an unsatisfied Cond waiting for pred over the given
-// counters. The counters' order is the coordinate order pred sees. A
-// Thresholds predicate must be given exactly as many counters as it
-// has levels.
+// counters. The counters' order is the coordinate order pred sees. It
+// panics unless pred.Validate accepts the counter count, and keeps
+// pred's levels, which the caller must not change afterwards.
 func NewCond(pred Pred, counters ...Counter) *Cond {
-	if pred == nil {
-		panic("predicate: NewCond requires a predicate")
-	}
-	if len(counters) == 0 {
-		panic("predicate: NewCond requires at least one counter")
-	}
-	if th, ok := pred.(thresholds); ok && len(th.levels) != len(counters) {
-		panic("predicate: Thresholds level count does not match counter count")
-	}
 	n := len(counters)
+	if err := pred.Validate(n); err != nil {
+		panic(err.Error())
+	}
 	scratch := make([]uint64, 2*n)
 	c := &Cond{
 		pred:   pred,
@@ -273,17 +259,17 @@ func (c *Cond) extKickLocked(gen uint64, satisfied bool) {
 }
 
 // satisfyLocked settles the Cond: cancel whatever is still armed,
-// release every waiter with one channel close, and run the armed
-// callbacks. Called with mu held; callbacks therefore run under the
-// Cond's lock and must honour the Arm contract (fast, no re-entry).
+// release every waiter with one channel close, and fire the armed
+// firers. Called with mu held; firers therefore run under the Cond's
+// lock and must honour the Arm contract (fast, no re-entry).
 func (c *Cond) satisfyLocked() {
 	c.satisfied = true
 	c.disarmLocked()
 	close(c.done)
-	cbs := c.cbs
-	c.cbs = nil
-	for _, cb := range cbs {
-		cb.fn()
+	firers := c.firers
+	c.firers = nil
+	for _, f := range firers {
+		f.Fire()
 	}
 }
 
@@ -405,6 +391,38 @@ func (c *Cond) evaluateLocked() {
 	}
 }
 
+// enterLocked is the first step of every Wait and Arm: it settles the
+// Cond if the predicate holds and otherwise makes sure its sentinels
+// are armed, reporting whether the caller must park. Called with mu
+// held.
+func (c *Cond) enterLocked() bool {
+	if !c.satisfied {
+		if !c.started {
+			c.started = true
+			c.evaluateLocked()
+		} else if c.pred.Holds(c.readLocked()) {
+			// Already armed by an earlier waiter: a cheap re-check (no
+			// re-arm) keeps "satisfied beats cancelled" exact even when
+			// a kick is still in flight — on its way to this lock, or
+			// handed to a goroutine because this lock was held.
+			c.satisfyLocked()
+		}
+	}
+	return !c.satisfied
+}
+
+// leaveLocked is the last step of a Wait that gives up and of a
+// Disarm: the last waiter out turns off the lights, so no sentinel
+// stays parked for a wait nobody is waiting on. An armed firer counts
+// as a waiter — it stands for a remote session still blocked on this
+// predicate. Called with mu held.
+func (c *Cond) leaveLocked() {
+	if c.waiters == 0 && len(c.firers) == 0 && c.started && !c.satisfied {
+		c.disarmLocked()
+		c.started = false
+	}
+}
+
 // Wait blocks until the predicate holds or ctx is cancelled. A
 // satisfied predicate beats a cancelled context — Wait evaluates before
 // consulting ctx, and re-checks satisfaction when the two race — and
@@ -426,19 +444,7 @@ func (c *Cond) Wait(ctx context.Context) error {
 	default:
 	}
 	c.mu.Lock()
-	if !c.satisfied {
-		if !c.started {
-			c.started = true
-			c.evaluateLocked()
-		} else if c.pred.Holds(c.readLocked()) {
-			// Already armed by an earlier waiter: a cheap re-check (no
-			// re-arm) keeps "satisfied beats cancelled" exact even when
-			// a kick is still in flight — on its way to this lock, or
-			// handed to a goroutine because this lock was held.
-			c.satisfyLocked()
-		}
-	}
-	if c.satisfied {
+	if !c.enterLocked() {
 		c.mu.Unlock()
 		return nil
 	}
@@ -458,63 +464,47 @@ func (c *Cond) Wait(ctx context.Context) error {
 		if c.satisfied {
 			return nil // satisfaction and cancellation raced: satisfied wins
 		}
-		if c.waiters == 0 && len(c.cbs) == 0 {
-			// Last waiter out turns off the lights: no sentinel stays
-			// parked for a wait nobody is waiting on. An armed callback
-			// counts as a waiter — it represents a remote session still
-			// blocked on this predicate.
-			c.disarmLocked()
-			c.started = false
-		}
+		c.leaveLocked()
 		return ctx.Err()
 	}
 }
 
-// Arm registers fn to run exactly once when the Cond settles, without
+// Arm registers f to fire exactly once when the Cond settles, without
 // parking a goroutine — the callback analogue of Wait, built for
 // counterd's parked waits, where one Cond entry must stand in for a
-// whole remote session's wait. Arm evaluates immediately: if the
-// predicate already holds (settling the Cond if needed) it returns
-// (nil, false) and fn will never run — the caller answers the waiter
-// directly. Otherwise it returns (cancel, true); fn runs on the
-// satisfying goroutine with the Cond's internal lock held, so it must
-// not block and must not call back into the Cond (enqueue the wake and
-// return — the same discipline as a sentinel hook). cancel reports
-// whether fn was prevented from running; a cancelled callback never
-// fires. While any armed callback remains, the Cond keeps its
-// sentinels parked even if every Wait goroutine has left.
-func (c *Cond) Arm(fn func()) (cancel func() bool, armed bool) {
+// whole remote session's wait. f is caller-owned, as a core.Hook's
+// Firer is, and Disarm finds it by identity, so it must be a pointer,
+// armed at most once per Cond. Arm evaluates immediately: if the
+// predicate already holds (settling the Cond if needed) it reports
+// false and f never fires — the caller answers the waiter directly.
+// Otherwise f fires on the satisfying goroutine with the Cond's lock
+// held, so it must not block or call back into the Cond (the
+// discipline of a sentinel hook). While any armed firer remains, the
+// Cond keeps its sentinels parked even if every Wait goroutine has left.
+func (c *Cond) Arm(f core.Firer) bool {
 	c.mu.Lock()
-	if !c.satisfied {
-		if !c.started {
-			c.started = true
-			c.evaluateLocked()
-		} else if c.pred.Holds(c.readLocked()) {
-			c.satisfyLocked()
-		}
+	defer c.mu.Unlock()
+	if !c.enterLocked() {
+		return false
 	}
-	if c.satisfied {
-		c.mu.Unlock()
-		return nil, false
+	c.firers = append(c.firers, f)
+	return true
+}
+
+// Disarm cancels f's Arm registration, reporting true if f had not
+// fired and now never will, false if satisfaction took it or it was
+// never armed here. The last firer's Disarm, with no Wait goroutine
+// left, cancels the sentinels as the last waiter's leaving does.
+func (c *Cond) Disarm(f core.Firer) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.Index(c.firers, f)
+	if i < 0 {
+		return false
 	}
-	id := c.cbID
-	c.cbID++
-	c.cbs = append(c.cbs, callback{id: id, fn: fn})
-	c.mu.Unlock()
-	return func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		i := slices.IndexFunc(c.cbs, func(cb callback) bool { return cb.id == id })
-		if i < 0 {
-			return false // already ran (satisfaction drained it) or already cancelled
-		}
-		c.cbs = slices.Delete(c.cbs, i, i+1)
-		if c.waiters == 0 && len(c.cbs) == 0 && c.started && !c.satisfied {
-			c.disarmLocked()
-			c.started = false
-		}
-		return true
-	}, true
+	c.firers = slices.Delete(c.firers, i, i+1)
+	c.leaveLocked()
+	return true
 }
 
 // readLocked refreshes and returns the value bounds. Called with mu
@@ -561,7 +551,7 @@ type CondStats struct {
 	Reparks   uint64 // registrations beyond each counter's first — frontier moves
 	Armed     int    // sentinels currently armed
 	Waiters   int    // goroutines currently blocked in Wait
-	Hooks     int    // callbacks currently armed via Arm
+	Hooks     int    // firers currently armed via Arm
 	External  bool   // an external registration is currently armed
 	Satisfied bool
 }
@@ -575,7 +565,7 @@ func (c *Cond) Stats() CondStats {
 		Arms:      c.arms,
 		Reparks:   c.reparks,
 		Waiters:   c.waiters,
-		Hooks:     len(c.cbs),
+		Hooks:     len(c.firers),
 		External:  c.extArmed,
 		Satisfied: c.satisfied,
 	}

@@ -13,16 +13,19 @@ import (
 
 // --- Arm: the goroutine-free callback analogue of Wait -------------------
 
+// firer is a caller-owned Firer that runs fn, as counterd's wait
+// entries are.
+type firer struct{ fn func() }
+
+func (f *firer) Fire() { f.fn() }
+
 func TestArmFiresOnSatisfaction(t *testing.T) {
 	a, b := core.New(), core.New()
 	cond := predicate.NewCond(predicate.SumAtLeast(10), a, b)
 	var fired atomic.Int32
-	cancel, armed := cond.Arm(func() { fired.Add(1) })
-	if !armed {
+	f := &firer{func() { fired.Add(1) }}
+	if !cond.Arm(f) {
 		t.Fatal("Arm on an unsatisfied predicate reported not armed")
-	}
-	if cancel == nil {
-		t.Fatal("Arm returned a nil cancel")
 	}
 	a.Increment(4)
 	b.Increment(5)
@@ -38,8 +41,8 @@ func TestArmFiresOnSatisfaction(t *testing.T) {
 	if n := fired.Load(); n != 1 {
 		t.Fatalf("callback fired %d times, want 1", n)
 	}
-	if cancel() {
-		t.Fatal("cancel after the callback ran reported it was prevented")
+	if cond.Disarm(f) {
+		t.Fatal("Disarm after the callback ran reported it was prevented")
 	}
 }
 
@@ -47,12 +50,12 @@ func TestArmAlreadySatisfied(t *testing.T) {
 	a := core.New()
 	a.Increment(5)
 	cond := predicate.NewCond(predicate.SumAtLeast(5), a)
-	cancel, armed := cond.Arm(func() { t.Error("callback ran for an immediately-satisfied Arm") })
-	if armed {
+	f := &firer{func() { t.Error("callback ran for an immediately-satisfied Arm") }}
+	if cond.Arm(f) {
 		t.Fatal("Arm on a satisfied predicate reported armed")
 	}
-	if cancel != nil {
-		t.Fatal("Arm on a satisfied predicate returned a cancel")
+	if cond.Disarm(f) {
+		t.Fatal("Disarm of a firer Arm refused reported it was prevented")
 	}
 	if !cond.Poll() {
 		t.Fatal("Arm's immediate evaluation did not settle the Cond")
@@ -66,11 +69,11 @@ func TestArmKeepsSentinelsWithoutWaiters(t *testing.T) {
 	a, b := core.New(), core.New()
 	cond := predicate.NewCond(predicate.Thresholds([]uint64{3, 3}, 2), a, b)
 	done := make(chan struct{})
-	cancel, armed := cond.Arm(func() { close(done) })
-	if !armed {
+	f := &firer{func() { close(done) }}
+	if !cond.Arm(f) {
 		t.Fatal("not armed")
 	}
-	defer cancel()
+	defer cond.Disarm(f)
 	st := cond.Stats()
 	if st.Waiters != 0 || st.Hooks != 1 || st.Armed == 0 {
 		t.Fatalf("stats after Arm = %+v, want 0 waiters, 1 hook, >0 armed sentinels", st)
@@ -99,7 +102,7 @@ func TestThresholdKickKeepsParkedSentinels(t *testing.T) {
 	}
 	cond := predicate.NewCond(predicate.Thresholds([]uint64{2, 2, 2, 2}, 3), cs...)
 	var fired atomic.Int32
-	if _, armed := cond.Arm(func() { fired.Add(1) }); !armed {
+	if !cond.Arm(&firer{func() { fired.Add(1) }}) {
 		t.Fatal("not armed")
 	}
 	members[2].Increment(2)
@@ -128,20 +131,20 @@ func TestThresholdKickKeepsParkedSentinels(t *testing.T) {
 }
 
 // TestArmCancelDisarms mirrors TestCancelDisarms for the callback path:
-// cancelling the only armed callback (with no Wait goroutines) must
-// leave the watched counters sentinel-free so Reset works again.
+// disarming the only armed firer (with no Wait goroutines) must leave
+// the watched counters sentinel-free so Reset works again.
 func TestArmCancelDisarms(t *testing.T) {
 	a := core.New()
 	cond := predicate.NewCond(predicate.SumAtLeast(100), a)
-	cancel, armed := cond.Arm(func() { t.Error("cancelled callback ran") })
-	if !armed {
+	f := &firer{func() { t.Error("cancelled callback ran") }}
+	if !cond.Arm(f) {
 		t.Fatal("not armed")
 	}
-	if !cancel() {
-		t.Fatal("cancel of a pending callback reported it already ran")
+	if !cond.Disarm(f) {
+		t.Fatal("Disarm of a pending firer reported it already ran")
 	}
-	if cancel() {
-		t.Fatal("second cancel reported it was prevented again")
+	if cond.Disarm(f) {
+		t.Fatal("second Disarm reported it was prevented again")
 	}
 	st := cond.Stats()
 	if st.Armed != 0 || st.Hooks != 0 {
@@ -160,7 +163,7 @@ func TestArmFanOut(t *testing.T) {
 	const n = 64
 	var fired atomic.Int32
 	for i := 0; i < n; i++ {
-		if _, armed := cond.Arm(func() { fired.Add(1) }); !armed {
+		if !cond.Arm(&firer{func() { fired.Add(1) }}) {
 			t.Fatal("not armed")
 		}
 	}
@@ -183,14 +186,14 @@ func TestArmConcurrentCancelAndSatisfy(t *testing.T) {
 		a := core.New()
 		cond := predicate.NewCond(predicate.SumAtLeast(1), a)
 		var fired atomic.Int32
-		cancel, armed := cond.Arm(func() { fired.Add(1) })
-		if !armed {
+		f := &firer{func() { fired.Add(1) }}
+		if !cond.Arm(f) {
 			t.Fatal("not armed")
 		}
 		var wg sync.WaitGroup
 		wg.Add(2)
 		var prevented atomic.Bool
-		go func() { defer wg.Done(); prevented.Store(cancel()) }()
+		go func() { defer wg.Done(); prevented.Store(cond.Disarm(f)) }()
 		go func() { defer wg.Done(); a.Increment(1) }()
 		wg.Wait()
 		// Exactly one side wins: either the callback was prevented and

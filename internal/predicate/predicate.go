@@ -45,11 +45,18 @@
 // another thread pays only with idle cores to run it on. Between fires a
 // Cond holds zero goroutines.
 //
+// A predicate is one value, Pred, with the fields counter/wait's Spec
+// and the wire's OpWaitFor frame carry, and one Validate for every
+// layer. counterd arms a Cond with a caller-owned core.Firer (Arm,
+// Disarm), as it arms an engine hook (ArmHook, Hook.Cancel).
+//
 // Monotonicity does the rest of the safety argument: every Counter
 // value only grows, so Holds can never flip back, frontiers only move
 // up, and a stale Value read only under-estimates — exactly the
 // properties that make Check race-free make WaitFor race-free.
 package predicate
+
+import "fmt"
 
 // Counter is the view of a monotonic counter the predicate engine
 // needs: a monotone lower bound on the value and the sentinel hook
@@ -68,31 +75,122 @@ type Counter interface {
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
 
-// Pred is a monotone predicate over an ordered set of counters: if it
-// holds for values v it must hold for any pointwise-greater values.
-// Implementations must be stateless and cheap — Holds and Frontiers run
-// under the Cond's lock.
-type Pred interface {
-	// Holds reports whether the predicate is satisfied at vals.
-	Holds(vals []uint64) bool
-	// Frontiers fills out[i] with the level counter i's sentinel should
-	// park at, given the bounds vals (for which Holds returned false).
-	// Contract: out[i] <= some future value at which re-evaluation is
-	// safe; out[i] <= vals[i] means counter i needs no sentinel; and for
-	// any pointwise advance of vals that makes Holds true, at least one
-	// i must have advanced to out[i] — the no-lost-wake property.
-	Frontiers(vals, out []uint64)
-}
+// Kind discriminates a predicate's shape. Its numbers are the wire's
+// and counter/wait's, and it is as wide as the wire's field, so
+// Validate sees the kind a peer sent, never a narrowed one.
+type Kind uint64
 
-// sum is the predicate sum(values) >= target, with pigeonhole
-// gap-sharing frontiers (see the package comment for why the naive
-// "L minus the others" frontier deadlocks).
-type sum struct{ target uint64 }
+const (
+	// KindSum is "the watched counters' values sum to at least Target".
+	KindSum Kind = iota + 1
+	// KindThreshold is "at least K of the watched counters have reached
+	// their own Levels[i]": min (K = n), any (K = 1) and quorum.
+	KindThreshold
+)
+
+// Pred is a monotone predicate over an ordered set of counters: if it
+// holds for values v it holds for any pointwise-greater values. K is as
+// wide as the wire's field for the reason Kind is.
+type Pred struct {
+	Kind   Kind
+	Levels []uint64 // KindThreshold: one level per counter, in coordinate order
+	K      uint64   // KindThreshold: how many counters must reach their level
+	Target uint64   // KindSum: the bar the values' sum must reach
+}
 
 // SumAtLeast returns the predicate "the values of all watched counters
 // sum to at least target". The sum saturates at the uint64 maximum, so
 // overflow can only make the predicate hold earlier, never wrap.
-func SumAtLeast(target uint64) Pred { return sum{target: target} }
+func SumAtLeast(target uint64) Pred { return Pred{Kind: KindSum, Target: target} }
+
+// Thresholds returns the predicate "at least k of the watched counters
+// have reached their respective levels[i]" (min is k = len(levels), any
+// is k = 1), taking ownership of levels. It panics unless 1 <= k <=
+// len(levels), and its Cond must watch len(levels) counters.
+func Thresholds(levels []uint64, k int) Pred {
+	p := Pred{Kind: KindThreshold, Levels: levels, K: uint64(k)}
+	if err := p.Validate(len(levels)); err != nil {
+		panic(err.Error())
+	}
+	return p
+}
+
+// Validate reports why p cannot watch n counters, or nil if it can: a
+// known kind over at least one counter and, for a threshold, one level
+// per counter and 1 <= K <= n.
+func (p Pred) Validate(n int) error {
+	if n < 1 {
+		return fmt.Errorf("predicate: no counters to watch")
+	}
+	switch p.Kind {
+	case KindSum:
+		return nil
+	case KindThreshold:
+		if len(p.Levels) != n || p.K < 1 || p.K > uint64(n) {
+			return fmt.Errorf("predicate: threshold k=%d over %d levels for %d counters", p.K, len(p.Levels), n)
+		}
+		return nil
+	}
+	return fmt.Errorf("predicate: unknown predicate kind %d", p.Kind)
+}
+
+// Holds reports whether the predicate is satisfied at vals.
+func (p Pred) Holds(vals []uint64) bool {
+	if p.Kind == KindSum {
+		return satSum(vals) >= p.Target
+	}
+	var reached uint64
+	for i, v := range vals {
+		if v >= p.Levels[i] {
+			reached++
+			if reached >= p.K {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Frontiers fills out[i] with the level counter i's sentinel should park
+// at, given the bounds vals (for which Holds returned false). Contract:
+// out[i] <= vals[i] means counter i needs no sentinel; and for any
+// pointwise advance of vals that makes Holds true, at least one i must
+// have advanced to out[i] — the no-lost-wake property.
+func (p Pred) Frontiers(vals, out []uint64) {
+	if p.Kind == KindSum {
+		// Holds is false, so the sum is exact (no saturation) and below
+		// target. Every counter's frontier is its value plus ceil(g/n):
+		// if the sum flips, the total gain is at least g, and n gains all
+		// below ceil(g/n) would total at most n*(ceil(g/n)-1) < g — so at
+		// least one counter reaches its frontier and its sentinel fires.
+		// (A floor share would break this: a counter with share zero gets
+		// no sentinel yet can absorb the entire gap by itself.) Since
+		// ceil(g/n) <= g <= target - vals[i] for every i, no frontier can
+		// exceed target, hence no overflow.
+		g := p.Target - satSum(vals)
+		n := uint64(len(vals))
+		share := g / n
+		if g%n != 0 {
+			share++
+		}
+		for i := range vals {
+			out[i] = vals[i] + share
+		}
+		return
+	}
+	// Exact frontiers: an unsatisfied counter flips its own coordinate
+	// precisely at its threshold; a satisfied one can never need to move
+	// again (out[i] = vals[i] marks it sentinel-free). Fewer than K
+	// coordinates are satisfied when this runs, so at least one sentinel
+	// is always armed — the K-th arrival must cross one.
+	for i, v := range vals {
+		if v >= p.Levels[i] {
+			out[i] = v
+		} else {
+			out[i] = p.Levels[i]
+		}
+	}
+}
 
 func satSum(vals []uint64) uint64 {
 	var s uint64
@@ -103,77 +201,4 @@ func satSum(vals []uint64) uint64 {
 		s += v
 	}
 	return s
-}
-
-func (p sum) Holds(vals []uint64) bool { return satSum(vals) >= p.target }
-
-func (p sum) Frontiers(vals, out []uint64) {
-	// Holds is false, so the sum is exact (no saturation) and below
-	// target. Every counter's frontier is its value plus ceil(g/n): if
-	// the sum flips, the total gain is at least g, and n gains all below
-	// ceil(g/n) would total at most n*(ceil(g/n)-1) < g — so at least
-	// one counter reaches its frontier and its sentinel fires. (A floor
-	// share would break this: a counter with share zero gets no sentinel
-	// yet can absorb the entire gap by itself.) Since ceil(g/n) <= g <=
-	// target - vals[i] for every i, no frontier can exceed target, hence
-	// no overflow.
-	g := p.target - satSum(vals)
-	n := uint64(len(vals))
-	share := g / n
-	if g%n != 0 {
-		share++
-	}
-	for i := range vals {
-		out[i] = vals[i] + share
-	}
-}
-
-// thresholds is the predicate "at least k of the counters have reached
-// their own level" — min (k = n), any (k = 1), and quorum in one shape.
-type thresholds struct {
-	levels []uint64
-	k      int
-}
-
-// Thresholds returns the predicate "at least k of the watched counters
-// have reached their respective levels[i]". k must be between 1 and
-// len(levels); the Cond pairing it with counters must watch exactly
-// len(levels) of them. AllAtLeast / min-style waits are k = len(levels);
-// any-style waits are k = 1.
-func Thresholds(levels []uint64, k int) Pred {
-	if len(levels) == 0 {
-		panic("predicate: Thresholds requires at least one level")
-	}
-	if k < 1 || k > len(levels) {
-		panic("predicate: Thresholds requires 1 <= k <= len(levels)")
-	}
-	return thresholds{levels: append([]uint64(nil), levels...), k: k}
-}
-
-func (p thresholds) Holds(vals []uint64) bool {
-	reached := 0
-	for i, v := range vals {
-		if v >= p.levels[i] {
-			reached++
-			if reached >= p.k {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (p thresholds) Frontiers(vals, out []uint64) {
-	// Exact frontiers: an unsatisfied counter flips its own coordinate
-	// precisely at its threshold; a satisfied one can never need to
-	// move again (out[i] = vals[i] marks it sentinel-free). Fewer than
-	// k coordinates are satisfied when this runs, so at least one
-	// sentinel is always armed — the k-th arrival must cross one.
-	for i, v := range vals {
-		if v >= p.levels[i] {
-			out[i] = v
-		} else {
-			out[i] = p.levels[i]
-		}
-	}
 }

@@ -18,11 +18,13 @@ import (
 const parkedCheckAllocs = 1
 
 // waitForAllocs is what a 2-of-4 OpWaitFor costs to park and flip: the
-// decoded watch list, the levels and counters the predicate is built
-// from (1 each), the Thresholds copy and its box (2), NewCond (4), Arm's
-// callback slot and cancel (2), and one node per watched level (4). The
-// entry, its callback and the Cond's slot hooks allocate nothing.
-const waitForAllocs = 15
+// decoded watch list, the predicate's levels and its counters (1 each),
+// NewCond (4: the Cond, its done channel, its slots and its scratch),
+// Arm's firer slot (1), and one node per watched level (4). The
+// predicate is held by value and owns the levels handleWaitFor built;
+// the entry, which is the Cond's firer, and the Cond's slot hooks
+// allocate nothing.
+const waitForAllocs = 12
 
 // TestSteadyStateAllocs pins the server's steady-state frame paths at
 // zero heap allocations per frame: an OpIncrement on a known name
@@ -81,7 +83,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.settle(w, nil, true)
+		c.settle(w, true)
 		parked[i] = w
 	}
 	next := 0

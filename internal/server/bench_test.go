@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -38,6 +40,51 @@ func BenchmarkIncrementNames(b *testing.B) {
 			b.ResetTimer()
 			feed(b.N)
 		})
+	}
+}
+
+// BenchmarkWaitFor measures a server-side predicate wait on the
+// reader's side, the path TestSteadyStateAllocs pins at waitForAllocs:
+// per op, a 2-of-4 OpWaitFor one above the values of four names is
+// decoded, built and parked, two OpIncrements flip it, two more bring
+// the other names level for the next op, and the wake and the ack are
+// drained as writeLoop drains them.
+func BenchmarkWaitFor(b *testing.B) {
+	b.ReportAllocs()
+	c := newConn(New(), nil)
+	if err := c.handle(&wire.Frame{Op: wire.OpHello, Seq: wire.Version}); err != nil {
+		b.Fatal(err)
+	}
+	spare, _ := c.drain(nil) // the Welcome
+	watch := make([]wire.Watch, 4)
+	for i := range watch {
+		watch[i].Name = fmt.Sprintf("quorum%d", i)
+	}
+	in := make([]byte, 0, 256)
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	var seq uint64
+	b.ResetTimer()
+	for level := uint64(1); level <= uint64(b.N); level++ {
+		for i := range watch {
+			watch[i].Level = level
+		}
+		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredThreshold, K: 2, Watch: watch})
+		for _, w := range watch {
+			seq++
+			in = wire.Append(in, &wire.Frame{Op: wire.OpIncrement, Name: w.Name, Seq: seq, Amount: 1})
+		}
+		rd.Reset(in)
+		br.Reset(rd)
+		for br.Buffered() > 0 || rd.Len() > 0 {
+			if err := c.serve(br); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if len(c.waits) != 0 {
+			b.Fatal("the second increment did not flip the parked predicate")
+		}
+		spare, _ = c.drain(spare)
 	}
 }
 

@@ -10,39 +10,35 @@ import (
 // Server-side predicate waits: the wire v3 OpWaitFor frame mounts the
 // internal/predicate sentinel engine directly on the hosted counters.
 // One frame parks ONE entry per session predicate — a predicate.Cond
-// armed via Arm (no goroutine) whose sentinels sit at pigeonhole
-// frontiers on the counters' own waitlists, exactly as in-process waits
-// park. A k-of-n quorum that used to cost the client one wire-level
-// wait per watched counter per frontier move now costs one frame out,
-// one wake back, and zero client round trips for every increment that
-// cannot flip the predicate — the server's sentinels absorb them. The
-// entry sits in conn.waits beside the OpCheck waits and shares their
-// wake, cancel and teardown paths (server.go).
+// that the entry is armed on as its core.Firer (no goroutine, no
+// closure), whose sentinels sit at pigeonhole frontiers on the
+// counters' own waitlists, exactly as in-process waits park. A k-of-n
+// quorum that used to cost the client one wire-level wait per watched
+// counter per frontier move now costs one frame out, one wake back, and
+// zero client round trips for every increment that cannot flip the
+// predicate — the server's sentinels absorb them. The entry sits in
+// conn.waits beside the OpCheck waits and shares their wake, cancel and
+// teardown paths (server.go).
 
-// handleWaitFor executes one OpWaitFor frame: validate, build the
-// predicate over the hosted counters, and arm a callback that wakes the
-// client when it flips. An already-satisfied predicate wakes
-// immediately without parking anything.
+// handleWaitFor executes one OpWaitFor frame: build the predicate from
+// the frame's fields and validate it before any name is hosted, then
+// arm the wait entry on a Cond over the hosted counters. An
+// already-satisfied predicate wakes immediately without parking
+// anything.
 func (c *conn) handleWaitFor(f *wire.Frame) error {
 	if c.version < 3 {
 		return fmt.Errorf("server: waitfor from protocol v%d client", c.version)
 	}
 	n := len(f.Watch)
-	var pred predicate.Pred
-	switch f.Pred {
-	case wire.PredSum:
-		pred = predicate.SumAtLeast(f.Target)
-	case wire.PredThreshold:
-		if f.K < 1 || f.K > uint64(n) {
-			return fmt.Errorf("server: waitfor threshold k=%d over %d counters", f.K, n)
-		}
-		levels := make([]uint64, n)
+	pred := predicate.Pred{Kind: predicate.Kind(f.Pred), K: f.K, Target: f.Target}
+	if pred.Kind == predicate.KindThreshold {
+		pred.Levels = make([]uint64, n)
 		for i := range f.Watch {
-			levels[i] = f.Watch[i].Level
+			pred.Levels[i] = f.Watch[i].Level
 		}
-		pred = predicate.Thresholds(levels, int(f.K))
-	default:
-		return fmt.Errorf("server: unknown predicate kind %d", f.Pred)
+	}
+	if err := pred.Validate(n); err != nil {
+		return fmt.Errorf("server: waitfor: %w", err)
 	}
 	cs := make([]predicate.Counter, n)
 	for i := range f.Watch {
@@ -58,13 +54,9 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 	if err != nil {
 		return err
 	}
-	if w.fire == nil {
-		w.fire = w.Fire
-	}
-	// The callback runs under the Cond's lock on the satisfying
-	// goroutine; wake takes only leaf locks.
-	cancel, armed := cond.Arm(w.fire)
-	c.settle(w, cancel, armed)
+	// The Cond fires w under its lock on the satisfying goroutine; wake
+	// takes only leaf locks.
+	c.settle(w, cond.Arm(w))
 	return nil
 }
 

@@ -244,24 +244,27 @@ func TestWaitForProtocolErrors(t *testing.T) {
 		t.Fatal("v2 waitfor accepted")
 	}
 
-	// Bad quorum size closes the connection.
-	c3 := dialRaw(t, addr)
-	c3.helloV(3, 0)
-	c3.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredThreshold, K: 3, Watch: []wire.Watch{
-		{Name: "a", Level: 1}, {Name: "b", Level: 1},
-	}})
-	c3.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.Read(c3.br); err == nil {
-		t.Fatal("k > n waitfor accepted")
-	}
-
-	// Unknown predicate kind closes the connection.
-	c4 := dialRaw(t, addr)
-	c4.helloV(3, 0)
-	c4.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: 99, Watch: []wire.Watch{{Name: "a"}}})
-	c4.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.Read(c4.br); err == nil {
-		t.Fatal("unknown predicate kind accepted")
+	// A bad quorum size or an unknown predicate kind closes the
+	// connection. The k = 0 and kind 257 frames would be answered at
+	// once if accepted: k = 0 over levels the values cover, and kind 257
+	// is a sum with target 0 to a conversion that narrows it to a byte.
+	for _, bad := range []struct {
+		what string
+		f    wire.Frame
+	}{
+		{"k > n", wire.Frame{Pred: wire.PredThreshold, K: 3, Watch: []wire.Watch{{Name: "a", Level: 1}, {Name: "b", Level: 1}}}},
+		{"k = 0", wire.Frame{Pred: wire.PredThreshold, K: 0, Watch: []wire.Watch{{Name: "a"}, {Name: "b"}}}},
+		{"kind 99", wire.Frame{Pred: 99, Watch: []wire.Watch{{Name: "a"}}}},
+		{"kind 257", wire.Frame{Pred: 257, Watch: []wire.Watch{{Name: "a"}}}},
+	} {
+		c := dialRaw(t, addr)
+		c.helloV(3, 0)
+		bad.f.Op, bad.f.ID = wire.OpWaitFor, 1
+		c.send(&bad.f)
+		c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if f, err := wire.Read(c.br); err == nil {
+			t.Fatalf("%s waitfor accepted: answered %s", bad.what, f.Op)
+		}
 	}
 
 	// Duplicate wait id (across check and predicate tables) closes.

@@ -32,12 +32,14 @@
 // loop), independent of N — experiment E22 asserts exactly this bound.
 //
 // Wire v3 adds server-side predicate waits (predwait.go): an OpWaitFor
-// frame parks one predicate.Cond entry per session predicate, armed via
-// the Cond's goroutine-free callback hook, with sentinels at pigeonhole
-// frontiers on the hosted counters — a quorum over N counters costs one
-// parked entry and zero client round trips per non-flipping increment
-// (experiment E27 asserts both bounds). Both kinds of wait share the
-// wait table, the wake path, the cancel handler and the teardown sweep.
+// frame parks one entry per session predicate, armed on a
+// predicate.Cond as its Firer, with sentinels at pigeonhole frontiers
+// on the hosted counters — a quorum over N counters costs one parked
+// entry and zero client round trips per non-flipping increment
+// (experiment E27 asserts both bounds). The entry is the Firer of both
+// kinds of wait, armed on an engine hook or a Cond and disarmed by
+// Hook.Cancel or Cond.Disarm, so both share the wait table, the wake
+// path, the cancel handler and the teardown sweep.
 // v2 clients still connect and evaluate predicates client-side.
 package server
 
@@ -335,11 +337,11 @@ func (c *conn) send(f *wire.Frame) {
 
 // wait is one parked wait in conn.waits: an OpCheck sentinel on one
 // hosted counter, or an OpWaitFor predicate over several (predwait.go).
-// It embeds the engine hook an OpCheck parks and is that hook's Firer,
-// and an OpWaitFor hands its Cond the entry's own fire, bound once per
-// entry; entries are recycled through conn.spare, so parking one
-// allocates nothing once the connection has answered as many as it
-// parks.
+// The entry is the Firer of both: an OpCheck arms the engine hook the
+// entry embeds, bound to the entry, and an OpWaitFor arms the entry
+// itself on its Cond. Entries are recycled through conn.spare, so
+// parking one allocates nothing once the connection has answered as
+// many as it parks.
 //
 // Ownership. The reader goroutine takes an entry at publish and owns it
 // until settle; whoever removes a settled entry from the table then
@@ -353,32 +355,24 @@ type wait struct {
 	core.Hook // the OpCheck's sentinel on its hosted counter
 	c         *conn
 	// id, level and cond are set by publish and cleared by recycling;
-	// cancel and settled are set by settle. All five are guarded by
-	// waitMu.
-	id    uint64
-	level uint64          // echoed in the OpWake; 0 for OpWaitFor
-	cond  *predicate.Cond // the OpWaitFor predicate; nil for OpCheck
-	// cancel disarms an OpWaitFor's Cond callback: true if it had not
-	// run and now never will, false if it has run or is about to. nil
-	// for an OpCheck, whose Hook.Cancel does the same.
-	cancel  func() bool
-	settled bool // arming finished: the entry is in the table for good
-	// fire is w.Fire, bound on the entry's first OpWaitFor and kept
-	// across recycling; only the reader touches it.
-	fire func()
+	// settled is set by settle. All four are guarded by waitMu.
+	id      uint64
+	level   uint64          // echoed in the OpWake; 0 for OpWaitFor
+	cond    *predicate.Cond // the OpWaitFor predicate; nil for OpCheck
+	settled bool            // arming finished: the entry is in the table for good
 }
 
 // Fire answers the wait as satisfied: the engine runs it when the
 // OpCheck's level is reached, and an OpWaitFor's Cond when its
-// predicate holds (as w.fire).
+// predicate holds.
 func (w *wait) Fire() { w.c.wake(w) }
 
-// disarm cancels w's arming, reporting whether it prevented the wake:
-// cancel is the OpWaitFor's Cond callback cancel, or nil for the
-// OpCheck's hook.
-func (w *wait) disarm(cancel func() bool) bool {
-	if cancel != nil {
-		return cancel()
+// disarm cancels w's arming on cond (nil for an OpCheck, whose arming
+// is its hook), reporting whether it prevented the wake: true if Fire
+// had not run and now never will, false if it has run or is about to.
+func (w *wait) disarm(cond *predicate.Cond) bool {
+	if cond != nil {
+		return cond.Disarm(w)
 	}
 	return w.Hook.Cancel()
 }
@@ -412,24 +406,23 @@ func (c *conn) publish(id, level uint64, cond *predicate.Cond) (*wait, error) {
 // recycleLocked returns w to the spare list, dropping what it
 // references. Called with waitMu held by w's owner.
 func (c *conn) recycleLocked(w *wait) {
-	w.cond, w.cancel, w.settled = nil, nil, false
+	w.cond, w.settled = nil, false
 	if len(c.spare) < maxSpareWaits {
 		c.spare = append(c.spare, w)
 	}
 }
 
 // settle finishes arming w. Not armed means it was satisfied at
-// registration: answer it now. Armed, it marks the entry settled and
-// records cancel — unless the entry is already gone, because it fired
-// (its wake answered it) or teardown swept it; disarming tells the two
-// apart and disarms the swept one. Every entry settle does not leave
-// parked, it recycles.
-func (c *conn) settle(w *wait, cancel func() bool, armed bool) {
+// registration: answer it now. Armed, it marks the entry settled —
+// unless the entry is already gone, because it fired (its wake answered
+// it) or teardown swept it; disarming tells the two apart and disarms
+// the swept one. Every entry settle does not leave parked, it recycles.
+func (c *conn) settle(w *wait, armed bool) {
 	c.waitMu.Lock()
-	id, level := w.id, w.level
+	id, level, cond := w.id, w.level, w.cond
 	parked := c.waits[id] == w
 	if armed && parked {
-		w.cancel, w.settled = cancel, true
+		w.settled = true
 		c.waitMu.Unlock()
 		return
 	}
@@ -443,7 +436,7 @@ func (c *conn) settle(w *wait, cancel func() bool, armed bool) {
 		return
 	}
 	c.waitMu.Unlock()
-	w.disarm(cancel)
+	w.disarm(cond)
 	c.waitMu.Lock()
 	c.recycleLocked(w)
 	c.waitMu.Unlock()
@@ -451,7 +444,7 @@ func (c *conn) settle(w *wait, cancel func() bool, armed bool) {
 
 // wake answers w as satisfied and forgets it. It runs as w's Fire, on
 // the satisfying goroutine, inside the engine's wake path or a Cond's
-// callback: it takes only leaf locks and never blocks. Until its one
+// settling: it takes only leaf locks and never blocks. Until its one
 // answer, a parked wait is the table's entry for its id (publish
 // refuses a duplicate), so wake deletes by id unless teardown has swept
 // the table. It touches w only under waitMu, since settle may recycle
@@ -478,19 +471,18 @@ func (c *conn) wake(w *wait) {
 // one, and Poll settles the Cond, which queues the wake. An OpCheck's
 // hook cancel already loses once an increment claims its level. Every
 // entry the reader can name here is settled, but a racing wake may
-// recycle it once waitMu drops, so the cond and cancel are copied
-// under the lock; the hook itself is only re-armed by this goroutine,
-// and its Cancel reports false once it has fired.
+// recycle it once waitMu drops, so the cond is copied under the lock;
+// the entry itself is only re-armed by this goroutine, and both its
+// hook's Cancel and its Cond's Disarm report false once it has fired.
 func (c *conn) cancelWait(id uint64) {
 	c.waitMu.Lock()
 	w := c.waits[id]
 	var cond *predicate.Cond
-	var cancel func() bool
 	if w != nil {
-		cond, cancel = w.cond, w.cancel
+		cond = w.cond
 	}
 	c.waitMu.Unlock()
-	if w == nil || (cond != nil && cond.Poll()) || !w.disarm(cancel) {
+	if w == nil || (cond != nil && cond.Poll()) || !w.disarm(cond) {
 		return // resolved or resolving: the wake frame answers the race
 	}
 	c.waitMu.Lock()
@@ -625,7 +617,7 @@ func (c *conn) handle(f *wire.Frame) error {
 		// An already satisfied level (every pipelined Increment-then-Check
 		// lands here) is answered at once and parks nothing: ArmHook's
 		// first step is a lock-free look at the value.
-		c.settle(w, nil, h.c.ArmHook(f.Level, &w.Hook))
+		c.settle(w, h.c.ArmHook(f.Level, &w.Hook))
 
 	case wire.OpCancel, wire.OpWaitForCancel:
 		c.cancelWait(f.ID)
@@ -740,7 +732,7 @@ func (c *conn) teardown() {
 		}
 		c.waitMu.Unlock()
 		for _, w := range waits {
-			w.disarm(w.cancel)
+			w.disarm(w.cond)
 		}
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
