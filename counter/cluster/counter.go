@@ -204,7 +204,6 @@ func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 // member dead, the sentinel is armed but never fires.
 func (ctr *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
 	if level <= ctr.known.Load() {
-		ctr.immediate.Add(1)
 		return nil, false
 	}
 	// Route and arm under one hold of c.mu: a failNode cannot slip in

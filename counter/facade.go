@@ -73,7 +73,7 @@ func (f *facade[T, P]) WaitTimeout(level uint64, d time.Duration) bool {
 func (f *facade[T, P]) Reset() { f.impl().Reset() }
 
 // Stats returns the counter's cumulative cost statistics.
-func (f *facade[T, P]) Stats() Stats { return statsFromCore(f.impl().Stats()) }
+func (f *facade[T, P]) Stats() Stats { return f.impl().Stats() }
 
 // Watermark returns a level the counter is known to have reached: a
 // monotone lower bound on the value (for in-process counters, the exact

@@ -10,72 +10,20 @@ import (
 
 // Stats are a counter's cumulative cost-model measurements — the paper's
 // section 7 claims ("storage and time proportional to distinct waited-on
-// levels, not waiters") made observable in production. Counters only
-// ever grow; Reset does not clear them, so they can be exported as
-// monotone metrics.
-//
-// In any snapshot, Broadcasts <= SatisfiedLevels and ChannelCloses <=
-// SatisfiedLevels: the wake tallies lag the satisfied-level count during
-// a wake storm and catch up once the storm's wake-ups finish. See
-// docs/PATTERNS.md ("Observing a counter in production") for how to read
-// each field against the cost model.
+// levels, not waiters") made observable in production. Stats is the
+// engine's one schema, passed along unchanged by every layer, so each
+// field is documented on internal/core's Stats, with the snapshot
+// invariants; docs/PATTERNS.md ("Observing a counter in production")
+// reads each field against the cost model. Counters only ever grow;
+// Reset does not clear them, so they can be exported as monotone
+// metrics.
 //
 // A remote counter (counter/remote) reports the server-side engine's
-// values for the shared fields — they describe the hosted counter, which
-// every client session contributes to — plus the Remote* fields, which
-// are client-local wall-clock measurements of the wire itself.
-type Stats struct {
-	// PeakLevels is the maximum number of distinct not-yet-satisfied
-	// levels ever waited on at once — the paper's storage bound.
-	PeakLevels int
-	// SatisfiedLevels counts levels satisfied by increments — the
-	// paper's "one wake-up per satisfied level" cost unit.
-	SatisfiedLevels uint64
-	// Broadcasts counts condition-variable broadcasts issued by the wake
-	// path (levels whose waiters all parked cancellably need none).
-	Broadcasts uint64
-	// ChannelCloses counts ready-channel closes issued by the wake path —
-	// the cancellable-wait counterpart of Broadcasts.
-	ChannelCloses uint64
-	// Suspends counts Check/CheckContext calls that actually blocked.
-	Suspends uint64
-	// ImmediateChecks counts Check/CheckContext calls satisfied without
-	// blocking.
-	ImmediateChecks uint64
-	// Increments counts value-changing Increment calls (Increment(0) is
-	// a no-op and is not counted).
-	Increments uint64
-	// FastPathIncrements counts increments absorbed by Sharded's
-	// lock-free striped fast path; always included in Increments. Zero
-	// for Counter.
-	FastPathIncrements uint64
-	// Flushes counts Sharded's stripe-flush passes. Zero for Counter.
-	Flushes uint64
-	// RemoteRoundTrips counts completed wire exchanges a remote counter
-	// performed on the caller's behalf: resolved waits (wakes and
-	// cancel acknowledgements), increment acknowledgements, and
-	// stats/reset replies. Zero for in-process counters.
-	RemoteRoundTrips uint64
-	// RemoteWaitNanos accumulates wall-clock nanoseconds remote
-	// Check/CheckContext calls spent blocked on the wire — the
-	// client-side latency counterpart of Suspends. Zero for in-process
-	// counters.
-	RemoteWaitNanos uint64
-}
-
-func statsFromCore(s core.Stats) Stats {
-	return Stats{
-		PeakLevels:         s.PeakLevels,
-		SatisfiedLevels:    s.SatisfiedLevels,
-		Broadcasts:         s.Broadcasts,
-		ChannelCloses:      s.ChannelCloses,
-		Suspends:           s.Suspends,
-		ImmediateChecks:    s.ImmediateChecks,
-		Increments:         s.Increments,
-		FastPathIncrements: s.FastPathIncrements,
-		Flushes:            s.Flushes,
-	}
-}
+// values for the engine fields — they describe the hosted counter, so
+// Suspends and ImmediateChecks count every session's wire Checks — plus
+// the checks its own watermark answered and the Remote* fields, its
+// client-local measurements of the wire itself.
+type Stats = core.Stats
 
 // StatsProvider is satisfied by every counter in this module (and
 // anything else that reports counter stats); Publish exports any

@@ -415,8 +415,8 @@ func (w *waitlist) lockIdle(idx interface{ empty() bool }) {
 // ahead of it, adds one count to level's node and returns the node, or
 // returns nil, registering nothing. suspend marks a blocking caller (a
 // Check, so a suspend or an immediate check in the cost model); a hook
-// passes false and counts neither way. Value is the look armHook makes,
-// which counts nothing.
+// passes false and counts neither way. Value is the look an uncounted
+// arming makes, which counts nothing.
 type enroller interface {
 	satisfied(level uint64) bool
 	enroll(level uint64, suspend bool) *waitNode

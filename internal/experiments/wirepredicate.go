@@ -15,7 +15,7 @@ import (
 )
 
 // startWireNode boots one loopback counterd for E27 and returns the
-// server handle (for the dispatcher-entry census) with its address.
+// server handle (for the parked-predicate-entry census) with its address.
 func startWireNode() (*server.Server, string, func()) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -28,7 +28,7 @@ func startWireNode() (*server.Server, string, func()) {
 
 // quorumSessions parks `sessions` independent client sessions on 8-of-8
 // quorums over the SAME eight hosted counters, asserts the server parks
-// exactly one dispatcher entry per session (not one per watched
+// exactly one parked predicate entry per session (not one per watched
 // counter), hammers one already-satisfied member with `churn`
 // increments from a separate client — asserting every waiting session
 // pays ZERO frames in either direction for them — and then completes
@@ -71,7 +71,7 @@ func quorumSessions(s *server.Server, addr string, sessions, churn int) (entries
 	}
 	entries = s.PredicateWaits()
 	if entries != sessions {
-		panic(fmt.Sprintf("experiments: E27 dispatcher-entry bound violated: %d parked entries for %d sessions watching %d counters each (want exactly 1 per session)",
+		panic(fmt.Sprintf("experiments: E27 parked-predicate-entry bound violated: %d parked entries for %d sessions watching %d counters each (want exactly 1 per session)",
 			entries, sessions, quorum))
 	}
 
@@ -180,7 +180,7 @@ func init() {
 			"waiting client zero frames, and a session's whole predicate should park one " +
 			"server-side entry, not one wait per watched counter. This experiment measures " +
 			"both against a loopback counterd speaking wire v3.",
-		Notes: "The dispatcher-entry census counts server-side predicate registrations across " +
+		Notes: "The parked-predicate-entry census counts server-side predicate registrations across " +
 			"all sessions (Server.PredicateWaits): sessions × one 8-counter quorum each must " +
 			"park exactly sessions entries — a per-counter design would park 8× that. The " +
 			"churn column is the frame bill every waiting session paid (sent + received, " +
