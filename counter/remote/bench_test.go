@@ -1,9 +1,12 @@
 package remote
 
 import (
+	"fmt"
 	"net"
 	"testing"
 
+	"monotonic/counter"
+	cwait "monotonic/counter/wait"
 	"monotonic/internal/wire"
 )
 
@@ -36,5 +39,45 @@ func BenchmarkTryIncrement(b *testing.B) {
 			ack.Seq = cl.serial // written only by this goroutine's TryIncrement
 			cl.dispatch(&ack)
 		}
+	}
+}
+
+// BenchmarkArmSpec measures the client's half of a server-side predicate
+// registration, beside BenchmarkWaitFor's server half in
+// internal/server: per op, a 2-of-4 ArmSpec (the spec validated, a kept
+// frame refilled outside the client lock, the entry parked and its
+// OpWaitFor encoded onto the write queue) and the OpWake that answers
+// it, dispatched to its fire. The flusher writes to an in-memory link
+// that swallows everything.
+func BenchmarkArmSpec(b *testing.B) {
+	b.ReportAllocs()
+	cl := newClient("", nil)
+	cl.nc = discardConn{}
+	cl.features = wire.FeatureWaitFor
+	cl.wg.Add(1)
+	go cl.flushLoop()
+	defer cl.Close()
+	cs := make([]counter.Interface, 4)
+	for i := range cs {
+		cs[i] = cl.Counter(fmt.Sprintf("bench-quorum%d", i))
+	}
+	spec := cwait.Spec{Kind: cwait.KindThreshold, Counters: cs, Levels: []uint64{1, 1, 1, 1}, K: 2}
+	fired := 0
+	fire := func(satisfied bool) {
+		if satisfied {
+			fired++
+		}
+	}
+	wake := wire.Frame{Op: wire.OpWake}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := cl.ArmSpec(spec, fire); !ok {
+			b.Fatal("ArmSpec refused")
+		}
+		wake.ID = cl.serial // written only by this goroutine's ArmSpec
+		cl.dispatch(&wake)
+	}
+	if fired != b.N {
+		b.Fatalf("%d fire(true) verdicts for %d registrations", fired, b.N)
 	}
 }

@@ -201,7 +201,9 @@ func (c *Counter) checkChan(level uint64) (chan error, uint64) {
 }
 
 // park parks a wait for level on c, resolved through ch or hook. A
-// poisoned or closed client parks nothing and reports why.
+// poisoned or closed client parks nothing and reports why. Only a
+// blocking wait (ch) is a suspend to the probe: a hook's arming emits
+// nothing, as an in-process Sentinel's does not.
 func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error) {
 	cl := c.cl
 	cl.mu.Lock()
@@ -216,7 +218,9 @@ func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error)
 	}
 	id := cl.parkLocked(wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook})
 	cl.mu.Unlock()
-	c.emit(counter.EventSuspend, level)
+	if ch != nil {
+		c.emit(counter.EventSuspend, level)
+	}
 	return id, nil
 }
 
@@ -333,10 +337,12 @@ func (c *Counter) Stats() counter.Stats {
 
 // SetProbe installs fn to observe this client's operations on the
 // counter: EventIncrement per local Increment call, EventSuspend per
-// wait that goes to the wire, EventWake per wake received. Events are
-// client-local (the server aggregates all sessions; see Stats for that
-// view). fn must be fast and must not call back into the counter;
-// SetProbe(nil) removes the probe.
+// blocking wait that goes to the wire, EventWake per wake received. A
+// Sentinel's arming is no suspend, as in-process, so it emits nothing;
+// its wake emits EventWake. Events are client-local (the server
+// aggregates all sessions; see Stats for that view). fn must be fast
+// and must not call back into the counter; SetProbe(nil) removes the
+// probe.
 func (c *Counter) SetProbe(fn func(counter.Event)) {
 	if fn == nil {
 		c.probe.Store(nil)

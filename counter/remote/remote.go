@@ -149,6 +149,8 @@ type Client struct {
 	acks     uint64           // OpIncAck frames dispatched; see Counter.ackMark
 	waits    map[uint64]*wait // requests awaiting an answer, by frame id; see wait
 	spare    []*wait          // answered entries kept for reuse, at most maxSpareWaits
+	frames   []*wire.Frame    // answered ArmSpec frames kept for reuse; see maxSpareFrames
+	watches  int              // watch-list capacity the kept frames hold
 	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
@@ -183,12 +185,23 @@ const maxSpareQueue = 2 * maxQueue
 // burst's peak for the client's lifetime.
 const maxSpareWaits = 256
 
+// maxSpareFrames and maxSpareWatches bound the answered ArmSpec frames a
+// client keeps for the next ArmSpec to refill (Client.frames): at most
+// maxSpareFrames of them, whose watch lists hold at most maxSpareWatches
+// entries in all (room for maxSpareFrames predicates over four
+// counters), so a burst of wide predicates does not pin its peak either.
+const (
+	maxSpareFrames  = maxSpareWaits
+	maxSpareWatches = 4 * maxSpareFrames
+)
+
 // wait is one entry in Client.waits: a wait on ctr at level for a
 // blocking Check (ch) or a Sentinel (hook), an ArmSpec's OpWaitFor
 // (frame and fire), or a Reset or Stats call (frame and ch). A kept
 // frame is re-sent as is on reconnect, and a call's reply is copied into
-// it before ch is answered. A wait on ctr keeps no frame:
-// checkFrameLocked rebuilds it from ctr and level. The table holds
+// it before ch is answered; an answered ArmSpec's frame goes to
+// Client.frames for the next ArmSpec to refill. A wait on ctr keeps no
+// frame: checkFrameLocked rebuilds it from ctr and level. The table holds
 // entries by pointer, and an answered entry is recycled through
 // Client.spare: whoever removes it copies out what it still needs under
 // cl.mu, since a park may reuse it as soon as the lock drops. (By
@@ -428,7 +441,8 @@ func (cl *Client) parkLocked(e wait) uint64 {
 }
 
 // takeLocked removes the entry under id from the wait table and returns
-// a copy of it, recycling the entry; ok is false if there is none.
+// a copy of it, recycling the entry, and an ArmSpec registration's
+// frame with it (the copy keeps no frame); ok is false if there is none.
 // Callers hold cl.mu.
 func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
 	w := cl.waits[id]
@@ -441,7 +455,33 @@ func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
 	if len(cl.spare) < maxSpareWaits {
 		cl.spare = append(cl.spare, w)
 	}
+	if e.fire != nil {
+		cl.keepFrameLocked(e.frame)
+		e.frame = nil
+	}
 	return e, true
+}
+
+// keepFrameLocked keeps f, an ArmSpec frame no entry holds, for the next
+// ArmSpec, within maxSpareFrames and maxSpareWatches. Callers hold cl.mu.
+func (cl *Client) keepFrameLocked(f *wire.Frame) {
+	if len(cl.frames) < maxSpareFrames && cl.watches+cap(f.Watch) <= maxSpareWatches {
+		cl.frames = append(cl.frames, f)
+		cl.watches += cap(f.Watch)
+	}
+}
+
+// frameLocked returns a kept ArmSpec frame, or a new one. Callers hold
+// cl.mu.
+func (cl *Client) frameLocked() *wire.Frame {
+	n := len(cl.frames)
+	if n == 0 {
+		return new(wire.Frame)
+	}
+	f := cl.frames[n-1]
+	cl.frames = cl.frames[:n-1]
+	cl.watches -= cap(f.Watch)
+	return f
 }
 
 // replyLocked is takeLocked for the entry the reply f answers, if f's
@@ -479,7 +519,7 @@ func (cl *Client) unpark(id uint64) bool {
 		return false
 	}
 	op := wire.OpCancel
-	if w.frame != nil {
+	if w.fire != nil {
 		op = wire.OpWaitForCancel
 	}
 	cl.enqueueLocked(&wire.Frame{Op: op, ID: id})

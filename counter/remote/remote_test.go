@@ -474,7 +474,8 @@ func TestSentinelCountsNoCheck(t *testing.T) {
 // TestProbeEvents pins SetProbe's client-local events: an Increment, a
 // Check that parks and the wake that releases it deliver
 // EventIncrement, EventSuspend and EventWake with their amounts and
-// levels, and SetProbe(nil) stops them.
+// levels, a Sentinel's arming delivers nothing (as in-process, it is no
+// suspend), and SetProbe(nil) stops them.
 func TestProbeEvents(t *testing.T) {
 	addr := startServer(t)
 	cl := dialClient(t, addr)
@@ -508,6 +509,17 @@ func TestProbeEvents(t *testing.T) {
 	inc, wake := counter.Event{Kind: counter.EventIncrement, Level: 3}, counter.Event{Kind: counter.EventWake, Level: 5}
 	if len(e) != 4 || !slices.Equal(e[:2], want) || !(e[2] == inc && e[3] == wake || e[2] == wake && e[3] == inc) {
 		t.Fatalf("events after the wake = %+v, want %+v then %+v and %+v in either order", e, want, inc, wake)
+	}
+
+	cancel, armed := c.Sentinel(10, func() { t.Error("the cancelled Sentinel fired") })
+	if !armed {
+		t.Fatal("Sentinel(10) above the watermark not armed")
+	}
+	if e := events(); len(e) != 4 {
+		t.Fatalf("events after arming a Sentinel = %+v, want the 4 from before", e)
+	}
+	if !cancel() {
+		t.Fatal("cancel of a pending Sentinel reported it already fired")
 	}
 
 	c.SetProbe(nil)

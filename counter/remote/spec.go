@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"slices"
+
 	cwait "monotonic/counter/wait"
 	"monotonic/internal/wire"
 )
@@ -17,14 +19,12 @@ import (
 // unchanged. A registration is one entry in the client's wait table,
 // replayed, answered and swept with the parked OpChecks.
 
-// specFrame encodes a wait.Spec into an OpWaitFor frame, reporting
-// false for specs the wire cannot carry. Each kind sends only its own
-// fields: a sum's target, a threshold's k and levels.
-func specFrame(spec cwait.Spec) (wire.Frame, bool) {
-	if !spec.Encodable() {
-		return wire.Frame{}, false
-	}
-	f := wire.Frame{Op: wire.OpWaitFor, Pred: uint64(spec.Kind), Watch: make([]wire.Watch, len(spec.Counters))}
+// specFrame fills f with the OpWaitFor frame for spec, which must be
+// wire-encodable, reusing the storage of f's watch list. Each kind sends
+// only its own fields: a sum's target, a threshold's k and levels.
+func specFrame(f *wire.Frame, spec cwait.Spec) {
+	watch := slices.Grow(f.Watch[:0], len(spec.Counters))
+	*f = wire.Frame{Op: wire.OpWaitFor, Pred: uint64(spec.Kind)}
 	threshold := spec.Kind == cwait.KindThreshold
 	if threshold {
 		f.K = uint64(spec.K)
@@ -32,12 +32,13 @@ func specFrame(spec cwait.Spec) (wire.Frame, bool) {
 		f.Target = spec.Target
 	}
 	for i, c := range spec.Counters {
-		f.Watch[i].Name = c.(interface{ Name() string }).Name() // Encodable: every counter is named
+		w := wire.Watch{Name: c.(interface{ Name() string }).Name()} // Encodable: every counter is named
 		if threshold {
-			f.Watch[i].Level = spec.Levels[i]
+			w.Level = spec.Levels[i]
 		}
+		watch = append(watch, w)
 	}
-	return f, true
+	f.Watch = watch
 }
 
 // ArmSpec registers spec for server-side evaluation, making the Client
@@ -53,19 +54,27 @@ func specFrame(spec cwait.Spec) (wire.Frame, bool) {
 // predicate engine takes fire(false) as a kick and asks again, and the
 // re-ask is refused for the same reasons.
 //
+// The frame is one an answered registration left behind when there is
+// one, refilled outside cl.mu, so a steady stream of registrations
+// allocates only the cancel.
+//
 // ArmSpec and the returned cancel are called under the predicate
 // engine's lock; both only take cl.mu and enqueue — no round trips.
 func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel func() bool, ok bool) {
-	f, ok := specFrame(spec)
-	if !ok {
+	if !spec.Encodable() {
 		return nil, false
 	}
 	cl.mu.Lock()
+	f := cl.frameLocked()
+	cl.mu.Unlock()
+	specFrame(f, spec) // the frame is this call's until it parks or goes back
+	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed || cl.fatal != nil || cl.features&wire.FeatureWaitFor == 0 {
+		cl.keepFrameLocked(f)
 		return nil, false
 	}
-	id := cl.parkLocked(wait{frame: &f, fire: fire})
+	id := cl.parkLocked(wait{frame: f, fire: fire})
 	return func() bool { return cl.unpark(id) }, true
 }
 

@@ -81,3 +81,35 @@ func TestFrontierMoveAllocs(t *testing.T) {
 		k.Cancel()
 	}
 }
+
+// TestRenewAllocs pins a registration on a renewed Cond at its done
+// channel plus the level nodes its sentinels park on: the slots (with
+// their bound hooks), the scratch, the levels and counters storage and
+// the firer slot are the Cond's own from the first registration on.
+// Each run renews a settled 1-of-2 Cond one level above both counters,
+// arms a firer, and flips it by taking one counter to its level.
+func TestRenewAllocs(t *testing.T) {
+	a, b := core.NewSharded(), core.NewSharded()
+	cs := []predicate.Counter{a, b}
+	levels := make([]uint64, 2)
+	cond := new(predicate.Cond)
+	fired := 0
+	f := &firer{func() { fired++ }}
+	n := testing.AllocsPerRun(100, func() {
+		levels[0], levels[1] = a.Value()+1, a.Value()+1
+		if !cond.Renew(predicate.Thresholds(levels, 1), cs...) {
+			t.Fatal("Renew refused a settled Cond")
+		}
+		if !cond.Arm(f) {
+			t.Fatal("Arm one level above both counters reported not armed")
+		}
+		a.Increment(1)
+	})
+	const want = 3 // the done channel and a node on each counter's level
+	if n != want {
+		t.Errorf("renewed 1-of-2 registration armed and flipped: %v allocs, want %d", n, want)
+	}
+	if fired != 101 {
+		t.Fatalf("the firer ran %d times over 101 registrations", fired)
+	}
+}

@@ -21,7 +21,9 @@ import (
 // waiter abandons the wait — a fully cancelled Cond leaves no trace on
 // its counters, so their Reset works again. A satisfied Cond is
 // terminal. Like a plain Check, a Cond must not span a Reset of any
-// watched counter: build a new Cond for the new phase.
+// watched counter: build a new Cond for the new phase. An owner that
+// registers one predicate after another (counterd's parked waits) can
+// Renew a quiescent Cond in place instead of building a new one.
 //
 // Lock order: Cond.mu is taken strictly above any counter-internal
 // lock (Value, ArmHook, Sentinel and the cancels are called with
@@ -73,7 +75,7 @@ type Cond struct {
 // nothing; any other counter is armed through Sentinel with the slot's
 // fire.
 type sentinel struct {
-	hook core.Hook // bound to the slot by NewCond
+	hook core.Hook // bound to the slot when its storage is made
 	c    *Cond
 	// fire is the slot's Fire, bound once on its first Sentinel arm and
 	// passed to every Sentinel call for this counter; cancel is that
@@ -89,27 +91,98 @@ type sentinel struct {
 // NewCond returns an unsatisfied Cond waiting for pred over the given
 // counters. The counters' order is the coordinate order pred sees. It
 // panics unless pred.Validate accepts the counter count, and keeps
-// pred's levels, which the caller must not change afterwards.
+// pred's levels and the counters slice, which the caller must not
+// change afterwards.
 func NewCond(pred Pred, counters ...Counter) *Cond {
-	n := len(counters)
-	if err := pred.Validate(n); err != nil {
+	if err := pred.Validate(len(counters)); err != nil {
 		panic(err.Error())
 	}
-	scratch := make([]uint64, 2*n)
-	c := &Cond{
-		pred:   pred,
-		cs:     counters,
-		done:   make(chan struct{}),
-		armed:  make([]sentinel, n),
-		vals:   scratch[:n:n],
-		fronts: scratch[n:],
+	c := &Cond{pred: pred, cs: counters}
+	c.reset()
+	return c
+}
+
+// Renew re-initializes c in place to wait for pred over counters, as
+// NewCond(pred, counters...) would build it, and reports whether it
+// did. It copies pred's levels and the counters into the storage c
+// already holds, so the caller keeps both, and reuses c's slots (their
+// hooks stay bound), scratch and firer storage: renewing a Cond over no
+// more counters than it has watched allocates only its done channel
+// (and the levels' storage the first time a threshold follows only
+// sums). A zero Cond watches nothing and is quiescent, so Renew readies
+// one as NewCond would, allocating its storage.
+//
+// Renew refuses, changing nothing, unless c is quiescent: settled, or
+// abandoned by its last waiter, with no Wait under way, no armed
+// firer, no external strategy (NewCondExternal's, even one it has
+// dropped), and no sentinel still due to fire. A sentinel whose cancel lost to its fire stays
+// outstanding until the fire marks its slot spent: until then the
+// engine holds its hook detached but not yet fired, so re-arming the
+// hook would corrupt the engine's hook chain and the fire would land on
+// the new registration. A refused Cond can be renewed once the fire
+// lands; a kick still running from it afterwards is a spurious kick,
+// which an evaluation absorbs.
+//
+// The caller must own c outright: Renew overwrites the levels and
+// counters storage c holds (what NewCond kept, for a Cond it built) and
+// the done channel Done returned, so no one else may still wait on, arm,
+// poll or observe c. Like NewCond, it panics unless pred.Validate
+// accepts the counter count.
+func (c *Cond) Renew(pred Pred, counters ...Counter) bool {
+	if err := pred.Validate(len(counters)); err != nil {
+		panic(err.Error())
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.waiters > 0 || len(c.firers) > 0 || c.ext != nil || c.extGen != 0 || c.started && !c.satisfied {
+		return false
 	}
 	for i := range c.armed {
-		s := &c.armed[i]
-		s.c = c
-		s.hook.Bind(s)
+		if s := &c.armed[i]; s.on && !s.spent.Load() {
+			return false // its fire is on its way
+		}
 	}
-	return c
+	// A sum keeps the levels' storage too, at length zero, for the next
+	// threshold.
+	levels := append(c.pred.Levels[:0], pred.Levels...)
+	c.pred = pred
+	c.pred.Levels = levels
+	c.cs = append(c.cs[:0], counters...)
+	c.reset()
+	return true
+}
+
+// Cap reports how many counters c can watch after a Renew without
+// growing its storage: the most it has watched. It reads only what
+// Renew sets, so c's owner may call it without the Cond's lock.
+func (c *Cond) Cap() int { return cap(c.armed) }
+
+// reset readies c to wait afresh over c.cs: one clean slot per counter,
+// grown (and bound) only past the slots it already has, the scratch to
+// match, a fresh done channel and zeroed mechanism counters. Called by
+// NewCond, and by Renew with mu held on a quiescent Cond.
+func (c *Cond) reset() {
+	n := len(c.cs)
+	if cap(c.armed) < n {
+		c.armed = make([]sentinel, n)
+		for i := range c.armed {
+			s := &c.armed[i]
+			s.c = c
+			s.hook.Bind(s)
+		}
+		scratch := make([]uint64, 2*n)
+		c.vals, c.fronts = scratch[:n:n], scratch[n:]
+	}
+	c.armed, c.vals, c.fronts = c.armed[:n], c.vals[:n], c.fronts[:n]
+	for i := range c.armed {
+		s := &c.armed[i]
+		s.cancel, s.level, s.on, s.seen = nil, 0, false, false
+		s.spent.Store(false)
+	}
+	c.done = make(chan struct{})
+	c.satisfied, c.started = false, false
+	c.fires.Store(0)
+	c.arms, c.reparks = 0, 0
 }
 
 // External is an alternative arming strategy: instead of parking one
@@ -167,8 +240,8 @@ func NewCondExternal(pred Pred, ext External, counters ...Counter) *Cond {
 // kicks the Cond holds no goroutine at all.
 func (s *sentinel) Fire() {
 	c := s.c
+	c.fires.Add(1) // before spent: once a slot reads spent, Renew may zero fires
 	s.spent.Store(true)
-	c.fires.Add(1)
 	if c.mu.TryLock() {
 		c.kickLocked()
 		c.mu.Unlock()
@@ -260,29 +333,30 @@ func (c *Cond) extKickLocked(gen uint64, satisfied bool) {
 
 // satisfyLocked settles the Cond: cancel whatever is still armed,
 // release every waiter with one channel close, and fire the armed
-// firers. Called with mu held; firers therefore run under the Cond's
-// lock and must honour the Arm contract (fast, no re-entry).
+// firers, keeping the firer slice's storage for a Renew. Called with mu
+// held; firers therefore run under the Cond's lock and must honour the
+// Arm contract (fast, no re-entry).
 func (c *Cond) satisfyLocked() {
 	c.satisfied = true
 	c.disarmLocked()
 	close(c.done)
-	firers := c.firers
-	c.firers = nil
-	for _, f := range firers {
+	for _, f := range c.firers {
 		f.Fire()
 	}
+	clear(c.firers)
+	c.firers = c.firers[:0]
 }
 
 // disarmLocked cancels every outstanding sentinel and any external
 // registration. A sentinel whose cancel reports false is already
-// firing: a settled Cond forgets it (its kick is moot), and an
-// unsettled one keeps its slot outstanding until the fire is collected,
-// so the slot's hook never has two registrations in flight. Called with
-// mu held.
+// firing: its slot stays outstanding, settled Cond or not, until the
+// fire marks it spent, so the slot's hook never has two registrations
+// in flight — within one registration, and across a Renew, which waits
+// for the fire. Called with mu held.
 func (c *Cond) disarmLocked() {
 	for i := range c.armed {
 		s := &c.armed[i]
-		if s.on && (s.spent.Load() || s.disarm() || c.satisfied) {
+		if s.on && (s.spent.Load() || s.disarm()) {
 			s.on = false
 		}
 	}

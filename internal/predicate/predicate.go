@@ -48,7 +48,14 @@
 // A predicate is one value, Pred, with the fields counter/wait's Spec
 // and the wire's OpWaitFor frame carry, and one Validate for every
 // layer. counterd arms a Cond with a caller-owned core.Firer (Arm,
-// Disarm), as it arms an engine hook (ArmHook, Hook.Cancel).
+// Disarm), as it arms an engine hook (ArmHook, Hook.Cancel), and once
+// the wait is answered it renews the Cond in place for a later
+// predicate (Renew) rather than building a new one, so a registration
+// reuses the Cond's slots, hooks, scratch and firer storage. A Cond may
+// be renewed only when quiescent: settled or abandoned, with no waiter,
+// no firer, and no sentinel fire still on its way — a slot whose cancel
+// lost to its fire stays outstanding until that fire lands, even on a
+// settled Cond, because the engine holds its hook detached until then.
 //
 // Monotonicity does the rest of the safety argument: every Counter
 // value only grows, so Holds can never flip back, frontiers only move

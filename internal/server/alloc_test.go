@@ -17,14 +17,15 @@ import (
 // connection's spare list.
 const parkedCheckAllocs = 1
 
-// waitForAllocs is what a 2-of-4 OpWaitFor costs to park and flip: the
-// decoded watch list, the predicate's levels and its counters (1 each),
-// NewCond (4: the Cond, its done channel, its slots and its scratch),
-// Arm's firer slot (1), and one node per watched level (4). The
-// predicate is held by value and owns the levels handleWaitFor built;
-// the entry, which is the Cond's firer, and the Cond's slot hooks
-// allocate nothing.
-const waitForAllocs = 12
+// waitForAllocs is what a 2-of-4 OpWaitFor costs to park and flip once
+// the connection has answered one: one node per watched level (4), the
+// renewed Cond's done channel (1) and the decoded watch list (1). The
+// Cond comes back from the last answered predicate and keeps its slots
+// (with their bound hooks), scratch, levels, counters and firer slot;
+// handleWaitFor builds the levels and counters in the connection's own
+// scratch, which the Cond copies; and the entry, which is the Cond's
+// firer, comes from the spare list.
+const waitForAllocs = 6
 
 // TestSteadyStateAllocs pins the server's steady-state frame paths at
 // zero heap allocations per frame: an OpIncrement on a known name

@@ -18,7 +18,11 @@ import (
 // zero client round trips for every increment that cannot flip the
 // predicate — the server's sentinels absorb them. The entry sits in
 // conn.waits beside the OpCheck waits and shares their wake, cancel and
-// teardown paths (server.go).
+// teardown paths (server.go). Once the entry is answered its Cond waits
+// in conn.conds, and the connection's next OpWaitFor renews it in place
+// (predicate.Cond.Renew): slots, hooks, scratch, levels, counters and
+// firer slot all carry over, so only the level nodes, the done channel
+// and the decoded watch list are fresh per registration.
 
 // handleWaitFor executes one OpWaitFor frame: build the predicate from
 // the frame's fields and validate it before any name is hosted, then
@@ -32,24 +36,25 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 	n := len(f.Watch)
 	pred := predicate.Pred{Kind: predicate.Kind(f.Pred), K: f.K, Target: f.Target}
 	if pred.Kind == predicate.KindThreshold {
-		pred.Levels = make([]uint64, n)
+		c.levels = c.levels[:0]
 		for i := range f.Watch {
-			pred.Levels[i] = f.Watch[i].Level
+			c.levels = append(c.levels, f.Watch[i].Level)
 		}
+		pred.Levels = c.levels
 	}
 	if err := pred.Validate(n); err != nil {
 		return fmt.Errorf("server: waitfor: %w", err)
 	}
-	cs := make([]predicate.Counter, n)
+	c.watched = c.watched[:0]
 	for i := range f.Watch {
 		h, err := c.hosted(f.Watch[i].Name)
 		if err != nil {
 			return err
 		}
-		cs[i] = h.c
+		c.watched = append(c.watched, h.c)
 	}
 
-	cond := predicate.NewCond(pred, cs...)
+	cond := c.renew(pred, c.watched)
 	w, err := c.publish(f.ID, 0, cond)
 	if err != nil {
 		return err
@@ -58,6 +63,27 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 	// takes only leaf locks.
 	c.settle(w, cond.Arm(w))
 	return nil
+}
+
+// renew returns a Cond waiting for pred over cs, both of which it
+// copies: the last kept Cond renewed in place, or a new one when none
+// is kept or the kept one refuses because a sentinel fire of its last
+// predicate is still on its way (that Cond is left to the garbage
+// collector).
+func (c *conn) renew(pred predicate.Pred, cs []predicate.Counter) *predicate.Cond {
+	var cond *predicate.Cond
+	c.waitMu.Lock()
+	if n := len(c.conds); n > 0 {
+		cond = c.conds[n-1]
+		c.conds = c.conds[:n-1]
+		c.condSlots -= cond.Cap()
+	}
+	c.waitMu.Unlock()
+	if cond == nil || !cond.Renew(pred, cs...) {
+		cond = new(predicate.Cond)
+		cond.Renew(pred, cs...)
+	}
+	return cond
 }
 
 // PredicateWaits returns the number of predicate waits currently parked

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
+	"monotonic/internal/predicate"
 	"monotonic/internal/wire"
 )
 
@@ -315,4 +320,213 @@ func TestWaitForTeardownUnparks(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// handshake returns a connection with no socket that has said Hello at
+// the current version, its Welcome drained.
+func handshake(t *testing.T) *conn {
+	t.Helper()
+	c := newConn(New(), nil)
+	if err := c.handle(&wire.Frame{Op: wire.OpHello, Seq: wire.Version}); err != nil {
+		t.Fatal(err)
+	}
+	c.drain(nil)
+	return c
+}
+
+// drained decodes what the connection has queued since the last drain,
+// waiting up to five seconds for something to be queued.
+func drained(t *testing.T, c *conn) []wire.Frame {
+	t.Helper()
+	took := make(chan []byte, 1)
+	go func() {
+		queued, _ := c.drain(nil)
+		took <- queued
+	}()
+	var queued []byte
+	select {
+	case queued = <-took:
+	case <-time.After(5 * time.Second):
+		t.Fatal("nothing queued within 5s")
+	}
+	var frames []wire.Frame
+	br := bufio.NewReader(bytes.NewReader(queued))
+	for {
+		f, err := wire.Read(br)
+		if err == io.EOF {
+			return frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+}
+
+// TestRenewReusesAnsweredConds pins where a predicate's Cond goes once
+// its wait is answered — by a wake, at registration, or by a cancel —
+// and that the connection's next OpWaitFor renews it in place, whatever
+// that predicate's kind and width.
+func TestRenewReusesAnsweredConds(t *testing.T) {
+	c := handshake(t)
+	park := func(f *wire.Frame) *predicate.Cond {
+		t.Helper()
+		f.Op = wire.OpWaitFor
+		if err := c.handle(f); err != nil {
+			t.Fatal(err)
+		}
+		c.waitMu.Lock()
+		defer c.waitMu.Unlock()
+		if w := c.waits[f.ID]; w != nil {
+			return w.cond
+		}
+		return nil
+	}
+	kept := func() []*predicate.Cond {
+		c.waitMu.Lock()
+		defer c.waitMu.Unlock()
+		return append([]*predicate.Cond(nil), c.conds...)
+	}
+
+	first := park(&wire.Frame{ID: 1, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{{Name: "r0", Level: 1}, {Name: "r1", Level: 1}}})
+	if err := c.handle(&wire.Frame{Op: wire.OpIncrement, Name: "r1", Seq: 1, Amount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if f := drained(t, c); f[0].Op != wire.OpWake || f[0].ID != 1 {
+		t.Fatalf("after the flipping increment: %+v, want the OpWake for id 1", f)
+	}
+	if k := kept(); len(k) != 1 || k[0] != first {
+		t.Fatalf("kept Conds after the wake = %v, want the answered one", k)
+	}
+
+	// A sum over three names renews it, growing its slots.
+	if got := park(&wire.Frame{ID: 2, Pred: wire.PredSum, Target: 10, Watch: []wire.Watch{{Name: "r0"}, {Name: "r1"}, {Name: "r2"}}}); got != first {
+		t.Fatal("the next OpWaitFor did not renew the answered Cond")
+	}
+	if n := first.Cap(); n != 3 {
+		t.Fatalf("renewed Cond watches up to %d counters, want 3", n)
+	}
+	if len(kept()) != 0 {
+		t.Fatal("a renewed Cond is still kept")
+	}
+	if err := c.handle(&wire.Frame{Op: wire.OpWaitForCancel, ID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if f := drained(t, c); f[0].Op != wire.OpCancelled || f[0].ID != 2 {
+		t.Fatalf("after the cancel: %+v, want OpCancelled for id 2", f)
+	}
+	if k := kept(); len(k) != 1 || k[0] != first {
+		t.Fatal("a cancelled predicate's Cond was not kept")
+	}
+
+	// A predicate that holds at registration is answered at once and
+	// keeps the Cond it was given.
+	if got := park(&wire.Frame{ID: 3, Pred: wire.PredSum, Target: 1, Watch: []wire.Watch{{Name: "r1"}}}); got != nil {
+		t.Fatal("a satisfied predicate stayed parked")
+	}
+	if f := drained(t, c); f[0].Op != wire.OpWake || f[0].ID != 3 {
+		t.Fatalf("after a satisfied OpWaitFor: %+v, want the OpWake for id 3", f)
+	}
+	if k := kept(); len(k) != 1 || k[0] != first {
+		t.Fatal("an OpWaitFor answered at registration did not keep its Cond")
+	}
+	for _, name := range []string{"r0", "r1", "r2"} {
+		h, _ := c.hosted(name)
+		if err := h.tryReset(); err != nil {
+			t.Fatal(err) // a sentinel left behind
+		}
+	}
+}
+
+// TestRenewRacesLateFires parks one 1-of-2 predicate per round and
+// flips it from two goroutines incrementing both names at once, as two
+// other connections' readers would. The first sentinel fire settles the
+// Cond; the other's cancel often loses to a fire still in the engine's
+// wake path when the next round's OpWaitFor renews the Cond, which must
+// then wait for that fire or take a new Cond. Every round must be
+// answered by exactly one OpWake, and no sentinel may be left behind.
+// The window opens only under real preemption; CI runs this with -race
+// at GOMAXPROCS=4.
+func TestRenewRacesLateFires(t *testing.T) {
+	c := handshake(t)
+	x, _ := c.hosted("late-x")
+	y, _ := c.hosted("late-y")
+	const rounds = 300
+	conds := make(map[*predicate.Cond]bool)
+	var wg sync.WaitGroup
+	for r := uint64(1); r <= rounds; r++ {
+		f := &wire.Frame{Op: wire.OpWaitFor, ID: r, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{{Name: x.name, Level: r}, {Name: y.name, Level: r}}}
+		if err := c.handle(f); err != nil {
+			t.Fatal(err)
+		}
+		c.waitMu.Lock()
+		conds[c.waits[r].cond] = true
+		c.waitMu.Unlock()
+		wg.Add(2)
+		go func() { defer wg.Done(); x.c.Increment(1) }()
+		go func() { defer wg.Done(); y.c.Increment(1) }()
+		if got := drained(t, c); len(got) != 1 || got[0].Op != wire.OpWake || got[0].ID != r {
+			t.Fatalf("round %d: queued %+v, want one OpWake for id %d", r, got, r)
+		}
+	}
+	wg.Wait()
+	t.Logf("%d Conds served %d predicates", len(conds), rounds)
+	if len(c.wq) != 0 {
+		t.Fatalf("frames queued after the last round's wake: %d bytes", len(c.wq))
+	}
+	if len(c.waits) != 0 {
+		t.Fatalf("%d waits parked after every round was answered", len(c.waits))
+	}
+	for _, h := range []*hosted{x, y} {
+		if v := h.c.Value(); v != rounds {
+			t.Fatalf("%s = %d after %d rounds", h.name, v, rounds)
+		}
+		if err := h.tryReset(); err != nil {
+			t.Fatal(err) // a sentinel left behind
+		}
+	}
+}
+
+// TestSpareRetentionBounded parks and answers more than maxSpareWaits
+// predicates over wire.MaxWatch names on one connection, then as many
+// over one name: the Conds kept for renewal stay within maxSpareConds
+// and maxSpareSlots, so a storm of wide predicates cannot pin its peak.
+func TestSpareRetentionBounded(t *testing.T) {
+	c := handshake(t)
+	wide := make([]wire.Watch, wire.MaxWatch)
+	for i := range wide {
+		wide[i] = wire.Watch{Name: fmt.Sprintf("wide%02d", i), Level: 1}
+	}
+	var seq uint64
+	storm := func(watch []wire.Watch) {
+		t.Helper()
+		const n = maxSpareWaits + 8
+		for id := uint64(1); id <= n; id++ {
+			if err := c.handle(&wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: wire.PredThreshold, K: 1, Watch: watch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq++
+		if err := c.handle(&wire.Frame{Op: wire.OpIncrement, Name: watch[0].Name, Seq: seq, Amount: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if f := drained(t, c); len(f) != n {
+			t.Fatalf("%d frames queued for %d flipped predicates, want one OpWake each", len(f), n)
+		}
+		c.waitMu.Lock()
+		defer c.waitMu.Unlock()
+		if len(c.waits) != 0 {
+			t.Fatalf("%d predicates still parked", len(c.waits))
+		}
+		slots := 0
+		for _, cond := range c.conds {
+			slots += cond.Cap()
+		}
+		if len(c.conds) > maxSpareConds || slots > maxSpareSlots || slots != c.condSlots {
+			t.Fatalf("%d Conds kept with %d slots (counted %d), want at most %d and %d", len(c.conds), slots, c.condSlots, maxSpareConds, maxSpareSlots)
+		}
+		t.Logf("%d-wide storm: %d Conds kept with %d slots", len(watch), len(c.conds), slots)
+	}
+	storm(wide)
+	storm([]wire.Watch{{Name: "narrow", Level: 1}})
 }
