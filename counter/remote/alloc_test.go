@@ -21,8 +21,8 @@ import (
 // kind of wait-table entry — a blocking wait, a Sentinel and an ArmSpec
 // registration. It also pins what arming each kind costs once answered
 // entries are recycled: CheckChan its channel, Sentinel its cancel, and
-// ArmSpec its cancel, since an answered registration's frame and watch
-// list are refilled by the next. The client runs
+// ArmSpec its cancel, since its OpWaitFor is encoded from the client's
+// scratch frame and its entry keeps none. The client runs
 // without its goroutines over a link that swallows writes: before each
 // frame it receives, the test takes the write queue as the flusher
 // does, trading it with a spare. (The race detector inflates allocation

@@ -44,9 +44,10 @@ func BenchmarkTryIncrement(b *testing.B) {
 
 // BenchmarkArmSpec measures the client's half of a server-side predicate
 // registration, beside BenchmarkWaitFor's server half in
-// internal/server: per op, a 2-of-4 ArmSpec (the spec validated, a kept
-// frame refilled outside the client lock, the entry parked and its
-// OpWaitFor encoded onto the write queue) and the OpWake that answers
+// internal/server: per op, a 2-of-4 ArmSpec (the spec validated, the
+// client's scratch frame refilled, the entry parked and its OpWaitFor
+// encoded onto the write queue, under one hold of the client lock) and
+// the OpWake that answers
 // it, dispatched to its fire. The flusher writes to an in-memory link
 // that swallows everything.
 func BenchmarkArmSpec(b *testing.B) {

@@ -216,7 +216,7 @@ func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error)
 		cl.mu.Unlock()
 		return 0, ErrClosed
 	}
-	id := cl.parkLocked(wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook})
+	id := cl.parkLocked(wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook}, nil)
 	cl.mu.Unlock()
 	if ch != nil {
 		c.emit(counter.EventSuspend, level)
@@ -271,10 +271,10 @@ func (c *Counter) Watermark() uint64 { return c.known.Load() }
 // is an OpSentinel, which the hosted counter's Stats count neither way,
 // as in-process; a server that does not advertise FeatureSentinel (a v2
 // session) gets an OpCheck, which counts as a Check.
-// Close fires it once, an early re-evaluation kick the Sentineler
-// contract permits; a sentinel armed on a closed or poisoned client
-// never fires. armed reports false only when the client's watermark
-// already covers level.
+// A lost link or Close fires it once, an early re-evaluation kick the
+// Sentineler contract permits, so the caller re-checks and re-arms; a
+// sentinel armed on a closed or poisoned client never fires. armed
+// reports false only when the client's watermark already covers level.
 func (c *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
 	if level <= c.known.Load() {
 		return nil, false

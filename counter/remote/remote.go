@@ -29,10 +29,13 @@
 // buffer used to give.
 // Every request awaiting the server's answer — a blocking Check, a
 // Sentinel hook, an ArmSpec predicate, a Reset or Stats call — is one
-// entry in one wait table, answered by the reader goroutine, re-sent on
-// reconnect and swept by Close, so an armed Sentinel costs a table entry
-// and no goroutine. One counter numbers both increment sequence numbers
-// and wait ids, so a reply naming one can never be taken for the other.
+// entry in one wait table, answered by the reader goroutine and swept by
+// Close, so an armed Sentinel costs a table entry and no goroutine. A
+// reconnect re-sends the Checks and calls; a Sentinel or ArmSpec entry
+// lives for one link, and the reconnect kicks it as Close does, so its
+// owner (counter/wait's predicate engine) arms again. One counter
+// numbers both increment sequence numbers and wait ids, so a reply
+// naming one can never be taken for the other.
 package remote
 
 import (
@@ -118,8 +121,10 @@ func WithRestartNotify(fn func(oldEpoch, newEpoch uint64)) Option {
 // from it share its connection. On connection failure the client
 // reconnects with exponential backoff and resumes: it re-sends its
 // unacknowledged increments (the server deduplicates by sequence
-// number) and re-registers its outstanding waits (idempotent by
-// monotonicity), so callers just block across the outage.
+// number) and its blocked Checks and calls (idempotent by
+// monotonicity), so callers just block across the outage, and it kicks
+// its armed Sentinels and ArmSpec registrations, whose owners arm them
+// again.
 type Client struct {
 	addr          string
 	dial          func(addr string) (net.Conn, error)
@@ -149,8 +154,7 @@ type Client struct {
 	acks     uint64           // OpIncAck frames dispatched; see Counter.ackMark
 	waits    map[uint64]*wait // requests awaiting an answer, by frame id; see wait
 	spare    []*wait          // answered entries kept for reuse, at most maxSpareWaits
-	frames   []*wire.Frame    // answered ArmSpec frames kept for reuse; see maxSpareFrames
-	watches  int              // watch-list capacity the kept frames hold
+	spec     wire.Frame       // ArmSpec's scratch OpWaitFor frame
 	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
@@ -170,8 +174,9 @@ type pendingInc struct {
 // maxQueue bounds the bytes TryIncrement may leave queued behind the
 // write in flight: past it, an incrementer waits until the flusher takes
 // the queue. Only increments wait. Every other frame is an answer to a
-// wait or a request the caller then waits on, and the replay at
-// reconnect is the source of truth, so those are queued regardless.
+// wait or a request the caller then waits on, and the wait table a
+// reconnect re-sends or kicks is the source of truth, so those are
+// queued regardless.
 const maxQueue = 64 << 10
 
 // maxSpareQueue bounds the written buffer the flusher keeps for reuse: a
@@ -185,23 +190,13 @@ const maxSpareQueue = 2 * maxQueue
 // burst's peak for the client's lifetime.
 const maxSpareWaits = 256
 
-// maxSpareFrames and maxSpareWatches bound the answered ArmSpec frames a
-// client keeps for the next ArmSpec to refill (Client.frames): at most
-// maxSpareFrames of them, whose watch lists hold at most maxSpareWatches
-// entries in all (room for maxSpareFrames predicates over four
-// counters), so a burst of wide predicates does not pin its peak either.
-const (
-	maxSpareFrames  = maxSpareWaits
-	maxSpareWatches = 4 * maxSpareFrames
-)
-
 // wait is one entry in Client.waits: a wait on ctr at level for a
-// blocking Check (ch) or a Sentinel (hook), an ArmSpec's OpWaitFor
-// (frame and fire), or a Reset or Stats call (frame and ch). A kept
-// frame is re-sent as is on reconnect, and a call's reply is copied into
-// it before ch is answered; an answered ArmSpec's frame goes to
-// Client.frames for the next ArmSpec to refill. A wait on ctr keeps no
-// frame: checkFrameLocked rebuilds it from ctr and level. The table holds
+// blocking Check (ch) or a Sentinel (hook), an ArmSpec registration
+// (fire), or a Reset or Stats call (frame and ch). A call's frame is
+// re-sent as is on reconnect, and its reply is copied into it before ch
+// is answered; a Check's is rebuilt from ctr and level
+// (checkFrameLocked). An entry without ch keeps no frame: it lives for
+// one link (see kick). The table holds
 // entries by pointer, and an answered entry is recycled through
 // Client.spare: whoever removes it copies out what it still needs under
 // cl.mu, since a park may reuse it as soon as the lock drops. (By
@@ -261,9 +256,10 @@ func newClient(addr string, opts []Option) *Client {
 	return cl
 }
 
-// connect dials, handshakes, installs the new connection, and replays
-// session state (unacknowledged increments and the wait table). Called
-// from Dial and from the reader's reconnect loop.
+// connect dials, handshakes, installs the new connection, re-sends the
+// session state (unacknowledged increments, blocked Checks and calls)
+// and kicks the Sentinel and ArmSpec entries. Called from Dial and from
+// the reader's reconnect loop.
 func (cl *Client) connect() error {
 	cl.mu.Lock()
 	sess := cl.session
@@ -320,32 +316,31 @@ func (cl *Client) connect() error {
 	for _, p := range cl.pending {
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
 	}
-	// Every entry is re-sent, since its request or its answer may have
-	// died with the old link. Re-asking is harmless: a wait's value is
-	// monotonic, and Reset and Stats are idempotent. A cancelled blocking
-	// wait re-sends its OpCancel behind its OpCheck: the server decides
-	// the race again, and a level it satisfied still beats the cancel. An
-	// OpWaitFor that landed on a server without the feature (a downgrade
-	// across a failover) is dropped and fires false.
-	var degraded []*wait
+	// Every entry a goroutine blocks on is re-sent, since its request or
+	// its answer may have died with the old link. Re-asking is harmless: a
+	// wait's value is monotonic, and Reset and Stats are idempotent. A
+	// cancelled blocking wait re-sends its OpCancel behind its OpCheck:
+	// the server decides the race again, and a level it satisfied still
+	// beats the cancel. A Sentinel or ArmSpec entry is kicked instead: its
+	// owner asks again over this link, where an ArmSpec re-ask is refused
+	// if this server lacks the feature.
+	var kicked []*wait
 	for id, w := range cl.waits {
 		switch {
-		case w.frame == nil:
+		case w.ch == nil:
+			delete(cl.waits, id)
+			kicked = append(kicked, w)
+		case w.frame != nil:
+			cl.enqueueLocked(w.frame)
+		default:
 			cl.enqueueLocked(cl.checkFrameLocked(id, w))
 			if w.cancelled {
 				cl.enqueueLocked(&wire.Frame{Op: wire.OpCancel, ID: id})
 			}
-		case w.fire == nil || cl.features&wire.FeatureWaitFor != 0:
-			cl.enqueueLocked(w.frame)
-		default:
-			delete(cl.waits, id)
-			degraded = append(degraded, w)
 		}
 	}
 	cl.mu.Unlock()
-	for _, w := range degraded {
-		w.fire(false)
-	}
+	kick(kicked)
 	if restarted && cl.restartNotify != nil {
 		// Out of the lock: the callback may call back into the client.
 		cl.restartNotify(oldEpoch, welcome.Epoch)
@@ -365,7 +360,7 @@ func (cl *Client) Epoch() uint64 {
 // Close tears the session down: the connection is closed, both client
 // goroutines retire, every outstanding call and blocked wait resolves
 // with ErrClosed, and every armed Sentinel and ArmSpec registration
-// fires once (a Sentinel's hook, an ArmSpec's fire(false)). Increments
+// is kicked once, as on a lost link (see kick). Increments
 // not yet acknowledged by the server may or may not have been applied —
 // Close abandons the session's exactly-once tracking.
 func (cl *Client) Close() error {
@@ -379,30 +374,35 @@ func (cl *Client) Close() error {
 	if cl.nc != nil {
 		cl.nc.Close()
 	}
-	var hooked []*wait
+	var kicked []*wait
 	for id, w := range cl.waits {
 		delete(cl.waits, id)
 		if w.ch != nil {
 			w.ch <- ErrClosed
 		} else {
-			hooked = append(hooked, w)
+			kicked = append(kicked, w)
 		}
 	}
 	cl.flushCond.Broadcast()
 	cl.room.Broadcast()
 	cl.mu.Unlock()
-	// Outside cl.mu: a Sentinel's hook fires as the early re-evaluation
-	// kick the Sentineler contract allows, and a predicate registration
-	// stops counting on an answer that will never come.
-	for _, w := range hooked {
+	kick(kicked)
+	cl.wg.Wait()
+	return nil
+}
+
+// kick fires, once and outside cl.mu, each Sentinel and ArmSpec entry a
+// reconnect or Close took out of the wait table, so its owner arms
+// again: a hook as the early kick core.Sentineler allows, a
+// registration's fire(false) as predicate.External names a lost one.
+func kick(ws []*wait) {
+	for _, w := range ws {
 		if w.fire != nil {
 			w.fire(false)
 		} else {
 			w.hook()
 		}
 	}
-	cl.wg.Wait()
-	return nil
 }
 
 // checkFrameLocked builds the frame that parks w, a wait on ctr: an
@@ -417,17 +417,17 @@ func (cl *Client) checkFrameLocked(id uint64, w *wait) *wire.Frame {
 }
 
 // parkLocked enters e in the wait table under a fresh id, in a spare
-// entry when there is one, and sends its frame. Callers hold cl.mu and
-// have checked that the client is open.
-func (cl *Client) parkLocked(e wait) uint64 {
+// entry when there is one, and sends f under that id, or e's wait on
+// its counter when f is nil. Callers hold cl.mu and have checked that
+// the client is open.
+func (cl *Client) parkLocked(e wait, f *wire.Frame) uint64 {
 	cl.serial++
 	id := cl.serial
-	if e.frame != nil {
-		e.frame.ID = id
-		cl.enqueueLocked(e.frame)
-	} else {
-		cl.enqueueLocked(cl.checkFrameLocked(id, &e))
+	if f == nil {
+		f = cl.checkFrameLocked(id, &e)
 	}
+	f.ID = id
+	cl.enqueueLocked(f)
 	var w *wait
 	if n := len(cl.spare); n > 0 {
 		w = cl.spare[n-1]
@@ -441,8 +441,7 @@ func (cl *Client) parkLocked(e wait) uint64 {
 }
 
 // takeLocked removes the entry under id from the wait table and returns
-// a copy of it, recycling the entry, and an ArmSpec registration's
-// frame with it (the copy keeps no frame); ok is false if there is none.
+// a copy of it, recycling the entry; ok is false if there is none.
 // Callers hold cl.mu.
 func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
 	w := cl.waits[id]
@@ -455,33 +454,7 @@ func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
 	if len(cl.spare) < maxSpareWaits {
 		cl.spare = append(cl.spare, w)
 	}
-	if e.fire != nil {
-		cl.keepFrameLocked(e.frame)
-		e.frame = nil
-	}
 	return e, true
-}
-
-// keepFrameLocked keeps f, an ArmSpec frame no entry holds, for the next
-// ArmSpec, within maxSpareFrames and maxSpareWatches. Callers hold cl.mu.
-func (cl *Client) keepFrameLocked(f *wire.Frame) {
-	if len(cl.frames) < maxSpareFrames && cl.watches+cap(f.Watch) <= maxSpareWatches {
-		cl.frames = append(cl.frames, f)
-		cl.watches += cap(f.Watch)
-	}
-}
-
-// frameLocked returns a kept ArmSpec frame, or a new one. Callers hold
-// cl.mu.
-func (cl *Client) frameLocked() *wire.Frame {
-	n := len(cl.frames)
-	if n == 0 {
-		return new(wire.Frame)
-	}
-	f := cl.frames[n-1]
-	cl.frames = cl.frames[:n-1]
-	cl.watches -= cap(f.Watch)
-	return f
 }
 
 // replyLocked is takeLocked for the entry the reply f answers, if f's
@@ -494,7 +467,7 @@ func (cl *Client) replyLocked(f *wire.Frame) (wait, bool) {
 	if w == nil {
 		return wait{}, false
 	}
-	call := w.ctr == nil && w.fire == nil
+	call := w.frame != nil
 	fits := call
 	switch f.Op {
 	case wire.OpWake:
@@ -510,7 +483,8 @@ func (cl *Client) replyLocked(f *wire.Frame) (wait, bool) {
 
 // unpark is the cancel of a Sentinel or an ArmSpec registration: it
 // forgets the entry and tells the server, whose answer then finds no
-// entry. It reports false if a wake or Close took the entry first.
+// entry. It reports false if a wake, a reconnect or Close took the entry
+// first, which then fires it.
 func (cl *Client) unpark(id uint64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -544,9 +518,9 @@ func (cl *Client) Counter(name string) *Counter {
 }
 
 // enqueueLocked encodes f onto the connection's write queue, waking the
-// flusher if the queue was empty. With the link down it is a no-op:
-// state replay at reconnect is the source of truth, not the queue.
-// Callers hold cl.mu.
+// flusher if the queue was empty. With the link down it is a no-op: the
+// session state a reconnect re-sends or kicks is the source of truth,
+// not the queue. Callers hold cl.mu.
 func (cl *Client) enqueueLocked(f *wire.Frame) {
 	if cl.nc == nil {
 		return
@@ -631,8 +605,8 @@ func (cl *Client) readLoop() {
 // backoff (see backoff) between attempts, and reports false once the
 // client is closed. The sleep selects against the close channel, so a
 // Close issued mid-backoff returns promptly instead of waiting the
-// window out. The write queue goes with the link: connect's replay
-// re-sends whatever in it still matters, so an incrementer waiting for
+// window out. The write queue goes with the link: connect re-sends or
+// kicks whatever in it still matters, so an incrementer waiting for
 // room proceeds at once.
 func (cl *Client) reconnect() bool {
 	cl.mu.Lock()
@@ -747,7 +721,7 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 		cl.mu.Unlock()
 		return ErrClosed
 	}
-	id := cl.parkLocked(wait{frame: f, ch: ch})
+	id := cl.parkLocked(wait{frame: f, ch: ch}, f)
 	cl.mu.Unlock()
 
 	var timer <-chan time.Time

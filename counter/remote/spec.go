@@ -17,7 +17,9 @@ import (
 // Against a v2 server (no FeatureWaitFor) ArmSpec refuses and the
 // predicate engine falls back to the per-counter watermark path
 // unchanged. A registration is one entry in the client's wait table,
-// replayed, answered and swept with the parked OpChecks.
+// answered and swept with the parked OpChecks. It lives for one link: a
+// reconnect fires it false, as Close does, and the predicate engine
+// asks again over the new link.
 
 // specFrame fills f with the OpWaitFor frame for spec, which must be
 // wire-encodable, reusing the storage of f's watch list. Each kind sends
@@ -46,17 +48,16 @@ func specFrame(f *wire.Frame, spec cwait.Spec) {
 // wire-encodable, the negotiated session lacks FeatureWaitFor (v2
 // server, or the client was dialed WithProtocol(2)), or the client is
 // closed/poisoned — the caller then evaluates client-side. An accepted
-// registration survives reconnects: the frame is re-sent with the rest
-// of the session state, and monotonicity makes the re-send idempotent.
-// fire(true) arrives when the server observes the predicate holding;
-// fire(false) when this registration can no longer be honoured (client
-// closed, or a reconnect landed on a server without the feature). The
-// predicate engine takes fire(false) as a kick and asks again, and the
-// re-ask is refused for the same reasons.
+// registration keeps the predicate.External contract: fire(true)
+// arrives when the server observes the predicate holding, and
+// fire(false) once when the registration dies without an answer (the
+// link was lost, or the client closed). The predicate engine takes
+// fire(false) as a kick and asks again, which monotonicity makes safe;
+// the re-ask is refused for the reasons above.
 //
-// The frame is one an answered registration left behind when there is
-// one, refilled outside cl.mu, so a steady stream of registrations
-// allocates only the cancel.
+// The OpWaitFor frame is encoded from the client's scratch frame under
+// the hold of cl.mu that parks the entry, and the entry keeps no frame,
+// so a registration allocates only the cancel.
 //
 // ArmSpec and the returned cancel are called under the predicate
 // engine's lock; both only take cl.mu and enqueue — no round trips.
@@ -65,16 +66,12 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 		return nil, false
 	}
 	cl.mu.Lock()
-	f := cl.frameLocked()
-	cl.mu.Unlock()
-	specFrame(f, spec) // the frame is this call's until it parks or goes back
-	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed || cl.fatal != nil || cl.features&wire.FeatureWaitFor == 0 {
-		cl.keepFrameLocked(f)
 		return nil, false
 	}
-	id := cl.parkLocked(wait{frame: f, fire: fire})
+	specFrame(&cl.spec, spec) // a remote or cluster counter's Name takes no lock
+	id := cl.parkLocked(wait{fire: fire}, &cl.spec)
 	return func() bool { return cl.unpark(id) }, true
 }
 

@@ -29,13 +29,16 @@ func startServerS(t *testing.T) (*server.Server, string) {
 	return s, lis.Addr().String()
 }
 
+// waitPredWaits polls until s parks want predicate waits, and judges
+// the reading that ended the poll: a second reading could miss an entry
+// that was there, such as a dying connection's, torn down in between.
 func waitPredWaits(t *testing.T, s *server.Server, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.PredicateWaits() != want && time.Now().Before(deadline) {
+	n := s.PredicateWaits()
+	for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = s.PredicateWaits() {
 		time.Sleep(time.Millisecond)
 	}
-	if n := s.PredicateWaits(); n != want {
+	if n != want {
 		t.Fatalf("PredicateWaits = %d, want %d", n, want)
 	}
 }
@@ -194,8 +197,9 @@ func TestSpecWaitCancel(t *testing.T) {
 }
 
 // TestSpecWaitSurvivesReconnect severs the link while a spec wait is
-// parked: the reconnect must replay the OpWaitFor registration, and a
-// post-reconnect flip still releases the waiter.
+// parked: the reconnect fires the registration false, the predicate
+// engine asks again over the new link, and a post-reconnect flip still
+// releases the waiter.
 func TestSpecWaitSurvivesReconnect(t *testing.T) {
 	s, addr := startServerS(t)
 	p := startProxy(t, addr)
@@ -213,7 +217,7 @@ func TestSpecWaitSurvivesReconnect(t *testing.T) {
 	go func() { errc <- cond.Wait(context.Background()) }()
 	waitPredWaits(t, s, 1)
 
-	p.kill() // sever; the dead conn's entry drains, the replay re-parks it
+	p.kill() // sever; the dead conn's entry drains, the re-ask parks another
 	waitPredWaits(t, s, 1)
 
 	other.Counter(na).Increment(4)
@@ -224,7 +228,64 @@ func TestSpecWaitSurvivesReconnect(t *testing.T) {
 			t.Fatalf("Wait = %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("spec wait never released after reconnect replay")
+		t.Fatal("spec wait never released after the reconnect")
+	}
+}
+
+// TestSentinelWaitSurvivesReconnect severs the link under a predicate
+// the client evaluates over per-counter remote sentinels (a v2 session,
+// so no server-side registration): the reconnect kicks both sentinels,
+// the predicate engine re-arms them over the new link, and a flip after
+// the reconnect still releases the waiter.
+func TestSentinelWaitSurvivesReconnect(t *testing.T) {
+	addr := startServer(t)
+	p := startProxy(t, addr)
+	reconnected := make(chan struct{}, 1)
+	cl, err := remote.Dial(p.lis.Addr().String(), remote.WithProtocol(2),
+		remote.WithBackoff(time.Millisecond, 10*time.Millisecond),
+		remote.WithRetryNotify(func(failures int, _ error) {
+			if failures == 0 {
+				select {
+				case reconnected <- struct{}{}:
+				default:
+				}
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	other := dialClient(t, addr)
+
+	na, nb := countertest.FreshName("sw"), countertest.FreshName("sw")
+	cond := wait.Sum(cl.Counter(na), cl.Counter(nb)).AtLeast(10)
+
+	errc := make(chan error, 1)
+	go func() { errc <- cond.Wait(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for cond.Stats().Armed != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := cond.Stats(); st.External || st.Armed != 2 {
+		t.Fatalf("stats = %+v, want two client sentinels and no external registration", st)
+	}
+	cl.Counter(na).Stats() // fence: the server has parked both sentinels
+
+	p.kill()
+	select {
+	case <-reconnected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client never reconnected")
+	}
+	other.Counter(na).Increment(4)
+	other.Counter(nb).Increment(6)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Wait = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sentinel wait never released after the reconnect")
 	}
 }
 

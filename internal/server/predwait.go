@@ -67,9 +67,11 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 
 // renew returns a Cond waiting for pred over cs, both of which it
 // copies: the last kept Cond renewed in place, or a new one when none
-// is kept or the kept one refuses because a sentinel fire of its last
-// predicate is still on its way (that Cond is left to the garbage
-// collector).
+// is kept, the kept one is wider than both cs and the nominal spare
+// width (maxSpareSlots/maxSpareConds), or it refuses because a sentinel
+// fire of its last predicate is still on its way. A Cond not renewed is
+// left to the garbage collector, so slots a burst of wide predicates
+// grew do not outlive it in the spares of narrower ones.
 func (c *conn) renew(pred predicate.Pred, cs []predicate.Counter) *predicate.Cond {
 	var cond *predicate.Cond
 	c.waitMu.Lock()
@@ -79,7 +81,7 @@ func (c *conn) renew(pred predicate.Pred, cs []predicate.Counter) *predicate.Con
 		c.condSlots -= cond.Cap()
 	}
 	c.waitMu.Unlock()
-	if cond == nil || !cond.Renew(pred, cs...) {
+	if cond == nil || cond.Cap() > max(len(cs), maxSpareSlots/maxSpareConds) || !cond.Renew(pred, cs...) {
 		cond = new(predicate.Cond)
 		cond.Renew(pred, cs...)
 	}

@@ -490,7 +490,9 @@ func TestRenewRacesLateFires(t *testing.T) {
 // TestSpareRetentionBounded parks and answers more than maxSpareWaits
 // predicates over wire.MaxWatch names on one connection, then as many
 // over one name: the Conds kept for renewal stay within maxSpareConds
-// and maxSpareSlots, so a storm of wide predicates cannot pin its peak.
+// and maxSpareSlots, so a storm of wide predicates cannot pin its peak,
+// and no kept Cond is wider than the last storm's predicates or the
+// nominal spare width, so the wide storm's slots do not outlive it.
 func TestSpareRetentionBounded(t *testing.T) {
 	c := handshake(t)
 	wide := make([]wire.Watch, wire.MaxWatch)
@@ -524,6 +526,12 @@ func TestSpareRetentionBounded(t *testing.T) {
 		}
 		if len(c.conds) > maxSpareConds || slots > maxSpareSlots || slots != c.condSlots {
 			t.Fatalf("%d Conds kept with %d slots (counted %d), want at most %d and %d", len(c.conds), slots, c.condSlots, maxSpareConds, maxSpareSlots)
+		}
+		widest := max(len(watch), maxSpareSlots/maxSpareConds)
+		for _, cond := range c.conds {
+			if cond.Cap() > widest {
+				t.Fatalf("after the %d-wide storm a kept Cond holds %d slots, want at most %d", len(watch), cond.Cap(), widest)
+			}
 		}
 		t.Logf("%d-wide storm: %d Conds kept with %d slots", len(watch), len(c.conds), slots)
 	}
