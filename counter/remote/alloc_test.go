@@ -20,16 +20,18 @@ import (
 // round trip per counter), and an OpWake decoded and dispatched to each
 // kind of wait-table entry — a blocking wait, a Sentinel and an ArmSpec
 // registration. It also pins what arming each kind costs once answered
-// entries are recycled: CheckChan its channel, Sentinel its cancel, and
-// ArmSpec its cancel, since its OpWaitFor is encoded from the client's
-// scratch frame and its entry keeps none. The client runs
+// entries are recycled: CheckChan its channel, whether it parks a level
+// or joins the wait parked there, Sentinel its cancel, and ArmSpec its
+// cancel, since its OpWaitFor is encoded from the client's scratch frame
+// and its entry keeps none. The client runs
 // without its goroutines over a link that swallows writes: before each
 // frame it receives, the test takes the write queue as the flusher
 // does, trading it with a spare. (The race detector inflates allocation
 // counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
 	// A parked wait of any kind costs one entry of at most 80 bytes,
-	// recycled once answered.
+	// recycled once answered with its channel storage; the waits joined on
+	// it add only their channels.
 	if size := unsafe.Sizeof(wait{}); size > 80 {
 		t.Errorf("wait-table entry is %d bytes, want at most 80", size)
 	}
@@ -83,7 +85,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	chans := make([]chan error, runs+1)
 	ids := make([]uint64, len(chans))
 	for i := range chans {
-		chans[i], ids[i] = c.checkChan(uint64(i + 1))
+		chans[i], ids[i], _ = c.checkChan(uint64(i + 1))
 	}
 	next := 0
 	n = testing.AllocsPerRun(runs, func() {
@@ -123,6 +125,33 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if err := <-ch; err != nil {
 		t.Fatal(err)
+	}
+
+	// Joined waits: each run parks joiners CheckChans on one level, the first
+	// sending its OpCheck and every later one joining its entry, and one
+	// OpWake answers them all.
+	const joiners = 8
+	joined := make([]<-chan error, joiners)
+	sent0, _ := cl.WireStats()
+	if n := armed(func(level uint64) {
+		for i, ch := range joined {
+			if ch != nil {
+				if err := <-ch; err != nil {
+					t.Fatal(err)
+				}
+			}
+			joined[i] = c.CheckChan(level)
+		}
+	}); n != 2*joiners {
+		t.Errorf("%d CheckChans joined on one level and woken: %v allocs, want %d (their channels)", joiners, n, 2*joiners)
+	}
+	if sent, _ := cl.WireStats(); sent-sent0 != runs+1 {
+		t.Fatalf("%d runs of %d joined CheckChans sent %d frames, want one OpCheck per run", runs+1, joiners, sent-sent0)
+	}
+	for _, ch := range joined {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// A Sentinel entry: the wake raises the watermark, then runs the hook.

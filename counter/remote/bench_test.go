@@ -42,6 +42,39 @@ func BenchmarkTryIncrement(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckChanJoin measures the client's half of a fan-out on one
+// level: per op, 64 CheckChan calls one above the watermark (the first
+// parks the level's entry and encodes its OpCheck, each later one joins
+// the entry with its channel and no frame) and the one OpWake that
+// answers the level, dispatched to all 64 channels, which are drained.
+// The flusher writes to an in-memory link that swallows everything.
+func BenchmarkCheckChanJoin(b *testing.B) {
+	const joiners = 64
+	b.ReportAllocs()
+	cl := newClient("", nil)
+	cl.nc = discardConn{}
+	cl.wg.Add(1)
+	go cl.flushLoop()
+	defer cl.Close()
+	c := cl.Counter("bench-join")
+	chs := make([]<-chan error, joiners)
+	wake := wire.Frame{Op: wire.OpWake}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wake.Level = c.Watermark() + 1
+		for j := range chs {
+			chs[j] = c.CheckChan(wake.Level)
+		}
+		wake.ID = cl.serial // written only by this goroutine's CheckChan
+		cl.dispatch(&wake)
+		for _, ch := range chs {
+			if err := <-ch; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkArmSpec measures the client's half of a server-side predicate
 // registration, beside BenchmarkWaitFor's server half in
 // internal/server: per op, a 2-of-4 ArmSpec (the spec validated, the

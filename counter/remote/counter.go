@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,8 +25,10 @@ import (
 // already observed satisfied returns immediately with no wire traffic
 // at all — monotonicity means a level seen satisfied once is satisfied
 // forever, so the client keeps a local watermark. Only a genuinely
-// blocking wait costs a round trip, and any number of outstanding waits
-// share the client's two goroutines.
+// blocking wait costs a round trip, one per level: the client's blocking
+// waits on one level share one OpCheck, one server-side wait and one
+// OpWake. Any number of outstanding waits share the client's two
+// goroutines.
 type Counter struct {
 	cl   *Client
 	name string
@@ -36,6 +39,7 @@ type Counter struct {
 	known atomic.Uint64
 
 	immediate atomic.Uint64 // checks satisfied by the watermark; see Stats
+	joined    atomic.Uint64 // blocking waits that joined a parked level; see Stats
 	rtts      atomic.Uint64 // completed wire exchanges
 	ackMark   uint64        // the Client.acks value that last counted an ack here; guarded by cl.mu
 	waitNanos atomic.Uint64 // wall-clock nanoseconds blocked on the wire
@@ -131,9 +135,13 @@ func (c *Counter) Check(level uint64) {
 // level, ctx.Err() if the context wins. A satisfied level beats a
 // cancelled context — even when the wake and the cancellation race on
 // the wire, or a reconnect lost the answer, the server resolves the
-// race and the client honors its answer. Cancellation deregisters the
-// server-side waiter, so an abandoned level costs nothing in any
-// process. It returns ErrClosed if the client is closed while waiting.
+// race and the client honors its answer. The wait joins the client's
+// other blocking waits on level, as CheckChan's does. The last of them
+// to cancel deregisters the server-side waiter, so an abandoned level
+// costs nothing in any process; one cancelled while others still wait
+// leaves them parked and asks the server again under a fresh id, an
+// OpCheck and its OpCancel, so the server still decides the race. It
+// returns ErrClosed if the client is closed while waiting.
 func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
@@ -141,12 +149,12 @@ func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	}
 	// Even an already-cancelled ctx parks the wait: satisfied state
 	// lives on the server, so the cancel must race the wait there.
-	ch, id := c.checkChan(level)
+	ch, id, at := c.checkChan(level)
 	select {
 	case err := <-ch:
 		return err
 	case <-ctx.Done():
-		return c.cancelWait(id, ch, ctx.Err())
+		return c.cancelWait(id, at, ch, ctx.Err())
 	}
 }
 
@@ -174,7 +182,10 @@ func (c *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 // hosted value reaches level, or ErrClosed if the client is closed
 // first. It exists so one goroutine can hold any number of outstanding
 // waits (the fan-out experiment E22 parks thousands of waits from a
-// handful of goroutines); Check and CheckContext are built on it.
+// handful of goroutines); Check and CheckContext are built on it. The
+// first blocking wait on a level sends its OpCheck; each later one, until
+// the level is answered, joins that wait-table entry at the cost of its
+// channel and no frame, and the entry's one OpWake resolves them all.
 func (c *Counter) CheckChan(level uint64) <-chan error {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
@@ -182,57 +193,87 @@ func (c *Counter) CheckChan(level uint64) <-chan error {
 		ch <- nil
 		return ch
 	}
-	ch, _ := c.checkChan(level)
+	ch, _, _ := c.checkChan(level)
 	return ch
 }
 
 // checkChan parks a blocking wait for level, returning its resolution
-// channel and id (zero on a closed client, whose channel holds
-// ErrClosed). A poisoned client panics with its latched error.
-func (c *Counter) checkChan(level uint64) (chan error, uint64) {
-	ch := make(chan error, 1)
-	id, err := c.park(level, ch, nil)
+// channel, the id of the entry it joined and its start on clock() (a
+// zero id on a closed client, whose channel holds ErrClosed). A
+// poisoned client panics with its latched error.
+func (c *Counter) checkChan(level uint64) (ch chan error, id, at uint64) {
+	ch = make(chan error, 1)
+	id, at, err := c.park(level, ch)
 	if err == ErrClosed {
 		ch <- err
 	} else if err != nil {
 		panic(err.Error())
 	}
-	return ch, id
+	return ch, id, at
 }
 
-// park parks a wait for level on c, resolved through ch or hook. A
-// poisoned or closed client parks nothing and reports why. Only a
-// blocking wait (ch) is a suspend to the probe: a hook's arming emits
-// nothing, as an in-process Sentinel's does not.
-func (c *Counter) park(level uint64, ch chan error, hook func()) (uint64, error) {
+// park parks a blocking wait for level on c, resolved through ch, and
+// returns its entry's id and its start on clock(). The wait joins the
+// entry the level's blocking waits already share, if there is one, and
+// parks it otherwise. A poisoned or closed client parks nothing and
+// reports why. Each call is a suspend to the probe, whether it joins or
+// not.
+func (c *Counter) park(level uint64, ch chan error) (id, at uint64, err error) {
 	cl := c.cl
+	at = clock()
 	cl.mu.Lock()
 	if cl.fatal != nil {
 		fatal := cl.fatal
 		cl.mu.Unlock()
-		return 0, fatal
+		return 0, 0, fatal
 	}
 	if cl.closed {
 		cl.mu.Unlock()
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
-	id := cl.parkLocked(wait{ctr: c, level: level, start: time.Now(), ch: ch, hook: hook}, nil)
+	k := waitKey{c, level}
+	id, joined := cl.joins[k]
+	if joined {
+		w := cl.waits[id]
+		w.chs = append(w.chs, ch)
+		w.since += at
+	} else {
+		id = cl.parkLocked(wait{ctr: c, level: level, since: at}, ch, nil)
+		cl.joins[k] = id
+	}
 	cl.mu.Unlock()
-	if ch != nil {
-		c.emit(counter.EventSuspend, level)
+	if joined {
+		c.joined.Add(1)
 	}
-	return id, nil
+	c.emit(counter.EventSuspend, level)
+	return id, at, nil
 }
 
-// cancelWait asks the server to cancel the blocking wait under id, then
-// blocks until the server resolves the race: OpCancelled (the wait was
-// still parked → ctxErr) or OpWake (satisfaction won → nil). With the
-// link down the OpCancel goes out behind the OpCheck at reconnect, so
-// the server decides there too.
-func (c *Counter) cancelWait(id uint64, ch chan error, ctxErr error) error {
+// cancelWait cancels the blocking wait that ch, started at at, joined
+// under id, then blocks until the server resolves the race: OpCancelled
+// (the wait was still parked → ctxErr) or OpWake (satisfaction won →
+// nil). The last wait on the entry cancels the entry itself with an
+// OpCancel, and takes it out of the join index. One with co-waiters
+// leaves them the entry, parks a fresh one for itself out of the index,
+// and sends its OpCheck and OpCancel at once: the server answers behind
+// every frame the client sent before, as it would the shared entry's
+// cancel. With the link down both go out at reconnect, so the server
+// decides there too.
+func (c *Counter) cancelWait(id, at uint64, ch chan error, ctxErr error) error {
 	cl := c.cl
 	cl.mu.Lock()
 	if w := cl.waits[id]; w != nil {
+		if len(w.chs) > 1 {
+			last := len(w.chs) - 1
+			i := slices.Index(w.chs, ch)
+			w.chs[i], w.chs[last] = w.chs[last], nil
+			w.chs = w.chs[:last]
+			w.since -= at
+			id = cl.parkLocked(wait{ctr: c, level: w.level, since: at}, ch, nil)
+			w = cl.waits[id]
+		} else {
+			cl.unjoinLocked(id, w)
+		}
 		w.cancelled = true
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpCancel, ID: id})
 	}
@@ -264,8 +305,8 @@ func (c *Counter) Watermark() uint64 { return c.known.Load() }
 // Sentinel arms a one-shot hook that fires when the hosted value
 // reaches level, making remote counters watchable by counter/wait's
 // predicate conditions alongside in-process ones. An armed sentinel is
-// one wait-table entry, the price of a blocked CheckContext, and no
-// goroutine: the reader goroutine runs fn after raising the watermark,
+// one wait-table entry, the price of a blocked CheckContext that parks
+// its level, and no goroutine: the reader goroutine runs fn after raising the watermark,
 // so fn must not block. It counts as a suspended waiter for Reset's
 // refusal, and cancel deregisters the server-side wait. On the wire it
 // is an OpSentinel, which the hosted counter's Stats count neither way,
@@ -279,11 +320,15 @@ func (c *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed b
 	if level <= c.known.Load() {
 		return nil, false
 	}
-	id, err := c.park(level, nil, fn)
-	if err != nil {
+	cl := c.cl
+	cl.mu.Lock()
+	if cl.fatal != nil || cl.closed {
+		cl.mu.Unlock()
 		return func() bool { return true }, true
 	}
-	return func() bool { return c.cl.unpark(id) }, true
+	id := cl.parkLocked(wait{ctr: c, level: level, since: clock(), hook: fn}, nil, nil)
+	cl.mu.Unlock()
+	return func() bool { return cl.unpark(id) }, true
 }
 
 // Reset sets the hosted value back to zero for reuse between phases. As
@@ -313,13 +358,16 @@ const statsTimeout = 2 * time.Second
 // client session contributes to: counterd counts each session's wire
 // Checks as its engine counts in-process ones, a parked one in
 // Suspends and one answered at once in ImmediateChecks; a Check
-// replayed after a reconnect counts again, and a Sentinel counts
-// neither way (see Sentinel). This client
-// adds what only it sees: the checks its watermark answered without the
-// wire, in ImmediateChecks, and its wire measurements, in the Remote*
-// fields. If the server cannot answer within two seconds the last
-// snapshot it did give is reused (zeroes before the first), so an
-// expvar scrape never wedges on a dead link.
+// replayed after a reconnect counts again, as does the fresh Check a
+// joined wait cancelled beside co-waiters sends, and a Sentinel counts
+// neither way (see Sentinel). This client adds what only it sees: the
+// blocking waits that joined a level it had already parked, which sent
+// no Check, in Suspends; the checks its watermark answered without the
+// wire, in ImmediateChecks; and its wire measurements, in the Remote*
+// fields, where RemoteWaitNanos sums each blocking call's own time on
+// the wire, joined or not. If the server cannot answer within two
+// seconds the last snapshot it did give is reused (zeroes before the
+// first), so an expvar scrape never wedges on a dead link.
 func (c *Counter) Stats() counter.Stats {
 	var s counter.Stats
 	f := wire.Frame{Op: wire.OpStats, Name: c.name}
@@ -331,15 +379,17 @@ func (c *Counter) Stats() counter.Stats {
 		s = *last
 	}
 	s.ImmediateChecks += c.immediate.Load()
+	s.Suspends += c.joined.Load()
 	s.RemoteRoundTrips, s.RemoteWaitNanos = c.rtts.Load(), c.waitNanos.Load()
 	return s
 }
 
 // SetProbe installs fn to observe this client's operations on the
 // counter: EventIncrement per local Increment call, EventSuspend per
-// blocking wait that goes to the wire, EventWake per wake received. A
-// Sentinel's arming is no suspend, as in-process, so it emits nothing;
-// its wake emits EventWake. Events are client-local (the server
+// blocking wait that parks or joins a parked level, EventWake per wake
+// received, so once per level however many waits it releases, as
+// in-process. A Sentinel's arming is no suspend, as in-process, so it
+// emits nothing; its wake emits EventWake. Events are client-local (the server
 // aggregates all sessions; see Stats for that view). fn must be fast
 // and must not call back into the counter; SetProbe(nil) removes the
 // probe.

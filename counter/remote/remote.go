@@ -30,12 +30,16 @@
 // Every request awaiting the server's answer — a blocking Check, a
 // Sentinel hook, an ArmSpec predicate, a Reset or Stats call — is one
 // entry in one wait table, answered by the reader goroutine and swept by
-// Close, so an armed Sentinel costs a table entry and no goroutine. A
-// reconnect re-sends the Checks and calls; a Sentinel or ArmSpec entry
-// lives for one link, and the reconnect kicks it as Close does, so its
-// owner (counter/wait's predicate engine) arms again. One counter
-// numbers both increment sequence numbers and wait ids, so a reply
-// naming one can never be taken for the other.
+// Close, so an armed Sentinel costs a table entry and no goroutine. The
+// blocking waits of one counter and level share one entry, the paper's
+// one suspension queue per waited-on level one tier up: the first call
+// sends the OpCheck, every later one joins the entry with its channel
+// and no frame, and the one OpWake, a reconnect's re-send or Close
+// resolves them all. A reconnect re-sends the Checks and calls; a
+// Sentinel or ArmSpec entry lives for one link, and the reconnect kicks
+// it as Close does, so its owner (counter/wait's predicate engine) arms
+// again. One counter numbers both increment sequence numbers and wait
+// ids, so a reply naming one can never be taken for the other.
 package remote
 
 import (
@@ -150,11 +154,12 @@ type Client struct {
 	// id. One space for both: the server reports a rejected increment as
 	// an OpError carrying its seq, which therefore names no wait.
 	serial   uint64
-	pending  []pendingInc     // increments sent but not yet acknowledged, ascending by seq
-	acks     uint64           // OpIncAck frames dispatched; see Counter.ackMark
-	waits    map[uint64]*wait // requests awaiting an answer, by frame id; see wait
-	spare    []*wait          // answered entries kept for reuse, at most maxSpareWaits
-	spec     wire.Frame       // ArmSpec's scratch OpWaitFor frame
+	pending  []pendingInc       // increments sent but not yet acknowledged, ascending by seq
+	acks     uint64             // OpIncAck frames dispatched; see Counter.ackMark
+	waits    map[uint64]*wait   // requests awaiting an answer, by frame id; see wait
+	joins    map[waitKey]uint64 // the id of the entry each level's blocking waits join
+	spare    []*wait            // answered entries kept for reuse, at most maxSpareWaits
+	spec     wire.Frame         // ArmSpec's scratch OpWaitFor frame
 	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
@@ -190,32 +195,53 @@ const maxSpareQueue = 2 * maxQueue
 // burst's peak for the client's lifetime.
 const maxSpareWaits = 256
 
-// wait is one entry in Client.waits: a wait on ctr at level for a
-// blocking Check (ch) or a Sentinel (hook), an ArmSpec registration
-// (fire), or a Reset or Stats call (frame and ch). A call's frame is
-// re-sent as is on reconnect, and its reply is copied into it before ch
-// is answered; a Check's is rebuilt from ctr and level
-// (checkFrameLocked). An entry without ch keeps no frame: it lives for
-// one link (see kick). The table holds
-// entries by pointer, and an answered entry is recycled through
-// Client.spare: whoever removes it copies out what it still needs under
-// cl.mu, since a park may reuse it as soon as the lock drops. (By
-// pointer because a Go map never prunes its deleted slots in place: a
-// churned table of 80-byte values holds about three times the memory of
-// pointers plus their entries.)
+// maxSpareJoins bounds the channel storage a recycled entry keeps: the
+// storage of a level that more blocking waits joined is left to the
+// garbage collector instead of pinning the fan-out's peak.
+const maxSpareJoins = 256
+
+// wait is one entry in Client.waits: a wait on ctr at level for the
+// blocking Checks joined on it (chs) or a Sentinel (hook), an ArmSpec
+// registration (fire), or a Reset or Stats call (frame and chs). A
+// call's frame is re-sent as is on reconnect, and its reply is copied
+// into it before its channel is answered; a Check's is rebuilt from ctr
+// and level (checkFrameLocked). An entry without channels keeps no
+// frame: it lives for one link (see kick). The table holds entries by
+// pointer, and an answered entry is recycled through Client.spare with
+// its channel storage: whoever takes one out of the table owns it until
+// it hands it back (recycleLocked). (By pointer because a Go map never
+// prunes its deleted slots in place: a churned table of 80-byte values
+// holds about three times the memory of pointers plus their entries.)
 type wait struct {
 	ctr   *Counter
 	level uint64
-	start time.Time
-	// ch resolves a blocking wait or a call: nil for a wake or a reply,
-	// errCancelled for a confirmed cancel, ErrClosed if the client
-	// closes. Buffered so the reader never blocks delivering.
-	ch        chan error
+	// since sums the start times (clock) of the calls waiting on the
+	// entry, modulo 2^64, so a wake adds each call's own time on the
+	// wire to RemoteWaitNanos as n·now − since, whatever n is.
+	since uint64
+	// chs resolve the blocking waits joined on the entry, or a call: nil
+	// for a wake or a reply, errCancelled for a confirmed cancel,
+	// ErrClosed if the client closes. Each is buffered, so the reader
+	// never blocks delivering.
+	chs       []chan error
 	hook      func()
 	frame     *wire.Frame
 	fire      func(satisfied bool)
 	cancelled bool // a blocking wait's OpCancel was sent; replay re-sends it
 }
+
+// waitKey names the level of a counter that blocking waits join on.
+type waitKey struct {
+	ctr   *Counter
+	level uint64
+}
+
+// epoch anchors clock.
+var epoch = time.Now()
+
+// clock returns monotonic nanoseconds since the package loaded: a wait
+// entry's start times in eight bytes.
+func clock() uint64 { return uint64(time.Since(epoch)) }
 
 // errCancelled resolves a blocking wait whose cancel the server
 // confirmed; the waiter returns its own context error in its place.
@@ -246,6 +272,7 @@ func newClient(addr string, opts []Option) *Client {
 		boff:     backoff{base: defaultBackoffBase, cap: defaultBackoffCap},
 		closeCh:  make(chan struct{}),
 		waits:    make(map[uint64]*wait),
+		joins:    make(map[waitKey]uint64),
 		counters: make(map[string]*Counter),
 	}
 	cl.flushCond = sync.NewCond(&cl.mu)
@@ -317,17 +344,18 @@ func (cl *Client) connect() error {
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
 	}
 	// Every entry a goroutine blocks on is re-sent, since its request or
-	// its answer may have died with the old link. Re-asking is harmless: a
-	// wait's value is monotonic, and Reset and Stats are idempotent. A
-	// cancelled blocking wait re-sends its OpCancel behind its OpCheck:
-	// the server decides the race again, and a level it satisfied still
-	// beats the cancel. A Sentinel or ArmSpec entry is kicked instead: its
-	// owner asks again over this link, where an ArmSpec re-ask is refused
-	// if this server lacks the feature.
+	// its answer may have died with the old link: one OpCheck for all the
+	// waits joined on a level. Re-asking is harmless: a wait's value is
+	// monotonic, and Reset and Stats are idempotent. A cancelled blocking
+	// wait re-sends its OpCancel behind its OpCheck: the server decides
+	// the race again, and a level it satisfied still beats the cancel. A
+	// Sentinel or ArmSpec entry is kicked instead: its owner asks again
+	// over this link, where an ArmSpec re-ask is refused if this server
+	// lacks the feature.
 	var kicked []*wait
 	for id, w := range cl.waits {
 		switch {
-		case w.ch == nil:
+		case len(w.chs) == 0:
 			delete(cl.waits, id)
 			kicked = append(kicked, w)
 		case w.frame != nil:
@@ -358,11 +386,12 @@ func (cl *Client) Epoch() uint64 {
 }
 
 // Close tears the session down: the connection is closed, both client
-// goroutines retire, every outstanding call and blocked wait resolves
-// with ErrClosed, and every armed Sentinel and ArmSpec registration
-// is kicked once, as on a lost link (see kick). Increments
-// not yet acknowledged by the server may or may not have been applied —
-// Close abandons the session's exactly-once tracking.
+// goroutines retire, every outstanding call and blocked wait (each wait
+// joined on a level) resolves with ErrClosed, and every armed Sentinel
+// and ArmSpec registration is kicked once, as on a lost link (see
+// kick). Increments not yet acknowledged by the server may or may not
+// have been applied — Close abandons the session's exactly-once
+// tracking.
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if cl.closed {
@@ -377,12 +406,14 @@ func (cl *Client) Close() error {
 	var kicked []*wait
 	for id, w := range cl.waits {
 		delete(cl.waits, id)
-		if w.ch != nil {
-			w.ch <- ErrClosed
-		} else {
+		for _, ch := range w.chs {
+			ch <- ErrClosed
+		}
+		if len(w.chs) == 0 {
 			kicked = append(kicked, w)
 		}
 	}
+	clear(cl.joins)
 	cl.flushCond.Broadcast()
 	cl.room.Broadcast()
 	cl.mu.Unlock()
@@ -417,10 +448,10 @@ func (cl *Client) checkFrameLocked(id uint64, w *wait) *wire.Frame {
 }
 
 // parkLocked enters e in the wait table under a fresh id, in a spare
-// entry when there is one, and sends f under that id, or e's wait on
-// its counter when f is nil. Callers hold cl.mu and have checked that
-// the client is open.
-func (cl *Client) parkLocked(e wait, f *wire.Frame) uint64 {
+// entry when there is one, with ch as its first channel unless ch is
+// nil, and sends f under that id, or e's wait on its counter when f is
+// nil. Callers hold cl.mu and have checked that the client is open.
+func (cl *Client) parkLocked(e wait, ch chan error, f *wire.Frame) uint64 {
 	cl.serial++
 	id := cl.serial
 	if f == nil {
@@ -435,26 +466,53 @@ func (cl *Client) parkLocked(e wait, f *wire.Frame) uint64 {
 	} else {
 		w = new(wait)
 	}
+	e.chs = w.chs // a recycled entry's storage, empty
+	if ch != nil {
+		e.chs = append(e.chs, ch)
+	}
 	*w = e
 	cl.waits[id] = w
 	return id
 }
 
-// takeLocked removes the entry under id from the wait table and returns
-// a copy of it, recycling the entry; ok is false if there is none.
-// Callers hold cl.mu.
-func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
+// takeLocked removes the entry under id from the wait table, and from
+// the join index if blocking waits join it there, and returns it; nil
+// if there is none. The caller owns the entry until it hands it to
+// recycleLocked. Callers hold cl.mu.
+func (cl *Client) takeLocked(id uint64) *wait {
 	w := cl.waits[id]
 	if w == nil {
-		return wait{}, false
+		return nil
 	}
 	delete(cl.waits, id)
-	e = *w
-	*w = wait{}
-	if len(cl.spare) < maxSpareWaits {
-		cl.spare = append(cl.spare, w)
+	cl.unjoinLocked(id, w)
+	return w
+}
+
+// unjoinLocked takes w, the entry under id, out of the join index, so
+// the next blocking wait at its level parks a fresh entry. Callers hold
+// cl.mu.
+func (cl *Client) unjoinLocked(id uint64, w *wait) {
+	if k := (waitKey{w.ctr, w.level}); w.ctr != nil && cl.joins[k] == id {
+		delete(cl.joins, k)
 	}
-	return e, true
+}
+
+// recycleLocked keeps w, taken out of the table and answered, for the
+// next park, with its channel storage unless it holds more than
+// maxSpareJoins, and keeps nothing once maxSpareWaits are kept. Callers
+// hold cl.mu.
+func (cl *Client) recycleLocked(w *wait) {
+	if len(cl.spare) == maxSpareWaits {
+		return
+	}
+	chs := w.chs[:0]
+	if cap(chs) > maxSpareJoins {
+		chs = nil
+	}
+	clear(w.chs)
+	*w = wait{chs: chs}
+	cl.spare = append(cl.spare, w)
 }
 
 // replyLocked is takeLocked for the entry the reply f answers, if f's
@@ -462,10 +520,10 @@ func (cl *Client) takeLocked(id uint64) (e wait, ok bool) {
 // Check (the one wait parked behind its OpCancel), and a call's reply
 // only a call. A reply that does not fit takes nothing, leaving the
 // entry for its real answer. Callers hold cl.mu.
-func (cl *Client) replyLocked(f *wire.Frame) (wait, bool) {
+func (cl *Client) replyLocked(f *wire.Frame) *wait {
 	w := cl.waits[f.ID]
 	if w == nil {
-		return wait{}, false
+		return nil
 	}
 	call := w.frame != nil
 	fits := call
@@ -473,10 +531,10 @@ func (cl *Client) replyLocked(f *wire.Frame) (wait, bool) {
 	case wire.OpWake:
 		fits = !call
 	case wire.OpCancelled:
-		fits = !call && w.ch != nil
+		fits = !call && len(w.chs) > 0
 	}
 	if !fits {
-		return wait{}, false
+		return nil
 	}
 	return cl.takeLocked(f.ID)
 }
@@ -488,14 +546,15 @@ func (cl *Client) replyLocked(f *wire.Frame) (wait, bool) {
 func (cl *Client) unpark(id uint64) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w, ok := cl.takeLocked(id)
-	if !ok {
+	w := cl.takeLocked(id)
+	if w == nil {
 		return false
 	}
 	op := wire.OpCancel
 	if w.fire != nil {
 		op = wire.OpWaitForCancel
 	}
+	cl.recycleLocked(w)
 	cl.enqueueLocked(&wire.Frame{Op: op, ID: id})
 	return true
 }
@@ -652,13 +711,14 @@ func (cl *Client) dispatch(f *wire.Frame) {
 	switch f.Op {
 	case wire.OpWake, wire.OpCancelled:
 		cl.mu.Lock()
-		w, ok := cl.replyLocked(f)
+		w := cl.replyLocked(f)
 		cl.mu.Unlock()
 		switch {
-		case !ok: // forgotten by unpark, or not an answer to it
-		case f.Op == wire.OpCancelled: // only a blocking wait stays parked behind its OpCancel
+		case w == nil: // forgotten by unpark, or not an answer to it
+			return
+		case f.Op == wire.OpCancelled: // only a blocking wait stays parked behind its OpCancel, with its one call
 			w.ctr.rtts.Add(1)
-			w.ch <- errCancelled
+			w.chs[0] <- errCancelled
 		case w.fire != nil:
 			// The server observed the predicate holding: authoritative.
 			w.fire(true)
@@ -666,14 +726,22 @@ func (cl *Client) dispatch(f *wire.Frame) {
 			c := w.ctr
 			c.noteSatisfied(f.Level)
 			c.rtts.Add(1)
-			c.waitNanos.Add(uint64(time.Since(w.start)))
+			n := uint64(len(w.chs))
+			if w.hook != nil {
+				n = 1 // a Sentinel's time parked counts as one wait's
+			}
+			c.waitNanos.Add(n*clock() - w.since)
 			c.emit(counter.EventWake, f.Level)
-			if w.ch != nil {
-				w.ch <- nil
-			} else {
+			for _, ch := range w.chs {
+				ch <- nil
+			}
+			if w.hook != nil {
 				w.hook() // after the watermark rose, so a re-evaluation sees level
 			}
 		}
+		cl.mu.Lock()
+		cl.recycleLocked(w)
+		cl.mu.Unlock()
 	case wire.OpIncAck:
 		// One round trip per acked counter: ackMark tells a counter seen
 		// earlier in this prefix from one not yet counted.
@@ -692,9 +760,10 @@ func (cl *Client) dispatch(f *wire.Frame) {
 		cl.mu.Unlock()
 	case wire.OpResetOK, wire.OpStatsReply, wire.OpError:
 		cl.mu.Lock()
-		w, ok := cl.replyLocked(f)
-		if ok {
-			*w.frame = *f // a call's reply, read by roundTrip once ch answers
+		if w := cl.replyLocked(f); w != nil {
+			*w.frame = *f // a call's reply, read by roundTrip once its channel answers
+			w.chs[0] <- nil
+			cl.recycleLocked(w)
 		} else if f.Op == wire.OpError && cl.fatal == nil && cl.waits[f.ID] == nil {
 			// No entry: the server rejected an increment (the only
 			// fire-and-forget op that can fail — overflow), naming its
@@ -704,9 +773,6 @@ func (cl *Client) dispatch(f *wire.Frame) {
 			cl.fatal = errors.New("remote: " + f.Msg)
 		}
 		cl.mu.Unlock()
-		if ok {
-			w.ch <- nil
-		}
 	}
 }
 
@@ -721,7 +787,7 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 		cl.mu.Unlock()
 		return ErrClosed
 	}
-	id := cl.parkLocked(wait{frame: f, ch: ch}, f)
+	id := cl.parkLocked(wait{frame: f}, ch, f)
 	cl.mu.Unlock()
 
 	var timer <-chan time.Time
@@ -735,9 +801,12 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 		return err
 	case <-timer:
 		cl.mu.Lock()
-		_, parked := cl.takeLocked(id)
+		w := cl.takeLocked(id)
+		if w != nil {
+			cl.recycleLocked(w)
+		}
 		cl.mu.Unlock()
-		if !parked {
+		if w == nil {
 			return <-ch // the reply (or Close) took the entry first
 		}
 		return fmt.Errorf("remote: %s timed out after %v", f.Op, timeout)

@@ -71,7 +71,7 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 		return nil, false
 	}
 	specFrame(&cl.spec, spec) // a remote or cluster counter's Name takes no lock
-	id := cl.parkLocked(wait{fire: fire}, &cl.spec)
+	id := cl.parkLocked(wait{fire: fire}, nil, &cl.spec)
 	return func() bool { return cl.unpark(id) }, true
 }
 

@@ -21,8 +21,9 @@ import (
 // A remote counter (counter/remote) reports the server-side engine's
 // values for the engine fields — they describe the hosted counter, so
 // Suspends and ImmediateChecks count every session's wire Checks — plus
-// the checks its own watermark answered and the Remote* fields, its
-// client-local measurements of the wire itself.
+// the blocking calls that joined a level it had already sent a Check
+// for, the checks its own watermark answered and the Remote* fields,
+// its client-local measurements of the wire itself.
 type Stats = core.Stats
 
 // StatsProvider is satisfied by every counter in this module (and

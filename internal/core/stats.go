@@ -59,9 +59,14 @@ type Stats struct {
 	// waiter (actually blocked). BroadcastCounter waiters woken below
 	// their level re-register, so its Suspends counts every park.
 	// counterd counts here each wire Check it parks, once more when a
-	// client replays it after a reconnect. Arming a Sentinel counts
-	// neither here nor in ImmediateChecks, in-process or on the wire,
-	// except from a v2 session, whose sentinels travel as Checks.
+	// client replays it after a reconnect. A remote client sends one
+	// Check for all its blocking calls on one level and adds the calls
+	// that joined it, so its counter counts every blocking call. A joined
+	// call cancelled while others still wait on its level asks counterd
+	// again with a fresh Check, which counts again: here if it parks, in
+	// ImmediateChecks if the level is already reached. Arming a Sentinel
+	// counts neither here nor in ImmediateChecks, in-process or on the
+	// wire, except from a v2 session, whose sentinels travel as Checks.
 	Suspends uint64
 	// ImmediateChecks counts Check/CheckContext calls satisfied without
 	// blocking, whether on a locked re-check or a lock-free fast path.
@@ -91,7 +96,9 @@ type Stats struct {
 	RemoteRoundTrips uint64
 	// RemoteWaitNanos accumulates wall-clock nanoseconds remote
 	// Check/CheckContext calls spent blocked on the wire — the
-	// client-side latency counterpart of Suspends. Zero for in-process
+	// client-side latency counterpart of Suspends: each call's own wait,
+	// also when several share one wire wait (a level's wake adds
+	// n·t_wake − Σ t_join over its n calls). Zero for in-process
 	// counters.
 	RemoteWaitNanos uint64
 }

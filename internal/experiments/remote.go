@@ -49,35 +49,51 @@ func localRTT(reps int) harness.Timing {
 
 // remoteFanout parks waiters remote waits — spread over conns
 // connections, all on one level — then times the fan-out from the single
-// satisfying Increment to the last wake delivered. It returns the
-// fan-out duration plus the goroutine accounting: the process count with
-// every wait parked, and the count before any wait was registered. The
-// server and every client run in this process, so the delta covers both
-// sides of the wire.
+// satisfying Increment, sent by one more client, to the last wake
+// delivered. It returns the fan-out duration plus the goroutine
+// accounting: the process count with every wait parked, and the count
+// before any wait was registered. The server and every client run in
+// this process, so the delta covers both sides of the wire. It panics
+// unless each waiting client sent one OpCheck for its waits and received
+// one OpWake for them (wire frame deltas, the fence's round trip
+// excluded): a client's waits on one level share one wire wait.
 func remoteFanout(addr string, conns, waiters int) (d time.Duration, parked, before int) {
-	clients := make([]*remote.Client, conns)
-	for i := range clients {
+	dial := func() *remote.Client {
 		cl, err := remote.Dial(addr)
 		if err != nil {
 			panic("E22: " + err.Error())
 		}
-		defer cl.Close()
-		clients[i] = cl
+		return cl
+	}
+	releaser := dial()
+	defer releaser.Close()
+	clients := make([]*remote.Client, conns)
+	for i := range clients {
+		clients[i] = dial()
+		defer clients[i].Close()
 	}
 	name := fmt.Sprintf("e22-fan-%d", time.Now().UnixNano())
-	ctr0 := clients[0].Counter(name)
+	ctr0 := releaser.Counter(name)
 	ctr0.Increment(1)
 	ctr0.Check(1) // settle all machinery into the baseline
 	before = settledGoroutines()
 
+	sent := make([]uint64, conns)
+	for i, cl := range clients {
+		sent[i], _ = cl.WireStats()
+	}
 	chans := make([]<-chan error, 0, waiters)
 	for i := 0; i < waiters; i++ {
 		chans = append(chans, clients[i%conns].Counter(name).CheckChan(2))
 	}
-	// Fence: a Stats round trip per client travels the same pipeline as
-	// its checks, so a reply proves the server registered them all.
-	for i := range clients {
-		clients[i].Counter(name).Stats()
+	recv := make([]uint64, conns)
+	for i, cl := range clients {
+		now, _ := cl.WireStats()
+		sent[i] = now - sent[i]
+		// Fence: a Stats round trip per client travels the same pipeline
+		// as its checks, so a reply proves the server registered them all.
+		cl.Counter(name).Stats()
+		_, recv[i] = cl.WireStats()
 	}
 	parked = runtime.NumGoroutine()
 
@@ -88,7 +104,15 @@ func remoteFanout(addr string, conns, waiters int) (d time.Duration, parked, bef
 			panic("E22: wait resolved with " + err.Error())
 		}
 	}
-	return time.Since(start), parked, before
+	d = time.Since(start)
+	for i, cl := range clients {
+		_, now := cl.WireStats()
+		if sent[i] != 1 || now-recv[i] != 1 {
+			panic(fmt.Sprintf("E22: client %d of %d sent %d frames and received %d for its %d waits on one level, want one OpCheck and one OpWake",
+				i, conns, sent[i], now-recv[i], (waiters-i+conns-1)/conns))
+		}
+	}
+	return d, parked, before
 }
 
 // settledGoroutines returns the goroutine count once it stops changing:
@@ -130,7 +154,11 @@ func init() {
 			"columns assert the bound at run time — parking N waits adds no goroutines (the " +
 			"experiment panics if the count with N waits parked exceeds the pre-registration " +
 			"baseline plus a small constant of scheduler slack), so a fan-out's cost is frames on " +
-			"the wire, not goroutines in the server. RTT rows price the wire itself: a remote " +
+			"the wire, not goroutines in the server. Those frames are per connection, not per " +
+			"wait: a client's waits on one level join one wait-table entry, so the C connections " +
+			"send C OpChecks and receive C OpWakes for the N waits, which each row also asserts at " +
+			"run time from the clients' frame tallies (the fence's round trip and the releasing " +
+			"increment, sent by one more client, excluded). RTT rows price the wire itself: a remote " +
 			"exchange costs loopback-TCP microseconds against the engine's in-process " +
 			"nanoseconds, which is the usual three-orders toll for crossing a socket, not a " +
 			"property of the counter.",

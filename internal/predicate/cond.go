@@ -35,9 +35,14 @@ type Cond struct {
 	pred Pred
 	cs   []Counter
 
-	mu        sync.Mutex
-	done      chan struct{}
-	satisfied bool
+	mu sync.Mutex
+	// done is closed at satisfaction. It is made only when a Wait parks
+	// or Done is called, so a Cond that only firers observe (counterd's)
+	// never makes one.
+	done chan struct{}
+	// satisfied is set once, at satisfaction, with mu held; it is
+	// terminal, so Wait's and Poll's fast paths read it without mu.
+	satisfied atomic.Bool
 	started   bool // sentinels armed (some Wait has begun and not all waiters left)
 	waiters   int
 	armed     []sentinel
@@ -107,10 +112,11 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 // did. It copies pred's levels and the counters into the storage c
 // already holds, so the caller keeps both, and reuses c's slots (their
 // hooks stay bound), scratch and firer storage: renewing a Cond over no
-// more counters than it has watched allocates only its done channel
-// (and the levels' storage the first time a threshold follows only
-// sums). A zero Cond watches nothing and is quiescent, so Renew readies
-// one as NewCond would, allocating its storage.
+// more counters than it has watched allocates nothing (but the levels'
+// storage the first time a threshold follows only sums), and its done
+// channel is made only if a Wait parks or Done is called. A zero Cond
+// watches nothing and is quiescent, so Renew readies one as NewCond
+// would, allocating its storage.
 //
 // Renew refuses, changing nothing, unless c is quiescent: settled, or
 // abandoned by its last waiter, with no Wait under way, no armed
@@ -134,7 +140,7 @@ func (c *Cond) Renew(pred Pred, counters ...Counter) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.waiters > 0 || len(c.firers) > 0 || c.ext != nil || c.extGen != 0 || c.started && !c.satisfied {
+	if c.waiters > 0 || len(c.firers) > 0 || c.ext != nil || c.extGen != 0 || c.started && !c.satisfied.Load() {
 		return false
 	}
 	for i := range c.armed {
@@ -159,7 +165,7 @@ func (c *Cond) Cap() int { return cap(c.armed) }
 
 // reset readies c to wait afresh over c.cs: one clean slot per counter,
 // grown (and bound) only past the slots it already has, the scratch to
-// match, a fresh done channel and zeroed mechanism counters. Called by
+// match, no done channel yet and zeroed mechanism counters. Called by
 // NewCond, and by Renew with mu held on a quiescent Cond.
 func (c *Cond) reset() {
 	n := len(c.cs)
@@ -179,8 +185,9 @@ func (c *Cond) reset() {
 		s.cancel, s.level, s.on, s.seen = nil, 0, false, false
 		s.spent.Store(false)
 	}
-	c.done = make(chan struct{})
-	c.satisfied, c.started = false, false
+	c.done = nil
+	c.satisfied.Store(false)
+	c.started = false
 	c.fires.Store(0)
 	c.arms, c.reparks = 0, 0
 }
@@ -289,7 +296,7 @@ func (c *Cond) kick() {
 // fired slot stays spent, and the next Wait re-arms it. Called with mu
 // held.
 func (c *Cond) kickLocked() {
-	if c.started && !c.satisfied {
+	if c.started && !c.satisfied.Load() {
 		c.evaluateLocked()
 	}
 }
@@ -314,7 +321,7 @@ func (c *Cond) extKick(gen uint64, satisfied bool) {
 // cancelled registration's last breath racing a newer one — is dropped.
 // Called with mu held.
 func (c *Cond) extKickLocked(gen uint64, satisfied bool) {
-	if c.satisfied {
+	if c.satisfied.Load() {
 		return
 	}
 	if satisfied {
@@ -332,14 +339,16 @@ func (c *Cond) extKickLocked(gen uint64, satisfied bool) {
 }
 
 // satisfyLocked settles the Cond: cancel whatever is still armed,
-// release every waiter with one channel close, and fire the armed
-// firers, keeping the firer slice's storage for a Renew. Called with mu
-// held; firers therefore run under the Cond's lock and must honour the
-// Arm contract (fast, no re-entry).
+// release every waiter with one channel close (if any made the
+// channel), and fire the armed firers, keeping the firer slice's
+// storage for a Renew. Called with mu held; firers therefore run under
+// the Cond's lock and must honour the Arm contract (fast, no re-entry).
 func (c *Cond) satisfyLocked() {
-	c.satisfied = true
+	c.satisfied.Store(true)
 	c.disarmLocked()
-	close(c.done)
+	if c.done != nil {
+		close(c.done)
+	}
 	for _, f := range c.firers {
 		f.Fire()
 	}
@@ -470,7 +479,7 @@ func (c *Cond) evaluateLocked() {
 // are armed, reporting whether the caller must park. Called with mu
 // held.
 func (c *Cond) enterLocked() bool {
-	if !c.satisfied {
+	if !c.satisfied.Load() {
 		if !c.started {
 			c.started = true
 			c.evaluateLocked()
@@ -482,7 +491,7 @@ func (c *Cond) enterLocked() bool {
 			c.satisfyLocked()
 		}
 	}
-	return !c.satisfied
+	return !c.satisfied.Load()
 }
 
 // leaveLocked is the last step of a Wait that gives up and of a
@@ -491,7 +500,7 @@ func (c *Cond) enterLocked() bool {
 // as a waiter — it stands for a remote session still blocked on this
 // predicate. Called with mu held.
 func (c *Cond) leaveLocked() {
-	if c.waiters == 0 && len(c.firers) == 0 && c.started && !c.satisfied {
+	if c.waiters == 0 && len(c.firers) == 0 && c.started && !c.satisfied.Load() {
 		c.disarmLocked()
 		c.started = false
 	}
@@ -507,15 +516,13 @@ func (c *Cond) leaveLocked() {
 // released by the single satisfying evaluation, which usually runs on
 // the goroutine whose increment flipped the predicate.
 func (c *Cond) Wait(ctx context.Context) error {
-	select {
-	case <-c.done:
-		// Already satisfied: the done channel is the Cond's watermark —
-		// closed exactly once, at satisfaction, which is terminal — so a
-		// Wait on a settled Cond returns without touching Cond.mu, the
+	if c.satisfied.Load() {
+		// Already satisfied: the flag is the Cond's watermark — set
+		// exactly once, at satisfaction, which is terminal — so a Wait on
+		// a settled Cond returns without touching Cond.mu, the
 		// predicate-tier analogue of the counters' lock-free satisfied
 		// Check.
 		return nil
-	default:
 	}
 	c.mu.Lock()
 	if !c.enterLocked() {
@@ -523,10 +530,11 @@ func (c *Cond) Wait(ctx context.Context) error {
 		return nil
 	}
 	c.waiters++
+	done := c.doneLocked()
 	c.mu.Unlock()
 
 	select {
-	case <-c.done:
+	case <-done:
 		c.mu.Lock()
 		c.waiters--
 		c.mu.Unlock()
@@ -535,7 +543,7 @@ func (c *Cond) Wait(ctx context.Context) error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.waiters--
-		if c.satisfied {
+		if c.satisfied.Load() {
 			return nil // satisfaction and cancellation raced: satisfied wins
 		}
 		c.leaveLocked()
@@ -594,14 +602,12 @@ func (c *Cond) readLocked() []uint64 {
 // (and releasing any waiters) if it does. It never arms sentinels and
 // never blocks — the zero/negative-timeout analogue of Wait.
 func (c *Cond) Poll() bool {
-	select {
-	case <-c.done:
+	if c.satisfied.Load() {
 		return true // settled: no lock needed (see Wait)
-	default:
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.satisfied {
+	if c.satisfied.Load() {
 		return true
 	}
 	if c.pred.Holds(c.readLocked()) {
@@ -615,7 +621,23 @@ func (c *Cond) Poll() bool {
 // arm the Cond: a Done-only observer sees satisfaction only once some
 // Wait or Poll has driven evaluation. It exists for composing a Cond
 // into selects alongside a Wait elsewhere.
-func (c *Cond) Done() <-chan struct{} { return c.done }
+func (c *Cond) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.doneLocked()
+}
+
+// doneLocked returns the done channel, making it on first use, closed
+// already if c is satisfied. Called with mu held.
+func (c *Cond) doneLocked() chan struct{} {
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.satisfied.Load() {
+			close(c.done)
+		}
+	}
+	return c.done
+}
 
 // CondStats is a snapshot of a Cond's mechanism counters, for tests and
 // the E24 experiment.
@@ -641,7 +663,7 @@ func (c *Cond) Stats() CondStats {
 		Waiters:   c.waiters,
 		Hooks:     len(c.firers),
 		External:  c.extArmed,
-		Satisfied: c.satisfied,
+		Satisfied: c.satisfied.Load(),
 	}
 	for i := range c.armed {
 		if c.armed[i].on && !c.armed[i].spent.Load() {

@@ -18,14 +18,15 @@ import (
 const parkedCheckAllocs = 1
 
 // waitForAllocs is what a 2-of-4 OpWaitFor costs to park and flip once
-// the connection has answered one: one node per watched level (4), the
-// renewed Cond's done channel (1) and the decoded watch list (1). The
+// the connection has answered one: one node per watched level (4). The
 // Cond comes back from the last answered predicate and keeps its slots
-// (with their bound hooks), scratch, levels, counters and firer slot;
+// (with their bound hooks), scratch, levels, counters and firer slot,
+// and makes no done channel, since only its firer observes it; the
+// reader decodes the watch list into the storage of the last one;
 // handleWaitFor builds the levels and counters in the connection's own
 // scratch, which the Cond copies; and the entry, which is the Cond's
 // firer, comes from the spare list.
-const waitForAllocs = 6
+const waitForAllocs = 4
 
 // TestSteadyStateAllocs pins the server's steady-state frame paths at
 // zero heap allocations per frame: an OpIncrement on a known name

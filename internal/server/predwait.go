@@ -21,8 +21,10 @@ import (
 // teardown paths (server.go). Once the entry is answered its Cond waits
 // in conn.conds, and the connection's next OpWaitFor renews it in place
 // (predicate.Cond.Renew): slots, hooks, scratch, levels, counters and
-// firer slot all carry over, so only the level nodes, the done channel
-// and the decoded watch list are fresh per registration.
+// firer slot all carry over, the renewed Cond makes no done channel
+// (only its firer observes it), and the reader decodes the watch list
+// into the last one's storage, so only the level nodes are fresh per
+// registration.
 
 // handleWaitFor executes one OpWaitFor frame: build the predicate from
 // the frame's fields and validate it before any name is hosted, then

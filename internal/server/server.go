@@ -43,8 +43,9 @@
 // Cond is kept per connection and renewed in place for the
 // connection's next OpWaitFor once it is quiescent — no sentinel fire
 // of its last predicate still on its way — so in steady state a
-// predicate wait allocates its level nodes, its done channel and its
-// decoded watch list, and nothing else.
+// predicate wait allocates its level nodes and nothing else: the Cond
+// makes no done channel, since only its firer observes it, and the
+// reader decodes the watch list into the storage of the last one.
 // v2 clients still connect and evaluate predicates client-side.
 package server
 
@@ -311,8 +312,11 @@ type conn struct {
 	named    *hosted
 	intern   func([]byte) string
 	// frame is the reader's decode target: every frame is decoded into
-	// it in place and handled from it, never copied.
+	// it in place and handled from it, never copied. watch keeps the
+	// storage of the last OpWaitFor's watch list, which serve hands the
+	// frame before each read, so the next one decodes into it.
 	frame wire.Frame
+	watch []wire.Watch
 	// levels and watched are handleWaitFor's scratch for a predicate's
 	// levels and counters, which a Cond copies; reader goroutine only.
 	levels  []uint64
@@ -577,8 +581,12 @@ func (c *conn) readLoop() {
 // the pipeline drains (or every ackEvery of them), so one flush carries
 // one ack for a whole burst instead of an ack per increment.
 func (c *conn) serve(br *bufio.Reader) error {
+	c.frame.Watch = c.watch
 	if err := wire.ReadInterned(br, c.intern, &c.frame); err != nil {
 		return err
+	}
+	if c.frame.Watch != nil {
+		c.watch = c.frame.Watch[:0] // handleWaitFor keeps nothing of the list
 	}
 	if err := c.handle(&c.frame); err != nil {
 		return err

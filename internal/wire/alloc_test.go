@@ -5,15 +5,17 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // TestSteadyStateAllocs pins the steady-state frame path at zero heap
 // allocations per frame: encoding an increment into a reused buffer,
 // decoding it into a reused frame through an intern hook that already
-// holds its name, and decoding the two frames a client receives in
-// bulk, OpIncAck and OpWake. (The race detector inflates allocation
-// counts, hence the build tag.)
+// holds its name, decoding the two frames a client receives in bulk,
+// OpIncAck and OpWake, and decoding an OpWaitFor into a frame handed
+// the storage of the last one's watch list, as counterd's reader does.
+// (The race detector inflates allocation counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
 	inc := Frame{Op: OpIncrement, Name: "jobs", Seq: 1 << 20, Amount: 1}
 	out := make([]byte, 0, 64)
@@ -23,6 +25,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 	intern, _ := internTable()
 	intern([]byte(inc.Name))
+	waitFor := Frame{Op: OpWaitFor, ID: 7, Pred: PredThreshold, K: 2, Watch: []Watch{
+		{Name: "q0", Level: 3}, {Name: "q1", Level: 3}, {Name: "q2", Level: 3}, {Name: "q3", Level: 3}}}
+	for _, w := range waitFor.Watch {
+		intern([]byte(w.Name))
+	}
 	for _, tc := range []struct {
 		f      Frame
 		intern func([]byte) string
@@ -30,18 +37,22 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{inc, intern},
 		{Frame{Op: OpIncAck, Seq: 1 << 20}, nil},
 		{Frame{Op: OpWake, ID: 9, Level: 1 << 30}, nil},
+		{waitFor, intern},
 	} {
 		buf := Append(nil, &tc.f)
 		rd := bytes.NewReader(nil)
 		br := bufio.NewReader(rd)
 		var f Frame
+		var kept []Watch
 		n := testing.AllocsPerRun(100, func() {
 			rd.Reset(buf)
 			br.Reset(rd)
+			f.Watch = kept
 			err := ReadInterned(br, tc.intern, &f)
-			if err != nil || f.Op != tc.f.Op || f.Seq != tc.f.Seq || f.ID != tc.f.ID {
+			if err != nil || f.Op != tc.f.Op || f.Seq != tc.f.Seq || f.ID != tc.f.ID || !slices.Equal(f.Watch, tc.f.Watch) {
 				t.Fatalf("Read(%s) = %+v, %v", tc.f.Op, f, err)
 			}
+			kept = f.Watch
 		})
 		if n != 0 {
 			t.Errorf("Read(%s): %v allocs per frame, want 0", tc.f.Op, n)

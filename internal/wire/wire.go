@@ -345,8 +345,13 @@ func Read(br *bufio.Reader) (Frame, error) {
 // keeps the strings of names it has seen decodes a frame on one of them
 // without allocating; intern receives a view of the frame that is valid
 // only during the call and must not be kept, and must return a string
-// equal to it. Every other field is a copy, and Watch is a fresh slice,
-// so f may be kept or reused. On error f holds no usable frame.
+// equal to it. Every other field is a copy, so f may be kept or reused.
+// An OpWaitFor's watches are decoded into the storage f.Watch holds on
+// entry when it has room, and into a fresh list otherwise, so a reader
+// that hands its frame the list of the last OpWaitFor decodes the next
+// without allocating; every other op leaves Watch nil. A caller that
+// keeps a decoded list must not hand its storage back. On error f holds
+// no usable frame.
 func ReadInterned(br *bufio.Reader, intern func([]byte) string, f *Frame) error {
 	hdr, err := br.Peek(4)
 	if err != nil {
@@ -388,9 +393,11 @@ func Decode(payload []byte) (Frame, error) {
 	return f, nil
 }
 
-// decode parses payload into f, which it zeroes first.
+// decode parses payload into f, which it zeroes first, keeping only
+// the storage of f's Watch list for an OpWaitFor's watches.
 func decode(payload []byte, intern func([]byte) string, f *Frame) error {
 	d := decoder{buf: payload, intern: intern}
+	watch := f.Watch
 	*f = Frame{Op: Op(d.byte())}
 	switch f.Op {
 	case OpHello:
@@ -417,7 +424,10 @@ func decode(payload []byte, intern func([]byte) string, f *Frame) error {
 			return fmt.Errorf("wire: waitfor frame watches %d counters (want 1..%d)", n, MaxWatch)
 		}
 		if d.err == nil {
-			f.Watch = make([]Watch, n)
+			if uint64(cap(watch)) < n {
+				watch = make([]Watch, n)
+			}
+			f.Watch = watch[:n]
 			for i := range f.Watch {
 				f.Watch[i].Name, f.Watch[i].Level = d.name(), d.uint()
 			}
