@@ -85,8 +85,7 @@ type Option func(*config)
 type config struct {
 	poolSize  int
 	failAfter int
-	base, cap time.Duration
-	dialer    func(addr string) (net.Conn, error)
+	remote    []remote.Option // forwarded to every pooled client
 }
 
 // WithPoolSize sets how many remote.Client connections the cluster
@@ -117,13 +116,13 @@ func WithFailAfter(n int) Option {
 // WithBackoff forwards a reconnect backoff window (base doubling to
 // cap, full jitter) to every pooled client; see remote.WithBackoff.
 func WithBackoff(base, cap time.Duration) Option {
-	return func(c *config) { c.base, c.cap = base, cap }
+	return func(c *config) { c.remote = append(c.remote, remote.WithBackoff(base, cap)) }
 }
 
 // WithDialer forwards a transport dialer to every pooled client; see
 // remote.WithDialer. The dialer receives the node's address.
 func WithDialer(d func(addr string) (net.Conn, error)) Option {
-	return func(c *config) { c.dialer = d }
+	return func(c *config) { c.remote = append(c.remote, remote.WithDialer(d)) }
 }
 
 // Cluster is a client for a set of counterd nodes. It is safe for
@@ -168,7 +167,7 @@ func DialCluster(addrs []string, opts ...Option) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: empty member list")
 	}
-	cfg := config{poolSize: 1, failAfter: 10, base: defaultsBase, cap: defaultsCap}
+	cfg := config{poolSize: 1, failAfter: 10}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -177,14 +176,10 @@ func DialCluster(addrs []string, opts ...Option) (*Cluster, error) {
 		n := &node{addr: addr}
 		c.nodes = append(c.nodes, n) // registered before dialing so closeAll sees a partial pool
 		for i := 0; i < cfg.poolSize; i++ {
-			ropts := []remote.Option{
-				remote.WithBackoff(cfg.base, cfg.cap),
+			ropts := append([]remote.Option{
 				remote.WithRetryNotify(c.retryWatcher(n)),
 				remote.WithRestartNotify(c.restartWatcher(n)),
-			}
-			if cfg.dialer != nil {
-				ropts = append(ropts, remote.WithDialer(cfg.dialer))
-			}
+			}, cfg.remote...)
 			cl, err := remote.Dial(addr, ropts...)
 			if err != nil {
 				c.closeAll()
@@ -196,12 +191,6 @@ func DialCluster(addrs []string, opts ...Option) (*Cluster, error) {
 	c.rebuildRingLocked() // no lock needed yet: c unpublished
 	return c, nil
 }
-
-// Mirror remote's defaults without exporting them.
-const (
-	defaultsBase = 5 * time.Millisecond
-	defaultsCap  = 500 * time.Millisecond
-)
 
 // closeAll tears down every client dialed so far (partial-dial cleanup).
 func (c *Cluster) closeAll() {

@@ -26,7 +26,7 @@ import (
 // only its own fields: a sum's target, a threshold's k and levels.
 func specFrame(f *wire.Frame, spec cwait.Spec) {
 	watch := slices.Grow(f.Watch[:0], len(spec.Counters))
-	*f = wire.Frame{Op: wire.OpWaitFor, Pred: uint64(spec.Kind)}
+	*f = wire.Frame{Op: wire.OpWaitFor, Pred: spec.Kind}
 	threshold := spec.Kind == cwait.KindThreshold
 	if threshold {
 		f.K = uint64(spec.K)

@@ -51,20 +51,24 @@ func TestWirePredicates(t *testing.T) {
 	countertest.RunWirePredicates(t)
 }
 
-// TestPredicateKindsAgree: the client sends a Spec's kind as its wire
-// kind and counterd reads the wire kind as the predicate engine's, so
-// the three numberings must be one.
+// TestPredicateKindsAgree: the client sends a Spec's kind in an
+// OpWaitFor frame and counterd reads the frame's kind as the predicate
+// engine's, so each wait kind must arrive as the same predicate.Kind.
 func TestPredicateKindsAgree(t *testing.T) {
 	for _, k := range []struct {
 		spec wait.Kind
 		pred predicate.Kind
-		wire uint64
 	}{
-		{wait.KindSum, predicate.KindSum, wire.PredSum},
-		{wait.KindThreshold, predicate.KindThreshold, wire.PredThreshold},
+		{wait.KindSum, predicate.KindSum},
+		{wait.KindThreshold, predicate.KindThreshold},
 	} {
-		if uint64(k.spec) != k.wire || uint64(k.pred) != k.wire {
-			t.Errorf("%s: wait kind %d, predicate kind %d, wire kind %d", k.spec, k.spec, k.pred, k.wire)
+		f := wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: k.spec, K: 1, Watch: []wire.Watch{{Name: "a", Level: 1}}}
+		got, err := wire.Decode(wire.Append(nil, &f)[4:])
+		if err != nil {
+			t.Fatalf("%s: %v", k.spec, err)
+		}
+		if got.Pred != k.pred {
+			t.Errorf("wait kind %s arrived as predicate kind %s", k.spec, got.Pred)
 		}
 	}
 }

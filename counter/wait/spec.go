@@ -13,27 +13,15 @@ import (
 // kinds cover every combinator in this package: sums compare the
 // counters' total against a target; thresholds ask for k of the
 // counters to reach their own levels (min is k = n, any is k = 1).
-// The numbers are the predicate engine's and the wire's.
-type Kind uint8
+// It is the predicate engine's Kind, which the wire carries as it is.
+type Kind = predicate.Kind
 
 const (
 	// KindSum is "the counters' values sum to at least Target".
-	KindSum = Kind(predicate.KindSum)
+	KindSum = predicate.KindSum
 	// KindThreshold is "at least K counters have reached Levels[i]".
-	KindThreshold = Kind(predicate.KindThreshold)
+	KindThreshold = predicate.KindThreshold
 )
-
-// String returns the kind's wire-stable lowercase name.
-func (k Kind) String() string {
-	switch k {
-	case KindSum:
-		return "sum"
-	case KindThreshold:
-		return "threshold"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
 
 // Spec is the canonical, serializable descriptor of a predicate: what a
 // combinator means, separated from the engine that evaluates it. A
@@ -76,10 +64,10 @@ func (s Spec) Names() ([]string, bool) {
 }
 
 // pred views the Spec as the predicate it describes, sharing its
-// levels. Neither conversion narrows: a negative K turns into one above
-// any counter count, which Validate refuses.
+// levels. K's conversion does not narrow: a negative K turns into one
+// above any counter count, which Validate refuses.
 func (s Spec) pred() predicate.Pred {
-	return predicate.Pred{Kind: predicate.Kind(s.Kind), Levels: s.Levels, K: uint64(s.K), Target: s.Target}
+	return predicate.Pred{Kind: s.Kind, Levels: s.Levels, K: uint64(s.K), Target: s.Target}
 }
 
 // Encodable reports whether the Spec fits the wire's multi-counter wait

@@ -22,7 +22,6 @@ package wait
 
 import (
 	"context"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -45,17 +44,16 @@ type Cond struct {
 func (c *Cond) Spec() Spec { return c.spec }
 
 // newCond builds the Cond for spec, the only thing a combinator
-// builds: its predicate is the Spec's own, with the levels copied once,
-// because Spec hands them out. Evaluation is routed server-side when
-// possible: if the spec is wire-encodable and every counter nominates
-// the same SpecHost, the Cond arms one registration with that host
-// instead of per-counter sentinels (asking again if a registration
+// builds: its predicate is the Spec's own, whose levels the predicate
+// engine copies, as every Cond does. Evaluation is routed server-side
+// when possible: if the spec is wire-encodable and every counter
+// nominates the same SpecHost, the Cond arms one registration with that
+// host instead of per-counter sentinels (asking again if a registration
 // dies, and falling back to sentinels once the host refuses — see
 // predicate.External). Otherwise evaluation is classic client-side
 // sentinels.
 func newCond(spec Spec) *Cond {
 	pred := spec.pred()
-	pred.Levels = slices.Clone(pred.Levels)
 	pcs := adaptAll(spec.Counters)
 	if host, ok := spec.commonHost(); ok {
 		ext := func(fire func(satisfied bool)) (func() bool, bool) {
@@ -97,30 +95,14 @@ func (c *Cond) Done() <-chan struct{} { return c.pc.Done() }
 // Stats is a snapshot of a Cond's mechanism counters — how many
 // sentinel fires, registrations, and frontier re-parks the predicate
 // machinery has paid. Arms scales with watched counters and frontier
-// moves, never with the number of waiters.
-type Stats struct {
-	Fires     uint64 // sentinel/external hook fires (re-evaluation kicks)
-	Arms      uint64 // sentinel + external registrations, total
-	Reparks   uint64 // registrations beyond each counter's first
-	Armed     int    // sentinels currently armed
-	Waiters   int    // goroutines currently blocked in Wait
-	External  bool   // evaluation is currently parked server-side (one registration)
-	Satisfied bool
-}
+// moves, never with the number of waiters. It is the predicate engine's
+// CondStats; External reports evaluation parked server-side (one
+// registration), and Hooks reads 0, since a combinator's Cond arms no
+// firers.
+type Stats = predicate.CondStats
 
 // Stats returns a snapshot of the Cond's mechanism counters.
-func (c *Cond) Stats() Stats {
-	s := c.pc.Stats()
-	return Stats{
-		Fires:     s.Fires,
-		Arms:      s.Arms,
-		Reparks:   s.Reparks,
-		Armed:     s.Armed,
-		Waiters:   s.Waiters,
-		External:  s.External,
-		Satisfied: s.Satisfied,
-	}
-}
+func (c *Cond) Stats() Stats { return c.pc.Stats() }
 
 // The Cond combinators satisfy counter.Waitable.
 var _ counter.Waitable = (*Cond)(nil)

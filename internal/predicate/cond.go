@@ -94,29 +94,25 @@ type sentinel struct {
 }
 
 // NewCond returns an unsatisfied Cond waiting for pred over the given
-// counters. The counters' order is the coordinate order pred sees. It
-// panics unless pred.Validate accepts the counter count, and keeps
-// pred's levels and the counters slice, which the caller must not
-// change afterwards.
+// counters: Renew on a zero Cond, so it copies pred's levels and the
+// counters, and the caller keeps both. The counters' order is the
+// coordinate order pred sees. It panics unless pred.Validate accepts
+// the counter count.
 func NewCond(pred Pred, counters ...Counter) *Cond {
-	if err := pred.Validate(len(counters)); err != nil {
-		panic(err.Error())
-	}
-	c := &Cond{pred: pred, cs: counters}
-	c.reset()
+	c := new(Cond)
+	c.Renew(pred, counters...)
 	return c
 }
 
-// Renew re-initializes c in place to wait for pred over counters, as
-// NewCond(pred, counters...) would build it, and reports whether it
-// did. It copies pred's levels and the counters into the storage c
-// already holds, so the caller keeps both, and reuses c's slots (their
-// hooks stay bound), scratch and firer storage: renewing a Cond over no
-// more counters than it has watched allocates nothing (but the levels'
-// storage the first time a threshold follows only sums), and its done
-// channel is made only if a Wait parks or Done is called. A zero Cond
-// watches nothing and is quiescent, so Renew readies one as NewCond
-// would, allocating its storage.
+// Renew re-initializes c in place to wait for pred over counters and
+// reports whether it did. It copies pred's levels and the counters into
+// the storage c already holds, so the caller keeps both, and reuses c's
+// slots (their hooks stay bound), scratch and firer storage: renewing a
+// Cond over no more counters than it has watched allocates nothing (but
+// the levels' storage the first time a threshold follows only sums),
+// and its done channel is made only if a Wait parks or Done is called.
+// A zero Cond watches nothing and is quiescent, so Renew readies one,
+// allocating its storage; that is how NewCond builds every Cond.
 //
 // Renew refuses, changing nothing, unless c is quiescent: settled, or
 // abandoned by its last waiter, with no Wait under way, no armed
@@ -130,10 +126,9 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 // which an evaluation absorbs.
 //
 // The caller must own c outright: Renew overwrites the levels and
-// counters storage c holds (what NewCond kept, for a Cond it built) and
-// the done channel Done returned, so no one else may still wait on, arm,
-// poll or observe c. Like NewCond, it panics unless pred.Validate
-// accepts the counter count.
+// counters storage c holds and the done channel Done returned, so no
+// one else may still wait on, arm, poll or observe c. It panics unless
+// pred.Validate accepts the counter count.
 func (c *Cond) Renew(pred Pred, counters ...Counter) bool {
 	if err := pred.Validate(len(counters)); err != nil {
 		panic(err.Error())
@@ -166,7 +161,7 @@ func (c *Cond) Cap() int { return cap(c.armed) }
 // reset readies c to wait afresh over c.cs: one clean slot per counter,
 // grown (and bound) only past the slots it already has, the scratch to
 // match, no done channel yet and zeroed mechanism counters. Called by
-// NewCond, and by Renew with mu held on a quiescent Cond.
+// Renew with mu held on a quiescent Cond.
 func (c *Cond) reset() {
 	n := len(c.cs)
 	if cap(c.armed) < n {
@@ -639,8 +634,8 @@ func (c *Cond) doneLocked() chan struct{} {
 	return c.done
 }
 
-// CondStats is a snapshot of a Cond's mechanism counters, for tests and
-// the E24 experiment.
+// CondStats is a snapshot of a Cond's mechanism counters, for tests,
+// the E24 experiment and counter/wait, whose Stats is this type.
 type CondStats struct {
 	Fires     uint64 // sentinel/external hook fires (re-evaluation kicks)
 	Arms      uint64 // sentinel + external registrations, total

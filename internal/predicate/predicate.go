@@ -45,17 +45,19 @@
 // another thread pays only with idle cores to run it on. Between fires a
 // Cond holds zero goroutines.
 //
-// A predicate is one value, Pred, with the fields counter/wait's Spec
-// and the wire's OpWaitFor frame carry, and one Validate for every
-// layer. counterd arms a Cond with a caller-owned core.Firer (Arm,
-// Disarm), as it arms an engine hook (ArmHook, Hook.Cancel), and once
-// the wait is answered it renews the Cond in place for a later
-// predicate (Renew) rather than building a new one, so a registration
-// reuses the Cond's slots, hooks, scratch and firer storage. A Cond may
-// be renewed only when quiescent: settled or abandoned, with no waiter,
-// no firer, and no sentinel fire still on its way — a slot whose cancel
-// lost to its fire stays outstanding until that fire lands, even on a
-// settled Cond, because the engine holds its hook detached until then.
+// A predicate is one value, Pred, with one Kind and one Validate for
+// every layer: counter/wait's Spec and the wire's OpWaitFor frame carry
+// its fields. Every Cond is built by Renew (NewCond renews a zero one),
+// so every Cond copies the levels and counters it is given. counterd
+// arms a Cond with a caller-owned core.Firer (Arm, Disarm), as it arms
+// an engine hook (ArmHook, Hook.Cancel), and once the wait is answered
+// it renews the Cond in place for a later predicate rather than
+// building a new one, so a registration reuses the Cond's slots,
+// hooks, scratch and firer storage. A Cond may be renewed only when
+// quiescent: settled or abandoned, with no waiter, no firer, and no
+// sentinel fire still on its way — a slot whose cancel lost to its fire
+// stays outstanding until that fire lands, even on a settled Cond,
+// because the engine holds its hook detached until then.
 //
 // Monotonicity does the rest of the safety argument: every Counter
 // value only grows, so Holds can never flip back, frontiers only move
@@ -82,8 +84,9 @@ type Counter interface {
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
 
-// Kind discriminates a predicate's shape. Its numbers are the wire's
-// and counter/wait's, and it is as wide as the wire's field, so
+// Kind discriminates a predicate's shape. It is the predicate tier's
+// one numbering: counter/wait's Spec and the wire's OpWaitFor frame
+// carry it as it is, and it is as wide as the frame's uvarint, so
 // Validate sees the kind a peer sent, never a narrowed one.
 type Kind uint64
 
@@ -94,6 +97,17 @@ const (
 	// their own Levels[i]": min (K = n), any (K = 1) and quorum.
 	KindThreshold
 )
+
+// String returns the kind's wire-stable lowercase name.
+func (k Kind) String() string {
+	switch k {
+	case KindSum:
+		return "sum"
+	case KindThreshold:
+		return "threshold"
+	}
+	return fmt.Sprintf("kind(%d)", uint64(k))
+}
 
 // Pred is a monotone predicate over an ordered set of counters: if it
 // holds for values v it holds for any pointwise-greater values. K is as
@@ -112,8 +126,8 @@ func SumAtLeast(target uint64) Pred { return Pred{Kind: KindSum, Target: target}
 
 // Thresholds returns the predicate "at least k of the watched counters
 // have reached their respective levels[i]" (min is k = len(levels), any
-// is k = 1), taking ownership of levels. It panics unless 1 <= k <=
-// len(levels), and its Cond must watch len(levels) counters.
+// is k = 1). It panics unless 1 <= k <= len(levels), and its Cond must
+// watch len(levels) counters.
 func Thresholds(levels []uint64, k int) Pred {
 	p := Pred{Kind: KindThreshold, Levels: levels, K: uint64(k)}
 	if err := p.Validate(len(levels)); err != nil {

@@ -231,3 +231,26 @@ func TestRenewRacesLateFires(t *testing.T) {
 	a.Reset() // panics if a hook was left parked
 	b.Reset()
 }
+
+// TestNewCondCopiesItsSlices: NewCond copies the levels and the
+// counters it is given, so rewriting either slice afterwards leaves the
+// Cond's predicate as it was built.
+func TestNewCondCopiesItsSlices(t *testing.T) {
+	a := core.NewSharded()
+	a.Increment(1)
+	levels := []uint64{5}
+	threshold := predicate.NewCond(predicate.Thresholds(levels, 1), a)
+	levels[0] = 1
+	if threshold.Poll() {
+		t.Error("a 1-of-1 threshold at 5 holds at 1 once its levels slice is rewritten")
+	}
+
+	b, zero := core.NewSharded(), core.NewSharded()
+	b.Increment(3)
+	cs := []predicate.Counter{b}
+	sum := predicate.NewCond(predicate.SumAtLeast(3), cs...)
+	cs[0] = zero
+	if !sum.Poll() {
+		t.Error("a sum over a counter at 3 stops seeing it once the counters slice is rewritten")
+	}
+}

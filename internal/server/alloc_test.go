@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"monotonic/internal/predicate"
 	"monotonic/internal/wire"
 )
 
@@ -148,7 +149,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		for i := range watch {
 			watch[i].Level = level
 		}
-		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredThreshold, K: 2, Watch: watch})
+		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: predicate.KindThreshold, K: 2, Watch: watch})
 		for _, w := range watch[:2] {
 			seq++
 			in = wire.Append(in, &wire.Frame{Op: wire.OpIncrement, Name: w.Name, Seq: seq, Amount: 1})
@@ -228,7 +229,7 @@ func TestNonFlippingKickAllocs(t *testing.T) {
 	_, base := cross(checks, func([]byte, uint64) {})
 
 	const id = 1
-	waitFor := &wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: wire.PredThreshold, K: members, Watch: watch}
+	waitFor := &wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: predicate.KindThreshold, K: members, Watch: watch}
 	ack := make([]byte, 0, 64)
 	extra := false
 	c, kick := cross([]*wire.Frame{waitFor}, func(queued []byte, seq uint64) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"monotonic/internal/predicate"
 	"monotonic/internal/wire"
 )
 
@@ -69,7 +70,7 @@ func BenchmarkWaitFor(b *testing.B) {
 		for i := range watch {
 			watch[i].Level = level
 		}
-		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredThreshold, K: 2, Watch: watch})
+		in = wire.Append(in[:0], &wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: predicate.KindThreshold, K: 2, Watch: watch})
 		for _, w := range watch {
 			seq++
 			in = wire.Append(in, &wire.Frame{Op: wire.OpIncrement, Name: w.Name, Seq: seq, Amount: 1})

@@ -18,13 +18,14 @@ import (
 // zero client round trips for every increment that cannot flip the
 // predicate — the server's sentinels absorb them. The entry sits in
 // conn.waits beside the OpCheck waits and shares their wake, cancel and
-// teardown paths (server.go). Once the entry is answered its Cond waits
-// in conn.conds, and the connection's next OpWaitFor renews it in place
+// teardown paths (server.go). Once the entry is answered its Cond, if
+// it has watched at most maxSpareWidth counters, waits in conn.conds,
+// and the connection's next OpWaitFor renews it in place
 // (predicate.Cond.Renew): slots, hooks, scratch, levels, counters and
 // firer slot all carry over, the renewed Cond makes no done channel
 // (only its firer observes it), and the reader decodes the watch list
 // into the last one's storage, so only the level nodes are fresh per
-// registration.
+// registration. A wider Cond is left to the garbage collector.
 
 // handleWaitFor executes one OpWaitFor frame: build the predicate from
 // the frame's fields and validate it before any name is hosted, then
@@ -36,7 +37,7 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 		return fmt.Errorf("server: waitfor from protocol v%d client", c.version)
 	}
 	n := len(f.Watch)
-	pred := predicate.Pred{Kind: predicate.Kind(f.Pred), K: f.K, Target: f.Target}
+	pred := predicate.Pred{Kind: f.Pred, K: f.K, Target: f.Target}
 	if pred.Kind == predicate.KindThreshold {
 		c.levels = c.levels[:0]
 		for i := range f.Watch {
@@ -69,23 +70,19 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 
 // renew returns a Cond waiting for pred over cs, both of which it
 // copies: the last kept Cond renewed in place, or a new one when none
-// is kept, the kept one is wider than both cs and the nominal spare
-// width (maxSpareSlots/maxSpareConds), or it refuses because a sentinel
-// fire of its last predicate is still on its way. A Cond not renewed is
-// left to the garbage collector, so slots a burst of wide predicates
-// grew do not outlive it in the spares of narrower ones.
+// is kept or the kept one refuses because a sentinel fire of its last
+// predicate is still on its way. A refused Cond is left to the garbage
+// collector.
 func (c *conn) renew(pred predicate.Pred, cs []predicate.Counter) *predicate.Cond {
 	var cond *predicate.Cond
 	c.waitMu.Lock()
 	if n := len(c.conds); n > 0 {
 		cond = c.conds[n-1]
 		c.conds = c.conds[:n-1]
-		c.condSlots -= cond.Cap()
 	}
 	c.waitMu.Unlock()
-	if cond == nil || cond.Cap() > max(len(cs), maxSpareSlots/maxSpareConds) || !cond.Renew(pred, cs...) {
-		cond = new(predicate.Cond)
-		cond.Renew(pred, cs...)
+	if cond == nil || !cond.Renew(pred, cs...) {
+		cond = predicate.NewCond(pred, cs...)
 	}
 	return cond
 }

@@ -65,7 +65,7 @@ func TestWaitForQuorumParksOneEntry(t *testing.T) {
 	c.helloV(3, 0)
 
 	// 2-of-3 quorum at level 2. Nothing satisfied yet.
-	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 7, Pred: wire.PredThreshold, K: 2, Watch: []wire.Watch{
+	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 7, Pred: predicate.KindThreshold, K: 2, Watch: []wire.Watch{
 		{Name: "q0", Level: 2}, {Name: "q1", Level: 2}, {Name: "q2", Level: 2},
 	}})
 
@@ -104,7 +104,7 @@ func TestWaitForSumAlreadySatisfied(t *testing.T) {
 	c.send(
 		&wire.Frame{Op: wire.OpIncrement, Name: "s0", Seq: 1, Amount: 6},
 		&wire.Frame{Op: wire.OpIncrement, Name: "s1", Seq: 2, Amount: 6},
-		&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredSum, Target: 10, Watch: []wire.Watch{
+		&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: predicate.KindSum, Target: 10, Watch: []wire.Watch{
 			{Name: "s0"}, {Name: "s1"},
 		}},
 	)
@@ -120,7 +120,7 @@ func TestWaitForCancel(t *testing.T) {
 	s, addr := startServer(t)
 	c := dialRaw(t, addr)
 	c.helloV(3, 0)
-	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 9, Pred: wire.PredSum, Target: 100, Watch: []wire.Watch{
+	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 9, Pred: predicate.KindSum, Target: 100, Watch: []wire.Watch{
 		{Name: "x"}, {Name: "y"},
 	}})
 	c.send(&wire.Frame{Op: wire.OpWaitForCancel, ID: 9})
@@ -143,7 +143,7 @@ func TestWaitForSatisfiedBeatsCancelled(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialRaw(t, addr)
 	c.helloV(3, 0)
-	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 4, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{
+	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 4, Pred: predicate.KindThreshold, K: 1, Watch: []wire.Watch{
 		{Name: "race", Level: 1},
 	}})
 	c.send(
@@ -184,7 +184,7 @@ func TestWaitForCancelRacesKick(t *testing.T) {
 	const name, rounds = "kick", 200
 	deadline := time.Now().Add(30 * time.Second)
 	for round := uint64(1); round <= rounds; round++ {
-		a.send(&wire.Frame{Op: wire.OpWaitFor, ID: round, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{
+		a.send(&wire.Frame{Op: wire.OpWaitFor, ID: round, Pred: predicate.KindThreshold, K: 1, Watch: []wire.Watch{
 			{Name: name, Level: round},
 		}})
 		for s.PredicateWaits() != 1 {
@@ -251,7 +251,7 @@ func TestWaitForProtocolErrors(t *testing.T) {
 	// v2 sessions may not send WaitFor.
 	c2 := dialRaw(t, addr)
 	c2.helloV(2, 0)
-	c2.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredSum, Target: 1, Watch: []wire.Watch{{Name: "a"}}})
+	c2.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: predicate.KindSum, Target: 1, Watch: []wire.Watch{{Name: "a"}}})
 	rejected(c2, "v2")
 
 	// A bad quorum size or an unknown predicate kind closes the
@@ -262,8 +262,8 @@ func TestWaitForProtocolErrors(t *testing.T) {
 		what string
 		f    wire.Frame
 	}{
-		{"k > n", wire.Frame{Pred: wire.PredThreshold, K: 3, Watch: []wire.Watch{{Name: "a", Level: 1}, {Name: "b", Level: 1}}}},
-		{"k = 0", wire.Frame{Pred: wire.PredThreshold, K: 0, Watch: []wire.Watch{{Name: "a"}, {Name: "b"}}}},
+		{"k > n", wire.Frame{Pred: predicate.KindThreshold, K: 3, Watch: []wire.Watch{{Name: "a", Level: 1}, {Name: "b", Level: 1}}}},
+		{"k = 0", wire.Frame{Pred: predicate.KindThreshold, K: 0, Watch: []wire.Watch{{Name: "a"}, {Name: "b"}}}},
 		{"kind 99", wire.Frame{Pred: 99, Watch: []wire.Watch{{Name: "a"}}}},
 		{"kind 257", wire.Frame{Pred: 257, Watch: []wire.Watch{{Name: "a"}}}},
 	} {
@@ -280,7 +280,7 @@ func TestWaitForProtocolErrors(t *testing.T) {
 	c5.helloV(3, 0)
 	c5.send(
 		&wire.Frame{Op: wire.OpCheck, Name: "a", ID: 2, Level: 10},
-		&wire.Frame{Op: wire.OpWaitFor, ID: 2, Pred: wire.PredSum, Target: 5, Watch: []wire.Watch{{Name: "a"}}},
+		&wire.Frame{Op: wire.OpWaitFor, ID: 2, Pred: predicate.KindSum, Target: 5, Watch: []wire.Watch{{Name: "a"}}},
 	)
 	rejected(c5, "duplicate-id")
 }
@@ -291,7 +291,7 @@ func TestWaitForTeardownUnparks(t *testing.T) {
 	s, addr := startServer(t)
 	c := dialRaw(t, addr)
 	c.helloV(3, 0)
-	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredSum, Target: 100, Watch: []wire.Watch{
+	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: predicate.KindSum, Target: 100, Watch: []wire.Watch{
 		{Name: "td0"}, {Name: "td1"},
 	}})
 	deadline := time.Now().Add(5 * time.Second)
@@ -388,7 +388,7 @@ func TestRenewReusesAnsweredConds(t *testing.T) {
 		return append([]*predicate.Cond(nil), c.conds...)
 	}
 
-	first := park(&wire.Frame{ID: 1, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{{Name: "r0", Level: 1}, {Name: "r1", Level: 1}}})
+	first := park(&wire.Frame{ID: 1, Pred: predicate.KindThreshold, K: 1, Watch: []wire.Watch{{Name: "r0", Level: 1}, {Name: "r1", Level: 1}}})
 	if err := c.handle(&wire.Frame{Op: wire.OpIncrement, Name: "r1", Seq: 1, Amount: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestRenewReusesAnsweredConds(t *testing.T) {
 	}
 
 	// A sum over three names renews it, growing its slots.
-	if got := park(&wire.Frame{ID: 2, Pred: wire.PredSum, Target: 10, Watch: []wire.Watch{{Name: "r0"}, {Name: "r1"}, {Name: "r2"}}}); got != first {
+	if got := park(&wire.Frame{ID: 2, Pred: predicate.KindSum, Target: 10, Watch: []wire.Watch{{Name: "r0"}, {Name: "r1"}, {Name: "r2"}}}); got != first {
 		t.Fatal("the next OpWaitFor did not renew the answered Cond")
 	}
 	if n := first.Cap(); n != 3 {
@@ -421,7 +421,7 @@ func TestRenewReusesAnsweredConds(t *testing.T) {
 
 	// A predicate that holds at registration is answered at once and
 	// keeps the Cond it was given.
-	if got := park(&wire.Frame{ID: 3, Pred: wire.PredSum, Target: 1, Watch: []wire.Watch{{Name: "r1"}}}); got != nil {
+	if got := park(&wire.Frame{ID: 3, Pred: predicate.KindSum, Target: 1, Watch: []wire.Watch{{Name: "r1"}}}); got != nil {
 		t.Fatal("a satisfied predicate stayed parked")
 	}
 	if f := drained(t, c); f[0].Op != wire.OpWake || f[0].ID != 3 {
@@ -455,7 +455,7 @@ func TestRenewRacesLateFires(t *testing.T) {
 	conds := make(map[*predicate.Cond]bool)
 	var wg sync.WaitGroup
 	for r := uint64(1); r <= rounds; r++ {
-		f := &wire.Frame{Op: wire.OpWaitFor, ID: r, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{{Name: x.name, Level: r}, {Name: y.name, Level: r}}}
+		f := &wire.Frame{Op: wire.OpWaitFor, ID: r, Pred: predicate.KindThreshold, K: 1, Watch: []wire.Watch{{Name: x.name, Level: r}, {Name: y.name, Level: r}}}
 		if err := c.handle(f); err != nil {
 			t.Fatal(err)
 		}
@@ -489,10 +489,9 @@ func TestRenewRacesLateFires(t *testing.T) {
 
 // TestSpareRetentionBounded parks and answers more than maxSpareWaits
 // predicates over wire.MaxWatch names on one connection, then as many
-// over one name: the Conds kept for renewal stay within maxSpareConds
-// and maxSpareSlots, so a storm of wide predicates cannot pin its peak,
-// and no kept Cond is wider than the last storm's predicates or the
-// nominal spare width, so the wide storm's slots do not outlive it.
+// over one name: at most maxSpareWaits Conds are kept for renewal and
+// none watches more than maxSpareWidth counters, so a storm of wide
+// predicates cannot pin its peak and its slots do not outlive it.
 func TestSpareRetentionBounded(t *testing.T) {
 	c := handshake(t)
 	wide := make([]wire.Watch, wire.MaxWatch)
@@ -504,7 +503,7 @@ func TestSpareRetentionBounded(t *testing.T) {
 		t.Helper()
 		const n = maxSpareWaits + 8
 		for id := uint64(1); id <= n; id++ {
-			if err := c.handle(&wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: wire.PredThreshold, K: 1, Watch: watch}); err != nil {
+			if err := c.handle(&wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: predicate.KindThreshold, K: 1, Watch: watch}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -520,21 +519,55 @@ func TestSpareRetentionBounded(t *testing.T) {
 		if len(c.waits) != 0 {
 			t.Fatalf("%d predicates still parked", len(c.waits))
 		}
-		slots := 0
-		for _, cond := range c.conds {
-			slots += cond.Cap()
+		if len(c.conds) > maxSpareWaits {
+			t.Fatalf("%d Conds kept, want at most %d", len(c.conds), maxSpareWaits)
 		}
-		if len(c.conds) > maxSpareConds || slots > maxSpareSlots || slots != c.condSlots {
-			t.Fatalf("%d Conds kept with %d slots (counted %d), want at most %d and %d", len(c.conds), slots, c.condSlots, maxSpareConds, maxSpareSlots)
-		}
-		widest := max(len(watch), maxSpareSlots/maxSpareConds)
 		for _, cond := range c.conds {
-			if cond.Cap() > widest {
-				t.Fatalf("after the %d-wide storm a kept Cond holds %d slots, want at most %d", len(watch), cond.Cap(), widest)
+			if cond.Cap() > maxSpareWidth {
+				t.Fatalf("after the %d-wide storm a kept Cond holds %d slots, want at most %d", len(watch), cond.Cap(), maxSpareWidth)
 			}
 		}
-		t.Logf("%d-wide storm: %d Conds kept with %d slots", len(watch), len(c.conds), slots)
+		t.Logf("%d-wide storm: %d Conds kept", len(watch), len(c.conds))
 	}
 	storm(wide)
 	storm([]wire.Watch{{Name: "narrow", Level: 1}})
+}
+
+// TestWideCondsNotKept answers eight predicates over maxSpareWidth+1
+// names and one over maxSpareWidth names on one connection, all parked
+// before any is answered: only the narrow one's Cond is kept for
+// renewal, since the others have watched more than maxSpareWidth
+// counters.
+func TestWideCondsNotKept(t *testing.T) {
+	c := handshake(t)
+	watch := make([]wire.Watch, maxSpareWidth+1)
+	for i := range watch {
+		watch[i] = wire.Watch{Name: fmt.Sprintf("five%d", i), Level: 1}
+	}
+	const n = 8
+	for id := uint64(0); id <= n; id++ {
+		w := watch
+		if id == 0 {
+			w = watch[:maxSpareWidth]
+		}
+		if err := c.handle(&wire.Frame{Op: wire.OpWaitFor, ID: id, Pred: predicate.KindThreshold, K: 1, Watch: w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.handle(&wire.Frame{Op: wire.OpIncrement, Name: watch[0].Name, Seq: 1, Amount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if f := drained(t, c); len(f) != n+1 {
+		t.Fatalf("%d frames queued for %d flipped predicates, want one OpWake each", len(f), n+1)
+	}
+	c.waitMu.Lock()
+	defer c.waitMu.Unlock()
+	for _, cond := range c.conds {
+		if cond.Cap() > maxSpareWidth {
+			t.Errorf("a kept Cond watches %d counters, want at most %d", cond.Cap(), maxSpareWidth)
+		}
+	}
+	if len(c.conds) != 1 {
+		t.Errorf("%d Conds kept, want the one that watched %d counters", len(c.conds), maxSpareWidth)
+	}
 }

@@ -40,12 +40,14 @@
 // kinds of wait, armed on an engine hook or a Cond and disarmed by
 // Hook.Cancel or Cond.Disarm, so both share the wait table, the wake
 // path, the cancel handler and the teardown sweep. An answered entry's
-// Cond is kept per connection and renewed in place for the
-// connection's next OpWaitFor once it is quiescent — no sentinel fire
-// of its last predicate still on its way — so in steady state a
-// predicate wait allocates its level nodes and nothing else: the Cond
-// makes no done channel, since only its firer observes it, and the
-// reader decodes the watch list into the storage of the last one.
+// Cond is kept per connection if it has watched at most four counters
+// (maxSpareWidth), and renewed in place for the connection's next
+// OpWaitFor once it is quiescent — no sentinel fire of its last
+// predicate still on its way — so in steady state a predicate wait
+// allocates its level nodes and nothing else: the Cond makes no done
+// channel, since only its firer observes it, and the reader decodes the
+// watch list into the storage of the last one. A wider Cond is left to
+// the garbage collector once answered.
 // v2 clients still connect and evaluate predicates client-side.
 package server
 
@@ -84,15 +86,11 @@ const maxSpareQueue = 64 << 10
 // wake storm are left to the garbage collector.
 const maxSpareWaits = 256
 
-// maxSpareConds and maxSpareSlots bound the answered predicates' Conds a
-// connection keeps for renewal (conn.conds): at most maxSpareConds of
-// them, holding at most maxSpareSlots sentinel slots in all (room for
-// maxSpareConds predicates over four counters), so a storm of wide
-// predicates does not pin its peak either.
-const (
-	maxSpareConds = maxSpareWaits
-	maxSpareSlots = 4 * maxSpareConds
-)
+// maxSpareWidth bounds the answered predicates' Conds a connection
+// keeps for renewal (conn.conds): only a Cond that has watched at most
+// maxSpareWidth counters is kept, at most maxSpareWaits of them, so a
+// storm of wide predicates does not pin its peak either.
+const maxSpareWidth = 4
 
 // Server hosts named counters. The zero value is not usable; call New.
 type Server struct {
@@ -324,19 +322,18 @@ type conn struct {
 
 	// waits indexes this connection's parked waits, OpCheck and
 	// OpWaitFor alike, by client-chosen id; nil once teardown has swept
-	// it. spare holds answered entries for reuse, at most
-	// maxSpareWaits, and conds the Conds of answered OpWaitFor entries
-	// for handleWaitFor to renew, within maxSpareConds and maxSpareSlots
-	// (condSlots counts their slots). All are guarded by waitMu, a leaf
-	// lock: wakes take it on the satisfying goroutine, inside the
-	// engine's or a Cond's hook, so never call into a counter, a Cond
-	// (but for its lock-free Cap) or a hook's cancel while holding it.
-	// The entry fields the lock guards are listed on wait.
-	waitMu    sync.Mutex
-	waits     map[uint64]*wait
-	spare     []*wait
-	conds     []*predicate.Cond
-	condSlots int
+	// it. spare holds answered entries for reuse, and conds the Conds of
+	// answered OpWaitFor entries for handleWaitFor to renew, at most
+	// maxSpareWaits of each (conds only those within maxSpareWidth). All
+	// are guarded by waitMu, a leaf lock: wakes take it on the
+	// satisfying goroutine, inside the engine's or a Cond's hook, so
+	// never call into a counter, a Cond (but for its lock-free Cap) or a
+	// hook's cancel while holding it. The entry fields the lock guards
+	// are listed on wait.
+	waitMu sync.Mutex
+	waits  map[uint64]*wait
+	spare  []*wait
+	conds  []*predicate.Cond
 
 	ackedSeq  uint64 // highest seq this conn has acked
 	unacked   int    // increments applied since the last ack
@@ -431,14 +428,13 @@ func (c *conn) publish(id, level uint64, cond *predicate.Cond) (*wait, error) {
 }
 
 // recycleLocked returns w to the spare list, dropping what it
-// references, and an OpWaitFor's Cond to the renewal list, where Renew
-// waits for its satisfaction to finish and refuses it while a late
-// sentinel fire is still on its way. Called with waitMu held by w's
-// owner.
+// references, and an OpWaitFor's Cond within maxSpareWidth to the
+// renewal list, where Renew waits for its satisfaction to finish and
+// refuses it while a late sentinel fire is still on its way. Called
+// with waitMu held by w's owner.
 func (c *conn) recycleLocked(w *wait) {
-	if cond := w.cond; cond != nil && len(c.conds) < maxSpareConds && c.condSlots+cond.Cap() <= maxSpareSlots {
+	if cond := w.cond; cond != nil && cond.Cap() <= maxSpareWidth && len(c.conds) < maxSpareWaits {
 		c.conds = append(c.conds, cond)
-		c.condSlots += cond.Cap()
 	}
 	w.cond, w.settled = nil, false
 	if len(c.spare) < maxSpareWaits {

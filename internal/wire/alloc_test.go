@@ -7,6 +7,8 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+
+	"monotonic/internal/predicate"
 )
 
 // TestSteadyStateAllocs pins the steady-state frame path at zero heap
@@ -25,7 +27,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 	intern, _ := internTable()
 	intern([]byte(inc.Name))
-	waitFor := Frame{Op: OpWaitFor, ID: 7, Pred: PredThreshold, K: 2, Watch: []Watch{
+	waitFor := Frame{Op: OpWaitFor, ID: 7, Pred: predicate.KindThreshold, K: 2, Watch: []Watch{
 		{Name: "q0", Level: 3}, {Name: "q1", Level: 3}, {Name: "q2", Level: 3}, {Name: "q3", Level: 3}}}
 	for _, w := range waitFor.Watch {
 		intern([]byte(w.Name))

@@ -7,7 +7,8 @@
 // WaitForCancel — see counter/wait for the predicate model), and the
 // session handshake that makes reconnects retry-safe. Besides the
 // stdlib it depends only on the engine's Stats schema (internal/core),
-// which OpStatsReply carries.
+// which OpStatsReply carries, and the predicate engine's Kind
+// (internal/predicate), which OpWaitFor carries.
 //
 // # Framing
 //
@@ -42,6 +43,7 @@ import (
 	"unicode/utf8"
 
 	"monotonic/internal/core"
+	"monotonic/internal/predicate"
 )
 
 // Version is the protocol version this package speaks natively, carried
@@ -82,19 +84,6 @@ const MaxName = 256
 
 // MaxWatch bounds the number of counters one OpWaitFor frame may watch.
 const MaxWatch = 64
-
-// Predicate kinds carried by OpWaitFor. They mirror the two predicate
-// shapes internal/predicate exposes — every counter/wait combinator
-// lowers to one of them.
-const (
-	// PredSum: the watched counters' values sum to at least Target.
-	// Watch levels are unused (zero).
-	PredSum uint64 = 1
-	// PredThreshold: at least K of the watched counters have reached
-	// their own Watch level — min (K = n), any (K = 1), and quorum in
-	// one shape. Target is unused (zero).
-	PredThreshold uint64 = 2
-)
 
 // Op identifies a frame's meaning.
 type Op uint8
@@ -223,7 +212,7 @@ func (o Op) String() string {
 
 // Watch is one watched coordinate of an OpWaitFor predicate: a hosted
 // counter name plus its per-counter level (the threshold for
-// PredThreshold; unused for PredSum).
+// predicate.KindThreshold; zero and unused for predicate.KindSum).
 type Watch struct {
 	Name  string
 	Level uint64
@@ -234,20 +223,20 @@ type Watch struct {
 // for the whole vocabulary keeps the reader loops a single switch.
 type Frame struct {
 	Op       Op
-	Name     string     // counter name (Increment, Check, Sentinel, Reset, Stats)
-	Session  uint64     // Hello, Welcome
-	Epoch    uint64     // Welcome: the server instance's boot epoch (node identity)
-	Seq      uint64     // Increment/IncAck sequence; Hello version; Welcome last applied seq
-	ID       uint64     // wait id (Check/Sentinel/Cancel/WaitFor*/Wake/Cancelled) or request id (Reset/Stats and replies)
-	Level    uint64     // Check/Sentinel level; Wake satisfied level (zero for predicate wakes)
-	Amount   uint64     // Increment amount
-	Msg      string     // Error message (Append clips it to MaxName bytes)
-	Stats    core.Stats // StatsReply: the engine fields; the Remote* fields never travel
-	Features uint64     // Welcome (v3 only): the server's feature bits
-	Pred     uint64     // WaitFor: predicate kind (PredSum, PredThreshold)
-	K        uint64     // WaitFor: quorum count (PredThreshold)
-	Target   uint64     // WaitFor: sum target (PredSum)
-	Watch    []Watch    // WaitFor: the watched counters, in coordinate order
+	Name     string         // counter name (Increment, Check, Sentinel, Reset, Stats)
+	Session  uint64         // Hello, Welcome
+	Epoch    uint64         // Welcome: the server instance's boot epoch (node identity)
+	Seq      uint64         // Increment/IncAck sequence; Hello version; Welcome last applied seq
+	ID       uint64         // wait id (Check/Sentinel/Cancel/WaitFor*/Wake/Cancelled) or request id (Reset/Stats and replies)
+	Level    uint64         // Check/Sentinel level; Wake satisfied level (zero for predicate wakes)
+	Amount   uint64         // Increment amount
+	Msg      string         // Error message (Append clips it to MaxName bytes)
+	Stats    core.Stats     // StatsReply: the engine fields; the Remote* fields never travel
+	Features uint64         // Welcome (v3 only): the server's feature bits
+	Pred     predicate.Kind // WaitFor: predicate kind, a uvarint on the wire
+	K        uint64         // WaitFor: quorum count (KindThreshold)
+	Target   uint64         // WaitFor: sum target (KindSum)
+	Watch    []Watch        // WaitFor: the watched counters, in coordinate order
 }
 
 // ErrFrameTooLarge is returned for length prefixes beyond MaxFrame.
@@ -290,7 +279,7 @@ func Append(buf []byte, f *Frame) []byte {
 		}
 	case OpWaitFor:
 		buf = appendUint(buf, f.ID)
-		buf = appendUint(buf, f.Pred)
+		buf = appendUint(buf, uint64(f.Pred))
 		buf = appendUint(buf, f.K)
 		buf = appendUint(buf, f.Target)
 		buf = appendUint(buf, uint64(len(f.Watch)))
@@ -418,7 +407,7 @@ func decode(payload []byte, intern func([]byte) string, f *Frame) error {
 			f.Features = d.uint()
 		}
 	case OpWaitFor:
-		f.ID, f.Pred, f.K, f.Target = d.uint(), d.uint(), d.uint(), d.uint()
+		f.ID, f.Pred, f.K, f.Target = d.uint(), predicate.Kind(d.uint()), d.uint(), d.uint()
 		n := d.uint()
 		if d.err == nil && (n == 0 || n > MaxWatch) {
 			return fmt.Errorf("wire: waitfor frame watches %d counters (want 1..%d)", n, MaxWatch)

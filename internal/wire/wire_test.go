@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"monotonic/internal/core"
+	"monotonic/internal/predicate"
 )
 
 // readerSizes are the bufio buffer sizes every decode test reads
@@ -26,7 +27,7 @@ func maxWaitFor() Frame {
 	for i := range w {
 		w[i] = Watch{Name: strings.Repeat(string(rune('a'+i%26)), MaxName), Level: ^uint64(0) - uint64(i)}
 	}
-	return Frame{Op: OpWaitFor, ID: ^uint64(0), Pred: PredThreshold, K: MaxWatch, Watch: w}
+	return Frame{Op: OpWaitFor, ID: ^uint64(0), Pred: predicate.KindThreshold, K: MaxWatch, Watch: w}
 }
 
 // frames covering every opcode and every field, including zero values,
@@ -45,10 +46,10 @@ func sampleFrames() []Frame {
 		{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 0xdeadbeef},
 		{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 0},
 		{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 0xdeadbeef, Features: FeatureWaitFor | FeatureSentinel},
-		{Op: OpWaitFor, ID: 13, Pred: PredSum, Target: 1 << 50, Watch: []Watch{
+		{Op: OpWaitFor, ID: 13, Pred: predicate.KindSum, Target: 1 << 50, Watch: []Watch{
 			{Name: "a"}, {Name: "b"},
 		}},
-		{Op: OpWaitFor, ID: 14, Pred: PredThreshold, K: 3, Watch: []Watch{
+		{Op: OpWaitFor, ID: 14, Pred: predicate.KindThreshold, K: 3, Watch: []Watch{
 			{Name: "q0", Level: 7}, {Name: "q1", Level: 7}, {Name: "q2", Level: 9},
 			{Name: "q3", Level: ^uint64(0)}, {Name: "q4", Level: 1},
 		}},
@@ -230,7 +231,7 @@ func TestReadInterned(t *testing.T) {
 		t.Fatal("two different names share one string")
 	}
 	read(Frame{Op: OpStats, Name: "st", ID: 4})
-	read(Frame{Op: OpWaitFor, ID: 5, Pred: PredSum, Watch: []Watch{{Name: "w0", Level: 1}, {Name: "w1", Level: 2}}})
+	read(Frame{Op: OpWaitFor, ID: 5, Pred: predicate.KindSum, Watch: []Watch{{Name: "w0", Level: 1}, {Name: "w1", Level: 2}}})
 	read(Frame{Op: OpError, ID: 6, Msg: "not a name"})
 	for _, name := range []string{"jobs", "jobz", "st", "w0", "w1"} {
 		if _, ok := seen[name]; !ok {
@@ -306,7 +307,7 @@ func TestWaitForWatchBounds(t *testing.T) {
 	for i := range over {
 		over[i] = Watch{Name: "c", Level: 1}
 	}
-	f := Frame{Op: OpWaitFor, ID: 1, Pred: PredThreshold, K: 1, Watch: over}
+	f := Frame{Op: OpWaitFor, ID: 1, Pred: predicate.KindThreshold, K: 1, Watch: over}
 	if _, err := Decode(Append(nil, &f)[4:]); err == nil {
 		t.Fatalf("waitfor watching %d counters decoded successfully", len(over))
 	}
@@ -318,7 +319,7 @@ func TestWaitForWatchBounds(t *testing.T) {
 
 // TestWaitForTruncation cuts a maximal predicate frame at every byte.
 func TestWaitForTruncation(t *testing.T) {
-	f := Frame{Op: OpWaitFor, ID: 1 << 40, Pred: PredThreshold, K: 2, Watch: []Watch{
+	f := Frame{Op: OpWaitFor, ID: 1 << 40, Pred: predicate.KindThreshold, K: 2, Watch: []Watch{
 		{Name: "alpha", Level: 300}, {Name: "beta", Level: 1 << 33}, {Name: "gamma", Level: 1},
 	}}
 	buf := Append(nil, &f)
@@ -350,6 +351,35 @@ func TestStatsReplyGolden(t *testing.T) {
 	}
 	if got := Append(nil, &f); !bytes.Equal(got, want) {
 		t.Fatalf("statsreply bytes = %#v, want %#v", got, want)
+	}
+}
+
+// TestWaitForGolden pins OpWaitFor's bytes for a sum and a threshold:
+// the ID, the kind, K, Target and the watch count, then each watch's
+// name and level, every integer a uvarint, as the codec has always
+// written them, and the bytes decode back to the frame.
+func TestWaitForGolden(t *testing.T) {
+	for _, g := range []struct {
+		f    Frame
+		want []byte
+	}{
+		{Frame{Op: OpWaitFor, ID: 300, Pred: predicate.KindSum, Target: 1 << 40, Watch: []Watch{{Name: "a"}, {Name: "bc"}}}, []byte{
+			0x0, 0x0, 0x0, 0x13, 0x7, 0xac, 0x2, 0x1, 0x0, 0x80, 0x80, 0x80, 0x80,
+			0x80, 0x20, 0x2, 0x1, 0x61, 0x0, 0x2, 0x62, 0x63, 0x0,
+		}},
+		{Frame{Op: OpWaitFor, ID: 7, Pred: predicate.KindThreshold, K: 2, Watch: []Watch{
+			{Name: "q0", Level: 5}, {Name: "q1", Level: 200}, {Name: "q2", Level: 1 << 33},
+		}}, []byte{
+			0x0, 0x0, 0x0, 0x17, 0x7, 0x7, 0x2, 0x2, 0x0, 0x3, 0x2, 0x71, 0x30, 0x5,
+			0x2, 0x71, 0x31, 0xc8, 0x1, 0x2, 0x71, 0x32, 0x80, 0x80, 0x80, 0x80, 0x20,
+		}},
+	} {
+		if got := Append(nil, &g.f); !bytes.Equal(got, g.want) {
+			t.Errorf("%s waitfor bytes = %#v, want %#v", g.f.Pred, got, g.want)
+		}
+		if got, err := Decode(g.want[4:]); err != nil || !reflect.DeepEqual(got, g.f) {
+			t.Errorf("%s waitfor bytes decode to %+v, %v; want %+v", g.f.Pred, got, err, g.f)
+		}
 	}
 }
 
