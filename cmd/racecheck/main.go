@@ -2,6 +2,7 @@
 // synchronization patterns) under the vector-clock determinacy checker of
 // internal/detect and reports violations of the shared-variable guard
 // condition — the dynamic counterpart of cmd/explore's exhaustive proof.
+// It exits 1 if any program's verdict is not the expected one.
 //
 // Usage:
 //
@@ -17,42 +18,25 @@ import (
 	"monotonic/internal/detect"
 )
 
-type program struct {
-	name    string
-	expects string // "clean" or "racy"
-	run     func() []detect.Violation
-}
-
 func main() {
 	runs := flag.Int("runs", 20, "repetitions per program (races may need schedule luck to appear)")
 	flag.Parse()
 
-	programs := []program{
-		{"section 6 counter program", "clean", counterProgram},
-		{"section 6 lock program", "clean", lockProgram},
-		{"section 6 unguarded program", "racy", unguardedProgram},
-		{"ordered accumulation (5.2)", "clean", orderedAccumulation},
-		{"writer/readers broadcast (5.3)", "clean", broadcastPattern},
-		{"broadcast missing a Check", "racy", brokenBroadcast},
-	}
-
+	programs := append(detect.Programs(), detect.Program{Name: "ordered accumulation (5.2)", Expects: "clean", Run: orderedAccumulation})
 	failed := false
 	for _, p := range programs {
-		var seen []detect.Violation
-		for i := 0; i < *runs && len(seen) == 0; i++ {
-			seen = p.run()
-		}
+		seen, ok := p.Check(*runs)
 		switch {
-		case p.expects == "clean" && len(seen) == 0:
-			fmt.Printf("%-32s clean (as expected)\n", p.name)
-		case p.expects == "racy" && len(seen) > 0:
-			fmt.Printf("%-32s RACE detected (as expected): %s\n", p.name, seen[0])
-		case p.expects == "clean":
+		case ok && len(seen) == 0:
+			fmt.Printf("%-32s clean (as expected)\n", p.Name)
+		case ok:
+			fmt.Printf("%-32s RACE detected (as expected): %s\n", p.Name, seen[0])
+		case len(seen) > 0:
 			failed = true
-			fmt.Printf("%-32s UNEXPECTED violations: %v\n", p.name, seen)
+			fmt.Printf("%-32s UNEXPECTED violations: %v\n", p.Name, seen)
 		default:
 			failed = true
-			fmt.Printf("%-32s expected a race but %d runs were silent\n", p.name, *runs)
+			fmt.Printf("%-32s expected a race but %d runs were silent\n", p.Name, *runs)
 		}
 	}
 	if failed {
@@ -60,66 +44,9 @@ func main() {
 	}
 }
 
-func counterProgram() []detect.Violation {
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	x := detect.NewVar(root, "x", 3)
-	c := detect.NewCounter(root)
-	root.Go(
-		func(th *detect.Thread) {
-			c.Check(th, 0)
-			x.Write(th, x.Read(th)+1)
-			c.Increment(th, 1)
-		},
-		func(th *detect.Thread) {
-			c.Check(th, 1)
-			x.Write(th, x.Read(th)*2)
-			c.Increment(th, 1)
-		},
-	)
-	return reg.Violations()
-}
-
-func lockProgram() []detect.Violation {
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	x := detect.NewVar(root, "x", 3)
-	var m detect.Mutex
-	root.Go(
-		func(th *detect.Thread) {
-			m.Lock(th)
-			x.Write(th, x.Read(th)+1)
-			m.Unlock(th)
-		},
-		func(th *detect.Thread) {
-			m.Lock(th)
-			x.Write(th, x.Read(th)*2)
-			m.Unlock(th)
-		},
-	)
-	return reg.Violations()
-}
-
-func unguardedProgram() []detect.Violation {
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	x := detect.NewVar(root, "x", 3)
-	c := detect.NewCounter(root)
-	root.Go(
-		func(th *detect.Thread) {
-			c.Check(th, 0)
-			x.Write(th, x.Read(th)+1)
-			c.Increment(th, 1)
-		},
-		func(th *detect.Thread) {
-			c.Check(th, 0)
-			x.Write(th, x.Read(th)*2)
-			c.Increment(th, 1)
-		},
-	)
-	return reg.Violations()
-}
-
+// orderedAccumulation is section 5.2's ordered accumulation: thread i
+// adds i into result once Check(i) admits it, so the additions run in
+// index order.
 func orderedAccumulation() []detect.Violation {
 	const n = 8
 	reg := detect.NewRegistry()
@@ -136,56 +63,5 @@ func orderedAccumulation() []detect.Violation {
 		}
 	}
 	root.Go(bodies...)
-	return reg.Violations()
-}
-
-func broadcastPattern() []detect.Violation {
-	const n = 12
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	data := make([]*detect.Var[int], n)
-	for i := range data {
-		data[i] = detect.NewVar(root, fmt.Sprintf("data[%d]", i), 0)
-	}
-	c := detect.NewCounter(root)
-	writer := func(th *detect.Thread) {
-		for i := 0; i < n; i++ {
-			data[i].Write(th, i)
-			c.Increment(th, 1)
-		}
-	}
-	reader := func(th *detect.Thread) {
-		for i := 0; i < n; i++ {
-			c.Check(th, uint64(i)+1)
-			data[i].Read(th)
-		}
-	}
-	root.Go(writer, reader, reader)
-	return reg.Violations()
-}
-
-// brokenBroadcast omits the reader's Check — the bug the checker exists
-// to catch.
-func brokenBroadcast() []detect.Violation {
-	const n = 12
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	data := make([]*detect.Var[int], n)
-	for i := range data {
-		data[i] = detect.NewVar(root, fmt.Sprintf("data[%d]", i), 0)
-	}
-	c := detect.NewCounter(root)
-	writer := func(th *detect.Thread) {
-		for i := 0; i < n; i++ {
-			data[i].Write(th, i)
-			c.Increment(th, 1)
-		}
-	}
-	badReader := func(th *detect.Thread) {
-		for i := 0; i < n; i++ {
-			data[i].Read(th) // no Check: concurrent with the writer
-		}
-	}
-	root.Go(writer, badReader)
 	return reg.Violations()
 }

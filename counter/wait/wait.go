@@ -45,7 +45,9 @@ func (c *Cond) Spec() Spec { return c.spec }
 
 // newCond builds the Cond for spec, the only thing a combinator
 // builds: its predicate is the Spec's own, whose levels the predicate
-// engine copies, as every Cond does. Evaluation is routed server-side
+// engine copies, as every Cond does. It copies the adapted counters
+// too, so they are adapted into stack storage that covers up to four
+// counters without an allocation. Evaluation is routed server-side
 // when possible: if the spec is wire-encodable and every counter
 // nominates the same SpecHost, the Cond arms one registration with that
 // host instead of per-counter sentinels (asking again if a registration
@@ -54,7 +56,11 @@ func (c *Cond) Spec() Spec { return c.spec }
 // sentinels.
 func newCond(spec Spec) *Cond {
 	pred := spec.pred()
-	pcs := adaptAll(spec.Counters)
+	var buf [4]predicate.Counter
+	pcs := buf[:0]
+	for _, c := range spec.Counters {
+		pcs = append(pcs, adapt(c))
+	}
 	if host, ok := spec.commonHost(); ok {
 		ext := func(fire func(satisfied bool)) (func() bool, bool) {
 			return host.ArmSpec(spec, fire)
@@ -158,14 +164,6 @@ func KOfN(cs []counter.Interface, k int, threshold uint64) *Cond {
 type sentinelCounter interface {
 	Watermark() uint64
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
-}
-
-func adaptAll(cs []counter.Interface) []predicate.Counter {
-	out := make([]predicate.Counter, len(cs))
-	for i, c := range cs {
-		out[i] = adapt(c)
-	}
-	return out
 }
 
 // adapt views one public counter as a predicate.Counter: natively when

@@ -20,10 +20,7 @@ import "context"
 //
 // The zero value is a valid counter with value zero.
 type AtomicCounter struct {
-	watermark // published before any stripe sweep
-
-	wl  waitlist
-	idx stripedList
+	striped
 }
 
 // NewAtomic returns an AtomicCounter with value zero.
@@ -89,15 +86,28 @@ func (c *AtomicCounter) enroll(level uint64, suspend bool) *waitNode {
 	return c.idx.register(&c.wl, level, &c.value, nil, suspend)
 }
 
+// striped is the half of the method set that the striped designs
+// (atomic and fc) share: the watermark, the engine, whose mutex they
+// keep only on the write side, and the striped level index, on which
+// every registration happens under its level's stripe mutex. Each
+// design writes its own Increment and enroll: fc folds its combining
+// slots in both.
+type striped struct {
+	watermark // published before any stripe sweep
+
+	wl  waitlist
+	idx stripedList
+}
+
 // Reset implements Interface. Stats are cumulative and survive the
 // reset.
-func (c *AtomicCounter) Reset() { c.wl.reset(&c.idx, &c.watermark) }
+func (c *striped) Reset() { c.wl.reset(&c.idx, &c.watermark) }
 
 // Stats implements StatsProvider: the engine's collector plus the
 // striped registration tallies and the lock-free satisfied-check tally.
 // readStats loads the wake-side atomics first, so folding the striped
 // satisfied count afterwards keeps Broadcasts <= SatisfiedLevels.
-func (c *AtomicCounter) Stats() Stats {
+func (c *striped) Stats() Stats {
 	s := c.wl.readStats(&c.fastChecks, nil)
 	c.idx.foldStats(&s)
 	return s
@@ -105,13 +115,11 @@ func (c *AtomicCounter) Stats() Stats {
 
 // LockAcquires implements LockCounter: engine-mutex plus stripe-mutex
 // acquisitions recorded while SetLockCounting was enabled.
-func (c *AtomicCounter) LockAcquires() uint64 {
+func (c *striped) LockAcquires() uint64 {
 	return c.wl.lockAcquires.Load() + c.idx.locks.Load()
 }
 
 // SetProbe implements ProbeSetter. Fast-path satisfied checks emit no
 // event (that path exists to touch nothing shared); increments,
 // suspends, and wakes are observed through the engine.
-func (c *AtomicCounter) SetProbe(f func(Event)) {
-	c.wl.SetProbe(f)
-}
+func (c *striped) SetProbe(f func(Event)) { c.wl.SetProbe(f) }

@@ -195,7 +195,7 @@ func BenchmarkSimInsert(b *testing.B) {
 				// on a private throwaway level far above the rest.
 				lv := uint64(levels + 1)
 				s.Check(lv)
-				n := s.c.list.head
+				n := s.c.index.head
 				for n != nil && n.level != lv {
 					n = n.next
 				}

@@ -18,6 +18,16 @@ import "context"
 // wakes and relocks the engine mutex to re-check its level, which is
 // the O(waiters) cost the per-level designs avoid.
 //
+// The flattening shows in every tally the engine keeps. In Stats,
+// PeakLevels is the peak number of live round nodes (at most 1),
+// SatisfiedLevels counts satisfied wake rounds rather than distinct
+// levels, and Suspends counts every park, re-parks included, as does a
+// probe's EventSuspend. A hook (ArmHook, Sentinel) lands on the round
+// node too, so it fires on the first increment after arming whether or
+// not the value reached its level — the spurious fire the Sentineler
+// contract allows; the predicate layer re-checks and re-arms, which
+// reproduces the thundering re-check at the predicate tier.
+//
 // Even the naive baseline gets the watermark fast path shared by every
 // impl — an already-satisfied Check is one atomic load, no mutex — so
 // E25's zero-lock assertion holds uniformly and the ablation isolates
@@ -25,10 +35,8 @@ import "context"
 //
 // The zero value is a valid counter with value zero.
 type BroadcastCounter struct {
-	wl waitlist
-	watermark
-	rounds roundIndex
-	wakes  uint64 // cumulative waiter wake-ups (each re-check after a broadcast)
+	indexed[roundIndex, *roundIndex]
+	wakes uint64 // cumulative waiter wake-ups (each re-check after a broadcast)
 }
 
 // NewBroadcast returns a BroadcastCounter with value zero.
@@ -65,18 +73,6 @@ func (r *roundIndex) pop(uint64) *waitNode {
 
 func (r *roundIndex) empty() bool { return r.round == nil }
 
-// Increment implements Interface. Every increment broadcasts to every
-// waiter, satisfied level or not: in Stats terms each increment with
-// waiters satisfies the one round node, so SatisfiedLevels counts wake
-// rounds rather than distinct levels — that flattening is the ablation.
-// Increment(0) is a no-op and returns before touching the lock.
-func (c *BroadcastCounter) Increment(amount uint64) {
-	if amount == 0 {
-		return
-	}
-	c.wl.increment(&c.watermark, amount)
-}
-
 // Check implements Interface: CheckContext with a context that is never
 // cancelled, so every park sleeps on the round node's condition
 // variable.
@@ -106,7 +102,7 @@ func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error
 			c.wl.unlock()
 			return err
 		}
-		n := c.wl.join(&c.rounds, level, true)
+		n := c.wl.join(&c.index, level, true)
 		c.wl.unlock()
 		err := c.wl.park(ctx, n)
 		c.wl.drain(n)
@@ -123,17 +119,6 @@ func (c *BroadcastCounter) CheckContext(ctx context.Context, level uint64) error
 	return nil
 }
 
-// enroll implements enroller: the engine's locked re-check and a join
-// of the round node. Only armHook uses it; CheckContext keeps its own
-// re-join loop.
-func (c *BroadcastCounter) enroll(level uint64, suspend bool) *waitNode {
-	return c.wl.enroll(&c.rounds, &c.value, level, suspend)
-}
-
-// Reset implements Interface. Stats are cumulative and survive the
-// reset.
-func (c *BroadcastCounter) Reset() { c.wl.reset(&c.rounds, &c.watermark) }
-
 // Wakes reports the cumulative number of waiter wake-ups; with W waiters
 // and I increments this grows as O(W*I), the cost the per-level designs
 // avoid.
@@ -142,20 +127,3 @@ func (c *BroadcastCounter) Wakes() uint64 {
 	defer c.wl.unlock()
 	return c.wakes
 }
-
-// Stats implements StatsProvider with the engine's collector plus the
-// lock-free fast-path checks. For this baseline PeakLevels is the peak
-// number of live round nodes (at most 1) and SatisfiedLevels counts
-// satisfied wake rounds; see Increment.
-func (c *BroadcastCounter) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
-
-// LockAcquires implements LockCounter.
-func (c *BroadcastCounter) LockAcquires() uint64 {
-	return c.wl.lockAcquires.Load()
-}
-
-// SetProbe implements ProbeSetter. EventSuspend fires per park, so a
-// probe sees the herd re-park after every under-level wake.
-func (c *BroadcastCounter) SetProbe(f func(Event)) { c.wl.SetProbe(f) }
-
-var _ levelIndex = (*roundIndex)(nil)

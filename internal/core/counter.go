@@ -21,23 +21,41 @@ import (
 // releasing the lock, and woken waiters drain with an atomic count —
 // and also owns the cost-model instrumentation (Stats, stats.go). The
 // value is a watermark (waitlist.go), so a satisfied Check is one atomic
-// load and no mutex. Counter contributes the sorted-list index.
+// load and no mutex. Counter contributes the sorted-list index, ascending
+// by level; satisfied nodes move to the engine's draining record.
 //
 // The zero value is a valid counter with value zero.
 type Counter struct {
-	wl waitlist
-	watermark
-	list listIndex // ascending by level; satisfied nodes move to the engine's draining record
+	indexed[listIndex, *listIndex]
 }
 
 // New returns a counter with value zero. Equivalent to new(Counter); it
 // exists for symmetry with the other implementations' constructors.
 func New() *Counter { return new(Counter) }
 
+// indexed is the method set of the engine-indexed designs (list, heap
+// and broadcast): the waitlist engine, the watermark and a level index
+// I that the engine owns, so every registration joins I and every
+// Increment pops it under the engine mutex. Each of those designs is
+// this base over its index; P is I's pointer type, through which the
+// engine reaches the index. A design's promoted method is a
+// compiler-generated wrapper that passes the instantiation's dictionary
+// to the shared body: Increment's body inlines into it, but Check's and
+// CheckContext's do not, so reached through an interface they pay one
+// call frame more than a method declared on the design would.
+type indexed[I any, P interface {
+	*I
+	levelIndex
+}] struct {
+	wl waitlist
+	watermark
+	index I
+}
+
 // Increment implements Interface: the engine's add and release step,
-// which pops the prefix of the list the new value satisfies. Increment(0)
-// is a no-op and returns before touching the lock.
-func (c *Counter) Increment(amount uint64) {
+// which pops the levels the new value satisfies off the index.
+// Increment(0) is a no-op and returns before touching the lock.
+func (c *indexed[I, P]) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
@@ -48,7 +66,7 @@ func (c *Counter) Increment(amount uint64) {
 // cancelled, so the caller sleeps on the level's condition variable.
 // It repeats CheckContext's two steps rather than calling it, so the
 // satisfied case pays no extra frame.
-func (c *Counter) Check(level uint64) {
+func (c *indexed[I, P]) Check(level uint64) {
 	if !c.satisfied(level) {
 		await(context.Background(), c, level)
 	}
@@ -59,8 +77,9 @@ func (c *Counter) Check(level uint64) {
 // already-satisfied level wins over an already-cancelled context; only
 // an unsatisfied level falls through to the locked registration (await).
 // No goroutine is spawned on behalf of the call: cancellation is
-// observed by selecting on the node's ready channel.
-func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
+// observed by selecting on the node's ready channel, and the last
+// cancelled waiter on a level removes it from the index.
+func (c *indexed[I, P]) CheckContext(ctx context.Context, level uint64) error {
 	if c.satisfied(level) {
 		return nil
 	}
@@ -68,36 +87,40 @@ func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 }
 
 // enroll implements enroller: the engine's locked re-check and join on
-// the sorted list.
-func (c *Counter) enroll(level uint64, suspend bool) *waitNode {
-	return c.wl.enroll(&c.list, &c.value, level, suspend)
+// the index.
+func (c *indexed[I, P]) enroll(level uint64, suspend bool) *waitNode {
+	return c.wl.enroll(P(&c.index), &c.value, level, suspend)
+}
+
+// Reset implements Interface. It panics if any goroutine is suspended on
+// the counter, since the paper forbids Reset concurrent with other
+// operations. Stats are cumulative and survive the reset.
+func (c *indexed[I, P]) Reset() { c.wl.reset(P(&c.index), &c.watermark) }
+
+// Stats implements StatsProvider with the engine's collector, folding in
+// the lock-free fast-path checks.
+func (c *indexed[I, P]) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
+
+// LockAcquires implements LockCounter: engine-mutex acquisitions
+// recorded while SetLockCounting was enabled.
+func (c *indexed[I, P]) LockAcquires() uint64 { return c.wl.lockAcquires.Load() }
+
+// SetProbe implements ProbeSetter: f observes increment/suspend/wake
+// events until replaced; nil disables the hook.
+func (c *indexed[I, P]) SetProbe(f func(Event)) { c.wl.SetProbe(f) }
+
+// ArmHook implements HookArmer through the shared armHook.
+func (c *indexed[I, P]) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h, false) }
+
+// Sentinel implements Sentineler through ArmHook.
+func (c *indexed[I, P]) Sentinel(level uint64, fn func()) (func() bool, bool) {
+	return sentinel(c, level, fn)
 }
 
 // leave deregisters the caller from n with wl.mu already held — the
 // simulator's single-threaded counterpart of the engine's drain.
 func (c *Counter) leave(n *waitNode) {
 	c.wl.leaveLocked(n)
-}
-
-// Reset implements Interface. It panics if any goroutine is suspended on
-// the counter, since the paper forbids Reset concurrent with other
-// operations. Stats are cumulative and survive the reset.
-func (c *Counter) Reset() { c.wl.reset(&c.list, &c.watermark) }
-
-// Stats implements StatsProvider with the engine's collector, folding in
-// the lock-free fast-path checks.
-func (c *Counter) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
-
-// LockAcquires implements LockCounter: engine-mutex acquisitions
-// recorded while SetLockCounting was enabled.
-func (c *Counter) LockAcquires() uint64 {
-	return c.wl.lockAcquires.Load()
-}
-
-// SetProbe implements ProbeSetter: f observes increment/suspend/wake
-// events until replaced; nil disables the hook.
-func (c *Counter) SetProbe(f func(Event)) {
-	c.wl.SetProbe(f)
 }
 
 // Snapshot is a consistent picture of a counter's internal structure, in
@@ -151,7 +174,7 @@ func (c *Counter) Inspect() Snapshot {
 		}
 		s.Nodes = append(s.Nodes, NodeSnapshot{Level: n.level, Count: int(n.count.Load()), Set: true})
 	}
-	for n := c.list.head; n != nil; n = n.next {
+	for n := c.index.head; n != nil; n = n.next {
 		s.Nodes = append(s.Nodes, NodeSnapshot{Level: n.level, Count: int(n.count.Load()), Set: false})
 	}
 	return s

@@ -68,6 +68,11 @@
 // engine design shares one Reset misuse check. An overflowing Increment
 // releases every lock before it panics, so a caller that recovers the
 // panic keeps a usable counter. Each design keeps only what makes it an
-// ablation: its index, broadcast's re-join loop, the combining and shard
-// folds of fc and sharded, and chan's gates.
+// ablation: its index, broadcast's re-join loop, spin's spin phase, the
+// combining and shard folds of fc and sharded, and chan's gates. Two
+// bases write the rest of the method sets once: list, heap and
+// broadcast are the generic indexed base (engine, watermark and level
+// index) over their index, and atomic and fc embed the striped base
+// (watermark, engine and striped index), whose Reset, Stats,
+// LockAcquires and SetProbe they share; spin embeds the atomic design.
 package core

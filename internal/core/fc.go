@@ -31,20 +31,25 @@ import (
 //
 // Value excludes deltas still published in slots: they belong to
 // Increment calls that have not returned, so excluding them preserves
-// linearizability.
+// linearizability. Reset therefore finds no delta pending in a slot,
+// since it must not run concurrently with any other operation, and
+// resets only the value. In Stats, FastPathIncrements counts increments
+// folded from the slots (they skipped the mutex queue — the combining
+// analogue of the sharded fast path) and Flushes counts folds that took
+// at least one. Every Increment emits its own EventIncrement when it
+// returns — a folded delta's event fires from the publisher once it
+// observes the fold — so a probe's event counts match call counts
+// whichever path an increment took.
 //
 // The zero value is a valid counter with value zero.
 type FCCounter struct {
-	watermark // stored under wl.mu, before any stripe sweep
-
-	wl waitlist
-	// idx is the striped level index (stripes.go): waiter registration
-	// happens on the level's stripe, not under wl.mu, so Check
-	// registrations no longer queue behind combining folds. A fold
-	// stores the combined value first and sweeps the stripes after
-	// releasing wl.mu — the fold-then-read ordering the stripe Dekker
-	// handshake requires.
-	idx   stripedList
+	// striped's watermark is stored under wl.mu, before any stripe
+	// sweep. Waiter registration happens on the level's stripe, not
+	// under wl.mu, so Check registrations no longer queue behind
+	// combining folds. A fold stores the combined value first and
+	// sweeps the stripes after releasing wl.mu — the fold-then-read
+	// ordering the stripe Dekker handshake requires.
+	striped
 	slots fcSlots
 
 	// spin holds the publisher spin budgets packed as
@@ -276,35 +281,4 @@ func (c *FCCounter) enroll(level uint64, suspend bool) *waitNode {
 		return nil
 	}
 	return c.idx.register(&c.wl, level, &c.value, nil, suspend)
-}
-
-// Reset implements Interface. Reset must not run concurrently with any
-// other operation, so no delta can be pending in a slot (a pending delta
-// belongs to an Increment still in flight); only the value resets.
-// Stats are cumulative and survive the reset.
-func (c *FCCounter) Reset() { c.wl.reset(&c.idx, &c.watermark) }
-
-// Stats implements StatsProvider: the engine's collector, whose
-// FastPathIncrements counts increments folded from the slots (they
-// skipped the mutex queue — the combining analogue of the sharded fast
-// path) and whose Flushes counts folds that took at least one, plus the
-// striped registration tallies.
-func (c *FCCounter) Stats() Stats {
-	s := c.wl.readStats(&c.fastChecks, nil)
-	c.idx.foldStats(&s)
-	return s
-}
-
-// LockAcquires implements LockCounter: engine-mutex plus stripe-mutex
-// acquisitions recorded while SetLockCounting was enabled.
-func (c *FCCounter) LockAcquires() uint64 {
-	return c.wl.lockAcquires.Load() + c.idx.locks.Load()
-}
-
-// SetProbe implements ProbeSetter. Every Increment emits its own
-// EventIncrement when it returns — a folded delta's event fires from
-// the publisher once it observes the fold, so event counts match call
-// counts whichever path an increment took.
-func (c *FCCounter) SetProbe(f func(Event)) {
-	c.wl.SetProbe(f)
 }

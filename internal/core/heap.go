@@ -1,7 +1,5 @@
 package core
 
-import "context"
-
 // HeapCounter is a monotonic counter whose waiter nodes are organized as a
 // binary min-heap keyed on level, instead of the sorted linked list of the
 // reference design. Check inserts in O(log L) rather than O(L) (L = number
@@ -16,10 +14,11 @@ import "context"
 //
 // The zero value is a valid counter with value zero.
 type HeapCounter struct {
-	wl waitlist
-	watermark
-	index heapIndex
+	indexed[heapIndex, *heapIndex]
 }
+
+// NewHeap returns a HeapCounter with value zero.
+func NewHeap() *HeapCounter { return new(HeapCounter) }
 
 // heapIndex organizes live waitNodes as a min-heap by level plus a map
 // for waiter coalescing. Satisfied nodes are popped eagerly by
@@ -131,62 +130,3 @@ func (h *heapIndex) removeNode(n *waitNode) {
 		}
 	}
 }
-
-var _ levelIndex = (*heapIndex)(nil)
-
-// NewHeap returns a HeapCounter with value zero.
-func NewHeap() *HeapCounter { return new(HeapCounter) }
-
-// Increment implements Interface: the engine's add and release step,
-// which pops the satisfied levels off the heap. Increment(0) is a no-op
-// and returns before touching the lock.
-func (c *HeapCounter) Increment(amount uint64) {
-	if amount == 0 {
-		return
-	}
-	c.wl.increment(&c.watermark, amount)
-}
-
-// Check implements Interface: CheckContext with a context that is never
-// cancelled, repeating its two steps so the satisfied case pays no
-// extra frame.
-func (c *HeapCounter) Check(level uint64) {
-	if !c.satisfied(level) {
-		await(context.Background(), c, level)
-	}
-}
-
-// CheckContext implements Interface. The satisfied case is one atomic
-// watermark load — no mutex — consulted before the context so an
-// already-satisfied level wins over an already-cancelled context;
-// cancellation is a select on the node's ready channel, with no watcher
-// goroutine, and the last cancelled waiter removes the level from the
-// heap.
-func (c *HeapCounter) CheckContext(ctx context.Context, level uint64) error {
-	if c.satisfied(level) {
-		return nil
-	}
-	return await(ctx, c, level)
-}
-
-// enroll implements enroller: the engine's locked re-check and join on
-// the heap.
-func (c *HeapCounter) enroll(level uint64, suspend bool) *waitNode {
-	return c.wl.enroll(&c.index, &c.value, level, suspend)
-}
-
-// Reset implements Interface. Stats are cumulative and survive the
-// reset.
-func (c *HeapCounter) Reset() { c.wl.reset(&c.index, &c.watermark) }
-
-// Stats implements StatsProvider with the engine's collector, folding in
-// the lock-free fast-path checks.
-func (c *HeapCounter) Stats() Stats { return c.wl.readStats(&c.fastChecks, nil) }
-
-// LockAcquires implements LockCounter.
-func (c *HeapCounter) LockAcquires() uint64 {
-	return c.wl.lockAcquires.Load()
-}
-
-// SetProbe implements ProbeSetter.
-func (c *HeapCounter) SetProbe(f func(Event)) { c.wl.SetProbe(f) }

@@ -203,49 +203,10 @@ func armHook(e enroller, level uint64, h *Hook, check bool) bool {
 }
 
 // ArmHook implements HookArmer through the shared armHook.
-func (c *Counter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h, false) }
-
-// Sentinel implements Sentineler through ArmHook.
-func (c *Counter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return sentinel(c, level, fn)
-}
-
-// ArmHook implements HookArmer through the shared armHook.
 func (c *AtomicCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h, false) }
 
 // Sentinel implements Sentineler through ArmHook.
 func (c *AtomicCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return sentinel(c, level, fn)
-}
-
-// ArmHook implements HookArmer on the underlying atomic counter; a hook
-// never spins (there is no caller to burn time on).
-func (c *SpinCounter) ArmHook(level uint64, h *Hook) bool { return armHook(&c.a, level, h, false) }
-
-// Sentinel implements Sentineler through ArmHook.
-func (c *SpinCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return sentinel(c, level, fn)
-}
-
-// ArmHook implements HookArmer through the shared armHook.
-func (c *HeapCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h, false) }
-
-// Sentinel implements Sentineler through ArmHook.
-func (c *HeapCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return sentinel(c, level, fn)
-}
-
-// ArmHook implements HookArmer on the broadcast ablation. The hook
-// lands on the shared round node, which every increment satisfies, so
-// it fires on the FIRST increment after arming whether or not the value
-// reached level — the spurious-fire case the Sentineler contract
-// allows. The predicate layer re-checks and re-arms, which reproduces
-// at the predicate tier exactly the thundering re-check this baseline
-// exists to measure.
-func (c *BroadcastCounter) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h, false) }
-
-// Sentinel implements Sentineler through ArmHook.
-func (c *BroadcastCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	return sentinel(c, level, fn)
 }
 

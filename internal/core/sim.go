@@ -25,7 +25,7 @@ func (s *Sim) Check(level uint64) bool {
 		s.c.wl.stats.immediateChecks++
 		return false
 	}
-	s.c.wl.join(&s.c.list, level, true)
+	s.c.wl.join(&s.c.index, level, true)
 	return true
 }
 
@@ -41,7 +41,7 @@ func (s *Sim) Increment(amount uint64) {
 	defer s.c.wl.mu.Unlock()
 	s.c.value.Store(checkedAdd(s.c.value.Load(), amount))
 	s.c.wl.stats.increments++
-	for n := s.c.list.pop(s.c.value.Load()); n != nil; {
+	for n := s.c.index.pop(s.c.value.Load()); n != nil; {
 		next := n.next
 		n.next = nil            // no wakeBatch walks this chain; sever it here
 		s.c.wl.satisfyLocked(n) // bumps SatisfiedLevels, one per node

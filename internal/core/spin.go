@@ -18,11 +18,15 @@ const defaultSpins = 64
 // synchronization with short expected waits; under long waits it degrades
 // gracefully to the reference design (and inherits its out-of-lock wake
 // path: a parked SpinCounter waiter drains with an atomic count like any
-// other engine waiter). Part of the E11 ablation.
+// other engine waiter). Part of the E11 ablation. Only Check and
+// CheckContext spin; every other method is the atomic counter's. So a
+// hook (ArmHook, Sentinel) never spins, since there is no caller to
+// burn time on, and Stats adds only the probe tally. Spin probes take
+// no locks and emit no probe event.
 //
 // The zero value is a valid counter with value zero.
 type SpinCounter struct {
-	a AtomicCounter
+	atomicCounter
 	// spins holds the probe budget plus one, so that the zero value
 	// still means "default" while an explicit budget of zero (suspend
 	// immediately — the right tuning for long expected waits) remains
@@ -31,6 +35,10 @@ type SpinCounter struct {
 	// rounds counts yield-spin probes actually made (Stats.SpinRounds).
 	rounds stripedUint64
 }
+
+// atomicCounter names the AtomicCounter that SpinCounter embeds, so the
+// embedding promotes its methods without exporting a field.
+type atomicCounter = AtomicCounter
 
 // NewSpin returns a SpinCounter with the default spin budget.
 func NewSpin() *SpinCounter { return new(SpinCounter) }
@@ -57,9 +65,6 @@ func (c *SpinCounter) budget() int {
 	return defaultSpins
 }
 
-// Increment implements Interface.
-func (c *SpinCounter) Increment(amount uint64) { c.a.Increment(amount) }
-
 // Check implements Interface: CheckContext with a context that is never
 // cancelled.
 func (c *SpinCounter) Check(level uint64) { c.CheckContext(context.Background(), level) }
@@ -70,14 +75,14 @@ func (c *SpinCounter) Check(level uint64) { c.CheckContext(context.Background(),
 // cancelled or exhausted spin hands over to the atomic counter's slow
 // path, which takes one last look before reporting a cancellation.
 func (c *SpinCounter) CheckContext(ctx context.Context, level uint64) error {
-	if c.a.satisfied(level) {
+	if c.satisfied(level) {
 		return nil
 	}
 	budget, spun := c.budget(), 0
 	for spun < budget && ctx.Err() == nil {
 		runtime.Gosched()
 		spun++
-		if c.a.satisfied(level) {
+		if c.satisfied(level) {
 			c.rounds.Add(uint64(spun))
 			return nil
 		}
@@ -85,27 +90,13 @@ func (c *SpinCounter) CheckContext(ctx context.Context, level uint64) error {
 	if spun > 0 {
 		c.rounds.Add(uint64(spun))
 	}
-	return await(ctx, &c.a, level)
+	return await(ctx, &c.atomicCounter, level)
 }
-
-// Reset implements Interface.
-func (c *SpinCounter) Reset() { c.a.Reset() }
-
-// Value implements Interface. For inspection and testing only.
-func (c *SpinCounter) Value() uint64 { return c.a.Value() }
 
 // Stats implements StatsProvider: the underlying atomic counter's
 // collector plus the spin-probe tally.
 func (c *SpinCounter) Stats() Stats {
-	s := c.a.Stats()
+	s := c.atomicCounter.Stats()
 	s.SpinRounds = c.rounds.Load()
 	return s
 }
-
-// SetProbe implements ProbeSetter; events are observed through the
-// underlying engine (spin probes emit no event).
-func (c *SpinCounter) SetProbe(f func(Event)) { c.a.SetProbe(f) }
-
-// LockAcquires implements LockCounter via the underlying atomic counter
-// (spin probes take no locks).
-func (c *SpinCounter) LockAcquires() uint64 { return c.a.LockAcquires() }

@@ -31,96 +31,15 @@ func init() {
 			}
 			t := harness.NewTable(fmt.Sprintf("Vector-clock checking over up to %d schedules per program", trials),
 				"program", "expected", "result", "verdict")
-			for _, p := range checkPrograms() {
-				var seen []detect.Violation
-				for i := 0; i < trials && len(seen) == 0; i++ {
-					seen = p.run()
-				}
+			for _, p := range detect.Programs() {
+				seen, ok := p.Check(trials)
 				result := "clean"
 				if len(seen) > 0 {
 					result = "race: " + seen[0].String()
 				}
-				ok := (p.expects == "clean") == (len(seen) == 0)
-				t.Add(p.name, p.expects, result, verdict(ok))
+				t.Add(p.Name, p.Expects, result, verdict(ok))
 			}
 			return []*harness.Table{t}
 		},
 	})
-}
-
-type checkProgram struct {
-	name    string
-	expects string
-	run     func() []detect.Violation
-}
-
-func checkPrograms() []checkProgram {
-	return []checkProgram{
-		{"counter chain (section 6)", "clean", func() []detect.Violation {
-			reg := detect.NewRegistry()
-			root := reg.Root()
-			x := detect.NewVar(root, "x", 3)
-			c := detect.NewCounter(root)
-			root.Go(
-				func(th *detect.Thread) { c.Check(th, 0); x.Write(th, x.Read(th)+1); c.Increment(th, 1) },
-				func(th *detect.Thread) { c.Check(th, 1); x.Write(th, x.Read(th)*2); c.Increment(th, 1) },
-			)
-			return reg.Violations()
-		}},
-		{"lock region (section 6)", "clean", func() []detect.Violation {
-			reg := detect.NewRegistry()
-			root := reg.Root()
-			x := detect.NewVar(root, "x", 3)
-			var m detect.Mutex
-			root.Go(
-				func(th *detect.Thread) { m.Lock(th); x.Write(th, x.Read(th)+1); m.Unlock(th) },
-				func(th *detect.Thread) { m.Lock(th); x.Write(th, x.Read(th)*2); m.Unlock(th) },
-			)
-			return reg.Violations()
-		}},
-		{"unguarded update (section 6)", "racy", func() []detect.Violation {
-			reg := detect.NewRegistry()
-			root := reg.Root()
-			x := detect.NewVar(root, "x", 3)
-			c := detect.NewCounter(root)
-			root.Go(
-				func(th *detect.Thread) { c.Check(th, 0); x.Write(th, x.Read(th)+1); c.Increment(th, 1) },
-				func(th *detect.Thread) { c.Check(th, 0); x.Write(th, x.Read(th)*2); c.Increment(th, 1) },
-			)
-			return reg.Violations()
-		}},
-		{"broadcast, all Checks present", "clean", func() []detect.Violation {
-			return broadcastCheck(false)
-		}},
-		{"broadcast, reader Check removed", "racy", func() []detect.Violation {
-			return broadcastCheck(true)
-		}},
-	}
-}
-
-func broadcastCheck(dropCheck bool) []detect.Violation {
-	const n = 10
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	data := make([]*detect.Var[int], n)
-	for i := range data {
-		data[i] = detect.NewVar(root, fmt.Sprintf("data[%d]", i), 0)
-	}
-	c := detect.NewCounter(root)
-	writer := func(th *detect.Thread) {
-		for i := 0; i < n; i++ {
-			data[i].Write(th, i)
-			c.Increment(th, 1)
-		}
-	}
-	reader := func(th *detect.Thread) {
-		for i := 0; i < n; i++ {
-			if !dropCheck {
-				c.Check(th, uint64(i)+1)
-			}
-			data[i].Read(th)
-		}
-	}
-	root.Go(writer, reader, reader)
-	return reg.Violations()
 }

@@ -1,7 +1,7 @@
 // Package trace wraps any counter implementation with operation counting
-// and wait-time measurement, for the section 7 cost-model experiments:
-// how many Checks suspend, how long they wait, and how the counter's live
-// structure evolves.
+// and wait-time measurement: how many Checks suspend, how long they
+// wait, and how many wait at once. No package imports it; the section 7
+// cost-model experiments read the engines' own Stats (core.Stats).
 package trace
 
 import (
