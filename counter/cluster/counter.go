@@ -8,6 +8,7 @@ import (
 
 	"monotonic/counter"
 	"monotonic/counter/remote"
+	"monotonic/internal/core"
 )
 
 // Counter is a named monotonic counter hosted by whichever cluster node
@@ -57,6 +58,7 @@ type Counter struct {
 var (
 	_ counter.Interface     = (*Counter)(nil)
 	_ counter.StatsProvider = (*Counter)(nil)
+	_ core.Sentineler       = (*Counter)(nil)
 )
 
 // noteSatisfied raises the satisfied watermark to level (never lowers
@@ -182,16 +184,7 @@ func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 		ctr.immediate.Add(1)
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	switch err := ctr.CheckContext(ctx, level); {
-	case err == nil:
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
-		return false
-	default:
-		panic(err.Error()) // Cluster closed or last member dead mid-wait
-	}
+	return core.WaitTimeout(ctr, level, d) // panics if the Cluster closes or loses every member
 }
 
 // Sentinel arms a one-shot hook that fires when the value reaches

@@ -80,10 +80,10 @@ func (f *facade[T, P]) Stats() Stats { return f.impl().Stats() }
 // current value). Unlike an instantaneous value read — which this
 // package deliberately does not offer — a watermark can only be used
 // the monotone way: "at least this much has happened", never "exactly
-// this much is true right now". It exists for the predicate layer
-// (counter/wait evaluates multi-counter predicates over watermarks) and
-// for tracing.
-func (f *facade[T, P]) Watermark() uint64 { return f.impl().Value() }
+// this much is true right now". With Sentinel it is the watch surface
+// the predicate layer takes as it is (counter/wait evaluates
+// multi-counter predicates over watermarks), and it serves tracing.
+func (f *facade[T, P]) Watermark() uint64 { return f.impl().Watermark() }
 
 // Sentinel arms a one-shot hook that fires when the counter's wake path
 // satisfies level, parked on the counter's own per-level waitlist like

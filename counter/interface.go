@@ -47,13 +47,16 @@ type Interface interface {
 	Reset()
 }
 
-// The public types implement Interface and StatsProvider (compile-time
-// checks; the remote client asserts the same in its own package).
+// The public types implement Interface, StatsProvider and the watch
+// surface counter/wait takes as it is (compile-time checks; the remote
+// and cluster clients assert the same in their own packages).
 var (
-	_ Interface     = (*Counter)(nil)
-	_ Interface     = (*Sharded)(nil)
-	_ StatsProvider = (*Counter)(nil)
-	_ StatsProvider = (*Sharded)(nil)
+	_ Interface       = (*Counter)(nil)
+	_ Interface       = (*Sharded)(nil)
+	_ StatsProvider   = (*Counter)(nil)
+	_ StatsProvider   = (*Sharded)(nil)
+	_ core.Sentineler = (*Counter)(nil)
+	_ core.Sentineler = (*Sharded)(nil)
 )
 
 // Impls lists the in-process implementation names Open accepts, in

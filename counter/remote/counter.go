@@ -2,13 +2,13 @@ package remote
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"monotonic/counter"
 	cwait "monotonic/counter/wait"
+	"monotonic/internal/core"
 	"monotonic/internal/wire"
 )
 
@@ -52,6 +52,7 @@ type Counter struct {
 var (
 	_ counter.Interface     = (*Counter)(nil)
 	_ counter.StatsProvider = (*Counter)(nil)
+	_ core.Sentineler       = (*Counter)(nil)
 )
 
 // noteSatisfied raises the satisfied watermark to level (never lowers
@@ -165,16 +166,7 @@ func (c *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 		c.immediate.Add(1)
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	switch err := c.CheckContext(ctx, level); {
-	case err == nil:
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
-		return false
-	default:
-		panic(err.Error()) // only ErrClosed
-	}
+	return core.WaitTimeout(c, level, d) // panics only with ErrClosed
 }
 
 // CheckChan is the asynchronous form of Check: it registers the wait

@@ -14,10 +14,12 @@
 // satisfied it stays satisfied, and a Cond must not span a Reset of a
 // watched counter.
 //
-// Counters that expose the native watermark/sentinel surface (every
-// in-process implementation, and counter/remote's client) are watched
-// at zero ongoing cost. Any other counter.Interface still works through
-// a goroutine-per-sentinel fallback built on CheckContext.
+// Every counter this module ships — the facade types, everything
+// counter.Open returns, and counter/remote's and counter/cluster's
+// counters — exposes Watermark and Sentinel, the watch surface the
+// predicate engine takes as it is, so it is watched at zero ongoing
+// cost. Only a foreign counter.Interface without that surface goes
+// through polled, a goroutine-per-sentinel fallback on CheckContext.
 package wait
 
 import (
@@ -26,6 +28,7 @@ import (
 	"time"
 
 	"monotonic/counter"
+	"monotonic/internal/core"
 	"monotonic/internal/predicate"
 )
 
@@ -35,7 +38,7 @@ import (
 // that is never waited on costs nothing, and one whose waiters all
 // cancel leaves no trace on its counters.
 type Cond struct {
-	pc   *predicate.Cond
+	pc   predicate.Cond
 	spec Spec
 }
 
@@ -44,10 +47,10 @@ type Cond struct {
 func (c *Cond) Spec() Spec { return c.spec }
 
 // newCond builds the Cond for spec, the only thing a combinator
-// builds: its predicate is the Spec's own, whose levels the predicate
-// engine copies, as every Cond does. It copies the adapted counters
-// too, so they are adapted into stack storage that covers up to four
-// counters without an allocation. Evaluation is routed server-side
+// builds: one object, holding its predicate engine Cond by value, whose
+// predicate is the Spec's own. The engine copies the levels and the
+// counters, so the counters are gathered in stack storage that covers
+// up to four without an allocation. Evaluation is routed server-side
 // when possible: if the spec is wire-encodable and every counter
 // nominates the same SpecHost, the Cond arms one registration with that
 // host instead of per-counter sentinels (asking again if a registration
@@ -55,19 +58,20 @@ func (c *Cond) Spec() Spec { return c.spec }
 // predicate.External). Otherwise evaluation is classic client-side
 // sentinels.
 func newCond(spec Spec) *Cond {
-	pred := spec.pred()
-	var buf [4]predicate.Counter
-	pcs := buf[:0]
+	var buf [4]core.Sentineler
+	cs := buf[:0]
 	for _, c := range spec.Counters {
-		pcs = append(pcs, adapt(c))
+		cs = append(cs, adapt(c))
 	}
+	c := &Cond{spec: spec}
 	if host, ok := spec.commonHost(); ok {
-		ext := func(fire func(satisfied bool)) (func() bool, bool) {
+		c.pc.InitExternal(spec.pred(), func(fire func(satisfied bool)) (func() bool, bool) {
 			return host.ArmSpec(spec, fire)
-		}
-		return &Cond{pc: predicate.NewCondExternal(pred, ext, pcs...), spec: spec}
+		}, cs...)
+	} else {
+		c.pc.Renew(spec.pred(), cs...)
 	}
-	return &Cond{pc: predicate.NewCond(pred, pcs...), spec: spec}
+	return c
 }
 
 // Wait blocks until the predicate holds or ctx is cancelled, making
@@ -157,33 +161,17 @@ func KOfN(cs []counter.Interface, k int, threshold uint64) *Cond {
 	return newCond(Spec{Kind: KindThreshold, Counters: cs, Levels: levels, K: k})
 }
 
-// sentinelCounter is the native predicate surface: the facade types,
-// everything counter.Open returns, and counter/remote's client expose
-// it. Watermark is a monotone lower bound on the value; Sentinel is the
-// one-shot hook registration (see the counter docs).
-type sentinelCounter interface {
-	Watermark() uint64
-	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
-}
-
-// adapt views one public counter as a predicate.Counter: natively when
-// it exposes watermarks and sentinels, else through the goroutine-backed
+// adapt views one public counter as the predicate engine's watch
+// surface: as it is when it has one, else through the goroutine-backed
 // polled fallback.
-func adapt(c counter.Interface) predicate.Counter {
-	if sc, ok := c.(sentinelCounter); ok {
-		return native{sc}
+func adapt(c counter.Interface) core.Sentineler {
+	if sc, ok := c.(core.Sentineler); ok {
+		return sc
 	}
 	return &polled{c: c}
 }
 
-type native struct{ sc sentinelCounter }
-
-func (n native) Value() uint64 { return n.sc.Watermark() }
-func (n native) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return n.sc.Sentinel(level, fn)
-}
-
-// polled adapts a counter.Interface with no native sentinel surface:
+// polled adapts a foreign counter.Interface with no watch surface:
 // each armed sentinel is a goroutine suspended in CheckContext at the
 // frontier level — the same node-per-level cost inside the counter, plus
 // one goroutine per watched counter while armed. The watermark is the
@@ -191,14 +179,14 @@ func (n native) Sentinel(level uint64, fn func()) (func() bool, bool) {
 // value but is monotone, which is all the predicate engine requires.
 // One visible consequence: Holds and zero-timeout WaitTimeout read the
 // watermark without probing, so over fallback-adapted counters they can
-// under-report until a Wait has driven a probe. Native counters are
-// exact.
+// under-report until a Wait has driven a probe. The module's own
+// counters are exact.
 type polled struct {
 	c  counter.Interface
 	wm atomic.Uint64
 }
 
-func (p *polled) Value() uint64 { return p.wm.Load() }
+func (p *polled) Watermark() uint64 { return p.wm.Load() }
 
 // raise lifts the watermark to at least level.
 func (p *polled) raise(level uint64) {

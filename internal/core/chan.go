@@ -101,7 +101,7 @@ func (c *ChanCounter) Check(level uint64) {
 	if c.satisfied(level) {
 		return
 	}
-	g := c.acquire(level)
+	g := c.acquire(level, true)
 	if g == nil {
 		return
 	}
@@ -125,7 +125,7 @@ func (c *ChanCounter) CheckContext(ctx context.Context, level uint64) error {
 		}
 		return err
 	}
-	g := c.acquire(level)
+	g := c.acquire(level, true)
 	if g == nil {
 		return nil
 	}
@@ -144,13 +144,17 @@ func (c *ChanCounter) CheckContext(ctx context.Context, level uint64) error {
 }
 
 // acquire returns the gate to wait on for level with the caller counted
-// as a waiter, or nil if the level is already satisfied. Every acquire
-// must be paired with a release.
-func (c *ChanCounter) acquire(level uint64) *gate {
+// on it, or nil if the level is already satisfied. suspend marks a
+// blocking Check, counted as a suspend or an immediate check; a
+// sentinel passes false and counts neither way, as the engine designs'
+// enroll does. Every non-nil return must be paired with a release.
+func (c *ChanCounter) acquire(level uint64, suspend bool) *gate {
 	c.lock()
 	defer c.mu.Unlock()
 	if level <= c.value.Load() {
-		c.stats.immediateChecks++
+		if suspend {
+			c.stats.immediateChecks++
+		}
 		return nil
 	}
 	if c.levels == nil {
@@ -165,35 +169,9 @@ func (c *ChanCounter) acquire(level uint64) *gate {
 		}
 	}
 	g.refs++
-	c.stats.suspends++
-	return g
-}
-
-// acquireSentinel is acquire for sentinel registration: identical gate
-// bookkeeping, but neither a suspend nor an immediate check in the cost
-// model — no goroutine blocks on a sentinel and no Check was issued.
-// Every non-nil return must be paired with a release.
-func (c *ChanCounter) acquireSentinel(level uint64) *gate {
-	if level <= c.value.Load() {
-		return nil
+	if suspend {
+		c.stats.suspends++
 	}
-	c.lock()
-	defer c.mu.Unlock()
-	if level <= c.value.Load() {
-		return nil
-	}
-	if c.levels == nil {
-		c.levels = make(map[uint64]*gate)
-	}
-	g, ok := c.levels[level]
-	if !ok {
-		g = &gate{ch: make(chan struct{})}
-		c.levels[level] = g
-		if len(c.levels) > c.stats.peakLevels {
-			c.stats.peakLevels = len(c.levels)
-		}
-	}
-	g.refs++
 	return g
 }
 

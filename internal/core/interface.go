@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 )
@@ -54,14 +55,28 @@ type Interface interface {
 }
 
 // WaitTimeout suspends until c's value reaches level or the timeout
-// elapses, reporting whether the level was reached. It is a convenience
-// wrapper over CheckContext and shares its caveats; in particular a
-// satisfied level beats an expired deadline, so WaitTimeout(c, level, 0)
-// reports true whenever the value already satisfies level.
-func WaitTimeout(c Interface, level uint64, d time.Duration) bool {
+// elapses, reporting whether the level was reached; every counter's
+// WaitTimeout ends here. A satisfied level beats an expired deadline:
+// an engine design's own counted look (satisfied) answers a covered
+// level before any timer is made, and otherwise CheckContext decides
+// under the deadline — nil is true, the deadline false, and any other
+// error (a remote client's ErrClosed) panics with that error.
+func WaitTimeout(c interface {
+	CheckContext(ctx context.Context, level uint64) error
+}, level uint64, d time.Duration) bool {
+	if s, ok := c.(interface{ satisfied(uint64) bool }); ok && s.satisfied(level) {
+		return true
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	return c.CheckContext(ctx, level) == nil
+	switch err := c.CheckContext(ctx, level); {
+	case err == nil:
+		return true
+	case errors.Is(err, context.DeadlineExceeded):
+		return false
+	default:
+		panic(err)
+	}
 }
 
 // checkedAdd returns v+amount, panicking on uint64 overflow. Overflow would

@@ -74,8 +74,8 @@ var (
 	_ ProbeSetter = (*ShardedCounter)(nil)
 	_ ProbeSetter = (*FCCounter)(nil)
 
-	// Every registry implementation supports sentinel hooks (the
-	// predicate layer's registration surface; see sentinel.go).
+	// Every registry implementation is a Sentineler, the watch surface
+	// the predicate layer takes as it is (see sentinel.go).
 	_ Sentineler = (*Counter)(nil)
 	_ Sentineler = (*HeapCounter)(nil)
 	_ Sentineler = (*ChanCounter)(nil)

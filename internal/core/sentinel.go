@@ -4,8 +4,9 @@ import (
 	"sync/atomic"
 )
 
-// This file is the narrow sentinel-registration surface the predicate
-// layer (internal/predicate) and counterd (internal/server) build on. A
+// This file is the watch surface (Sentineler) through which every layer
+// above the engine reaches a counter: the predicate engine, counterd's
+// predicate waits, the derived composites and counter/wait. A
 // sentinel is a one-shot hook parked on a level's waitNode exactly like
 // a waiter: it holds one count on the node, so its storage cost is the
 // paper's cost unit — one node per distinct watched level — and the
@@ -35,11 +36,14 @@ import (
 //     cancelled waiter, so an abandoned hook reclaims its level's node
 //     with the existing cleanup path.
 
-// Sentineler is implemented by every registry counter: Sentinel arms a
-// one-shot hook that fires when the counter's wake path satisfies the
-// node for level.
-//
-// Contract:
+// Sentineler is the watch surface every counter of the module
+// implements — each registry design, the facade types, and the remote
+// and cluster clients — and the predicate engine watches it as it is.
+// Watermark returns a monotone lower bound on the value: it may lag the
+// value but never exceeds it and never decreases (in process it is the
+// value; a client returns the highest level it has proof of). Sentinel
+// arms a one-shot hook that fires when the counter's wake path
+// satisfies the node for level. Contract:
 //
 //   - armed == false means level was already satisfied at registration;
 //     fn will never run and there is nothing to cancel (cancel is nil).
@@ -67,6 +71,7 @@ import (
 // through the one shared armHook; callers that arm repeatedly own a
 // Hook and call ArmHook instead.
 type Sentineler interface {
+	Watermark() uint64
 	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
 }
 
@@ -247,7 +252,10 @@ func (c *FCCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 // gate refcount keeps Reset's misuse check and abandoned-level
 // reclamation working unchanged.
 func (c *ChanCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	g := c.acquireSentinel(level)
+	if level <= c.value.Load() {
+		return nil, false // the lock-free look: no lock for a satisfied level
+	}
+	g := c.acquire(level, false)
 	if g == nil {
 		return nil, false
 	}
@@ -275,8 +283,3 @@ func (c *ChanCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	}
 	return cancel, true
 }
-
-// The compile-time checks that every registry implementation provides
-// Sentinel are in registry.go next to the StatsProvider/ProbeSetter
-// ones; the goroutine-backed fallback for counters outside the registry
-// lives in counter/wait, next to the public combinators that need it.

@@ -375,8 +375,10 @@ func (c *ShardedCounter) Reset() {
 	c.flushSeq.Add(1)
 }
 
-// Value implements Interface. For inspection and testing only.
-func (c *ShardedCounter) Value() uint64 { return c.sum() }
+// Value implements Interface, for inspection and testing only, and
+// Watermark implements Sentineler: both are the full sum.
+func (c *ShardedCounter) Value() uint64     { return c.sum() }
+func (c *ShardedCounter) Watermark() uint64 { return c.sum() }
 
 // Stats implements StatsProvider: the engine's collector, whose
 // fast-path tallies the flushes keep, plus the striped registration

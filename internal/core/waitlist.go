@@ -337,8 +337,10 @@ func (m *watermark) satisfied(level uint64) bool {
 	return false
 }
 
-// Value implements Interface. Lock-free: the watermark is the value.
-func (m *watermark) Value() uint64 { return m.value.Load() }
+// Value implements Interface and Watermark implements Sentineler.
+// Lock-free: the watermark is the value.
+func (m *watermark) Value() uint64     { return m.value.Load() }
+func (m *watermark) Watermark() uint64 { return m.value.Load() }
 
 // increment is the write side of every design whose Increment takes
 // the engine mutex outright (list, heap, broadcast, atomic and spin): an

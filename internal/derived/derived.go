@@ -143,7 +143,7 @@ func latchCond(latches []*Latch, k int) *predicate.Cond {
 		panic("derived: no latches to wait on")
 	}
 	levels := make([]uint64, len(latches))
-	cs := make([]predicate.Counter, len(latches))
+	cs := make([]core.Sentineler, len(latches))
 	for i, l := range latches {
 		levels[i] = l.n
 		cs[i] = &l.c
@@ -254,7 +254,7 @@ func NewQuorum(n, k int, threshold uint64) *Quorum {
 	// Thresholds validates 1 <= k <= n.
 	members := make([]core.Counter, n)
 	levels := make([]uint64, n)
-	cs := make([]predicate.Counter, n)
+	cs := make([]core.Sentineler, n)
 	for i := range members {
 		levels[i] = threshold
 		cs[i] = &members[i]

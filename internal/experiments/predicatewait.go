@@ -22,7 +22,7 @@ import (
 // per waiter, which is exactly the regression E24 exists to catch.
 func quorumStorage(m, k, waiters int) (nodes int, release time.Duration) {
 	members := make([]*core.Counter, m)
-	cs := make([]predicate.Counter, m)
+	cs := make([]core.Sentineler, m)
 	levels := make([]uint64, m)
 	for i := range members {
 		members[i] = core.New()

@@ -91,7 +91,7 @@ func TestFrontierMoveAllocs(t *testing.T) {
 // arms a firer, and flips it by taking one counter to its level.
 func TestRenewAllocs(t *testing.T) {
 	a, b := core.NewSharded(), core.NewSharded()
-	cs := []predicate.Counter{a, b}
+	cs := []core.Sentineler{a, b}
 	levels := make([]uint64, 2)
 	cond := new(predicate.Cond)
 	fired := 0

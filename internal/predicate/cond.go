@@ -26,14 +26,14 @@ import (
 // Renew a quiescent Cond in place instead of building a new one.
 //
 // Lock order: Cond.mu is taken strictly above any counter-internal
-// lock (Value, ArmHook, Sentinel and the cancels are called with
+// lock (Watermark, ArmHook, Sentinel and the cancels are called with
 // Cond.mu held). The engine calls back into the Cond only through the
 // slots' Fire kicks, which run with no counter lock held and only
 // TryLock Cond.mu, so a kick never waits for the evaluator and never
 // inverts the order.
 type Cond struct {
 	pred Pred
-	cs   []Counter
+	cs   []core.Sentineler
 
 	mu sync.Mutex
 	// done is closed at satisfaction. It is made only when a Wait parks
@@ -56,7 +56,7 @@ type Cond struct {
 
 	// ext, when non-nil, is the external arming strategy: one
 	// registration with a remote evaluator replaces the per-counter
-	// sentinels (see NewCondExternal). Cleared for good only when the
+	// sentinels (see InitExternal). Cleared for good only when the
 	// host refuses a registration.
 	ext       External
 	extArmed  bool
@@ -98,7 +98,7 @@ type sentinel struct {
 // counters, and the caller keeps both. The counters' order is the
 // coordinate order pred sees. It panics unless pred.Validate accepts
 // the counter count.
-func NewCond(pred Pred, counters ...Counter) *Cond {
+func NewCond(pred Pred, counters ...core.Sentineler) *Cond {
 	c := new(Cond)
 	c.Renew(pred, counters...)
 	return c
@@ -116,12 +116,12 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 //
 // Renew refuses, changing nothing, unless c is quiescent: settled, or
 // abandoned by its last waiter, with no Wait under way, no armed
-// firer, no external strategy (NewCondExternal's, even one it has
-// dropped), and no sentinel still due to fire. A sentinel whose cancel lost to its fire stays
-// outstanding until the fire marks its slot spent: until then the
-// engine holds its hook detached but not yet fired, so re-arming the
-// hook would corrupt the engine's hook chain and the fire would land on
-// the new registration. A refused Cond can be renewed once the fire
+// firer, no external strategy (InitExternal's, even one it has
+// dropped), and no sentinel still due to fire. A sentinel whose cancel
+// lost to its fire stays outstanding until the fire marks its slot
+// spent: until then the engine holds its hook detached but not yet
+// fired, so re-arming the hook would corrupt the engine's hook chain
+// and the fire would land on the new registration. A refused Cond can be renewed once the fire
 // lands; a kick still running from it afterwards is a spurious kick,
 // which an evaluation absorbs.
 //
@@ -129,7 +129,7 @@ func NewCond(pred Pred, counters ...Counter) *Cond {
 // counters storage c holds and the done channel Done returned, so no
 // one else may still wait on, arm, poll or observe c. It panics unless
 // pred.Validate accepts the counter count.
-func (c *Cond) Renew(pred Pred, counters ...Counter) bool {
+func (c *Cond) Renew(pred Pred, counters ...core.Sentineler) bool {
 	if err := pred.Validate(len(counters)); err != nil {
 		panic(err.Error())
 	}
@@ -208,27 +208,26 @@ func (c *Cond) reset() {
 //
 // Both the strategy itself and the cancel it returns are invoked with
 // the Cond's internal lock held — they sit exactly where Sentinel and
-// its cancel sit in NewCond's strategy — so they must not block on
+// its cancel sit in per-counter arming — so they must not block on
 // network round trips (enqueue and return) and must not call back into
 // the Cond.
 type External func(fire func(satisfied bool)) (cancel func() bool, ok bool)
 
-// NewCondExternal is NewCond with an external arming strategy: while
-// ext is willing, the Cond parks one remote registration instead of
+// InitExternal readies the zero Cond c, as NewCond readies a new one,
+// to wait for pred over counters with an external arming strategy:
+// while ext is willing, c parks one remote registration instead of
 // len(counters) sentinels, and frontier moves cost nothing locally. A
 // registration lost without an answer is asked for again; the first
-// refusal falls back to sentinels.
-// Local evaluation still runs first on every Wait/Poll — a predicate
-// already satisfied by the counters' own lower bounds settles without
-// consulting ext — so satisfied-beats-cancelled determinism is
-// unchanged from NewCond.
-func NewCondExternal(pred Pred, ext External, counters ...Counter) *Cond {
-	if ext == nil {
-		panic("predicate: NewCondExternal requires an external strategy")
+// refusal falls back to sentinels. Local evaluation still runs first on
+// every Wait/Poll — a predicate already satisfied by the counters' own
+// lower bounds settles without consulting ext — so
+// satisfied-beats-cancelled determinism is unchanged. It panics on a
+// nil ext or a Cond Renew would refuse.
+func (c *Cond) InitExternal(pred Pred, ext External, counters ...core.Sentineler) {
+	if ext == nil || !c.Renew(pred, counters...) {
+		panic("predicate: InitExternal needs a strategy and a zero Cond")
 	}
-	c := NewCond(pred, counters...)
 	c.ext = ext
-	return c
 }
 
 // Fire is the slot's kick, its hook's Firer: it runs on the waking
@@ -256,7 +255,7 @@ func (s *sentinel) Fire() {
 // already covers level: in place on a core.HookArmer, else through
 // Sentinel. Called with Cond.mu held, with no registration of the slot
 // outstanding.
-func (s *sentinel) arm(ctr Counter, level uint64) bool {
+func (s *sentinel) arm(ctr core.Sentineler, level uint64) bool {
 	s.spent.Store(false)
 	if a, ok := ctr.(core.HookArmer); ok {
 		return a.ArmHook(level, &s.hook)
@@ -375,9 +374,9 @@ func (c *Cond) disarmLocked() {
 // evaluateLocked reads fresh bounds, settles the Cond if the predicate
 // holds, and otherwise makes sure one sentinel per still-unsatisfied
 // coordinate is parked at the predicate's frontier level. Called with
-// mu held. The bound reads (Value) and the frontier re-arms (arm) are
-// both lock-free against the counters' engines — Value is the atomic
-// watermark and a re-arm registers on the frontier level's stripe — so
+// mu held. The bound reads (Watermark) and the frontier re-arms (arm)
+// are both lock-free against the counters' engines — Watermark takes
+// no lock and a re-arm registers on the frontier level's stripe — so
 // holding Cond.mu across the pass does not serialize the evaluator
 // against incrementers on any engine mutex.
 //
@@ -451,7 +450,7 @@ func (c *Cond) evaluateLocked() {
 				continue
 			}
 			if !s.arm(ctr, level) {
-				// The counter crossed the frontier between the Value
+				// The counter crossed the frontier between the Watermark
 				// read and the registration; the frontiers are stale,
 				// so run the pass again with fresh bounds.
 				stale = true
@@ -588,7 +587,7 @@ func (c *Cond) Disarm(f core.Firer) bool {
 // held.
 func (c *Cond) readLocked() []uint64 {
 	for i, ctr := range c.cs {
-		c.vals[i] = ctr.Value()
+		c.vals[i] = ctr.Watermark()
 	}
 	return c.vals
 }

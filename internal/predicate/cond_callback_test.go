@@ -95,7 +95,7 @@ func TestArmKeepsSentinelsWithoutWaiters(t *testing.T) {
 // increment that flips the quorum settles the Cond before it returns.
 func TestThresholdKickKeepsParkedSentinels(t *testing.T) {
 	members := make([]*core.Counter, 4)
-	cs := make([]predicate.Counter, len(members))
+	cs := make([]core.Sentineler, len(members))
 	for i := range members {
 		members[i] = core.New()
 		cs[i] = members[i]
@@ -270,7 +270,8 @@ func TestExternalAuthoritativeFire(t *testing.T) {
 	// run ahead of the client's watermarks.
 	a, b := core.New(), core.New()
 	host := &fakeHost{}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(10), host.strategy, a, b)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(10), host.strategy, a, b)
 	errc := make(chan error, 1)
 	go func() { errc <- cond.Wait(context.Background()) }()
 	mustBlock(t, errc)
@@ -293,7 +294,8 @@ func TestExternalLocalSatisfactionFirst(t *testing.T) {
 	a := core.New()
 	a.Increment(7)
 	host := &fakeHost{}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(5), host.strategy, a)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(5), host.strategy, a)
 	if err := cond.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait = %v", err)
 	}
@@ -305,7 +307,8 @@ func TestExternalLocalSatisfactionFirst(t *testing.T) {
 func TestExternalRefusalFallsBackToSentinels(t *testing.T) {
 	a := core.New()
 	host := &fakeHost{refuse: true}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(3), host.strategy, a)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(3), host.strategy, a)
 	errc := make(chan error, 1)
 	go func() { errc <- cond.Wait(context.Background()) }()
 	mustBlock(t, errc)
@@ -327,7 +330,8 @@ func TestExternalRefusalFallsBackToSentinels(t *testing.T) {
 func TestExternalDegradeMidWaitFallsBackToSentinels(t *testing.T) {
 	a := core.New()
 	host := &fakeHost{}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(3), host.strategy, a)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(3), host.strategy, a)
 	errc := make(chan error, 1)
 	go func() { errc <- cond.Wait(context.Background()) }()
 	mustBlock(t, errc)
@@ -359,7 +363,8 @@ func TestExternalDegradeMidWaitFallsBackToSentinels(t *testing.T) {
 func TestExternalLostRegistrationReArms(t *testing.T) {
 	a := core.New()
 	host := &fakeHost{}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(3), host.strategy, a)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(3), host.strategy, a)
 	errc := make(chan error, 1)
 	go func() { errc <- cond.Wait(context.Background()) }()
 	mustBlock(t, errc)
@@ -386,7 +391,8 @@ func TestExternalLostRegistrationReArms(t *testing.T) {
 func TestExternalCancelOnLastWaiterOut(t *testing.T) {
 	a := core.New()
 	host := &fakeHost{}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(3), host.strategy, a)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(3), host.strategy, a)
 	ctx, stop := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- cond.Wait(ctx) }()
@@ -418,7 +424,8 @@ func TestExternalCancelOnLastWaiterOut(t *testing.T) {
 func TestExternalStaleFireIgnored(t *testing.T) {
 	a := core.New()
 	host := &fakeHost{}
-	cond := predicate.NewCondExternal(predicate.SumAtLeast(3), host.strategy, a)
+	cond := new(predicate.Cond)
+	cond.InitExternal(predicate.SumAtLeast(3), host.strategy, a)
 
 	ctx, stop := context.WithCancel(context.Background())
 	errc := make(chan error, 1)

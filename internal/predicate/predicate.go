@@ -15,11 +15,12 @@
 // counter, shared by all N — not O(N × counters), which is the paper's
 // storage argument carried up one tier (AutoSynch's
 // wake-exactly-the-right-waiters property, with the waitlist node as the
-// predicate tag). On an in-process engine counter (core.HookArmer) the
-// sentinel is a core.Hook embedded in the Cond's slot for that counter
-// and re-armed in place, so moving a frontier allocates nothing but a
-// fresh level's node; any other counter is armed through its Sentinel
-// (core's Sentineler contract).
+// predicate tag). A Cond watches every counter as it is, through
+// core.Sentineler: bounds are its Watermark reads, and on an in-process
+// engine counter (core.HookArmer) the sentinel is a core.Hook embedded
+// in the Cond's slot for that counter and re-armed in place, so moving
+// a frontier allocates nothing but a fresh level's node; any other
+// counter is armed through its Sentinel.
 //
 // Frontier correctness is the heart of it. For a sum a+b >= L it is NOT
 // enough to park b's sentinel at L - value(a): if both counters then
@@ -59,30 +60,13 @@
 // stays outstanding until that fire lands, even on a settled Cond,
 // because the engine holds its hook detached until then.
 //
-// Monotonicity does the rest of the safety argument: every Counter
+// Monotonicity does the rest of the safety argument: every counter's
 // value only grows, so Holds can never flip back, frontiers only move
-// up, and a stale Value read only under-estimates — exactly the
+// up, and a stale Watermark read only under-estimates — exactly the
 // properties that make Check race-free make WaitFor race-free.
 package predicate
 
 import "fmt"
-
-// Counter is the view of a monotonic counter the predicate engine
-// needs: a monotone lower bound on the value and the sentinel hook
-// surface. Every implementation in internal/core satisfies it directly
-// (Value, Sentinel); the public counter facade satisfies it through
-// counter/wait's adapter (Watermark is its lower bound).
-type Counter interface {
-	// Value returns a monotone lower bound on the counter's value: it
-	// may lag the true value, but must never exceed it and must never
-	// decrease. (For in-process counters it is exact; for remote
-	// counters it is the client's satisfied watermark.)
-	Value() uint64
-	// Sentinel arms a one-shot hook at level; see core.Sentineler for
-	// the full contract (spurious early fires allowed, fn must not
-	// block, cancel reports whether fn was prevented).
-	Sentinel(level uint64, fn func()) (cancel func() bool, armed bool)
-}
 
 // Kind discriminates a predicate's shape. It is the predicate tier's
 // one numbering: counter/wait's Spec and the wire's OpWaitFor frame

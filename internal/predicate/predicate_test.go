@@ -10,9 +10,9 @@ import (
 	"monotonic/internal/predicate"
 )
 
-// Every core implementation presents the engine's Counter view.
-var _ predicate.Counter = (*core.Counter)(nil)
-var _ predicate.Counter = (*core.ShardedCounter)(nil)
+// Every core implementation presents the engine's watch surface.
+var _ core.Sentineler = (*core.Counter)(nil)
+var _ core.Sentineler = (*core.ShardedCounter)(nil)
 
 func waitNil(t *testing.T, errc <-chan error) {
 	t.Helper()
@@ -38,8 +38,8 @@ func mustBlock(t *testing.T, errc <-chan error) {
 func TestSumAcrossImpls(t *testing.T) {
 	for _, impl := range core.Registry() {
 		t.Run(string(impl), func(t *testing.T) {
-			a := core.NewImpl(impl).(predicate.Counter)
-			b := core.NewImpl(impl).(predicate.Counter)
+			a := core.NewImpl(impl).(core.Sentineler)
+			b := core.NewImpl(impl).(core.Sentineler)
 			cond := predicate.NewCond(predicate.SumAtLeast(10), a, b)
 			errc := make(chan error, 1)
 			go func() { errc <- cond.Wait(context.Background()) }()
@@ -64,11 +64,11 @@ func TestThresholdsAcrossImpls(t *testing.T) {
 	for _, impl := range core.Registry() {
 		t.Run(string(impl), func(t *testing.T) {
 			members := make([]core.Interface, n)
-			cs := make([]predicate.Counter, n)
+			cs := make([]core.Sentineler, n)
 			levels := make([]uint64, n)
 			for i := range members {
 				members[i] = core.NewImpl(impl)
-				cs[i] = members[i].(predicate.Counter)
+				cs[i] = members[i].(core.Sentineler)
 				levels[i] = level
 			}
 			cond := predicate.NewCond(predicate.Thresholds(levels, k), cs...)
@@ -140,7 +140,7 @@ func TestThresholdsMin(t *testing.T) {
 func TestThresholdsKOfN(t *testing.T) {
 	const n, k = 5, 3
 	counters := make([]*core.Counter, n)
-	cs := make([]predicate.Counter, n)
+	cs := make([]core.Sentineler, n)
 	levels := make([]uint64, n)
 	for i := range counters {
 		counters[i] = core.New()
@@ -199,7 +199,7 @@ func TestCancelDisarms(t *testing.T) {
 			a := core.NewImpl(impl)
 			b := core.NewImpl(impl)
 			cond := predicate.NewCond(predicate.SumAtLeast(50),
-				a.(predicate.Counter), b.(predicate.Counter))
+				a.(core.Sentineler), b.(core.Sentineler))
 			ctx, cancel := context.WithCancel(context.Background())
 			errc := make(chan error, 2)
 			go func() { errc <- cond.Wait(ctx) }()

@@ -12,13 +12,13 @@ import (
 	"monotonic/internal/predicate"
 )
 
-// lateCounter is a Counter whose sentinel registrations the test fires
-// by hand. claim raises the value and takes the armed registration's
-// fire, as an increment that claims the level does: from then on its
-// cancel loses, and the fire lands only when the test delivers it. A
-// registration armed while another is live, or while a claimed fire is
-// still on its way, is the hook-chain corruption the engine cannot
-// survive, so the counter reports it.
+// lateCounter is a core.Sentineler whose sentinel registrations the
+// test fires by hand. claim raises the value and takes the armed
+// registration's fire, as an increment that claims the level does: from
+// then on its cancel loses, and the fire lands only when the test
+// delivers it. A registration armed while another is live, or while a
+// claimed fire is still on its way, is the hook-chain corruption the
+// engine cannot survive, so the counter reports it.
 type lateCounter struct {
 	t     *testing.T
 	name  string
@@ -29,7 +29,7 @@ type lateCounter struct {
 	held  func() // a claimed registration's fire, not yet delivered
 }
 
-func (c *lateCounter) Value() uint64 {
+func (c *lateCounter) Watermark() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.value
@@ -142,7 +142,9 @@ func TestRenewWaitsForLateFire(t *testing.T) {
 func TestRenewRefusesALiveCond(t *testing.T) {
 	a, b, c := core.NewSharded(), core.NewSharded(), core.NewSharded()
 	refuse := func(func(bool)) (func() bool, bool) { return nil, false }
-	if predicate.NewCondExternal(predicate.SumAtLeast(5), refuse, a).Renew(predicate.SumAtLeast(5), a) {
+	ext := new(predicate.Cond)
+	ext.InitExternal(predicate.SumAtLeast(5), refuse, a)
+	if ext.Renew(predicate.SumAtLeast(5), a) {
 		t.Fatal("Renew accepted a Cond with an external strategy")
 	}
 	cond := new(predicate.Cond)
@@ -198,7 +200,7 @@ func TestRenewRefusesALiveCond(t *testing.T) {
 // with -race at GOMAXPROCS=4.
 func TestRenewRacesLateFires(t *testing.T) {
 	a, b := core.NewSharded(), core.NewSharded()
-	cs := []predicate.Counter{a, b}
+	cs := []core.Sentineler{a, b}
 	cond := new(predicate.Cond)
 	const rounds = 300
 	levels := make([]uint64, 2)
@@ -247,7 +249,7 @@ func TestNewCondCopiesItsSlices(t *testing.T) {
 
 	b, zero := core.NewSharded(), core.NewSharded()
 	b.Increment(3)
-	cs := []predicate.Counter{b}
+	cs := []core.Sentineler{b}
 	sum := predicate.NewCond(predicate.SumAtLeast(3), cs...)
 	cs[0] = zero
 	if !sum.Poll() {

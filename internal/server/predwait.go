@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"monotonic/internal/core"
 	"monotonic/internal/predicate"
 	"monotonic/internal/wire"
 )
@@ -73,7 +74,7 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 // is kept or the kept one refuses because a sentinel fire of its last
 // predicate is still on its way. A refused Cond is left to the garbage
 // collector.
-func (c *conn) renew(pred predicate.Pred, cs []predicate.Counter) *predicate.Cond {
+func (c *conn) renew(pred predicate.Pred, cs []core.Sentineler) *predicate.Cond {
 	var cond *predicate.Cond
 	c.waitMu.Lock()
 	if n := len(c.conds); n > 0 {

@@ -318,7 +318,7 @@ type conn struct {
 	// levels and watched are handleWaitFor's scratch for a predicate's
 	// levels and counters, which a Cond copies; reader goroutine only.
 	levels  []uint64
-	watched []predicate.Counter
+	watched []core.Sentineler
 
 	// waits indexes this connection's parked waits, OpCheck and
 	// OpWaitFor alike, by client-chosen id; nil once teardown has swept
