@@ -298,7 +298,7 @@ func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64) {
 // resolving its parked waits with remote.ErrClosed, which sends cluster
 // waiters back through routing, and kicking its armed sentinels and
 // routed predicate registrations, which sends predicate conditions back
-// through Counter.Sentinel's or Cluster.ArmSpec's routing to re-arm on
+// through Counter.ArmHook's or Cluster.ArmSpec's routing to re-arm on
 // the successor. Exactly-once holds because the dead node's applied
 // state is gone with it and the ledger is the client's complete
 // contribution: replaying it recreates exactly what was lost (the
@@ -389,9 +389,10 @@ func (c *Cluster) homeLocked(ctr *Counter) *remote.Counter {
 		if n == nil {
 			return nil
 		}
-		ctr.route, ctr.routeGen = n.counterFor(ctr.name, ctr.hash), c.ringGen
+		ctr.route.Store(n.counterFor(ctr.name, ctr.hash))
+		ctr.routeGen = c.ringGen
 	}
-	return ctr.route
+	return ctr.route.Load()
 }
 
 // homeCounter routes name to the remote counter currently hosting it.

@@ -15,6 +15,7 @@ import (
 	"monotonic/counter/countertest"
 	"monotonic/counter/remote"
 	"monotonic/counter/wait"
+	"monotonic/internal/core"
 	"monotonic/internal/server"
 )
 
@@ -116,7 +117,7 @@ func TestSentinelsParkNoGoroutine(t *testing.T) {
 	var fired atomic.Int64
 	all := make(chan struct{})
 	for i := 0; i < sentinels; i++ {
-		if _, armed := ctr.Sentinel(uint64(i+3), func() {
+		if _, armed := core.Sentinel(ctr, uint64(i+3), func() {
 			if fired.Add(1) == sentinels {
 				close(all)
 			}
@@ -176,13 +177,13 @@ func TestSentinelCountsNoCheck(t *testing.T) {
 	ctr.Increment(3)
 	ctr.Check(3) // raises the cluster's watermark to 3
 	s0 := ctr.Stats()
-	if _, armed := ctr.Sentinel(2, func() {}); armed {
+	if _, armed := core.Sentinel(ctr, 2, func() {}); armed {
 		t.Fatal("Sentinel(2) armed although the watermark covers level 2")
 	}
 	if s := ctr.Stats(); s.ImmediateChecks != s0.ImmediateChecks {
 		t.Fatalf("ImmediateChecks %d after a covered Sentinel, want %d unchanged", s.ImmediateChecks, s0.ImmediateChecks)
 	}
-	if _, armed := ctr.Sentinel(5, func() {}); !armed {
+	if _, armed := core.Sentinel(ctr, 5, func() {}); !armed {
 		t.Fatal("Sentinel(5) not armed above the watermark")
 	}
 	if s := ctr.Stats(); s.Suspends != s0.Suspends || s.ImmediateChecks != s0.ImmediateChecks {

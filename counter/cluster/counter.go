@@ -21,7 +21,7 @@ import (
 // On top of the remote semantics, a cluster counter rides over node
 // death: a blocked wait whose home node is retired is transparently
 // re-issued against the name's new home (monotonicity makes the
-// re-issue safe — it cannot observe a smaller value), an armed sentinel
+// re-issue safe — it cannot observe a smaller value), an armed hook
 // is kicked so its predicate re-arms there, and the increments this
 // Cluster contributed are replayed there from its ledger.
 type Counter struct {
@@ -38,9 +38,10 @@ type Counter struct {
 	contrib uint64
 
 	// route caches the remote counter hosting the name on the ring of
-	// generation routeGen (see Cluster.homeLocked). Guarded by cl.mu, like
-	// contrib, so the ledger update and the route decision stay atomic.
-	route    *remote.Counter
+	// generation routeGen (see Cluster.homeLocked). Both are written
+	// under cl.mu, like contrib, so the ledger update and the route
+	// decision stay atomic; Watermark loads route without the lock.
+	route    atomic.Pointer[remote.Counter]
 	routeGen uint64
 
 	// known is the cluster-client-local satisfied watermark, the same
@@ -187,17 +188,18 @@ func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 	return core.WaitTimeout(ctr, level, d) // panics if the Cluster closes or loses every member
 }
 
-// Sentinel arms a one-shot hook that fires when the value reaches
+// ArmHook arms the caller-owned hook h to fire when the value reaches
 // level, making cluster counters watchable by counter/wait's predicate
 // conditions alongside in-process and single-node remote ones. It is
-// the home node's remote sentinel, whose hook first raises this
-// counter's watermark to the home's. Retiring the home closes its pool,
-// which fires the hook once as a re-evaluation kick, so the predicate
-// re-arms on the ring successor. On a closed Cluster, or with every
-// member dead, the sentinel is armed but never fires.
-func (ctr *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
+// the home node's remote ArmHook, with no wrapper: the home's client
+// raises its own watermark before the hook runs, and Watermark folds
+// that in. Retiring the home closes its pool, which fires the hook once
+// as a re-evaluation kick, so the predicate re-arms on the ring
+// successor. On a closed Cluster, or with every member dead, the hook
+// is armed but never fires.
+func (ctr *Counter) ArmHook(level uint64, h *core.Hook) bool {
 	if level <= ctr.known.Load() {
-		return nil, false
+		return false
 	}
 	// Route and arm under one hold of c.mu: a failNode cannot slip in
 	// between, so the pool close it schedules finds the entry to kick.
@@ -209,23 +211,24 @@ func (ctr *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed
 		rc = c.homeLocked(ctr)
 	}
 	if rc == nil {
-		return func() bool { return true }, true
+		h.ArmedBy(core.Stranded)
+		return true
 	}
-	cancel, armed = rc.Sentinel(level, func() {
-		ctr.noteSatisfied(rc.Watermark())
-		fn()
-	})
-	if !armed {
-		ctr.noteSatisfied(level) // the home's watermark covers level
-	}
-	return cancel, armed
+	return rc.ArmHook(level, h)
 }
 
 // Watermark returns the satisfied watermark this Cluster has observed
 // for the counter — a monotone lower bound on the cluster-wide value,
-// which is the view the predicate layer (counter/wait) needs. It never
-// touches the network.
-func (ctr *Counter) Watermark() uint64 { return ctr.known.Load() }
+// which is the view the predicate layer (counter/wait) needs. It first
+// raises the watermark to the one the home node's client holds (a CAS
+// max), so a level a hook's fire or a wake proved on the home is seen
+// here. It never touches the network and takes no lock.
+func (ctr *Counter) Watermark() uint64 {
+	if rc := ctr.route.Load(); rc != nil {
+		ctr.noteSatisfied(rc.Watermark())
+	}
+	return ctr.known.Load()
+}
 
 // Reset sets the value back to zero for reuse between phases and zeroes
 // this Cluster's ledger entry, so a later failover does not resurrect

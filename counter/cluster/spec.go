@@ -13,7 +13,7 @@ import cwait "monotonic/counter/wait"
 //
 // A routed predicate survives failover too. The registration is one
 // entry in the home's pooled client, armed under the cluster lock like
-// Counter.Sentinel. Retiring the home closes that pool, whose Close
+// Counter.ArmHook. Retiring the home closes that pool, whose Close
 // fires the registration's fire(false). The predicate engine takes that
 // as a kick and asks this Cluster again, and the re-ask routes to the
 // ring successor. Monotonicity makes the re-send idempotent, and the

@@ -80,25 +80,22 @@ func (f *facade[T, P]) Stats() Stats { return f.impl().Stats() }
 // current value). Unlike an instantaneous value read — which this
 // package deliberately does not offer — a watermark can only be used
 // the monotone way: "at least this much has happened", never "exactly
-// this much is true right now". With Sentinel it is the watch surface
+// this much is true right now". With ArmHook it is the watch surface
 // the predicate layer takes as it is (counter/wait evaluates
 // multi-counter predicates over watermarks), and it serves tracing.
 func (f *facade[T, P]) Watermark() uint64 { return f.impl().Watermark() }
 
-// Sentinel arms a one-shot hook that fires when the counter's wake path
-// satisfies level, parked on the counter's own per-level waitlist like
-// a suspended Check — the registration surface counter/wait builds
-// predicate waits on. armed reports false when level is already
-// satisfied (fn will never run); when armed, fn runs exactly once, on
-// the waking goroutine, and must not block. cancel disarms the hook,
-// reporting whether fn was prevented from running; an armed sentinel
-// counts as a suspended waiter for Reset's misuse check. Fires may be
-// spuriously early on implementations with coarse wake granularity;
-// callers re-check and re-arm. Most code should use counter/wait
-// rather than this directly.
-func (f *facade[T, P]) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
-	return f.impl().Sentinel(level, fn)
-}
+// ArmHook arms the caller-owned hook h to fire when the counter's wake
+// path satisfies level, parked on the counter's own per-level waitlist
+// like a suspended Check — the registration surface counter/wait
+// builds predicate waits on. It reports false, arming nothing, when
+// level is already satisfied. When armed, h's owner's Fire runs once,
+// on the waking goroutine, and must not block; h.Cancel reports whether
+// it prevented that, and an armed hook counts as a suspended waiter for
+// Reset's misuse check. Fires may be spuriously early, so callers
+// re-check and re-arm, which allocates nothing on a level another
+// waiter holds. Most code should use counter/wait instead.
+func (f *facade[T, P]) ArmHook(level uint64, h *Hook) bool { return f.impl().ArmHook(level, h) }
 
 // SetProbe installs fn as the counter's event hook: it observes
 // increment/suspend/wake events until replaced, and nil disables it.

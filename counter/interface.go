@@ -59,6 +59,11 @@ var (
 	_ core.Sentineler = (*Sharded)(nil)
 )
 
+// Hook is a caller-owned one-shot hook, armed by every counter's
+// ArmHook: embed it in the record that owns the wait and Bind it once
+// to that record, whose Fire it runs. It is the engine's own type.
+type Hook = core.Hook
+
 // Impls lists the in-process implementation names Open accepts, in
 // registry order (reference design first). The set is the internal
 // registry that the conformance, fuzz, and stress suites iterate, so an

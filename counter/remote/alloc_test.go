@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	cwait "monotonic/counter/wait"
+	"monotonic/internal/core"
 	"monotonic/internal/wire"
 )
 
@@ -18,12 +19,13 @@ import (
 // more counters than a small map holds inline, the OpIncAck for them
 // decoded and dispatched (which trims the resend queue and counts a
 // round trip per counter), and an OpWake decoded and dispatched to each
-// kind of wait-table entry — a blocking wait, a Sentinel and an ArmSpec
-// registration. It also pins what arming each kind costs once answered
-// entries are recycled: CheckChan its channel, whether it parks a level
-// or joins the wait parked there, Sentinel its cancel, and ArmSpec its
-// cancel, since its OpWaitFor is encoded from the client's scratch frame
-// and its entry keeps none. The client runs
+// kind of wait-table entry — a blocking wait, an armed hook and an
+// ArmSpec registration. It also pins what arming each kind costs once
+// answered entries are recycled: CheckChan its channel, whether it parks
+// a level or joins the wait parked there, ArmHook nothing, since the
+// entry holds the caller's hook, and ArmSpec its cancel, since its
+// OpWaitFor is encoded from the client's scratch frame and its entry
+// keeps none. The client runs
 // without its goroutines over a link that swallows writes: before each
 // frame it receives, the test takes the write queue as the flusher
 // does, trading it with a spare. (The race detector inflates allocation
@@ -154,13 +156,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
-	// A Sentinel entry: the wake raises the watermark, then runs the hook.
+	// A hook entry: the wake raises the watermark, then runs the hook.
 	s := cs[1]
 	fired := 0
-	hook := func() { fired++ }
-	for i := range ids {
-		if _, armed := s.Sentinel(uint64(i+1), hook); !armed {
-			t.Fatalf("Sentinel(%d) not armed", i+1)
+	hooks := make([]countHook, len(ids))
+	for i := range hooks {
+		h := &hooks[i]
+		h.n = &fired
+		h.Bind(h)
+		if !s.ArmHook(uint64(i+1), &h.Hook) {
+			t.Fatalf("ArmHook(%d) not armed", i+1)
 		}
 		ids[i] = cl.serial
 	}
@@ -170,18 +175,22 @@ func TestSteadyStateAllocs(t *testing.T) {
 		next++
 	})
 	if n != 0 {
-		t.Errorf("OpWake to a Sentinel: %v allocs per frame, want 0", n)
+		t.Errorf("OpWake to an armed hook: %v allocs per frame, want 0", n)
 	}
 	if fired != runs+1 || s.Watermark() != runs+1 {
 		t.Fatalf("%d hooks fired, watermark %d; want %d of each", fired, s.Watermark(), runs+1)
 	}
 	c = s
+	h := &hooks[0] // fired, so free to arm again
 	if n := armed(func(level uint64) {
-		if _, armed := s.Sentinel(level, hook); !armed {
-			t.Fatalf("Sentinel(%d) not armed", level)
+		if !s.ArmHook(level, &h.Hook) {
+			t.Fatalf("ArmHook(%d) not armed", level)
 		}
-	}); n != 1 {
-		t.Errorf("Sentinel armed and woken: %v allocs, want 1 (its cancel)", n)
+	}); n != 0 {
+		t.Errorf("ArmHook armed and woken: %v allocs, want 0", n)
+	}
+	if want := 2*runs + 2; fired != want {
+		t.Fatalf("%d hooks fired after the re-arms, want %d", fired, want)
 	}
 
 	// An ArmSpec registration (an OpWaitFor entry): the wake fires it.
@@ -221,3 +230,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d entries left after every registration was answered", len(cl.waits))
 	}
 }
+
+// countHook is a hook owner that counts its fires in *n.
+type countHook struct {
+	core.Hook
+	n *int
+}
+
+func (h *countHook) Fire() { *h.n++ }

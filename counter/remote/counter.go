@@ -294,33 +294,34 @@ func (c *Counter) SpecHost() cwait.SpecHost { return c.cl }
 // never touches the network.
 func (c *Counter) Watermark() uint64 { return c.known.Load() }
 
-// Sentinel arms a one-shot hook that fires when the hosted value
-// reaches level, making remote counters watchable by counter/wait's
-// predicate conditions alongside in-process ones. An armed sentinel is
-// one wait-table entry, the price of a blocked CheckContext that parks
-// its level, and no goroutine: the reader goroutine runs fn after raising the watermark,
-// so fn must not block. It counts as a suspended waiter for Reset's
-// refusal, and cancel deregisters the server-side wait. On the wire it
-// is an OpSentinel, which the hosted counter's Stats count neither way,
-// as in-process; a server that does not advertise FeatureSentinel (a v2
-// session) gets an OpCheck, which counts as a Check.
-// A lost link or Close fires it once, an early re-evaluation kick the
-// Sentineler contract permits, so the caller re-checks and re-arms; a
-// sentinel armed on a closed or poisoned client never fires. armed
-// reports false only when the client's watermark already covers level.
-func (c *Counter) Sentinel(level uint64, fn func()) (cancel func() bool, armed bool) {
+// ArmHook arms the caller-owned hook h to fire when the hosted value
+// reaches level. An armed hook is one wait-table entry holding h, the
+// price of a blocked CheckContext that parks its level, and no
+// goroutine: the reader goroutine runs h after raising the watermark,
+// so h's Fire must not block. It counts as a suspended waiter for
+// Reset's refusal, and h.Cancel deregisters the server-side wait. On
+// the wire it is an OpSentinel, which the hosted counter's Stats count
+// neither way, as in-process; a server that does not advertise
+// FeatureSentinel (a v2 session) gets an OpCheck, which counts. A lost
+// link or Close fires it once, an early kick the core.Sentineler
+// contract permits; a hook armed on a closed or poisoned client never
+// fires. ArmHook reports false only when the client's watermark already
+// covers level, and allocates nothing once the client has a spare
+// entry.
+func (c *Counter) ArmHook(level uint64, h *core.Hook) bool {
 	if level <= c.known.Load() {
-		return nil, false
+		return false
 	}
 	cl := c.cl
 	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	if cl.fatal != nil || cl.closed {
-		cl.mu.Unlock()
-		return func() bool { return true }, true
+		h.ArmedBy(core.Stranded)
+		return true
 	}
-	id := cl.parkLocked(wait{ctr: c, level: level, since: clock(), hook: fn}, nil, nil)
-	cl.mu.Unlock()
-	return func() bool { return cl.unpark(id) }, true
+	cl.hooks[h] = cl.parkLocked(wait{ctr: c, level: level, since: clock(), hook: h}, nil, nil)
+	h.ArmedBy((*hookSite)(cl))
+	return true
 }
 
 // Reset sets the hosted value back to zero for reuse between phases. As
@@ -351,9 +352,9 @@ const statsTimeout = 2 * time.Second
 // Checks as its engine counts in-process ones, a parked one in
 // Suspends and one answered at once in ImmediateChecks; a Check
 // replayed after a reconnect counts again, as does the fresh Check a
-// joined wait cancelled beside co-waiters sends, and a Sentinel counts
-// neither way (see Sentinel). This client adds what only it sees: the
-// blocking waits that joined a level it had already parked, which sent
+// joined wait cancelled beside co-waiters sends, and an armed hook
+// counts neither way (see ArmHook). This client adds what only it sees:
+// the blocking waits that joined a level it had already parked, which sent
 // no Check, in Suspends; the checks its watermark answered without the
 // wire, in ImmediateChecks; and its wire measurements, in the Remote*
 // fields, where RemoteWaitNanos sums each blocking call's own time on
@@ -380,7 +381,7 @@ func (c *Counter) Stats() counter.Stats {
 // counter: EventIncrement per local Increment call, EventSuspend per
 // blocking wait that parks or joins a parked level, EventWake per wake
 // received, so once per level however many waits it releases, as
-// in-process. A Sentinel's arming is no suspend, as in-process, so it
+// in-process. A hook's arming is no suspend, as in-process, so it
 // emits nothing; its wake emits EventWake. Events are client-local (the server
 // aggregates all sessions; see Stats for that view). fn must be fast
 // and must not call back into the counter; SetProbe(nil) removes the

@@ -8,6 +8,7 @@ import (
 
 	"monotonic/counter"
 	cwait "monotonic/counter/wait"
+	"monotonic/internal/core"
 	"monotonic/internal/wire"
 )
 
@@ -52,6 +53,14 @@ func (l *scriptedLink) send(frames ...wire.Frame) {
 // welcome answers the client's Hello on the next link it dials.
 func welcome(t *testing.T, links <-chan net.Conn) *scriptedLink {
 	t.Helper()
+	l := accept(t, links)
+	l.send(welcomeFrame)
+	return l
+}
+
+// accept takes the next link the client dials, up to its Hello.
+func accept(t *testing.T, links <-chan net.Conn) *scriptedLink {
+	t.Helper()
 	var l *scriptedLink
 	select {
 	case nc := <-links:
@@ -60,33 +69,28 @@ func welcome(t *testing.T, links <-chan net.Conn) *scriptedLink {
 		t.Fatal("the client never dialed")
 	}
 	l.expect(wire.OpHello)
-	l.send(wire.Frame{Op: wire.OpWelcome, Session: 1, Epoch: 1, Features: wire.FeatureWaitFor | wire.FeatureSentinel})
 	return l
 }
 
-// TestReconnectKicksCallbacks: a severed link takes every Sentinel and
-// ArmSpec entry with it. The reconnect must re-send the blocking Check
-// (the one entry a goroutine waits on) and no OpSentinel or OpWaitFor,
-// run the Sentinel's hook once and the registration's fire once with
-// false, so their owners arm again; and a late OpWake for either old id
-// must fire nothing.
-func TestReconnectKicksCallbacks(t *testing.T) {
+var welcomeFrame = wire.Frame{Op: wire.OpWelcome, Session: 1, Epoch: 1, Features: wire.FeatureWaitFor | wire.FeatureSentinel}
+
+// dialScripted dials a client whose links the test serves: it returns
+// the client, its first link, welcomed, and the channel every later
+// link it dials arrives on.
+func dialScripted(t *testing.T, opts ...Option) (*Client, *scriptedLink, <-chan net.Conn) {
+	t.Helper()
 	links := make(chan net.Conn, 2)
-	reconnected := make(chan struct{}, 1)
 	dialed := make(chan *Client, 1)
+	opts = append([]Option{
+		WithBackoff(time.Millisecond, 5*time.Millisecond),
+		WithDialer(func(string) (net.Conn, error) {
+			client, srv := net.Pipe()
+			links <- srv
+			return client, nil
+		}),
+	}, opts...)
 	go func() {
-		cl, err := Dial("scripted",
-			WithBackoff(time.Millisecond, 5*time.Millisecond),
-			WithDialer(func(string) (net.Conn, error) {
-				client, srv := net.Pipe()
-				links <- srv
-				return client, nil
-			}),
-			WithRetryNotify(func(failures int, _ error) {
-				if failures == 0 {
-					reconnected <- struct{}{}
-				}
-			}))
+		cl, err := Dial("scripted", opts...)
 		if err != nil {
 			t.Error(err)
 		}
@@ -97,11 +101,50 @@ func TestReconnectKicksCallbacks(t *testing.T) {
 	if cl == nil {
 		t.FailNow()
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
+	return cl, link, links
+}
+
+// fence sends frames down the link, then answers a Stats call behind
+// them: when fence returns, the reader has dispatched every frame. It
+// first reads each frame the client sent before the call, expecting
+// the ops in want, in order.
+func fence(t *testing.T, cl *Client, link *scriptedLink, want []wire.Op, frames ...wire.Frame) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		cl.Counter("fence").Stats()
+		close(done)
+	}()
+	for _, op := range want {
+		link.expect(op)
+	}
+	call := link.expect(wire.OpStats)
+	link.send(append(frames, wire.Frame{Op: wire.OpStatsReply, ID: call.ID})...)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fence's Stats never returned")
+	}
+}
+
+// TestReconnectKicksCallbacks: a severed link takes every Sentinel and
+// ArmSpec entry with it. The reconnect must re-send the blocking Check
+// (the one entry a goroutine waits on) and no OpSentinel or OpWaitFor,
+// run the Sentinel's hook once and the registration's fire once with
+// false, so their owners arm again; and a late OpWake for either old id
+// must fire nothing.
+func TestReconnectKicksCallbacks(t *testing.T) {
+	reconnected := make(chan struct{}, 1)
+	cl, link, links := dialScripted(t, WithRetryNotify(func(failures int, _ error) {
+		if failures == 0 {
+			reconnected <- struct{}{}
+		}
+	}))
 	cs := []counter.Interface{cl.Counter("kick0"), cl.Counter("kick1")}
 
 	hooks := make(chan struct{}, 2)
-	if _, armed := cl.Counter("kick0").Sentinel(5, func() { hooks <- struct{}{} }); !armed {
+	if _, armed := core.Sentinel(cl.Counter("kick0"), 5, func() { hooks <- struct{}{} }); !armed {
 		t.Fatal("Sentinel(5) on a fresh counter not armed")
 	}
 	sentinel := link.expect(wire.OpSentinel)

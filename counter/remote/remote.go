@@ -27,16 +27,16 @@
 // KiB (maxQueue) wait behind a write in flight, TryIncrement waits for
 // the flusher to take them, the backpressure a write syscall on a full
 // buffer used to give.
-// Every request awaiting the server's answer — a blocking Check, a
-// Sentinel hook, an ArmSpec predicate, a Reset or Stats call — is one
+// Every request awaiting the server's answer — a blocking Check, a hook
+// armed by ArmHook, an ArmSpec predicate, a Reset or Stats call — is one
 // entry in one wait table, answered by the reader goroutine and swept by
-// Close, so an armed Sentinel costs a table entry and no goroutine. The
+// Close, so an armed hook costs a table entry and no goroutine. The
 // blocking waits of one counter and level share one entry, the paper's
 // one suspension queue per waited-on level one tier up: the first call
 // sends the OpCheck, every later one joins the entry with its channel
 // and no frame, and the one OpWake, a reconnect's re-send or Close
 // resolves them all. A reconnect re-sends the Checks and calls; a
-// Sentinel or ArmSpec entry lives for one link, and the reconnect kicks
+// hook or ArmSpec entry lives for one link, and the reconnect kicks
 // it as Close does, so its owner (counter/wait's predicate engine) arms
 // again. One counter numbers both increment sequence numbers and wait
 // ids, so a reply naming one can never be taken for the other.
@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"monotonic/counter"
+	"monotonic/internal/core"
 	"monotonic/internal/wire"
 )
 
@@ -127,7 +128,7 @@ func WithRestartNotify(fn func(oldEpoch, newEpoch uint64)) Option {
 // unacknowledged increments (the server deduplicates by sequence
 // number) and its blocked Checks and calls (idempotent by
 // monotonicity), so callers just block across the outage, and it kicks
-// its armed Sentinels and ArmSpec registrations, whose owners arm them
+// its armed hooks and ArmSpec registrations, whose owners arm them
 // again.
 type Client struct {
 	addr          string
@@ -154,12 +155,13 @@ type Client struct {
 	// id. One space for both: the server reports a rejected increment as
 	// an OpError carrying its seq, which therefore names no wait.
 	serial   uint64
-	pending  []pendingInc       // increments sent but not yet acknowledged, ascending by seq
-	acks     uint64             // OpIncAck frames dispatched; see Counter.ackMark
-	waits    map[uint64]*wait   // requests awaiting an answer, by frame id; see wait
-	joins    map[waitKey]uint64 // the id of the entry each level's blocking waits join
-	spare    []*wait            // answered entries kept for reuse, at most maxSpareWaits
-	spec     wire.Frame         // ArmSpec's scratch OpWaitFor frame
+	pending  []pendingInc          // increments sent but not yet acknowledged, ascending by seq
+	acks     uint64                // OpIncAck frames dispatched; see Counter.ackMark
+	waits    map[uint64]*wait      // requests awaiting an answer, by frame id; see wait
+	joins    map[waitKey]uint64    // the id of the entry each level's blocking waits join
+	hooks    map[*core.Hook]uint64 // the id of the entry each armed hook holds
+	spare    []*wait               // answered entries kept for reuse, at most maxSpareWaits
+	spec     wire.Frame            // ArmSpec's scratch OpWaitFor frame
 	counters map[string]*Counter
 
 	// Lifetime frame tallies (see WireStats): enqueued to and received
@@ -201,7 +203,7 @@ const maxSpareWaits = 256
 const maxSpareJoins = 256
 
 // wait is one entry in Client.waits: a wait on ctr at level for the
-// blocking Checks joined on it (chs) or a Sentinel (hook), an ArmSpec
+// blocking Checks joined on it (chs) or an armed hook (hook), an ArmSpec
 // registration (fire), or a Reset or Stats call (frame and chs). A
 // call's frame is re-sent as is on reconnect, and its reply is copied
 // into it before its channel is answered; a Check's is rebuilt from ctr
@@ -224,7 +226,7 @@ type wait struct {
 	// ErrClosed if the client closes. Each is buffered, so the reader
 	// never blocks delivering.
 	chs       []chan error
-	hook      func()
+	hook      *core.Hook
 	frame     *wire.Frame
 	fire      func(satisfied bool)
 	cancelled bool // a blocking wait's OpCancel was sent; replay re-sends it
@@ -273,6 +275,7 @@ func newClient(addr string, opts []Option) *Client {
 		closeCh:  make(chan struct{}),
 		waits:    make(map[uint64]*wait),
 		joins:    make(map[waitKey]uint64),
+		hooks:    make(map[*core.Hook]uint64),
 		counters: make(map[string]*Counter),
 	}
 	cl.flushCond = sync.NewCond(&cl.mu)
@@ -285,7 +288,7 @@ func newClient(addr string, opts []Option) *Client {
 
 // connect dials, handshakes, installs the new connection, re-sends the
 // session state (unacknowledged increments, blocked Checks and calls)
-// and kicks the Sentinel and ArmSpec entries. Called from Dial and from
+// and kicks the hook and ArmSpec entries. Called from Dial and from
 // the reader's reconnect loop.
 func (cl *Client) connect() error {
 	cl.mu.Lock()
@@ -349,7 +352,7 @@ func (cl *Client) connect() error {
 	// monotonic, and Reset and Stats are idempotent. A cancelled blocking
 	// wait re-sends its OpCancel behind its OpCheck: the server decides
 	// the race again, and a level it satisfied still beats the cancel. A
-	// Sentinel or ArmSpec entry is kicked instead: its owner asks again
+	// hook or ArmSpec entry is kicked instead: its owner asks again
 	// over this link, where an ArmSpec re-ask is refused if this server
 	// lacks the feature.
 	var kicked []*wait
@@ -357,6 +360,7 @@ func (cl *Client) connect() error {
 		switch {
 		case len(w.chs) == 0:
 			delete(cl.waits, id)
+			delete(cl.hooks, w.hook)
 			kicked = append(kicked, w)
 		case w.frame != nil:
 			cl.enqueueLocked(w.frame)
@@ -387,7 +391,7 @@ func (cl *Client) Epoch() uint64 {
 
 // Close tears the session down: the connection is closed, both client
 // goroutines retire, every outstanding call and blocked wait (each wait
-// joined on a level) resolves with ErrClosed, and every armed Sentinel
+// joined on a level) resolves with ErrClosed, and every armed hook
 // and ArmSpec registration is kicked once, as on a lost link (see
 // kick). Increments not yet acknowledged by the server may or may not
 // have been applied — Close abandons the session's exactly-once
@@ -414,6 +418,7 @@ func (cl *Client) Close() error {
 		}
 	}
 	clear(cl.joins)
+	clear(cl.hooks)
 	cl.flushCond.Broadcast()
 	cl.room.Broadcast()
 	cl.mu.Unlock()
@@ -422,7 +427,7 @@ func (cl *Client) Close() error {
 	return nil
 }
 
-// kick fires, once and outside cl.mu, each Sentinel and ArmSpec entry a
+// kick fires, once and outside cl.mu, each hook and ArmSpec entry a
 // reconnect or Close took out of the wait table, so its owner arms
 // again: a hook as the early kick core.Sentineler allows, a
 // registration's fire(false) as predicate.External names a lost one.
@@ -431,13 +436,13 @@ func kick(ws []*wait) {
 		if w.fire != nil {
 			w.fire(false)
 		} else {
-			w.hook()
+			w.hook.Run()
 		}
 	}
 }
 
 // checkFrameLocked builds the frame that parks w, a wait on ctr: an
-// OpCheck, or an uncounted OpSentinel for a Sentinel where the current
+// OpCheck, or an uncounted OpSentinel for a hook where the current
 // link's server advertised it. Callers hold cl.mu.
 func (cl *Client) checkFrameLocked(id uint64, w *wait) *wire.Frame {
 	op := wire.OpCheck
@@ -475,16 +480,18 @@ func (cl *Client) parkLocked(e wait, ch chan error, f *wire.Frame) uint64 {
 	return id
 }
 
-// takeLocked removes the entry under id from the wait table, and from
-// the join index if blocking waits join it there, and returns it; nil
-// if there is none. The caller owns the entry until it hands it to
-// recycleLocked. Callers hold cl.mu.
+// takeLocked removes the entry under id from the wait table, from the
+// join index if blocking waits join it there and from the hook index
+// if it holds a hook, and returns it; nil if there is none. The caller
+// owns the entry until it hands it to recycleLocked. Callers hold
+// cl.mu.
 func (cl *Client) takeLocked(id uint64) *wait {
 	w := cl.waits[id]
 	if w == nil {
 		return nil
 	}
 	delete(cl.waits, id)
+	delete(cl.hooks, w.hook)
 	cl.unjoinLocked(id, w)
 	return w
 }
@@ -539,7 +546,21 @@ func (cl *Client) replyLocked(f *wire.Frame) *wait {
 	return cl.takeLocked(f.ID)
 }
 
-// unpark is the cancel of a Sentinel or an ArmSpec registration: it
+// hookSite is the client as the site of the hooks its counters arm
+// (core.Disarmer).
+type hookSite Client
+
+// DisarmHook is Cancel for a hook armed on one of the client's
+// counters: unpark for the entry the hook holds, if any.
+func (s *hookSite) DisarmHook(h *core.Hook) bool {
+	cl := (*Client)(s)
+	cl.mu.Lock()
+	id, ok := cl.hooks[h]
+	cl.mu.Unlock()
+	return ok && cl.unpark(id)
+}
+
+// unpark is the cancel of an armed hook or an ArmSpec registration: it
 // forgets the entry and tells the server, whose answer then finds no
 // entry. It reports false if a wake, a reconnect or Close took the entry
 // first, which then fires it.
@@ -728,7 +749,7 @@ func (cl *Client) dispatch(f *wire.Frame) {
 			c.rtts.Add(1)
 			n := uint64(len(w.chs))
 			if w.hook != nil {
-				n = 1 // a Sentinel's time parked counts as one wait's
+				n = 1 // a hook's time parked counts as one wait's
 			}
 			c.waitNanos.Add(n*clock() - w.since)
 			c.emit(counter.EventWake, f.Level)
@@ -736,7 +757,7 @@ func (cl *Client) dispatch(f *wire.Frame) {
 				ch <- nil
 			}
 			if w.hook != nil {
-				w.hook() // after the watermark rose, so a re-evaluation sees level
+				w.hook.Run() // after the watermark rose, so a re-evaluation sees level
 			}
 		}
 		cl.mu.Lock()

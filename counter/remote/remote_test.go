@@ -19,6 +19,7 @@ import (
 	"monotonic/counter/countertest"
 	"monotonic/counter/remote"
 	"monotonic/counter/wait"
+	"monotonic/internal/core"
 	"monotonic/internal/server"
 	"monotonic/internal/wire"
 )
@@ -434,7 +435,7 @@ func TestSentinelCountsNoCheck(t *testing.T) {
 	s0 := c.Stats()
 	fired := make(chan struct{}, 2)
 	hook := func() { fired <- struct{}{} }
-	if _, armed := c.Sentinel(5, hook); !armed { // parks
+	if _, armed := core.Sentinel(c, 5, hook); !armed { // parks
 		t.Fatal("Sentinel(5) on a fresh counter not armed")
 	}
 	b := dialClient(t, addr).Counter(name)
@@ -442,7 +443,7 @@ func TestSentinelCountsNoCheck(t *testing.T) {
 	b.Stats() // fences the increment: b's frames run in order
 	// c's watermark is at most 5, so this one goes to the wire, where the
 	// server answers it at once.
-	if _, armed := c.Sentinel(6, hook); !armed {
+	if _, armed := core.Sentinel(c, 6, hook); !armed {
 		t.Fatal("Sentinel(6) not armed although the watermark is below it")
 	}
 	for range 2 {
@@ -463,7 +464,7 @@ func TestSentinelCountsNoCheck(t *testing.T) {
 	}
 	t.Cleanup(func() { v2.Close() })
 	old := v2.Counter(name)
-	if _, armed := old.Sentinel(10, func() {}); !armed {
+	if _, armed := core.Sentinel(old, 10, func() {}); !armed {
 		t.Fatal("v2 Sentinel(10) not armed")
 	}
 	if s := old.Stats(); s.Suspends != s0.Suspends+1 {
@@ -511,7 +512,7 @@ func TestProbeEvents(t *testing.T) {
 		t.Fatalf("events after the wake = %+v, want %+v then %+v and %+v in either order", e, want, inc, wake)
 	}
 
-	cancel, armed := c.Sentinel(10, func() { t.Error("the cancelled Sentinel fired") })
+	cancel, armed := core.Sentinel(c, 10, func() { t.Error("the cancelled Sentinel fired") })
 	if !armed {
 		t.Fatal("Sentinel(10) above the watermark not armed")
 	}
@@ -674,7 +675,7 @@ func TestMisfitReplyLeavesTheEntry(t *testing.T) {
 	}()
 	c := dialScripted(t, client).Counter("misfit")
 	fired := make(chan struct{})
-	if _, armed := c.Sentinel(5, func() { close(fired) }); !armed {
+	if _, armed := core.Sentinel(c, 5, func() { close(fired) }); !armed {
 		t.Fatal("Sentinel(5) on a fresh counter not armed")
 	}
 	checked := make(chan error, 1)
@@ -809,7 +810,7 @@ func TestRemoteSentinel(t *testing.T) {
 	c := cl.Counter(name)
 
 	fired := make(chan struct{})
-	cancel, armed := c.Sentinel(3, func() { close(fired) })
+	cancel, armed := core.Sentinel(c, 3, func() { close(fired) })
 	if !armed {
 		t.Fatal("Sentinel(3) on a zero counter reported not-armed")
 	}
@@ -825,11 +826,11 @@ func TestRemoteSentinel(t *testing.T) {
 	if c.Watermark() < 3 {
 		t.Fatalf("watermark = %d after the sentinel fired, want >= 3", c.Watermark())
 	}
-	if _, armed := c.Sentinel(2, nil); armed {
+	if _, armed := core.Sentinel(c, 2, nil); armed {
 		t.Fatal("Sentinel(2) armed with watermark >= 3")
 	}
 
-	cancel2, armed2 := c.Sentinel(100, func() { t.Error("cancelled sentinel fired") })
+	cancel2, armed2 := core.Sentinel(c, 100, func() { t.Error("cancelled sentinel fired") })
 	if !armed2 {
 		t.Fatal("second sentinel not armed")
 	}
@@ -856,7 +857,7 @@ func TestSentinelsParkNoGoroutine(t *testing.T) {
 	var fired atomic.Int64
 	all := make(chan struct{})
 	for i := 0; i < sentinels; i++ {
-		if _, armed := c.Sentinel(uint64(i+3), func() {
+		if _, armed := core.Sentinel(c, uint64(i+3), func() {
 			if fired.Add(1) == sentinels {
 				close(all)
 			}
@@ -893,7 +894,7 @@ func TestCloseKicksSentinelsOnce(t *testing.T) {
 	cancels := make([]func() bool, n)
 	for i := range cancels {
 		var armed bool
-		cancels[i], armed = c.Sentinel(uint64(100+i), func() { fires[i].Add(1) })
+		cancels[i], armed = core.Sentinel(c, uint64(100+i), func() { fires[i].Add(1) })
 		if !armed {
 			t.Fatalf("Sentinel(%d) not armed", 100+i)
 		}
@@ -916,7 +917,7 @@ func TestCloseKicksSentinelsOnce(t *testing.T) {
 		}
 	}
 
-	cancel, armed := c.Sentinel(1000, func() { t.Error("sentinel on a closed client fired") })
+	cancel, armed := core.Sentinel(c, 1000, func() { t.Error("sentinel on a closed client fired") })
 	if !armed {
 		t.Fatal("Sentinel on a closed client reported not-armed")
 	}

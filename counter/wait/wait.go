@@ -16,10 +16,11 @@
 //
 // Every counter this module ships — the facade types, everything
 // counter.Open returns, and counter/remote's and counter/cluster's
-// counters — exposes Watermark and Sentinel, the watch surface the
-// predicate engine takes as it is, so it is watched at zero ongoing
-// cost. Only a foreign counter.Interface without that surface goes
-// through polled, a goroutine-per-sentinel fallback on CheckContext.
+// counters — exposes Watermark and ArmHook, the watch surface the
+// predicate engine takes as it is, arming each Cond slot's own hook in
+// place, so it is watched at zero ongoing cost. Only a foreign
+// counter.Interface without that surface goes through polled, a
+// goroutine-per-sentinel fallback on CheckContext.
 package wait
 
 import (
@@ -172,15 +173,15 @@ func adapt(c counter.Interface) core.Sentineler {
 }
 
 // polled adapts a foreign counter.Interface with no watch surface:
-// each armed sentinel is a goroutine suspended in CheckContext at the
-// frontier level — the same node-per-level cost inside the counter, plus
-// one goroutine per watched counter while armed. The watermark is the
-// highest level this adapter has observed satisfied; it lags the true
-// value but is monotone, which is all the predicate engine requires.
-// One visible consequence: Holds and zero-timeout WaitTimeout read the
-// watermark without probing, so over fallback-adapted counters they can
-// under-report until a Wait has driven a probe. The module's own
-// counters are exact.
+// each armed hook is a goroutine suspended in CheckContext at the
+// frontier level (core.ArmGoroutine) — the same node-per-level cost
+// inside the counter, plus one goroutine per watched counter while
+// armed. The watermark is the highest level this adapter has observed
+// satisfied; it lags the true value but is monotone, which is all the
+// predicate engine requires. One visible consequence: Holds and
+// zero-timeout WaitTimeout read the watermark without probing, so over
+// fallback-adapted counters they can under-report until a Wait has
+// driven a probe. The module's own counters are exact.
 type polled struct {
 	c  counter.Interface
 	wm atomic.Uint64
@@ -198,33 +199,29 @@ func (p *polled) raise(level uint64) {
 	}
 }
 
-func (p *polled) Sentinel(level uint64, fn func()) (func() bool, bool) {
+// ArmHook arms h on a goroutine suspended in the foreign counter's
+// CheckContext. A winning cancel returns once that goroutine has left
+// CheckContext, so the counter no longer holds the level and a Reset
+// right after it works. The cancel runs under the Cond's lock, which
+// the goroutine never takes (the slot's Fire only tries it, and runs
+// only when no cancel won), so the wait cannot deadlock.
+func (p *polled) ArmHook(level uint64, h *core.Hook) bool {
 	// A zero-timeout wait is the Interface's only non-blocking probe: a
 	// satisfied level beats an expired deadline, so true here means the
-	// value already covers level and no sentinel is needed.
+	// value already covers level and no hook is needed.
 	if level <= p.wm.Load() || p.c.WaitTimeout(level, 0) {
 		p.raise(level)
-		return nil, false
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var state atomic.Int32 // 0 armed, 1 fired, 2 cancelled
-	go func() {
-		defer cancel()
-		if p.c.CheckContext(ctx, level) == nil {
-			// The level was reached (possibly racing a cancel — a
-			// satisfied level beats a cancelled context). Either way the
-			// watermark advances; fn runs only if cancel lost the race.
-			p.raise(level)
-			if state.CompareAndSwap(0, 1) {
-				fn()
-			}
-		}
-	}()
-	return func() bool {
-		if state.CompareAndSwap(0, 2) {
-			cancel()
-			return true
-		}
 		return false
-	}, true
+	}
+	core.ArmGoroutine(h, func(ctx context.Context) bool {
+		if p.c.CheckContext(ctx, level) != nil {
+			return false
+		}
+		// The level was reached (possibly racing a cancel — a satisfied
+		// level beats a cancelled context), so the watermark advances
+		// whether or not the hook fires.
+		p.raise(level)
+		return true
+	})
+	return true
 }

@@ -211,3 +211,32 @@ func TestPolledFallbackCancelLeavesNoFire(t *testing.T) {
 		t.Fatalf("fresh Cond Wait over the satisfied sum = %v", err)
 	}
 }
+
+// TestAbandonedCondResetsAtOnce pins the promise that a fully cancelled
+// Cond leaves no trace on its counters where a sentinel is a goroutine:
+// on the chan design and through the polled fallback, a Wait abandoned
+// by its cancelled context has released every level it armed by the
+// time it returns, so a Reset right after it works.
+func TestAbandonedCondResetsAtOnce(t *testing.T) {
+	ch, err := counter.Open("chan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []counter.Interface{ch, bare{counter.New()}} {
+		for i := 0; i < 100; i++ {
+			if err := wait.Sum(c).AtLeast(10).Wait(ctx); err != context.Canceled {
+				t.Fatalf("%T: Wait(cancelled) = %v, want Canceled", c, err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%T: Reset right after abandoned Cond %d: %v", c, i, r)
+					}
+				}()
+				c.Reset()
+			}()
+		}
+	}
+}

@@ -13,14 +13,14 @@ func (*hookOwner) Fire() {}
 // waitlist design: arming a caller-owned hook on a level that already
 // has a node, and cancelling it, allocates nothing, and re-arming it
 // from its own fire costs only the fresh level's node. The Sentinel
-// wrapper pays a fresh hook and its cancel on top. (The race detector
-// inflates allocation counts, hence the build tag.)
+// closure form pays a fresh hook and its cancel on top. (The race
+// detector inflates allocation counts, hence the build tag.)
 func TestHookArmAllocs(t *testing.T) {
 	for _, impl := range Registry() {
-		c, ok := NewImpl(impl).(HookArmer)
-		if !ok {
-			continue // the chan design has no engine to park a hook on
+		if impl == ImplChan {
+			continue // no engine: the chan design parks a goroutine per hook
 		}
+		c := NewImpl(impl).(Sentineler)
 		t.Run(string(impl), func(t *testing.T) {
 			// keep holds the level's node live across the runs.
 			var keep, h hookOwner
@@ -40,9 +40,8 @@ func TestHookArmAllocs(t *testing.T) {
 			if n != 0 {
 				t.Errorf("hook armed and cancelled on a live level: %v allocs, want 0", n)
 			}
-			s := c.(Sentineler)
 			n = testing.AllocsPerRun(1000, func() {
-				cancel, armed := s.Sentinel(5, func() {})
+				cancel, armed := Sentinel(c, 5, func() {})
 				if !armed || !cancel() {
 					t.Fatal("Sentinel(5) not armed, or its cancel lost")
 				}

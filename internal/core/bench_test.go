@@ -167,7 +167,7 @@ func BenchmarkCheckStorm(b *testing.B) {
 				// reach, so registration never self-satisfies.
 				level := uint64(1)<<40 + worker.Add(1)<<20
 				for pb.Next() {
-					cancel, armed := c.Sentinel(level, func() {})
+					cancel, armed := Sentinel(c, level, func() {})
 					if armed {
 						cancel()
 					}

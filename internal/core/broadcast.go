@@ -22,7 +22,7 @@ import "context"
 // PeakLevels is the peak number of live round nodes (at most 1),
 // SatisfiedLevels counts satisfied wake rounds rather than distinct
 // levels, and Suspends counts every park, re-parks included, as does a
-// probe's EventSuspend. A hook (ArmHook, Sentinel) lands on the round
+// probe's EventSuspend. A hook (ArmHook) lands on the round
 // node too, so it fires on the first increment after arming whether or
 // not the value reached its level — the spurious fire the Sentineler
 // contract allows; the predicate layer re-checks and re-arms, which

@@ -109,13 +109,8 @@ func (c *indexed[I, P]) LockAcquires() uint64 { return c.wl.lockAcquires.Load() 
 // events until replaced; nil disables the hook.
 func (c *indexed[I, P]) SetProbe(f func(Event)) { c.wl.SetProbe(f) }
 
-// ArmHook implements HookArmer through the shared armHook.
+// ArmHook implements Sentineler through the shared armHook.
 func (c *indexed[I, P]) ArmHook(level uint64, h *Hook) bool { return armHook(c, level, h, false) }
-
-// Sentinel implements Sentineler through ArmHook.
-func (c *indexed[I, P]) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	return sentinel(c, level, fn)
-}
 
 // leave deregisters the caller from n with wl.mu already held — the
 // simulator's single-threaded counterpart of the engine's drain.

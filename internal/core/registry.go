@@ -85,16 +85,6 @@ var (
 	_ Sentineler = (*ShardedCounter)(nil)
 	_ Sentineler = (*FCCounter)(nil)
 
-	// Every waitlist design arms caller-owned hooks; the chan design,
-	// which has no engine, keeps only its goroutine-backed Sentinel.
-	_ HookArmer = (*Counter)(nil)
-	_ HookArmer = (*HeapCounter)(nil)
-	_ HookArmer = (*BroadcastCounter)(nil)
-	_ HookArmer = (*AtomicCounter)(nil)
-	_ HookArmer = (*SpinCounter)(nil)
-	_ HookArmer = (*ShardedCounter)(nil)
-	_ HookArmer = (*FCCounter)(nil)
-
 	// Every registry implementation reports mutex acquisitions for the
 	// E25 zero-lock assertion (see LockCounter in stats.go).
 	_ LockCounter = (*Counter)(nil)

@@ -21,36 +21,13 @@ func waitFired(t *testing.T, ch <-chan struct{}) {
 	}
 }
 
-// retryReset retries Reset until the implementation's bookkeeping for a
-// cancelled sentinel settles (the chan design releases its gate from a
-// goroutine, so the panic can outlive cancel by a moment).
-func retryReset(t *testing.T, c Interface) {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if ok := func() (ok bool) {
-			defer func() { ok = recover() == nil }()
-			c.Reset()
-			return
-		}(); ok {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("Reset still panics after the sentinel was cancelled")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 func TestSentinelFires(t *testing.T) {
 	for _, impl := range Registry() {
 		t.Run(string(impl), func(t *testing.T) {
 			c := NewImpl(impl)
 			s := c.(Sentineler)
 			fired := make(chan struct{})
-			cancel, armed := s.Sentinel(5, func() { close(fired) })
+			cancel, armed := Sentinel(s, 5, func() { close(fired) })
 			if !armed {
 				t.Fatal("Sentinel(5) on a zero counter reported not-armed")
 			}
@@ -76,7 +53,7 @@ func TestSentinelAlreadySatisfied(t *testing.T) {
 		t.Run(string(impl), func(t *testing.T) {
 			c := NewImpl(impl)
 			c.Increment(5)
-			_, armed := c.(Sentineler).Sentinel(3, func() { t.Error("fn ran for a satisfied level") })
+			_, armed := Sentinel(c.(Sentineler), 3, func() { t.Error("fn ran for a satisfied level") })
 			if armed {
 				t.Fatal("Sentinel(3) with value 5 reported armed")
 			}
@@ -90,7 +67,7 @@ func TestSentinelCancel(t *testing.T) {
 		t.Run(string(impl), func(t *testing.T) {
 			c := NewImpl(impl)
 			var fired atomic.Bool
-			cancel, armed := c.(Sentineler).Sentinel(10, func() { fired.Store(true) })
+			cancel, armed := Sentinel(c.(Sentineler), 10, func() { fired.Store(true) })
 			if !armed {
 				t.Fatal("not armed")
 			}
@@ -105,7 +82,7 @@ func TestSentinelCancel(t *testing.T) {
 			if fired.Load() {
 				t.Fatal("cancelled sentinel fired")
 			}
-			retryReset(t, c)
+			c.Reset()
 			c.Increment(1)
 			c.Check(1)
 		})
@@ -118,8 +95,8 @@ func TestSentinelCancel(t *testing.T) {
 // own hook: the increment past the level fires exactly the uncancelled
 // hooks, once each, and the level drains completely, so Reset succeeds.
 func TestSentinelCancelAnywhereInChain(t *testing.T) {
-	if size := unsafe.Sizeof(Hook{}); size != 48 {
-		t.Errorf("Hook is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(Hook{}); size != 56 {
+		t.Errorf("Hook is %d bytes, want 56", size)
 	}
 	if size := unsafe.Sizeof(waitNode{}); size != 144 {
 		t.Errorf("waitNode is %d bytes, want 144", size)
@@ -131,7 +108,7 @@ func TestSentinelCancelAnywhereInChain(t *testing.T) {
 			var fires [hooks]atomic.Int32
 			cancels := make([]func() bool, hooks)
 			for i := range cancels {
-				cancel, armed := c.(Sentineler).Sentinel(5, func() { fires[i].Add(1) })
+				cancel, armed := Sentinel(c.(Sentineler), 5, func() { fires[i].Add(1) })
 				if !armed {
 					t.Fatalf("sentinel %d not armed", i)
 				}
@@ -185,7 +162,7 @@ func TestSentinelCancelAnywhereInChain(t *testing.T) {
 					t.Errorf("gate = %d with every sentinel fired or cancelled, want 0", g)
 				}
 			}
-			retryReset(t, c)
+			c.Reset()
 		})
 	}
 }
@@ -197,7 +174,7 @@ func TestSentinelBlocksReset(t *testing.T) {
 	for _, impl := range Registry() {
 		t.Run(string(impl), func(t *testing.T) {
 			c := NewImpl(impl)
-			cancel, armed := c.(Sentineler).Sentinel(7, func() {})
+			cancel, armed := Sentinel(c.(Sentineler), 7, func() {})
 			if !armed {
 				t.Fatal("not armed")
 			}
@@ -210,7 +187,7 @@ func TestSentinelBlocksReset(t *testing.T) {
 				c.Reset()
 			}()
 			cancel()
-			retryReset(t, c)
+			c.Reset()
 		})
 	}
 }
@@ -221,7 +198,7 @@ func TestSentinelBlocksReset(t *testing.T) {
 func TestSentinelShardedGate(t *testing.T) {
 	c := NewSharded()
 	fired := make(chan struct{})
-	cancel, armed := c.Sentinel(3, func() { close(fired) })
+	cancel, armed := Sentinel(c, 3, func() { close(fired) })
 	if !armed {
 		t.Fatal("not armed")
 	}
@@ -240,7 +217,7 @@ func TestSentinelShardedGate(t *testing.T) {
 		t.Fatalf("gate = %d after a late cancel, want 0", g)
 	}
 
-	cancel2, armed2 := c.Sentinel(10, func() {})
+	cancel2, armed2 := Sentinel(c, 10, func() {})
 	if !armed2 {
 		t.Fatal("second sentinel not armed")
 	}
@@ -261,7 +238,7 @@ func TestSentinelShardedGate(t *testing.T) {
 func TestSentinelCancelLosesOnceClaimed(t *testing.T) {
 	c := NewSharded()
 	fires := 0
-	cancel, armed := c.Sentinel(1, func() { fires++ })
+	cancel, armed := Sentinel(c, 1, func() { fires++ })
 	if !armed {
 		t.Fatal("not armed")
 	}
@@ -295,7 +272,7 @@ func TestSentinelCancelLosesOnceClaimed(t *testing.T) {
 func TestSentinelBroadcastSpurious(t *testing.T) {
 	c := NewBroadcast()
 	fired := make(chan struct{})
-	_, armed := c.Sentinel(100, func() { close(fired) })
+	_, armed := Sentinel(c, 100, func() { close(fired) })
 	if !armed {
 		t.Fatal("not armed")
 	}
@@ -323,7 +300,7 @@ func TestSentinelRegistrationRace(t *testing.T) {
 					defer wg.Done()
 					c.Increment(1)
 				}()
-				cancel, armed := s.Sentinel(1, func() { close(fired) })
+				cancel, armed := Sentinel(s, 1, func() { close(fired) })
 				wg.Wait()
 				if armed {
 					waitFired(t, fired)
@@ -355,7 +332,7 @@ func TestSentinelStress(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					level := uint64(i%target + 1)
-					cancel, armed := s.Sentinel(level, func() { fires.Add(1) })
+					cancel, armed := Sentinel(s, level, func() { fires.Add(1) })
 					if armed && i%3 == 0 {
 						cancel()
 					}

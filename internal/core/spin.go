@@ -20,7 +20,7 @@ const defaultSpins = 64
 // path: a parked SpinCounter waiter drains with an atomic count like any
 // other engine waiter). Part of the E11 ablation. Only Check and
 // CheckContext spin; every other method is the atomic counter's. So a
-// hook (ArmHook, Sentinel) never spins, since there is no caller to
+// hook (ArmHook) never spins, since there is no caller to
 // burn time on, and Stats adds only the probe tally. Spin probes take
 // no locks and emit no probe event.
 //

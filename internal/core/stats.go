@@ -64,7 +64,7 @@ type Stats struct {
 	// that joined it, so its counter counts every blocking call. A joined
 	// call cancelled while others still wait on its level asks counterd
 	// again with a fresh Check, which counts again: here if it parks, in
-	// ImmediateChecks if the level is already reached. Arming a Sentinel
+	// ImmediateChecks if the level is already reached. Arming a hook
 	// counts neither here nor in ImmediateChecks, in-process or on the
 	// wire, except from a v2 session, whose sentinels travel as Checks.
 	Suspends uint64

@@ -7,7 +7,7 @@ import (
 
 // This file is the striped level index: the waitlist's registration side
 // split into stripeCount() hash-striped sub-engines so concurrent
-// Check/Sentinel registrations at different levels never contend on one
+// Check/ArmHook registrations at different levels never contend on one
 // mutex. It is the read-side counterpart of the write-side striping
 // already in ShardedCounter — and the follow-up the PR 6 scaling matrix
 // called for: with the watermark fast path handling satisfied checks

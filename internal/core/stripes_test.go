@@ -172,7 +172,7 @@ func TestStripeMinTracksHead(t *testing.T) {
 	c := NewAtomic()
 	var cancels []func() bool
 	for lv := uint64(1); lv <= 64; lv++ {
-		cancel, armed := c.Sentinel(lv*977+5, func() {})
+		cancel, armed := Sentinel(c, lv*977+5, func() {})
 		if !armed {
 			t.Fatalf("sentinel at %d not armed on a zero counter", lv*977+5)
 		}

@@ -66,7 +66,7 @@ func registrationThroughput(c core.Sentineler, workers, opsPer int) float64 {
 			level := uint64(1)<<40 + uint64(w+1)<<20
 			<-start
 			for i := 0; i < opsPer; i++ {
-				cancel, armed := c.Sentinel(level, func() {})
+				cancel, armed := core.Sentinel(c, level, func() {})
 				if armed {
 					cancel()
 				}

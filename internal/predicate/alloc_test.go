@@ -5,6 +5,7 @@ package predicate_test
 import (
 	"testing"
 
+	"monotonic/counter"
 	"monotonic/internal/core"
 	"monotonic/internal/predicate"
 )
@@ -23,7 +24,24 @@ func (*keeper) Fire() {}
 // paper's per-level cost. (The race detector inflates allocation
 // counts, hence the build tag.)
 func TestFrontierMoveAllocs(t *testing.T) {
-	a, b := core.NewSharded(), core.NewSharded()
+	frontierMoveAllocs(t, core.NewSharded(), core.NewSharded())
+}
+
+// TestFrontierMoveAllocsFacade is TestFrontierMoveAllocs over the
+// public counter.Sharded, whose ArmHook re-arms the slots' hooks as the
+// core counter's does: the public predicate path pays nothing per kick.
+func TestFrontierMoveAllocsFacade(t *testing.T) {
+	frontierMoveAllocs(t, counter.NewSharded(), counter.NewSharded())
+}
+
+// watched is a counter the frontier pins both watch and increment.
+type watched interface {
+	core.Sentineler
+	Increment(amount uint64)
+}
+
+func frontierMoveAllocs(t *testing.T, a, b watched) {
+	t.Helper()
 	pred := predicate.SumAtLeast(1 << 62)
 	vals, fronts := make([]uint64, 2), make([]uint64, 2)
 	var steps []uint64  // a's frontier before each kick
@@ -39,7 +57,7 @@ func TestFrontierMoveAllocs(t *testing.T) {
 			}
 			rearms = append(rearms, r)
 		}
-		for i, c := range []*core.ShardedCounter{a, b} {
+		for i, c := range []watched{a, b} {
 			k := &keeper{}
 			k.Bind(k)
 			if !c.ArmHook(fronts[i], &k.Hook) {
@@ -60,7 +78,7 @@ func TestFrontierMoveAllocs(t *testing.T) {
 	// last step, which flips the predicate, is left out.
 	next := 0
 	n := testing.AllocsPerRun(len(steps)-2, func() {
-		a.Increment(steps[next] - a.Value())
+		a.Increment(steps[next] - a.Watermark())
 		next++
 	})
 	if n != 0 {
@@ -73,7 +91,7 @@ func TestFrontierMoveAllocs(t *testing.T) {
 	if st := cond.Stats(); st.Reparks != want || st.Armed != 2 || flipped {
 		t.Fatalf("after %d kicks: Reparks %d, Armed %d, flipped %v; want %d, 2, false", next, st.Reparks, st.Armed, flipped, want)
 	}
-	a.Increment(steps[next] - a.Value())
+	a.Increment(steps[next] - a.Watermark())
 	if !flipped {
 		t.Fatal("the last step did not flip the predicate")
 	}

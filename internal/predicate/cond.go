@@ -26,8 +26,8 @@ import (
 // Renew a quiescent Cond in place instead of building a new one.
 //
 // Lock order: Cond.mu is taken strictly above any counter-internal
-// lock (Watermark, ArmHook, Sentinel and the cancels are called with
-// Cond.mu held). The engine calls back into the Cond only through the
+// lock (Watermark, ArmHook and Hook.Cancel are called with Cond.mu
+// held). The engine calls back into the Cond only through the
 // slots' Fire kicks, which run with no counter lock held and only
 // TryLock Cond.mu, so a kick never waits for the evaluator and never
 // inverts the order.
@@ -74,23 +74,17 @@ type Cond struct {
 
 // sentinel is one watched counter's slot. At most one registration
 // per slot is outstanding at a time, so the slot's hook, spent and
-// level always describe that registration. On a core.HookArmer counter
-// (every in-process engine design) the registration is the slot's own
-// embedded hook, re-armed in place, so a frontier move allocates
-// nothing; any other counter is armed through Sentinel with the slot's
-// fire.
+// level always describe that registration. The registration is the
+// slot's own embedded hook, re-armed in place on whatever counter the
+// slot watches, so a frontier move allocates nothing beyond what the
+// counter's arming costs (nothing on an engine level that has a node).
 type sentinel struct {
-	hook core.Hook // bound to the slot when its storage is made
-	c    *Cond
-	// fire is the slot's Fire, bound once on its first Sentinel arm and
-	// passed to every Sentinel call for this counter; cancel is that
-	// registration's cancel, nil while the hook is the registration.
-	fire   func()
-	cancel func() bool
-	level  uint64      // the level the outstanding registration watches
-	spent  atomic.Bool // set by Fire: the registration is gone
-	on     bool        // a registration is outstanding (its fire, if any, not yet collected)
-	seen   bool        // this counter has been armed at least once (repark accounting)
+	hook  core.Hook // bound to the slot when its storage is made
+	c     *Cond
+	level uint64      // the level the outstanding registration watches
+	spent atomic.Bool // set by Fire: the registration is gone
+	on    bool        // a registration is outstanding (its fire, if any, not yet collected)
+	seen  bool        // this counter has been armed at least once (repark accounting)
 }
 
 // NewCond returns an unsatisfied Cond waiting for pred over the given
@@ -177,7 +171,7 @@ func (c *Cond) reset() {
 	c.armed, c.vals, c.fronts = c.armed[:n], c.vals[:n], c.fronts[:n]
 	for i := range c.armed {
 		s := &c.armed[i]
-		s.cancel, s.level, s.on, s.seen = nil, 0, false, false
+		s.level, s.on, s.seen = 0, false, false
 		s.spent.Store(false)
 	}
 	c.done = nil
@@ -207,8 +201,8 @@ func (c *Cond) reset() {
 // reports whether fire was prevented.
 //
 // Both the strategy itself and the cancel it returns are invoked with
-// the Cond's internal lock held — they sit exactly where Sentinel and
-// its cancel sit in per-counter arming — so they must not block on
+// the Cond's internal lock held — they sit exactly where ArmHook and
+// Hook.Cancel sit in per-counter arming — so they must not block on
 // network round trips (enqueue and return) and must not call back into
 // the Cond.
 type External func(fire func(satisfied bool)) (cancel func() bool, ok bool)
@@ -249,32 +243,6 @@ func (s *sentinel) Fire() {
 		return
 	}
 	go c.kick()
-}
-
-// arm registers the slot at level on ctr, reporting false if ctr
-// already covers level: in place on a core.HookArmer, else through
-// Sentinel. Called with Cond.mu held, with no registration of the slot
-// outstanding.
-func (s *sentinel) arm(ctr core.Sentineler, level uint64) bool {
-	s.spent.Store(false)
-	if a, ok := ctr.(core.HookArmer); ok {
-		return a.ArmHook(level, &s.hook)
-	}
-	if s.fire == nil {
-		s.fire = s.Fire
-	}
-	cancel, armed := ctr.Sentinel(level, s.fire)
-	s.cancel = cancel
-	return armed
-}
-
-// disarm cancels the slot's outstanding registration, reporting whether
-// it prevented the fire. Called with Cond.mu held.
-func (s *sentinel) disarm() bool {
-	if s.cancel != nil {
-		return s.cancel()
-	}
-	return s.hook.Cancel()
 }
 
 // kick is the goroutine form of a sentinel kick, for a hook that found
@@ -359,7 +327,7 @@ func (c *Cond) satisfyLocked() {
 func (c *Cond) disarmLocked() {
 	for i := range c.armed {
 		s := &c.armed[i]
-		if s.on && (s.spent.Load() || s.disarm()) {
+		if s.on && (s.spent.Load() || s.hook.Cancel()) {
 			s.on = false
 		}
 	}
@@ -374,11 +342,11 @@ func (c *Cond) disarmLocked() {
 // evaluateLocked reads fresh bounds, settles the Cond if the predicate
 // holds, and otherwise makes sure one sentinel per still-unsatisfied
 // coordinate is parked at the predicate's frontier level. Called with
-// mu held. The bound reads (Watermark) and the frontier re-arms (arm)
-// are both lock-free against the counters' engines — Watermark takes
-// no lock and a re-arm registers on the frontier level's stripe — so
-// holding Cond.mu across the pass does not serialize the evaluator
-// against incrementers on any engine mutex.
+// mu held. The bound reads (Watermark) and the frontier re-arms
+// (ArmHook) are both lock-free against the counters' engines —
+// Watermark takes no lock and a re-arm registers on the frontier
+// level's stripe — so holding Cond.mu across the pass does not
+// serialize the evaluator against incrementers on any engine mutex.
 //
 // A pass re-arms only what moved. A slot whose sentinel fired (spent)
 // is re-armed if its counter still needs one, at the same level after a
@@ -388,7 +356,7 @@ func (c *Cond) disarmLocked() {
 // cancel that reports false leaves its slot outstanding: that sentinel
 // is already firing, and its own kick re-arms the slot. The loop
 // re-runs only when a counter advanced past its frontier while arming
-// (arm reported not-armed), which strictly raises the next pass's
+// (ArmHook reported not-armed), which strictly raises the next pass's
 // bounds, so it terminates.
 func (c *Cond) evaluateLocked() {
 	// External strategy: one remote registration replaces the whole
@@ -441,7 +409,7 @@ func (c *Cond) evaluateLocked() {
 				level = 0 // coordinate already satisfied: no sentinel
 			}
 			if s.on {
-				if s.level == level || !s.disarm() {
+				if s.level == level || !s.hook.Cancel() {
 					continue // still at its frontier, or firing already
 				}
 				s.on = false
@@ -449,7 +417,8 @@ func (c *Cond) evaluateLocked() {
 			if level == 0 {
 				continue
 			}
-			if !s.arm(ctr, level) {
+			s.spent.Store(false)
+			if !ctr.ArmHook(level, &s.hook) {
 				// The counter crossed the frontier between the Watermark
 				// read and the registration; the frontiers are stale,
 				// so run the pass again with fresh bounds.

@@ -16,11 +16,10 @@
 // storage argument carried up one tier (AutoSynch's
 // wake-exactly-the-right-waiters property, with the waitlist node as the
 // predicate tag). A Cond watches every counter as it is, through
-// core.Sentineler: bounds are its Watermark reads, and on an in-process
-// engine counter (core.HookArmer) the sentinel is a core.Hook embedded
-// in the Cond's slot for that counter and re-armed in place, so moving
-// a frontier allocates nothing but a fresh level's node; any other
-// counter is armed through its Sentinel.
+// core.Sentineler: bounds are its Watermark reads, and the sentinel is
+// a core.Hook embedded in the Cond's slot for that counter and re-armed
+// in place through ArmHook, so on an in-process engine counter moving a
+// frontier allocates nothing but a fresh level's node.
 //
 // Frontier correctness is the heart of it. For a sum a+b >= L it is NOT
 // enough to park b's sentinel at L - value(a): if both counters then

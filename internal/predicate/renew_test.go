@@ -12,21 +12,20 @@ import (
 	"monotonic/internal/predicate"
 )
 
-// lateCounter is a core.Sentineler whose sentinel registrations the
-// test fires by hand. claim raises the value and takes the armed
-// registration's fire, as an increment that claims the level does: from
-// then on its cancel loses, and the fire lands only when the test
-// delivers it. A registration armed while another is live, or while a
-// claimed fire is still on its way, is the hook-chain corruption the
-// engine cannot survive, so the counter reports it.
+// lateCounter is a core.Sentineler whose hook armings the test fires
+// by hand. claim raises the value and takes the armed registration's
+// hook, as an increment that claims the level does: from then on its
+// cancel loses, and the fire lands only when the test delivers it. A
+// registration armed while another is live, or while a claimed fire is
+// still on its way, is the hook-chain corruption the engine cannot
+// survive, so the counter reports it.
 type lateCounter struct {
 	t     *testing.T
 	name  string
 	mu    sync.Mutex
 	value uint64
-	gen   int    // numbers registrations, so a stale cancel finds nothing
-	fn    func() // the armed registration's fire
-	held  func() // a claimed registration's fire, not yet delivered
+	armed *core.Hook // the armed registration's hook
+	held  *core.Hook // a claimed registration's hook, not yet fired
 }
 
 func (c *lateCounter) Watermark() uint64 {
@@ -35,38 +34,41 @@ func (c *lateCounter) Watermark() uint64 {
 	return c.value
 }
 
-func (c *lateCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
+func (c *lateCounter) ArmHook(level uint64, h *core.Hook) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if level <= c.value {
-		return nil, false
+		return false
 	}
 	if c.held != nil {
-		c.t.Errorf("%s: Sentinel(%d) armed while the last registration's fire is still on its way", c.name, level)
+		c.t.Errorf("%s: ArmHook(%d) while the last registration's fire is still on its way", c.name, level)
 	}
-	if c.fn != nil {
-		c.t.Errorf("%s: Sentinel(%d) armed over a live registration", c.name, level)
+	if c.armed != nil {
+		c.t.Errorf("%s: ArmHook(%d) over a live registration", c.name, level)
 	}
-	c.gen++
-	gen := c.gen
-	c.fn = fn
-	return func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.gen != gen || c.fn == nil {
-			return false // fired, claimed or cancelled already
-		}
-		c.fn = nil
-		return true
-	}, true
+	c.armed = h
+	h.ArmedBy(c)
+	return true
 }
 
-// claim raises the value to v and takes the armed registration's fire.
+// DisarmHook cancels h's registration unless it was claimed, fired or
+// cancelled already.
+func (c *lateCounter) DisarmHook(h *core.Hook) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed != h {
+		return false
+	}
+	c.armed = nil
+	return true
+}
+
+// claim raises the value to v and takes the armed registration's hook.
 func (c *lateCounter) claim(v uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.value = v
-	c.held, c.fn = c.fn, nil
+	c.held, c.armed = c.armed, nil
 }
 
 // deliver runs the claimed fire, as the claiming increment's wake path
@@ -74,13 +76,13 @@ func (c *lateCounter) claim(v uint64) {
 func (c *lateCounter) deliver() {
 	c.t.Helper()
 	c.mu.Lock()
-	fn := c.held
+	h := c.held
 	c.held = nil
 	c.mu.Unlock()
-	if fn == nil {
+	if h == nil {
 		c.t.Fatalf("%s: no claimed fire to deliver", c.name)
 	}
-	fn()
+	h.Run()
 }
 
 // TestRenewWaitsForLateFire holds a settled registration's sentinel fire

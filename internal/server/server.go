@@ -8,7 +8,7 @@
 //
 //   - one reader goroutine per connection, which executes every frame
 //     and parks every wait it cannot answer at once as a goroutine-free
-//     engine hook (core.HookArmer) — never a goroutine per wait or per
+//     engine hook (core.Hook, armed by ArmHook) — never a goroutine per wait or per
 //     counter;
 //   - one writer goroutine per connection, coalescing every queued
 //     frame (wakes, acks, replies) into batched flushes.

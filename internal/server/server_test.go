@@ -481,7 +481,7 @@ func TestStatsReply(t *testing.T) {
 // TestSentinelCountsNoCheck: an OpCheck counts in the hosted counter's
 // engine stats as an in-process Check does, a parked one as a suspend
 // and one answered at once as an immediate check, while an OpSentinel
-// counts neither way, as an in-process Sentinel's arming.
+// counts neither way, as an in-process hook's arming.
 func TestSentinelCountsNoCheck(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialRaw(t, addr)
