@@ -5,6 +5,7 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"unsafe"
@@ -15,8 +16,10 @@ import (
 )
 
 // TestSteadyStateAllocs pins the client's steady-state frame paths at
-// zero heap allocations per frame: TryIncrement encoding OpIncrements on
-// more counters than a small map holds inline, the OpIncAck for them
+// zero heap allocations per frame: TryIncrement encoding increments on
+// more counters than a small map holds inline, as one OpIncrement frame
+// each and, where the server advertises wire.FeatureBatch, as entries of
+// one OpIncrements frame on bound slots, the OpIncAck for them
 // decoded and dispatched (which trims the resend queue and counts a
 // round trip per counter), and an OpWake decoded and dispatched to each
 // kind of wait-table entry — a blocking wait, an armed hook and an
@@ -64,33 +67,46 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 
 	const runs = 1000
-	n := testing.AllocsPerRun(runs, func() {
+	for k, features := range []uint64{0, wire.FeatureBatch} {
+		cl.features = features
+		sent0, _ := cl.WireStats()
+		n := testing.AllocsPerRun(runs, func() {
+			for _, c := range cs {
+				if err := c.TryIncrement(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recv(&wire.Frame{Op: wire.OpIncAck, Seq: cl.serial})
+		})
+		frames := len(cs)
+		if features != 0 {
+			frames = 1
+		}
+		if n != 0 {
+			t.Errorf("features %#x: %d increments out in %d frames, one OpIncAck in: %v allocs, want 0", features, len(cs), frames, n)
+		}
+		if sent, _ := cl.WireStats(); sent-sent0 != uint64(frames*(runs+1)) {
+			t.Errorf("features %#x: %d runs sent %d frames, want %d per run", features, runs+1, sent-sent0, frames)
+		}
+		if left := len(cl.pending); left != 0 {
+			t.Fatalf("features %#x: %d increments still pending after every one was acked", features, left)
+		}
 		for _, c := range cs {
-			if err := c.TryIncrement(1); err != nil {
-				t.Fatal(err)
+			if got, want := c.rtts.Load(), uint64((k+1)*(runs+1)); got != want {
+				t.Fatalf("features %#x: %s: RemoteRoundTrips = %d after %d acks, want one per ack", features, c.name, got, want)
 			}
 		}
-		recv(&wire.Frame{Op: wire.OpIncAck, Seq: cl.serial})
-	})
-	if n != 0 {
-		t.Errorf("%d OpIncrements out, one OpIncAck in: %v allocs, want 0", len(cs), n)
 	}
-	if left := len(cl.pending); left != 0 {
-		t.Fatalf("%d increments still pending after every one was acked", left)
-	}
-	for _, c := range cs {
-		if got := c.rtts.Load(); got != runs+1 {
-			t.Fatalf("%s: RemoteRoundTrips = %d after %d acks, want one per ack", c.name, got, runs+1)
-		}
-	}
+	cl.features = 0
 
 	chans := make([]chan error, runs+1)
 	ids := make([]uint64, len(chans))
 	for i := range chans {
-		chans[i], ids[i], _ = c.checkChan(uint64(i + 1))
+		chans[i] = make(chan error, 1)
+		ids[i], _ = c.checkChan(uint64(i+1), chans[i])
 	}
 	next := 0
-	n = testing.AllocsPerRun(runs, func() {
+	n := testing.AllocsPerRun(runs, func() {
 		recv(&wire.Frame{Op: wire.OpWake, ID: ids[next], Level: uint64(next + 1)})
 		next++
 	})
@@ -228,6 +244,69 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if len(cl.waits) != 0 {
 		t.Fatalf("%d entries left after every registration was answered", len(cl.waits))
+	}
+}
+
+// TestBlockingWaitAllocs pins the blocking waits whose reply channel
+// never leaves the package at zero allocations: a Check the watermark
+// answers makes no channel, and a parked-and-woken Check or CheckContext
+// reuses the channel of the last one. The client runs without its
+// goroutines over a link that swallows writes; a server stand-in takes
+// the write queue as the flusher does and answers every OpCheck in it
+// with its OpWake. (The race detector inflates allocation counts, hence
+// the build tag.)
+func TestBlockingWaitAllocs(t *testing.T) {
+	cl := newClient("", nil)
+	cl.nc = discardConn{}
+	c := cl.Counter("jobs")
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		rd := bytes.NewReader(nil)
+		br := bufio.NewReader(rd)
+		intern := func([]byte) string { return c.name } // the only name
+		var spare []byte
+		var f wire.Frame
+		wake := wire.Frame{Op: wire.OpWake}
+		for {
+			buf, nc := cl.take(spare)
+			if nc == nil {
+				return
+			}
+			rd.Reset(buf)
+			br.Reset(rd)
+			for wire.ReadInterned(br, intern, &f) == nil {
+				if f.Op == wire.OpCheck {
+					wake.ID, wake.Level = f.ID, f.Level
+					cl.dispatch(&wake)
+				}
+			}
+			spare = buf
+		}
+	}()
+	defer func() {
+		cl.Close()
+		<-served
+	}()
+
+	const runs = 1000
+	if n := testing.AllocsPerRun(runs, func() { c.Check(c.Watermark() + 1) }); n != 0 {
+		t.Errorf("Check parked and woken: %v allocs, want 0", n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := c.CheckContext(ctx, c.Watermark()+1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CheckContext parked and woken: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { c.Check(1) }); n != 0 {
+		t.Errorf("Check at the watermark: %v allocs, want 0", n)
+	}
+	if got := c.Watermark(); got != 2*(runs+1) {
+		t.Fatalf("watermark = %d after %d woken waits, want one level per wait", got, 2*(runs+1))
 	}
 }
 

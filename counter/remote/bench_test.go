@@ -16,15 +16,17 @@ type discardConn struct{ net.Conn }
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 func (discardConn) Close() error                { return nil }
 
-// BenchmarkTryIncrement measures the client's increment path per call:
-// the frame encoded onto the write queue under the client lock, with
-// the flusher running, taking the queue and writing it to an in-memory
-// link that swallows it. An OpIncAck dispatched every ackEvery calls
-// trims the resend queue, as the server's acks do.
+// BenchmarkTryIncrement measures the client's increment path per call
+// on a link whose server advertises wire.FeatureBatch: the entry encoded
+// onto the open OpIncrements frame under the client lock, with the
+// flusher running, taking the queue and writing it to an in-memory link
+// that swallows it. An OpIncAck dispatched every ackEvery calls trims
+// the resend queue, as the server's acks do.
 func BenchmarkTryIncrement(b *testing.B) {
 	const ackEvery = 256
 	cl := newClient("", nil)
 	cl.nc = discardConn{}
+	cl.features = wire.FeatureBatch
 	cl.wg.Add(1)
 	go cl.flushLoop()
 	defer cl.Close()

@@ -42,6 +42,7 @@ type Counter struct {
 	joined    atomic.Uint64 // blocking waits that joined a parked level; see Stats
 	rtts      atomic.Uint64 // completed wire exchanges
 	ackMark   uint64        // the Client.acks value that last counted an ack here; guarded by cl.mu
+	slot      uint64        // the link's slot this counter was last bound to (see Client.slots); guarded by cl.mu
 	waitNanos atomic.Uint64 // wall-clock nanoseconds blocked on the wire
 
 	probe     atomic.Pointer[func(counter.Event)]
@@ -74,9 +75,10 @@ func (c *Counter) emit(kind counter.EventKind, level uint64) {
 
 // Increment atomically increases the hosted counter's value by amount,
 // waking every waiter — in any process — whose level the new value
-// satisfies. The frame is pipelined: Increment returns as soon as it is
-// queued, and a later Check on the same client observes it because the
-// server applies a session's frames in order. The increment survives
+// satisfies. The increment is pipelined: Increment returns as soon as it
+// is queued, batched with the increments queued beside it, and a later
+// Check on the same client observes it because the server applies a
+// session's frames in order. The increment survives
 // reconnects exactly once (sequence-numbered, deduplicated
 // server-side). If the server rejects an increment (uint64 overflow,
 // the same programming error that panics in-process), the client
@@ -93,13 +95,17 @@ func (c *Counter) Increment(amount uint64) {
 // a poisoned one. A failover path that races a client teardown needs
 // the error, not the panic: ErrClosed there means "this client's node
 // was retired and the amount is the replay machinery's problem now".
-// It waits only while more than 64 KiB of frames are queued behind a
-// write in flight, as on a stalled link: until the flusher takes them,
-// the link drops or the client closes.
+// Where the server advertises wire.FeatureBatch, the increment joins the
+// OpIncrements frame the client is batching while that frame is the
+// last one queued, as one entry of about two bytes once the counter is
+// bound to a slot of the link. It waits only while more
+// than 2048 increments are queued behind a write in flight, as on a
+// stalled link: until the flusher takes them, the link drops or the
+// client closes.
 func (c *Counter) TryIncrement(amount uint64) error {
 	cl := c.cl
 	cl.mu.Lock()
-	for len(cl.wq) > maxQueue && cl.fatal == nil && !cl.closed {
+	for cl.queued > maxQueue && cl.fatal == nil && !cl.closed {
 		cl.room.Wait()
 	}
 	if cl.fatal != nil {
@@ -116,8 +122,9 @@ func (c *Counter) TryIncrement(amount uint64) error {
 		return nil
 	}
 	cl.serial++
-	cl.pending = append(cl.pending, pendingInc{seq: cl.serial, ctr: c, amount: amount})
-	cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: c.name, Seq: cl.serial, Amount: amount})
+	p := pendingInc{seq: cl.serial, ctr: c, amount: amount}
+	cl.pending = append(cl.pending, p)
+	cl.incrementLocked(p)
 	cl.mu.Unlock()
 	c.emit(counter.EventIncrement, amount)
 	return nil
@@ -125,9 +132,10 @@ func (c *Counter) TryIncrement(amount uint64) error {
 
 // Check suspends the caller until the hosted value is at least level.
 // A level this client has already seen satisfied returns immediately
-// without touching the network.
+// without touching the network. It is CheckContext with a context that
+// is never cancelled.
 func (c *Counter) Check(level uint64) {
-	if err := <-c.CheckChan(level); err != nil {
+	if err := c.CheckContext(context.Background(), level); err != nil {
 		panic(err.Error()) // only ErrClosed: the client was torn down under us
 	}
 }
@@ -142,7 +150,9 @@ func (c *Counter) Check(level uint64) {
 // costs nothing in any process; one cancelled while others still wait
 // leaves them parked and asks the server again under a fresh id, an
 // OpCheck and its OpCancel, so the server still decides the race. It
-// returns ErrClosed if the client is closed while waiting.
+// returns ErrClosed if the client is closed while waiting. Its reply
+// channel is reused, so a wait allocates nothing once the client has
+// answered one.
 func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
@@ -150,13 +160,16 @@ func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	}
 	// Even an already-cancelled ctx parks the wait: satisfied state
 	// lives on the server, so the cancel must race the wait there.
-	ch, id, at := c.checkChan(level)
+	ch := replies.Get().(chan error)
+	id, at := c.checkChan(level, ch)
+	var err error
 	select {
-	case err := <-ch:
-		return err
+	case err = <-ch:
 	case <-ctx.Done():
-		return c.cancelWait(id, at, ch, ctx.Err())
+		err = c.cancelWait(id, at, ch, ctx.Err())
 	}
+	replies.Put(ch)
+	return err
 }
 
 // WaitTimeout is Check bounded by a timeout, reporting whether the
@@ -178,30 +191,30 @@ func (c *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 // first blocking wait on a level sends its OpCheck; each later one, until
 // the level is answered, joins that wait-table entry at the cost of its
 // channel and no frame, and the entry's one OpWake resolves them all.
+// The channel is the caller's, made per call.
 func (c *Counter) CheckChan(level uint64) <-chan error {
+	ch := make(chan error, 1)
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
-		ch := make(chan error, 1)
 		ch <- nil
 		return ch
 	}
-	ch, _, _ := c.checkChan(level)
+	c.checkChan(level, ch)
 	return ch
 }
 
-// checkChan parks a blocking wait for level, returning its resolution
-// channel, the id of the entry it joined and its start on clock() (a
-// zero id on a closed client, whose channel holds ErrClosed). A
+// checkChan parks a blocking wait for level resolved through ch,
+// returning the id of the entry it joined and its start on clock() (a
+// zero id on a closed client, for which it puts ErrClosed in ch). A
 // poisoned client panics with its latched error.
-func (c *Counter) checkChan(level uint64) (ch chan error, id, at uint64) {
-	ch = make(chan error, 1)
+func (c *Counter) checkChan(level uint64, ch chan error) (id, at uint64) {
 	id, at, err := c.park(level, ch)
 	if err == ErrClosed {
 		ch <- err
 	} else if err != nil {
 		panic(err.Error())
 	}
-	return ch, id, at
+	return id, at
 }
 
 // park parks a blocking wait for level on c, resolved through ch, and

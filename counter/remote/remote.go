@@ -17,16 +17,29 @@
 // waits over a single TCP connection with two goroutines total (a reader
 // and a write flusher) — never a goroutine per blocked wait, mirroring
 // the in-process engine's discipline. Increments pipeline: they are
-// fire-and-forget frames batched into the next flush, and a following
-// Check observes them in order because the server applies frames in
-// arrival order. Every frame is encoded once, straight into the client's
-// byte queue under its lock; the flusher swaps the queue for a spare
-// under the lock and writes it outside, so no caller waits on a write it
-// did not start, and the reader decodes every frame into one Frame it
-// owns. The queue is bounded for increments alone: while more than 64
-// KiB (maxQueue) wait behind a write in flight, TryIncrement waits for
-// the flusher to take them, the backpressure a write syscall on a full
-// buffer used to give.
+// fire-and-forget, batched into the next flush, and a following Check
+// observes them in order because the server applies frames in arrival
+// order. Every frame is encoded once, straight into the client's byte
+// queue under its lock; the flusher swaps the queue for a spare under
+// the lock and writes it outside, so no caller waits on a write it did
+// not start, and the reader decodes every frame into one Frame it owns.
+//
+// A run of increments is one frame where the server advertises
+// wire.FeatureBatch: an increment becomes an entry of the OpIncrements
+// frame at the end of the queue while that frame is the last one queued,
+// its seq follows the frame's last entry and the frame stays within
+// counterd's 4 KiB read buffer; any other frame, the flusher's take and
+// a reconnect close it. An entry names its counter by a slot of the
+// link, bound on the counter's first increment there, and once every
+// slot is bound the next binding takes a slot round-robin. So an
+// increment on a bound counter queues about two bytes, and frame order
+// stays program order: a Check queued after an increment closes its
+// frame. A v2 session, or a server without the bit, gets one
+// OpIncrement frame per increment. The queue is bounded for increments
+// alone: while more than maxQueue (2048) increments wait behind a write
+// in flight, TryIncrement waits for the flusher to take them, the
+// backpressure a write syscall on a full buffer used to give.
+//
 // Every request awaiting the server's answer — a blocking Check, a hook
 // armed by ArmHook, an ArmSpec predicate, a Reset or Stats call — is one
 // entry in one wait table, answered by the reader goroutine and swept by
@@ -141,14 +154,26 @@ type Client struct {
 
 	mu        sync.Mutex
 	flushCond *sync.Cond // the flusher waits here for frames to write
-	room      *sync.Cond // TryIncrement waits here while more than maxQueue bytes are queued
+	room      *sync.Cond // TryIncrement waits here while more than maxQueue increments are queued
 	nc        net.Conn
 	br        *bufio.Reader
 	wq        []byte // frames queued for nc, not yet taken by the flusher
+	queued    int    // increments in wq
 	closed    bool
 	fatal     error  // latched increment-overflow error; poisons the client
 	epoch     uint64 // boot epoch of the server instance last welcomed by
 	features  uint64 // feature bits from the last Welcome (zero on v2 sessions)
+
+	// The open OpIncrements frame starts at wq[batch], and its next
+	// entry carries seq batchSeq; batchSeq is zero while no frame is
+	// open (seqs start at 1).
+	batch    int
+	batchSeq uint64
+	// slots holds the counter each slot of the link is bound to, in
+	// binding order until all wire.MaxSlots are bound; then nextSlot is
+	// the slot the next binding takes.
+	slots    []*Counter
+	nextSlot uint64
 
 	session uint64
 	// serial is the last number drawn for an increment's seq or a wait's
@@ -178,18 +203,26 @@ type pendingInc struct {
 	amount uint64
 }
 
-// maxQueue bounds the bytes TryIncrement may leave queued behind the
-// write in flight: past it, an incrementer waits until the flusher takes
-// the queue. Only increments wait. Every other frame is an answer to a
+// maxQueue bounds the increments TryIncrement may leave queued behind
+// the write in flight: past it, an incrementer waits until the flusher
+// takes the queue. It counts increments, not bytes, so the unacknowledged
+// tail a stalled link leaves pending is as long in either encoding
+// (about 64 KiB of OpIncrement frames, or a few KiB of OpIncrements
+// entries). Only increments wait. Every other frame is an answer to a
 // wait or a request the caller then waits on, and the wait table a
 // reconnect re-sends or kicks is the source of truth, so those are
 // queued regardless.
-const maxQueue = 64 << 10
+const maxQueue = 2048
+
+// maxBatch bounds an OpIncrements frame, length prefix included, to
+// counterd's read buffer: the server decodes a frame that fits it in
+// place, and copies a larger one out with an allocation.
+const maxBatch = 4 << 10
 
 // maxSpareQueue bounds the written buffer the flusher keeps for reuse: a
 // larger one (a reconnect replaying a long tail) is left to the garbage
 // collector instead of pinning its peak for the client's lifetime.
-const maxSpareQueue = 2 * maxQueue
+const maxSpareQueue = 128 << 10
 
 // maxSpareWaits bounds the answered wait-table entries a client keeps
 // for reuse (Client.spare): entries freed beyond it by a burst of
@@ -248,6 +281,12 @@ func clock() uint64 { return uint64(time.Since(epoch)) }
 // errCancelled resolves a blocking wait whose cancel the server
 // confirmed; the waiter returns its own context error in its place.
 var errCancelled = errors.New("remote: wait cancelled")
+
+// replies keeps the reply channels of the calls whose channel never
+// leaves the package — Check, CheckContext (and so WaitTimeout), Reset
+// and Stats — for reuse. A channel goes back only from the goroutine
+// that received its one value, so it is empty and no entry holds it.
+var replies = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // Dial connects to a counterd server and performs the session
 // handshake. The returned client holds one connection and two
@@ -335,7 +374,8 @@ func (cl *Client) connect() error {
 	restarted := oldEpoch != 0 && welcome.Epoch != oldEpoch
 
 	// Everything the server already applied can be forgotten; the rest
-	// is re-sent in order and deduplicated server-side by sequence.
+	// is re-sent in order and deduplicated server-side by sequence, on
+	// slots bound afresh: the new connection has bound none.
 	trimmed := cl.pending[:0]
 	for _, p := range cl.pending {
 		if p.seq > welcome.Seq {
@@ -343,8 +383,9 @@ func (cl *Client) connect() error {
 		}
 	}
 	cl.pending = trimmed
+	cl.slots, cl.nextSlot = cl.slots[:0], 0
 	for _, p := range cl.pending {
-		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
+		cl.incrementLocked(p)
 	}
 	// Every entry a goroutine blocks on is re-sent, since its request or
 	// its answer may have died with the old link: one OpCheck for all the
@@ -598,9 +639,10 @@ func (cl *Client) Counter(name string) *Counter {
 }
 
 // enqueueLocked encodes f onto the connection's write queue, waking the
-// flusher if the queue was empty. With the link down it is a no-op: the
-// session state a reconnect re-sends or kicks is the source of truth,
-// not the queue. Callers hold cl.mu.
+// flusher if the queue was empty, and closes the open OpIncrements
+// frame, which is no longer the last one queued. With the link down it
+// is a no-op: the session state a reconnect re-sends or kicks is the
+// source of truth, not the queue. Callers hold cl.mu.
 func (cl *Client) enqueueLocked(f *wire.Frame) {
 	if cl.nc == nil {
 		return
@@ -609,7 +651,55 @@ func (cl *Client) enqueueLocked(f *wire.Frame) {
 	if len(cl.wq) == 0 {
 		cl.flushCond.Signal()
 	}
+	cl.batchSeq = 0
 	cl.wq = wire.Append(cl.wq, f)
+}
+
+// incrementLocked queues the pending increment p on the link: as an
+// OpIncrement where the server lacks wire.FeatureBatch, and otherwise as
+// an entry of the open OpIncrements frame where p's seq follows its last
+// entry and the frame has room for one more within maxBatch, else as the
+// first entry of a new one. With the link down it is a no-op, as
+// enqueueLocked is. Callers hold cl.mu.
+func (cl *Client) incrementLocked(p pendingInc) {
+	if cl.nc == nil {
+		return
+	}
+	cl.queued++
+	if cl.features&wire.FeatureBatch == 0 {
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrement, Name: p.ctr.name, Seq: p.seq, Amount: p.amount})
+		return
+	}
+	e := cl.entryLocked(p)
+	if p.seq == cl.batchSeq && len(cl.wq)-cl.batch <= maxBatch-wire.MaxInc {
+		cl.wq = wire.AppendInc(cl.wq, cl.batch, e)
+	} else {
+		at := len(cl.wq)
+		cl.enqueueLocked(&wire.Frame{Op: wire.OpIncrements, Seq: p.seq, Incs: []wire.Inc{e}})
+		cl.batch = at
+	}
+	cl.batchSeq = p.seq + 1
+}
+
+// entryLocked returns p's OpIncrements entry: a reference to the slot
+// its counter is bound to on the link, or a binding of the next slot,
+// taken round-robin from the counter holding it once every slot is
+// bound. Callers hold cl.mu.
+func (cl *Client) entryLocked(p pendingInc) wire.Inc {
+	c := p.ctr
+	if s := c.slot; s < uint64(len(cl.slots)) && cl.slots[s] == c {
+		return wire.Inc{Slot: s, Amount: p.amount}
+	}
+	s := uint64(len(cl.slots))
+	if s < wire.MaxSlots {
+		cl.slots = append(cl.slots, c)
+	} else {
+		s = cl.nextSlot
+		cl.nextSlot = (s + 1) % wire.MaxSlots
+		cl.slots[s] = c
+	}
+	c.slot = s
+	return wire.Inc{Slot: s, Name: c.name, Amount: p.amount}
 }
 
 // flushLoop writes queued frames: each pass takes everything queued
@@ -652,7 +742,7 @@ func (cl *Client) take(spare []byte) ([]byte, net.Conn) {
 		return nil, nil
 	}
 	buf := cl.wq
-	cl.wq = spare[:0]
+	cl.wq, cl.queued, cl.batchSeq = spare[:0], 0, 0
 	cl.room.Broadcast()
 	return buf, cl.nc
 }
@@ -692,7 +782,7 @@ func (cl *Client) reconnect() bool {
 	cl.mu.Lock()
 	if cl.nc != nil {
 		cl.nc.Close()
-		cl.nc, cl.br, cl.wq = nil, nil, nil
+		cl.nc, cl.br, cl.wq, cl.queued, cl.batchSeq = nil, nil, nil, 0, 0
 		cl.room.Broadcast()
 	}
 	cl.mu.Unlock()
@@ -802,7 +892,7 @@ func (cl *Client) dispatch(f *wire.Frame) {
 // lapses (zero means none), or the client closes. On a nil error f
 // holds the reply.
 func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
-	ch := make(chan error, 1)
+	ch := replies.Get().(chan error)
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
@@ -819,6 +909,7 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 	}
 	select {
 	case err := <-ch:
+		replies.Put(ch)
 		return err
 	case <-timer:
 		cl.mu.Lock()
@@ -828,7 +919,9 @@ func (cl *Client) roundTrip(f *wire.Frame, timeout time.Duration) error {
 		}
 		cl.mu.Unlock()
 		if w == nil {
-			return <-ch // the reply (or Close) took the entry first
+			err := <-ch // the reply (or Close) took the entry first
+			replies.Put(ch)
+			return err
 		}
 		return fmt.Errorf("remote: %s timed out after %v", f.Op, timeout)
 	}

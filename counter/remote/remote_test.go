@@ -229,6 +229,203 @@ func TestReconnectExactlyOnce(t *testing.T) {
 	}
 }
 
+// bindsSlots reports whether p holds an OpIncrements frame that binds a
+// slot.
+func bindsSlots(p []byte) bool {
+	br := bufio.NewReader(strings.NewReader(string(p)))
+	for {
+		f, err := wire.Read(br)
+		if err != nil {
+			return false
+		}
+		if f.Op == wire.OpIncrements && slices.ContainsFunc(f.Incs, func(e wire.Inc) bool { return e.Name != "" }) {
+			return true
+		}
+	}
+}
+
+// severConn is a client link that severs itself at the first write that
+// binds slots: from then on the client's reads fail and its writes are
+// dropped, so it never sees that write's ack and reconnects, while the
+// write itself is held until release closes, then handed to the server
+// on the old connection, which sent closes.
+type severConn struct {
+	net.Conn
+	cut, release, sent chan struct{}
+}
+
+func (c *severConn) severed() bool {
+	select {
+	case <-c.cut:
+		return true
+	default:
+		return false
+	}
+}
+
+func (c *severConn) Write(p []byte) (int, error) {
+	if c.severed() {
+		return len(p), nil
+	}
+	if !bindsSlots(p) {
+		return c.Conn.Write(p)
+	}
+	close(c.cut)
+	c.Conn.SetReadDeadline(time.Now()) // unblocks the client's reader
+	held := slices.Clone(p)
+	go func() {
+		<-c.release
+		c.Conn.Write(held)
+		c.Conn.Close()
+		close(c.sent)
+	}()
+	return len(p), nil
+}
+
+func (c *severConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.severed() {
+		return 0, net.ErrClosed
+	}
+	return n, err
+}
+
+func (c *severConn) Close() error {
+	if c.severed() {
+		return nil // the held write closes the connection
+	}
+	return c.Conn.Close()
+}
+
+// resendConn is the link after a severConn: its first write that binds
+// slots, the client's re-sent tail, releases the severed link's held
+// write and goes out only once that reached the server and the server
+// has had a moment to apply it, so the re-sent entries are most likely
+// duplicates.
+type resendConn struct {
+	net.Conn
+	sever *severConn
+	once  sync.Once
+}
+
+func (c *resendConn) Write(p []byte) (int, error) {
+	if bindsSlots(p) {
+		c.once.Do(func() {
+			close(c.sever.release)
+			<-c.sever.sent
+			time.Sleep(20 * time.Millisecond)
+		})
+	}
+	return c.Conn.Write(p)
+}
+
+// settled checks c's hosted value is exactly final, with a wait the
+// server decides: a Check at final returns, and a zero-timeout wait one
+// above it does not.
+func settled(t *testing.T, c *remote.Counter, final uint64) {
+	t.Helper()
+	if !c.WaitTimeout(final, 10*time.Second) {
+		t.Fatalf("%s: Check(%d) did not return: an increment was lost", c.Name(), final)
+	}
+	if c.WaitTimeout(final+1, 0) {
+		t.Fatalf("%s: value passed %d: an increment was applied twice", c.Name(), final)
+	}
+}
+
+// TestReconnectRebindsSlots severs the link just as the client writes
+// an OpIncrements frame that binds slots, before its ack can arrive. The
+// client reconnects and re-sends its unacknowledged tail on slots bound
+// afresh, since the new connection has bound none, and goes on
+// incrementing there. The severed frame reaches the server on the old
+// connection only after the new Welcome, and most likely ahead of the
+// re-send, so the re-sent entries are duplicates whose bindings must
+// still take effect: a later entry referring to an unbound slot would
+// close the new connection. Every increment must land exactly once, over
+// exactly two links.
+func TestReconnectRebindsSlots(t *testing.T) {
+	addr := startServer(t)
+	sever := &severConn{cut: make(chan struct{}), release: make(chan struct{}), sent: make(chan struct{})}
+	var dials atomic.Int32
+	cl, err := remote.Dial(addr, remote.WithDialer(func(addr string) (net.Conn, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		switch dials.Add(1) {
+		case 1:
+			sever.Conn = nc
+			return sever, nil
+		case 2:
+			return &resendConn{Conn: nc, sever: sever}, nil
+		}
+		return nc, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if cl.ServerFeatures()&wire.FeatureBatch == 0 {
+		t.Fatal("the server does not advertise FeatureBatch")
+	}
+	cs := make([]*remote.Counter, 40)
+	for i := range cs {
+		cs[i] = cl.Counter(countertest.FreshName("rebind"))
+	}
+	const rounds = 3
+	for r := range rounds {
+		for _, c := range cs {
+			c.Increment(1)
+		}
+		if r == 0 {
+			select {
+			case <-sever.cut:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no frame binding a slot was written")
+			}
+		}
+	}
+	for _, c := range cs {
+		settled(t, c, rounds)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2: the client reconnected once, and the new link was never closed", n)
+	}
+}
+
+// TestManyCountersRebindSlots increments more counters on one link than
+// it has slots, in rounds, so the client rebinds slots round-robin
+// throughout, a binding taking the slot of a counter the next round
+// needs again; every final value must still be exact. The increments
+// travel as OpIncrements frames, far fewer than the increments.
+func TestManyCountersRebindSlots(t *testing.T) {
+	addr := startServer(t)
+	cl := dialClient(t, addr)
+	cs := make([]*remote.Counter, wire.MaxSlots+wire.MaxSlots/4)
+	for i := range cs {
+		cs[i] = cl.Counter(fmt.Sprintf("%s-%d", countertest.FreshName("slots"), i))
+	}
+	sent0, _ := cl.WireStats()
+	var total uint64
+	for r := 0; r < 3; r++ {
+		for i, c := range cs {
+			if i%3 >= r { // counter i gets i%3+1 increments
+				c.Increment(uint64(r + 1))
+				total++
+			}
+		}
+	}
+	if sent, _ := cl.WireStats(); sent-sent0 > total/10 {
+		t.Fatalf("%d increments sent %d frames, want them batched", total, sent-sent0)
+	}
+	for i, c := range cs {
+		var final uint64
+		for r := 0; r <= i%3; r++ {
+			final += uint64(r + 1)
+		}
+		settled(t, c, final)
+	}
+}
+
 // TestBlockedCheckSurvivesReconnect kills the link while a Check is the
 // only outstanding operation; the re-registered wait must still resolve.
 func TestBlockedCheckSurvivesReconnect(t *testing.T) {

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"monotonic/internal/server"
+	"monotonic/internal/wire"
 )
 
 // stallConn is a link whose writes, while it is stalled, block until the
@@ -77,13 +79,21 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 
 // TestStalledLink stalls the client's link in the middle of a write and
 // pins what waits behind it. While the write is blocked, TryIncrement
-// returns at once as long as no more than maxQueue bytes are queued, a
-// wait parks at once however much is queued, and only the increment
-// past the bound waits. Released, every increment is applied exactly
-// once: a Check at the final value returns and one above it does not.
-// Stalled again past the bound, Close returns and the waiting
-// incrementer gets ErrClosed.
+// returns at once as long as no more than maxQueue increments are
+// queued, a wait parks at once however much is queued, and only the
+// increment past the bound waits. The bound counts increments, so it
+// holds the same count in both encodings: batched into OpIncrements
+// frames (v3), and one OpIncrement frame each (v2). Released, every
+// increment is applied exactly once: a Check at the final value returns
+// and one above it does not. Stalled again past the bound, Close
+// returns and the waiting incrementer gets ErrClosed.
 func TestStalledLink(t *testing.T) {
+	for _, proto := range []uint64{wire.Version, wire.MinVersion} {
+		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) { testStalledLink(t, proto) })
+	}
+}
+
+func testStalledLink(t *testing.T, proto uint64) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,23 +111,21 @@ func TestStalledLink(t *testing.T) {
 		nc, err := net.Dial("tcp", addr)
 		link.Conn = nc
 		return link, err
-	}))
+	}), WithProtocol(proto))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
 	t.Cleanup(func() { link.Close() }) // first: unblocks a write a failure left stalled
-	c := cl.Counter("stalled")
-	queued := func() int {
-		cl.mu.Lock()
-		defer cl.mu.Unlock()
-		return len(cl.wq)
+	if batched := cl.ServerFeatures()&wire.FeatureBatch != 0; batched != (proto >= 3) {
+		t.Fatalf("v%d session: FeatureBatch advertised = %v", proto, batched)
 	}
+	c := cl.Counter("stalled")
 
 	// fill stalls the link, lets the flusher block writing one increment,
-	// then queues increments until more than maxQueue bytes wait behind
-	// it, and starts one more, which must wait. It returns how many it
-	// queued and the waiting one's result.
+	// then queues maxQueue+1 increments behind it, more than the bound,
+	// and starts one more, which must wait. It returns the waiting one's
+	// result.
 	var total uint64
 	fill := func() <-chan error {
 		t.Helper()
@@ -130,7 +138,7 @@ func TestStalledLink(t *testing.T) {
 			t.Fatal("the flusher never wrote to the stalled link")
 		}
 		within(t, 5*time.Second, "TryIncrement below the bound", func() {
-			for queued() <= maxQueue {
+			for range maxQueue + 1 {
 				if err := c.TryIncrement(1); err != nil {
 					t.Error(err)
 					return

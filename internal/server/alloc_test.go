@@ -32,12 +32,13 @@ const waitForAllocs = 4
 // TestSteadyStateAllocs pins the server's steady-state frame paths at
 // zero heap allocations per frame: an OpIncrement on a known name
 // (decode, name resolution, dedup, apply) with the OpIncAck it earns
-// queued and drained the way writeLoop drains it, and an OpWake queued
-// by wake. It also pins a parked OpCheck, woken by the next
-// OpIncrement, at parkedCheckAllocs, and so several OpChecks sharing
-// one level, since each waiter after the first costs nothing; and it
-// pins a 2-of-4 OpWaitFor parked and flipped. (The race detector
-// inflates allocation counts, hence the build tag.)
+// queued and drained the way writeLoop drains it, an OpWake queued by
+// wake, and a 16-entry OpIncrements on bound slots with its OpIncAck.
+// It also pins a parked OpCheck, woken by the next OpIncrement, at
+// parkedCheckAllocs, and so several OpChecks sharing one level, since
+// each waiter after the first costs nothing; and it pins a 2-of-4
+// OpWaitFor parked and flipped. (The race detector inflates allocation
+// counts, hence the build tag.)
 func TestSteadyStateAllocs(t *testing.T) {
 	c := newConn(New(), nil)
 	if err := c.handle(&wire.Frame{Op: wire.OpHello, Seq: wire.Version}); err != nil {
@@ -176,6 +177,46 @@ func TestSteadyStateAllocs(t *testing.T) {
 	})
 	if n != waitForAllocs {
 		t.Errorf("2-of-4 OpWaitFor parked and flipped by two OpIncrements: %v allocs, want %d", n, waitForAllocs)
+	}
+
+	// A 16-entry OpIncrements over four slots, bound by the frame before
+	// the runs, each entry claimed and applied on its own seq.
+	serveAll := func(f *wire.Frame) {
+		in = wire.Append(in[:0], f)
+		rd.Reset(in)
+		br.Reset(rd)
+		if err := c.serve(br); err != nil {
+			t.Fatal(err)
+		}
+		drain()
+	}
+	bind := wire.Frame{Op: wire.OpIncrements, Seq: seq + 1}
+	for i := range 4 {
+		bind.Incs = append(bind.Incs, wire.Inc{Slot: uint64(i), Name: fmt.Sprintf("batched%d", i), Amount: 1})
+	}
+	seq += 4
+	serveAll(&bind)
+	batch := wire.Frame{Op: wire.OpIncrements, Incs: make([]wire.Inc, 16)}
+	for i := range batch.Incs {
+		batch.Incs[i] = wire.Inc{Slot: uint64(i % 4), Amount: 1}
+	}
+	const batches = 1000
+	n = testing.AllocsPerRun(batches, func() {
+		batch.Seq = seq + 1
+		seq += uint64(len(batch.Incs))
+		serveAll(&batch)
+	})
+	if n != 0 {
+		t.Errorf("16-entry OpIncrements in, OpIncAck out: %v allocs per frame, want 0", n)
+	}
+	if ack, _ := wire.Read(bufio.NewReader(bytes.NewReader(spare))); ack.Op != wire.OpIncAck || ack.Seq != seq {
+		t.Fatalf("last drain = %+v, want the IncAck for seq %d", ack, seq)
+	}
+	for i := range 4 {
+		h, _ := c.hosted(fmt.Sprintf("batched%d", i))
+		if v, want := h.c.Value(), uint64(1+4*(batches+1)); v != want {
+			t.Fatalf("batched%d = %d after the bound frame and %d batches, want %d", i, v, batches+1, want)
+		}
 	}
 }
 

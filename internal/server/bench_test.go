@@ -15,32 +15,44 @@ import (
 )
 
 // BenchmarkIncrementNames measures the server's read side per pipelined
-// OpIncrement (decode, name resolution, dedup, apply and the batched
+// increment (decode, name resolution, dedup, apply and the batched
 // acks) on one connection whose increments cycle through a set of
-// names. names=64 stays inside the connection's name table; names=4096
-// cycles through more names than the table holds, so every frame misses
-// it and resolves through the server's map. The link is in memory: it
-// encodes the frames as the server reads and discards every reply.
+// names, in both encodings: one OpIncrement frame per increment, and
+// (",batched") OpIncrements frames of the remote client's size, whose
+// entries name their counters by slot, binding a name to the next slot
+// round-robin when it holds none, as the client does. names=64 stays
+// inside the connection's name table and its slots; names=4096 cycles
+// through more names than the table holds, so every OpIncrement misses
+// it and resolves through the server's map, and more than the slots,
+// so every entry is a binding that does the same. The link is in
+// memory: it encodes the frames as the server reads and discards every
+// reply.
 func BenchmarkIncrementNames(b *testing.B) {
 	for _, n := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("names=%d", n), func(b *testing.B) {
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("bench-%04d", i)
+		for _, batched := range []bool{false, true} {
+			name := fmt.Sprintf("names=%d", n)
+			if batched {
+				name += ",batched"
 			}
-			s := New()
-			lis := &memListener{conns: make(chan net.Conn), done: make(chan struct{})}
-			go s.Serve(lis)
-			defer s.Close()
-			feed := func(frames int) {
-				c := &incConn{names: names, left: frames, closed: make(chan struct{})}
-				lis.conns <- c
-				<-c.closed
-			}
-			feed(n) // hosts every name before the clock starts
-			b.ResetTimer()
-			feed(b.N)
-		})
+			b.Run(name, func(b *testing.B) {
+				names := make([]string, n)
+				for i := range names {
+					names[i] = fmt.Sprintf("bench-%04d", i)
+				}
+				s := New()
+				lis := &memListener{conns: make(chan net.Conn), done: make(chan struct{})}
+				go s.Serve(lis)
+				defer s.Close()
+				feed := func(incs int) {
+					c := &incConn{names: names, batched: batched, left: incs, closed: make(chan struct{})}
+					lis.conns <- c
+					<-c.closed
+				}
+				feed(n) // hosts every name before the clock starts
+				b.ResetTimer()
+				feed(b.N)
+			})
+		}
 	}
 }
 
@@ -110,34 +122,71 @@ func (l *memListener) Addr() net.Addr { return &net.TCPAddr{} }
 
 // incConn is a client link that sends a Hello and then left increments,
 // cycling through names, and ends with EOF; it discards what the server
-// writes and closes closed when the server drops it.
+// writes and closes closed when the server drops it. Batched, it sends
+// one OpIncrements frame per read, as long as the remote client makes
+// one.
 type incConn struct {
 	net.Conn // unused methods
 	names    []string
+	batched  bool
 	left     int
 	seq      uint64
 	hello    bool
 	closed   chan struct{}
 	once     sync.Once
+	// The slot table, batched: slotOf[i] is 1 + the slot names[i] is
+	// bound to (0: none), holder[s] 1 + the index of the name slot s
+	// holds, next the slot the next binding takes.
+	slotOf []int
+	holder []int
+	next   int
 }
 
 func (c *incConn) Read(p []byte) (int, error) {
-	const room = 4 + 1 + 1 + wire.MaxName + 2*binary.MaxVarintLen64 // largest frame below
+	// The largest frame or entry below: an OpIncrements of one maximal
+	// entry, a little longer than an OpIncrement on a MaxName-byte name.
+	const room = 4 + 1 + binary.MaxVarintLen64 + wire.MaxInc
 	buf := p[:0:len(p)]
 	if !c.hello {
 		c.hello = true
 		buf = wire.Append(buf, &wire.Frame{Op: wire.OpHello, Seq: wire.Version})
 	}
-	for c.left > 0 && cap(buf)-len(buf) >= room {
+	frame := len(buf)
+	for c.left > 0 && cap(buf)-len(buf) >= room && len(buf)-frame <= 4096-wire.MaxInc {
 		c.left--
 		c.seq++
-		name := c.names[c.seq%uint64(len(c.names))]
-		buf = wire.Append(buf, &wire.Frame{Op: wire.OpIncrement, Name: name, Seq: c.seq, Amount: 1})
+		i := int(c.seq % uint64(len(c.names)))
+		switch {
+		case !c.batched:
+			buf = wire.Append(buf, &wire.Frame{Op: wire.OpIncrement, Name: c.names[i], Seq: c.seq, Amount: 1})
+		case len(buf) == frame:
+			buf = wire.Append(buf, &wire.Frame{Op: wire.OpIncrements, Seq: c.seq, Incs: []wire.Inc{c.entry(i)}})
+		default:
+			buf = wire.AppendInc(buf, frame, c.entry(i))
+		}
 	}
 	if len(buf) == 0 {
 		return 0, io.EOF
 	}
 	return len(buf), nil
+}
+
+// entry is the OpIncrements entry for an increment on names[i]: a
+// reference to its slot, or a binding of the next slot round-robin.
+func (c *incConn) entry(i int) wire.Inc {
+	if c.slotOf == nil {
+		c.slotOf, c.holder = make([]int, len(c.names)), make([]int, wire.MaxSlots)
+	}
+	if s := c.slotOf[i]; s > 0 {
+		return wire.Inc{Slot: uint64(s - 1), Amount: 1}
+	}
+	s := c.next
+	c.next = (s + 1) % wire.MaxSlots
+	if h := c.holder[s]; h > 0 {
+		c.slotOf[h-1] = 0
+	}
+	c.holder[s], c.slotOf[i] = i+1, s+1
+	return wire.Inc{Slot: uint64(s), Name: c.names[i], Amount: 1}
 }
 
 func (c *incConn) Write(p []byte) (int, error) { return len(p), nil }

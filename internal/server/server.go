@@ -16,9 +16,14 @@
 // The reader decodes each frame in place into the one wire.Frame its
 // connection owns, and resolves a frame's counter name once: the
 // decoder's name hook finds the hosted counter in the connection's name
-// table and leaves it for the handler. Increment dedup is one CAS max
-// on the session's highest applied sequence, so an increment on a known
-// name takes no lock before the engine's own fast path.
+// table and leaves it for the handler. Beside the name table, each
+// connection keeps a slot table for batched increments (OpIncrements,
+// FeatureBatch): a binding entry resolves its name as any named frame
+// does and records the hosted counter under its slot, and every later
+// entry naming the slot indexes the table, with no name to decode or
+// look up. Increment dedup is one CAS max on the session's highest
+// applied sequence, so an increment on a known name or a bound slot
+// takes no lock before the engine's own fast path.
 //
 // A parked OpCheck is one entry in its connection's wait table, which
 // embeds the engine hook it parks on its level's node; the increment
@@ -85,6 +90,13 @@ const maxSpareQueue = 64 << 10
 // reuse (conn.spare), for the same reason: entries freed beyond it by a
 // wake storm are left to the garbage collector.
 const maxSpareWaits = 256
+
+// maxSpareIncs bounds the OpIncrements entry storage a connection
+// keeps for the next frame (conn.incs). An entry is at least two bytes,
+// so a frame within the reader's 4 KiB buffer holds fewer entries; the
+// storage of a longer frame, which the reader copies out of its buffer
+// anyway, is left to the garbage collector.
+const maxSpareIncs = 2048
 
 // maxSpareWidth bounds the answered predicates' Conds a connection
 // keeps for renewal (conn.conds): only a Cond that has watched at most
@@ -309,12 +321,18 @@ type conn struct {
 	resolved map[string]*hosted
 	named    *hosted
 	intern   func([]byte) string
+	// slots is the slot table: the hosted counter each OpIncrements
+	// binding recorded, by slot, made at the connection's first binding.
+	// Reader goroutine only.
+	slots []*hosted
 	// frame is the reader's decode target: every frame is decoded into
-	// it in place and handled from it, never copied. watch keeps the
-	// storage of the last OpWaitFor's watch list, which serve hands the
-	// frame before each read, so the next one decodes into it.
+	// it in place and handled from it, never copied. watch and incs keep
+	// the storage of the last OpWaitFor's watch list and of the last
+	// OpIncrements's entries, which serve hands the frame before each
+	// read, so the next one decodes into it.
 	frame wire.Frame
 	watch []wire.Watch
+	incs  []wire.Inc
 	// levels and watched are handleWaitFor's scratch for a predicate's
 	// levels and counters, which a Cond copies; reader goroutine only.
 	levels  []uint64
@@ -577,12 +595,15 @@ func (c *conn) readLoop() {
 // the pipeline drains (or every ackEvery of them), so one flush carries
 // one ack for a whole burst instead of an ack per increment.
 func (c *conn) serve(br *bufio.Reader) error {
-	c.frame.Watch = c.watch
+	c.frame.Watch, c.frame.Incs = c.watch, c.incs
 	if err := wire.ReadInterned(br, c.intern, &c.frame); err != nil {
 		return err
 	}
 	if c.frame.Watch != nil {
 		c.watch = c.frame.Watch[:0] // handleWaitFor keeps nothing of the list
+	}
+	if incs := c.frame.Incs; incs != nil && cap(incs) <= maxSpareIncs {
+		c.incs = incs[:0] // nor the handler of the entries
 	}
 	if err := c.handle(&c.frame); err != nil {
 		return err
@@ -624,7 +645,7 @@ func (c *conn) handle(f *wire.Frame) error {
 		c.ackedSeq = last
 		var feat uint64
 		if c.version >= 3 {
-			feat = wire.FeatureWaitFor | wire.FeatureSentinel
+			feat = wire.FeatureWaitFor | wire.FeatureSentinel | wire.FeatureBatch
 		}
 		c.send(&wire.Frame{Op: wire.OpWelcome, Session: id, Seq: last, Epoch: c.srv.epoch, Features: feat})
 
@@ -633,14 +654,18 @@ func (c *conn) handle(f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		if !c.sess.claim(f.Seq) {
-			return nil // retried increment: monotonic dedup, drop it
+		c.increment(h, f.Seq, f.Amount)
+
+	case wire.OpIncrements:
+		if c.version < 3 {
+			return errors.New("server: increments frame from a v2 session")
 		}
-		c.unacked++
-		if err := apply(h, f.Amount); err != nil {
-			// Overflow is a caller bug, not a connection fault: report it
-			// on the increment's sequence number and keep serving.
-			c.send(&wire.Frame{Op: wire.OpError, ID: f.Seq, Msg: err.Error()})
+		for i, e := range f.Incs {
+			h, err := c.slot(e)
+			if err != nil {
+				return err
+			}
+			c.increment(h, f.Seq+uint64(i), e.Amount)
 		}
 
 	case wire.OpCheck, wire.OpSentinel:
@@ -726,6 +751,46 @@ func (c *conn) hosted(name string) (*hosted, error) {
 	}
 	c.resolved[h.name] = h
 	return h, nil
+}
+
+// slot resolves an OpIncrements entry's counter. A binding resolves its
+// name through hosted, validated and hosted as any named frame's, and
+// records it under the entry's slot, whether or not the entry itself is
+// a duplicate the session already applied; a reference takes the
+// counter its slot holds, and a slot the connection never bound is a
+// protocol error. The decoder has refused slots of wire.MaxSlots and
+// up.
+func (c *conn) slot(e wire.Inc) (*hosted, error) {
+	if e.Name == "" {
+		if c.slots == nil || c.slots[e.Slot] == nil {
+			return nil, fmt.Errorf("server: increment on unbound slot %d", e.Slot)
+		}
+		return c.slots[e.Slot], nil
+	}
+	h, err := c.hosted(e.Name)
+	if err != nil {
+		return nil, err
+	}
+	if c.slots == nil {
+		c.slots = make([]*hosted, wire.MaxSlots)
+	}
+	c.slots[e.Slot] = h
+	return h, nil
+}
+
+// increment executes one increment, of an OpIncrement or an
+// OpIncrements entry: it applies amount to h if seq is new to the
+// session, and drops a retried one (monotonic dedup). Overflow is a
+// caller bug, not a connection fault: it is reported on the increment's
+// seq, and the connection keeps serving.
+func (c *conn) increment(h *hosted, seq, amount uint64) {
+	if !c.sess.claim(seq) {
+		return
+	}
+	c.unacked++
+	if err := apply(h, amount); err != nil {
+		c.send(&wire.Frame{Op: wire.OpError, ID: seq, Msg: err.Error()})
+	}
 }
 
 // apply increments h, converting the overflow panic (a wrap would

@@ -459,6 +459,73 @@ func TestIncrementOverflowReported(t *testing.T) {
 	}
 }
 
+// TestIncrementsOverflowReported: an OpIncrements entry that would
+// overflow its counter is answered by an OpError carrying that entry's
+// seq, and every other entry of the frame applies, before it and after
+// it, on its own counter and on the overflowing one.
+func TestIncrementsOverflowReported(t *testing.T) {
+	_, addr := startServer(t)
+	c := dialRaw(t, addr)
+	c.hello(0)
+	c.send(&wire.Frame{Op: wire.OpIncrements, Seq: 1, Incs: []wire.Inc{
+		{Slot: 0, Name: "o", Amount: ^uint64(0) - 5},
+		{Slot: 0, Amount: 100},
+		{Slot: 1, Name: "p", Amount: 3},
+		{Slot: 0, Amount: 2},
+	}})
+	if f := c.recvOp(wire.OpError); f.ID != 2 {
+		t.Fatalf("overflow reported on seq %d, want 2", f.ID)
+	}
+	c.send(
+		&wire.Frame{Op: wire.OpCheck, Name: "o", ID: 10, Level: ^uint64(0) - 3},
+		&wire.Frame{Op: wire.OpCheck, Name: "p", ID: 11, Level: 3},
+	)
+	got := map[uint64]bool{}
+	for len(got) < 2 {
+		got[c.recvOp(wire.OpWake).ID] = true
+	}
+	if !got[10] || !got[11] {
+		t.Fatalf("wakes for ids %v, want 10 and 11: the entries around the overflow did not apply", got)
+	}
+}
+
+// TestDuplicateEntryBindsSlot: a binding takes effect even when its
+// entry is a duplicate. Two connections of one session: the first
+// applies a frame that binds slot 0, the second re-sends that frame,
+// as a client re-sends its unacknowledged tail after a reconnect, and
+// then refers to slot 0. The re-sent entries apply nothing, the
+// reference applies once on the counter the duplicate bound, and the
+// connection stays open.
+func TestDuplicateEntryBindsSlot(t *testing.T) {
+	_, addr := startServer(t)
+	tail := &wire.Frame{Op: wire.OpIncrements, Seq: 1, Incs: []wire.Inc{
+		{Slot: 0, Name: "dup", Amount: 1}, {Slot: 0, Amount: 1},
+	}}
+	a := dialRaw(t, addr)
+	sess := a.hello(0).Session
+	a.send(tail)
+	if f := a.recvOp(wire.OpIncAck); f.Seq != 2 {
+		t.Fatalf("ack seq = %d, want 2", f.Seq)
+	}
+	b := dialRaw(t, addr)
+	if w := b.hello(sess); w.Seq != 2 {
+		t.Fatalf("resumed lastSeq = %d, want 2", w.Seq)
+	}
+	b.send(
+		tail,
+		&wire.Frame{Op: wire.OpIncrements, Seq: 3, Incs: []wire.Inc{{Slot: 0, Amount: 5}}},
+		&wire.Frame{Op: wire.OpCheck, Name: "dup", ID: 10, Level: 7},
+		&wire.Frame{Op: wire.OpCheck, Name: "dup", ID: 11, Level: 8}, // would pass had the tail applied twice
+		&wire.Frame{Op: wire.OpCancel, ID: 11},
+	)
+	if f := b.recvOp(wire.OpWake); f.ID != 10 {
+		t.Fatalf("wake id = %d, want 10", f.ID)
+	}
+	if f := b.recvOp(wire.OpCancelled); f.ID != 11 {
+		t.Fatalf("cancelled id = %d, want 11", f.ID)
+	}
+}
+
 func TestStatsReply(t *testing.T) {
 	_, addr := startServer(t)
 	c := dialRaw(t, addr)
@@ -524,6 +591,25 @@ func TestProtocolErrorsCloseConnection(t *testing.T) {
 		"second-hello": {
 			{Op: wire.OpHello, Seq: wire.Version},
 			{Op: wire.OpHello, Session: 99, Seq: wire.MinVersion},
+		},
+		// Batched increments: only a v3 session may send them, and every
+		// entry names a slot below wire.MaxSlots that the connection has
+		// bound.
+		"v2-increments": {
+			{Op: wire.OpHello, Seq: wire.MinVersion},
+			{Op: wire.OpIncrements, Seq: 1, Incs: []wire.Inc{{Slot: 0, Name: "x", Amount: 1}}},
+		},
+		"unbound-slot": {
+			{Op: wire.OpHello, Seq: wire.Version},
+			{Op: wire.OpIncrements, Seq: 1, Incs: []wire.Inc{{Slot: 0, Name: "x", Amount: 1}, {Slot: 1, Amount: 1}}},
+		},
+		"slot-out-of-range": {
+			{Op: wire.OpHello, Seq: wire.Version},
+			{Op: wire.OpIncrements, Seq: 1, Incs: []wire.Inc{{Slot: wire.MaxSlots, Name: "x", Amount: 1}}},
+		},
+		"empty-increments": {
+			{Op: wire.OpHello, Seq: wire.Version},
+			{Op: wire.OpIncrements, Seq: 1},
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -32,6 +32,24 @@
 // sequence per session and drops duplicates, so a client that re-sends
 // its unacknowledged tail after a reconnect cannot double-apply (see
 // docs/PATTERNS.md, "Counters across processes").
+//
+// # Batched increments
+//
+// A run of increments is one frame. Where the Welcome advertises
+// FeatureBatch, a client sends its increments as OpIncrements: a base
+// seq, then entries to the frame's end, entry i carrying seq base+i.
+// An entry names its counter by a slot, a small per-connection number
+// below MaxSlots, instead of by name: an entry that carries a name
+// binds its slot to that name first, and the slot then means that
+// counter on the connection until another binding reuses it. So a run
+// of increments on counters the connection has bound costs about two
+// bytes each — the slot and the amount — and one length prefix, in
+// place of a whole frame carrying the name per increment. Each entry
+// is deduplicated by its own seq, as an OpIncrement is, and its binding
+// takes effect even when the entry is a duplicate, so a re-sent tail
+// that an older connection of the session already applied still binds
+// its slots on the new one. OpIncrement stays in the vocabulary: v2
+// sessions, and clients of servers without the bit, send it.
 package wire
 
 import (
@@ -70,13 +88,18 @@ const (
 	// FeatureSentinel: the server takes OpSentinel, a wait that counts
 	// as no Check in the hosted counter's Stats.
 	FeatureSentinel uint64 = 1 << 1
+	// FeatureBatch: the server takes OpIncrements, a run of increments
+	// in one frame, each naming its counter by a per-connection slot.
+	FeatureBatch uint64 = 1 << 2
 )
 
 // MaxFrame bounds a frame's payload, protecting both sides from a
-// corrupt or hostile length prefix. Counter names are the only variable
-// sized field, so frames are tiny; 64 KiB is generous (a maximal
-// OpWaitFor — MaxWatch names of MaxName bytes — still fits in a third
-// of it).
+// corrupt or hostile length prefix. Frames are small: a maximal
+// OpWaitFor — MaxWatch names of MaxName bytes — fits in a third of
+// it, and an OpIncrements frame, whose entries run to the frame's end,
+// is only as long as its sender makes it (the remote client keeps its
+// frames within counterd's 4 KiB read buffer, so the reader decodes
+// them in place).
 const MaxFrame = 64 << 10
 
 // MaxName bounds a counter name.
@@ -84,6 +107,15 @@ const MaxName = 256
 
 // MaxWatch bounds the number of counters one OpWaitFor frame may watch.
 const MaxWatch = 64
+
+// MaxSlots bounds the slots of one connection: an OpIncrements entry
+// names a slot below it. A sender with more counters than slots binds
+// a slot again to the counter it needs.
+const MaxSlots = 1024
+
+// MaxInc bounds one encoded OpIncrements entry: a binding of the
+// highest slot to a MaxName-byte name, with a maximal amount.
+const MaxInc = 1 + 2 + 2 + MaxName + binary.MaxVarintLen64
 
 // Op identifies a frame's meaning.
 type Op uint8
@@ -137,6 +169,18 @@ const (
 	// Suspends nor ImmediateChecks, since arming a sentinel is no Check
 	// (in-process as on the wire).
 	OpSentinel Op = 0x09
+	// OpIncrements (FeatureBatch) carries a run of increments in one
+	// frame: Seq is the first entry's seq, and entry i of Incs carries
+	// Seq+i. The entries are deduplicated, applied and acknowledged in
+	// order, each as an OpIncrement carrying its seq would be; a
+	// rejected one is answered with an OpError carrying its seq, and the
+	// rest still apply.
+	// On the wire, Seq is followed by the entries to the frame's end,
+	// at least one; each entry is a uvarint r, then for r = 0 a binding
+	// (slot, name, amount) and for r >= 1 a reference (amount for slot
+	// r-1). An entry naming a slot the connection has not bound, or a
+	// slot of MaxSlots or more, is a protocol error.
+	OpIncrements Op = 0x0a
 )
 
 // Server-to-client opcodes.
@@ -192,6 +236,8 @@ func (o Op) String() string {
 		return "waitforcancel"
 	case OpSentinel:
 		return "sentinel"
+	case OpIncrements:
+		return "increments"
 	case OpWelcome:
 		return "welcome"
 	case OpWake:
@@ -218,6 +264,15 @@ type Watch struct {
 	Level uint64
 }
 
+// Inc is one entry of an OpIncrements frame: Amount for the counter the
+// connection has bound to Slot. A non-empty Name binds Slot to that
+// counter first, for this entry and every later one naming Slot.
+type Inc struct {
+	Slot   uint64
+	Name   string
+	Amount uint64
+}
+
 // Frame is one decoded protocol message. Only the fields meaningful for
 // Op are set; see the opcode docs for which those are. Using one struct
 // for the whole vocabulary keeps the reader loops a single switch.
@@ -226,10 +281,11 @@ type Frame struct {
 	Name     string         // counter name (Increment, Check, Sentinel, Reset, Stats)
 	Session  uint64         // Hello, Welcome
 	Epoch    uint64         // Welcome: the server instance's boot epoch (node identity)
-	Seq      uint64         // Increment/IncAck sequence; Hello version; Welcome last applied seq
+	Seq      uint64         // Increment/IncAck sequence; Increments first entry's; Hello version; Welcome last applied seq
 	ID       uint64         // wait id (Check/Sentinel/Cancel/WaitFor*/Wake/Cancelled) or request id (Reset/Stats and replies)
 	Level    uint64         // Check/Sentinel level; Wake satisfied level (zero for predicate wakes)
 	Amount   uint64         // Increment amount
+	Incs     []Inc          // Increments: the entries, in seq order
 	Msg      string         // Error message (Append clips it to MaxName bytes)
 	Stats    core.Stats     // StatsReply: the engine fields; the Remote* fields never travel
 	Features uint64         // Welcome (v3 only): the server's feature bits
@@ -256,6 +312,11 @@ func Append(buf []byte, f *Frame) []byte {
 		buf = appendString(buf, f.Name)
 		buf = appendUint(buf, f.Seq)
 		buf = appendUint(buf, f.Amount)
+	case OpIncrements:
+		buf = appendUint(buf, f.Seq)
+		for _, e := range f.Incs {
+			buf = appendInc(buf, e)
+		}
 	case OpCheck, OpSentinel:
 		buf = appendString(buf, f.Name)
 		buf = appendUint(buf, f.ID)
@@ -312,6 +373,30 @@ func Append(buf []byte, f *Frame) []byte {
 	return buf
 }
 
+// AppendInc appends e as the next entry of the OpIncrements frame that
+// starts at buf[frame] and runs to the end of buf, rewriting the frame's
+// length prefix, and returns the extended slice. The entry carries the
+// seq after the frame's last entry, so a sender extends only the last
+// frame it queued, and only with the seq that follows.
+func AppendInc(buf []byte, frame int, e Inc) []byte {
+	buf = appendInc(buf, e)
+	binary.BigEndian.PutUint32(buf[frame:], uint32(len(buf)-frame-4))
+	return buf
+}
+
+// appendInc encodes one OpIncrements entry: a binding (0, slot, name,
+// amount) when e carries a name, else a reference (slot+1, amount).
+func appendInc(buf []byte, e Inc) []byte {
+	if e.Name != "" {
+		buf = appendUint(buf, 0)
+		buf = appendUint(buf, e.Slot)
+		buf = appendString(buf, e.Name)
+	} else {
+		buf = appendUint(buf, e.Slot+1)
+	}
+	return appendUint(buf, e.Amount)
+}
+
 // Read reads and decodes one frame from br. It returns io.EOF only on a
 // clean boundary (no partial frame read); a frame cut short surfaces as
 // io.ErrUnexpectedEOF. A frame that fits br's buffer is decoded in place
@@ -338,9 +423,11 @@ func Read(br *bufio.Reader) (Frame, error) {
 // An OpWaitFor's watches are decoded into the storage f.Watch holds on
 // entry when it has room, and into a fresh list otherwise, so a reader
 // that hands its frame the list of the last OpWaitFor decodes the next
-// without allocating; every other op leaves Watch nil. A caller that
-// keeps a decoded list must not hand its storage back. On error f holds
-// no usable frame.
+// without allocating; every other op leaves Watch nil. An
+// OpIncrements's entries are decoded into the storage of f.Incs the
+// same way, and every other op leaves Incs nil. A caller that keeps a
+// decoded list must not hand its storage back. On error f holds no
+// usable frame.
 func ReadInterned(br *bufio.Reader, intern func([]byte) string, f *Frame) error {
 	hdr, err := br.Peek(4)
 	if err != nil {
@@ -383,16 +470,27 @@ func Decode(payload []byte) (Frame, error) {
 }
 
 // decode parses payload into f, which it zeroes first, keeping only
-// the storage of f's Watch list for an OpWaitFor's watches.
+// the storage of f's Watch list for an OpWaitFor's watches and of its
+// Incs for an OpIncrements's entries.
 func decode(payload []byte, intern func([]byte) string, f *Frame) error {
 	d := decoder{buf: payload, intern: intern}
-	watch := f.Watch
+	watch, incs := f.Watch, f.Incs
 	*f = Frame{Op: Op(d.byte())}
 	switch f.Op {
 	case OpHello:
 		f.Session, f.Seq = d.uint(), d.uint()
 	case OpIncrement:
 		f.Name, f.Seq, f.Amount = d.name(), d.uint(), d.uint()
+	case OpIncrements:
+		f.Seq = d.uint()
+		incs = incs[:0]
+		for d.err == nil && len(d.buf) != 0 {
+			incs = append(incs, d.inc())
+		}
+		if d.err == nil && len(incs) == 0 {
+			return errors.New("wire: increments frame has no entries")
+		}
+		f.Incs = incs
 	case OpCheck, OpSentinel:
 		f.Name, f.ID, f.Level = d.name(), d.uint(), d.uint()
 	case OpCancel:
@@ -520,6 +618,22 @@ func (d *decoder) name() string {
 }
 
 func (d *decoder) string() string { return string(d.bytes()) }
+
+// inc decodes one OpIncrements entry: a binding carries a name of
+// 1..MaxName bytes, and either kind a slot below MaxSlots.
+func (d *decoder) inc() Inc {
+	var e Inc
+	if r := d.uint(); r != 0 {
+		e.Slot = r - 1
+	} else if e.Slot, e.Name = d.uint(), d.name(); e.Name == "" {
+		d.fail("empty binding name")
+	}
+	e.Amount = d.uint()
+	if e.Slot >= MaxSlots {
+		d.fail("slot out of range")
+	}
+	return e
+}
 
 // bytes consumes one length-prefixed string field, at most MaxName
 // bytes, as a view of the payload.

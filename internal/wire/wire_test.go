@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -30,14 +31,44 @@ func maxWaitFor() Frame {
 	return Frame{Op: OpWaitFor, ID: ^uint64(0), Pred: predicate.KindThreshold, K: MaxWatch, Watch: w}
 }
 
+// clientBatch is an OpIncrements frame as long as the remote client
+// makes one: entries are appended with AppendInc while the frame, length
+// prefix included, stays within 4 KiB (counterd's read buffer) less
+// MaxInc. A binding every 100 entries, references between them.
+func clientBatch() (Frame, []byte) {
+	f := Frame{Op: OpIncrements, Seq: 1 << 32}
+	buf := Append(nil, &f)
+	for i := 0; len(buf) <= 4096-MaxInc; i++ {
+		e := Inc{Slot: uint64(i % MaxSlots), Amount: uint64(i)}
+		if i%100 == 0 {
+			e.Name = fmt.Sprintf("batched-%d", i)
+		}
+		f.Incs = append(f.Incs, e)
+		buf = AppendInc(buf, 0, e)
+	}
+	return f, buf
+}
+
 // frames covering every opcode and every field, including zero values,
 // maximal uvarints and a frame larger than bufio's default buffer.
 func sampleFrames() []Frame {
+	batch, _ := clientBatch()
 	return []Frame{
 		{Op: OpHello, Session: 0, Seq: Version},
 		{Op: OpHello, Session: ^uint64(0), Seq: 7},
 		{Op: OpIncrement, Name: "jobs", Seq: 42, Amount: 3},
 		{Op: OpIncrement, Name: "", Seq: 0, Amount: ^uint64(0)},
+		// Bindings and references, on both sides of the slot whose
+		// reference takes a second uvarint byte, and the highest slot.
+		{Op: OpIncrements, Seq: 7, Incs: []Inc{
+			{Slot: 0, Name: "jobs", Amount: 1}, {Slot: 0, Amount: 2},
+			{Slot: 126, Name: "b", Amount: 0}, {Slot: 126, Amount: 3}, {Slot: 127, Amount: 1 << 40},
+			{Slot: MaxSlots - 1, Name: "c", Amount: 4}, {Slot: MaxSlots - 1, Amount: 5},
+		}},
+		{Op: OpIncrements, Seq: ^uint64(0), Incs: []Inc{
+			{Slot: 3, Name: strings.Repeat("m", MaxName), Amount: ^uint64(0)},
+		}},
+		batch,
 		{Op: OpCheck, Name: "jobs", ID: 9, Level: 1 << 40},
 		{Op: OpSentinel, Name: "jobs", ID: 10, Level: 1 << 40},
 		{Op: OpCancel, ID: 9},
@@ -233,13 +264,14 @@ func TestReadInterned(t *testing.T) {
 	read(Frame{Op: OpStats, Name: "st", ID: 4})
 	read(Frame{Op: OpWaitFor, ID: 5, Pred: predicate.KindSum, Watch: []Watch{{Name: "w0", Level: 1}, {Name: "w1", Level: 2}}})
 	read(Frame{Op: OpError, ID: 6, Msg: "not a name"})
-	for _, name := range []string{"jobs", "jobz", "st", "w0", "w1"} {
+	read(Frame{Op: OpIncrements, Seq: 7, Incs: []Inc{{Slot: 4, Name: "bound", Amount: 1}, {Slot: 4, Amount: 2}}})
+	for _, name := range []string{"jobs", "jobz", "st", "w0", "w1", "bound"} {
 		if _, ok := seen[name]; !ok {
 			t.Errorf("the hook never saw %q", name)
 		}
 	}
-	if len(seen) != 5 {
-		t.Errorf("the hook saw %d strings, want the 5 names only", len(seen))
+	if len(seen) != 6 {
+		t.Errorf("the hook saw %d strings, want the 6 names only", len(seen))
 	}
 }
 
@@ -379,6 +411,65 @@ func TestWaitForGolden(t *testing.T) {
 		}
 		if got, err := Decode(g.want[4:]); err != nil || !reflect.DeepEqual(got, g.f) {
 			t.Errorf("%s waitfor bytes decode to %+v, %v; want %+v", g.f.Pred, got, err, g.f)
+		}
+	}
+}
+
+// TestIncrementsGolden pins OpIncrements' bytes: the base seq, then each
+// entry to the frame's end, a binding as 0, its slot, its name and its
+// amount, a reference as its slot plus one and its amount, every
+// integer a uvarint; the bytes decode back to the frame, and building
+// the frame entry by entry with AppendInc gives the same bytes.
+func TestIncrementsGolden(t *testing.T) {
+	f := Frame{Op: OpIncrements, Seq: 300, Incs: []Inc{
+		{Slot: 2, Name: "ab", Amount: 1}, {Slot: 2, Amount: 200}, {Slot: MaxSlots - 1, Amount: 3},
+	}}
+	want := []byte{
+		0x0, 0x0, 0x0, 0xf, 0xa, 0xac, 0x2, 0x0, 0x2, 0x2, 0x61, 0x62, 0x1,
+		0x3, 0xc8, 0x1, 0x80, 0x8, 0x3,
+	}
+	if got := Append(nil, &f); !bytes.Equal(got, want) {
+		t.Fatalf("increments bytes = %#v, want %#v", got, want)
+	}
+	if got, err := Decode(want[4:]); err != nil || !reflect.DeepEqual(got, f) {
+		t.Fatalf("increments bytes decode to %+v, %v; want %+v", got, err, f)
+	}
+	built := Append([]byte("queued"), &Frame{Op: OpIncrements, Seq: f.Seq, Incs: f.Incs[:1]})
+	for _, e := range f.Incs[1:] {
+		built = AppendInc(built, len("queued"), e)
+	}
+	if !bytes.Equal(built[len("queued"):], want) {
+		t.Fatalf("AppendInc built %#v, want %#v", built[len("queued"):], want)
+	}
+	batch, buf := clientBatch()
+	if got := Append(nil, &batch); !bytes.Equal(got, buf) {
+		t.Fatal("AppendInc and Append encode the client's batch differently")
+	}
+	if len(buf) > 4096 {
+		t.Fatalf("the client's batch is %d bytes, more than counterd's 4 KiB read buffer", len(buf))
+	}
+}
+
+// TestIncrementsRejected rejects, at the decode boundary, what no sender
+// may put in an OpIncrements frame: a slot of MaxSlots or more, in a
+// binding or a reference; no entries; a binding whose name is empty or
+// longer than MaxName; and an entry cut short.
+func TestIncrementsRejected(t *testing.T) {
+	payload := func(f Frame) []byte { return Append(nil, &f)[4:] }
+	long := strings.Repeat("x", MaxName+1)
+	for what, p := range map[string][]byte{
+		"bound slot MaxSlots":      payload(Frame{Op: OpIncrements, Seq: 1, Incs: []Inc{{Slot: MaxSlots, Name: "a", Amount: 1}}}),
+		"referenced slot MaxSlots": payload(Frame{Op: OpIncrements, Seq: 1, Incs: []Inc{{Slot: 0, Name: "a", Amount: 1}, {Slot: MaxSlots, Amount: 1}}}),
+		"no entries":               payload(Frame{Op: OpIncrements, Seq: 1}),
+		"empty binding name":       {byte(OpIncrements), 0x1, 0x0, 0x0, 0x0, 0x1},
+		"over-long binding name":   payload(Frame{Op: OpIncrements, Seq: 1, Incs: []Inc{{Slot: 0, Name: long, Amount: 1}}}),
+		"reference without amount": {byte(OpIncrements), 0x1, 0x0, 0x0, 0x1, 0x61, 0x1, 0x1},
+		"binding cut in its name":  {byte(OpIncrements), 0x1, 0x0, 0x0, 0x3, 0x61, 0x62},
+		"binding without amount":   {byte(OpIncrements), 0x1, 0x0, 0x0, 0x1, 0x61},
+		"amount cut mid-uvarint":   {byte(OpIncrements), 0x1, 0x1, 0xc8},
+	} {
+		if f, err := Decode(p); err == nil {
+			t.Errorf("%s: decoded as %+v", what, f)
 		}
 	}
 }
