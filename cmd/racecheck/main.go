@@ -16,13 +16,14 @@ import (
 	"os"
 
 	"monotonic/internal/detect"
+	"monotonic/internal/explore"
 )
 
 func main() {
 	runs := flag.Int("runs", 20, "repetitions per program (races may need schedule luck to appear)")
 	flag.Parse()
 
-	programs := append(detect.Programs(), detect.Program{Name: "ordered accumulation (5.2)", Expects: "clean", Run: orderedAccumulation})
+	programs := append(detect.Programs(), detect.Program{Name: "ordered accumulation (5.2)", Expects: "clean", Program: explore.OrderedAccumulateProgram(8)})
 	failed := false
 	for _, p := range programs {
 		seen, ok := p.Check(*runs)
@@ -42,26 +43,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// orderedAccumulation is section 5.2's ordered accumulation: thread i
-// adds i into result once Check(i) admits it, so the additions run in
-// index order.
-func orderedAccumulation() []detect.Violation {
-	const n = 8
-	reg := detect.NewRegistry()
-	root := reg.Root()
-	result := detect.NewVar(root, "result", 0)
-	c := detect.NewCounter(root)
-	bodies := make([]func(*detect.Thread), n)
-	for i := range bodies {
-		i := i
-		bodies[i] = func(th *detect.Thread) {
-			c.Check(th, uint64(i))
-			result.Write(th, result.Read(th)+i)
-			c.Increment(th, 1)
-		}
-	}
-	root.Go(bodies...)
-	return reg.Violations()
 }

@@ -6,13 +6,25 @@
 //
 // Programs are written against instrumented objects — Var for shared
 // variables, Counter for monotonic counters, Mutex for locks — and run on
-// instrumented Threads created by Fork/Join. Every unguarded pair of
+// instrumented Threads created by Fork/Join. Run executes an
+// internal/explore Program on them, so this checker, the explorer and
+// internal/sched all check the same programs. Every unguarded pair of
 // conflicting accesses is recorded as a Violation. A program with no
 // violations satisfies the section 6 condition; if it synchronizes only
-// through counters, its results are therefore deterministic, and the
-// condition holding on one execution implies it holds on all (which is why
-// checking a single run is meaningful — the property the paper cites from
-// Thornley's thesis [21]).
+// through counters, its results are therefore deterministic.
+//
+// The paper cites from Thornley's thesis [21] that the condition holding
+// on one execution implies it holds on all. This checker's verdict on one
+// run carries to every run only when the increments that satisfy each
+// Check are ordered among themselves: one incrementing thread per
+// counter, or incrementers chained by Checks, as in ordered accumulation.
+// A Check joins the clocks of the increments that reached its level in
+// this run's order, so where two unordered threads increment one counter,
+// which of them satisfies a Check is a schedule choice. Two threads
+// incrementing one counter while a third Checks 1, then reads a variable
+// one of them wrote, was flagged in 85 of 5000 runs at GOMAXPROCS=2 and
+// in none of 5000 at 1: only the runs where the other increment came
+// first show the race.
 //
 // Note the distinction the section 6 examples draw: a lock-guarded program
 // can be violation-free yet still nondeterministic, because locks order

@@ -1,12 +1,18 @@
 package detect
 
-// Program is one checked program: Run executes it once under a fresh
-// registry and returns the violations it recorded, and Expects is
-// "clean" for a correctly guarded program or "racy" for a seeded bug.
+import (
+	"fmt"
+
+	"monotonic/internal/explore"
+)
+
+// Program is one checked program: an explore.Program that Run executes,
+// and Expects, which is "clean" for a correctly guarded program or
+// "racy" for a seeded bug.
 type Program struct {
 	Name    string
 	Expects string
-	Run     func() []Violation
+	Program explore.Program
 }
 
 // Check runs p up to runs times, stopping at the first run that records
@@ -15,7 +21,7 @@ type Program struct {
 // result is the one p expects.
 func (p Program) Check(runs int) (seen []Violation, ok bool) {
 	for i := 0; i < runs && len(seen) == 0; i++ {
-		seen = p.Run()
+		seen = Run(p.Program)
 	}
 	return seen, (p.Expects == "clean") == (len(seen) == 0)
 }
@@ -26,71 +32,68 @@ func (p Program) Check(runs int) (seen []Violation, ok bool) {
 // clean, since a lock orders the accesses, yet nondeterministic, which
 // this checker does not see; internal/explore proves that half.
 func Programs() []Program {
+	unchecked := explore.BroadcastProgram()
+	for _, reader := range []int{1, 2} {
+		unchecked.Threads[reader] = explore.StripChecks(unchecked.Threads[reader])
+	}
 	return []Program{
-		{"counter chain (section 6)", "clean", func() []Violation {
-			return section6(1)
-		}},
-		{"lock region (section 6)", "clean", func() []Violation {
-			reg := NewRegistry()
-			root := reg.Root()
-			x := NewVar(root, "x", 3)
-			var m Mutex
-			root.Go(
-				func(th *Thread) { m.Lock(th); x.Write(th, x.Read(th)+1); m.Unlock(th) },
-				func(th *Thread) { m.Lock(th); x.Write(th, x.Read(th)*2); m.Unlock(th) },
-			)
-			return reg.Violations()
-		}},
-		{"unguarded update (section 6)", "racy", func() []Violation {
-			return section6(0)
-		}},
-		{"broadcast, all Checks present", "clean", func() []Violation {
-			return broadcast(false)
-		}},
-		{"broadcast, reader Check removed", "racy", func() []Violation {
-			return broadcast(true)
-		}},
+		{"counter chain (section 6)", "clean", explore.CounterProgram()},
+		{"lock region (section 6)", "clean", explore.LockProgram()},
+		{"unguarded update (section 6)", "racy", explore.UnguardedProgram()},
+		{"broadcast, all Checks present", "clean", explore.BroadcastProgram()},
+		{"broadcast, reader Check removed", "racy", unchecked},
 	}
 }
 
-// section6 is section 6's counter program, x = x+1 then x = x*2, with
-// the second thread's Check at level second: 1 orders the two updates,
-// and 0 leaves them unguarded.
-func section6(second uint64) []Violation {
-	reg := NewRegistry()
-	root := reg.Root()
-	x := NewVar(root, "x", 3)
-	c := NewCounter(root)
-	root.Go(
-		func(th *Thread) { c.Check(th, 0); x.Write(th, x.Read(th)+1); c.Increment(th, 1) },
-		func(th *Thread) { c.Check(th, second); x.Write(th, x.Read(th)*2); c.Increment(th, 1) },
-	)
-	return reg.Violations()
-}
-
-// broadcast is one writer filling data[0..n) and incrementing after
-// each element, and two readers each Checking level i+1 before reading
-// data[i]; dropCheck removes the readers' Checks.
-func broadcast(dropCheck bool) []Violation {
-	const n = 10
-	reg := NewRegistry()
-	root := reg.Root()
-	data := NewSlice[int](root, "data", n)
-	c := NewCounter(root)
-	writer := func(th *Thread) {
-		for i := 0; i < n; i++ {
-			data.Write(th, i, i)
-			c.Increment(th, 1)
-		}
+// Run executes p once under a fresh registry, each thread on its own
+// goroutine, over instrumented variables named x0, x1, ... (as
+// explore.Render names them), counters and mutexes, and returns the
+// violations it recorded. A data op reads its variable unless it is an
+// OpWrite, and writes it unless it is an OpRead. Run panics on a program
+// that uses a semaphore, which only the explorer models, and blocks
+// forever on one that deadlocks.
+func Run(p explore.Program) []Violation {
+	initial, nc, nl, ns := p.Start()
+	if ns > 0 {
+		panic("detect: semaphores are explorer-only")
 	}
-	reader := func(th *Thread) {
-		for i := 0; i < n; i++ {
-			if !dropCheck {
-				c.Check(th, uint64(i)+1)
+	reg := NewRegistry()
+	root := reg.Root()
+	vars := make([]*Var[int64], len(initial))
+	for i, v := range initial {
+		vars[i] = NewVar(root, fmt.Sprintf("x%d", i), v)
+	}
+	counters := make([]Counter, nc)
+	mutexes := make([]Mutex, nl)
+	bodies := make([]func(*Thread), len(p.Threads))
+	for i, ops := range p.Threads {
+		bodies[i] = func(th *Thread) {
+			var acc int64 // the thread's register
+			for _, op := range ops {
+				switch op.Kind {
+				case explore.OpInc:
+					counters[op.Target].Increment(th, uint64(op.A))
+				case explore.OpCheck:
+					counters[op.Target].Check(th, uint64(op.A))
+				case explore.OpLock:
+					mutexes[op.Target].Lock(th)
+				case explore.OpUnlock:
+					mutexes[op.Target].Unlock(th)
+				default:
+					x := vars[op.Target]
+					var cur int64
+					if op.Kind != explore.OpWrite {
+						cur = x.Read(th)
+					}
+					if v, toVar := op.Eval(cur, acc); toVar {
+						x.Write(th, v)
+					} else {
+						acc = v
+					}
+				}
 			}
-			data.Read(th, i)
 		}
 	}
-	root.Go(writer, reader, reader)
+	root.Go(bodies...)
 	return reg.Violations()
 }

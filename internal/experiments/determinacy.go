@@ -95,7 +95,7 @@ func init() {
 				res := explore.MustExplore(c.p)
 				seq := "deadlock"
 				if !seqDeadlock {
-					seq = renderInt64s(seqVars)
+					seq = explore.Render(seqVars)
 				}
 				outs := ""
 				for i, o := range res.OutcomeList() {
@@ -106,22 +106,11 @@ func init() {
 				}
 				equiv := !seqDeadlock && !res.Deadlock && len(res.Outcomes) == 1
 				if equiv {
-					_, equiv = res.Outcomes[renderInt64s(seqVars)]
+					_, equiv = res.Outcomes[explore.Render(seqVars)]
 				}
 				t.Add(c.name, seq, outs, verdictBool(equiv))
 			}
 			return []*harness.Table{t}
 		},
 	})
-}
-
-func renderInt64s(vars []int64) string {
-	s := ""
-	for i, v := range vars {
-		if i > 0 {
-			s += " "
-		}
-		s += "x" + harness.I(i) + "=" + harness.I(int(v))
-	}
-	return s
 }

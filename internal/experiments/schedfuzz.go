@@ -2,18 +2,22 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
+	"monotonic/internal/explore"
 	"monotonic/internal/harness"
 	"monotonic/internal/sched"
 )
 
 // E18: schedule fuzzing of executable programs. Where E8 explores a
-// model's schedules exhaustively, this experiment runs real closures
-// under a deterministic cooperative scheduler with seeded random
-// schedules — the paper's section 6 development methodology as a testing
-// tool: deterministic programs show one outcome across every seed,
-// nondeterministic ones show their outcome spread, and cyclic waits are
-// reported as deadlocks with reproducible seeds.
+// model's schedules exhaustively, this experiment runs the same
+// programs as virtual threads (sched.RunProgram) under a deterministic
+// cooperative scheduler with seeded random schedules — the paper's
+// section 6 development methodology as a testing tool: deterministic
+// programs show one outcome across every seed, nondeterministic ones
+// show their outcome spread, and cyclic waits are reported as deadlocks
+// with reproducible seeds.
 func init() {
 	register(Experiment{
 		ID:    "E18",
@@ -26,7 +30,8 @@ func init() {
 			"seed; the lock programs spread across their arrival orders; the unguarded program " +
 			"exposes lost updates; the cyclic program deadlocks under every schedule, with a " +
 			"reproducing seed. Any seed can be replayed exactly, which is the debugging story " +
-			"the paper's determinacy argument promises.",
+			"the paper's determinacy argument promises. Each row runs the explore program that " +
+			"E8 explores, so every outcome observed here is one of E8's.",
 		Run: func(cfg Config) []*harness.Table {
 			seeds := uint64(2000)
 			if cfg.Quick {
@@ -34,122 +39,43 @@ func init() {
 			}
 			t := harness.NewTable(fmt.Sprintf("Outcomes over %d seeded schedules (x initially 3)", seeds),
 				"program", "distinct outcomes", "deadlocks", "example outcomes")
-			for _, p := range fuzzPrograms() {
-				outcomes := map[int]bool{}
+			cases := []struct {
+				name string
+				p    explore.Program
+			}{
+				{"counter: Check(0);x+1;Inc || Check(1);x*2;Inc", explore.CounterProgram()},
+				{"lock: {x+1} || {x*2}", explore.LockProgram()},
+				{"unguarded split load/store", explore.UnguardedSplitProgram()},
+				{"ordered fold x=2x+i, 4 threads", explore.OrderedAccumulateProgram(4)},
+				{"lock fold x=2x+i, 4 threads", explore.LockAccumulateProgram(4)},
+				{"cyclic Check/Inc (always deadlocks)", explore.DeadlockProgram()},
+			}
+			for _, c := range cases {
+				seen := map[string]bool{}
 				deadlocks := 0
 				for seed := uint64(0); seed < seeds; seed++ {
-					x, dl := p.run(seed)
-					if dl {
+					vars, out := sched.RunProgram(seed, c.p)
+					if out.Deadlock {
 						deadlocks++
 						continue
 					}
-					outcomes[x] = true
+					seen[explore.Render(vars)] = true
 				}
-				examples := ""
-				count := 0
-				for x := range outcomes {
-					if count > 0 {
-						examples += " "
-					}
-					examples += harness.I(x)
-					count++
-					if count == 4 {
-						examples += " ..."
-						break
-					}
+				outcomes := make([]string, 0, len(seen))
+				for o := range seen {
+					outcomes = append(outcomes, o)
+				}
+				sort.Strings(outcomes)
+				examples := strings.Join(outcomes, "; ")
+				if len(outcomes) > 4 {
+					examples = strings.Join(outcomes[:4], "; ") + "; ..."
 				}
 				if examples == "" {
 					examples = "-"
 				}
-				t.Add(p.name, harness.I(len(outcomes)), harness.I(deadlocks), examples)
+				t.Add(c.name, harness.I(len(outcomes)), harness.I(deadlocks), examples)
 			}
 			return []*harness.Table{t}
 		},
 	})
-}
-
-type fuzzProgram struct {
-	name string
-	run  func(seed uint64) (x int, deadlock bool)
-}
-
-func fuzzPrograms() []fuzzProgram {
-	return []fuzzProgram{
-		{"counter: Check(0);x+1;Inc || Check(1);x*2;Inc", func(seed uint64) (int, bool) {
-			x := 3
-			w := sched.NewWorld()
-			c := w.Counter()
-			out := w.Run(seed,
-				func(t *sched.T) { w.C(c).Check(t, 0); x = x + 1; w.C(c).Increment(t, 1) },
-				func(t *sched.T) { w.C(c).Check(t, 1); x = x * 2; w.C(c).Increment(t, 1) },
-			)
-			return x, out.Deadlock
-		}},
-		{"lock: {x+1} || {x*2}", func(seed uint64) (int, bool) {
-			x := 3
-			w := sched.NewWorld()
-			m := w.Mutex()
-			out := w.Run(seed,
-				func(t *sched.T) { w.M(m).Lock(t); x = x + 1; w.M(m).Unlock(t) },
-				func(t *sched.T) { w.M(m).Lock(t); x = x * 2; w.M(m).Unlock(t) },
-			)
-			return x, out.Deadlock
-		}},
-		{"unguarded split load/store", func(seed uint64) (int, bool) {
-			x := 3
-			body := func(f func(int) int) func(*sched.T) {
-				return func(t *sched.T) {
-					v := x
-					t.Yield()
-					x = f(v)
-				}
-			}
-			out := sched.Run(seed,
-				body(func(v int) int { return v + 1 }),
-				body(func(v int) int { return v * 2 }),
-			)
-			return x, out.Deadlock
-		}},
-		{"ordered fold x=2x+i, 4 threads", func(seed uint64) (int, bool) {
-			x := 0
-			w := sched.NewWorld()
-			c := w.Counter()
-			bodies := make([]func(*sched.T), 4)
-			for i := range bodies {
-				i := i
-				bodies[i] = func(t *sched.T) {
-					w.C(c).Check(t, uint64(i))
-					x = x*2 + i
-					w.C(c).Increment(t, 1)
-				}
-			}
-			out := w.Run(seed, bodies...)
-			return x, out.Deadlock
-		}},
-		{"lock fold x=2x+i, 4 threads", func(seed uint64) (int, bool) {
-			x := 0
-			w := sched.NewWorld()
-			m := w.Mutex()
-			bodies := make([]func(*sched.T), 4)
-			for i := range bodies {
-				i := i
-				bodies[i] = func(t *sched.T) {
-					w.M(m).Lock(t)
-					x = x*2 + i
-					w.M(m).Unlock(t)
-				}
-			}
-			out := w.Run(seed, bodies...)
-			return x, out.Deadlock
-		}},
-		{"cyclic Check/Inc (always deadlocks)", func(seed uint64) (int, bool) {
-			w := sched.NewWorld()
-			a, b := w.Counter(), w.Counter()
-			out := w.Run(seed,
-				func(t *sched.T) { w.C(a).Check(t, 1); w.C(b).Increment(t, 1) },
-				func(t *sched.T) { w.C(b).Check(t, 1); w.C(a).Increment(t, 1) },
-			)
-			return 0, out.Deadlock
-		}},
-	}
 }

@@ -20,6 +20,11 @@
 //
 // States are memoized, so exploration cost is the size of the state
 // graph, not the number of schedules.
+//
+// Program is the one form in which these programs are written: the other
+// two section 6 checkers interpret it, internal/sched under seeded
+// schedules (sched.RunProgram) and internal/detect on goroutines under
+// vector clocks (detect.Run).
 package explore
 
 import (
@@ -76,6 +81,23 @@ type Op struct {
 	Target int
 	F      ArithKind
 	A      int64
+}
+
+// Eval is the effect of a data op (OpModify, OpRead, OpWrite, OpFold)
+// run by a thread whose register holds reg, when the op's variable
+// holds cur: the value it produces, and whether that value goes to the
+// variable (toVar) or to the register. OpWrite ignores cur.
+func (op Op) Eval(cur, reg int64) (val int64, toVar bool) {
+	switch op.Kind {
+	case OpRead:
+		return cur, false
+	case OpWrite:
+		return op.F.apply(reg, op.A), true
+	case OpFold:
+		return cur*op.A + reg, true
+	default:
+		return op.F.apply(cur, op.A), true
+	}
 }
 
 // Convenience constructors, so programs read like the paper's listings.
@@ -215,21 +237,24 @@ func (r Result) OutcomeList() []string {
 // ErrTooManyStates is returned when exploration exceeds the state limit.
 var ErrTooManyStates = errors.New("explore: state limit exceeded")
 
-// sizes scans the program for the number of variables, counters, locks,
-// and semaphores.
-func (p *Program) sizes() (vars, counters, locks, sems int) {
+// Start returns what every run of p starts from: its variables at their
+// initial values (InitVars, padded with zeros to every variable an op
+// addresses), and how many counters, locks and semaphores p addresses.
+// Counters start at zero and locks free; InitSems holds the semaphores'
+// initial values.
+func (p *Program) Start() (vars []int64, counters, locks, sems int) {
 	need := func(cur *int, idx int) {
 		if idx+1 > *cur {
 			*cur = idx + 1
 		}
 	}
-	vars = len(p.InitVars)
+	nv := len(p.InitVars)
 	sems = len(p.InitSems)
 	for _, th := range p.Threads {
 		for _, op := range th {
 			switch op.Kind {
 			case OpModify, OpRead, OpWrite, OpFold:
-				need(&vars, op.Target)
+				need(&nv, op.Target)
 			case OpInc, OpCheck:
 				need(&counters, op.Target)
 			case OpLock, OpUnlock:
@@ -239,7 +264,25 @@ func (p *Program) sizes() (vars, counters, locks, sems int) {
 			}
 		}
 	}
-	return
+	vars = make([]int64, nv)
+	copy(vars, p.InitVars)
+	return vars, counters, locks, sems
+}
+
+// start is p's start state, from which Explore, Replay and
+// SequentialOutcome all begin.
+func (p *Program) start() *state {
+	vars, nc, nl, ns := p.Start()
+	s := &state{
+		pcs:      make([]int, len(p.Threads)),
+		regs:     make([]int64, len(p.Threads)),
+		vars:     vars,
+		counters: make([]uint64, nc),
+		locks:    make([]bool, nl),
+		sems:     make([]int, ns),
+	}
+	copy(s.sems, p.InitSems)
+	return s
 }
 
 // enabled reports whether thread t can take its next step in s.
@@ -266,14 +309,12 @@ func (p *Program) step(s *state, t int) *state {
 	n := s.clone()
 	op := p.Threads[t][n.pcs[t]]
 	switch op.Kind {
-	case OpModify:
-		n.vars[op.Target] = op.F.apply(n.vars[op.Target], op.A)
-	case OpRead:
-		n.regs[t] = n.vars[op.Target]
-	case OpWrite:
-		n.vars[op.Target] = op.F.apply(n.regs[t], op.A)
-	case OpFold:
-		n.vars[op.Target] = n.vars[op.Target]*op.A + n.regs[t]
+	case OpModify, OpRead, OpWrite, OpFold:
+		if v, toVar := op.Eval(n.vars[op.Target], n.regs[t]); toVar {
+			n.vars[op.Target] = v
+		} else {
+			n.regs[t] = v
+		}
 	case OpInc:
 		n.counters[op.Target] += uint64(op.A)
 	case OpCheck:
@@ -297,20 +338,6 @@ func Explore(p Program, maxStates int) (Result, error) {
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
-	nv, nc, nl, ns := p.sizes()
-	init := &state{
-		pcs:      make([]int, len(p.Threads)),
-		regs:     make([]int64, len(p.Threads)),
-		vars:     make([]int64, nv),
-		counters: make([]uint64, nc),
-		locks:    make([]bool, nl),
-		sems:     make([]int, ns),
-	}
-	copy(init.vars, p.InitVars)
-	for i, v := range p.InitSems {
-		init.sems[i] = v
-	}
-
 	res := Result{
 		Outcomes:  make(map[string][]int64),
 		Witnesses: make(map[string][]int),
@@ -345,7 +372,7 @@ func Explore(p Program, maxStates int) (Result, error) {
 			}
 		}
 		if allDone {
-			key := renderVars(s.vars)
+			key := Render(s.vars)
 			if _, seen := res.Outcomes[key]; !seen {
 				res.Outcomes[key] = append([]int64(nil), s.vars...)
 				res.Witnesses[key] = append([]int(nil), trace...)
@@ -367,7 +394,7 @@ func Explore(p Program, maxStates int) (Result, error) {
 			}
 		}
 	}
-	dfs(init)
+	dfs(p.start())
 	if limitErr != nil {
 		return res, limitErr
 	}
@@ -378,19 +405,7 @@ func Explore(p Program, maxStates int) (Result, error) {
 // returns the final variables. ok is false if the schedule is invalid —
 // it names a finished/blocked thread or leaves the program unfinished.
 func Replay(p Program, schedule []int) (vars []int64, ok bool) {
-	nv, nc, nl, ns := p.sizes()
-	s := &state{
-		pcs:      make([]int, len(p.Threads)),
-		regs:     make([]int64, len(p.Threads)),
-		vars:     make([]int64, nv),
-		counters: make([]uint64, nc),
-		locks:    make([]bool, nl),
-		sems:     make([]int, ns),
-	}
-	copy(s.vars, p.InitVars)
-	for i, v := range p.InitSems {
-		s.sems[i] = v
-	}
+	s := p.start()
 	for _, t := range schedule {
 		if t < 0 || t >= len(p.Threads) || !p.enabled(s, t) {
 			return nil, false
@@ -405,7 +420,9 @@ func Replay(p Program, schedule []int) (vars []int64, ok bool) {
 	return s.vars, true
 }
 
-func renderVars(vars []int64) string {
+// Render is the outcome key of a final variable assignment, as in
+// Result.Outcomes: "x0=8 x1=3".
+func Render(vars []int64) string {
 	parts := make([]string, len(vars))
 	for i, v := range vars {
 		parts[i] = fmt.Sprintf("x%d=%d", i, v)

@@ -84,7 +84,7 @@ func TestSequentialEquivalenceTheorem(t *testing.T) {
 			t.Errorf("%s: outcomes %v, want exactly the sequential one", name, res.OutcomeList())
 			continue
 		}
-		if _, ok := res.Outcomes[renderVars(seqVars)]; !ok {
+		if _, ok := res.Outcomes[Render(seqVars)]; !ok {
 			t.Errorf("%s: multithreaded outcome differs from sequential %v", name, seqVars)
 		}
 	}
@@ -213,8 +213,8 @@ func TestWitnessesReplay(t *testing.T) {
 			if !ok {
 				t.Fatalf("program %d: witness for %q is not a valid schedule", pi, key)
 			}
-			if renderVars(vars) != key {
-				t.Fatalf("program %d: witness replays to %q, recorded as %q", pi, renderVars(vars), key)
+			if Render(vars) != key {
+				t.Fatalf("program %d: witness replays to %q, recorded as %q", pi, Render(vars), key)
 			}
 		}
 	}

@@ -65,13 +65,19 @@ func RandomGuardedProgram(seed uint64, tasks, threads int) Program {
 func RandomUnguardedProgram(seed uint64, tasks, threads int) Program {
 	p := RandomGuardedProgram(seed, tasks, threads)
 	for t, ops := range p.Threads {
-		var kept []Op
-		for _, op := range ops {
-			if op.Kind != OpCheck {
-				kept = append(kept, op)
-			}
-		}
-		p.Threads[t] = kept
+		p.Threads[t] = StripChecks(ops)
 	}
 	return p
+}
+
+// StripChecks returns a thread's ops without its Checks: the same
+// thread with its guards removed.
+func StripChecks(ops []Op) []Op {
+	var kept []Op
+	for _, op := range ops {
+		if op.Kind != OpCheck {
+			kept = append(kept, op)
+		}
+	}
+	return kept
 }

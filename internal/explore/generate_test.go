@@ -29,7 +29,7 @@ func TestQuickGuardedProgramsDeterministic(t *testing.T) {
 			t.Logf("seed %d: deadlock=%v outcomes=%v", seed, res.Deadlock, res.OutcomeList())
 			return false
 		}
-		_, ok := res.Outcomes[renderVars(seqVars)]
+		_, ok := res.Outcomes[Render(seqVars)]
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

@@ -128,19 +128,7 @@ func BroadcastProgram() Program {
 // and whether that schedule deadlocks (a blocked Check with no one left
 // to provide it).
 func SequentialOutcome(p Program) (vars []int64, deadlock bool) {
-	nv, nc, nl, ns := p.sizes()
-	s := &state{
-		pcs:      make([]int, len(p.Threads)),
-		regs:     make([]int64, len(p.Threads)),
-		vars:     make([]int64, nv),
-		counters: make([]uint64, nc),
-		locks:    make([]bool, nl),
-		sems:     make([]int, ns),
-	}
-	copy(s.vars, p.InitVars)
-	for i, v := range p.InitSems {
-		s.sems[i] = v
-	}
+	s := p.start()
 	for t := range p.Threads {
 		for s.pcs[t] < len(p.Threads[t]) {
 			if !p.enabled(s, t) {

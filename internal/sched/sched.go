@@ -16,12 +16,15 @@
 // This is how the paper's section 6 development methodology looks as a
 // tool: run a counter program under a thousand seeds and observe a single
 // outcome; run the lock version and watch the outcome set grow.
+// RunProgram does this for internal/explore's programs, so the fuzzer and
+// the exhaustive explorer check the same program.
 package sched
 
 import (
 	"fmt"
 	"sort"
 
+	"monotonic/internal/explore"
 	"monotonic/internal/workload"
 )
 
@@ -201,9 +204,6 @@ func (c *Counter) Check(t *T, level uint64) {
 	t.s.yield(t, func() bool { return c.value >= level })
 }
 
-// Value reports the current value (for assertions after Run).
-func (c *Counter) Value() uint64 { return c.value }
-
 // Mutex is a scheduler-visible lock.
 type Mutex struct {
 	held bool
@@ -232,45 +232,45 @@ func (m *Mutex) Unlock(t *T) {
 	t.Yield()
 }
 
-// World bundles a run's shared objects so tests can construct them before
-// the bodies run. Use NewWorld, add objects, then World.Run.
-type World struct {
-	counters []*Counter
-	mutexes  []*Mutex
-}
-
-// NewWorld returns an empty world.
-func NewWorld() *World { return &World{} }
-
-// Counter declares a counter; the returned index is passed to C during
-// the run.
-func (w *World) Counter() int {
-	w.counters = append(w.counters, &Counter{})
-	return len(w.counters) - 1
-}
-
-// Mutex declares a mutex.
-func (w *World) Mutex() int {
-	w.mutexes = append(w.mutexes, &Mutex{})
-	return len(w.mutexes) - 1
-}
-
-// C returns counter i.
-func (w *World) C(i int) *Counter { return w.counters[i] }
-
-// M returns mutex i.
-func (w *World) M(i int) *Mutex { return w.mutexes[i] }
-
-// Run executes the bodies under the seed's schedule, resetting every
-// declared object first so a World can be reused across seeds.
-func (w *World) Run(seed uint64, bodies ...func(t *T)) Outcome {
-	for _, c := range w.counters {
-		c.value = 0
+// RunProgram runs an explore.Program under the seed's schedule: each
+// thread is a virtual thread with a scheduling point at every op, on
+// this package's Counter and Mutex. It returns the final variables,
+// which explore.Render turns into the explorer's outcome key, and the
+// run's Outcome. It panics on a program that uses a semaphore, which
+// only the explorer models.
+func RunProgram(seed uint64, p explore.Program) ([]int64, Outcome) {
+	vars, nc, nl, ns := p.Start()
+	if ns > 0 {
+		panic("sched: semaphores are explorer-only")
 	}
-	for _, m := range w.mutexes {
-		m.held = false
+	counters := make([]Counter, nc)
+	mutexes := make([]Mutex, nl)
+	bodies := make([]func(*T), len(p.Threads))
+	for i, ops := range p.Threads {
+		bodies[i] = func(t *T) {
+			var reg int64
+			for _, op := range ops {
+				switch op.Kind {
+				case explore.OpInc:
+					counters[op.Target].Increment(t, uint64(op.A))
+				case explore.OpCheck:
+					counters[op.Target].Check(t, uint64(op.A))
+				case explore.OpLock:
+					mutexes[op.Target].Lock(t)
+				case explore.OpUnlock:
+					mutexes[op.Target].Unlock(t)
+				default:
+					if v, toVar := op.Eval(vars[op.Target], reg); toVar {
+						vars[op.Target] = v
+					} else {
+						reg = v
+					}
+					t.Yield()
+				}
+			}
+		}
 	}
-	return Run(seed, bodies...)
+	return vars, Run(seed, bodies...)
 }
 
 // String renders an outcome compactly.

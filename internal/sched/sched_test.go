@@ -8,18 +8,17 @@ import (
 // one seed and returns the final x.
 func section6Counter(seed uint64) (int, Outcome) {
 	x := 3
-	w := NewWorld()
-	ci := w.Counter()
-	out := w.Run(seed,
+	var c Counter
+	out := Run(seed,
 		func(t *T) {
-			w.C(ci).Check(t, 0)
+			c.Check(t, 0)
 			x = x + 1
-			w.C(ci).Increment(t, 1)
+			c.Increment(t, 1)
 		},
 		func(t *T) {
-			w.C(ci).Check(t, 1)
+			c.Check(t, 1)
 			x = x * 2
-			w.C(ci).Increment(t, 1)
+			c.Increment(t, 1)
 		},
 	)
 	return x, out
@@ -44,20 +43,19 @@ func TestCounterProgramSingleOutcomeAcrossSeeds(t *testing.T) {
 // 8 across seeds.
 func TestLockProgramBothOutcomesAppear(t *testing.T) {
 	seen := map[int]bool{}
-	w := NewWorld()
-	mi := w.Mutex()
 	for seed := uint64(0); seed < 200 && len(seen) < 2; seed++ {
 		x := 3
-		out := w.Run(seed,
+		var m Mutex
+		out := Run(seed,
 			func(t *T) {
-				w.M(mi).Lock(t)
+				m.Lock(t)
 				x = x + 1
-				w.M(mi).Unlock(t)
+				m.Unlock(t)
 			},
 			func(t *T) {
-				w.M(mi).Lock(t)
+				m.Lock(t)
 				x = x * 2
-				w.M(mi).Unlock(t)
+				m.Unlock(t)
 			},
 		)
 		if out.Deadlock {
@@ -109,16 +107,15 @@ func TestSeedsProduceDifferentSchedules(t *testing.T) {
 // TestDeadlockDetected: cyclic counter waiting is reported, with the
 // blocked thread set, instead of hanging.
 func TestDeadlockDetected(t *testing.T) {
-	w := NewWorld()
-	a, b := w.Counter(), w.Counter()
-	out := w.Run(7,
+	var a, b Counter
+	out := Run(7,
 		func(t *T) {
-			w.C(a).Check(t, 1)
-			w.C(b).Increment(t, 1)
+			a.Check(t, 1)
+			b.Increment(t, 1)
 		},
 		func(t *T) {
-			w.C(b).Check(t, 1)
-			w.C(a).Increment(t, 1)
+			b.Check(t, 1)
+			a.Increment(t, 1)
 		},
 	)
 	if !out.Deadlock {
@@ -132,11 +129,10 @@ func TestDeadlockDetected(t *testing.T) {
 // TestPartialDeadlock: one thread finishing while another is stuck is
 // still a deadlock with the right blocked set.
 func TestPartialDeadlock(t *testing.T) {
-	w := NewWorld()
-	c := w.Counter()
-	out := w.Run(3,
-		func(t *T) { w.C(c).Check(t, 5) }, // nobody will provide 5
-		func(t *T) { w.C(c).Increment(t, 1) },
+	var c Counter
+	out := Run(3,
+		func(t *T) { c.Check(t, 5) }, // nobody will provide 5
+		func(t *T) { c.Increment(t, 1) },
 	)
 	if !out.Deadlock {
 		t.Fatal("stuck checker not reported")
@@ -149,20 +145,19 @@ func TestPartialDeadlock(t *testing.T) {
 // TestMutexMutualExclusionUnderAllSeeds: a critical-section counter is
 // never corrupted whatever the schedule.
 func TestMutexMutualExclusionUnderAllSeeds(t *testing.T) {
-	w := NewWorld()
-	mi := w.Mutex()
 	for seed := uint64(0); seed < 100; seed++ {
 		shared := 0
+		var m Mutex
 		inc := func(t *T) {
 			for i := 0; i < 5; i++ {
-				w.M(mi).Lock(t)
+				m.Lock(t)
 				v := shared
 				t.Yield() // tempt the scheduler to interleave here
 				shared = v + 1
-				w.M(mi).Unlock(t)
+				m.Unlock(t)
 			}
 		}
-		out := w.Run(seed, inc, inc, inc)
+		out := Run(seed, inc, inc, inc)
 		if out.Deadlock {
 			t.Fatalf("seed %d: deadlock", seed)
 		}
@@ -202,24 +197,23 @@ func TestWithoutMutexUpdatesAreLost(t *testing.T) {
 // TestBroadcastOnScheduler: the section 5.3 pattern under many seeds.
 func TestBroadcastOnScheduler(t *testing.T) {
 	const items = 6
-	w := NewWorld()
-	ci := w.Counter()
 	for seed := uint64(0); seed < 200; seed++ {
 		data := make([]int, items)
 		sums := make([]int, 2)
+		var c Counter
 		reader := func(r int) func(*T) {
 			return func(t *T) {
 				for i := 0; i < items; i++ {
-					w.C(ci).Check(t, uint64(i)+1)
+					c.Check(t, uint64(i)+1)
 					sums[r] += data[i]
 				}
 			}
 		}
-		out := w.Run(seed,
+		out := Run(seed,
 			func(t *T) {
 				for i := 0; i < items; i++ {
 					data[i] = i + 1
-					w.C(ci).Increment(t, 1)
+					c.Increment(t, 1)
 				}
 			},
 			reader(0), reader(1),
@@ -240,8 +234,6 @@ func TestMutexUnlockUnheldPanics(t *testing.T) {
 		}
 	}()
 	var m Mutex
-	w := NewWorld()
-	_ = w
 	Run(1, func(t *T) { m.Unlock(t) })
 }
 
