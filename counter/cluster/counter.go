@@ -241,6 +241,12 @@ func (ctr *Counter) Watermark() uint64 {
 // exact only when each name has a single writing Cluster per phase (the
 // usual sharded-writer deployment), or when writers re-open the name
 // (fresh ledger) after the reset.
+//
+// The watermarks are no more cluster-wide than the ledgers: Reset
+// restarts this Cluster's, but another Cluster that saw the value reach
+// L before the reset keeps answering Checks at or below L from its own
+// watermark, without the wire, although the value is now below L (see
+// remote.Counter.Reset, whose client-local watermark behaves the same).
 func (ctr *Counter) Reset() {
 	rc, err := ctr.cl.homeCounter(ctr)
 	if err != nil {

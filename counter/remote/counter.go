@@ -341,6 +341,16 @@ func (c *Counter) ArmHook(level uint64, h *core.Hook) bool {
 // in-process, it must not run concurrently with other operations on the
 // counter — from any client — and panics if waiters are suspended on it
 // (the server refuses the reset and the panic relays its reason).
+//
+// Reset restarts this client's watermark, but no other client's: the
+// server tells no other session of a Reset. A client that saw the value
+// reach L before another client reset it keeps answering Checks at or
+// below L, Watermark and ArmHook included, from its own watermark,
+// without the wire, although the value is now below L. For example,
+// client A runs Increment(5) and Check(5), client B runs Reset, and
+// A's WaitTimeout(3, d) then returns true at once with the value at 0.
+// So a phase that reuses a name through Reset must also reset, or
+// re-dial, every client that checked it before.
 func (c *Counter) Reset() {
 	c.cl.checkFatal()
 	f := wire.Frame{Op: wire.OpReset, Name: c.name}

@@ -42,7 +42,9 @@
 //     spin-then-block Check.
 //   - ShardedCounter ("sharded"): the production engine that counterd
 //     runs: the striped level index, plus increments absorbed lock-free
-//     by cache-padded shard cells while nobody waits.
+//     while nobody waits — by one base cell, and from the first
+//     contended CAS on it by GOMAXPROCS cache-padded shard cells, so an
+//     uncontended counter holds 288 B at any GOMAXPROCS.
 //   - FCCounter ("fc"): the list design with a flat-combining path for
 //     contended increments.
 //

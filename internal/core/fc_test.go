@@ -293,14 +293,15 @@ func TestFCStatsCellsSizedWithSlots(t *testing.T) {
 
 // TestShardedStatsCellsSizedWithShards pins the capture point: after the
 // shard array exists, the fast-check stats cells must exist with the
-// same length, whatever GOMAXPROCS says now.
+// same length, whatever GOMAXPROCS says now. An uncontended Increment
+// stays on the base cell, so the test stripes the counter directly.
 func TestShardedStatsCellsSizedWithShards(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
 	runtime.GOMAXPROCS(4)
 	c := NewSharded()
-	c.Increment(1) // allocates the shard cells, and with them the stats cells
+	c.cells() // stripes: allocates the shard cells, and with them the stats cells
 	runtime.GOMAXPROCS(1)
 
 	shards := c.shards.Load()

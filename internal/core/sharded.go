@@ -7,13 +7,16 @@ import (
 )
 
 // ShardedCounter makes the write path scale with cores: while nobody is
-// waiting, an Increment is a single compare-and-swap on one of
-// GOMAXPROCS cache-padded shard cells, so concurrent incrementers touch
-// disjoint cache lines instead of serializing on a mutex. The moment a
+// waiting, an Increment is a single compare-and-swap on one cell, so
+// concurrent incrementers never serialize on a mutex. An uncontended
+// counter has one cell, its base; it stripes on its first contended
+// CAS, the first fast-path CAS on the base that fails, and from then on
+// an Increment lands on one of GOMAXPROCS cache-padded shard cells, so
+// concurrent incrementers touch disjoint cache lines. The moment a
 // Check/CheckContext caller registers as a waiter, an atomic waiter gate
-// flips, the shard residues are flushed into the published value under
-// the engine mutex, and every subsequent Increment takes the exact
-// locked path through the shared waitlist engine — so wake-ups are
+// flips, the base and shard residues are flushed into the published
+// value under the engine mutex, and every subsequent Increment takes the
+// exact locked path through the shared waitlist engine — so wake-ups are
 // race-free and all cancellation semantics (satisfied beats cancelled,
 // no watcher goroutines, abandoned levels reclaimed) are inherited from
 // the engine unchanged. When the last waiter leaves, the gate drops and
@@ -24,21 +27,24 @@ import (
 // levels, but a single-mutex Increment still pays full serialization per
 // update even when nobody is waiting at all. Gating the striped fast
 // path on "are there waiters?" keeps the exact semantics only while they
-// are needed.
+// are needed, and LongAdder's base rule — stripe only once a CAS on the
+// base fails — keeps an idle or single-writer counter at its struct
+// alone: 288 B at any GOMAXPROCS, where a striped one holds 0.7 KB at
+// GOMAXPROCS 1 and 26 KB at 64.
 //
 // Reads (Value, the Check fast path) sum the published value plus the
-// shard residues. A stale sum can only under-estimate the true value —
-// shards and the published value are monotone between flushes — so a
-// satisfied fast-path read is always safe, the same argument as
+// base and shard residues. A stale sum can only under-estimate the true
+// value — cells and the published value are monotone between flushes —
+// so a satisfied fast-path read is always safe, the same argument as
 // AtomicCounter's. A seqlock version around flushes keeps concurrent
 // sums from ever observing a residue twice or a mid-flush tear.
 //
-// Each cell packs an increment count (low 16 bits) next to its residue
-// (high 48), so the same CAS that absorbs a fast-path increment also
-// counts it — Stats.FastPathIncrements is exact with no second atomic
-// on the hot path. A cell whose count or residue reaches its cap
-// diverts that increment through the locked path, which folds every
-// cell into the published value first.
+// Each cell, the base included, packs an increment count (low 16 bits)
+// next to its residue (high 48), so the same CAS that absorbs a
+// fast-path increment also counts it — Stats.FastPathIncrements is exact
+// with no second atomic on the hot path. A cell whose count or residue
+// reaches its cap diverts that increment through the locked path, which
+// folds every cell into the published value first.
 //
 // Overflow: shard stripes are chosen by a stack-address hash, and Go
 // moves goroutine stacks when they grow, so a goroutine's stripe can
@@ -54,11 +60,11 @@ import (
 // Either way the counter never silently wraps.
 //
 // The zero value is a valid counter with value zero; the shard array is
-// allocated on first use.
+// allocated when the counter stripes.
 type ShardedCounter struct {
 	// published is the flushed portion of the value: everything the
-	// locked path has ever folded in. True value = published + shard
-	// residues. Mutated only with wl.mu held.
+	// locked path has ever folded in. True value = published + base and
+	// shard residues. Mutated only with wl.mu held.
 	published atomic.Uint64
 	// flushSeq is a seqlock version: odd while a flush (or Reset) is
 	// moving residue between shards and published. Readers retry across
@@ -73,8 +79,12 @@ type ShardedCounter struct {
 	// just to drop the gate; the overflow bit tracks the published value
 	// and only changes under wl.mu.
 	gate atomic.Int32
+	// base is the cell every fast-path increment lands on until the
+	// counter stripes: the same packed residue|count word as a shard
+	// cell, folded like one.
+	base atomic.Uint64
 
-	shards atomic.Pointer[[]shardCell] // lazily allocated, power-of-two length
+	shards atomic.Pointer[[]shardCell] // allocated on the first failed CAS on base, power-of-two length
 
 	wl waitlist
 	// idx is the striped level index (stripes.go): waiter registration
@@ -124,41 +134,45 @@ type shardCell struct {
 // NewSharded returns a ShardedCounter with value zero.
 func NewSharded() *ShardedCounter { return new(ShardedCounter) }
 
-// cells returns the shard array, allocating it under the engine mutex on
-// first use so the zero value needs no constructor. The stripe count is
-// captured exactly once, here, and sizes BOTH of the counter's striped
-// arrays — the shard cells and the fast-check stats cells — so a
-// GOMAXPROCS change mid-run can never leave the two disagreeing about
-// the stripe space (they used to size themselves at whichever moment
-// each was first touched). Indexing is clamped to the allocated length
-// by construction: every lookup masks by len-1 of the array it loaded.
+// cells returns the shard array, allocating it when the counter
+// stripes. The stripe count is captured once per counter and sizes BOTH
+// of its striped arrays, so a GOMAXPROCS change mid-run can never leave
+// them disagreeing about the stripe space: the fast-check stats cells
+// hold the capture, made here or earlier by contended satisfied checks
+// (stripedUint64.Add), and the shard cells adopt their length. It takes
+// no lock, so a satisfied check that stripes stays lock-free; racing
+// allocators agree on the winner via CompareAndSwap. Every lookup masks
+// by len-1 of the array it loaded, so indexing stays in range.
 func (c *ShardedCounter) cells() []shardCell {
 	if p := c.shards.Load(); p != nil {
 		return *p
 	}
-	c.wl.lock()
-	if c.shards.Load() == nil {
-		size := stripeCount()
-		c.fastChecks.ensure(size)
-		c.idx.ensure(size)
-		s := make([]shardCell, size)
-		c.shards.Store(&s)
-	}
-	c.wl.unlock()
+	c.fastChecks.ensure(stripeCount())
+	fresh := make([]shardCell, len(*c.fastChecks.cells.Load()))
+	c.shards.CompareAndSwap(nil, &fresh)
 	return *c.shards.Load()
 }
 
+// cell returns the word a fast-path increment lands on: the base until
+// the counter stripes, then the caller's shard cell.
+func (c *ShardedCounter) cell() *atomic.Uint64 {
+	if p := c.shards.Load(); p != nil {
+		return &(*p)[stripeIndex(uint64(len(*p)-1))].v
+	}
+	return &c.base
+}
+
 // Increment implements Interface. With no waiters registered it is one
-// CAS on a private cache line; with waiters (or a full cell, or an
-// amount too large for a cell) it is exactly the AtomicCounter locked
-// path plus a residue flush. Increment(0) is a no-op.
+// CAS: on the base, or, once the counter has striped, on a private cache
+// line. With waiters (or a full cell, or an amount too large for a
+// cell) it is exactly the AtomicCounter locked path plus a residue
+// flush. Increment(0) is a no-op.
 func (c *ShardedCounter) Increment(amount uint64) {
 	if amount == 0 {
 		return
 	}
 	if c.gate.Load() == 0 && amount < cellResidueCap {
-		cells := c.cells()
-		s := &cells[stripeIndex(uint64(len(cells)-1))].v
+		s := c.cell()
 		// One packed add bumps residue and count together: with the count
 		// below its mask there is no carry between the halves, and keeping
 		// the word under cellPackedCap-add keeps the residue under its cap.
@@ -169,14 +183,21 @@ func (c *ShardedCounter) Increment(amount uint64) {
 				break // cell full: fold through the locked path
 			}
 			if !s.CompareAndSwap(old, old+add) {
+				if s == &c.base {
+					c.cells() // contention: stripe, and retry on our own cell
+					s = c.cell()
+				}
 				continue
 			}
 			// Dekker-style recheck. A waiter orders gate.Add(1) before its
-			// flush reads the shards; we order the shard CAS before this
+			// flush reads the cells; we order the cell CAS before this
 			// load. Both are sequentially consistent atomics, so either the
 			// waiter's flush saw our residue, or this load sees the gate up
 			// and we fold and wake under the lock ourselves. No increment
-			// can land in a shard and leave a satisfied waiter sleeping.
+			// can land in a cell and leave a satisfied waiter sleeping. A
+			// freshly striped cell is no exception: the shard array's
+			// pointer store precedes our CAS, so a flush ordered after
+			// this load finds the array.
 			if c.gate.Load() != 0 {
 				c.wl.lock()
 				c.flushLocked()
@@ -230,53 +251,64 @@ func (c *ShardedCounter) storePublishedLocked(v uint64) {
 	}
 }
 
-// flushLocked folds every shard residue into the published value and
-// every cell count into the fast-path tally. Called with wl.mu held.
-// The seqlock goes odd while residue is in flight between a shard and
-// published, so lock-free sums retry instead of missing (or
-// double-counting) the moving portion.
-//
-// Each cell's fold is checked before the cell is emptied. A fold that
-// would pass the uint64 range publishes what was already folded, closes
-// the seqlock and releases the engine before the overflow panic, so the
-// true value (published plus residues) is unchanged and a caller that
-// recovers the panic — internal/server does — keeps a usable counter.
+// flushLocked folds the base and every shard residue into the published
+// value and every cell count into the fast-path tally. Called with wl.mu
+// held. The seqlock goes odd while residue is in flight between a cell
+// and published, so lock-free sums retry instead of missing (or
+// double-counting) the moving portion. An unstriped counter with an
+// empty base has nothing to fold, so a locked Increment on a counter
+// whose waiters parked before any fast-path increment skips the
+// seqlock: an increment that lands on the base after the load below
+// re-checks the gate and flushes itself (the Dekker recheck in
+// Increment).
 func (c *ShardedCounter) flushLocked() {
 	p := c.shards.Load()
-	if p == nil {
+	if p == nil && c.base.Load() == 0 {
 		return
 	}
 	c.wl.stats.flushes++
 	c.flushSeq.Add(1)
-	v := c.published.Load()
-	for i := range *p {
-		s := &(*p)[i].v
-		for {
-			old := s.Load()
-			if old == 0 {
-				break
-			}
-			r := old >> cellCountBits
-			if v+r < v {
-				c.storePublishedLocked(v)
-				c.flushSeq.Add(1)
-				panic(overflow(&c.wl.mu))
-			}
-			if s.CompareAndSwap(old, 0) {
-				v += r
-				c.wl.stats.fastPathIncs += old & cellCountMask
-				break
-			}
+	v := c.foldLocked(&c.base, c.published.Load())
+	if p != nil {
+		for i := range *p {
+			v = c.foldLocked(&(*p)[i].v, v)
 		}
 	}
 	c.storePublishedLocked(v)
 	c.flushSeq.Add(1)
 }
 
-// sum returns published + shard residues, retrying across flushes. A
-// completed sum is at least the true value at its start and at most the
-// true value at its end, so values returned to any single observer are
-// monotone.
+// foldLocked empties one cell, adding its residue to v and its count to
+// the fast-path tally, and returns the new v. The fold is checked before
+// the cell is emptied: one that would pass the uint64 range publishes
+// what was already folded, closes the seqlock and releases the engine
+// before the overflow panic, so the true value (published plus
+// residues) is unchanged and a caller that recovers the panic —
+// internal/server does — keeps a usable counter. Called with wl.mu held
+// inside flushLocked's seqlock window.
+func (c *ShardedCounter) foldLocked(s *atomic.Uint64, v uint64) uint64 {
+	for {
+		old := s.Load()
+		if old == 0 {
+			return v
+		}
+		r := old >> cellCountBits
+		if v+r < v {
+			c.storePublishedLocked(v)
+			c.flushSeq.Add(1)
+			panic(overflow(&c.wl.mu))
+		}
+		if s.CompareAndSwap(old, 0) {
+			c.wl.stats.fastPathIncs += old & cellCountMask
+			return v + r
+		}
+	}
+}
+
+// sum returns published + base and shard residues, retrying across
+// flushes. A completed sum is at least the true value at its start and
+// at most the true value at its end, so values returned to any single
+// observer are monotone.
 func (c *ShardedCounter) sum() uint64 {
 	for {
 		s1 := c.flushSeq.Load()
@@ -284,7 +316,7 @@ func (c *ShardedCounter) sum() uint64 {
 			runtime.Gosched()
 			continue
 		}
-		v := c.published.Load()
+		v := checkedAdd(c.published.Load(), c.base.Load()>>cellCountBits)
 		if p := c.shards.Load(); p != nil {
 			for i := range *p {
 				v = checkedAdd(v, (*p)[i].v.Load()>>cellCountBits)
@@ -324,7 +356,7 @@ func (c *ShardedCounter) CheckContext(ctx context.Context, level uint64) error {
 }
 
 // satisfied is the lock-free watermark look (enroller): the published
-// value first, then the full sum with the shard residues.
+// value first, then the full sum with the cell residues.
 func (c *ShardedCounter) satisfied(level uint64) bool {
 	if level <= c.published.Load() || level <= c.sum() {
 		c.fastChecks.Add(1)
@@ -365,10 +397,10 @@ func (c *ShardedCounter) Reset() {
 	c.wl.lockIdle(&c.idx)
 	defer c.wl.unlock()
 	c.flushSeq.Add(1)
+	c.wl.stats.fastPathIncs += c.base.Swap(0) & cellCountMask
 	if p := c.shards.Load(); p != nil {
 		for i := range *p {
-			c.wl.stats.fastPathIncs += (*p)[i].v.Load() & cellCountMask
-			(*p)[i].v.Store(0)
+			c.wl.stats.fastPathIncs += (*p)[i].v.Swap(0) & cellCountMask
 		}
 	}
 	c.storePublishedLocked(0)
@@ -390,10 +422,12 @@ func (c *ShardedCounter) Stats() Stats {
 	return s
 }
 
-// cellCounts adds the counts still packed in shard cells to the flushed
-// tally. Called with wl.mu held, the only hold under which cells are
-// emptied, so FastPathIncrements is exact even before any flush.
+// cellCounts adds the counts still packed in the base and shard cells
+// to the flushed tally. Called with wl.mu held, the only hold under
+// which cells are emptied, so FastPathIncrements is exact even before
+// any flush.
 func (c *ShardedCounter) cellCounts(s *Stats) {
+	s.FastPathIncrements += c.base.Load() & cellCountMask
 	if p := c.shards.Load(); p != nil {
 		for i := range *p {
 			s.FastPathIncrements += (*p)[i].v.Load() & cellCountMask

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,4 +343,177 @@ func TestShardedGateRegistrationRace(t *testing.T) {
 	if g := c.gate.Load(); g != 0 {
 		t.Fatalf("gate = %d after every wait returned or fired, want 0", g)
 	}
+}
+
+// TestShardedUncontendedFootprint pins lazy striping: an uncontended
+// counter taken through NewSharded, Increment, a satisfied Check and
+// Watermark holds the same bytes at every GOMAXPROCS, and under 512 B
+// (a striped one holds 0.7 KB at GOMAXPROCS 1 and 26 KB at 64). Each
+// size is the heap delta over many counters; raising GOMAXPROCS starts
+// no threads, and the collector stays off while it is raised.
+func TestShardedUncontendedFootprint(t *testing.T) {
+	const n = 4096
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perCounter := func(procs int) int64 {
+		// Resizing to procs once first allocates the runtime's per-P
+		// state, which stays for later resizes, outside the delta.
+		runtime.GOMAXPROCS(procs)
+		runtime.GOMAXPROCS(prev)
+		cs := make([]*ShardedCounter, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		runtime.GOMAXPROCS(procs)
+		for i := range cs {
+			c := NewSharded()
+			c.Increment(1)
+			c.Check(1)
+			c.Watermark()
+			cs[i] = c
+		}
+		runtime.GOMAXPROCS(prev)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(cs)
+		return (int64(after.HeapAlloc) - int64(before.HeapAlloc) + n/2) / n
+	}
+	// A shard or stats cell is 128 B, so the tolerance for stray
+	// allocations elsewhere in the process cannot hide one.
+	const slack = 16
+	base := perCounter(1)
+	for _, procs := range []int{1, 2, 8, 64} {
+		b := perCounter(procs)
+		t.Logf("GOMAXPROCS %d: %d B per counter", procs, b)
+		if b >= 512 {
+			t.Errorf("GOMAXPROCS %d: an uncontended counter holds %d B, want under 512", procs, b)
+		}
+		if b > base+slack || b < base-slack {
+			t.Errorf("GOMAXPROCS %d: an uncontended counter holds %d B, %d B at GOMAXPROCS 1: its size must not grow with the procs", procs, b, base)
+		}
+	}
+}
+
+// TestShardedContendedIncrementsStripe: goroutines that hammer one
+// counter fail a CAS on its base and stripe it, and Value and
+// Stats().Increments stay exact across the switch.
+func TestShardedContendedIncrementsStripe(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	const workers, atLeast = 4, 10000
+	c := NewSharded()
+	deadline := time.Now().Add(10 * time.Second)
+	var total atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var n uint64
+			for n < atLeast || c.shards.Load() == nil && time.Now().Before(deadline) {
+				c.Increment(1)
+				n++
+			}
+			total.Add(n)
+		}()
+	}
+	wg.Wait()
+	if c.shards.Load() == nil {
+		t.Fatalf("%d increments from %d goroutines never striped the counter", total.Load(), workers)
+	}
+	if v := c.Value(); v != total.Load() {
+		t.Fatalf("Value() = %d, want %d", v, total.Load())
+	}
+	if s := c.Stats(); s.Increments != total.Load() {
+		t.Fatalf("Stats().Increments = %d, want %d", s.Increments, total.Load())
+	}
+}
+
+// TestShardedStripeTransitionRace races the switch from base to stripes
+// against enroll's gate raise and flush, on a fresh counter each round:
+// incrementers contend on the base while waiters park Checks at levels
+// the total reaches and a hook arms above the total and cancels, over
+// and over. Every waiter must wake, the value must be exact, the
+// fast-path and locked increments must add up to Increments, and the
+// gate must read 0 once everyone has left.
+func TestShardedStripeTransitionRace(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	const rounds, incrementers, perIncrementer, waiters = 50, 3, 2000, 3
+	const total = incrementers * perIncrementer
+	h := &gateHook{fired: make(chan struct{}, 1)}
+	h.Bind(h)
+	striped := 0
+	for r := 0; r < rounds; r++ {
+		c := NewSharded()
+		start, stop := make(chan struct{}), make(chan struct{})
+		var incs sync.WaitGroup
+		for i := 0; i < incrementers; i++ {
+			incs.Add(1)
+			go func() {
+				defer incs.Done()
+				<-start
+				for j := 0; j < perIncrementer; j++ {
+					c.Increment(1)
+				}
+			}()
+		}
+		woke := make(chan struct{}, waiters)
+		for i := 1; i <= waiters; i++ {
+			level := uint64(total * i / waiters)
+			go func() {
+				<-start
+				// Park once the increments are under way, while they may
+				// still be on the base.
+				for c.Watermark() < level/8 {
+					runtime.Gosched()
+				}
+				c.Check(level)
+				woke <- struct{}{}
+			}()
+		}
+		hookDone := make(chan struct{})
+		go func() {
+			defer close(hookDone)
+			<-start
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if c.ArmHook(total+1, &h.Hook) && !h.Cancel() {
+					t.Errorf("round %d: the hook armed above the total could not be cancelled", r)
+					return
+				}
+			}
+		}()
+		close(start)
+		incs.Wait()
+		for i := 0; i < waiters; i++ {
+			select {
+			case <-woke:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: a waiter stayed parked with the value at %d", r, c.Value())
+			}
+		}
+		close(stop)
+		<-hookDone
+		if c.shards.Load() != nil {
+			striped++
+		}
+		if v := c.Value(); v != total {
+			t.Fatalf("round %d: Value() = %d, want %d", r, v, total)
+		}
+		s := c.Stats()
+		c.wl.lock()
+		locked := c.wl.stats.increments
+		c.wl.unlock()
+		if s.Increments != total || s.FastPathIncrements+locked != s.Increments {
+			t.Fatalf("round %d: Increments = %d (fast path %d, locked %d), want %d", r, s.Increments, s.FastPathIncrements, locked, total)
+		}
+		if g := c.gate.Load(); g != 0 {
+			t.Fatalf("round %d: gate = %d after every waiter and the hook left, want 0", r, g)
+		}
+	}
+	t.Logf("%d of %d rounds striped", striped, rounds)
 }

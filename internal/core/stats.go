@@ -212,15 +212,17 @@ func stripeIndex(mask uint64) uint64 {
 	return (h >> 24) & mask
 }
 
-// stripedUint64 is a contention-spread counter for lock-free fast paths:
-// Add lands on one of stripeCount cache-padded cells chosen by
-// stripeIndex, so concurrent fast-path callers do not serialize on one
-// cache line; Load sums the cells (a momentary snapshot, like any
-// concurrent counter read). The zero value is ready to use; cells are
-// allocated on first Add, or — for counters that own other striped
-// arrays — by ensure, so every array of one counter captures the same
-// stripe count at the same moment.
+// stripedUint64 is a contention-spread counter for lock-free fast paths.
+// Add lands on a base word until a CAS on it fails; from that first
+// contended Add on, it lands on one of stripeCount cache-padded cells
+// chosen by stripeIndex, so concurrent fast-path callers do not
+// serialize on one cache line. Load sums the base and the cells (a
+// momentary snapshot, like any concurrent counter read). The zero value
+// is ready to use, and an uncontended one allocates nothing; a counter
+// that owns other striped arrays sizes the cells with ensure instead,
+// so every array of one counter captures the same stripe count.
 type stripedUint64 struct {
+	base  atomic.Uint64
 	cells atomic.Pointer[[]paddedUint64]
 }
 
@@ -240,31 +242,30 @@ type paddedUint64 struct {
 	_ [120]byte // two cache lines, clear of the adjacent-line prefetcher
 }
 
+// Add adds n. Once the cells exist it adds to the caller's cell;
+// before, it tries the base, and a failed CAS there allocates the cells
+// (stripeCount captured exactly once: racing initializers agree on the
+// winner via CompareAndSwap, and whatever GOMAXPROCS says later, the
+// array and the masks derived from its length never change).
 func (s *stripedUint64) Add(n uint64) {
 	p := s.cells.Load()
 	if p == nil {
-		p = s.initCells()
+		old := s.base.Load()
+		if s.base.CompareAndSwap(old, old+n) {
+			return
+		}
+		s.ensure(stripeCount())
+		p = s.cells.Load()
 	}
 	(*p)[stripeIndex(uint64(len(*p)-1))].v.Add(n)
 }
 
-// initCells allocates the cell array once; racing initializers agree on
-// the winner via CompareAndSwap, so no counts are ever lost. The stripe
-// count is captured exactly once — whatever GOMAXPROCS says later, the
-// array and the masks derived from its length never change.
-func (s *stripedUint64) initCells() *[]paddedUint64 {
-	s.ensure(stripeCount())
-	return s.cells.Load()
-}
-
 func (s *stripedUint64) Load() uint64 {
-	p := s.cells.Load()
-	if p == nil {
-		return 0
-	}
-	var sum uint64
-	for i := range *p {
-		sum += (*p)[i].v.Load()
+	sum := s.base.Load()
+	if p := s.cells.Load(); p != nil {
+		for i := range *p {
+			sum += (*p)[i].v.Load()
+		}
 	}
 	return sum
 }

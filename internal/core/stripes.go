@@ -125,8 +125,9 @@ func (sl *stripedList) ensure(size int) {
 	sl.stripes.CompareAndSwap(nil, &fresh)
 }
 
-// arr returns the stripe array, allocating it on first use for owners
-// (AtomicCounter) that have no earlier capture point.
+// arr returns the stripe array, allocating it on first use — the first
+// registration — for owners (AtomicCounter, ShardedCounter) that have no
+// earlier capture point.
 func (sl *stripedList) arr() []stripe {
 	if p := sl.stripes.Load(); p != nil {
 		return *p

@@ -315,9 +315,9 @@ func probeEvent(p *func(Event), kind EventKind, level uint64) {
 }
 
 // watermark is the value of every design but sharded (whose value is
-// spread over shard cells): moved only under the design's mutex and
-// stored before any wake, so one lock-free load decides a satisfied
-// check. Monotonicity makes that safe — a stale read can only
+// spread over its base and shard cells): moved only under the design's
+// mutex and stored before any wake, so one lock-free load decides a
+// satisfied check. Monotonicity makes that safe — a stale read can only
 // under-estimate — and the seq-cst store/load pair keeps the
 // happens-before edge from the publishing Increment. fastChecks tallies
 // the satisfied lock-free looks, which Stats folds into

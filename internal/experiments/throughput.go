@@ -50,7 +50,7 @@ func init() {
 			"increment path on \"are there waiters?\", paying the exact locked path only while " +
 			"someone waits.",
 		Notes: "With no waiters the sharded counter's increments are one CAS on a private cache " +
-			"line, so it leads every locked design at any proc count (no scheduler round trips), " +
+			"line (the storm's first contended CAS on its base cell stripes it), so it leads every locked design at any proc count (no scheduler round trips), " +
 			"and the gap widens as GOMAXPROCS grows — the per-proc curves live in the " +
 			"counterbench/v2 sweep (BENCH_6.json) and E23. The fc design instead keeps the " +
 			"single value but lets the lock holder fold rivals' published deltas, trading " +
