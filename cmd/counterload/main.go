@@ -1,6 +1,6 @@
 // Command counterload drives a counterd cluster with a synthetic
 // synchronization load: many writer goroutines incrementing a
-// population of named counters placed over the members by consistent
+// population of named counters placed over the members by rendezvous
 // hashing, and a large number of waiter sessions — each one parked wait
 // at its counter's exact final value — multiplexed over the cluster's
 // pooled connections. It reports the aggregate increment rate (measured

@@ -1,14 +1,19 @@
 // Package cluster scales the counterd service horizontally: a static
-// member list of counterd nodes, consistent-hash placement of counter
+// member list of counterd nodes, rendezvous-hash placement of counter
 // names over the live members, and client-side failover that rides over
 // a node death without losing or double-applying an increment.
 //
 // All placement and routing live in the client — a node never proxies
 // or even knows about another node's counters, in the spirit of keeping
-// work off the synchronizing hot path. Every client derives the same
-// placement from the same member list (the ring is a pure function of
-// the addresses), so clients agree on where a name lives without any
-// coordination service.
+// work off the synchronizing hot path. A name lives on the live member
+// with the highest score mix(hash(name) ^ hash(member)), ties going to
+// the lower address (rendezvous, or highest-random-weight, hashing;
+// Thaler and Ravishankar, 1998). The score is a pure function of the
+// name and the address, so every client derives the same placement
+// from the same member set, in any order, without a coordination
+// service. Every client of one cluster must run this same rule: a
+// client placing names by any other would look for them on other
+// members.
 //
 // # Why monotonicity makes failover cheap
 //
@@ -25,15 +30,17 @@
 //     knows its own total per name (its *ledger*).
 //
 // When a node dies, its hosted values die with it. The cluster client
-// re-routes each of the dead node's names to the next live node on the
-// ring and replays its full ledger for those names there. Every writer
-// of a name does the same (they all lost the same node), so the
-// reconstructed value is again the sum of all contributions: exactly
-// the increments that were issued, each applied once. In-flight
-// increments are not double-counted: an increment enters the ledger and
-// is routed under one lock, so the failover snapshot either already
-// includes it (and the send to the dying node is dropped) or the ring
-// change happened first (and it routes to the successor directly).
+// re-routes each of the dead node's names to the live member that
+// scores next for it, so the dead node's names spread over all the
+// survivors while every other name stays where it was, and replays its
+// full ledger for those names there. Every writer of a name does the
+// same (they all lost the same node), so the reconstructed value is
+// again the sum of all contributions: exactly the increments that were
+// issued, each applied once. In-flight increments are not
+// double-counted: an increment enters the ledger and is routed under
+// one lock, so the failover snapshot either already includes it (and
+// the send to the dying node is dropped) or the member was marked down
+// first (and it routes to the successor directly).
 //
 // A node that restarts *quickly* — the TCP reconnect succeeds before
 // the client's failure budget is spent — is detected through the boot
@@ -62,7 +69,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -73,11 +79,6 @@ import (
 // ErrNoNodes is reported (or panicked, by operations that cannot return
 // an error) once every member of the cluster has been declared dead.
 var ErrNoNodes = errors.New("cluster: no live nodes")
-
-// vnodesPerNode is the number of ring points each member contributes.
-// More points smooth the per-node share of names and shrink the slice
-// of names that moves on a failover (only the dead node's arcs move).
-const vnodesPerNode = 64
 
 // Option configures DialCluster.
 type Option func(*config)
@@ -133,16 +134,16 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	nodes    []*node
-	ring     []point // points of live nodes, sorted by hash
-	ringGen  uint64  // bumped by every ring rebuild; see Counter.route
 	counters map[string]*Counter
 	closed   bool
 }
 
-// node is one member: its address and its pooled clients. down is
+// node is one member: its address, the address's hash (the member's
+// half of every placement score) and its pooled clients. down is
 // guarded by Cluster.mu and latches — a dead member never comes back.
 type node struct {
 	addr    string
+	hash    uint64
 	clients []*remote.Client
 	down    bool
 }
@@ -152,12 +153,6 @@ type node struct {
 // (and every replay) for a name uses the same session.
 func (n *node) counterFor(name string, hash uint64) *remote.Counter {
 	return n.clients[hash%uint64(len(n.clients))].Counter(name)
-}
-
-// point is one ring position owned by a node.
-type point struct {
-	hash uint64
-	n    *node
 }
 
 // DialCluster connects to every member of the static address list and
@@ -173,8 +168,8 @@ func DialCluster(addrs []string, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, counters: make(map[string]*Counter)}
 	for _, addr := range addrs {
-		n := &node{addr: addr}
-		c.nodes = append(c.nodes, n) // registered before dialing so closeAll sees a partial pool
+		n := &node{addr: addr, hash: fnv64a(addr)}
+		c.nodes = append(c.nodes, n) // registered before dialing so Close sees a partial pool
 		for i := 0; i < cfg.poolSize; i++ {
 			ropts := append([]remote.Option{
 				remote.WithRetryNotify(c.retryWatcher(n)),
@@ -182,25 +177,13 @@ func DialCluster(addrs []string, opts ...Option) (*Cluster, error) {
 			}, cfg.remote...)
 			cl, err := remote.Dial(addr, ropts...)
 			if err != nil {
-				c.closeAll()
+				c.Close()
 				return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 			}
 			n.clients = append(n.clients, cl)
 		}
 	}
-	c.rebuildRingLocked() // no lock needed yet: c unpublished
 	return c, nil
-}
-
-// closeAll tears down every client dialed so far (partial-dial cleanup).
-func (c *Cluster) closeAll() {
-	for _, n := range c.nodes {
-		for _, cl := range n.clients {
-			if cl != nil {
-				cl.Close()
-			}
-		}
-	}
 }
 
 // Close tears the cluster down: every pooled client closes, and every
@@ -292,19 +275,20 @@ func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64) {
 	}
 }
 
-// failNode declares n dead: its ring points are removed (re-homing its
-// names on the next live node), this client's ledger for every moved
-// name is replayed through the successor, and the dead pool is closed —
-// resolving its parked waits with remote.ErrClosed, which sends cluster
-// waiters back through routing, and kicking its armed sentinels and
-// routed predicate registrations, which sends predicate conditions back
-// through Counter.ArmHook's or Cluster.ArmSpec's routing to re-arm on
-// the successor. Exactly-once holds because the dead node's applied
-// state is gone with it and the ledger is the client's complete
-// contribution: replaying it recreates exactly what was lost (the
-// session seq-dedup covers any reconnect during the replay itself).
-// Callers may be a dead client's own reader goroutine, so the pool is
-// closed asynchronously.
+// failNode declares n dead: it stops scoring in placement (re-homing
+// each of its names on the live member that scores next for it), every
+// moved name's cached route is cleared, this client's ledger for every
+// moved name is replayed through its new home, and the dead pool is
+// closed — resolving its parked waits with remote.ErrClosed, which
+// sends cluster waiters back through routing, and kicking its armed
+// sentinels and routed predicate registrations, which sends predicate
+// conditions back through Counter.ArmHook's or Cluster.ArmSpec's
+// routing to re-arm on the new home. Exactly-once holds because the
+// dead node's applied state is gone with it and the ledger is the
+// client's complete contribution: replaying it recreates exactly what
+// was lost (the session seq-dedup covers any reconnect during the
+// replay itself). Callers may be a dead client's own reader goroutine,
+// so the pool is closed asynchronously.
 func (c *Cluster) failNode(n *node) {
 	type replay struct {
 		rc  *remote.Counter
@@ -316,14 +300,19 @@ func (c *Cluster) failNode(n *node) {
 		c.mu.Unlock()
 		return
 	}
+	// The moved set is computed while n still scores: routeLocked skips
+	// members that are down. Every moved route is cleared, ledger or not,
+	// or a counter that only waits would keep re-asking the retired pool.
 	var moved []*Counter
 	for _, ctr := range c.counters {
-		if ctr.contrib > 0 && c.routeLocked(ctr.hash) == n {
-			moved = append(moved, ctr)
+		if c.routeLocked(ctr.hash) == n {
+			ctr.route.Store(nil)
+			if ctr.contrib > 0 {
+				moved = append(moved, ctr)
+			}
 		}
 	}
 	n.down = true
-	c.rebuildRingLocked()
 	for _, ctr := range moved {
 		rc := c.homeLocked(ctr)
 		if rc == nil {
@@ -343,56 +332,41 @@ func (c *Cluster) failNode(n *node) {
 	}
 }
 
-// rebuildRingLocked recomputes the ring from the live members and
-// invalidates every counter's cached route. Callers hold c.mu (or own c
-// exclusively).
-func (c *Cluster) rebuildRingLocked() {
-	c.ringGen++
-	ring := c.ring[:0]
+// routeLocked resolves a name hash to its live home by rendezvous
+// hashing: the live member with the highest score mix(hash ^ n.hash),
+// ties going to the lower address so the order of the member list never
+// matters. nil once no member is live. Callers hold c.mu.
+func (c *Cluster) routeLocked(hash uint64) *node {
+	var best *node
+	var top uint64
 	for _, n := range c.nodes {
 		if n.down {
 			continue
 		}
-		for i := 0; i < vnodesPerNode; i++ {
-			ring = append(ring, point{fnv64a(fmt.Sprintf("%s#%d", n.addr, i)), n})
+		score := mix(hash ^ n.hash)
+		if best == nil || score > top || score == top && n.addr < best.addr {
+			best, top = n, score
 		}
 	}
-	sort.Slice(ring, func(i, j int) bool {
-		if ring[i].hash != ring[j].hash {
-			return ring[i].hash < ring[j].hash
-		}
-		return ring[i].n.addr < ring[j].n.addr
-	})
-	c.ring = ring
-}
-
-// routeLocked resolves a name hash to its live home: the first ring
-// point at or after the hash, wrapping at the top. Callers hold c.mu.
-func (c *Cluster) routeLocked(hash uint64) *node {
-	if len(c.ring) == 0 {
-		return nil
-	}
-	i := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].hash >= hash })
-	if i == len(c.ring) {
-		i = 0
-	}
-	return c.ring[i].n
+	return best
 }
 
 // homeLocked returns the remote counter currently hosting ctr, nil once
-// no member is live. The route is cached on ctr until the next ring
-// rebuild, so a steady stream of operations on a name neither searches
-// the ring nor looks the name up in the pooled client. Callers hold c.mu.
+// no member is live. The route is cached on ctr until failNode moves
+// its name, so a steady stream of operations on a name neither scores
+// the members nor looks the name up in the pooled client. Callers hold
+// c.mu.
 func (c *Cluster) homeLocked(ctr *Counter) *remote.Counter {
-	if ctr.routeGen != c.ringGen {
+	rc := ctr.route.Load()
+	if rc == nil {
 		n := c.routeLocked(ctr.hash)
 		if n == nil {
 			return nil
 		}
-		ctr.route.Store(n.counterFor(ctr.name, ctr.hash))
-		ctr.routeGen = c.ringGen
+		rc = n.counterFor(ctr.name, ctr.hash)
+		ctr.route.Store(rc)
 	}
-	return ctr.route.Load()
+	return rc
 }
 
 // homeCounter routes name to the remote counter currently hosting it.
@@ -409,20 +383,26 @@ func (c *Cluster) homeCounter(ctr *Counter) (*remote.Counter, error) {
 	return rc, nil
 }
 
-// fnv64a is FNV-1a over s run through a 64-bit avalanche finalizer —
-// allocation-free (hash/fnv's Hash64 would escape per route), stable
-// across processes, and the single hash placement and pool selection
-// both derive from. The finalizer (murmur3's fmix64) matters: raw
-// FNV-1a of short, similar strings — counter names, host:port#vnode —
-// leaves the high bits poorly mixed, and ring position orders by the
-// FULL 64-bit value, so without it whole swaths of names crowd onto one
-// arc of the circle.
+// fnv64a is FNV-1a over s run through mix — allocation-free
+// (hash/fnv's Hash64 would escape per route), stable across processes,
+// and the single hash that placement scores and pool selection both
+// derive from. Placement runs every score through mix again; the
+// finalizer here matters to the pool choice, hash % pool size: raw
+// FNV-1a's lowest bit is only the parity of the bytes' lowest bits, so
+// names differing only in even digits would all share one slot.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
+	return mix(h)
+}
+
+// mix is murmur3's 64-bit avalanche finalizer (fmix64): every input bit
+// flips each output bit with probability about one half. It finishes
+// fnv64a and turns a name hash and a member hash into a placement score.
+func mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -195,7 +195,7 @@ func TestSentinelCountsNoCheck(t *testing.T) {
 // TestPlacementDeterministic pins what makes coordination-free routing
 // sound: placement is a pure function of the member list — two clusters
 // agree name by name even when one was dialed with the list reversed —
-// and the vnode smoothing spreads names over every member.
+// and the placement scores spread names over every member.
 func TestPlacementDeterministic(t *testing.T) {
 	addrs, _ := startNodes(t, 3)
 	c1 := dialCluster(t, addrs)
@@ -217,6 +217,32 @@ func TestPlacementDeterministic(t *testing.T) {
 	}
 	if len(perNode) != 3 {
 		t.Fatalf("256 names landed on %d of 3 nodes: %v", len(perNode), perNode)
+	}
+}
+
+// TestDialClusterFailureClosesDialedMembers: a member that refuses its
+// dial fails DialCluster, and the pooled clients already dialed to the
+// members before it are closed, not leaked with their goroutines.
+func TestDialClusterFailureClosesDialedMembers(t *testing.T) {
+	live, _ := startNode(t)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := lis.Addr().String()
+	lis.Close()
+
+	baseline := runtime.NumGoroutine()
+	c, err := cluster.DialCluster([]string{live, refused}, cluster.WithPoolSize(2))
+	if err == nil {
+		c.Close()
+		t.Fatalf("DialCluster with %s refusing succeeded", refused)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after the failed dial, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -409,6 +435,52 @@ func TestParkedWaitSurvivesFailover(t *testing.T) {
 	}
 	if home, _ := c.NodeFor(name); home != addrs[1] {
 		t.Fatalf("NodeFor(%q) = %s after failover, want successor %s", name, home, addrs[1])
+	}
+}
+
+// TestWaitOnlyCounterSurvivesFailover: a counter this Cluster only
+// waits on has no ledger to replay, but its cached route still points
+// into the dead member's pool. The failover must clear that route too,
+// or the re-issued wait would keep landing on the closed pool instead
+// of the name's new home.
+func TestWaitOnlyCounterSurvivesFailover(t *testing.T) {
+	addrs, kills := startNodes(t, 2)
+	c := dialCluster(t, addrs,
+		cluster.WithFailAfter(3),
+		cluster.WithBackoff(time.Millisecond, 5*time.Millisecond))
+
+	name := nameOn(t, c, addrs[0], "waitonly")
+	ctr := c.Counter(name)
+	released := make(chan error, 1)
+	go func() { released <- ctr.CheckContext(context.Background(), 1) }()
+	// Stats caches the route and answers behind the parked OpCheck.
+	for deadline := time.Now().Add(5 * time.Second); ctr.Stats().Suspends == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("Check(1) never parked on node 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	kills[0]()
+
+	for deadline := time.Now().Add(5 * time.Second); len(c.Live()) != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("node death never detected")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	vc, err := remote.Dial(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vc.Close()
+	vc.Counter(name).Increment(1)
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatalf("CheckContext(1) = %v after failover, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("wait-only Check(1) never released on the new home")
 	}
 }
 

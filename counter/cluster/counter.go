@@ -37,12 +37,12 @@ type Counter struct {
 	// doubled.
 	contrib uint64
 
-	// route caches the remote counter hosting the name on the ring of
-	// generation routeGen (see Cluster.homeLocked). Both are written
-	// under cl.mu, like contrib, so the ledger update and the route
-	// decision stay atomic; Watermark loads route without the lock.
-	route    atomic.Pointer[remote.Counter]
-	routeGen uint64
+	// route caches the remote counter hosting the name, nil until the
+	// first routing and again once failNode moves the name off a dead
+	// member (see Cluster.homeLocked). It is written under cl.mu, like
+	// contrib, so the ledger update and the route decision stay atomic;
+	// Watermark loads it without the lock.
+	route atomic.Pointer[remote.Counter]
 
 	// known is the cluster-client-local satisfied watermark, the same
 	// monotone lower bound the single-node client keeps. Across a
@@ -179,7 +179,11 @@ func (ctr *Counter) CheckContext(ctx context.Context, level uint64) error {
 // WaitTimeout is Check bounded by a timeout, reporting whether the
 // level was reached; a satisfied level beats an expired deadline, and
 // the deadline spans failovers (a retired home does not restart the
-// clock).
+// clock). Past the deadline, a wait on a home that stays unreachable
+// returns within the failure budget: retiring the home closes its pool,
+// which resolves the wait, and the new home answers the re-asked one.
+// A home whose links keep connecting and then dying bounds it by
+// nothing (see remote.Counter.WaitTimeout).
 func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 	if level <= ctr.known.Load() {
 		ctr.immediate.Add(1)
@@ -194,8 +198,8 @@ func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 // the home node's remote ArmHook, with no wrapper: the home's client
 // raises its own watermark before the hook runs, and Watermark folds
 // that in. Retiring the home closes its pool, which fires the hook once
-// as a re-evaluation kick, so the predicate re-arms on the ring
-// successor. On a closed Cluster, or with every member dead, the hook
+// as a re-evaluation kick, so the predicate re-arms on the name's new
+// home. On a closed Cluster, or with every member dead, the hook
 // is armed but never fires.
 func (ctr *Counter) ArmHook(level uint64, h *core.Hook) bool {
 	if level <= ctr.known.Load() {

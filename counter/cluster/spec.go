@@ -16,7 +16,7 @@ import cwait "monotonic/counter/wait"
 // Counter.ArmHook. Retiring the home closes that pool, whose Close
 // fires the registration's fire(false). The predicate engine takes that
 // as a kick and asks this Cluster again, and the re-ask routes to the
-// ring successor. Monotonicity makes the re-send idempotent, and the
+// name's new home. Monotonicity makes the re-send idempotent, and the
 // truth the successor accumulates (every writer replays its ledger
 // there) is the same monotone truth, so a wake from the new home is as
 // authoritative as one from the old. Only when the counters no longer

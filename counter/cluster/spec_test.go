@@ -77,7 +77,7 @@ func TestSpecWaitShardedFallsBack(t *testing.T) {
 
 // TestParkedWaitForSurvivesFailover is the regression for predicate
 // waits racing failover: a spec parked on the member about to die must
-// be re-encoded and re-routed to the ring successor — still ONE
+// be re-encoded and re-routed to the names' new home — still ONE
 // server-side registration, not a degradation to per-counter sentinels
 // — and release once the ledger replay plus the remaining increments
 // land there.
@@ -144,7 +144,7 @@ func TestParkedWaitForSurvivesFailover(t *testing.T) {
 // TestShardedWaitForSurvivesFailover: a predicate over counters on two
 // members evaluates client-side over one sentinel per counter. When one
 // member dies, closing its pool kicks the sentinel parked there, the
-// predicate re-arms on the ring successor, and it still releases once
+// predicate re-arms on the name's new home, and it still releases once
 // the ledger replay and the remaining increments land there.
 func TestShardedWaitForSurvivesFailover(t *testing.T) {
 	addrs, kills := startNodes(t, 2)

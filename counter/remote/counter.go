@@ -153,6 +153,11 @@ func (c *Counter) Check(level uint64) {
 // returns ErrClosed if the client is closed while waiting. Its reply
 // channel is reused, so a wait allocates nothing once the client has
 // answered one.
+//
+// Because the server decides, the context bounds the wait only while
+// counterd is reachable: a wait cancelled with the link down returns
+// once a link carries counterd's answer to its cancel, or the client
+// closes, however long the reconnects take.
 func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
@@ -173,7 +178,10 @@ func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 }
 
 // WaitTimeout is Check bounded by a timeout, reporting whether the
-// level was reached; a satisfied level beats an expired deadline.
+// level was reached; a satisfied level beats an expired deadline. As
+// with CheckContext, the deadline holds only while counterd is
+// reachable: past it with the link down, the wait returns once a link
+// carries counterd's answer to its cancel, or the client closes.
 func (c *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)

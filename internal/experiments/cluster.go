@@ -117,7 +117,7 @@ func clusterFanout(addrs []string, names, waiters int) time.Duration {
 	return time.Since(start)
 }
 
-// E26: the counter service scaled out — consistent-hash sharded names
+// E26: the counter service scaled out — rendezvous-hash sharded names
 // over N counterd nodes, measured as aggregate increment throughput and
 // cluster-wide wake fan-out at 1, 2, and 4 in-process nodes.
 func init() {
@@ -130,8 +130,9 @@ func init() {
 			"nodes because each name still lives behind exactly one server at a time. This " +
 			"experiment measures what the reproduction's cluster layer (counter/cluster) buys: " +
 			"the same increment batch and the same fan-out released through 1, 2, and 4 " +
-			"counterd nodes, names placed by consistent hashing.",
-		Notes: "Names shard by a consistent hash of the name over the member list, so the per-node " +
+			"counterd nodes, names placed by rendezvous hashing.",
+		Notes: "Names shard by rendezvous hashing over the member list (each name lives on the " +
+			"member with the highest hash score for it), so the per-node " +
 			"frame streams, waitlist engines, and wake fan-outs are independent — on multi-core " +
 			"hosts the aggregate increment rate should grow with node count until cores run out. " +
 			"On a single-CPU host every node shares the one core and the curve records " +
