@@ -27,7 +27,8 @@
 //     and the predicate engine arms again through the new routing.
 //   - Increments commute, so a counter's value is nothing more than the
 //     sum of each writer's total contribution — and each cluster client
-//     knows its own total per name (its *ledger*).
+//     knows its own total per name (its *ledger*), kept by the pooled
+//     remote client the name routes to (remote.Counter.Contribution).
 //
 // When a node dies, its hosted values die with it. The cluster client
 // re-routes each of the dead node's names to the live member that
@@ -36,25 +37,20 @@
 // full ledger for those names there. Every writer of a name does the
 // same (they all lost the same node), so the reconstructed value is
 // again the sum of all contributions: exactly the increments that were
-// issued, each applied once. In-flight increments are not
-// double-counted: an increment enters the ledger and is routed under
-// one lock, so the failover snapshot either already includes it (and
-// the send to the dying node is dropped) or the member was marked down
-// first (and it routes to the successor directly).
+// issued, each applied once. In-flight increments are not lost or
+// double-counted: an increment enters its home client's ledger under
+// that client's lock, and the failover reads that ledger only after
+// closing the client. So an increment either entered the ledger first,
+// and the replay carries it, or found the client closed, entered no
+// ledger, and routes to the successor directly.
 //
 // A node that restarts *quickly* — the TCP reconnect succeeds before
 // the client's failure budget is spent — is detected through the boot
 // epoch in the handshake (wire.OpWelcome) and treated exactly like a
 // death: the fresh instance's counters are zero and the per-session
 // resume restores only the unacknowledged tail, so the cluster retires
-// the member and replays its full ledger to the successor. Retiring is
-// deliberately chosen over topping the new instance back up: a top-up
-// snapshot cannot be taken atomically with the session resume (they
-// live under different locks), so an increment racing the restart could
-// land both in the new session and in the top-up. Replay-to-successor
-// has no such window — the ledger snapshot and the re-route happen
-// under one lock, and nothing about the retired instance's state
-// matters afterwards.
+// the member and replays its full ledger to the successor, and the
+// retired instance's state never matters again.
 //
 // # Scope
 //
@@ -139,13 +135,15 @@ type Cluster struct {
 }
 
 // node is one member: its address, the address's hash (the member's
-// half of every placement score) and its pooled clients. down is
-// guarded by Cluster.mu and latches — a dead member never comes back.
+// half of every placement score) and its pooled clients. down (out of
+// placement) and retired (out of Live, once failNode has replayed) are
+// guarded by Cluster.mu and latch — a dead member never comes back.
 type node struct {
 	addr    string
 	hash    uint64
 	clients []*remote.Client
 	down    bool
+	retired bool
 }
 
 // counterFor resolves the pooled remote counter hosting name on this
@@ -238,13 +236,15 @@ func (c *Cluster) NodeFor(name string) (addr string, ok bool) {
 	return n.addr, true
 }
 
-// Live reports the addresses of the members not declared dead.
+// Live reports the addresses of the members not declared dead. A dying
+// member leaves it once failNode has replayed its names' ledgers, so
+// Counter.Contribution is exact from then on.
 func (c *Cluster) Live() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []string
 	for _, n := range c.nodes {
-		if !n.down {
+		if !n.retired {
 			out = append(out, n.addr)
 		}
 	}
@@ -253,12 +253,12 @@ func (c *Cluster) Live() []string {
 
 // retryWatcher is the per-node failure budget: any pooled client of n
 // exceeding cfg.failAfter consecutive failed reconnects declares the
-// node dead. It runs on the client's reader goroutine, so failNode must
-// never wait on that client (it closes the pool asynchronously).
+// node dead. It runs on the client's reader goroutine, which failNode's
+// Close waits for, so it starts failNode on a goroutine of its own.
 func (c *Cluster) retryWatcher(n *node) func(failures int, err error) {
 	return func(failures int, err error) {
 		if failures >= c.cfg.failAfter {
-			c.failNode(n)
+			go c.failNode(n)
 		}
 	}
 }
@@ -267,69 +267,61 @@ func (c *Cluster) retryWatcher(n *node) func(failures int, err error) {
 // a fresh instance before the failure budget was spent, detected by the
 // boot epoch changing across a reconnect. The old instance's hosted
 // values are gone, so the member is retired like any other death and
-// the ledger replays to the successor (see the package comment for why
-// retiring beats topping the new instance up).
+// the ledger replays to the successor. It runs on the reader goroutine,
+// as retryWatcher does, and so starts failNode on its own goroutine.
 func (c *Cluster) restartWatcher(n *node) func(oldE, newE uint64) {
 	return func(_, _ uint64) {
-		c.failNode(n)
+		go c.failNode(n)
 	}
 }
 
-// failNode declares n dead: it stops scoring in placement (re-homing
-// each of its names on the live member that scores next for it), every
-// moved name's cached route is cleared, this client's ledger for every
-// moved name is replayed through its new home, and the dead pool is
-// closed — resolving its parked waits with remote.ErrClosed, which
-// sends cluster waiters back through routing, and kicking its armed
-// sentinels and routed predicate registrations, which sends predicate
-// conditions back through Counter.ArmHook's or Cluster.ArmSpec's
-// routing to re-arm on the new home. Exactly-once holds because the
-// dead node's applied state is gone with it and the ledger is the
-// client's complete contribution: replaying it recreates exactly what
-// was lost (the session seq-dedup covers any reconnect during the
-// replay itself). Callers may be a dead client's own reader goroutine,
-// so the pool is closed asynchronously.
+// failNode declares n dead in four steps. (1) Under c.mu, n leaves
+// placement, re-homing each of its names on the live member that scores
+// next for it, and every moved name's cached route is cleared. (2) n's
+// pooled clients close, outside c.mu, since Close kicks their armed
+// hooks and routed predicate registrations, whose re-arm takes c.mu in
+// Counter.ArmHook or Cluster.ArmSpec on its way to the new home; their
+// parked waits get remote.ErrClosed and route again. (3) Each moved
+// name's ledger in the closed client is replayed through
+// Counter.TryIncrement, into the new home's ledger. (4) n leaves Live.
+// Exactly-once holds because a closed client's ledger is final: an
+// increment entered it under the client's lock before (2), or found the
+// client closed, entered no ledger and routed again. The session
+// seq-dedup covers any reconnect during the replay itself. Close waits
+// for the reader goroutines of n's clients, so failNode must not run on
+// one.
 func (c *Cluster) failNode(n *node) {
-	type replay struct {
-		rc  *remote.Counter
-		amt uint64
-	}
-	var replays []replay
 	c.mu.Lock()
 	if c.closed || n.down {
 		c.mu.Unlock()
 		return
 	}
 	// The moved set is computed while n still scores: routeLocked skips
-	// members that are down. Every moved route is cleared, ledger or not,
-	// or a counter that only waits would keep re-asking the retired pool.
+	// members that are down. Every moved route is cleared, or a counter
+	// that only waits would keep re-asking the retired pool. A counter
+	// with no route holds no ledger in n's clients: increments go through
+	// the route, which nothing else clears while n's clients are open.
 	var moved []*Counter
 	for _, ctr := range c.counters {
-		if c.routeLocked(ctr.hash) == n {
-			ctr.route.Store(nil)
-			if ctr.contrib > 0 {
-				moved = append(moved, ctr)
-			}
+		if c.routeLocked(ctr.hash) == n && ctr.route.Swap(nil) != nil {
+			moved = append(moved, ctr)
 		}
 	}
 	n.down = true
-	for _, ctr := range moved {
-		rc := c.homeLocked(ctr)
-		if rc == nil {
-			break // last node died; nothing to replay into
-		}
-		replays = append(replays, replay{rc, ctr.contrib})
-	}
-	clients := n.clients
 	c.mu.Unlock()
-	for _, r := range replays {
-		// ErrClosed: the successor died concurrently; its own failover
-		// replays the full ledger to the next live node.
-		_ = r.rc.TryIncrement(r.amt)
+	for _, cl := range n.clients {
+		cl.Close()
 	}
-	for _, cl := range clients {
-		go cl.Close()
+	for _, ctr := range moved {
+		if amt := n.counterFor(ctr.name, ctr.hash).Contribution(); amt > 0 {
+			// ErrClosed or ErrNoNodes: the Cluster closed, or the last
+			// member died, and no home is left to replay into.
+			_ = ctr.TryIncrement(amt)
+		}
 	}
+	c.mu.Lock()
+	n.retired = true
+	c.mu.Unlock()
 }
 
 // routeLocked resolves a name hash to its live home by rendezvous
@@ -353,9 +345,9 @@ func (c *Cluster) routeLocked(hash uint64) *node {
 
 // homeLocked returns the remote counter currently hosting ctr, nil once
 // no member is live. The route is cached on ctr until failNode moves
-// its name, so a steady stream of operations on a name neither scores
-// the members nor looks the name up in the pooled client. Callers hold
-// c.mu.
+// its name, or an increment finds its client closed, so a steady stream
+// of operations on a name neither scores the members nor looks the name
+// up in the pooled client. Callers hold c.mu.
 func (c *Cluster) homeLocked(ctr *Counter) *remote.Counter {
 	rc := ctr.route.Load()
 	if rc == nil {

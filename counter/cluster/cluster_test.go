@@ -394,8 +394,8 @@ func TestKillNodeExactlyOnce(t *testing.T) {
 
 // TestParkedWaitSurvivesFailover parks a waiter on a name homed on the
 // node about to die: the wait must ride the failover — re-issued
-// against the successor after the ledger replay — and release when the
-// remaining increments arrive there.
+// against the successor, where the ledger replays — and release when
+// the remaining increments arrive there.
 func TestParkedWaitSurvivesFailover(t *testing.T) {
 	addrs, kills := startNodes(t, 2)
 	c := dialCluster(t, addrs,

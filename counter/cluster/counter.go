@@ -29,19 +29,11 @@ type Counter struct {
 	name string
 	hash uint64
 
-	// contrib is this Cluster's ledger entry for the name: the total
-	// amount it has ever contributed (less resets). Failover replays it
-	// to the name's new home. Guarded by cl.mu — the ledger update and
-	// the route decision must be atomic, or an increment could slip
-	// between a failover's snapshot and its re-route and be lost or
-	// doubled.
-	contrib uint64
-
 	// route caches the remote counter hosting the name, nil until the
 	// first routing and again once failNode moves the name off a dead
-	// member (see Cluster.homeLocked). It is written under cl.mu, like
-	// contrib, so the ledger update and the route decision stay atomic;
-	// Watermark loads it without the lock.
+	// member or an increment finds its client closed (see
+	// Cluster.homeLocked). It is filled under cl.mu; TryIncrement and
+	// Watermark load it without the lock.
 	route atomic.Pointer[remote.Counter]
 
 	// known is the cluster-client-local satisfied watermark, the same
@@ -75,10 +67,11 @@ func (ctr *Counter) noteSatisfied(level uint64) {
 
 // Increment atomically increases the counter's value by amount, waking
 // every waiter — in any process, against any node — whose level the new
-// value satisfies. The amount enters this Cluster's ledger and is
-// pipelined to the name's home node; if that node is being retired
-// concurrently, the failover replay delivers it to the successor
-// instead, still exactly once.
+// value satisfies. The amount enters the ledger of the home's pooled
+// client and is pipelined to the home node. If that node is being
+// retired concurrently, the amount either entered the ledger first, and
+// the failover replay delivers it to the successor, or found the client
+// closed and goes to the successor directly: exactly once either way.
 func (ctr *Counter) Increment(amount uint64) {
 	if err := ctr.TryIncrement(amount); err != nil {
 		panic(err.Error())
@@ -88,37 +81,25 @@ func (ctr *Counter) Increment(amount uint64) {
 // TryIncrement is Increment reporting errors instead of panicking:
 // remote.ErrClosed on a closed Cluster, ErrNoNodes once every member is
 // dead, or the latched server rejection (overflow) relayed by the home
-// client.
+// client. On a routed counter it takes only the home client's lock.
 func (ctr *Counter) TryIncrement(amount uint64) error {
-	c := ctr.cl
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return remote.ErrClosed
-	}
-	rc := c.homeLocked(ctr)
-	if rc == nil {
-		c.mu.Unlock()
-		return ErrNoNodes
-	}
-	if amount == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	ctr.contrib += amount
-	c.mu.Unlock()
-	if err := rc.TryIncrement(amount); err != nil {
-		if errors.Is(err, remote.ErrClosed) {
-			// The home's client was retired between the route and the
-			// send. The retirement's ledger snapshot was taken under the
-			// same lock as our ledger update, so it included this amount
-			// and the replay delivers it to the successor — dropping the
-			// direct send here is what keeps it exactly-once.
-			return nil
+	for {
+		rc := ctr.route.Load()
+		if rc == nil {
+			var err error
+			if rc, err = ctr.cl.homeCounter(ctr); err != nil {
+				return err
+			}
 		}
-		return err
+		err := rc.TryIncrement(amount)
+		if !errors.Is(err, remote.ErrClosed) {
+			return err
+		}
+		// The amount is in no ledger: failNode closed the home and cleared
+		// the route, or the Cluster closed, which routing reports. The
+		// swap keeps a route another increment already renewed.
+		ctr.route.CompareAndSwap(rc, nil)
 	}
-	return nil
 }
 
 // Name reports the name the counter was opened under — the key both
@@ -126,12 +107,17 @@ func (ctr *Counter) TryIncrement(amount uint64) error {
 func (ctr *Counter) Name() string { return ctr.name }
 
 // Contribution reports this Cluster's ledger entry for the counter: the
-// total amount it has contributed since the last Reset. The cluster-wide
-// value is the sum of every contributing Cluster's entry.
+// total it has contributed since the last Reset, as the home's pooled
+// client keeps it (remote.Counter.Contribution). The cluster-wide value
+// is the sum of every contributing Cluster's entry. It may read low
+// while a failover replays, and is exact once Live drops the dead
+// member; zero on a closed Cluster or with every member dead.
 func (ctr *Counter) Contribution() uint64 {
-	ctr.cl.mu.Lock()
-	defer ctr.cl.mu.Unlock()
-	return ctr.contrib
+	rc, err := ctr.cl.homeCounter(ctr)
+	if err != nil {
+		return 0
+	}
+	return rc.Contribution()
 }
 
 // Check suspends the caller until the value is at least level, riding
@@ -148,8 +134,7 @@ func (ctr *Counter) Check(level uint64) {
 // level, ctx.Err() if the context wins, with satisfied-beats-cancelled
 // resolved by the home server. If the home node is retired mid-wait the
 // wait is re-issued against the name's new home: the value is monotone,
-// so re-asking can never observe less, and the failover replay has
-// already been queued on the same session — a wait that was entitled
+// so re-asking can never observe less, and a wait that was entitled
 // before the failover becomes entitled again once the contributing
 // ledgers land. Returns remote.ErrClosed if the Cluster is closed while
 // waiting, ErrNoNodes once every member is dead.
@@ -183,13 +168,15 @@ func (ctr *Counter) CheckContext(ctx context.Context, level uint64) error {
 // returns within the failure budget: retiring the home closes its pool,
 // which resolves the wait, and the new home answers the re-asked one.
 // A home whose links keep connecting and then dying bounds it by
-// nothing (see remote.Counter.WaitTimeout).
+// nothing (see remote.Counter.WaitTimeout). If the Cluster closes under
+// the wait, or its last member dies, WaitTimeout panics with
+// remote.ErrClosed or ErrNoNodes.
 func (ctr *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 	if level <= ctr.known.Load() {
 		ctr.immediate.Add(1)
 		return true
 	}
-	return core.WaitTimeout(ctr, level, d) // panics if the Cluster closes or loses every member
+	return core.WaitTimeout(ctr, level, d)
 }
 
 // ArmHook arms the caller-owned hook h to fire when the value reaches
@@ -205,8 +192,8 @@ func (ctr *Counter) ArmHook(level uint64, h *core.Hook) bool {
 	if level <= ctr.known.Load() {
 		return false
 	}
-	// Route and arm under one hold of c.mu: a failNode cannot slip in
-	// between, so the pool close it schedules finds the entry to kick.
+	// Route and arm under one hold of c.mu: failNode re-routes under c.mu
+	// before it closes the dead pool, so the close finds the entry to kick.
 	c := ctr.cl
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -234,17 +221,18 @@ func (ctr *Counter) Watermark() uint64 {
 	return ctr.known.Load()
 }
 
-// Reset sets the value back to zero for reuse between phases and zeroes
-// this Cluster's ledger entry, so a later failover does not resurrect
-// pre-reset contributions. As everywhere else, Reset must not run
-// concurrently with any other operation on the counter and panics if
-// waiters are suspended on it. In a cluster the exclusivity is
-// cluster-wide and extends to the ledgers: every OTHER Cluster that has
-// written the name still holds its pre-reset contribution, which a
-// failover would faithfully replay — so phase reuse across failures is
-// exact only when each name has a single writing Cluster per phase (the
-// usual sharded-writer deployment), or when writers re-open the name
-// (fresh ledger) after the reset.
+// Reset sets the value back to zero for reuse between phases and, as
+// the home's remote Reset, zeroes this Cluster's ledger entry, so a
+// later failover does not resurrect pre-reset contributions. As
+// everywhere else, Reset must not run concurrently with any other
+// operation on the counter and panics if waiters are suspended on it.
+// In a cluster the exclusivity is cluster-wide and extends to the
+// ledgers: every OTHER Cluster that has written the name still holds
+// its pre-reset contribution, which a failover would faithfully replay
+// — so phase reuse across failures is exact only when each name has a
+// single writing Cluster per phase (the usual sharded-writer
+// deployment), or when writers re-open the name (fresh ledger) after
+// the reset.
 //
 // The watermarks are no more cluster-wide than the ledgers: Reset
 // restarts this Cluster's, but another Cluster that saw the value reach
@@ -257,9 +245,6 @@ func (ctr *Counter) Reset() {
 		panic("cluster: reset: " + err.Error())
 	}
 	rc.Reset() // relays the server's refusal as a panic if waiters are suspended
-	ctr.cl.mu.Lock()
-	ctr.contrib = 0
-	ctr.cl.mu.Unlock()
 	// The hosted value is zero again; the watermark must restart with it
 	// or stale immediate Checks would lie.
 	ctr.known.Store(0)

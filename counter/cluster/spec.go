@@ -34,11 +34,11 @@ var _ cwait.SpecHost = (*Cluster)(nil)
 // refuses (ok = false) when the counters do not colocate on one live
 // member, or the home's client refuses — the caller then evaluates
 // client-side over per-counter sentinels. The route and the
-// registration happen under one hold of c.mu, so a failNode cannot slip
-// between them: the pool close it schedules finds the entry and fires
-// it, and the predicate engine's re-ask lands on the successor. The
-// pool slot is the first counter's, so re-asks after a failover stay on
-// one session per spec.
+// registration happen under one hold of c.mu, and failNode re-routes
+// under c.mu before it closes the dead pool, so the close finds the
+// entry and fires it, and the predicate engine's re-ask lands on the
+// successor. The pool slot is the first counter's, so re-asks after a
+// failover stay on one session per spec.
 //
 // ArmSpec and the returned cancel are called under the predicate
 // engine's lock; neither blocks on the network.

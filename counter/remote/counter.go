@@ -34,8 +34,8 @@ type Counter struct {
 	name string
 
 	// known is the client-local satisfied watermark: the highest level
-	// this client has proof the hosted value reached (via wakes and
-	// stats replies). Safe precisely because the value is monotonic.
+	// this client has proof the hosted value reached, raised only by an
+	// OpWake's level. Safe precisely because the value is monotonic.
 	known atomic.Uint64
 
 	immediate atomic.Uint64 // checks satisfied by the watermark; see Stats
@@ -43,6 +43,7 @@ type Counter struct {
 	rtts      atomic.Uint64 // completed wire exchanges
 	ackMark   uint64        // the Client.acks value that last counted an ack here; guarded by cl.mu
 	slot      uint64        // the link's slot this counter was last bound to (see Client.slots); guarded by cl.mu
+	ledger    uint64        // the total TryIncrement took since the last Reset; guarded by cl.mu (see Contribution)
 	waitNanos atomic.Uint64 // wall-clock nanoseconds blocked on the wire
 
 	probe     atomic.Pointer[func(counter.Event)]
@@ -92,9 +93,9 @@ func (c *Counter) Increment(amount uint64) {
 // TryIncrement is Increment for supervisors that own the client's
 // lifecycle (the cluster layer, counter/cluster): instead of panicking
 // it reports ErrClosed on a closed client and the latched rejection on
-// a poisoned one. A failover path that races a client teardown needs
-// the error, not the panic: ErrClosed there means "this client's node
-// was retired and the amount is the replay machinery's problem now".
+// a poisoned one. ErrClosed means the amount was not taken: it entered
+// no ledger (see Contribution) and no frame, so a supervisor that
+// closed the client to retire its node sends it elsewhere.
 // Where the server advertises wire.FeatureBatch, the increment joins the
 // OpIncrements frame the client is batching while that frame is the
 // last one queued, as one entry of about two bytes once the counter is
@@ -121,6 +122,7 @@ func (c *Counter) TryIncrement(amount uint64) error {
 		cl.mu.Unlock()
 		return nil
 	}
+	c.ledger += amount
 	cl.serial++
 	p := pendingInc{seq: cl.serial, ctr: c, amount: amount}
 	cl.pending = append(cl.pending, p)
@@ -181,13 +183,14 @@ func (c *Counter) CheckContext(ctx context.Context, level uint64) error {
 // level was reached; a satisfied level beats an expired deadline. As
 // with CheckContext, the deadline holds only while counterd is
 // reachable: past it with the link down, the wait returns once a link
-// carries counterd's answer to its cancel, or the client closes.
+// carries counterd's answer to its cancel. If the client closes under
+// the wait, WaitTimeout panics with ErrClosed.
 func (c *Counter) WaitTimeout(level uint64, d time.Duration) bool {
 	if level <= c.known.Load() {
 		c.immediate.Add(1)
 		return true
 	}
-	return core.WaitTimeout(c, level, d) // panics only with ErrClosed
+	return core.WaitTimeout(c, level, d)
 }
 
 // CheckChan is the asynchronous form of Check: it registers the wait
@@ -297,6 +300,16 @@ func (c *Counter) cancelWait(id, at uint64, ch chan error, ctxErr error) error {
 	return ctxErr
 }
 
+// Contribution reports this client's ledger for the counter: the total
+// TryIncrement took since the last Reset, acknowledged or not. A
+// reconnect's re-send leaves it unchanged and ErrClosed refuses an
+// amount before it enters, so a closed client's ledger is final.
+func (c *Counter) Contribution() uint64 {
+	c.cl.mu.Lock()
+	defer c.cl.mu.Unlock()
+	return c.ledger
+}
+
 // Name returns the counter's hosted name — its identity on the server
 // and across clients, and the name predicate descriptors (wait.Spec)
 // carry over the wire.
@@ -345,10 +358,11 @@ func (c *Counter) ArmHook(level uint64, h *core.Hook) bool {
 	return true
 }
 
-// Reset sets the hosted value back to zero for reuse between phases. As
-// in-process, it must not run concurrently with other operations on the
-// counter — from any client — and panics if waiters are suspended on it
-// (the server refuses the reset and the panic relays its reason).
+// Reset sets the hosted value back to zero for reuse between phases,
+// and zeroes this client's ledger (see Contribution). As in-process, it
+// must not run concurrently with other operations on the counter —
+// from any client — and panics if waiters are suspended on it (the
+// server refuses the reset and the panic relays its reason).
 //
 // Reset restarts this client's watermark, but no other client's: the
 // server tells no other session of a Reset. A client that saw the value
@@ -369,6 +383,9 @@ func (c *Counter) Reset() {
 	if f.Op == wire.OpError {
 		panic("remote: reset: " + f.Msg)
 	}
+	c.cl.mu.Lock()
+	c.ledger = 0
+	c.cl.mu.Unlock()
 	// The hosted value is zero again; this client's satisfied watermark
 	// must restart with it or stale immediate Checks would lie.
 	c.known.Store(0)

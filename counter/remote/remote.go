@@ -28,17 +28,17 @@
 // wire.FeatureBatch: an increment becomes an entry of the OpIncrements
 // frame at the end of the queue while that frame is the last one queued,
 // its seq follows the frame's last entry and the frame stays within
-// counterd's 4 KiB read buffer; any other frame, the flusher's take and
-// a reconnect close it. An entry names its counter by a slot of the
-// link, bound on the counter's first increment there, and once every
-// slot is bound the next binding takes a slot round-robin. So an
-// increment on a bound counter queues about two bytes, and frame order
-// stays program order: a Check queued after an increment closes its
-// frame. A v2 session, or a server without the bit, gets one
-// OpIncrement frame per increment. The queue is bounded for increments
-// alone: while more than maxQueue (2048) increments wait behind a write
-// in flight, TryIncrement waits for the flusher to take them, the
-// backpressure a write syscall on a full buffer used to give.
+// counterd's read buffer, wire.ReadBuffer; any other frame, the
+// flusher's take and a reconnect close it. An entry names its counter
+// by a slot of the link, bound on the counter's first increment there,
+// and once every slot is bound the next binding takes a slot
+// round-robin. So an increment on a bound counter queues about two
+// bytes, and frame order stays program order: a Check queued after an
+// increment closes its frame. A v2 session, or a server without the
+// bit, gets one OpIncrement frame per increment. The queue is bounded
+// for increments alone: while more than maxQueue (2048) increments wait
+// behind a write in flight, TryIncrement waits for the flusher to take
+// them, the backpressure a write syscall on a full buffer used to give.
 //
 // Every request awaiting the server's answer — a blocking Check, a hook
 // armed by ArmHook, an ArmSpec predicate, a Reset or Stats call — is one
@@ -125,11 +125,10 @@ func WithRetryNotify(fn func(failures int, err error)) Option {
 // had acknowledged, and the counter values they built, are gone, and
 // the ordinary resume (re-send the unacked tail) cannot restore them.
 // fn receives both epochs, so a supervisor can act on the lost state;
-// the cluster layer retires the member and replays its ledger to
-// another node, because topping the fresh instance back up races the
-// resume into a double apply (see counter/cluster). fn runs on the
-// reader goroutine after the session is replayed; it may call
-// TryIncrement but must not block on the client.
+// the cluster layer retires the member and replays each counter's
+// ledger (Counter.Contribution) to another node (see counter/cluster).
+// fn runs on the reader goroutine after the session is replayed; it
+// may call TryIncrement but must not block on the client.
 func WithRestartNotify(fn func(oldEpoch, newEpoch uint64)) Option {
 	return func(cl *Client) { cl.restartNotify = fn }
 }
@@ -213,11 +212,6 @@ type pendingInc struct {
 // reconnect re-sends or kicks is the source of truth, so those are
 // queued regardless.
 const maxQueue = 2048
-
-// maxBatch bounds an OpIncrements frame, length prefix included, to
-// counterd's read buffer: the server decodes a frame that fits it in
-// place, and copies a larger one out with an allocation.
-const maxBatch = 4 << 10
 
 // maxSpareQueue bounds the written buffer the flusher keeps for reuse: a
 // larger one (a reconnect replaying a long tail) is left to the garbage
@@ -658,7 +652,8 @@ func (cl *Client) enqueueLocked(f *wire.Frame) {
 // incrementLocked queues the pending increment p on the link: as an
 // OpIncrement where the server lacks wire.FeatureBatch, and otherwise as
 // an entry of the open OpIncrements frame where p's seq follows its last
-// entry and the frame has room for one more within maxBatch, else as the
+// entry and the frame, length prefix included, has room for one more
+// within wire.ReadBuffer, which counterd decodes in place, else as the
 // first entry of a new one. With the link down it is a no-op, as
 // enqueueLocked is. Callers hold cl.mu.
 func (cl *Client) incrementLocked(p pendingInc) {
@@ -671,7 +666,7 @@ func (cl *Client) incrementLocked(p pendingInc) {
 		return
 	}
 	e := cl.entryLocked(p)
-	if p.seq == cl.batchSeq && len(cl.wq)-cl.batch <= maxBatch-wire.MaxInc {
+	if p.seq == cl.batchSeq && len(cl.wq)-cl.batch <= wire.ReadBuffer-wire.MaxInc {
 		cl.wq = wire.AppendInc(cl.wq, cl.batch, e)
 	} else {
 		at := len(cl.wq)

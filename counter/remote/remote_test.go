@@ -936,6 +936,39 @@ func TestCloseResolvesWaiters(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutPanicsOnClose: a WaitTimeout parked on a level the
+// value never reaches panics with ErrClosed when the client's Close
+// interrupts it; it does not return.
+func TestWaitTimeoutPanicsOnClose(t *testing.T) {
+	addr := startServer(t)
+	cl, err := remote.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cl.Counter(countertest.FreshName("close-timeout"))
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.WaitTimeout(1, time.Minute)
+	}()
+	// Stats answers behind the parked OpCheck.
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Suspends == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("WaitTimeout(1) never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.Close()
+	select {
+	case r := <-recovered:
+		if err, ok := r.(error); !ok || !errors.Is(err, remote.ErrClosed) {
+			t.Fatalf("WaitTimeout under Close panicked with %v, want %v", r, remote.ErrClosed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitTimeout never returned after Close")
+	}
+}
+
 // TestWaitTimeoutSatisfiedBeatsDeadline pins the cancellation rule over
 // the wire: a level covered by the client's satisfied watermark beats an
 // expired (zero or negative) deadline with NO round trip — proven by

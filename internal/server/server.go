@@ -93,9 +93,9 @@ const maxSpareWaits = 256
 
 // maxSpareIncs bounds the OpIncrements entry storage a connection
 // keeps for the next frame (conn.incs). An entry is at least two bytes,
-// so a frame within the reader's 4 KiB buffer holds fewer entries; the
-// storage of a longer frame, which the reader copies out of its buffer
-// anyway, is left to the garbage collector.
+// so a frame within the reader's wire.ReadBuffer holds fewer entries;
+// the storage of a longer frame, which the reader copies out of its
+// buffer anyway, is left to the garbage collector.
 const maxSpareIncs = 2048
 
 // maxSpareWidth bounds the answered predicates' Conds a connection
@@ -586,7 +586,7 @@ func (c *conn) drain(spare []byte) (buf []byte, closed bool) {
 func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer c.teardown()
-	br := bufio.NewReader(c.nc)
+	br := bufio.NewReaderSize(c.nc, wire.ReadBuffer)
 	for c.serve(br) == nil {
 	}
 }

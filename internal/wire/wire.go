@@ -98,9 +98,13 @@ const (
 // OpWaitFor — MaxWatch names of MaxName bytes — fits in a third of
 // it, and an OpIncrements frame, whose entries run to the frame's end,
 // is only as long as its sender makes it (the remote client keeps its
-// frames within counterd's 4 KiB read buffer, so the reader decodes
-// them in place).
+// frames within ReadBuffer, so counterd decodes them in place).
 const MaxFrame = 64 << 10
+
+// ReadBuffer is the size of counterd's buffered reader. ReadInterned
+// decodes a frame that fits it, length prefix included, in place, and
+// copies a longer one out with an allocation.
+const ReadBuffer = 4 << 10
 
 // MaxName bounds a counter name.
 const MaxName = 256
