@@ -60,7 +60,11 @@ func benchAPSPVariant(b *testing.B, run func(graph.Matrix, int, sthreads.Mode, w
 
 func BenchmarkAPSPBarrier(b *testing.B)      { benchAPSPVariant(b, graph.ShortestPaths2) }
 func BenchmarkAPSPCondvarArray(b *testing.B) { benchAPSPVariant(b, graph.ShortestPaths3CV) }
-func BenchmarkAPSPCounter(b *testing.B)      { benchAPSPVariant(b, graph.ShortestPaths3) }
+func BenchmarkAPSPCounter(b *testing.B) {
+	benchAPSPVariant(b, func(edge graph.Matrix, nt int, mode sthreads.Mode, sk workload.Skew) graph.Matrix {
+		return graph.ShortestPaths3(edge, nt, mode, sk, core.ImplList.New)
+	})
+}
 
 // --- E5: stencil ragged barrier ----------------------------------------
 
@@ -75,7 +79,7 @@ func BenchmarkStencilPerCell(b *testing.B) {
 		})
 		b.Run("counter/skew="+sk.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				stencil.RunCounter(init, steps, stencil.Heat, sk)
+				stencil.RunCounter(init, steps, stencil.Heat, sk, core.ImplList.New)
 			}
 		})
 	}
@@ -129,7 +133,7 @@ func BenchmarkBroadcastBlockSize(b *testing.B) {
 		blocks := []int{bs, bs, bs, bs}
 		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				broadcast.Run(broadcast.Config{Items: items, WriterBlock: bs, ReaderBlocks: blocks})
+				broadcast.Run(broadcast.Config{Items: items, WriterBlock: bs, ReaderBlocks: blocks, NewCounter: core.ImplList.New})
 			}
 		})
 	}
@@ -144,7 +148,7 @@ func BenchmarkBroadcastReaders(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				broadcast.Run(broadcast.Config{Items: items, WriterBlock: 64, ReaderBlocks: blocks})
+				broadcast.Run(broadcast.Config{Items: items, WriterBlock: 64, ReaderBlocks: blocks, NewCounter: core.ImplList.New})
 			}
 		})
 	}
@@ -265,7 +269,7 @@ func BenchmarkParaffins(b *testing.B) {
 	})
 	b.Run("counter-pipeline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			paraffins.GenerateRadicals(9, sthreads.Concurrent, core.ImplList)
+			paraffins.GenerateRadicals(9, sthreads.Concurrent, core.ImplList.New)
 		}
 	})
 }
@@ -376,7 +380,7 @@ func BenchmarkLinsys(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("counter/threads=%d", nt), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				linsys.SolveCounter(sys, nt, nil, "")
+				linsys.SolveCounter(sys, nt, nil, core.ImplList.New)
 			}
 		})
 	}
@@ -402,7 +406,7 @@ func BenchmarkWavefront(b *testing.B) {
 	for _, blk := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("banded/block=%d", blk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				wavefront.EditDistance(a, s, wavefront.DefaultCosts, 4, blk, core.ImplList)
+				wavefront.EditDistance(a, s, wavefront.DefaultCosts, 4, blk, core.ImplList.New)
 			}
 		})
 	}
@@ -446,7 +450,7 @@ func BenchmarkAPSPVerified(b *testing.B) {
 	want := graph.ShortestPaths1(edge)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got := graph.ShortestPaths3(edge, 4, sthreads.Concurrent, nil)
+		got := graph.ShortestPaths3(edge, 4, sthreads.Concurrent, nil, core.ImplList.New)
 		if !got.Equal(want) {
 			b.Fatal("counter variant diverged")
 		}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"monotonic/internal/core"
 	"monotonic/internal/graph"
 	"monotonic/internal/sthreads"
 	"monotonic/internal/workload"
@@ -81,7 +82,7 @@ func main() {
 		case "condvar":
 			m = graph.ShortestPaths3CV(edge, *threads, sthreads.Concurrent, skew)
 		case "counter":
-			m = graph.ShortestPaths3(edge, *threads, sthreads.Concurrent, skew)
+			m = graph.ShortestPaths3(edge, *threads, sthreads.Concurrent, skew, core.ImplList.New)
 		default:
 			fmt.Fprintf(os.Stderr, "apsp: unknown sync mechanism %q\n", name)
 			os.Exit(2)

@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"monotonic/internal/core"
 	"monotonic/internal/stencil"
 	"monotonic/internal/workload"
 )
@@ -53,7 +54,7 @@ func main() {
 	case "barrier":
 		got = stencil.RunBarrier(init, *steps, stencil.Heat, skew)
 	case "counter":
-		got = stencil.RunCounter(init, *steps, stencil.Heat, skew)
+		got = stencil.RunCounter(init, *steps, stencil.Heat, skew, core.ImplList.New)
 	case "barrier-blocked":
 		got = stencil.RunBarrierBlocked(init, *steps, *threads, stencil.Heat, skew)
 	case "counter-blocked":

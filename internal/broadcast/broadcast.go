@@ -45,11 +45,11 @@ func ExpectedChecksum(n int) uint64 {
 
 // Config describes one broadcast run.
 type Config struct {
-	Items        int       // sequence length
-	WriterBlock  int       // writer publishes in blocks of this size (1 = per-item)
-	ReaderBlocks []int     // one entry per reader: that reader's granularity
-	Impl         core.Impl // counter implementation ("" = reference list)
-	WorkUnits    int       // synthetic per-item work in writer and readers
+	Items        int                   // sequence length
+	WriterBlock  int                   // writer publishes in blocks of this size (1 = per-item)
+	ReaderBlocks []int                 // one entry per reader: that reader's granularity
+	NewCounter   func() core.Monotonic // makes the shared counter
+	WorkUnits    int                   // synthetic per-item work in writer and readers
 	Mode         sthreads.Mode
 }
 
@@ -65,15 +65,11 @@ type Result struct {
 // ReaderBlocks[r].
 func Run(cfg Config) Result {
 	n := cfg.Items
-	impl := cfg.Impl
-	if impl == "" {
-		impl = core.ImplList
-	}
 	if cfg.WriterBlock < 1 {
 		cfg.WriterBlock = 1
 	}
 	data := make([]uint64, n)
-	dataCount := core.NewImpl(impl)
+	dataCount := cfg.NewCounter()
 	numReaders := len(cfg.ReaderBlocks)
 	sums := make([]uint64, numReaders)
 

@@ -15,7 +15,7 @@ import (
 func TestPerItemBroadcast(t *testing.T) {
 	const n = 500
 	want := ExpectedChecksum(n)
-	res := Run(Config{Items: n, WriterBlock: 1, ReaderBlocks: []int{1, 1, 1, 1}})
+	res := Run(Config{Items: n, WriterBlock: 1, ReaderBlocks: []int{1, 1, 1, 1}, NewCounter: core.ImplList.New})
 	for r, sum := range res.ReaderSums {
 		if sum != want {
 			t.Errorf("reader %d checksum %x, want %x", r, sum, want)
@@ -30,10 +30,10 @@ func TestBlockedBroadcastMixedGranularity(t *testing.T) {
 	const n = 1000
 	want := ExpectedChecksum(n)
 	cfgs := []Config{
-		{Items: n, WriterBlock: 7, ReaderBlocks: []int{1, 3, 64, 1000}},
-		{Items: n, WriterBlock: 1000, ReaderBlocks: []int{1, 999}},
-		{Items: n, WriterBlock: 1, ReaderBlocks: []int{128}},
-		{Items: n, WriterBlock: 13, ReaderBlocks: []int{17, 19, 23}},
+		{Items: n, WriterBlock: 7, ReaderBlocks: []int{1, 3, 64, 1000}, NewCounter: core.ImplList.New},
+		{Items: n, WriterBlock: 1000, ReaderBlocks: []int{1, 999}, NewCounter: core.ImplList.New},
+		{Items: n, WriterBlock: 1, ReaderBlocks: []int{128}, NewCounter: core.ImplList.New},
+		{Items: n, WriterBlock: 13, ReaderBlocks: []int{17, 19, 23}, NewCounter: core.ImplList.New},
 	}
 	for _, cfg := range cfgs {
 		res := Run(cfg)
@@ -52,7 +52,7 @@ func TestBlockedBroadcastMixedGranularity(t *testing.T) {
 func TestBroadcastSequentialEquivalence(t *testing.T) {
 	const n = 200
 	for _, mode := range sthreads.Modes {
-		res := Run(Config{Items: n, WriterBlock: 3, ReaderBlocks: []int{1, 5}, Mode: mode})
+		res := Run(Config{Items: n, WriterBlock: 3, ReaderBlocks: []int{1, 5}, NewCounter: core.ImplList.New, Mode: mode})
 		want := ExpectedChecksum(n)
 		for r, sum := range res.ReaderSums {
 			t.Logf("mode=%v reader=%d", mode, r)
@@ -63,13 +63,12 @@ func TestBroadcastSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// TestBroadcastAllImpls: every counter implementation carries the pattern
-// (E11).
+// TestBroadcastAllImpls: every counter implementation carries the pattern.
 func TestBroadcastAllImpls(t *testing.T) {
 	const n = 300
 	want := ExpectedChecksum(n)
 	for _, impl := range core.Registry() {
-		res := Run(Config{Items: n, WriterBlock: 4, ReaderBlocks: []int{1, 9}, Impl: impl})
+		res := Run(Config{Items: n, WriterBlock: 4, ReaderBlocks: []int{1, 9}, NewCounter: impl.New})
 		for r, sum := range res.ReaderSums {
 			if sum != want {
 				t.Errorf("impl %s reader %d checksum mismatch", impl, r)
@@ -93,7 +92,7 @@ func TestQuickBroadcastBlockSizes(t *testing.T) {
 		for i, b := range rbs {
 			blocks[i] = int(b)%(n+4) + 1 // may exceed n: Check clamps to n
 		}
-		res := Run(Config{Items: n, WriterBlock: wb, ReaderBlocks: blocks})
+		res := Run(Config{Items: n, WriterBlock: wb, ReaderBlocks: blocks, NewCounter: core.ImplList.New})
 		want := ExpectedChecksum(n)
 		for _, sum := range res.ReaderSums {
 			if sum != want {
@@ -109,7 +108,7 @@ func TestQuickBroadcastBlockSizes(t *testing.T) {
 
 // TestZeroItems: an empty sequence deadlock-free for all participants.
 func TestZeroItems(t *testing.T) {
-	res := Run(Config{Items: 0, WriterBlock: 5, ReaderBlocks: []int{1, 2}})
+	res := Run(Config{Items: 0, WriterBlock: 5, ReaderBlocks: []int{1, 2}, NewCounter: core.ImplList.New})
 	for r, sum := range res.ReaderSums {
 		if sum != 0 {
 			t.Errorf("reader %d nonzero checksum on empty sequence", r)
@@ -126,6 +125,7 @@ func TestSingleCounterManyQueues(t *testing.T) {
 		Items:        400,
 		WriterBlock:  1,
 		ReaderBlocks: []int{1, 2, 3, 5, 8},
+		NewCounter:   core.ImplList.New,
 		WorkUnits:    50,
 	})
 	if res.Stats.Increments == 0 {

@@ -96,3 +96,18 @@ var (
 	_ LockCounter = (*ShardedCounter)(nil)
 	_ LockCounter = (*FCCounter)(nil)
 )
+
+// Monotonic is the paper's counter: its two operations of section 2 and
+// nothing more. A program that synchronizes only through them returns
+// its sequential result on any correct counter (section 6), so each of
+// the paper's programs that lets its caller choose the counter takes a
+// constructor of Monotonic. Every registry design satisfies it, as do
+// the public counter types and the remote and cluster counters.
+type Monotonic interface {
+	Increment(amount uint64)
+	Check(level uint64)
+}
+
+// New constructs a fresh counter of impl as a Monotonic: the method
+// value impl.New is the constructor those programs take.
+func (impl Impl) New() Monotonic { return NewImpl(impl) }

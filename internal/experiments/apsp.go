@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"monotonic/internal/core"
 	"monotonic/internal/graph"
 	"monotonic/internal/harness"
 	"monotonic/internal/sthreads"
@@ -34,7 +35,7 @@ func init() {
 				for _, nt := range threads {
 					b := graph.ShortestPaths2(edge, nt, sthreads.Concurrent, nil)
 					cv := graph.ShortestPaths3CV(edge, nt, sthreads.Concurrent, nil)
-					cn := graph.ShortestPaths3(edge, nt, sthreads.Concurrent, nil)
+					cn := graph.ShortestPaths3(edge, nt, sthreads.Concurrent, nil, core.ImplList.New)
 					t.Add(harness.I(n), harness.I(nt),
 						verdict(b.Equal(want)), verdict(cv.Equal(want)), verdict(cn.Equal(want)),
 						verdict(want.Equal(bf)))
@@ -88,7 +89,7 @@ func init() {
 						graph.ShortestPaths3CV(edge, nt, sthreads.Concurrent, sk)
 					})
 					cn := harness.Measure(reps, func() {
-						graph.ShortestPaths3(edge, nt, sthreads.Concurrent, sk)
+						graph.ShortestPaths3(edge, nt, sthreads.Concurrent, sk, core.ImplList.New)
 					})
 					t.Add(harness.I(nt), sk.Name(),
 						harness.Dur(seq.Median()), harness.Dur(bar.Median()),

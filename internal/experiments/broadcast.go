@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"monotonic/internal/broadcast"
+	"monotonic/internal/core"
 	"monotonic/internal/harness"
 )
 
@@ -42,7 +43,7 @@ func init() {
 				var last broadcast.Result
 				tm := harness.Measure(reps, func() {
 					last = broadcast.Run(broadcast.Config{
-						Items: items, WriterBlock: bs, ReaderBlocks: blocks,
+						Items: items, WriterBlock: bs, ReaderBlocks: blocks, NewCounter: core.ImplList.New,
 					})
 				})
 				ok := true
@@ -72,7 +73,7 @@ func init() {
 				var last broadcast.Result
 				tm := harness.Measure(reps, func() {
 					last = broadcast.Run(broadcast.Config{
-						Items: items, WriterBlock: mix.wb, ReaderBlocks: mix.rbs,
+						Items: items, WriterBlock: mix.wb, ReaderBlocks: mix.rbs, NewCounter: core.ImplList.New,
 					})
 				})
 				ok := true

@@ -32,7 +32,7 @@ func init() {
 			addMatrix("edge (paper input)", edge, "-")
 			addMatrix("path (paper output)", want, "-")
 			addMatrix("path (ShortestPaths1)", got, verdict(got.Equal(want)))
-			cnt := graph.ShortestPaths3(edge, 3, sthreads.Concurrent, nil)
+			cnt := graph.ShortestPaths3(edge, 3, sthreads.Concurrent, nil, core.ImplList.New)
 			addMatrix("path (counter, 3 threads)", cnt, verdict(cnt.Equal(want)))
 			return []*harness.Table{t}
 		},

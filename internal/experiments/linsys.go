@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"monotonic/internal/core"
 	"monotonic/internal/harness"
 	"monotonic/internal/linsys"
 	"monotonic/internal/workload"
@@ -38,7 +39,7 @@ func init() {
 					seqT := harness.Measure(reps, func() { linsys.SolveSeq(sys) })
 					barT := harness.Measure(reps, func() { linsys.SolveBarrier(sys, nt, sk) })
 					var got []float64
-					cntT := harness.Measure(reps, func() { got = linsys.SolveCounter(sys, nt, sk, "") })
+					cntT := harness.Measure(reps, func() { got = linsys.SolveCounter(sys, nt, sk, core.ImplList.New) })
 					ok := linsys.EqualExact(got, want)
 					t.Add(harness.I(nt), sk.Name(),
 						harness.Dur(seqT.Median()), harness.Dur(barT.Median()), harness.Dur(cntT.Median()),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"monotonic/internal/core"
 	"monotonic/internal/harness"
 	"monotonic/internal/stencil"
 	"monotonic/internal/workload"
@@ -42,8 +43,8 @@ func init() {
 			for _, sk := range []workload.Skew{workload.Uniform{}, workload.OneSlow{Max: 8}} {
 				sk := sk
 				bar := harness.Measure(reps, func() { stencil.RunBarrier(init, steps, stencil.Heat, sk) })
-				cnt := harness.Measure(reps, func() { stencil.RunCounter(init, steps, stencil.Heat, sk) })
-				ok := equal(stencil.RunCounter(init, steps, stencil.Heat, sk)) &&
+				cnt := harness.Measure(reps, func() { stencil.RunCounter(init, steps, stencil.Heat, sk, core.ImplList.New) })
+				ok := equal(stencil.RunCounter(init, steps, stencil.Heat, sk, core.ImplList.New)) &&
 					equal(stencil.RunBarrier(init, steps, stencil.Heat, sk))
 				perCell.Add(harness.I(cells), harness.I(steps), sk.Name(),
 					harness.Dur(bar.Median()), harness.Dur(cnt.Median()),

@@ -44,7 +44,7 @@ func init() {
 				blk := blk
 				var got int
 				tm := harness.Measure(reps, func() {
-					got = wavefront.EditDistance(a, b, wavefront.DefaultCosts, 4, blk, core.ImplList)
+					got = wavefront.EditDistance(a, b, wavefront.DefaultCosts, 4, blk, core.ImplList.New)
 				})
 				t.Add(harness.I(blk), harness.Dur(tm.Median()), verdict(got == want))
 			}
@@ -59,7 +59,7 @@ func init() {
 				bands := bands
 				var got int
 				tm := harness.Measure(reps, func() {
-					got = wavefront.EditDistance(a, b, wavefront.DefaultCosts, bands, 64, core.ImplList)
+					got = wavefront.EditDistance(a, b, wavefront.DefaultCosts, bands, 64, core.ImplList.New)
 				})
 				bandsT.Add(harness.I(bands), harness.Dur(tm.Median()), verdict(got == want))
 			}

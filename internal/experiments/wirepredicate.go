@@ -171,7 +171,7 @@ func sumWireCost(addr string, proto uint64, target, step uint64) (walkFrames, to
 func init() {
 	register(Experiment{
 		ID:    "E27",
-		Title: "Wire v3 predicate waits: one dispatcher entry per session, zero waiter frames per non-flipping increment",
+		Title: "Wire v3 predicate waits: one parked predicate entry per session, zero waiter frames per non-flipping increment",
 		Paper: "Section 7 prices a counter in wakes per satisfied level and storage per distinct " +
 			"level, and section 8's composite conditions extend the price to monotone " +
 			"predicates: N waiters on one predicate over m counters share one sentinel per " +

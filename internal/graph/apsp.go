@@ -114,19 +114,10 @@ func ShortestPaths3CV(edge Matrix, numThreads int, mode sthreads.Mode, skew work
 
 // ShortestPaths3 is the paper's headline program (section 4.5): the
 // condition-variable array of ShortestPaths3CV replaced by a single
-// monotonic counter, whose value k means "rows for iterations 0..k are
-// published".
-func ShortestPaths3(edge Matrix, numThreads int, mode sthreads.Mode, skew workload.Skew) Matrix {
-	return shortestPathsCounter(edge, numThreads, mode, skew, core.New())
-}
-
-// ShortestPaths3Impl is ShortestPaths3 parameterized by counter
-// implementation, for the E11 ablation.
-func ShortestPaths3Impl(edge Matrix, numThreads int, mode sthreads.Mode, skew workload.Skew, impl core.Impl) Matrix {
-	return shortestPathsCounter(edge, numThreads, mode, skew, core.NewImpl(impl))
-}
-
-func shortestPathsCounter(edge Matrix, numThreads int, mode sthreads.Mode, skew workload.Skew, kCount core.Interface) Matrix {
+// monotonic counter, made by newCounter, whose value k means "rows for
+// iterations 0..k are published".
+func ShortestPaths3(edge Matrix, numThreads int, mode sthreads.Mode, skew workload.Skew, newCounter func() core.Monotonic) Matrix {
+	kCount := newCounter()
 	n := edge.N()
 	path := edge.Clone()
 	kRow := make(Matrix, n+1)

@@ -25,7 +25,7 @@ func TestFigure1(t *testing.T) {
 		if got := ShortestPaths3CV(edge, nt, sthreads.Concurrent, nil); !got.Equal(want) {
 			t.Errorf("ShortestPaths3CV nt=%d wrong:\n%v", nt, got)
 		}
-		if got := ShortestPaths3(edge, nt, sthreads.Concurrent, nil); !got.Equal(want) {
+		if got := ShortestPaths3(edge, nt, sthreads.Concurrent, nil, core.ImplList.New); !got.Equal(want) {
 			t.Errorf("ShortestPaths3 nt=%d wrong:\n%v", nt, got)
 		}
 	}
@@ -127,7 +127,7 @@ func TestShortestPathsVariantsAgree(t *testing.T) {
 			if got := ShortestPaths3CV(edge, nt, sthreads.Concurrent, nil); !got.Equal(want) {
 				t.Errorf("n=%d nt=%d: condvar variant disagrees", n, nt)
 			}
-			if got := ShortestPaths3(edge, nt, sthreads.Concurrent, nil); !got.Equal(want) {
+			if got := ShortestPaths3(edge, nt, sthreads.Concurrent, nil, core.ImplList.New); !got.Equal(want) {
 				t.Errorf("n=%d nt=%d: counter variant disagrees", n, nt)
 			}
 		}
@@ -144,19 +144,19 @@ func TestShortestPathsUnderSkew(t *testing.T) {
 		if got := ShortestPaths2(edge, 4, sthreads.Concurrent, sk); !got.Equal(want) {
 			t.Errorf("skew %s: barrier variant disagrees", sk.Name())
 		}
-		if got := ShortestPaths3(edge, 4, sthreads.Concurrent, sk); !got.Equal(want) {
+		if got := ShortestPaths3(edge, 4, sthreads.Concurrent, sk, core.ImplList.New); !got.Equal(want) {
 			t.Errorf("skew %s: counter variant disagrees", sk.Name())
 		}
 	}
 }
 
 // TestShortestPathsCounterImpls: every counter implementation drives the
-// counter variant to the right answer (part of E11).
+// counter variant to the right answer.
 func TestShortestPathsCounterImpls(t *testing.T) {
 	edge := RandomNegative(48, 0.35, 15, 5, 7)
 	want := ShortestPaths1(edge)
 	for _, impl := range core.Registry() {
-		if got := ShortestPaths3Impl(edge, 4, sthreads.Concurrent, nil, impl); !got.Equal(want) {
+		if got := ShortestPaths3(edge, 4, sthreads.Concurrent, nil, impl.New); !got.Equal(want) {
 			t.Errorf("impl %s: counter variant disagrees", impl)
 		}
 	}
@@ -169,7 +169,7 @@ func TestShortestPathsCounterImpls(t *testing.T) {
 func TestSingleThreadSequentialMode(t *testing.T) {
 	edge := RandomNegative(32, 0.35, 15, 5, 11)
 	want := ShortestPaths1(edge)
-	if got := ShortestPaths3(edge, 1, sthreads.Sequential, nil); !got.Equal(want) {
+	if got := ShortestPaths3(edge, 1, sthreads.Sequential, nil, core.ImplList.New); !got.Equal(want) {
 		t.Error("counter variant wrong in sequential mode")
 	}
 	if got := ShortestPaths3CV(edge, 1, sthreads.Sequential, nil); !got.Equal(want) {

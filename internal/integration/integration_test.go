@@ -20,9 +20,9 @@ import (
 	"monotonic/internal/workload"
 )
 
-// TestPublicAPIDrivesAPSP rebuilds the section 4 counter program against
-// the public counter package (not internal/core) and cross-checks it with
-// the internal implementation and the Bellman-Ford oracle.
+// TestPublicAPIDrivesAPSP runs the section 4 counter program on the
+// public counter package (not internal/core) and cross-checks it with
+// the reference counter and the Bellman-Ford oracle.
 func TestPublicAPIDrivesAPSP(t *testing.T) {
 	const n, numThreads = 48, 4
 	edge := graph.RandomNegative(n, 0.35, 15, 5, 21)
@@ -31,36 +31,12 @@ func TestPublicAPIDrivesAPSP(t *testing.T) {
 		t.Fatal("oracle found a negative cycle")
 	}
 
-	path := edge.Clone()
-	kRow := make(graph.Matrix, n+1)
-	kRow[0] = append([]int(nil), path[0]...)
-	var kCount counter.Counter
-	sthreads.ForN(sthreads.Concurrent, numThreads, func(tid int) {
-		lo, hi := tid*n/numThreads, (tid+1)*n/numThreads
-		for k := 0; k < n; k++ {
-			kCount.Check(uint64(k))
-			krow := kRow[k]
-			for i := lo; i < hi; i++ {
-				row := path[i]
-				pik := row[k]
-				for j := 0; j < n; j++ {
-					if pik < graph.Inf && krow[j] < graph.Inf {
-						if d := pik + krow[j]; d < row[j] {
-							row[j] = d
-						}
-					}
-				}
-				if i == k+1 {
-					kRow[k+1] = append([]int(nil), path[k+1]...)
-					kCount.Increment(1)
-				}
-			}
-		}
-	})
+	path := graph.ShortestPaths3(edge, numThreads, sthreads.Concurrent, nil,
+		func() core.Monotonic { return new(counter.Counter) })
 	if !path.Equal(want) {
 		t.Fatal("public-API APSP diverged from Bellman-Ford")
 	}
-	if !path.Equal(graph.ShortestPaths3(edge, numThreads, sthreads.Concurrent, nil)) {
+	if !path.Equal(graph.ShortestPaths3(edge, numThreads, sthreads.Concurrent, nil, core.ImplList.New)) {
 		t.Fatal("public-API APSP diverged from internal implementation")
 	}
 }
@@ -185,7 +161,7 @@ func TestParaffinsAcrossImplsAndModes(t *testing.T) {
 	want := paraffins.GenerateRadicalsSeq(8)
 	for _, impl := range core.Registry() {
 		for _, mode := range sthreads.Modes {
-			got := paraffins.GenerateRadicals(8, mode, impl)
+			got := paraffins.GenerateRadicals(8, mode, impl.New)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("impl=%s mode=%v diverged", impl, mode)
 			}

@@ -135,9 +135,8 @@ func SolveBarrier(sys System, numThreads int, skew workload.Skew) []float64 {
 
 // SolveCounter eliminates with the section 4.5 dataflow: pivCount's value
 // k means pivot rows 0..k are staged; the owner of row k+1 publishes it
-// the moment it is eliminated. impl selects the counter implementation
-// ("" = reference list).
-func SolveCounter(sys System, numThreads int, skew workload.Skew, impl core.Impl) []float64 {
+// the moment it is eliminated. newCounter makes pivCount.
+func SolveCounter(sys System, numThreads int, skew workload.Skew, newCounter func() core.Monotonic) []float64 {
 	w := sys.Clone()
 	n := w.N()
 	if numThreads < 1 {
@@ -149,10 +148,7 @@ func SolveCounter(sys System, numThreads int, skew workload.Skew, impl core.Impl
 	if n == 0 {
 		return nil
 	}
-	if impl == "" {
-		impl = core.ImplList
-	}
-	pivCount := core.NewImpl(impl)
+	pivCount := newCounter()
 	pivA := make([][]float64, n)
 	pivB := make([]float64, n)
 	pivA[0] = append([]float64(nil), w.A[0]...)

@@ -55,7 +55,7 @@ func TestParallelBitIdentical(t *testing.T) {
 			if got := SolveBarrier(sys, nt, nil); !EqualExact(got, want) {
 				t.Errorf("n=%d nt=%d: barrier solution differs", n, nt)
 			}
-			if got := SolveCounter(sys, nt, nil, ""); !EqualExact(got, want) {
+			if got := SolveCounter(sys, nt, nil, core.ImplList.New); !EqualExact(got, want) {
 				t.Errorf("n=%d nt=%d: counter solution differs", n, nt)
 			}
 		}
@@ -66,7 +66,7 @@ func TestCounterSolveAllImpls(t *testing.T) {
 	sys := RandomDominant(48, 3)
 	want := SolveSeq(sys)
 	for _, impl := range core.Registry() {
-		if got := SolveCounter(sys, 4, nil, impl); !EqualExact(got, want) {
+		if got := SolveCounter(sys, 4, nil, impl.New); !EqualExact(got, want) {
 			t.Errorf("impl %s: solution differs", impl)
 		}
 	}
@@ -76,7 +76,7 @@ func TestSkewDoesNotChangeSolution(t *testing.T) {
 	sys := RandomDominant(32, 9)
 	want := SolveSeq(sys)
 	for _, sk := range []workload.Skew{workload.OneSlow{Max: 5}, workload.Linear{Max: 3}} {
-		if got := SolveCounter(sys, 4, sk, ""); !EqualExact(got, want) {
+		if got := SolveCounter(sys, 4, sk, core.ImplList.New); !EqualExact(got, want) {
 			t.Errorf("skew %s: counter solution differs", sk.Name())
 		}
 		if got := SolveBarrier(sys, 4, sk); !EqualExact(got, want) {
@@ -86,11 +86,11 @@ func TestSkewDoesNotChangeSolution(t *testing.T) {
 }
 
 func TestDegenerateSizes(t *testing.T) {
-	if got := SolveCounter(System{}, 4, nil, ""); got != nil {
+	if got := SolveCounter(System{}, 4, nil, core.ImplList.New); got != nil {
 		t.Fatal("empty system returned a solution")
 	}
 	sys := System{A: [][]float64{{4}}, B: []float64{8}}
-	if got := SolveCounter(sys, 7, nil, ""); len(got) != 1 || got[0] != 2 {
+	if got := SolveCounter(sys, 7, nil, core.ImplList.New); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("1x1 solution %v", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestQuickRandomSystems(t *testing.T) {
 		if Residual(sys, want) > 1e-8 {
 			return false
 		}
-		return EqualExact(SolveCounter(sys, nt, nil, ""), want) &&
+		return EqualExact(SolveCounter(sys, nt, nil, core.ImplList.New), want) &&
 			EqualExact(SolveBarrier(sys, nt, nil), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

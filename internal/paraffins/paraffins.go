@@ -57,14 +57,12 @@ func GenerateRadicalsSeq(maxSize int) Pools {
 }
 
 // GenerateRadicals enumerates radicals with one thread per size,
-// synchronized by a single monotonic counter in the section 5.3 broadcast
-// pattern. The result is identical to GenerateRadicalsSeq.
-func GenerateRadicals(maxSize int, mode sthreads.Mode, impl core.Impl) Pools {
-	if impl == "" {
-		impl = core.ImplList
-	}
+// synchronized by a single monotonic counter, made by newCounter, in the
+// section 5.3 broadcast pattern. The result is identical to
+// GenerateRadicalsSeq.
+func GenerateRadicals(maxSize int, mode sthreads.Mode, newCounter func() core.Monotonic) Pools {
 	pools := make(Pools, maxSize+1)
-	stageCount := core.NewImpl(impl)
+	stageCount := newCounter()
 	stageCount.Increment(1) // stage 0 (hydrogen) is implicitly published
 	sthreads.For(mode, 1, maxSize+1, 1, func(s int) {
 		// Wait until stages 0..s-1 are published, then read them all.
@@ -212,9 +210,9 @@ func EnumerateParaffins(pools Pools, n int) []string {
 }
 
 // CountAll returns CountParaffins for every n in 1..maxN, generating the
-// radical pools with the parallel pipeline.
-func CountAll(maxN int, mode sthreads.Mode, impl core.Impl) []int {
-	pools := GenerateRadicals(maxN/2, mode, impl)
+// radical pools with the parallel pipeline over the reference counter.
+func CountAll(maxN int, mode sthreads.Mode) []int {
+	pools := GenerateRadicals(maxN/2, mode, func() core.Monotonic { return core.New() })
 	out := make([]int, maxN+1)
 	for n := 1; n <= maxN; n++ {
 		out[n] = CountParaffins(pools, n)

@@ -41,7 +41,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	want := GenerateRadicalsSeq(9)
 	for _, impl := range core.Registry() {
 		for _, mode := range sthreads.Modes {
-			got := GenerateRadicals(9, mode, impl)
+			got := GenerateRadicals(9, mode, impl.New)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("impl=%s mode=%v: pools differ from sequential", impl, mode)
 			}
@@ -50,7 +50,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestCountAll(t *testing.T) {
-	got := CountAll(12, sthreads.Concurrent, core.ImplList)
+	got := CountAll(12, sthreads.Concurrent)
 	for n := 1; n <= 12; n++ {
 		if got[n] != paraffinCounts[n-1] {
 			t.Errorf("CountAll[%d] = %d, want %d", n, got[n], paraffinCounts[n-1])

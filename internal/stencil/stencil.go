@@ -84,24 +84,19 @@ func RunBarrier(initial []float64, numSteps int, f UpdateFunc, skew workload.Ske
 }
 
 // RunCounter is the paper's ragged-barrier program: one thread and one
-// counter per cell; c[i] reaching 2t-1 means thread i has read both
-// neighbour states for step t, and 2t means it has completed step t.
-// Boundary counters are pre-incremented past the horizon since boundary
-// cells never change.
-func RunCounter(initial []float64, numSteps int, f UpdateFunc, skew workload.Skew) []float64 {
-	return runCounter(initial, numSteps, f, skew, core.ImplList)
-}
-
-// RunCounterImpl is RunCounter parameterized by counter implementation.
-func runCounter(initial []float64, numSteps int, f UpdateFunc, skew workload.Skew, impl core.Impl) []float64 {
+// counter per cell, each made by newCounter; c[i] reaching 2t-1 means
+// thread i has read both neighbour states for step t, and 2t means it
+// has completed step t. Boundary counters are pre-incremented past the
+// horizon since boundary cells never change.
+func RunCounter(initial []float64, numSteps int, f UpdateFunc, skew workload.Skew, newCounter func() core.Monotonic) []float64 {
 	n := len(initial)
 	state := append([]float64(nil), initial...)
 	if n <= 2 || numSteps == 0 {
 		return state
 	}
-	c := make([]core.Interface, n)
+	c := make([]core.Monotonic, n)
 	for i := range c {
-		c[i] = core.NewImpl(impl)
+		c[i] = newCounter()
 	}
 	c[0].Increment(uint64(2 * numSteps))
 	c[n-1].Increment(uint64(2 * numSteps))
@@ -124,11 +119,6 @@ func runCounter(initial []float64, numSteps int, f UpdateFunc, skew workload.Ske
 		}
 	})
 	return state
-}
-
-// RunCounterImplNamed exposes the ablation entry point.
-func RunCounterImplNamed(initial []float64, numSteps int, f UpdateFunc, skew workload.Skew, impl core.Impl) []float64 {
-	return runCounter(initial, numSteps, f, skew, impl)
 }
 
 // blockBounds partitions the interior cells [1, n-1) among numThreads

@@ -41,7 +41,7 @@ func TestZeroStepsIsIdentity(t *testing.T) {
 	for _, got := range [][]float64{
 		RunSequential(init, 0, Heat),
 		RunBarrier(init, 0, Heat, nil),
-		RunCounter(init, 0, Heat, nil),
+		RunCounter(init, 0, Heat, nil, core.ImplList.New),
 		RunBarrierBlocked(init, 0, 4, Heat, nil),
 		RunCounterBlocked(init, 0, 4, Heat, nil),
 	} {
@@ -54,7 +54,7 @@ func TestZeroStepsIsIdentity(t *testing.T) {
 func TestTinyRodsAreNoOps(t *testing.T) {
 	for _, n := range []int{0, 1, 2} {
 		init := InitialRod(n)
-		if got := RunCounter(init, 10, Heat, nil); !equal(got, init) {
+		if got := RunCounter(init, 10, Heat, nil, core.ImplList.New); !equal(got, init) {
 			t.Fatalf("n=%d: interior-free rod changed: %v", n, got)
 		}
 		if got := RunBarrier(init, 10, Heat, nil); !equal(got, init) {
@@ -73,7 +73,7 @@ func TestAllVariantsMatchSequential(t *testing.T) {
 			if got := RunBarrier(init, steps, Heat, nil); !equal(got, want) {
 				t.Errorf("n=%d steps=%d: barrier variant diverged", n, steps)
 			}
-			if got := RunCounter(init, steps, Heat, nil); !equal(got, want) {
+			if got := RunCounter(init, steps, Heat, nil, core.ImplList.New); !equal(got, want) {
 				t.Errorf("n=%d steps=%d: counter variant diverged", n, steps)
 			}
 			for _, nt := range []int{1, 2, 3, 8} {
@@ -94,7 +94,7 @@ func TestVariantsMatchUnderSkew(t *testing.T) {
 	init := InitialRod(24)
 	want := RunSequential(init, 20, Heat)
 	for _, sk := range []workload.Skew{workload.OneSlow{Max: 5}, workload.Alternating{Max: 3}} {
-		if got := RunCounter(init, 20, Heat, sk); !equal(got, want) {
+		if got := RunCounter(init, 20, Heat, sk, core.ImplList.New); !equal(got, want) {
 			t.Errorf("skew %s: counter variant diverged", sk.Name())
 		}
 		if got := RunBarrier(init, 20, Heat, sk); !equal(got, want) {
@@ -112,7 +112,7 @@ func TestCounterImplAblation(t *testing.T) {
 	init := InitialRod(20)
 	want := RunSequential(init, 15, Heat)
 	for _, impl := range core.Registry() {
-		if got := RunCounterImplNamed(init, 15, Heat, nil, impl); !equal(got, want) {
+		if got := RunCounter(init, 15, Heat, nil, impl.New); !equal(got, want) {
 			t.Errorf("impl %s: diverged", impl)
 		}
 	}
@@ -132,7 +132,7 @@ func TestQuickRandomRods(t *testing.T) {
 		}
 		avg := func(l, s, r float64) float64 { return (l + s + r) / 3 }
 		want := RunSequential(init, steps, avg)
-		return equal(RunCounter(init, steps, avg, nil), want) &&
+		return equal(RunCounter(init, steps, avg, nil, core.ImplList.New), want) &&
 			equal(RunCounterBlocked(init, steps, nt, avg, nil), want) &&
 			equal(RunBarrierBlocked(init, steps, nt, avg, nil), want)
 	}

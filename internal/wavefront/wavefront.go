@@ -64,9 +64,9 @@ func cellCost(diag, up, left int, ca, cb byte, c Costs) int {
 // `bands` horizontal bands, one thread per band, pipelined column-block
 // by column-block: band t may fill columns [0, k*blockCols) of its rows
 // only after band t-1's counter reaches k. Each band publishes its last
-// row to the band below through the shared table. impl selects the
-// counter implementation ("" = reference list).
-func EditDistance(a, b string, c Costs, bands, blockCols int, impl core.Impl) int {
+// row to the band below through the shared table. newCounter makes each
+// band's counter.
+func EditDistance(a, b string, c Costs, bands, blockCols int, newCounter func() core.Monotonic) int {
 	n, m := len(a), len(b)
 	if bands < 1 {
 		bands = 1
@@ -76,9 +76,6 @@ func EditDistance(a, b string, c Costs, bands, blockCols int, impl core.Impl) in
 	}
 	if blockCols < 1 {
 		blockCols = 1
-	}
-	if impl == "" {
-		impl = core.ImplList
 	}
 	if n == 0 || bands == 0 {
 		return EditDistanceSeq(a, b, c)
@@ -107,9 +104,9 @@ func EditDistance(a, b string, c Costs, bands, blockCols int, impl core.Impl) in
 	// done[t] counts the column blocks of band t's last row that have
 	// been published into boundary[t+1]; band t+1 checks it before
 	// reading those columns.
-	done := make([]core.Interface, bands)
+	done := make([]core.Monotonic, bands)
 	for t := range done {
-		done[t] = core.NewImpl(impl)
+		done[t] = newCounter()
 	}
 	blocks := (m + blockCols - 1) / blockCols
 

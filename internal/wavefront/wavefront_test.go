@@ -27,7 +27,7 @@ func TestKnownDistances(t *testing.T) {
 		if got := EditDistanceSeq(tc.a, tc.b, DefaultCosts); got != tc.want {
 			t.Errorf("seq(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
-		if got := EditDistance(tc.a, tc.b, DefaultCosts, 3, 2, ""); got != tc.want {
+		if got := EditDistance(tc.a, tc.b, DefaultCosts, 3, 2, core.ImplList.New); got != tc.want {
 			t.Errorf("parallel(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
@@ -39,7 +39,7 @@ func TestCustomCosts(t *testing.T) {
 	if got := EditDistanceSeq("ab", "ba", c); got != 4 {
 		t.Fatalf("weighted distance = %d, want 4", got)
 	}
-	if got := EditDistance("ab", "ba", c, 2, 1, ""); got != 4 {
+	if got := EditDistance("ab", "ba", c, 2, 1, core.ImplList.New); got != 4 {
 		t.Fatalf("parallel weighted distance = %d, want 4", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 		block := int(block8%9) + 1
 		want := EditDistanceSeq(a, b, DefaultCosts)
 		impl := impls[seed%uint64(len(impls))]
-		return EditDistance(a, b, DefaultCosts, bands, block, impl) == want
+		return EditDistance(a, b, DefaultCosts, bands, block, impl.New) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestAllImpls(t *testing.T) {
 	b := randomString(rng, 90, "abcdefgh")
 	want := EditDistanceSeq(a, b, DefaultCosts)
 	for _, impl := range core.Registry() {
-		if got := EditDistance(a, b, DefaultCosts, 4, 8, impl); got != want {
+		if got := EditDistance(a, b, DefaultCosts, 4, 8, impl.New); got != want {
 			t.Errorf("impl %s: %d, want %d", impl, got, want)
 		}
 	}
@@ -85,10 +85,10 @@ func TestAllImpls(t *testing.T) {
 
 func TestBandClamping(t *testing.T) {
 	// More bands than rows, zero/negative parameters.
-	if got := EditDistance("ab", "xy", DefaultCosts, 16, 4, ""); got != 2 {
+	if got := EditDistance("ab", "xy", DefaultCosts, 16, 4, core.ImplList.New); got != 2 {
 		t.Fatalf("clamped bands = %d, want 2", got)
 	}
-	if got := EditDistance("ab", "xy", DefaultCosts, 0, 0, ""); got != 2 {
+	if got := EditDistance("ab", "xy", DefaultCosts, 0, 0, core.ImplList.New); got != 2 {
 		t.Fatalf("degenerate params = %d, want 2", got)
 	}
 }
@@ -101,9 +101,9 @@ func TestTriangleInequalityProperty(t *testing.T) {
 		a := randomString(rng, 10+rng.Intn(20), "ab")
 		b := randomString(rng, 10+rng.Intn(20), "ab")
 		c := randomString(rng, 10+rng.Intn(20), "ab")
-		dab := EditDistance(a, b, DefaultCosts, 3, 4, "")
-		dbc := EditDistance(b, c, DefaultCosts, 3, 4, "")
-		dac := EditDistance(a, c, DefaultCosts, 3, 4, "")
+		dab := EditDistance(a, b, DefaultCosts, 3, 4, core.ImplList.New)
+		dbc := EditDistance(b, c, DefaultCosts, 3, 4, core.ImplList.New)
+		dac := EditDistance(a, c, DefaultCosts, 3, 4, core.ImplList.New)
 		return dac <= dab+dbc && dab <= dac+dbc && dbc <= dab+dac
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -116,7 +116,7 @@ func TestSymmetry(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a := randomString(rng, rng.Intn(40), "xyz")
 		b := randomString(rng, rng.Intn(40), "xyz")
-		if EditDistance(a, b, DefaultCosts, 2, 3, "") != EditDistance(b, a, DefaultCosts, 2, 3, "") {
+		if EditDistance(a, b, DefaultCosts, 2, 3, core.ImplList.New) != EditDistance(b, a, DefaultCosts, 2, 3, core.ImplList.New) {
 			t.Fatalf("distance not symmetric for %q, %q", a, b)
 		}
 	}
@@ -124,7 +124,7 @@ func TestSymmetry(t *testing.T) {
 
 func TestEmptyA(t *testing.T) {
 	// n == 0 takes the sequential fallback inside EditDistance.
-	if got := EditDistance("", "abc", DefaultCosts, 4, 2, ""); got != 3 {
+	if got := EditDistance("", "abc", DefaultCosts, 4, 2, core.ImplList.New); got != 3 {
 		t.Fatalf("empty-a distance = %d", got)
 	}
 }
